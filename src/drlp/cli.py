@@ -10,17 +10,15 @@ invocations with the same arguments produce identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .network import (
     ReluNetwork,
-    activation_pattern,
     critical_indices,
     evaluate,
     load_model,
@@ -46,6 +44,7 @@ from .solver import (
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
+    _pattern_with_valid_pairs,
     axis_derivatives,
     certify_local_min,
     drlsimplex,
@@ -63,33 +62,23 @@ def _parse_ints(text):
     return [int(v) for v in text.split(",")]
 
 
-class _TraceWriter:
-    """Appends one JSON object per record, flushed immediately."""
-
-    def __init__(self, path):
-        self._fh = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def writer_for(self, start_index=None):
-        def write(rec):
-            doc = {
-                "step": rec.step,
-                "phase": rec.phase,
-                "x": list(rec.x),
-                "f": rec.f,
-                "neuron": list(rec.neuron) if rec.neuron else None,
-                "t": rec.t,
-                "alpha": rec.alpha,
-            }
-            if start_index is not None:
-                doc["start"] = start_index
-            with self._lock:
-                self._fh.write(json.dumps(doc) + "\n")
-                self._fh.flush()
-        return write
-
-    def close(self):
-        self._fh.close()
+def _trace_writer(fh, net, start_index=None):
+    """Writes one JSON object per record to fh, flushed immediately."""
+    def write(rec):
+        doc = {
+            "step": rec.step,
+            "phase": rec.phase,
+            "x": list(rec.x),
+            "f": rec.f,
+            "neuron": None if rec.neuron is None else list(net.neuron_at(rec.neuron)),
+            "t": rec.t,
+            "alpha": rec.alpha,
+        }
+        if start_index is not None:
+            doc["start"] = start_index
+        fh.write(json.dumps(doc) + "\n")
+        fh.flush()
+    return write
 
 
 def _add_solve_args(p, with_x0=True):
@@ -99,7 +88,7 @@ def _add_solve_args(p, with_x0=True):
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--starts", type=int, default=1,
-                   help="independent solver runs in parallel; best outcome is reported")
+                   help="independent solver runs, one after another; best outcome is reported")
     p.add_argument("--trace", help="write per-step JSONL records to this file")
     p.add_argument("--out", help="also write the outcome JSON to this file")
     p.add_argument("--zero-tol", type=float, default=1e-9)
@@ -122,32 +111,22 @@ def _jittered(net, rng):
     return ReluNetwork(net.weights, biases)
 
 
-def _run_starts(args, make_x0, run_one):
-    """Run --starts independent instances; pick unbounded first, then best f."""
+def _run_starts(args, net, make_x0, run_one):
+    """Run --starts independent instances in order; pick unbounded first, then best f."""
     seeds = np.random.SeedSequence(args.seed).spawn(max(1, args.starts))
-    writer = _TraceWriter(args.trace) if args.trace else None
-
-    def attempt(k):
-        rng = np.random.Generator(np.random.Philox(seeds[k]))
-        on_record = writer.writer_for(k if args.starts > 1 else None) if writer else None
-        x0 = make_x0(rng)
-        out = run_one(x0, rng, on_record)
-        if out.status == NON_REGULAR and args.jitter_on_nonregular:
-            for _ in range(3):
-                out = run_one(x0, rng, on_record, jitter_rng=rng)
-                if out.status != NON_REGULAR:
-                    break
-        return out
-
-    try:
-        if args.starts <= 1:
-            outcomes = [attempt(0)]
-        else:
-            with ThreadPoolExecutor(max_workers=min(args.starts, 8)) as ex:
-                outcomes = list(ex.map(attempt, range(args.starts)))
-    finally:
-        if writer:
-            writer.close()
+    outcomes = []
+    with open(args.trace, "a", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
+        for k, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.Philox(seed))
+            on_record = _trace_writer(fh, net, k if args.starts > 1 else None) if fh else None
+            x0 = make_x0(rng)
+            out = run_one(x0, rng, on_record)
+            if out.status == NON_REGULAR and args.jitter_on_nonregular:
+                for _ in range(3):
+                    out = run_one(x0, rng, on_record, jitter_rng=rng)
+                    if out.status != NON_REGULAR:
+                        break
+            outcomes.append(out)
     unbounded = [o for o in outcomes if o.status == UNBOUNDED]
     if unbounded:
         return unbounded[0]
@@ -158,7 +137,7 @@ def _run_starts(args, make_x0, run_one):
     return limits[0] if limits else outcomes[0]
 
 
-def _outcome_doc(out, extra=None):
+def _outcome_doc(out, net, extra=None):
     doc = {
         "status": out.status,
         "x": [float(v) for v in out.x],
@@ -169,14 +148,14 @@ def _outcome_doc(out, extra=None):
     if out.direction is not None:
         doc["direction"] = [float(v) for v in out.direction]
     if out.neurons:
-        doc["neurons"] = [list(c) for c in out.neurons]
+        doc["neurons"] = [list(net.neuron_at(c)) for c in out.neurons]
     if extra:
         doc.update(extra)
     return doc
 
 
-def _emit_outcome(args, out, extra=None):
-    doc = _outcome_doc(out, extra)
+def _emit_outcome(args, out, net, extra=None):
+    doc = _outcome_doc(out, net, extra)
     text = json.dumps(doc)
     print(text)
     if args.out:
@@ -185,24 +164,29 @@ def _emit_outcome(args, out, extra=None):
     return EXIT_CODES[out.status]
 
 
-def _solve_linear(args, net, pairs, x0_dim, extra_from=None, fixed_x0=None):
+def _solve(args, net, pairs, extra_from=None, fixed_x0=None, solve=drlsimplex):
+    """Parse the start point, run the starts through solve(net, x0, opts, pairs), emit."""
     def make_x0(rng):
         if fixed_x0 is not None:
             return np.asarray(fixed_x0, dtype=np.float64)
         if args.x0 == "zero":
-            return np.zeros(x0_dim)
+            return np.zeros(net.input_dim)
         if args.x0 == "random":
-            return rng.standard_normal(x0_dim)
+            return rng.standard_normal(net.input_dim)
         return _parse_floats(args.x0)
 
     def run_one(x0, rng, on_record, jitter_rng=None):
         the_net = _jittered(net, jitter_rng) if jitter_rng is not None else net
         opts = _options_from(args, rng=rng, on_record=on_record)
-        return drlsimplex(the_net, x0, opts, pairs)
+        return solve(the_net, x0, opts, pairs)
 
-    out = _run_starts(args, make_x0, run_one)
+    out = _run_starts(args, net, make_x0, run_one)
     extra = extra_from(out) if extra_from else None
-    return _emit_outcome(args, out, extra)
+    return _emit_outcome(args, out, net, extra)
+
+
+def _theta(out):
+    return {"theta": [float(v) for v in out.x]}
 
 
 def cmd_random_net(args):
@@ -214,41 +198,26 @@ def cmd_random_net(args):
 
 def cmd_solve(args):
     net, pairs = load_model(args.model)
-    return _solve_linear(args, net, pairs, net.input_dim)
+    return _solve(args, net, pairs)
 
 
 def cmd_quantile(args):
     data = load_csv(args.data, args.response)
     net, pairs = build_quantile_lasso(data, alpha=args.alpha, lam=args.lam)
-    return _solve_linear(args, net, pairs, net.input_dim,
-                         extra_from=lambda out: {"theta": [float(v) for v in out.x]})
+    return _solve(args, net, pairs, extra_from=_theta)
 
 
 def cmd_clad(args):
     data = load_csv(args.data, args.response)
     net, pairs = build_clad(data)
-    return _solve_linear(args, net, pairs, net.input_dim,
-                         extra_from=lambda out: {"theta": [float(v) for v in out.x]})
+    return _solve(args, net, pairs, extra_from=_theta)
 
 
 def cmd_lasso(args):
     data = load_csv(args.data, args.response)
     net, q, pairs = build_lasso(data, lam=args.lam)
-
-    def make_x0(rng):
-        if args.x0 == "zero":
-            return np.zeros(net.input_dim)
-        if args.x0 == "random":
-            return rng.standard_normal(net.input_dim)
-        return _parse_floats(args.x0)
-
-    def run_one(x0, rng, on_record, jitter_rng=None):
-        the_net = _jittered(net, jitter_rng) if jitter_rng is not None else net
-        opts = _options_from(args, rng=rng, on_record=on_record)
-        return solve_quadratic(the_net, q, x0, opts, pairs)
-
-    out = _run_starts(args, make_x0, run_one)
-    return _emit_outcome(args, out, {"theta": [float(v) for v in out.x]})
+    return _solve(args, net, pairs, extra_from=_theta,
+                  solve=lambda n, x0, opts, p: solve_quadratic(n, q, x0, opts, p))
 
 
 def cmd_train_l1(args):
@@ -267,7 +236,7 @@ def cmd_train_l1(args):
             doc["model"] = args.out_model
         return doc
 
-    return _solve_linear(args, net, pairs, net.input_dim, extra_from=extra, fixed_x0=fixed)
+    return _solve(args, net, pairs, extra_from=extra, fixed_x0=fixed)
 
 
 def cmd_bounds(args):
@@ -293,32 +262,30 @@ def cmd_check(args):
     x = _parse_floats(args.x)
     if x.shape != (net.input_dim,):
         raise ValueError(f"--x has {len(x)} values, model expects {net.input_dim}")
-    s = activation_pattern(net, x)
+    s = _pattern_with_valid_pairs(net, x, pairs)
+    crit = critical_indices(net, s, x)
     if pairs is not None:
-        for a, b in pairs.pairs:
-            if s.get(a) == s.get(b):
-                s.bits[s.flat_index(a)] = 1
-                s.bits[s.flat_index(b)] = 0
-    secondary = {b for _, b in pairs.pairs} if pairs else set()
-    crit = [c for c in critical_indices(net, s, x) if c not in secondary]
+        secondary = pairs.secondary_flat_mask(net)
+        crit = [c for c in crit if not secondary[c]]
+    units = [list(net.neuron_at(c)) for c in crit]
     pinv = PseudoInverse.empty(net.input_dim)
     if crit:
         cols = np.stack([oriented_normal(net, s, c) for c in crit], axis=1)
         sv = np.linalg.svd(cols, compute_uv=False)
         if sv[-1] <= 1e-8 * sv[0] or len(crit) > net.input_dim:
             print(json.dumps({"certified": False, "reason": "dependent active walls",
-                              "neurons": [list(c) for c in crit]}))
+                              "neurons": units}))
             return 3
         pinv = PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(crit))
     try:
         ok = certify_local_min(net, x, s, pinv, pairs=pairs)
         axes = [
-            {"neuron": list(c), "bit": int(bit), "derivative": val}
+            {"neuron": list(net.neuron_at(c)), "bit": int(bit), "derivative": val}
             for c, bit, val, _ in axis_derivatives(net, x, s, pinv, pairs=pairs)
         ]
     except Degenerate:
         print(json.dumps({"certified": False, "reason": "degenerate axis update",
-                          "neurons": [list(c) for c in crit]}))
+                          "neurons": units}))
         return 3
     print(json.dumps({"certified": bool(ok), "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2

@@ -8,12 +8,17 @@ This module holds the network container plus the pointwise quantities the
 pivoting solver is built from: activation patterns, per-unit arguments,
 region gradients, and the normals of the hyperplanes where units switch.
 
-Hidden units are addressed by 1-based pairs ``(layer, unit)`` with
-``layer`` in ``1..depth`` and ``unit`` in ``1..width(layer)``.
+A hidden unit is a flat ``int``: its position when the layers' units are
+laid end to end, which is also ``(layer, unit)`` lexicographic order.
+People and files name units by 1-based pairs ``(layer, unit)``;
+``ReluNetwork.flat_index`` and ``ReluNetwork.neuron_at`` convert between
+the two at that boundary.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 
 import numpy as np
@@ -21,8 +26,6 @@ import numpy as np
 # Default absolute scale for "this argument is exactly zero" decisions.
 # Used relative to the local scale, see hyperplane_pattern/critical_indices.
 ZERO_TOL = 1e-9
-
-NeuronIndex = tuple  # (layer, unit), both 1-based
 
 
 class ReluNetwork:
@@ -59,29 +62,22 @@ class ReluNetwork:
         self.relu_widths = tuple(w.shape[0] for w in self.weights[:-1])
         self.widths = (self.input_dim,) + self.relu_widths + (1,)
         self.num_neurons = int(sum(self.relu_widths))
-        off = np.zeros(self.depth + 1, dtype=np.int64)
-        np.cumsum(self.relu_widths, out=off[1:])
-        self.offsets = off
+        # flat index of each layer's first unit, then num_neurons
+        self.offsets = tuple(itertools.accumulate(self.relu_widths, initial=0))
 
     def flat_index(self, c) -> int:
-        """Flat position of hidden unit ``c = (layer, unit)``."""
-        l, j = c
+        """Flat position of hidden unit ``c = (layer, unit)``, both 1-based."""
+        l, j = map(int, c)
         if not (1 <= l <= self.depth and 1 <= j <= self.relu_widths[l - 1]):
             raise ValueError(f"no hidden unit {c!r} in widths {self.widths}")
-        return int(self.offsets[l - 1]) + j - 1
+        return self.offsets[l - 1] + j - 1
 
     def neuron_at(self, flat: int):
         """Inverse of flat_index."""
         if not 0 <= flat < self.num_neurons:
             raise ValueError(f"flat index {flat} out of range")
-        l = int(np.searchsorted(self.offsets, flat, side="right"))
-        return (l, flat - int(self.offsets[l - 1]) + 1)
-
-    def neurons(self):
-        """All hidden unit indices in (layer, unit) lexicographic order."""
-        for l, width in enumerate(self.relu_widths, start=1):
-            for j in range(1, width + 1):
-                yield (l, j)
+        l = bisect.bisect_right(self.offsets, flat)
+        return (l, flat - self.offsets[l - 1] + 1)
 
     def __repr__(self):
         return f"ReluNetwork(widths={self.widths})"
@@ -115,12 +111,8 @@ class _FlatPattern:
     def to_layers(self):
         return [self.layer(l).tolist() for l in range(1, len(self.widths) + 1)]
 
-    def flat_index(self, c) -> int:
-        l, j = c
-        return int(self.offsets[l - 1]) + j - 1
-
-    def get(self, c) -> int:
-        return int(self.bits[self.flat_index(c)])
+    def get(self, c: int) -> int:
+        return int(self.bits[c])
 
     def copy(self):
         return type(self)(self.widths, self.bits.copy())
@@ -147,14 +139,8 @@ class _FlatPattern:
 class ActivationPattern(_FlatPattern):
     """0/1 state of every hidden unit: 1 = passes its argument, 0 = clamped."""
 
-    def flip_inplace(self, c):
-        i = self.flat_index(c)
-        self.bits[i] ^= 1
-
-    def flipped(self, c):
-        out = self.copy()
-        out.flip_inplace(c)
-        return out
+    def flip_inplace(self, c: int):
+        self.bits[c] ^= 1
 
 
 class HyperplanePattern(_FlatPattern):
@@ -169,51 +155,53 @@ class PairGroups:
     The two units of a pair sit on one hyperplane with opposite orientation,
     so a valid activation pattern keeps their bits complementary and the
     solver flips them together.  The first member of each pair is the
-    representative the line search scans; the second is skipped.
+    representative the line search scans; the second is skipped.  Pair k
+    is ``(first[k], second[k])``, both flat unit indices; ``partner[u]`` is
+    the other member of unit u's pair, or -1 (units past its end are unpaired).
     """
 
     def __init__(self, pairs=()):
-        self.pairs = [((int(a[0]), int(a[1])), (int(b[0]), int(b[1]))) for a, b in pairs]
-        self._partner = {}
-        for a, b in self.pairs:
-            if a[0] != b[0]:
-                raise ValueError(f"pair {a}/{b} spans two layers")
-            if a in self._partner or b in self._partner or a == b:
-                raise ValueError("pairs must be disjoint")
-            self._partner[a] = b
-            self._partner[b] = a
+        self.pairs = [(int(a), int(b)) for a, b in pairs]
+        members = np.fromiter(itertools.chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
+        self.first, self.second = members[0::2], members[1::2]
+        self.partner = np.full(members.max(initial=-1) + 1, -1, dtype=np.int64)
+        self.partner[self.first] = self.second
+        self.partner[self.second] = self.first
+        if np.count_nonzero(self.partner >= 0) != members.size:
+            raise ValueError("pairs must be disjoint")
 
     def __len__(self):
         return len(self.pairs)
 
-    def partner_of(self, c):
-        return self._partner.get((c[0], c[1]))
-
-    def flip_set(self, c):
-        """The unit c together with its partner, if paired."""
-        p = self.partner_of(c)
-        return (c,) if p is None else (c, p)
-
     def secondary_flat_mask(self, net: ReluNetwork) -> np.ndarray:
         """Boolean mask over flat unit indices marking second pair members."""
         mask = np.zeros(net.num_neurons, dtype=bool)
-        for _, b in self.pairs:
-            mask[net.flat_index(b)] = True
+        mask[self.second] = True
         return mask
 
     def validate(self, net: ReluNetwork):
-        """Check exact row negation of weights and biases for every pair."""
-        for a, b in self.pairs:
-            (l, ja), (_, jb) = a, b
+        """Check that each pair is two units of one layer with exactly negated rows and biases."""
+        units = np.concatenate([self.first, self.second])
+        if units.size and not 0 <= units.min() <= units.max() < net.num_neurons:
+            raise ValueError(f"pairs name units outside widths {net.widths}")
+        layer = np.searchsorted(net.offsets, self.first, side="right")
+        bad = layer != np.searchsorted(net.offsets, self.second, side="right")
+        for l in range(1, net.depth + 1):
+            k = np.nonzero((layer == l) & ~bad)[0]
+            ja, jb = self.first[k] - net.offsets[l - 1], self.second[k] - net.offsets[l - 1]
             w, bias = net.weights[l - 1], net.biases[l - 1]
-            if not (np.array_equal(w[ja - 1], -w[jb - 1]) and bias[ja - 1] == -bias[jb - 1]):
-                raise ValueError(f"pair {a}/{b}: rows are not exact negations")
+            bad[k] = ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
+        if bad.any():
+            a, b = self.first[bad][0], self.second[bad][0]
+            raise ValueError(f"pair {net.neuron_at(int(a))}/{net.neuron_at(int(b))}: "
+                             "not two units of one layer with exactly negated rows")
 
     def check_pattern(self, s: ActivationPattern):
         """Paired bits must be complementary."""
-        for a, b in self.pairs:
-            if s.get(a) == s.get(b):
-                raise ValueError(f"pair {a}/{b} has equal activation bits")
+        equal = s.bits[self.first] == s.bits[self.second]
+        if equal.any():
+            a, b = self.first[equal][0], self.second[equal][0]
+            raise ValueError(f"paired units {a}/{b} (flat indices) have equal activation bits")
 
 
 def evaluate(net: ReluNetwork, x) -> float:
@@ -311,14 +299,14 @@ def normal_matrices(net: ReluNetwork, s: ActivationPattern):
     return mats
 
 
-def oriented_normal(net: ReluNetwork, s: ActivationPattern, c) -> np.ndarray:
+def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarray:
     """Normal of unit c's hyperplane, oriented into the side where s holds.
 
     Moving from a point on the hyperplane with positive inner product
     against this vector keeps (for bit 1) or makes (for bit 0) the unit's
     activation consistent with s.
     """
-    l, j = c
+    l, j = net.neuron_at(c)
     r = net.weights[l - 1][j - 1]
     for k in range(l - 1, 0, -1):
         r = (r * s.layer(k)) @ net.weights[k - 1]
@@ -348,14 +336,10 @@ def critical_indices(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float 
     Units with (numerically) zero normal have locally constant arguments
     and are excluded; they never separate regions near x.
     """
-    args = subjective_arguments(net, s, x)
-    crit = []
-    for l, mat in enumerate(normal_matrices(net, s), start=1):
-        norms = np.linalg.norm(mat, axis=1)
-        hit = (np.abs(args[l - 1]) <= zero_tol * (1.0 + norms)) & (norms > zero_tol)
-        for j in np.nonzero(hit)[0]:
-            crit.append((l, int(j) + 1))
-    return crit
+    args = np.concatenate(subjective_arguments(net, s, x))
+    norms = np.linalg.norm(np.concatenate(normal_matrices(net, s)), axis=1)
+    hit = (np.abs(args) <= zero_tol * (1.0 + norms)) & (norms > zero_tol)
+    return np.nonzero(hit)[0].tolist()
 
 
 def critical_kernel_dim(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float = ZERO_TOL) -> int:
@@ -367,8 +351,7 @@ def critical_kernel_dim(net: ReluNetwork, s: ActivationPattern, x, zero_tol: flo
     crit = critical_indices(net, s, x, zero_tol)
     if not crit:
         return net.input_dim
-    mats = normal_matrices(net, s)
-    rows = np.stack([mats[l - 1][j - 1] for (l, j) in crit])
+    rows = np.concatenate(normal_matrices(net, s))[crit]
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sv > zero_tol * max(1.0, sv[0])))
     return net.input_dim - rank
@@ -394,11 +377,12 @@ def enumerate_compatible(net: ReluNetwork, x, zero_tol: float = ZERO_TOL, cap: i
     return out
 
 
-def flip(s: ActivationPattern, c, pairs: PairGroups | None = None) -> ActivationPattern:
+def flip(s: ActivationPattern, c: int, pairs: PairGroups | None = None) -> ActivationPattern:
     """Copy of s with unit c's bit toggled (and its partner's, if paired)."""
     out = s.copy()
-    for m in (pairs.flip_set(c) if pairs is not None else (c,)):
-        out.flip_inplace(m)
+    out.bits[c] ^= 1
+    if pairs is not None and c < len(pairs.partner) and pairs.partner[c] >= 0:
+        out.bits[pairs.partner[c]] ^= 1
     return out
 
 
@@ -421,7 +405,7 @@ def save_model(path, net: ReluNetwork, pairs: PairGroups | None = None):
         "biases": [b.tolist() for b in net.biases],
     }
     if pairs is not None and len(pairs):
-        doc["pairs"] = [[list(a), list(b)] for a, b in pairs.pairs]
+        doc["pairs"] = [[list(net.neuron_at(a)), list(net.neuron_at(b))] for a, b in pairs.pairs]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -439,6 +423,6 @@ def load_model(path):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
     pairs = None
     if doc.get("pairs"):
-        pairs = PairGroups(doc["pairs"])
+        pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])
         pairs.validate(net)
     return net, pairs

@@ -50,7 +50,7 @@ class PseudoInverse:
     """
 
     matrix: np.ndarray            # (m, input_dim)
-    owners: list                  # m unit indices (layer, unit)
+    owners: list                  # m flat unit indices
 
     @classmethod
     def empty(cls, input_dim: int) -> "PseudoInverse":
@@ -74,16 +74,11 @@ class AdvanceResult:
     """
 
     t: float
-    neuron: tuple | None
+    neuron: int | None
 
     @property
     def bounded(self) -> bool:
         return self.neuron is not None
-
-
-def _gather(per_layer, owners) -> np.ndarray:
-    """Pick the entries of a per-layer vector list at the owner indices."""
-    return np.array([per_layer[l - 1][j - 1] for (l, j) in owners])
 
 
 def project(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, v) -> np.ndarray:
@@ -91,7 +86,7 @@ def project(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, v) -> n
     v = np.asarray(v, dtype=np.float64)
     if pinv.m == 0:
         return np.zeros_like(v)
-    w = _gather(inner_products_all(net, s, v), pinv.owners)
+    w = np.concatenate(inner_products_all(net, s, v))[pinv.owners]
     return pinv.matrix.T @ w
 
 
@@ -112,7 +107,7 @@ def add_pseudorow(
     w_perp = u - project(pinv, net, s, u)
     nu = np.linalg.norm(u)
     if nu == 0.0 or np.linalg.norm(w_perp) <= dep_tol * nu:
-        raise DependentColumn(f"normal of {owner} is dependent on the tracked set")
+        raise DependentColumn(f"normal of unit {owner} is dependent on the tracked set")
     denom = float(w_perp @ u)
     new_row = w_perp / denom
     if pinv.m == 0:
@@ -139,7 +134,7 @@ def add_axis(
     pinv: PseudoInverse,
     net: ReluNetwork,
     s: ActivationPattern,
-    c,
+    c: int,
     dep_tol: float = DEP_TOL,
 ) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal as a new column."""
@@ -151,7 +146,7 @@ def update_axis_new_region(
     i: int,
     net: ReluNetwork,
     s: ActivationPattern,
-    c,
+    c: int,
     dep_tol: float = DEP_TOL,
 ) -> PseudoInverse:
     """Recompute row i after the activation bit of its owner c changed.
@@ -160,15 +155,15 @@ def update_axis_new_region(
     row i needs work.  All inner products are taken under the new pattern
     s.  Raises Degenerate on a vanishing denominator.
     """
-    if pinv.owners[i] != tuple(c):
-        raise ValueError(f"row {i} belongs to {pinv.owners[i]}, not {c}")
+    if pinv.owners[i] != c:
+        raise ValueError(f"row {i} belongs to unit {pinv.owners[i]}, not {c}")
     u = oriented_normal(net, s, c)
-    g = _gather(inner_products_all(net, s, u), pinv.owners)
+    g = np.concatenate(inner_products_all(net, s, u))[pinv.owners]
     w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
     denom = float(w @ u)
     uu = float(u @ u)
     if uu == 0.0 or abs(denom) <= dep_tol * uu:
-        raise Degenerate(f"axis update for {c} is degenerate")
+        raise Degenerate(f"axis update for unit {c} is degenerate")
     matrix = pinv.matrix.copy()
     matrix[i] = w / denom
     return PseudoInverse(matrix, list(pinv.owners))
@@ -190,17 +185,18 @@ def advance_max(
     argument against its current bit (active and falling, or inactive and
     rising); rates within zero_tol of 0 are not candidates, nor are
     ignored units or second pair members.  Returns the smallest crossing
-    step; ties within TIE_TOL * (1 + |t|) resolve to the lexicographically
-    smallest unit.  A marginally negative t signals the start point sits
-    just past that wall; the caller decides what to accept.
+    step; ties within TIE_TOL * (1 + |t|) resolve to the smallest flat
+    index, which is the lexicographically smallest (layer, unit).  A
+    marginally negative t signals the start point sits just past that
+    wall; the caller decides what to accept.
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    ignore_mask = np.zeros(net.num_neurons, dtype=bool)
-    for c in ignore:
-        ignore_mask[net.flat_index(c)] = True
     if pairs is not None:
-        ignore_mask |= pairs.secondary_flat_mask(net)
+        ignore_mask = pairs.secondary_flat_mask(net)
+    else:
+        ignore_mask = np.zeros(net.num_neurons, dtype=bool)
+    ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
 
     alpha = x
     beta = v
@@ -211,7 +207,7 @@ def advance_max(
         alpha = w @ alpha + b
         beta = w @ beta
         sl = s.layer(l)
-        off = int(net.offsets[l - 1])
+        off = net.offsets[l - 1]
         sel = ~ignore_mask[off:off + len(alpha)]
         sel &= np.abs(beta) > zero_tol
         sel &= np.where(sl == 1, beta < 0.0, beta > 0.0)
@@ -231,9 +227,9 @@ def advance_max(
     tied = flat[ts <= t_min + window]
     winner = int(np.min(tied))
     t_win = float(ts[np.nonzero(flat == winner)[0][0]])
-    return AdvanceResult(t_win, net.neuron_at(winner))
+    return AdvanceResult(t_win, winner)
 
 
 def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:
     """Arguments of the owner units at x (zero when x sits on every tracked wall)."""
-    return _gather(subjective_arguments(net, s, x), pinv.owners)
+    return np.concatenate(subjective_arguments(net, s, x))[pinv.owners]

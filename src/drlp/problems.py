@@ -94,13 +94,13 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     blocks_w = [-design, design]
     blocks_b = [data.y, -data.y]
     out_w = [np.full(n, alpha), np.full(n, 1.0 - alpha)]
-    pairs = [((1, i + 1), (1, n + i + 1)) for i in range(n)]
+    pairs = [(i, n + i) for i in range(n)]
     if lam > 0.0:
         pen = np.hstack([np.zeros((p, 1)), np.eye(p)])  # no intercept penalty
         blocks_w += [pen, -pen]
         blocks_b += [np.zeros(p), np.zeros(p)]
         out_w += [np.full(p, lam), np.full(p, lam)]
-        pairs += [((1, 2 * n + j + 1), (1, 2 * n + p + j + 1)) for j in range(p)]
+        pairs += [(2 * n + j, 2 * n + p + j) for j in range(p)]
     w1 = np.vstack(blocks_w)
     b1 = np.concatenate(blocks_b)
     w2 = np.concatenate(out_w)[None, :]
@@ -130,8 +130,8 @@ def build_clad(data: RegressionData):
     b2 = np.concatenate([-data.y, data.y])
     w3 = np.ones((1, 2 * n))
     net = ReluNetwork([w1, w2, w3], [b1, b2, np.zeros(1)])
-    pairs = PairGroups([((2, i + 1), (2, n + i + 1)) for i in range(n)])
-    return net, pairs
+    off = net.offsets[1]
+    return net, PairGroups((off + i, off + n + i) for i in range(n))
 
 
 def clad_loss(data: RegressionData, theta) -> float:
@@ -177,8 +177,8 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     layers_w.append(np.ones((1, 2 * n)))
     layers_b.append(np.zeros(1))
     net = ReluNetwork(layers_w, layers_b)
-    pairs = PairGroups([((base.depth + 1, i + 1), (base.depth + 1, n + i + 1)) for i in range(n)])
-    return net, pairs
+    off = net.offsets[base.depth]
+    return net, PairGroups((off + i, off + n + i) for i in range(n))
 
 
 def flatten_first_layer(base: ReluNetwork) -> np.ndarray:
@@ -226,7 +226,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     b1 = np.zeros(2 * p)
     w2 = np.ones((1, 2 * p))
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    pairs = PairGroups([((1, j + 1), (1, p + j + 1)) for j in range(p)]) if lam > 0.0 else None
+    pairs = PairGroups((j, p + j) for j in range(p)) if lam > 0.0 else None
     return net, q, pairs
 
 
@@ -253,7 +253,7 @@ def build_from_lp(lp: LpInstance, penalty: float = 1.0):
     b1 = np.concatenate([np.zeros(2), -lp.b, np.zeros(n_var)])
     w2 = np.concatenate([[1.0, -1.0], np.full(n_con + n_var, penalty)])[None, :]
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    return net, PairGroups([((1, 1), (1, 2))])
+    return net, PairGroups([(0, 1)])
 
 
 def load_csv(path, response=None) -> RegressionData:

@@ -80,7 +80,7 @@ class TraceRecord:
     phase: str          # find_vertex | pivot | flip | certify | correct | resync
     x: tuple
     f: float
-    neuron: tuple | None = None
+    neuron: int | None = None      # flat unit index
     t: float | None = None
     alpha: float | None = None
 
@@ -93,7 +93,7 @@ class SolveOutcome:
     steps: int
     wall_ms: float = 0.0
     direction: np.ndarray | None = None   # certified descent ray when Unbounded
-    neurons: list | None = None           # diagnostic units when NonRegular
+    neurons: list | None = None           # diagnostic flat unit indices when NonRegular
     trace: list = field(default_factory=list)
 
 
@@ -123,7 +123,7 @@ class SolverState:
             phase=phase,
             x=tuple(float(v) for v in self.x),
             f=self.value(),
-            neuron=tuple(neuron) if neuron is not None else None,
+            neuron=None if neuron is None else int(neuron),
             t=None if t is None else float(t),
             alpha=None if alpha is None else float(alpha),
         )
@@ -148,10 +148,9 @@ def _pattern_with_valid_pairs(net, x, pairs) -> ActivationPattern:
     # to the complementary convention (representative active)
     s = activation_pattern(net, x)
     if pairs is not None:
-        for a, b in pairs.pairs:
-            if s.get(a) == s.get(b):
-                s.bits[s.flat_index(a)] = 1
-                s.bits[s.flat_index(b)] = 0
+        tied = s.bits[pairs.first] == s.bits[pairs.second]
+        s.bits[pairs.first[tied]] = 1
+        s.bits[pairs.second[tied]] = 0
     return s
 
 
@@ -206,7 +205,7 @@ def position_correction(state: SolverState) -> float:
     if state.pinv.m == 0:
         return 0.0
     r = argument_residuals(state.pinv, state.net, state.s, state.x)
-    signs = np.array([1.0 if state.s.get(c) == 1 else -1.0 for c in state.pinv.owners])
+    signs = np.where(state.s.bits[state.pinv.owners] == 1, 1.0, -1.0)
     delta = state.pinv.matrix.T @ (-signs * r)
     state.x = state.x + delta
     if np.linalg.norm(delta) > 1e-13 * (1.0 + np.linalg.norm(state.x)):
@@ -531,16 +530,15 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
         rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
     )
-    secondary = set()
-    if pairs is not None:
-        secondary = {b for _, b in pairs.pairs}
+    secondary = (pairs.secondary_flat_mask(net) if pairs is not None
+                 else np.zeros(net.num_neurons, dtype=bool))
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
         active = [c for c in critical_indices(net, state.s, state.x, opts.zero_tol)
-                  if c not in secondary]
+                  if not secondary[c]]
         g = q.grad(state.x) + gradient(net, state.s)
         normals = [oriented_normal(net, state.s, c) for c in active]
         v = _feasible_direction(g, normals)

@@ -35,7 +35,7 @@ def fd_gradient(net, s, x):
 
 def fd_oriented_normal(net, s, c, x):
     """Oriented normal of unit c via differences of its argument."""
-    l, j = c
+    l, j = net.neuron_at(c)
     x = np.asarray(x, dtype=np.float64)
     v = np.zeros_like(x)
     for i in range(len(x)):
@@ -68,7 +68,7 @@ def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=1e-9):
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    ignore = {tuple(c) for c in ignore}
+    ignore = set(ignore)
     if pairs is not None:
         ignore |= {b for _, b in pairs.pairs}
     a0 = subjective_arguments(net, s, x)
@@ -76,15 +76,16 @@ def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=1e-9):
     cands = []
     for l in range(1, net.depth + 1):
         for j in range(1, net.relu_widths[l - 1] + 1):
-            if (l, j) in ignore:
+            c = net.flat_index((l, j))
+            if c in ignore:
                 continue
             alpha = a0[l - 1][j - 1]
             beta = a1[l - 1][j - 1] - alpha
             if abs(beta) <= zero_tol:
                 continue
-            bit = s.get((l, j))
+            bit = s.get(c)
             if (bit == 1 and beta < 0.0) or (bit == 0 and beta > 0.0):
-                cands.append((-alpha / beta, (l, j)))
+                cands.append((-alpha / beta, c))
     if not cands:
         return float("inf"), None
     t_min = min(t for t, _ in cands)

@@ -67,15 +67,15 @@ def test_ac01_axis_updates_at_shared_vertex():
     net = _hinge_gap()
     s = ActivationPattern.from_layers([[1, 1], [1]])
     pinv = PseudoInverse.empty(2)
-    pinv = add_axis(pinv, net, s, (1, 2))
-    pinv = add_axis(pinv, net, s, (2, 1))
+    pinv = add_axis(pinv, net, s, 1)
+    pinv = add_axis(pinv, net, s, 2)
     devs = [np.max(np.abs(pinv.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
 
-    s = flip(s, (1, 2))
-    pinv = update_axis_new_region(pinv, 0, net, s, (1, 2))
+    s = flip(s, 1)
+    pinv = update_axis_new_region(pinv, 0, net, s, 1)
     devs.append(np.max(np.abs(pinv.matrix[0] - np.array([0.0, -1.0]))))
-    s = flip(s, (2, 1))
-    pinv = update_axis_new_region(pinv, 1, net, s, (2, 1))
+    s = flip(s, 2)
+    pinv = update_axis_new_region(pinv, 1, net, s, 2)
     devs.append(np.max(np.abs(pinv.matrix[1] - np.array([-1.0, 0.0]))))
 
     elapsed = time.perf_counter() - t0
@@ -100,7 +100,7 @@ def test_ac02_critical_sets_on_shared_hyperplane():
     x = np.array([0.0])
     got_a = critical_indices(shared, ActivationPattern.from_layers([[0, 1], [1]]), x)
     got_b = critical_indices(mirrored, ActivationPattern.from_layers([[0, 0], [1]]), x)
-    ok = got_a == [(1, 1), (1, 2), (2, 1)] and got_b == [(1, 1), (1, 2)]
+    ok = got_a == [0, 1, 2] and got_b == [0, 1]
     elapsed = time.perf_counter() - t0
     _report(
         "AC2 critical index sets on the shared line are exact",
@@ -123,11 +123,12 @@ def test_ac03_pattern_fixed_quantities_match_network():
         for _ in range(50):
             x = rng.uniform(-3.0, 3.0, size=n0)
             s = activation_pattern(net, x)
-            c = net.neuron_at(int(rng.integers(net.num_neurons)))
+            c = int(rng.integers(net.num_neurons))
             v = oriented_normal(net, s, c)
             nv2 = float(v @ v)
             if nv2 > 1e-18:
-                arg = subjective_arguments(net, s, x)[c[0] - 1][c[1] - 1]
+                l, j = net.neuron_at(c)
+                arg = subjective_arguments(net, s, x)[l - 1][j - 1]
                 x = x - arg / nv2 * (v if s.get(c) == 1 else -v)
             pts.append(x)
         for x in pts:

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drlp import save_model
+from drlp import ReluNetwork, save_model
 from drlp.cli import main
 from helpers import lad_enumerate
 
@@ -132,6 +133,28 @@ class TestSolve:
         for a, b in zip(fs, fs[1:]):
             assert b <= a + 1e-9 * (1.0 + abs(fs[0]))
 
+    def test_trace_names_first_unit(self, capsys, tmp_path):
+        # f(x) = relu(x): the descent from x = 2 stops on unit (1, 1), flat index 0
+        model = tmp_path / "relu.json"
+        save_model(model, ReluNetwork([np.ones((1, 1)), np.ones((1, 1))],
+                                      [np.zeros(1), np.zeros(1)]))
+        trace = tmp_path / "trace.jsonl"
+        code, _, _ = _run(capsys, ["solve", "--model", str(model), "--x0", "2",
+                                   "--trace", str(trace)])
+        assert code == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        hits = [rec["neuron"] for rec in records if rec["phase"] in ("find_vertex", "flip")]
+        assert hits and all(n == [1, 1] for n in hits)
+
+    def test_multi_start_trace_is_ordered_and_repeatable(self, capsys, hinge_model, tmp_path):
+        files = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in files:
+            _run(capsys, ["solve", "--model", hinge_model, "--x0", "random",
+                          "--starts", "3", "--seed", "11", "--trace", str(path)])
+        assert files[0].read_bytes() == files[1].read_bytes()
+        starts = [json.loads(line)["start"] for line in files[0].read_text().splitlines()]
+        assert starts == sorted(starts) and set(starts) == {0, 1, 2}
+
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
                 "--starts", "3", "--seed", "11"]
@@ -241,8 +264,15 @@ class TestEntryPoint:
         assert json.loads(proc.stdout) == {"montufar": 3, "improved": 3}
 
     def test_console_script(self):
+        # the console script and `python -m drlp` share one entry point
+        import tomllib  # Python 3.11+; imported here so older interpreters still collect the module
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"]["drlp"] == "drlp.cli:main"
         proc = subprocess.run(
-            ["drlp", "bounds", "--topology", "2,3,3"], capture_output=True, text=True
+            [sys.executable, "-m", "drlp", "bounds", "--topology", "2,3,3"],
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["improved"] == 40

@@ -43,7 +43,7 @@ class TestConstruction:
             c = net.neuron_at(flat)
             assert net.flat_index(c) == flat
             seen.add(c)
-        assert seen == set(net.neurons())
+        assert seen == {(1, 1), (1, 2), (2, 1)}
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -88,16 +88,16 @@ class TestPatterns:
     def test_zero_tolerance_scales_with_point(self, net_fold_sum):
         # argument x1 - x2 = 5e-10 is inside the zero band
         h = hyperplane_pattern(net_fold_sum, [1.0 + 5e-10, 1.0])
-        assert h.get((1, 1)) == 0
+        assert h.get(0) == 0
         h = hyperplane_pattern(net_fold_sum, [1.0 + 5e-6, 1.0])
-        assert h.get((1, 1)) == 1
+        assert h.get(0) == 1
 
     def test_compatibility_rules(self, net_split_line):
         h = hyperplane_pattern(net_split_line, [0.0])
         assert h.to_layers() == [[0, 0], [0]]
         for bits in range(8):
             s = activation_pattern(net_split_line, [0.0])
-            for k, c in enumerate([(1, 1), (1, 2), (2, 1)]):
+            for k, c in enumerate([0, 1, 2]):
                 if bits >> k & 1:
                     s = flip(s, c)
             assert is_compatible(h, s)
@@ -118,7 +118,7 @@ class TestPatterns:
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
         t = s.copy()
         assert s == t and hash(s) == hash(t)
-        t = flip(t, (2, 1))
+        t = flip(t, 2)
         assert s != t and s.key() != t.key()
 
     def test_batch_bits_match_scalar(self):
@@ -173,7 +173,7 @@ class TestSubjective:
             net = build_random((3, 4, 3, 1), seed=int(rng.integers(1 << 30)))
             x = rng.uniform(-2, 2, size=3)
             s = activation_pattern(net, x)
-            for c in net.neurons():
+            for c in range(net.num_neurons):
                 assert_allclose(
                     oriented_normal(net, s, c), fd_oriented_normal(net, s, c, x),
                     atol=1e-9,
@@ -186,8 +186,8 @@ class TestSubjective:
             s = activation_pattern(net, rng.uniform(-2, 2, size=3))
             w = rng.standard_normal(3)
             prods = inner_products_all(net, s, w)
-            for c in net.neurons():
-                l, j = c
+            for c in range(net.num_neurons):
+                l, j = net.neuron_at(c)
                 assert prods[l - 1][j - 1] == pytest.approx(
                     oriented_normal(net, s, c) @ w, abs=1e-10
                 )
@@ -196,23 +196,23 @@ class TestSubjective:
 class TestCritical:
     def test_shared_line_all_units_critical(self, net_split_line):
         s = activation_pattern(net_split_line, [0.0])
-        s = flip(flip(s, (1, 2)), (2, 1))  # bits ((0,1),(1))
+        s = flip(flip(s, 1), 2)  # bits ((0,1),(1))
         assert s.to_layers() == [[0, 1], [1]]
         crit = critical_indices(net_split_line, s, np.array([0.0]))
-        assert crit == [(1, 1), (1, 2), (2, 1)]
+        assert crit == [0, 1, 2]
 
     def test_mirrored_line_drops_flat_unit(self, net_split_line_mirrored):
         net = net_split_line_mirrored
-        s = flip(activation_pattern(net, [0.0]), (2, 1))
+        s = flip(activation_pattern(net, [0.0]), 2)
         assert s.to_layers() == [[0, 0], [1]]
         crit = critical_indices(net, s, np.array([0.0]))
-        assert crit == [(1, 1), (1, 2)]
+        assert crit == [0, 1]
 
     def test_kernel_dimension(self, net_fold_sum, net_split_line):
         s = activation_pattern(net_fold_sum, [5.0, 5.0])
         assert critical_kernel_dim(net_fold_sum, s, np.array([5.0, 5.0])) == 1
         s2 = activation_pattern(net_split_line, [0.0])
-        s2 = flip(s2, (1, 2))
+        s2 = flip(s2, 1)
         assert critical_kernel_dim(net_split_line, s2, np.array([0.0])) == 0
 
     def test_off_hyperplane_point_has_none(self, net_fold_sum):
@@ -241,33 +241,33 @@ class TestPairsAndFlip:
 
     def test_pair_validation(self):
         net = self._paired_net()
-        PairGroups([((1, 1), (1, 2))]).validate(net)
+        PairGroups([(0, 1)]).validate(net)
         with pytest.raises(ValueError):
-            PairGroups([((1, 1), (1, 3))]).validate(net)
+            PairGroups([(0, 2)]).validate(net)
 
     def test_pair_flip_moves_both_bits(self):
         net = self._paired_net()
-        pairs = PairGroups([((1, 1), (1, 2))])
+        pairs = PairGroups([(0, 1)])
         s = activation_pattern(net, [1.0, 1.0])
-        assert (s.get((1, 1)), s.get((1, 2))) == (1, 0)
-        t = flip(s, (1, 1), pairs=pairs)
-        assert (t.get((1, 1)), t.get((1, 2))) == (0, 1)
-        assert t.get((1, 3)) == s.get((1, 3))
-        back = flip(t, (1, 2), pairs=pairs)
+        assert (s.get(0), s.get(1)) == (1, 0)
+        t = flip(s, 0, pairs=pairs)
+        assert (t.get(0), t.get(1)) == (0, 1)
+        assert t.get(2) == s.get(2)
+        back = flip(t, 1, pairs=pairs)
         assert back == s
 
     def test_flip_without_pairs_is_involution(self, net_fold_sum):
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
-        c = (1, 1)
+        c = 0
         assert flip(flip(s, c), c) == s
 
     def test_complement_check(self):
         net = self._paired_net()
-        pairs = PairGroups([((1, 1), (1, 2))])
+        pairs = PairGroups([(0, 1)])
         good = activation_pattern(net, [1.0, 1.0])
         pairs.check_pattern(good)
         bad = good.copy()
-        bad.flip_inplace((1, 2))
+        bad.flip_inplace(1)
         with pytest.raises(ValueError):
             pairs.check_pattern(bad)
 
@@ -290,9 +290,27 @@ class TestModelIO:
             [w1, np.ones((1, 2))], [np.array([2.0, -2.0]), np.zeros(1)]
         )
         path = tmp_path / "m.json"
-        save_model(path, net, pairs=PairGroups([((1, 1), (1, 2))]))
+        save_model(path, net, pairs=PairGroups([(0, 1)]))
         _, pairs = load_model(path)
-        assert pairs.pairs == [((1, 1), (1, 2))]
+        assert pairs.pairs == [(0, 1)]
+
+    def test_pairs_written_as_layer_unit(self, tmp_path):
+        # files name units by 1-based (layer, unit); flat indices stay in memory
+        w1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        net = ReluNetwork(
+            [w1, np.ones((1, 2))], [np.array([2.0, -2.0]), np.zeros(1)]
+        )
+        path = tmp_path / "m.json"
+        save_model(path, net, pairs=PairGroups([(0, 1)]))
+        assert path.read_text() == (
+            '{"widths": [2, 2, 1], "weights": [[[1.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0]]], '
+            '"biases": [[2.0, -2.0], [0.0]], "pairs": [[[1, 1], [1, 2]]]}\n'
+        )
+        # a file that lists the second unit first loads with that order
+        path.write_text(path.read_text().replace('"pairs": [[[1, 1], [1, 2]]]',
+                                                 '"pairs": [[[1, 2], [1, 1]]]'))
+        _, pairs = load_model(path)
+        assert pairs.pairs == [(1, 0)]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

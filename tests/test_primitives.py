@@ -31,7 +31,7 @@ from helpers import (
 def _all_ones_pattern(net):
     s = activation_pattern(net, np.full(net.input_dim, 1e6))
     # a huge positive point may still miss some units; force every bit on
-    for c in net.neurons():
+    for c in range(net.num_neurons):
         if s.get(c) == 0:
             s.flip_inplace(c)
     return s
@@ -53,7 +53,7 @@ class TestAddRemove:
             rows = rng.standard_normal((m, n0))
             net = first_layer_wrapper(rows)
             s = _all_ones_pattern(net)
-            owners = [(1, j) for j in range(1, m + 1)]
+            owners = list(range(m))
             pinv = _build_incremental(net, s, owners)
             assert_allclose(pinv.matrix @ rows.T, np.eye(m), atol=1e-10)
             # rows stay inside the column span, so this is the Moore-Penrose inverse
@@ -63,16 +63,16 @@ class TestAddRemove:
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         net = first_layer_wrapper(rows)
         s = _all_ones_pattern(net)
-        pinv = _build_incremental(net, s, [(1, 1), (1, 2)])
+        pinv = _build_incremental(net, s, [0, 1])
         with pytest.raises(DependentColumn):
-            add_axis(pinv, net, s, (1, 3))
+            add_axis(pinv, net, s, 2)
 
     def test_zero_normal_rejected(self):
         rows = np.array([[0.0, 0.0]])
         net = first_layer_wrapper(rows)
         s = _all_ones_pattern(net)
         with pytest.raises(DependentColumn):
-            add_axis(PseudoInverse.empty(2), net, s, (1, 1))
+            add_axis(PseudoInverse.empty(2), net, s, 0)
 
     def test_remove_matches_dense_rebuild(self):
         rng = np.random.Generator(np.random.Philox(2))
@@ -80,7 +80,7 @@ class TestAddRemove:
             rows = rng.standard_normal((4, 5))
             net = first_layer_wrapper(rows)
             s = _all_ones_pattern(net)
-            owners = [(1, j) for j in range(1, 5)]
+            owners = list(range(4))
             pinv = _build_incremental(net, s, owners)
             for i in range(4):
                 got = remove_pseudorow(pinv, i)
@@ -94,14 +94,14 @@ class TestAddRemove:
         extra = rng.standard_normal(4)
         net = first_layer_wrapper(np.vstack([rows, extra]))
         s = _all_ones_pattern(net)
-        pinv = _build_incremental(net, s, [(1, 1), (1, 2), (1, 3)])
-        grown = add_axis(pinv, net, s, (1, 4))
+        pinv = _build_incremental(net, s, [0, 1, 2])
+        grown = add_axis(pinv, net, s, 3)
         back = remove_pseudorow(grown, 3)
         assert back.owners == pinv.owners
         assert_allclose(back.matrix, pinv.matrix, atol=1e-10)
 
     def test_remove_zero_row_degenerate(self):
-        pinv = PseudoInverse(np.zeros((1, 2)), [(1, 1)])
+        pinv = PseudoInverse(np.zeros((1, 2)), [0])
         with pytest.raises(Degenerate):
             remove_pseudorow(pinv, 0)
 
@@ -112,7 +112,7 @@ class TestProject:
         rows = rng.standard_normal((2, 4))
         net = first_layer_wrapper(rows)
         s = _all_ones_pattern(net)
-        pinv = _build_incremental(net, s, [(1, 1), (1, 2)])
+        pinv = _build_incremental(net, s, [0, 1])
         a = rows.T
         dense = a @ np.linalg.pinv(a)
         for _ in range(5):
@@ -133,7 +133,7 @@ class TestUpdateAxis:
             rows = rng.standard_normal((3, 3))
             net = first_layer_wrapper(rows)
             s = _all_ones_pattern(net)
-            owners = [(1, 1), (1, 2), (1, 3)]
+            owners = [0, 1, 2]
             pinv = _build_incremental(net, s, owners)
             for i, c in enumerate(owners):
                 s2 = flip(s, c)
@@ -148,14 +148,14 @@ class TestUpdateAxis:
         from drlp import ActivationPattern
 
         s = ActivationPattern.from_layers([[1, 1], [1]])
-        pinv = _build_incremental(net, s, [(1, 2), (2, 1)])
+        pinv = _build_incremental(net, s, [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
-        s2 = flip(s, (1, 2))
-        upd = update_axis_new_region(pinv, 0, net, s2, (1, 2))
+        s2 = flip(s, 1)
+        upd = update_axis_new_region(pinv, 0, net, s2, 1)
         assert_allclose(upd.matrix[0], [0.0, -1.0], atol=1e-12)
         # flipping (1,2) also changed the normal of (2,1); row 1 must still work
         assert_allclose(
-            upd.matrix @ normals_matrix(net, s2, [(1, 2), (2, 1)]),
+            upd.matrix @ normals_matrix(net, s2, [1, 2]),
             np.eye(2),
             atol=1e-12,
         )
@@ -164,16 +164,16 @@ class TestUpdateAxis:
         rows = np.eye(2)
         net = first_layer_wrapper(rows)
         s = _all_ones_pattern(net)
-        pinv = _build_incremental(net, s, [(1, 1), (1, 2)])
+        pinv = _build_incremental(net, s, [0, 1])
         with pytest.raises(ValueError):
-            update_axis_new_region(pinv, 0, net, s, (1, 2))
+            update_axis_new_region(pinv, 0, net, s, 1)
 
     def test_single_wall_sign_flip(self, net_split_line):
         net = net_split_line
         s = activation_pattern(net, [1.0])
-        pinv = _build_incremental(net, s, [(1, 1)])
-        s2 = flip(s, (1, 1))
-        upd = update_axis_new_region(pinv, 0, net, s2, (1, 1))
+        pinv = _build_incremental(net, s, [0])
+        s2 = flip(s, 0)
+        upd = update_axis_new_region(pinv, 0, net, s2, 0)
         assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
 
 
@@ -186,7 +186,7 @@ class TestAdvance:
             v = rng.standard_normal(3)
             v /= np.linalg.norm(v)
             s = activation_pattern(net, x)
-            ignore = [(1, 1)] if trial % 3 == 0 else []
+            ignore = [0] if trial % 3 == 0 else []
             res = advance_max(net, x, v, s, ignore)
             t_ref, c_ref = brute_advance(net, x, v, s, ignore)
             if c_ref is None:
@@ -199,7 +199,7 @@ class TestAdvance:
         x = np.array([3.0, -2.0])
         s = activation_pattern(net_hinge_gap, x)
         res = advance_max(net_hinge_gap, x, np.array([-1.0, 0.0]), s)
-        assert res.neuron == (2, 1)
+        assert res.neuron == 2
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
     def test_unbounded_ray(self):
@@ -209,24 +209,24 @@ class TestAdvance:
         res = advance_max(net, np.array([2.0]), np.array([1.0]), s)
         assert not res.bounded and res.t == float("inf")
         back = advance_max(net, np.array([2.0]), np.array([-1.0]), s)
-        assert back.neuron == (1, 1) and back.t == pytest.approx(2.0, abs=1e-14)
+        assert back.neuron == 0 and back.t == pytest.approx(2.0, abs=1e-14)
 
     def test_marginally_negative_step_reported(self):
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
         s = activation_pattern(net, [1.0])      # unit active
         res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s)
-        assert res.neuron == (1, 1)
+        assert res.neuron == 0
         assert res.t == pytest.approx(-1e-12, abs=1e-15)
 
     def test_pairs_report_primary_member(self):
         w1 = np.array([[1.0], [-1.0]])
         net = ReluNetwork([w1, np.ones((1, 2))], [np.array([-1.0, 1.0]), np.zeros(1)])
-        pairs = PairGroups([((1, 1), (1, 2))])
+        pairs = PairGroups([(0, 1)])
         x = np.array([0.0])
         s = activation_pattern(net, x)
         res = advance_max(net, x, np.array([1.0]), s, pairs=pairs)
-        assert res.neuron == (1, 1)
+        assert res.neuron == 0
         assert res.t == pytest.approx(1.0, abs=1e-14)
 
     def test_ties_resolve_to_smallest_unit(self):
@@ -237,13 +237,13 @@ class TestAdvance:
         x = np.array([0.0, 0.5])
         s = activation_pattern(net, x)
         res = advance_max(net, x, np.array([1.0, 0.0]), s)
-        assert res.neuron == (1, 1)
+        assert res.neuron == 0
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
     def test_residuals_vanish_on_walls(self, net_hinge_gap):
         from drlp import ActivationPattern
 
         s = ActivationPattern.from_layers([[1, 1], [1]])
-        pinv = _build_incremental(net_hinge_gap, s, [(1, 2), (2, 1)])
+        pinv = _build_incremental(net_hinge_gap, s, [1, 2])
         r = argument_residuals(pinv, net_hinge_gap, s, np.array([1.0, 0.0]))
         assert_allclose(r, 0.0, atol=1e-14)

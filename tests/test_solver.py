@@ -104,13 +104,13 @@ class TestFindVertex:
 
 class TestChooseAxis:
     def test_frozen_pick(self):
-        pinv = PseudoInverse(np.eye(2), [(1, 1), (1, 2)])
+        pinv = PseudoInverse(np.eye(2), [0, 1])
         row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]))
         assert i == 0 and alpha == pytest.approx(-1.0)
         assert_allclose(row, [1.0, 0.0])
 
     def test_normalization_matters(self):
-        pinv = PseudoInverse(np.array([[10.0, 0.0], [0.0, 1.0]]), [(1, 1), (1, 2)])
+        pinv = PseudoInverse(np.array([[10.0, 0.0], [0.0, 1.0]]), [0, 1])
         # raw products would favor row 0; per-unit-length slope favors row 1
         row, alpha, i = choose_axis(pinv, np.array([-1.0, -2.0]))
         assert i == 1 and alpha == pytest.approx(-2.0)
@@ -196,14 +196,14 @@ class TestCertification:
     def test_frozen_axis_sweep(self, net_hinge_gap):
         net = net_hinge_gap
         x = np.array([1.0, 0.0])
-        s, pinv = _vertex_state(net, [[1, 1], [1]], [(1, 2), (2, 1)])
+        s, pinv = _vertex_state(net, [[1, 1], [1]], [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
         entries = axis_derivatives(net, x, s, pinv)
         frozen = [
-            ((1, 2), 1, 0.0),
-            ((2, 1), 1, 1.0),
-            ((1, 2), 0, 0.0),
-            ((2, 1), 0, 0.0),
+            (1, 1, 0.0),
+            (2, 1, 1.0),
+            (1, 0, 0.0),
+            (2, 0, 0.0),
         ]
         assert len(entries) == 4
         for (c, bit, val, _), (fc, fbit, fval) in zip(entries, frozen):
@@ -211,12 +211,12 @@ class TestCertification:
             assert val == pytest.approx(fval, abs=1e-12)
 
     def test_certifies_true_minimum(self, net_hinge_gap):
-        s, pinv = _vertex_state(net_hinge_gap, [[1, 1], [1]], [(1, 2), (2, 1)])
+        s, pinv = _vertex_state(net_hinge_gap, [[1, 1], [1]], [1, 2])
         assert certify_local_min(net_hinge_gap, np.array([1.0, 0.0]), s, pinv)
 
     def test_rejects_saddle_vertex(self, net_hinge_gap_negated):
         s, pinv = _vertex_state(
-            net_hinge_gap_negated, [[1, 1], [1]], [(1, 2), (2, 1)]
+            net_hinge_gap_negated, [[1, 1], [1]], [1, 2]
         )
         assert not certify_local_min(
             net_hinge_gap_negated, np.array([1.0, 0.0]), s, pinv
@@ -227,7 +227,7 @@ class TestCertification:
         net = net_fold_sum
         x = np.array([5.0, 5.0])
         s = activation_pattern(net, x)
-        pinv = add_axis(PseudoInverse.empty(2), net, s, (1, 1))
+        pinv = add_axis(PseudoInverse.empty(2), net, s, 0)
         assert not certify_local_min(net, x, s, pinv)
 
 
