@@ -73,6 +73,7 @@ def _trace_writer(fh, net, start_index=None):
             "neuron": None if rec.neuron is None else list(net.neuron_at(rec.neuron)),
             "t": rec.t,
             "alpha": rec.alpha,
+            "crossed": rec.crossed,
         }
         if start_index is not None:
             doc["start"] = start_index
@@ -115,7 +116,7 @@ def _run_starts(args, net, make_x0, run_one):
     """Run --starts independent instances in order; pick unbounded first, then best f."""
     seeds = np.random.SeedSequence(args.seed).spawn(max(1, args.starts))
     outcomes = []
-    with open(args.trace, "a", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
+    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
         for k, seed in enumerate(seeds):
             rng = np.random.Generator(np.random.Philox(seed))
             on_record = _trace_writer(fh, net, k if args.starts > 1 else None) if fh else None

@@ -115,7 +115,10 @@ class _FlatPattern:
         return int(self.bits[c])
 
     def copy(self):
-        return type(self)(self.widths, self.bits.copy())
+        # widths and offsets are never mutated, so copies share them
+        out = object.__new__(type(self))
+        out.widths, out.offsets, out.bits = self.widths, self.offsets, self.bits.copy()
+        return out
 
     def key(self) -> bytes:
         """Hashable fingerprint (used for region counting)."""
@@ -377,12 +380,18 @@ def enumerate_compatible(net: ReluNetwork, x, zero_tol: float = ZERO_TOL, cap: i
     return out
 
 
-def flip(s: ActivationPattern, c: int, pairs: PairGroups | None = None) -> ActivationPattern:
-    """Copy of s with unit c's bit toggled (and its partner's, if paired)."""
+def flip(s: ActivationPattern, units, pairs: PairGroups | None = None) -> ActivationPattern:
+    """Copy of s with the bits of units toggled, and their partners' if paired.
+
+    units is one flat index or an array of distinct ones, no two of which
+    form a pair; all bits change in one indexed XOR on one copy.
+    """
+    units = np.atleast_1d(np.asarray(units, dtype=np.intp))
+    if pairs is not None:
+        partners = pairs.partner[units[units < pairs.partner.size]]
+        units = np.concatenate([units, partners[partners >= 0]])
     out = s.copy()
-    out.bits[c] ^= 1
-    if pairs is not None and c < len(pairs.partner) and pairs.partner[c] >= 0:
-        out.bits[pairs.partner[c]] ^= 1
+    out.bits[units] ^= 1
     return out
 
 

@@ -14,7 +14,7 @@ sweep provides (inner_products_all).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,15 +66,17 @@ class PseudoInverse:
 
 @dataclass
 class AdvanceResult:
-    """Outcome of the line search: first unit crossing, or unbounded.
+    """Outcome of the line search: the wall the step stops at, or unbounded.
 
-    t is the step length to the crossing (may be slightly negative when
-    the start point sits marginally past a wall); neuron is None and t
-    is +inf when no unit ahead constrains the ray.
+    t is the step length to unit neuron's wall (may be slightly negative
+    when the start point sits marginally past it); neuron is None and t is
+    +inf when nothing stops the ray.  crossed holds the flat indices of the
+    walls the step passed before stopping, in crossing order.
     """
 
     t: float
     neuron: int | None
+    crossed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @property
     def bounded(self) -> bool:
@@ -169,6 +171,22 @@ def update_axis_new_region(
     return PseudoInverse(matrix, list(pinv.owners))
 
 
+def _crossing_weights(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
+    """Output weight of each last-layer unit plus its partner's.
+
+    Crossing the wall of last-layer unit c at rate beta_c changes the slope
+    along the ray by this weight times |beta_c|, whichever side c starts on.
+    """
+    w = net.weights[-1][0]
+    if pairs is None:
+        return w
+    off = net.offsets[-2]
+    last = pairs.first >= off          # pairs never straddle layers
+    crossing = w.copy()
+    crossing[pairs.first[last] - off] += w[pairs.second[last] - off]
+    return crossing
+
+
 def advance_max(
     net: ReluNetwork,
     x,
@@ -177,16 +195,29 @@ def advance_max(
     ignore=(),
     pairs: PairGroups | None = None,
     zero_tol: float = ZERO_TOL,
+    slope: float | None = None,
+    slope_tol: float = 0.0,
 ) -> AdvanceResult:
-    """Largest step along v from x before some unit's activation flips.
+    """Step along v from x to the wall where the line search stops.
 
     Walks the arguments and their directional rates in one sweep under
     pattern s.  A unit is a candidate when moving along v drives its
     argument against its current bit (active and falling, or inactive and
     rising); rates within zero_tol of 0 are not candidates, nor are
-    ignored units or second pair members.  Returns the smallest crossing
-    step; ties within TIE_TOL * (1 + |t|) resolve to the smallest flat
-    index, which is the lexicographically smallest (layer, unit).  A
+    ignored units or second pair members.  Candidates are sorted by
+    (crossing step, flat index).
+
+    Without slope the step stops at the first wall.  Given slope, the
+    directional derivative of the network along v at x, it is a long
+    (Barrodale-Roberts) step: it passes walls while the slope stays below
+    -slope_tol, each last-layer wall adding its crossing weight times
+    |rate|, and stops before any wall of an earlier layer, whose flip would
+    bend the walls behind it, and before any wall at t <= 0.  If nothing
+    stops it, the result is unbounded with every candidate in crossed.
+
+    The stop wall is the smallest flat index, which is the
+    lexicographically smallest (layer, unit), among the walls within
+    TIE_TOL * (1 + |t|) of the first wall of the stopping tie group.  A
     marginally negative t signals the start point sits just past that
     wall; the caller decides what to accept.
     """
@@ -197,11 +228,14 @@ def advance_max(
     else:
         ignore_mask = np.zeros(net.num_neurons, dtype=bool)
     ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
+    if slope is not None:
+        weights = _crossing_weights(net, pairs)
 
     alpha = x
     beta = v
     cand_flat: list[np.ndarray] = []
     cand_t: list[np.ndarray] = []
+    cand_gain: list[np.ndarray] = []
     for l in range(1, net.depth + 1):
         w, b = net.weights[l - 1], net.biases[l - 1]
         alpha = w @ alpha + b
@@ -215,19 +249,33 @@ def advance_max(
         if idx.size:
             cand_flat.append(off + idx)
             cand_t.append(-alpha[idx] / beta[idx])
+            if slope is not None:
+                cand_gain.append(weights[idx] * np.abs(beta[idx]) if l == net.depth
+                                 else np.full(idx.size, np.inf))
         if l < net.depth:
             alpha = sl * alpha
             beta = sl * beta
     if not cand_flat:
         return AdvanceResult(float("inf"), None)
-    flat = np.concatenate(cand_flat)
+    # flat indices ascend within the concatenation, so a stable sort on t
+    # orders candidates by (t, flat index)
     ts = np.concatenate(cand_t)
-    t_min = float(np.min(ts))
-    window = TIE_TOL * (1.0 + abs(t_min))
-    tied = flat[ts <= t_min + window]
-    winner = int(np.min(tied))
-    t_win = float(ts[np.nonzero(flat == winner)[0][0]])
-    return AdvanceResult(t_win, winner)
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    flat = np.concatenate(cand_flat)[order]
+    stop = 0
+    if slope is not None:
+        climb = slope + np.cumsum(np.concatenate(cand_gain)[order])
+        stops = np.flatnonzero((climb >= -slope_tol) | (ts <= 0.0))
+        if not stops.size:
+            return AdvanceResult(float("inf"), None, flat)
+        stop = int(stops[0])
+    # the stopping tie group starts at the first wall within the tie window
+    # of the stop wall; everything before it is crossed
+    first = int(np.searchsorted(ts, ts[stop] - TIE_TOL * (1.0 + abs(ts[stop]))))
+    end = int(np.searchsorted(ts, ts[first] + TIE_TOL * (1.0 + abs(ts[first])), side="right"))
+    k = first + int(np.argmin(flat[first:end]))
+    return AdvanceResult(float(ts[k]), int(flat[k]), flat[:first])
 
 
 def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:

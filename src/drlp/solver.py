@@ -83,6 +83,7 @@ class TraceRecord:
     neuron: int | None = None      # flat unit index
     t: float | None = None
     alpha: float | None = None
+    crossed: int | None = None     # walls a pivot passed before its stop wall
 
 
 @dataclass
@@ -117,7 +118,9 @@ class SolverState:
             return self.objective(x)
         return evaluate(self.net, x)
 
-    def emit(self, phase, neuron=None, t=None, alpha=None):
+    def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None):
+        if not self.options.collect_trace and self.options.on_record is None:
+            return
         rec = TraceRecord(
             step=self.steps,
             phase=phase,
@@ -126,6 +129,7 @@ class SolverState:
             neuron=None if neuron is None else int(neuron),
             t=None if t is None else float(t),
             alpha=None if alpha is None else float(alpha),
+            crossed=crossed,
         )
         if self.options.collect_trace:
             self.trace.append(rec)
@@ -154,6 +158,18 @@ def _pattern_with_valid_pairs(net, x, pairs) -> ActivationPattern:
     return s
 
 
+def _start_point(net: ReluNetwork, x0) -> np.ndarray:
+    """x0 as a fresh float vector; rejects a wrong shape or a non-finite entry."""
+    x = np.array(x0, dtype=np.float64)
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"x0 must be finite with shape ({net.input_dim},); got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"x0 must be finite with shape ({net.input_dim},); "
+                         f"got {x[bad[0]]} at index {bad[0]}")
+    return x
+
+
 def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
                pairs: PairGroups | None = None) -> SolverState:
     """Solver state at x0, nudged off any hyperplane it happens to sit on.
@@ -163,9 +179,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
     """
     options = options or SolverOptions()
     rng = options.make_rng()
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({net.input_dim},)")
+    x = _start_point(net, x0)
     for _ in range(100):
         s = _pattern_with_valid_pairs(net, x, pairs)
         if not critical_indices(net, s, x, options.zero_tol):
@@ -313,11 +327,14 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             return state.finish(STEP_LIMIT)
         grad = gradient(net, state.s)
         row, alpha, i = choose_axis(state.pinv, grad)
-        if alpha < -opts.descent_tol * (1.0 + np.linalg.norm(grad)):
+        descent_tol = opts.descent_tol * (1.0 + np.linalg.norm(grad))
+        if alpha < -descent_tol:
             ignore = list(state.pinv.owners)          # old owner stays ignored this advance
             state.pinv = remove_pseudorow(state.pinv, i)
             v = row / np.linalg.norm(row)
-            res = advance_max(net, state.x, v, state.s, ignore, state.pairs, opts.zero_tol)
+            # long step: pass every last-layer wall while f still descends
+            res = advance_max(net, state.x, v, state.s, ignore, state.pairs, opts.zero_tol,
+                              slope=alpha, slope_tol=descent_tol)
             state.steps += 1
             if not res.bounded:
                 return state.finish(UNBOUNDED, direction=v)
@@ -342,10 +359,12 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 continue
             state.x = state.x + res.t * v
             c = res.neuron
-            state.emit("pivot", neuron=c, t=res.t, alpha=alpha)
+            state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
             try:
                 state.pinv = add_axis(state.pinv, net, state.s, c, opts.dep_tol)
-                state.s = flip(state.s, c, state.pairs)
+                # crossed units sit in the last hidden layer and are not owners,
+                # so their bits enter neither c's normal nor any tracked one
+                state.s = flip(state.s, np.append(res.crossed, c), state.pairs)
                 state.pinv = update_axis_new_region(
                     state.pinv, state.pinv.m - 1, net, state.s, c, opts.dep_tol
                 )
@@ -524,7 +543,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     if pairs is not None:
         pairs.validate(net)
     opts = options or SolverOptions()
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = _start_point(net, x0)
     state = SolverState(
         net=net, x=x, s=_pattern_with_valid_pairs(net, x, pairs),
         pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
@@ -554,7 +573,8 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 out = state.finish(UNBOUNDED, direction=v)
                 break
             state.x = state.x + t * v
-            state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope)
+            state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
+                       crossed=0)
         else:
             if not active:
                 state.emit("certify", alpha=0.0)

@@ -179,3 +179,32 @@ def first_layer_wrapper(rows):
     rows = np.asarray(rows, dtype=np.float64)
     m = rows.shape[0]
     return ReluNetwork([rows, np.ones((1, m))], [np.zeros(m), np.zeros(1)])
+
+
+def quantile_linprog(design, y, alpha=0.5):
+    """Optimal quantile loss from scipy's HiGHS on the LP form.
+
+    min alpha * sum(u) + (1 - alpha) * sum(w)  st  design @ theta + u - w = y,
+    u, w >= 0, theta free.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
+    design = np.asarray(design, dtype=np.float64)
+    n, k = design.shape
+    c = np.concatenate([np.zeros(k), np.full(n, alpha), np.full(n, 1.0 - alpha)])
+    a_eq = sp.hstack([sp.csr_matrix(design), sp.eye(n), -sp.eye(n)]).tocsr()
+    res = linprog(c, A_eq=a_eq, b_eq=y, bounds=[(None, None)] * k + [(0, None)] * (2 * n),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def lp_linprog(lp):
+    """(optimal value, largest dual magnitude) of min <c, x> st A x <= b, x >= 0."""
+    from scipy.optimize import linprog
+
+    res = linprog(lp.c, A_ub=lp.a, b_ub=lp.b, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    duals = np.concatenate([res.ineqlin.marginals, res.lower.marginals])
+    return float(res.fun), float(np.max(np.abs(duals)))

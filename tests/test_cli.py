@@ -155,6 +155,26 @@ class TestSolve:
         starts = [json.loads(line)["start"] for line in files[0].read_text().splitlines()]
         assert starts == sorted(starts) and set(starts) == {0, 1, 2}
 
+    def test_trace_file_is_rewritten(self, capsys, tiny_csv, tmp_path):
+        path, _, _ = tiny_csv
+        trace = tmp_path / "trace.jsonl"
+        runs = []
+        for _ in range(2):
+            code, _, _ = _run(capsys, ["quantile", "--data", path, "--seed", "1",
+                                       "--trace", str(trace)])
+            assert code == 0
+            runs.append(trace.read_text().splitlines())
+        assert runs[0] == runs[1]
+        records = [json.loads(line) for line in runs[0]]
+        pivots = [rec for rec in records if rec["phase"] == "pivot"]
+        assert pivots and all(isinstance(rec["crossed"], int) for rec in pivots)
+        assert all(rec["crossed"] is None for rec in records if rec["phase"] != "pivot")
+
+    def test_non_finite_x0_exit_one(self, capsys, hinge_model):
+        code, stdout, stderr = _run(capsys, ["solve", "--model", hinge_model, "--x0", "nan,0"])
+        assert code == 1 and stdout == ""
+        assert "x0 must be finite" in stderr
+
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
                 "--starts", "3", "--seed", "11"]

@@ -14,8 +14,11 @@ from drlp import (
     advance_max,
     argument_residuals,
     build_random,
+    evaluate,
     flip,
+    gradient,
     oriented_normal,
+    subjective_arguments,
     project,
     remove_pseudorow,
     update_axis_new_region,
@@ -218,6 +221,13 @@ class TestAdvance:
         res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s)
         assert res.neuron == 0
         assert res.t == pytest.approx(-1e-12, abs=1e-15)
+        # relu(x) - 3 relu(5 - x) still descends past that wall, but a long
+        # step never passes a wall at t <= 0
+        net = ReluNetwork([np.array([[1.0], [-1.0]]), np.array([[1.0, -3.0]])],
+                          [np.array([0.0, 5.0]), np.zeros(1)])
+        s = activation_pattern(net, [1.0])
+        long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s, slope=-4.0)
+        assert (long.t, long.neuron, long.crossed.size) == (res.t, res.neuron, 0)
 
     def test_pairs_report_primary_member(self):
         w1 = np.array([[1.0], [-1.0]])
@@ -247,3 +257,95 @@ class TestAdvance:
         pinv = _build_incremental(net_hinge_gap, s, [1, 2])
         r = argument_residuals(pinv, net_hinge_gap, s, np.array([1.0, 0.0]))
         assert_allclose(r, 0.0, atol=1e-14)
+
+
+def _ramp_net(w_down):
+    """f(x) = -w_down relu(x + 5) + 3 relu(x - 1) + relu(x - 2): slope -w_down at 0."""
+    return ReluNetwork([np.ones((3, 1)), np.array([[-w_down, 3.0, 1.0]])],
+                       [np.array([5.0, -1.0, -2.0]), np.zeros(1)])
+
+
+class TestLongStep:
+    def test_no_crossing_is_the_first_wall_step(self):
+        # slope -1 turns to +2 at x = 1, so the step stops at unit 1's wall
+        net = _ramp_net(1.0)
+        x, v = np.array([0.0]), np.array([1.0])
+        s = activation_pattern(net, x)
+        first = advance_max(net, x, v, s)
+        long = advance_max(net, x, v, s, slope=-1.0)
+        assert (first.t, first.neuron, first.crossed.size) == (1.0, 1, 0)
+        assert (long.t, long.neuron, long.crossed.size) == (1.0, 1, 0)
+
+    def test_passes_walls_while_descending(self):
+        x, v = np.array([0.0]), np.array([1.0])
+        # slope -3.5: +3 at x = 1 leaves -0.5, +1 at x = 2 turns it positive
+        net = _ramp_net(3.5)
+        s = activation_pattern(net, x)
+        res = advance_max(net, x, v, s, slope=-3.5)
+        assert (res.t, res.neuron, res.crossed.tolist()) == (2.0, 2, [1])
+        # slope -5 stays negative past both walls: unbounded
+        net = _ramp_net(5.0)
+        res = advance_max(net, x, v, s, slope=-5.0)
+        assert not res.bounded and res.crossed.tolist() == [1, 2]
+
+    def test_paired_walls_count_both_members(self):
+        # 0.25 relu(x - 1) + 0.75 relu(1 - x) - w relu(x + 5) as a mirrored pair
+        # plus a ramp: crossing x = 1 adds 0.25 + 0.75 to the slope -0.75 - w
+        pairs = PairGroups([(0, 1)])
+        x, v = np.array([0.0]), np.array([1.0])
+        for w, stops in ((0.0, True), (0.5, False)):
+            net = ReluNetwork([np.array([[1.0], [-1.0], [1.0]]), np.array([[0.25, 0.75, -w]])],
+                              [np.array([-1.0, 1.0, 5.0]), np.zeros(1)])
+            s = activation_pattern(net, x)
+            res = advance_max(net, x, v, s, pairs=pairs, slope=-0.75 - w)
+            if stops:
+                assert (res.t, res.neuron, res.crossed.size) == (1.0, 0, 0)
+            else:
+                assert not res.bounded and res.crossed.tolist() == [0]
+
+    def test_stops_before_an_earlier_layer_wall(self):
+        # layer 1: u0 = relu(x - 1), u1 = relu(x + 10);  layer 2 reads u1:
+        # z0 = relu(u1 - 10.5), z1 = relu(u1 - 12), z2 = relu(20 - u1)
+        w1 = np.array([[1.0], [1.0]])
+        w2 = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, -1.0]])
+        net = ReluNetwork([w1, w2, np.array([[1.0, 1.0, 10.0]])],
+                          [np.array([-1.0, 10.0]), np.array([-10.5, -12.0, 20.0]), np.zeros(1)])
+        x, v = np.array([0.0]), np.array([1.0])
+        s = activation_pattern(net, x)
+        res = advance_max(net, x, v, s, slope=-10.0)
+        assert (res.t, res.neuron, res.crossed.tolist()) == (1.0, 0, [2])
+
+    def test_descends_on_every_passed_segment(self):
+        # oracle: true network values along the ray, nothing from the line search
+        rng = np.random.Generator(np.random.Philox(9))
+        crossings = 0
+        for trial in range(60):
+            net = build_random((2, 6, 8, 1), seed=trial)
+            x = rng.uniform(-2.0, 2.0, size=2)
+            v = rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            s = activation_pattern(net, x)
+            slope = float(gradient(net, s) @ v)
+            if slope > 0.0:
+                v, slope = -v, -slope
+            res = advance_max(net, x, v, s, slope=slope)
+            last = net.offsets[-2]
+            assert np.all(res.crossed >= last)
+            crossings += res.crossed.size
+            a0 = np.concatenate(subjective_arguments(net, s, x))
+            a1 = np.concatenate(subjective_arguments(net, s, x + v))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                walls = -a0 / (a1 - a0)
+            knots = [0.0] + sorted(walls[res.crossed].tolist())
+            end = res.t if res.bounded else knots[-1] + 10.0
+            knots.append(end)
+            f = lambda t: evaluate(net, x + t * v)
+            for a, b in zip(knots, knots[1:]):
+                if b - a > 1e-6:
+                    assert (f(b) - f(a)) / (b - a) < 1e-9
+            if res.bounded and res.neuron >= last and res.t > 0.0:
+                # past the stop wall the network no longer descends
+                ahead = walls[(walls > res.t + 1e-9) & np.isfinite(walls)]
+                d = min(1e-3, (ahead.min() - res.t) / 2.0) if ahead.size else 1e-3
+                assert (f(res.t + d) - f(res.t)) / d > -1e-7
+        assert crossings > 0

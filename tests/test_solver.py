@@ -2,19 +2,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import drlp.solver
 from drlp import (
     LOCAL_MINIMUM,
     NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
     ActivationPattern,
+    LpInstance,
     PseudoInverse,
     QuadraticObjective,
+    RegressionData,
     ReluNetwork,
     activation_pattern,
     add_axis,
     argument_residuals,
     axis_derivatives,
+    build_clad,
+    build_from_lp,
+    build_l1_first_layer,
+    build_quantile_lasso,
     build_random,
     certify_local_min,
     choose_axis,
@@ -22,15 +29,17 @@ from drlp import (
     drlsimplex,
     evaluate,
     find_vertex,
+    flatten_first_layer,
     initialize,
     parabola_step,
     position_correction,
+    quantile_loss,
     refresh_pseudoinverse,
     segment_parabola,
     solve_quadratic,
     SolverOptions,
 )
-from helpers import probe_min
+from helpers import lp_linprog, probe_min, quantile_linprog
 
 
 def _vertex_state(net, s_layers, owners):
@@ -67,8 +76,18 @@ class TestInitialize:
         assert_allclose(state.x, [0.0, 0.0])
 
     def test_bad_shape_rejected(self, net_hinge_gap):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x0 must be finite"):
             initialize(net_hinge_gap, [1.0, 2.0, 3.0])
+
+    def test_non_finite_start_rejected(self, net_hinge_gap):
+        q = QuadraticObjective(np.eye(2), np.zeros(2))
+        for x0 in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 1.0]):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                initialize(net_hinge_gap, x0)
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                solve_quadratic(net_hinge_gap, q, x0)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve_quadratic(net_hinge_gap, q, [1.0])
 
     def test_deterministic_under_seed(self, net_hinge_gap):
         a = initialize(net_hinge_gap, [1.0, 0.0], SolverOptions(seed=5))
@@ -159,6 +178,16 @@ class TestDrlsimplex:
             net_hinge_gap, [3.0, -2.0], SolverOptions(collect_trace=False)
         )
         assert out.trace == []
+
+    def test_no_sink_evaluates_only_the_outcome(self, net_hinge_gap, monkeypatch):
+        calls = []
+        real = drlp.solver.evaluate
+        monkeypatch.setattr(drlp.solver, "evaluate", lambda *a: calls.append(1) or real(*a))
+        out = drlsimplex(net_hinge_gap, [3.0, -2.0], SolverOptions(collect_trace=False))
+        assert out.status == LOCAL_MINIMUM and len(calls) == 1     # finish() alone
+        calls.clear()
+        out = drlsimplex(net_hinge_gap, [3.0, -2.0])
+        assert len(calls) == len(out.trace) + 1
 
     def test_record_callback_sees_every_phase(self, net_hinge_gap):
         phases = []
@@ -309,3 +338,78 @@ class TestQuadratic:
         q = QuadraticObjective(np.diag([1.0, 30.0]), np.array([-2.0, -8.0]), 0.0)
         out = solve_quadratic(net, q, [3.0, 3.0], SolverOptions(max_steps=2))
         assert out.status == STEP_LIMIT
+
+
+def _pivots(out):
+    return [rec for rec in out.trace if rec.phase == "pivot"]
+
+
+class TestLongStep:
+    def test_one_pivot_walks_to_the_median(self):
+        # a single parameter (the intercept): from far left one pivot passes
+        # every wall up to the median
+        rng = np.random.Generator(np.random.Philox(12))
+        y = rng.standard_normal(201)
+        data = RegressionData(np.zeros((201, 0)), y)
+        net, pairs = build_quantile_lasso(data)
+        out = drlsimplex(net, [-100.0], SolverOptions(seed=1), pairs)
+        assert out.status == LOCAL_MINIMUM
+        pivots = _pivots(out)
+        assert len(pivots) == 1 and pivots[0].crossed == 99
+        assert out.x[0] == pytest.approx(np.median(y), rel=1e-12)
+        assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-12)
+
+    def test_quantile_matches_linprog(self):
+        rng = np.random.Generator(np.random.Philox(13))
+        x = rng.standard_normal((1000, 5))
+        y = 1.0 + x @ rng.standard_normal(5) + rng.laplace(size=1000)
+        data = RegressionData(x, y)
+        net, pairs = build_quantile_lasso(data)
+        out = drlsimplex(net, np.zeros(6), SolverOptions(seed=0), pairs)
+        assert out.status == LOCAL_MINIMUM
+        design = np.hstack([np.ones((1000, 1)), x])
+        assert out.f == pytest.approx(quantile_linprog(design, y), rel=1e-8)
+        assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-9)
+        assert len(_pivots(out)) <= 150
+        _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+    def test_random_lps_match_linprog(self):
+        rng = np.random.Generator(np.random.Philox(14))
+        for trial in range(20):
+            n_var, n_con = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+            lp = LpInstance(rng.uniform(-1.0, 1.0, n_var),
+                            rng.uniform(0.1, 1.0, (n_con, n_var)),
+                            rng.uniform(1.0, 2.0, n_con))
+            want, dual = lp_linprog(lp)
+            assert dual < 50.0           # the exact penalty below is large enough
+            net, pairs = build_from_lp(lp, penalty=50.0)
+            x0 = rng.uniform(-1.0, 3.0, n_var)
+            out = drlsimplex(net, x0, SolverOptions(seed=trial), pairs)
+            assert out.status == LOCAL_MINIMUM
+            assert out.f == pytest.approx(want, abs=1e-8)
+            _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+    @pytest.mark.parametrize("problem", ["clad", "train_l1"])
+    def test_crossed_units_sit_in_last_hidden_layer(self, problem, monkeypatch):
+        results = []
+        real = drlp.solver.advance_max
+        monkeypatch.setattr(drlp.solver, "advance_max",
+                            lambda *a, **k: results.append(real(*a, **k)) or results[-1])
+        rng = np.random.Generator(np.random.Philox(15))
+        if problem == "clad":
+            x = np.hstack([np.ones((80, 1)), rng.normal(size=(80, 3))])
+            y = np.maximum(x @ np.array([0.5, 1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.normal(size=80)
+            net, pairs = build_clad(RegressionData(x, y))
+            x0 = np.array([0.3, 0.5, -0.2, 0.4])
+        else:
+            base = build_random((3, 4, 3, 1), seed=9)
+            data = RegressionData(rng.normal(size=(40, 3)), rng.normal(size=40))
+            net, pairs = build_l1_first_layer(base, data)
+            x0 = flatten_first_layer(base)
+        out = drlsimplex(net, x0, SolverOptions(seed=2), pairs)
+        assert out.status == LOCAL_MINIMUM
+        crossed = np.concatenate([res.crossed for res in results])
+        assert crossed.size > 0
+        assert np.all(crossed >= net.offsets[-2])
+        assert sum(rec.crossed for rec in _pivots(out)) == crossed.size
+        _assert_non_increasing(out.trace, scale=out.trace[0].f)
