@@ -12,6 +12,8 @@ along walls instead of hopping between vertices.
 
 from __future__ import annotations
 
+import bisect
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -124,7 +126,7 @@ class SolverState:
         rec = TraceRecord(
             step=self.steps,
             phase=phase,
-            x=tuple(float(v) for v in self.x),
+            x=tuple(self.x.tolist()),
             f=self.value(),
             neuron=None if neuron is None else int(neuron),
             t=None if t is None else float(t),
@@ -498,32 +500,79 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _feasible_direction(g, normals):
+def _feasible_direction(g, normals, cache):
     """-g with the components violating any active wall removed.
 
     Repeatedly subtracts (orthonormalized) violated normals until the
     direction points into the closed region; at most one pass per wall.
+    Each pass's orthonormal vectors come from _pass_basis, which reuses
+    them from `cache`, a list owned by one solve, when consecutive calls
+    face the same walls.  Norms are sqrt(u @ u), which is what
+    np.linalg.norm computes for a float vector, bit for bit.
     """
     v = -g.copy()
+    if (g == 0.0).any():
+        # reused vectors may differ from fresh ones in the sign of a zero
+        # entry; that reaches v only through a -0.0 entry of v, so such a
+        # call builds its basis afresh
+        cache = []
+    norms = [math.sqrt(u @ u) for u in normals]
     basis: list[np.ndarray] = []
-    for _ in range(len(normals) + 1):
-        vn = np.linalg.norm(v)
+    for k in range(len(normals) + 1):
+        vn = math.sqrt(v @ v)
         if vn == 0.0:
             break
-        bad = [u for u in normals if v @ u < -1e-13 * vn * np.linalg.norm(u)]
+        scale = -1e-13 * vn
+        bad = [u for u, un in zip(normals, norms) if v @ u < scale * un]
         if not bad:
             break
-        for u in bad:
-            w = u.copy()
-            for bvec in basis:
-                w -= (w @ bvec) * bvec
-            wn = np.linalg.norm(w)
-            if wn <= 1e-13 * np.linalg.norm(u):
-                continue
-            w /= wn
+        for w in _pass_basis(cache, k, np.array(bad), basis):
             basis.append(w)
             v -= (v @ w) * w
     return v
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _pass_basis(cache, k, rows, basis):
+    """Orthonormal vectors that pass k of _feasible_direction adds for `rows`.
+
+    Left-looking modified Gram-Schmidt against `basis` (the earlier passes'
+    vectors), skipping rows that depend on the vectors before them, so the
+    vector of row i depends only on `basis` and rows 0..i.  cache[k] holds
+    (rows, source row of each vector, vectors) of the last pass k built;
+    it stays valid while passes 0..k-1 matched theirs.  The vectors of the
+    longest prefix of rows equal to the cached ones up to a sign per row
+    are reused and only the rest is built: negating a row negates its
+    vector, and a vector w enters only through (x @ w) * w, which is the
+    same for -w, so no sign needs fixing.
+    """
+    src, vecs, start = [], [], 0
+    if k < len(cache):
+        old_rows, old_src, old_vecs = cache[k]
+        m = min(len(rows), len(old_rows))
+        flips = rows[:m].view(np.uint64) ^ old_rows[:m].view(np.uint64)
+        match = (flips == 0).all(axis=1) | (flips == _SIGN_BIT).all(axis=1)
+        start = m if match.all() else int(np.argmin(match))
+        if start == len(rows) == len(old_rows):
+            return old_vecs
+        del cache[k:]
+        keep = bisect.bisect_left(old_src, start)
+        src, vecs = old_src[:keep], old_vecs[:keep]
+    for i in range(start, len(rows)):
+        u = rows[i]
+        w = u.copy()
+        for bvec in basis + vecs:
+            w -= (w @ bvec) * bvec
+        wn = math.sqrt(w @ w)
+        if wn <= 1e-13 * math.sqrt(u @ u):
+            continue
+        w /= wn
+        src.append(i)
+        vecs.append(w)
+    cache.append((rows, src, vecs))
+    return vecs
 
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
@@ -551,6 +600,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     )
     secondary = (pairs.secondary_flat_mask(net) if pairs is not None
                  else np.zeros(net.num_neurons, dtype=bool))
+    cache = []      # Gram-Schmidt passes of the last direction, see _pass_basis
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
@@ -560,12 +610,12 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                   if not secondary[c]]
         g = q.grad(state.x) + gradient(net, state.s)
         normals = [oriented_normal(net, state.s, c) for c in active]
-        v = _feasible_direction(g, normals)
+        v = _feasible_direction(g, normals, cache)
         if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
             v /= np.linalg.norm(v)
             res = advance_max(net, state.x, v, state.s, active, state.pairs, opts.zero_tol)
             state.steps += 1
-            a, _, _ = segment_parabola(q, state.x, v)
+            a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
             slope = float(v @ g)
             t_max = max(res.t, 0.0) if res.bounded else float("inf")
             t = parabola_step(a, slope, t_max)
@@ -588,7 +638,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 state.emit("flip", neuron=c)
                 g2 = q.grad(state.x) + gradient(net, state.s)
                 normals2 = [oriented_normal(net, state.s, cc) for cc in active]
-                v2 = _feasible_direction(g2, normals2)
+                v2 = _feasible_direction(g2, normals2, cache)
                 if np.linalg.norm(v2) > 1e-10 * (1.0 + np.linalg.norm(g2)):
                     found = True
                     break

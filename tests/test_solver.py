@@ -21,6 +21,7 @@ from drlp import (
     build_clad,
     build_from_lp,
     build_l1_first_layer,
+    build_lasso,
     build_quantile_lasso,
     build_random,
     certify_local_min,
@@ -31,6 +32,7 @@ from drlp import (
     find_vertex,
     flatten_first_layer,
     initialize,
+    lasso_loss,
     parabola_step,
     position_correction,
     quantile_loss,
@@ -39,7 +41,15 @@ from drlp import (
     solve_quadratic,
     SolverOptions,
 )
-from helpers import lp_linprog, probe_min, quantile_linprog
+from helpers import feasible_direction_reference, lp_linprog, probe_min, quantile_linprog
+
+
+def _lasso_data(rng, n, p):
+    """Ten nonzero coefficients, the rest pure noise features."""
+    beta = np.zeros(p)
+    beta[:10] = [3.0, -2.5, 2.0, -1.5, 1.2, -1.0, 0.8, -0.6, 0.5, -0.4]
+    x = rng.standard_normal((n, p))
+    return RegressionData(x, x @ beta + rng.standard_normal(n))
 
 
 def _vertex_state(net, s_layers, owners):
@@ -339,6 +349,24 @@ class TestQuadratic:
         out = solve_quadratic(net, q, [3.0, 3.0], SolverOptions(max_steps=2))
         assert out.status == STEP_LIMIT
 
+    def test_lasso_at_benchmark_size_meets_kkt(self):
+        rng = np.random.Generator(np.random.Philox(21))
+        data = _lasso_data(rng, 500, 40)
+        lam_max = 2.0 * float(np.max(np.abs(data.x.T @ data.y)))   # theta = 0 is optimal above it
+        for i, frac in enumerate((0.3, 0.1, 0.03)):
+            lam = frac * lam_max
+            net, q, pairs = build_lasso(data, lam)
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=i), pairs)
+            assert out.status == LOCAL_MINIMUM
+            assert out.f == pytest.approx(lasso_loss(data, out.x, lam), rel=1e-9)
+            # 0 lies in 2 X'(X theta - y) + lam * d|theta|_1
+            g = 2.0 * data.x.T @ (data.x @ out.x - data.y)
+            tol = 1e-7 * (lam + lam_max)
+            on = np.abs(out.x) > 1e-9 * (1.0 + np.max(np.abs(out.x)))   # off the kink of |theta_j|
+            assert 0 < on.sum() < 40
+            assert np.max(np.abs(g[on] + lam * np.sign(out.x[on]))) <= tol
+            assert np.max(np.abs(g[~on])) <= lam + tol
+
 
 def _pivots(out):
     return [rec for rec in out.trace if rec.phase == "pivot"]
@@ -413,3 +441,108 @@ class TestLongStep:
         assert np.all(crossed >= net.offsets[-2])
         assert sum(rec.crossed for rec in _pivots(out)) == crossed.size
         _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+
+def _same_direction(g, normals, cache):
+    got = drlp.solver._feasible_direction(g, normals, cache)
+    want = feasible_direction_reference(g, normals)
+    assert got.tobytes() == want.tobytes()
+
+
+def _walls(kind, rng, k, n):
+    if kind == "random":
+        return [rng.standard_normal(n) for _ in range(k)]
+    if kind == "axis":
+        # the LASSO walls: +-lam e_j, whose zeros carry both signs
+        lam = rng.uniform(0.5, 2.0)
+        rows = np.vstack([lam * np.eye(n), -lam * np.eye(n)])
+        return [rows[j] for j in rng.choice(2 * n, size=min(k, n), replace=False)]
+    if kind == "duplicate":
+        base = [rng.standard_normal(n) for _ in range(max(1, k // 2))]
+        return [base[j % len(base)] * (1.0 if j < len(base) else 2.0) for j in range(k)]
+    # near-dependent: later rows within roundoff of the span of the earlier ones
+    base = [rng.standard_normal(n) for _ in range(max(1, k // 2))]
+    return base + [sum(rng.standard_normal() * b for b in base) + 1e-15 * rng.standard_normal(n)
+                   for _ in range(k - len(base))]
+
+
+KINDS = ["random", "axis", "duplicate", "near_dependent"]
+
+
+class TestFeasibleDirection:
+    """The reused Gram-Schmidt basis reproduces the fresh loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fresh_cache_matches_reference(self, kind):
+        rng = np.random.Generator(np.random.Philox(31))
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            normals = _walls(kind, rng, int(rng.integers(1, n + 3)), n)
+            _same_direction(rng.standard_normal(n), normals, [])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sign_flipped_runs_share_one_cache(self, kind):
+        # like the probe loop: flips accumulate over a fixed set of walls,
+        # and -g leans against each wall whatever its current sign
+        rng = np.random.Generator(np.random.Philox(32))
+        for _ in range(10):
+            n = int(rng.integers(3, 12))
+            walls = _walls(kind, rng, int(rng.integers(2, n + 3)), n)
+            signs = np.ones(len(walls))
+            cache = []
+            for _ in range(30):
+                signs[rng.integers(len(walls))] *= -1.0
+                j = rng.integers(len(walls))
+                if rng.uniform() < 0.2:                        # a new wall: some entries negated
+                    walls[j] = walls[j] * np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+                keep = rng.uniform(size=len(walls)) < 0.9     # now and then a wall leaves
+                normals = [s * u for s, u, kp in zip(signs, walls, keep) if kp]
+                g = sum(rng.uniform(0.5, 1.0) * u for u in normals) + 1e-3 * rng.standard_normal(n)
+                _same_direction(g, normals, cache)
+
+    def test_zero_gradient_entries_keep_their_sign(self):
+        # a zero in g starts v with -0.0, whose sign a negated cached vector
+        # could turn; the result must still match the fresh loop byte for byte
+        rng = np.random.Generator(np.random.Philox(33))
+        n = 6
+        walls = list(np.vstack([1.5 * np.eye(n), -1.5 * np.eye(n)]))
+        cache = []
+        for _ in range(60):
+            normals = [walls[j] for j in rng.choice(2 * n, size=3, replace=False)]
+            g = np.zeros(n)
+            for u in normals:
+                g += u
+            g[rng.integers(n)] = 0.0
+            _same_direction(g, normals, cache)
+
+    def test_solves_match_the_reference_loop(self, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(34))
+        problems = []
+        for i, topo in enumerate([(3, 8, 1), (4, 10, 1), (3, 8, 8, 1), (4, 6, 6, 6, 1)] * 3):
+            a = rng.standard_normal((topo[0], topo[0]))
+            q = QuadraticObjective(0.2 * a.T @ a + 0.1 * np.eye(topo[0]), rng.standard_normal(topo[0]))
+            problems.append((build_random(topo, seed=40 + i), q, None, rng.standard_normal(topo[0])))
+        for i in range(6):
+            x = rng.standard_normal((30, 3))
+            net, pairs = build_quantile_lasso(RegressionData(x, x @ rng.standard_normal(3)
+                                                             + rng.laplace(size=30)), lam=0.5 + i)
+            q = QuadraticObjective(0.01 * np.eye(4), np.zeros(4))
+            problems.append((net, q, pairs, np.zeros(4)))
+        data = _lasso_data(rng, 500, 40)
+        lam_max = 2.0 * float(np.max(np.abs(data.x.T @ data.y)))
+        for frac in (0.1, 0.03):
+            net, q, pairs = build_lasso(data, frac * lam_max)
+            problems.append((net, q, pairs, np.zeros(40)))
+
+        def solve_all():
+            return [solve_quadratic(net, q, x0, SolverOptions(seed=i, max_steps=200), pairs)
+                    for i, (net, q, pairs, x0) in enumerate(problems)]
+
+        got = solve_all()
+        monkeypatch.setattr(drlp.solver, "_feasible_direction",
+                            lambda g, normals, cache: feasible_direction_reference(g, normals))
+        want = solve_all()
+        for a, b in zip(got, want):
+            assert (a.status, a.steps, a.x.tobytes()) == (b.status, b.steps, b.x.tobytes())
+            assert a.trace == b.trace
+        assert {out.status for out in got} >= {LOCAL_MINIMUM, STEP_LIMIT}
