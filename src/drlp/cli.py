@@ -19,13 +19,13 @@ import numpy as np
 from . import bounds as bounds_mod
 from .network import (
     ReluNetwork,
+    activation_pattern,
     critical_indices,
     evaluate,
     load_model,
-    oriented_normal,
     save_model,
 )
-from .primitives import Degenerate, DependentColumn, PseudoInverse
+from .primitives import Degenerate, DependentColumn, dense_pseudoinverse
 from .problems import (
     LpInstance,
     build_clad,
@@ -44,7 +44,7 @@ from .solver import (
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
-    _pattern_with_valid_pairs,
+    _start_point,
     axis_derivatives,
     certify_local_min,
     drlsimplex,
@@ -99,43 +99,15 @@ def _add_solve_args(p, with_x0=True):
                    help="retry with 1e-8 bias jitter (up to 3 times) after a NonRegular abort")
 
 
-def _options_from(args, rng=None, on_record=None):
-    return SolverOptions(
-        zero_tol=args.zero_tol, dep_tol=args.dep_tol, descent_tol=args.descent_tol,
-        max_steps=args.max_steps, rng=rng, on_record=on_record,
-    )
-
-
-def _jittered(net, rng):
+def _jittered(net, rng, pairs):
+    """net with 1e-8 relative bias noise; second pair members keep mirroring their first."""
     biases = [b + 1e-8 * (1.0 + np.max(np.abs(b))) * rng.standard_normal(b.shape)
               for b in net.biases]
+    if pairs is not None:
+        hidden = np.concatenate(biases[:-1])
+        hidden[pairs.second] = -hidden[pairs.first]
+        biases = np.split(hidden, net.offsets[1:-1]) + biases[-1:]
     return ReluNetwork(net.weights, biases)
-
-
-def _run_starts(args, net, make_x0, run_one):
-    """Run --starts independent instances in order; pick unbounded first, then best f."""
-    seeds = np.random.SeedSequence(args.seed).spawn(max(1, args.starts))
-    outcomes = []
-    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
-        for k, seed in enumerate(seeds):
-            rng = np.random.Generator(np.random.Philox(seed))
-            on_record = _trace_writer(fh, net, k if args.starts > 1 else None) if fh else None
-            x0 = make_x0(rng)
-            out = run_one(x0, rng, on_record)
-            if out.status == NON_REGULAR and args.jitter_on_nonregular:
-                for _ in range(3):
-                    out = run_one(x0, rng, on_record, jitter_rng=rng)
-                    if out.status != NON_REGULAR:
-                        break
-            outcomes.append(out)
-    unbounded = [o for o in outcomes if o.status == UNBOUNDED]
-    if unbounded:
-        return unbounded[0]
-    minima = [o for o in outcomes if o.status == LOCAL_MINIMUM]
-    if minima:
-        return min(minima, key=lambda o: o.f)
-    limits = [o for o in outcomes if o.status == STEP_LIMIT]
-    return limits[0] if limits else outcomes[0]
 
 
 def _outcome_doc(out, net, extra=None):
@@ -165,24 +137,46 @@ def _emit_outcome(args, out, net, extra=None):
     return EXIT_CODES[out.status]
 
 
-def _solve(args, net, pairs, extra_from=None, fixed_x0=None, solve=drlsimplex):
-    """Parse the start point, run the starts through solve(net, x0, opts, pairs), emit."""
-    def make_x0(rng):
-        if fixed_x0 is not None:
-            return np.asarray(fixed_x0, dtype=np.float64)
-        if args.x0 == "zero":
-            return np.zeros(net.input_dim)
-        if args.x0 == "random":
-            return rng.standard_normal(net.input_dim)
-        return _parse_floats(args.x0)
+def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=None):
+    """Run --starts solves of net one after another and emit the best outcome.
 
-    def run_one(x0, rng, on_record, jitter_rng=None):
-        the_net = _jittered(net, jitter_rng) if jitter_rng is not None else net
-        opts = _options_from(args, rng=rng, on_record=on_record)
-        return solve(the_net, x0, opts, pairs)
-
-    out = _run_starts(args, net, make_x0, run_one)
-    extra = extra_from(out) if extra_from else None
+    solve(net, x0, options, pairs) minimizes value(net, x).  Each start draws
+    its generator from --seed; unbounded wins, then the least f, then a step
+    limit.  A start that ends NonRegular is retried on jittered biases when
+    asked; its f is then re-evaluated on net and marked "jittered".
+    """
+    seeds = np.random.SeedSequence(args.seed).spawn(max(1, args.starts))
+    runs = []
+    with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
+        for k, seed in enumerate(seeds):
+            rng = np.random.Generator(np.random.Philox(seed))
+            opts = SolverOptions(
+                zero_tol=args.zero_tol, dep_tol=args.dep_tol, descent_tol=args.descent_tol,
+                max_steps=args.max_steps, rng=rng,
+                on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
+            )
+            if fixed_x0 is not None:
+                x0 = fixed_x0
+            elif args.x0 == "zero":
+                x0 = np.zeros(net.input_dim)
+            elif args.x0 == "random":
+                x0 = rng.standard_normal(net.input_dim)
+            else:
+                x0 = _parse_floats(args.x0)
+            out, jittered = solve(net, x0, opts, pairs), False
+            for _ in range(3 if args.jitter_on_nonregular else 0):
+                if out.status != NON_REGULAR:
+                    break
+                out, jittered = solve(_jittered(net, rng, pairs), x0, opts, pairs), True
+            if jittered:
+                out.f = value(net, out.x)
+            runs.append((out, jittered))
+    rank = {UNBOUNDED: 0, LOCAL_MINIMUM: 1, STEP_LIMIT: 2}
+    out, jittered = min(runs, key=lambda r: (rank.get(r[0].status, 3),
+                                             r[0].f if r[0].status == LOCAL_MINIMUM else 0.0))
+    extra = extra_from(out) if extra_from else {}
+    if jittered:
+        extra["jittered"] = True
     return _emit_outcome(args, out, net, extra)
 
 
@@ -199,26 +193,26 @@ def cmd_random_net(args):
 
 def cmd_solve(args):
     net, pairs = load_model(args.model)
-    return _solve(args, net, pairs)
+    return _solve(args, net, pairs, drlsimplex)
 
 
 def cmd_quantile(args):
     data = load_csv(args.data, args.response)
     net, pairs = build_quantile_lasso(data, alpha=args.alpha, lam=args.lam)
-    return _solve(args, net, pairs, extra_from=_theta)
+    return _solve(args, net, pairs, drlsimplex, extra_from=_theta)
 
 
 def cmd_clad(args):
     data = load_csv(args.data, args.response)
     net, pairs = build_clad(data)
-    return _solve(args, net, pairs, extra_from=_theta)
+    return _solve(args, net, pairs, drlsimplex, extra_from=_theta)
 
 
 def cmd_lasso(args):
     data = load_csv(args.data, args.response)
     net, q, pairs = build_lasso(data, lam=args.lam)
-    return _solve(args, net, pairs, extra_from=_theta,
-                  solve=lambda n, x0, opts, p: solve_quadratic(n, q, x0, opts, p))
+    return _solve(args, net, pairs, lambda n, x0, opts, p: solve_quadratic(n, q, x0, opts, p),
+                  value=lambda n, x: evaluate(n, x) + q.value(x), extra_from=_theta)
 
 
 def cmd_train_l1(args):
@@ -237,7 +231,7 @@ def cmd_train_l1(args):
             doc["model"] = args.out_model
         return doc
 
-    return _solve(args, net, pairs, extra_from=extra, fixed_x0=fixed)
+    return _solve(args, net, pairs, drlsimplex, extra_from=extra, fixed_x0=fixed)
 
 
 def cmd_bounds(args):
@@ -260,33 +254,21 @@ def cmd_regions(args):
 
 def cmd_check(args):
     net, pairs = load_model(args.model)
-    x = _parse_floats(args.x)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"--x has {len(x)} values, model expects {net.input_dim}")
-    s = _pattern_with_valid_pairs(net, x, pairs)
-    crit = critical_indices(net, s, x)
-    if pairs is not None:
-        secondary = pairs.secondary_flat_mask(net)
-        crit = [c for c in crit if not secondary[c]]
-    units = [list(net.neuron_at(c)) for c in crit]
-    pinv = PseudoInverse.empty(net.input_dim)
-    if crit:
-        cols = np.stack([oriented_normal(net, s, c) for c in crit], axis=1)
-        sv = np.linalg.svd(cols, compute_uv=False)
-        if sv[-1] <= 1e-8 * sv[0] or len(crit) > net.input_dim:
-            print(json.dumps({"certified": False, "reason": "dependent active walls",
-                              "neurons": units}))
-            return 3
-        pinv = PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(crit))
+    x = _start_point(net, _parse_floats(args.x), "--x")
+    s = activation_pattern(net, x, pairs)
+    crit = critical_indices(net, s, x, pairs=pairs)
+    reason = "dependent active walls"
     try:
+        pinv = dense_pseudoinverse(net, s, crit)
+        reason = "degenerate axis update"
         ok = certify_local_min(net, x, s, pinv, pairs=pairs)
         axes = [
             {"neuron": list(net.neuron_at(c)), "bit": int(bit), "derivative": val}
             for c, bit, val, _ in axis_derivatives(net, x, s, pinv, pairs=pairs)
         ]
     except Degenerate:
-        print(json.dumps({"certified": False, "reason": "degenerate axis update",
-                          "neurons": units}))
+        print(json.dumps({"certified": False, "reason": reason,
+                          "neurons": [list(net.neuron_at(c)) for c in crit]}))
         return 3
     print(json.dumps({"certified": bool(ok), "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2

@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 # Default absolute scale for "this argument is exactly zero" decisions.
-# Used relative to the local scale, see hyperplane_pattern/critical_indices.
+# Used relative to the local scale, see critical_indices.
 ZERO_TOL = 1e-9
 
 
@@ -55,6 +55,11 @@ class ReluNetwork:
                 raise ValueError(f"layer {k + 1}: weight/bias shapes {w.shape}/{b.shape} do not chain")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
                 raise ValueError(f"layer {k + 1}: input width {w.shape[1]} != previous layer width")
+            for name, a in (("weight", w), ("bias", b)):
+                if not np.isfinite(a).all():
+                    at = np.argwhere(~np.isfinite(a))[0]
+                    raise ValueError(f"layer {k + 1}: {name} [{', '.join(str(i + 1) for i in at)}] "
+                                     f"is {a[tuple(at)]}; weights and biases must be finite")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output layer must have exactly one unit")
         self.depth = len(self.weights) - 1
@@ -83,26 +88,27 @@ class ReluNetwork:
         return f"ReluNetwork(widths={self.widths})"
 
 
-class _FlatPattern:
-    """Flat per-unit storage with per-layer offsets. Base for the two patterns."""
+class ActivationPattern:
+    """0/1 state of every hidden unit: 1 = passes its argument, 0 = clamped.
+
+    The bits sit in one flat uint8 vector indexed by flat unit; offsets[l-1]
+    is the flat index of layer l's first unit.
+    """
 
     __slots__ = ("widths", "offsets", "bits")
-    _dtype = np.uint8
 
     def __init__(self, widths, bits):
         self.widths = tuple(int(w) for w in widths)
-        off = np.zeros(len(self.widths) + 1, dtype=np.int64)
-        np.cumsum(self.widths, out=off[1:])
-        self.offsets = off
-        bits = np.ascontiguousarray(bits, dtype=self._dtype)
-        if bits.shape != (int(off[-1]),):
+        self.offsets = tuple(itertools.accumulate(self.widths, initial=0))
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        if bits.shape != (self.offsets[-1],):
             raise ValueError("bit vector length does not match widths")
         self.bits = bits
 
     @classmethod
     def from_layers(cls, layers):
         widths = tuple(len(a) for a in layers)
-        return cls(widths, np.concatenate([np.asarray(a) for a in layers]).astype(cls._dtype))
+        return cls(widths, np.concatenate([np.asarray(a) for a in layers]))
 
     def layer(self, l: int) -> np.ndarray:
         """View of layer ``l`` (1-based) entries."""
@@ -114,9 +120,12 @@ class _FlatPattern:
     def get(self, c: int) -> int:
         return int(self.bits[c])
 
+    def flip_inplace(self, c: int):
+        self.bits[c] ^= 1
+
     def copy(self):
         # widths and offsets are never mutated, so copies share them
-        out = object.__new__(type(self))
+        out = object.__new__(ActivationPattern)
         out.widths, out.offsets, out.bits = self.widths, self.offsets, self.bits.copy()
         return out
 
@@ -126,7 +135,7 @@ class _FlatPattern:
 
     def __eq__(self, other):
         return (
-            type(self) is type(other)
+            isinstance(other, ActivationPattern)
             and self.widths == other.widths
             and np.array_equal(self.bits, other.bits)
         )
@@ -136,20 +145,7 @@ class _FlatPattern:
 
     def __repr__(self):
         parts = ",".join("".join(str(int(b)) for b in self.layer(l)) for l in range(1, len(self.widths) + 1))
-        return f"{type(self).__name__}({parts})"
-
-
-class ActivationPattern(_FlatPattern):
-    """0/1 state of every hidden unit: 1 = passes its argument, 0 = clamped."""
-
-    def flip_inplace(self, c: int):
-        self.bits[c] ^= 1
-
-
-class HyperplanePattern(_FlatPattern):
-    """Sign in {-1, 0, +1} of every hidden unit's argument."""
-
-    _dtype = np.int8
+        return f"ActivationPattern({parts})"
 
 
 class PairGroups:
@@ -226,37 +222,20 @@ def relu_arguments(net: ReluNetwork, x):
     return args
 
 
-def hyperplane_pattern(net: ReluNetwork, x, zero_tol: float = ZERO_TOL) -> HyperplanePattern:
-    """Sign pattern of the arguments at x.
+def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> ActivationPattern:
+    """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped).
 
-    An argument counts as zero when its magnitude is at most
-    ``zero_tol * (1 + max|x|)``.
+    An argument exactly on a paired wall would give both members bit 0;
+    with pairs, such a pair gets the complementary convention instead
+    (first member 1, second 0), so paired bits always differ.
     """
-    x = np.asarray(x, dtype=np.float64)
-    scale = zero_tol * (1.0 + (np.max(np.abs(x)) if x.size else 0.0))
-    layers = []
-    for a in relu_arguments(net, x):
-        h = np.sign(a).astype(np.int8)
-        h[np.abs(a) <= scale] = 0
-        layers.append(h)
-    return HyperplanePattern.from_layers(layers)
-
-
-def activation_pattern(net: ReluNetwork, x) -> ActivationPattern:
-    """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped)."""
     layers = [(a > 0.0).astype(np.uint8) for a in relu_arguments(net, x)]
-    return ActivationPattern.from_layers(layers)
-
-
-def is_compatible(h: HyperplanePattern, s: ActivationPattern) -> bool:
-    """True when s only commits sign choices that h leaves open.
-
-    Units with nonzero sign must keep the matching bit; units sitting on
-    their hyperplane (sign 0) may take either bit.
-    """
-    if h.widths != s.widths:
-        raise ValueError("patterns describe different networks")
-    return bool(np.all(h.bits.astype(np.float64) * (s.bits.astype(np.float64) - 0.5) >= 0.0))
+    s = ActivationPattern.from_layers(layers)
+    if pairs is not None:
+        tied = s.bits[pairs.first] == s.bits[pairs.second]
+        s.bits[pairs.first[tied]] = 1
+        s.bits[pairs.second[tied]] = 0
+    return s
 
 
 def subjective_arguments(net: ReluNetwork, s: ActivationPattern, x):
@@ -268,14 +247,6 @@ def subjective_arguments(net: ReluNetwork, s: ActivationPattern, x):
         args.append(a)
         y = s.layer(l) * a
     return args
-
-
-def subjective_value(net: ReluNetwork, s: ActivationPattern, x) -> float:
-    """Output when every ReLU is replaced by multiplication with its bit in s."""
-    y = np.asarray(x, dtype=np.float64)
-    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
-        y = s.layer(l) * (w @ y + b)
-    return float((net.weights[-1] @ y + net.biases[-1])[0])
 
 
 def gradient(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
@@ -332,52 +303,22 @@ def inner_products_all(net: ReluNetwork, s: ActivationPattern, w):
     return out
 
 
-def critical_indices(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float = ZERO_TOL):
+def critical_indices(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float = ZERO_TOL,
+                     pairs: PairGroups | None = None):
     """Units whose argument vanishes at x and whose normal is nonzero.
 
     The zero test is relative: |argument| <= zero_tol * (1 + |normal|).
     Units with (numerically) zero normal have locally constant arguments
-    and are excluded; they never separate regions near x.
+    and are excluded; they never separate regions near x.  With pairs,
+    second pair members are left out: their first member stands for the
+    shared wall.
     """
     args = np.concatenate(subjective_arguments(net, s, x))
     norms = np.linalg.norm(np.concatenate(normal_matrices(net, s)), axis=1)
     hit = (np.abs(args) <= zero_tol * (1.0 + norms)) & (norms > zero_tol)
+    if pairs is not None:
+        hit[pairs.second] = False
     return np.nonzero(hit)[0].tolist()
-
-
-def critical_kernel_dim(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float = ZERO_TOL) -> int:
-    """Dimension of the common kernel of all critical normals at x.
-
-    Equals input_dim minus the rank of the stacked critical normals; the
-    point is a vertex of its region exactly when this is zero.
-    """
-    crit = critical_indices(net, s, x, zero_tol)
-    if not crit:
-        return net.input_dim
-    rows = np.concatenate(normal_matrices(net, s))[crit]
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sv > zero_tol * max(1.0, sv[0])))
-    return net.input_dim - rank
-
-
-def enumerate_compatible(net: ReluNetwork, x, zero_tol: float = ZERO_TOL, cap: int = 65536):
-    """All activation patterns compatible with the sign pattern at x.
-
-    Each unit on its hyperplane doubles the count, so the result has
-    2**(#zero arguments) patterns; raises ValueError beyond cap.
-    """
-    h = hyperplane_pattern(net, x, zero_tol)
-    zeros = np.nonzero(h.bits == 0)[0]
-    if len(zeros) > np.log2(cap):
-        raise ValueError(f"2**{len(zeros)} compatible patterns exceed cap {cap}")
-    base = (h.bits > 0).astype(np.uint8)
-    out = []
-    for mask in range(1 << len(zeros)):
-        bits = base.copy()
-        for k, flat in enumerate(zeros):
-            bits[flat] = (mask >> k) & 1
-        out.append(ActivationPattern(h.widths, bits))
-    return out
 
 
 def flip(s: ActivationPattern, units, pairs: PairGroups | None = None) -> ActivationPattern:

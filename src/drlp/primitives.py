@@ -92,33 +92,6 @@ def project(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, v) -> n
     return pinv.matrix.T @ w
 
 
-def add_pseudorow(
-    pinv: PseudoInverse,
-    net: ReluNetwork,
-    s: ActivationPattern,
-    u,
-    owner,
-    dep_tol: float = DEP_TOL,
-) -> PseudoInverse:
-    """Extend the pseudoinverse by one column u (the owner's oriented normal).
-
-    Raises DependentColumn when u lies within dep_tol (relative) of the
-    span of the current columns.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    w_perp = u - project(pinv, net, s, u)
-    nu = np.linalg.norm(u)
-    if nu == 0.0 or np.linalg.norm(w_perp) <= dep_tol * nu:
-        raise DependentColumn(f"normal of unit {owner} is dependent on the tracked set")
-    denom = float(w_perp @ u)
-    new_row = w_perp / denom
-    if pinv.m == 0:
-        return PseudoInverse(new_row[None, :], [owner])
-    # existing rows must become orthogonal to the new column
-    shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
-    return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [owner])
-
-
 def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
     """Drop row i and its owner, restoring the pseudoinverse of the rest."""
     ai = pinv.matrix[i]
@@ -139,8 +112,38 @@ def add_axis(
     c: int,
     dep_tol: float = DEP_TOL,
 ) -> PseudoInverse:
-    """Track unit c's hyperplane: add its oriented normal as a new column."""
-    return add_pseudorow(pinv, net, s, oriented_normal(net, s, c), c, dep_tol)
+    """Track unit c's hyperplane: add its oriented normal u as a new column.
+
+    Raises DependentColumn when u lies within dep_tol (relative) of the
+    span of the current columns.
+    """
+    u = oriented_normal(net, s, c)
+    w_perp = u - project(pinv, net, s, u)
+    nu = np.linalg.norm(u)
+    if nu == 0.0 or np.linalg.norm(w_perp) <= dep_tol * nu:
+        raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
+    new_row = w_perp / float(w_perp @ u)
+    if pinv.m == 0:
+        return PseudoInverse(new_row[None, :], [c])
+    # existing rows must become orthogonal to the new column
+    shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
+    return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
+
+
+def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners,
+                        dep_tol: float = DEP_TOL) -> PseudoInverse:
+    """Pseudoinverse for owners built from scratch by an O(n^3) dense solve.
+
+    Raises Degenerate when the owners' normals are (numerically) dependent,
+    including when there are more owners than input dimensions.
+    """
+    if not owners:
+        return PseudoInverse.empty(net.input_dim)
+    cols = np.stack([oriented_normal(net, s, c) for c in owners], axis=1)
+    sv = np.linalg.svd(cols, compute_uv=False)
+    if len(owners) > net.input_dim or sv[-1] <= dep_tol * sv[0]:
+        raise Degenerate("tracked normals are not independent")
+    return PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(owners))
 
 
 def update_axis_new_region(

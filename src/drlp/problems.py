@@ -262,7 +262,8 @@ def load_csv(path, response=None) -> RegressionData:
     Comma separated, '.' decimal, UTF-8, no quoting.  A first row that
     fails to parse as numbers is taken as a header.  The response is the
     named column (header required) or the last column when response is
-    None.  Malformed cells are reported with 1-based row and column.
+    None.  Malformed and non-finite cells are reported with 1-based row
+    and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -286,9 +287,12 @@ def load_csv(path, response=None) -> RegressionData:
             try:
                 data[i, j] = float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 1 + (header is not None)}, column {j + 1}: not a number: {cell!r}"
-                ) from None
+                data[i, j] = np.nan
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 1 + (header is not None)}, column {j + 1}: "
+                         f"not a finite number: {rows[i][j]!r}")
     if response is None:
         y_col = width - 1
     else:

@@ -31,13 +31,13 @@ from .network import (
     oriented_normal,
 )
 from .primitives import (
-    AdvanceResult,
     Degenerate,
     DependentColumn,
     PseudoInverse,
     add_axis,
     advance_max,
     argument_residuals,
+    dense_pseudoinverse,
     project,
     remove_pseudorow,
     update_axis_new_region,
@@ -49,6 +49,10 @@ NON_REGULAR = "NonRegular"
 STEP_LIMIT = "StepLimit"
 
 _HUGE_T = 1e15
+STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
+DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|) that forces a dense rebuild
+RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
+AXIS_REFRESH_EVERY = 64    # pivots between full pseudoinverse rebuilds
 
 
 @dataclass
@@ -58,12 +62,7 @@ class SolverOptions:
     zero_tol: float = 1e-9
     dep_tol: float = 1e-8
     descent_tol: float = 1e-9
-    step_accept_tol: float = 1e-9     # how negative a crossing step may be
-    drift_refresh_tol: float = 1e-9   # wall residual that forces a dense rebuild
-    resync_tol: float = 1e-5          # how stale a pattern bit may be and still be repaired
     max_steps: int = 10_000
-    position_correction_every: int = 1   # pivots between wall re-projections (0 = off)
-    axis_refresh_every: int = 64         # pivots between full pseudoinverse rebuilds (0 = off)
     seed: int = 0
     rng: np.random.Generator | None = None
     collect_trace: bool = True
@@ -111,7 +110,6 @@ class SolverState:
     rng: np.random.Generator = None
     objective: object = None            # callable(x) -> float; network value by default
     steps: int = 0
-    pivots: int = 0
     trace: list = field(default_factory=list)
 
     def value(self, x=None) -> float:
@@ -149,25 +147,14 @@ class SolverState:
         )
 
 
-def _pattern_with_valid_pairs(net, x, pairs) -> ActivationPattern:
-    # an argument exactly on a paired wall gives both members bit 0; repair
-    # to the complementary convention (representative active)
-    s = activation_pattern(net, x)
-    if pairs is not None:
-        tied = s.bits[pairs.first] == s.bits[pairs.second]
-        s.bits[pairs.first[tied]] = 1
-        s.bits[pairs.second[tied]] = 0
-    return s
-
-
-def _start_point(net: ReluNetwork, x0) -> np.ndarray:
+def _start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
     """x0 as a fresh float vector; rejects a wrong shape or a non-finite entry."""
     x = np.array(x0, dtype=np.float64)
     if x.shape != (net.input_dim,):
-        raise ValueError(f"x0 must be finite with shape ({net.input_dim},); got shape {x.shape}")
+        raise ValueError(f"{name} must be finite with shape ({net.input_dim},); got shape {x.shape}")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise ValueError(f"x0 must be finite with shape ({net.input_dim},); "
+        raise ValueError(f"{name} must be finite with shape ({net.input_dim},); "
                          f"got {x[bad[0]]} at index {bad[0]}")
     return x
 
@@ -183,7 +170,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
     rng = options.make_rng()
     x = _start_point(net, x0)
     for _ in range(100):
-        s = _pattern_with_valid_pairs(net, x, pairs)
+        s = activation_pattern(net, x, pairs)
         if not critical_indices(net, s, x, options.zero_tol):
             break
         step = rng.standard_normal(net.input_dim)
@@ -232,18 +219,10 @@ def position_correction(state: SolverState) -> float:
 def refresh_pseudoinverse(state: SolverState):
     """Rebuild the pseudoinverse from scratch for the current owners.
 
-    O(n^3) dense solve; used periodically to stop drift from the rank-one
-    updates.  Raises Degenerate when the tracked normals lost independence.
+    Used periodically to stop drift from the rank-one updates.  Raises
+    Degenerate when the tracked normals lost independence.
     """
-    if state.pinv.m == 0:
-        return
-    cols = np.stack(
-        [oriented_normal(state.net, state.s, c) for c in state.pinv.owners], axis=1
-    )
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[-1] <= state.options.dep_tol * sv[0]:
-        raise Degenerate("tracked normals are no longer independent")
-    state.pinv = PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(state.pinv.owners))
+    state.pinv = dense_pseudoinverse(state.net, state.s, state.pinv.owners, state.options.dep_tol)
 
 
 def find_vertex(state: SolverState) -> SolveOutcome | None:
@@ -290,8 +269,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
             return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [res.neuron])
         v = v - project(state.pinv, net, s, v)
         tried_opposite = False
-    if opts.position_correction_every:
-        position_correction(state)
+    position_correction(state)
     return None
 
 
@@ -303,15 +281,14 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     Unbounded descent ray, NonRegular when dependent walls abort a pivot,
     or StepLimit.  The objective is non-increasing along the whole trace
     and strictly decreases at every pivot.  Roundoff is contained two ways:
-    walls that drift past drift_refresh_tol force a dense axis rebuild, and
-    a pattern bit found marginally stale (within resync_tol) is flipped back
+    walls that drift past DRIFT_REFRESH_TOL force a dense axis rebuild, and
+    a pattern bit found marginally stale (within RESYNC_TOL) is flipped back
     to match the geometry without moving x.
     """
     t0 = time.perf_counter()
     if pairs is not None:
         pairs.validate(net)
     state = initialize(net, x0, options, pairs)
-    opts = state.options
     out = find_vertex(state)
     if out is None:
         out = _pivot_loop(state)
@@ -340,9 +317,9 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             state.steps += 1
             if not res.bounded:
                 return state.finish(UNBOUNDED, direction=v)
-            if res.t <= -opts.step_accept_tol:
+            if res.t <= -STEP_ACCEPT_TOL:
                 xscale = 1.0 + float(np.max(np.abs(state.x)))
-                if res.t < -opts.resync_tol * xscale:
+                if res.t < -RESYNC_TOL * xscale:
                     return state.finish(NON_REGULAR, neurons=[res.neuron])
                 # a negative crossing step means the bit for res.neuron claims
                 # the wrong side of its wall (roundoff left x marginally past
@@ -373,21 +350,19 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             except (DependentColumn, Degenerate):
                 return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [c])
             next_flip = 0
-            state.pivots += 1
             pivots_since_refresh += 1
             try:
-                if opts.axis_refresh_every and pivots_since_refresh >= opts.axis_refresh_every:
+                if pivots_since_refresh >= AXIS_REFRESH_EVERY:
                     refresh_pseudoinverse(state)
                     pivots_since_refresh = 0
-                if opts.position_correction_every and state.pivots % opts.position_correction_every == 0:
-                    resid = position_correction(state)
-                    # incremental updates compound multiplicatively near
-                    # tight vertices; rebuild as soon as the walls drift
-                    # instead of waiting out the fixed cadence
-                    if resid > opts.drift_refresh_tol * (1.0 + float(np.max(np.abs(state.x)))):
-                        refresh_pseudoinverse(state)
-                        pivots_since_refresh = 0
-                        position_correction(state)
+                resid = position_correction(state)
+                # incremental updates compound multiplicatively near tight
+                # vertices; rebuild as soon as the walls drift instead of
+                # waiting out the fixed cadence
+                if resid > DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x)))):
+                    refresh_pseudoinverse(state)
+                    pivots_since_refresh = 0
+                    position_correction(state)
             except Degenerate:
                 return state.finish(NON_REGULAR, neurons=list(state.pinv.owners))
         else:
@@ -482,15 +457,6 @@ class QuadraticObjective:
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return (self.quad + self.quad.T) @ x + self.lin
-
-
-def segment_parabola(q: QuadraticObjective, x, v):
-    """Coefficients (a, b, c) of t -> q(x + t v)."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    a = float(v @ q.quad @ v)
-    b = float(x @ (q.quad + q.quad.T) @ v + q.lin @ v)
-    return a, b, q.value(x)
 
 
 def parabola_step(a: float, b: float, t_max: float) -> float:
@@ -594,20 +560,17 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     opts = options or SolverOptions()
     x = _start_point(net, x0)
     state = SolverState(
-        net=net, x=x, s=_pattern_with_valid_pairs(net, x, pairs),
+        net=net, x=x, s=activation_pattern(net, x, pairs),
         pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
         rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
     )
-    secondary = (pairs.secondary_flat_mask(net) if pairs is not None
-                 else np.zeros(net.num_neurons, dtype=bool))
     cache = []      # Gram-Schmidt passes of the last direction, see _pass_basis
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
-        active = [c for c in critical_indices(net, state.s, state.x, opts.zero_tol)
-                  if not secondary[c]]
+        active = critical_indices(net, state.s, state.x, opts.zero_tol, pairs)
         g = q.grad(state.x) + gradient(net, state.s)
         normals = [oriented_normal(net, state.s, c) for c in active]
         v = _feasible_direction(g, normals, cache)

@@ -11,11 +11,108 @@ from math import comb
 import numpy as np
 
 from drlp import (
+    ZERO_TOL,
+    ActivationPattern,
     ReluNetwork,
+    critical_indices,
     evaluate,
+    normal_matrices,
+    relu_arguments,
     subjective_arguments,
-    subjective_value,
 )
+
+
+class HyperplanePattern:
+    """Sign in {-1, 0, +1} of every hidden unit's argument, one flat int8 vector."""
+
+    def __init__(self, widths, bits):
+        self.widths = tuple(int(w) for w in widths)
+        self.bits = np.asarray(bits, dtype=np.int8)
+
+    def get(self, c: int) -> int:
+        return int(self.bits[c])
+
+    def to_layers(self):
+        return [part.tolist() for part in np.split(self.bits, np.cumsum(self.widths)[:-1])]
+
+
+def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):
+    """Sign pattern of the arguments at x.
+
+    An argument counts as zero when its magnitude is at most
+    ``zero_tol * (1 + max|x|)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    scale = zero_tol * (1.0 + (np.max(np.abs(x)) if x.size else 0.0))
+    layers = []
+    for a in relu_arguments(net, x):
+        h = np.sign(a).astype(np.int8)
+        h[np.abs(a) <= scale] = 0
+        layers.append(h)
+    return HyperplanePattern(net.relu_widths, np.concatenate(layers))
+
+
+def is_compatible(h, s):
+    """True when s only commits sign choices that h leaves open.
+
+    Units with nonzero sign must keep the matching bit; units sitting on
+    their hyperplane (sign 0) may take either bit.
+    """
+    if h.widths != s.widths:
+        raise ValueError("patterns describe different networks")
+    return bool(np.all(h.bits.astype(np.float64) * (s.bits.astype(np.float64) - 0.5) >= 0.0))
+
+
+def subjective_value(net, s, x):
+    """Output when every ReLU is replaced by multiplication with its bit in s."""
+    y = np.asarray(x, dtype=np.float64)
+    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
+        y = s.layer(l) * (w @ y + b)
+    return float((net.weights[-1] @ y + net.biases[-1])[0])
+
+
+def critical_kernel_dim(net, s, x, zero_tol=ZERO_TOL):
+    """Dimension of the common kernel of all critical normals at x.
+
+    Equals input_dim minus the rank of the stacked critical normals; the
+    point is a vertex of its region exactly when this is zero.
+    """
+    crit = critical_indices(net, s, x, zero_tol)
+    if not crit:
+        return net.input_dim
+    rows = np.concatenate(normal_matrices(net, s))[crit]
+    sv = np.linalg.svd(rows, compute_uv=False)
+    rank = int(np.sum(sv > zero_tol * max(1.0, sv[0])))
+    return net.input_dim - rank
+
+
+def enumerate_compatible(net, x, zero_tol=ZERO_TOL, cap=65536):
+    """All activation patterns compatible with the sign pattern at x.
+
+    Each unit on its hyperplane doubles the count, so the result has
+    2**(#zero arguments) patterns; raises ValueError beyond cap.
+    """
+    h = hyperplane_pattern(net, x, zero_tol)
+    zeros = np.nonzero(h.bits == 0)[0]
+    if len(zeros) > np.log2(cap):
+        raise ValueError(f"2**{len(zeros)} compatible patterns exceed cap {cap}")
+    base = (h.bits > 0).astype(np.uint8)
+    out = []
+    for mask in range(1 << len(zeros)):
+        bits = base.copy()
+        for k, flat in enumerate(zeros):
+            bits[flat] = (mask >> k) & 1
+        out.append(ActivationPattern(h.widths, bits))
+    return out
+
+
+def segment_parabola(q, x, v):
+    """Coefficients (a, b, c) of t -> q(x + t v)."""
+    x = np.asarray(x, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    a = float(v @ q.quad @ v)
+    b = float(x @ (q.quad + q.quad.T) @ v + q.lin @ v)
+    return a, b, q.value(x)
 
 
 def fd_gradient(net, s, x):

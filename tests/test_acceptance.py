@@ -29,23 +29,27 @@ from drlp import (
     count_regions_empirical,
     critical_indices,
     drlsimplex,
-    enumerate_compatible,
     evaluate,
     find_vertex,
     flip,
-    hyperplane_pattern,
     improved_bound,
     initialize,
-    is_compatible,
     montufar_bound,
     oriented_normal,
     relu_arguments,
     solve_quadratic,
     subjective_arguments,
-    subjective_value,
     update_axis_new_region,
 )
-from helpers import cd_lasso, lad_enumerate, probe_min
+from helpers import (
+    cd_lasso,
+    enumerate_compatible,
+    hyperplane_pattern,
+    is_compatible,
+    lad_enumerate,
+    probe_min,
+    subjective_value,
+)
 
 
 def _report(name, ok, detail=""):

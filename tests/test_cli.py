@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from drlp import ReluNetwork, save_model
+import drlp.cli
+from drlp import (
+    NON_REGULAR,
+    SolveOutcome,
+    ReluNetwork,
+    build_quantile_lasso,
+    evaluate,
+    load_csv,
+    save_model,
+)
 from drlp.cli import main
 from helpers import lad_enumerate
 
@@ -175,6 +184,18 @@ class TestSolve:
         assert code == 1 and stdout == ""
         assert "x0 must be finite" in stderr
 
+    def test_non_finite_model_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        # json writes float nan as NaN and reads it back
+        path.write_text(json.dumps({"weights": [[[1.0, float("nan")], [0.0, 1.0]], [[1.0, 1.0]]],
+                                    "biases": [[0.0, 0.0], [0.0]]}))
+        for argv in (["solve", "--model", str(path)],
+                     ["regions", "--model", str(path), "--samples", "100"],
+                     ["check", "--model", str(path), "--x", "0,0"]):
+            code, stdout, stderr = _run(capsys, argv)
+            assert code == 1 and stdout == ""
+            assert "layer 1: weight [1, 2] is nan" in stderr
+
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
                 "--starts", "3", "--seed", "11"]
@@ -183,6 +204,53 @@ class TestSolve:
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+def _non_regular_first(monkeypatch):
+    """Make the CLI's first drlsimplex call end NonRegular; the rest solve."""
+    real, nets = drlp.cli.drlsimplex, []
+
+    def solve(net, x0, options, pairs):
+        nets.append(net)
+        if len(nets) == 1:
+            x = np.array(x0, dtype=np.float64)
+            return SolveOutcome(NON_REGULAR, x, evaluate(net, x), 0, neurons=[0])
+        return real(net, x0, options, pairs)
+
+    monkeypatch.setattr(drlp.cli, "drlsimplex", solve)
+    return nets
+
+
+class TestJitter:
+    def test_reports_f_of_the_original_network(self, capsys, monkeypatch, hinge_model, net_hinge_gap):
+        nets = _non_regular_first(monkeypatch)
+        code, stdout, _ = _run(capsys, ["solve", "--model", hinge_model, "--x0", "3,-2",
+                                        "--jitter-on-nonregular"])
+        assert code == 0 and len(nets) == 2
+        doc = json.loads(stdout)
+        assert doc["status"] == "LocalMinimum" and doc["jittered"] is True
+        x = np.array(doc["x"])
+        assert doc["f"] == evaluate(net_hinge_gap, x)
+        assert doc["f"] != evaluate(nets[1], x)    # the jittered net's value differs
+
+    def test_paired_problem_keeps_its_pairs(self, capsys, monkeypatch, tiny_csv):
+        path, _, _ = tiny_csv
+        nets = _non_regular_first(monkeypatch)
+        code, stdout, stderr = _run(capsys, ["quantile", "--data", path, "--seed", "1",
+                                             "--jitter-on-nonregular"])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
+        assert doc["jittered"] is True and len(nets) == 2
+        net, pairs = build_quantile_lasso(load_csv(path))
+        pairs.validate(nets[1])
+        assert doc["f"] == evaluate(net, np.array(doc["x"]))
+
+    def test_without_flag_the_abort_is_reported(self, capsys, monkeypatch, hinge_model):
+        nets = _non_regular_first(monkeypatch)
+        code, stdout, _ = _run(capsys, ["solve", "--model", hinge_model, "--x0", "3,-2"])
+        assert code == 3 and len(nets) == 1
+        doc = json.loads(stdout)
+        assert doc["status"] == NON_REGULAR and "jittered" not in doc
 
 
 class TestRegression:
@@ -235,6 +303,15 @@ class TestCounting:
         doc = json.loads(stdout)
         assert doc == {"montufar": 8, "improved": 7}
 
+    def test_non_finite_csv_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n2,inf\n3,4\n")
+        for cmd in ("quantile", "clad", "lasso", "train-l1"):
+            extra = ["--base-topology", "1,2,1"] if cmd == "train-l1" else []
+            code, stdout, stderr = _run(capsys, [cmd, "--data", str(path)] + extra)
+            assert code == 1 and stdout == ""
+            assert "row 3, column 2: not a finite number: 'inf'" in stderr
+
     def test_regions_counts_folds(self, capsys, fold_model):
         code, stdout, _ = _run(
             capsys,
@@ -272,6 +349,12 @@ class TestCheck:
         code, _, stderr = _run(capsys, ["check", "--model", hinge_model, "--x", "1"])
         assert code == 1
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("argv", [["--x", "nan,1"], ["--x=inf,1"], ["--x=1,-inf"]])
+    def test_non_finite_point_exit_one(self, capsys, hinge_model, argv):
+        code, stdout, stderr = _run(capsys, ["check", "--model", hinge_model] + argv)
+        assert code == 1 and stdout == ""
+        assert "--x must be finite" in stderr
 
 
 class TestEntryPoint:

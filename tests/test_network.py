@@ -1,30 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
+    ActivationPattern,
     PairGroups,
     ReluNetwork,
     activation_bits_batch,
     activation_pattern,
     build_random,
     critical_indices,
-    critical_kernel_dim,
-    enumerate_compatible,
     evaluate,
     flip,
     gradient,
-    hyperplane_pattern,
     inner_products_all,
-    is_compatible,
     load_model,
     oriented_normal,
     relu_arguments,
     save_model,
     subjective_arguments,
+)
+from helpers import (
+    critical_kernel_dim,
+    enumerate_compatible,
+    fd_gradient,
+    fd_oriented_normal,
+    hyperplane_pattern,
+    is_compatible,
     subjective_value,
 )
-from helpers import fd_gradient, fd_oriented_normal
 
 
 class TestConstruction:
@@ -50,6 +56,18 @@ class TestConstruction:
             ReluNetwork([np.ones((2, 3)), np.ones((1, 5))], [np.zeros(2), np.zeros(1)])
         with pytest.raises(ValueError):
             ReluNetwork([np.ones((2, 3)), np.ones((2, 2))], [np.zeros(2), np.zeros(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        weights = [np.ones((3, 2)), np.ones((1, 3))]
+        biases = [np.zeros(3), np.zeros(1)]
+        weights[0][2, 1] = bad
+        with pytest.raises(ValueError, match=r"layer 1: weight \[3, 2\] is -?(nan|inf);"):
+            ReluNetwork(weights, biases)
+        weights[0][2, 1] = 1.0
+        biases[1][0] = bad
+        with pytest.raises(ValueError, match=r"layer 2: bias \[1\] is -?(nan|inf);"):
+            ReluNetwork(weights, biases)
 
     def test_random_builder_is_seeded(self):
         a = build_random((3, 4, 2, 1), seed=9)
@@ -120,6 +138,27 @@ class TestPatterns:
         assert s == t and hash(s) == hash(t)
         t = flip(t, 2)
         assert s != t and s.key() != t.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6), min_size=1, max_size=4),
+           st.data())
+    def test_pattern_layers_copy_and_flips(self, layers, data):
+        s = ActivationPattern.from_layers(layers)
+        assert s.to_layers() == layers
+        assert s.widths == tuple(len(a) for a in layers)
+        assert [s.layer(l).tolist() for l in range(1, len(layers) + 1)] == layers
+        n = s.bits.size
+        c = data.draw(st.integers(0, n - 1))
+        t = s.copy()
+        t.flip_inplace(c)
+        assert s.to_layers() == layers          # the copy owns its bits
+        assert t != s and t.get(c) == 1 - s.get(c)
+        t.flip_inplace(c)
+        assert t == s and hash(t) == hash(s)
+        units = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        once = flip(s, np.array(units, dtype=np.intp))
+        assert s.to_layers() == layers
+        assert flip(once, np.array(units, dtype=np.intp)) == s
 
     def test_batch_bits_match_scalar(self):
         net = build_random((2, 4, 3, 1), seed=4)
@@ -260,6 +299,25 @@ class TestPairsAndFlip:
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
         c = 0
         assert flip(flip(s, c), c) == s
+
+    def test_pattern_on_paired_wall_keeps_bits_complementary(self):
+        net = self._paired_net()
+        pairs = PairGroups([(0, 1)])
+        x = np.array([-3.0, 0.0])      # on the pair's wall, off unit 2's
+        assert activation_pattern(net, x).to_layers() == [[0, 0, 0]]
+        s = activation_pattern(net, x, pairs)
+        assert s.to_layers() == [[1, 0, 0]]
+        pairs.check_pattern(s)
+        off_wall = activation_pattern(net, [1.0, 1.0])
+        assert activation_pattern(net, [1.0, 1.0], pairs) == off_wall
+
+    def test_critical_indices_drop_second_members(self):
+        net = self._paired_net()
+        pairs = PairGroups([(0, 1)])
+        x = np.array([0.0, -1.5])      # on the pair's wall and on unit 2's
+        s = activation_pattern(net, x, pairs)
+        assert critical_indices(net, s, x) == [0, 1, 2]
+        assert critical_indices(net, s, x, pairs=pairs) == [0, 2]
 
     def test_complement_check(self):
         net = self._paired_net()

@@ -10,7 +10,6 @@ from drlp import (
     ReluNetwork,
     activation_pattern,
     add_axis,
-    add_pseudorow,
     advance_max,
     argument_residuals,
     build_random,

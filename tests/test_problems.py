@@ -217,6 +217,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3"):
             load_csv(f)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_cited_by_position(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=rf"row 3, column 2: not a finite number: '{cell}'"):
+            load_csv(f)
+
     def test_ragged_row_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,2,3\n1,2\n")

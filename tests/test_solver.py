@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 import drlp.solver
 from drlp import (
     LOCAL_MINIMUM,
-    NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
     ActivationPattern,
@@ -37,11 +36,16 @@ from drlp import (
     position_correction,
     quantile_loss,
     refresh_pseudoinverse,
-    segment_parabola,
     solve_quadratic,
     SolverOptions,
 )
-from helpers import feasible_direction_reference, lp_linprog, probe_min, quantile_linprog
+from helpers import (
+    feasible_direction_reference,
+    lp_linprog,
+    probe_min,
+    quantile_linprog,
+    segment_parabola,
+)
 
 
 def _lasso_data(rng, n, p):
