@@ -27,9 +27,7 @@ from .network import (
 )
 from .primitives import Degenerate, DependentColumn, dense_pseudoinverse
 from .problems import (
-    LpInstance,
     build_clad,
-    build_from_lp,
     build_l1_first_layer,
     build_lasso,
     build_quantile_lasso,

@@ -9,7 +9,6 @@ exhaustive subset enumeration, coordinate descent, ball probing.
 import time
 
 import numpy as np
-import pytest
 
 from drlp import (
     LOCAL_MINIMUM,

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 import drlp.cli
 from drlp import (
     NON_REGULAR,
-    SolveOutcome,
     ReluNetwork,
+    SolveOutcome,
     build_quantile_lasso,
     evaluate,
     load_csv,
@@ -295,14 +295,6 @@ class TestRegression:
         assert "theta" in doc and len(doc["theta"]) == 2 * 1 + 2
         assert out_model.exists()
 
-
-class TestCounting:
-    def test_bounds_json(self, capsys):
-        code, stdout, _ = _run(capsys, ["bounds", "--topology", "2,2,1"])
-        assert code == 0
-        doc = json.loads(stdout)
-        assert doc == {"montufar": 8, "improved": 7}
-
     def test_non_finite_csv_exit_one(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n2,inf\n3,4\n")
@@ -311,6 +303,14 @@ class TestCounting:
             code, stdout, stderr = _run(capsys, [cmd, "--data", str(path)] + extra)
             assert code == 1 and stdout == ""
             assert "row 3, column 2: not a finite number: 'inf'" in stderr
+
+
+class TestCounting:
+    def test_bounds_json(self, capsys):
+        code, stdout, _ = _run(capsys, ["bounds", "--topology", "2,2,1"])
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc == {"montufar": 8, "improved": 7}
 
     def test_regions_counts_folds(self, capsys, fold_model):
         code, stdout, _ = _run(

@@ -16,7 +16,6 @@ from drlp import (
     evaluate,
     flip,
     gradient,
-    oriented_normal,
     subjective_arguments,
     project,
     remove_pseudorow,
