@@ -74,8 +74,10 @@ def count_regions_empirical(
     chunks, so the first k samples do not depend on the total.
     """
     lo, hi = float(box[0]), float(box[1])
-    if not hi > lo:
-        raise ValueError("box must be (lo, hi) with lo < hi")
+    if not (np.isfinite(hi - lo) and hi > lo):
+        raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got ({lo}, {hi})")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0; got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))
     seen = set()
     remaining = int(samples)

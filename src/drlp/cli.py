@@ -63,16 +63,9 @@ def _parse_ints(text):
 def _trace_writer(fh, net, start_index=None):
     """Writes one JSON object per record to fh, flushed immediately."""
     def write(rec):
-        doc = {
-            "step": rec.step,
-            "phase": rec.phase,
-            "x": list(rec.x),
-            "f": rec.f,
-            "neuron": None if rec.neuron is None else list(net.neuron_at(rec.neuron)),
-            "t": rec.t,
-            "alpha": rec.alpha,
-            "crossed": rec.crossed,
-        }
+        doc = dict(vars(rec))
+        if rec.neuron is not None:
+            doc["neuron"] = net.neuron_at(rec.neuron)
         if start_index is not None:
             doc["start"] = start_index
         fh.write(json.dumps(doc) + "\n")
@@ -90,9 +83,6 @@ def _add_solve_args(p, with_x0=True):
                    help="independent solver runs, one after another; best outcome is reported")
     p.add_argument("--trace", help="write per-step JSONL records to this file")
     p.add_argument("--out", help="also write the outcome JSON to this file")
-    p.add_argument("--zero-tol", type=float, default=1e-9)
-    p.add_argument("--dep-tol", type=float, default=1e-8)
-    p.add_argument("--descent-tol", type=float, default=1e-9)
     p.add_argument("--jitter-on-nonregular", action="store_true",
                    help="retry with 1e-8 bias jitter (up to 3 times) after a NonRegular abort")
 
@@ -149,7 +139,6 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
         for k, seed in enumerate(seeds):
             rng = np.random.Generator(np.random.Philox(seed))
             opts = SolverOptions(
-                zero_tol=args.zero_tol, dep_tol=args.dep_tol, descent_tol=args.descent_tol,
                 max_steps=args.max_steps, rng=rng,
                 on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
             )
@@ -244,7 +233,10 @@ def cmd_bounds(args):
 
 def cmd_regions(args):
     net, _ = load_model(args.model)
-    lo, hi = _parse_floats(args.box)
+    box = _parse_floats(args.box)
+    if box.size != 2:
+        raise ValueError(f"--box needs exactly lo,hi; got {args.box!r}")
+    lo, hi = box
     n = bounds_mod.count_regions_empirical(net, (lo, hi), samples=args.samples, seed=args.seed)
     print(json.dumps({"empirical": n, "samples": args.samples, "box": [lo, hi]}))
     return 0

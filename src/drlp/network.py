@@ -23,8 +23,8 @@ import json
 
 import numpy as np
 
-# Default absolute scale for "this argument is exactly zero" decisions.
-# Used relative to the local scale, see critical_indices.
+# Threshold for "this argument is exactly zero" (critical_indices, relative
+# to 1 + |normal|) and "this rate is zero" (advance_max, absolute).
 ZERO_TOL = 1e-9
 
 
@@ -120,9 +120,6 @@ class ActivationPattern:
     def get(self, c: int) -> int:
         return int(self.bits[c])
 
-    def flip_inplace(self, c: int):
-        self.bits[c] ^= 1
-
     def copy(self):
         # widths and offsets are never mutated, so copies share them
         out = object.__new__(ActivationPattern)
@@ -211,15 +208,14 @@ def evaluate(net: ReluNetwork, x) -> float:
     return float((net.weights[-1] @ y + net.biases[-1])[0])
 
 
-def relu_arguments(net: ReluNetwork, x):
-    """Per-layer pre-activation vectors of every hidden unit at x."""
+def relu_arguments(net: ReluNetwork, x) -> np.ndarray:
+    """Pre-activation of every hidden unit at x, indexed by flat unit."""
     y = np.asarray(x, dtype=np.float64)
-    args = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = w @ y + b
-        args.append(a)
+    out = np.empty(net.num_neurons)
+    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
+        a = out[net.offsets[l - 1]:net.offsets[l]] = w @ y + b
         y = np.maximum(a, 0.0)
-    return args
+    return out
 
 
 def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> ActivationPattern:
@@ -229,8 +225,7 @@ def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> 
     with pairs, such a pair gets the complementary convention instead
     (first member 1, second 0), so paired bits always differ.
     """
-    layers = [(a > 0.0).astype(np.uint8) for a in relu_arguments(net, x)]
-    s = ActivationPattern.from_layers(layers)
+    s = ActivationPattern(net.relu_widths, relu_arguments(net, x) > 0.0)
     if pairs is not None:
         tied = s.bits[pairs.first] == s.bits[pairs.second]
         s.bits[pairs.first[tied]] = 1
@@ -238,15 +233,18 @@ def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> 
     return s
 
 
-def subjective_arguments(net: ReluNetwork, s: ActivationPattern, x):
-    """Arguments when every ReLU is replaced by multiplication with its bit in s."""
+def subjective_arguments(net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:
+    """Arguments when every ReLU is replaced by multiplication with its bit in s.
+
+    One vector indexed by flat unit.
+    """
     y = np.asarray(x, dtype=np.float64)
-    args = []
-    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
-        a = w @ y + b
-        args.append(a)
-        y = s.layer(l) * a
-    return args
+    out = np.empty(net.num_neurons)
+    for l in range(1, net.depth + 1):
+        a = out[net.offsets[l - 1]:net.offsets[l]] = net.weights[l - 1] @ y + net.biases[l - 1]
+        if l < net.depth:
+            y = s.layer(l) * a
+    return out
 
 
 def gradient(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
@@ -257,20 +255,17 @@ def gradient(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
     return g
 
 
-def normal_matrices(net: ReluNetwork, s: ActivationPattern):
-    """Per-layer matrices whose rows are the (unoriented) argument normals.
+def normal_matrices(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
+    """Matrix whose row c is the (unoriented) argument normal of flat unit c.
 
-    Row j of the layer-l matrix is the gradient of unit (l, j)'s argument
-    under pattern s; the unit's hyperplane is where that affine argument
-    vanishes.
+    The row is the gradient of the unit's argument under pattern s; the
+    unit's hyperplane is where that affine argument vanishes.
     """
-    mats = []
-    g = net.weights[0]
-    mats.append(g)
+    out = np.empty((net.num_neurons, net.input_dim))
+    g = out[:net.offsets[1]] = net.weights[0]
     for l in range(1, net.depth):
-        g = net.weights[l] @ (s.layer(l)[:, None] * g)
-        mats.append(g)
-    return mats
+        g = out[net.offsets[l]:net.offsets[l + 1]] = net.weights[l] @ (s.layer(l)[:, None] * g)
+    return out
 
 
 def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarray:
@@ -287,35 +282,35 @@ def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarra
     return r if s.get(c) == 1 else -r
 
 
-def inner_products_all(net: ReluNetwork, s: ActivationPattern, w):
+def inner_products_all(net: ReluNetwork, s: ActivationPattern, w) -> np.ndarray:
     """Inner products of w with every unit's oriented normal, one pass.
 
-    Cost is one bias-free forward sweep; returns one vector per layer.
+    Cost is one bias-free forward sweep; returns one vector indexed by
+    flat unit.
     """
     w = np.asarray(w, dtype=np.float64)
     u = net.weights[0] @ w
-    out = []
+    out = np.empty(net.num_neurons)
     for l in range(1, net.depth + 1):
-        sl = s.layer(l).astype(np.float64)
-        out.append(np.where(sl == 1.0, u, -u))
+        sl = s.layer(l)
+        out[net.offsets[l - 1]:net.offsets[l]] = np.where(sl, u, -u)
         if l < net.depth:
             u = net.weights[l] @ (sl * u)
     return out
 
 
-def critical_indices(net: ReluNetwork, s: ActivationPattern, x, zero_tol: float = ZERO_TOL,
-                     pairs: PairGroups | None = None):
+def critical_indices(net: ReluNetwork, s: ActivationPattern, x, pairs: PairGroups | None = None):
     """Units whose argument vanishes at x and whose normal is nonzero.
 
-    The zero test is relative: |argument| <= zero_tol * (1 + |normal|).
+    The zero test is relative: |argument| <= ZERO_TOL * (1 + |normal|).
     Units with (numerically) zero normal have locally constant arguments
     and are excluded; they never separate regions near x.  With pairs,
     second pair members are left out: their first member stands for the
     shared wall.
     """
-    args = np.concatenate(subjective_arguments(net, s, x))
-    norms = np.linalg.norm(np.concatenate(normal_matrices(net, s)), axis=1)
-    hit = (np.abs(args) <= zero_tol * (1.0 + norms)) & (norms > zero_tol)
+    args = subjective_arguments(net, s, x)
+    norms = np.linalg.norm(normal_matrices(net, s), axis=1)
+    hit = (np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)
     if pairs is not None:
         hit[pairs.second] = False
     return np.nonzero(hit)[0].tolist()

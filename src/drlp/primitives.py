@@ -88,8 +88,7 @@ def project(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, v) -> n
     v = np.asarray(v, dtype=np.float64)
     if pinv.m == 0:
         return np.zeros_like(v)
-    w = np.concatenate(inner_products_all(net, s, v))[pinv.owners]
-    return pinv.matrix.T @ w
+    return pinv.matrix.T @ inner_products_all(net, s, v)[pinv.owners]
 
 
 def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
@@ -110,17 +109,16 @@ def add_axis(
     net: ReluNetwork,
     s: ActivationPattern,
     c: int,
-    dep_tol: float = DEP_TOL,
 ) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal u as a new column.
 
-    Raises DependentColumn when u lies within dep_tol (relative) of the
+    Raises DependentColumn when u lies within DEP_TOL (relative) of the
     span of the current columns.
     """
     u = oriented_normal(net, s, c)
     w_perp = u - project(pinv, net, s, u)
     nu = np.linalg.norm(u)
-    if nu == 0.0 or np.linalg.norm(w_perp) <= dep_tol * nu:
+    if nu == 0.0 or np.linalg.norm(w_perp) <= DEP_TOL * nu:
         raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
     new_row = w_perp / float(w_perp @ u)
     if pinv.m == 0:
@@ -130,8 +128,7 @@ def add_axis(
     return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
 
 
-def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners,
-                        dep_tol: float = DEP_TOL) -> PseudoInverse:
+def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners) -> PseudoInverse:
     """Pseudoinverse for owners built from scratch by an O(n^3) dense solve.
 
     Raises Degenerate when the owners' normals are (numerically) dependent,
@@ -141,7 +138,7 @@ def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners,
         return PseudoInverse.empty(net.input_dim)
     cols = np.stack([oriented_normal(net, s, c) for c in owners], axis=1)
     sv = np.linalg.svd(cols, compute_uv=False)
-    if len(owners) > net.input_dim or sv[-1] <= dep_tol * sv[0]:
+    if len(owners) > net.input_dim or sv[-1] <= DEP_TOL * sv[0]:
         raise Degenerate("tracked normals are not independent")
     return PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(owners))
 
@@ -152,7 +149,6 @@ def update_axis_new_region(
     net: ReluNetwork,
     s: ActivationPattern,
     c: int,
-    dep_tol: float = DEP_TOL,
 ) -> PseudoInverse:
     """Recompute row i after the activation bit of its owner c changed.
 
@@ -163,31 +159,33 @@ def update_axis_new_region(
     if pinv.owners[i] != c:
         raise ValueError(f"row {i} belongs to unit {pinv.owners[i]}, not {c}")
     u = oriented_normal(net, s, c)
-    g = np.concatenate(inner_products_all(net, s, u))[pinv.owners]
+    g = inner_products_all(net, s, u)[pinv.owners]
     w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
     denom = float(w @ u)
     uu = float(u @ u)
-    if uu == 0.0 or abs(denom) <= dep_tol * uu:
+    if uu == 0.0 or abs(denom) <= DEP_TOL * uu:
         raise Degenerate(f"axis update for unit {c} is degenerate")
     matrix = pinv.matrix.copy()
     matrix[i] = w / denom
     return PseudoInverse(matrix, list(pinv.owners))
 
 
-def _crossing_weights(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
-    """Output weight of each last-layer unit plus its partner's.
+def _crossing_gains(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
+    """Slope change per unit |rate| from crossing each flat unit's wall.
 
     Crossing the wall of last-layer unit c at rate beta_c changes the slope
-    along the ray by this weight times |beta_c|, whichever side c starts on.
+    along the ray by c's output weight plus its partner's, times |beta_c|,
+    whichever side c starts on.  Units of earlier layers get inf: their
+    walls always stop a long step.
     """
-    w = net.weights[-1][0]
-    if pairs is None:
-        return w
     off = net.offsets[-2]
-    last = pairs.first >= off          # pairs never straddle layers
-    crossing = w.copy()
-    crossing[pairs.first[last] - off] += w[pairs.second[last] - off]
-    return crossing
+    w = net.weights[-1][0]
+    gains = np.full(net.num_neurons, np.inf)
+    gains[off:] = w
+    if pairs is not None:
+        last = pairs.first >= off          # pairs never straddle layers
+        gains[pairs.first[last]] += w[pairs.second[last] - off]
+    return gains
 
 
 def advance_max(
@@ -197,18 +195,17 @@ def advance_max(
     s: ActivationPattern,
     ignore=(),
     pairs: PairGroups | None = None,
-    zero_tol: float = ZERO_TOL,
     slope: float | None = None,
     slope_tol: float = 0.0,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
 
-    Walks the arguments and their directional rates in one sweep under
-    pattern s.  A unit is a candidate when moving along v drives its
-    argument against its current bit (active and falling, or inactive and
-    rising); rates within zero_tol of 0 are not candidates, nor are
-    ignored units or second pair members.  Candidates are sorted by
-    (crossing step, flat index).
+    Takes the arguments at x and their rates along v under pattern s, both
+    oriented so that a unit's argument is positive on the side s claims.
+    A unit is a candidate when its oriented rate is below -ZERO_TOL, so
+    moving along v drives its argument against its current bit; ignored
+    units and second pair members are not candidates.  Candidates are
+    sorted by (crossing step, flat index).
 
     Without slope the step stops at the first wall.  Given slope, the
     directional derivative of the network along v at x, it is a long
@@ -224,51 +221,24 @@ def advance_max(
     marginally negative t signals the start point sits just past that
     wall; the caller decides what to accept.
     """
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     if pairs is not None:
         ignore_mask = pairs.secondary_flat_mask(net)
     else:
         ignore_mask = np.zeros(net.num_neurons, dtype=bool)
     ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
-    if slope is not None:
-        weights = _crossing_weights(net, pairs)
-
-    alpha = x
-    beta = v
-    cand_flat: list[np.ndarray] = []
-    cand_t: list[np.ndarray] = []
-    cand_gain: list[np.ndarray] = []
-    for l in range(1, net.depth + 1):
-        w, b = net.weights[l - 1], net.biases[l - 1]
-        alpha = w @ alpha + b
-        beta = w @ beta
-        sl = s.layer(l)
-        off = net.offsets[l - 1]
-        sel = ~ignore_mask[off:off + len(alpha)]
-        sel &= np.abs(beta) > zero_tol
-        sel &= np.where(sl == 1, beta < 0.0, beta > 0.0)
-        idx = np.nonzero(sel)[0]
-        if idx.size:
-            cand_flat.append(off + idx)
-            cand_t.append(-alpha[idx] / beta[idx])
-            if slope is not None:
-                cand_gain.append(weights[idx] * np.abs(beta[idx]) if l == net.depth
-                                 else np.full(idx.size, np.inf))
-        if l < net.depth:
-            alpha = sl * alpha
-            beta = sl * beta
-    if not cand_flat:
+    rate = inner_products_all(net, s, v)
+    flat = np.flatnonzero((rate < -ZERO_TOL) & ~ignore_mask)
+    if not flat.size:
         return AdvanceResult(float("inf"), None)
-    # flat indices ascend within the concatenation, so a stable sort on t
-    # orders candidates by (t, flat index)
-    ts = np.concatenate(cand_t)
+    arg = subjective_arguments(net, s, x)[flat]
+    rate = rate[flat]
+    ts = -np.where(s.bits[flat] == 1, arg, -arg) / rate
+    # flat ascends, so a stable sort on t orders candidates by (t, flat index)
     order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    flat = np.concatenate(cand_flat)[order]
+    ts, flat, rate = ts[order], flat[order], rate[order]
     stop = 0
     if slope is not None:
-        climb = slope + np.cumsum(np.concatenate(cand_gain)[order])
+        climb = slope + np.cumsum(_crossing_gains(net, pairs)[flat] * -rate)
         stops = np.flatnonzero((climb >= -slope_tol) | (ts <= 0.0))
         if not stops.size:
             return AdvanceResult(float("inf"), None, flat)
@@ -283,4 +253,4 @@ def advance_max(
 
 def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:
     """Arguments of the owner units at x (zero when x sits on every tracked wall)."""
-    return np.concatenate(subjective_arguments(net, s, x))[pinv.owners]
+    return subjective_arguments(net, s, x)[pinv.owners]

@@ -53,15 +53,13 @@ STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
 DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|) that forces a dense rebuild
 RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
 AXIS_REFRESH_EVERY = 64    # pivots between full pseudoinverse rebuilds
+DESCENT_TOL = 1e-9         # slope (relative to 1 + |gradient|) that counts as descent
 
 
 @dataclass
 class SolverOptions:
-    """Tolerances and limits. All zero/descent tests are relative to local scale."""
+    """Step limit, randomness and trace delivery of one solve."""
 
-    zero_tol: float = 1e-9
-    dep_tol: float = 1e-8
-    descent_tol: float = 1e-9
     max_steps: int = 10_000
     seed: int = 0
     rng: np.random.Generator | None = None
@@ -171,7 +169,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
     x = _start_point(net, x0)
     for _ in range(100):
         s = activation_pattern(net, x, pairs)
-        if not critical_indices(net, s, x, options.zero_tol):
+        if not critical_indices(net, s, x):
             break
         step = rng.standard_normal(net.input_dim)
         step /= np.linalg.norm(step)
@@ -222,7 +220,7 @@ def refresh_pseudoinverse(state: SolverState):
     Used periodically to stop drift from the rank-one updates.  Raises
     Degenerate when the tracked normals lost independence.
     """
-    state.pinv = dense_pseudoinverse(state.net, state.s, state.pinv.owners, state.options.dep_tol)
+    state.pinv = dense_pseudoinverse(state.net, state.s, state.pinv.owners)
 
 
 def find_vertex(state: SolverState) -> SolveOutcome | None:
@@ -250,7 +248,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v = -v
             tried_opposite = False
         v = v / np.linalg.norm(v)
-        res = advance_max(net, state.x, v, s, state.pinv.owners, state.pairs, opts.zero_tol)
+        res = advance_max(net, state.x, v, s, state.pinv.owners, state.pairs)
         state.steps += 1
         if not res.bounded:
             if v @ grad < -1e-15 * gscale:
@@ -264,7 +262,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
         state.x = state.x + res.t * v
         state.emit("find_vertex", neuron=res.neuron, t=res.t)
         try:
-            state.pinv = add_axis(state.pinv, net, s, res.neuron, opts.dep_tol)
+            state.pinv = add_axis(state.pinv, net, s, res.neuron)
         except DependentColumn:
             return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [res.neuron])
         v = v - project(state.pinv, net, s, v)
@@ -306,13 +304,13 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             return state.finish(STEP_LIMIT)
         grad = gradient(net, state.s)
         row, alpha, i = choose_axis(state.pinv, grad)
-        descent_tol = opts.descent_tol * (1.0 + np.linalg.norm(grad))
+        descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
             ignore = list(state.pinv.owners)          # old owner stays ignored this advance
             state.pinv = remove_pseudorow(state.pinv, i)
             v = row / np.linalg.norm(row)
             # long step: pass every last-layer wall while f still descends
-            res = advance_max(net, state.x, v, state.s, ignore, state.pairs, opts.zero_tol,
+            res = advance_max(net, state.x, v, state.s, ignore, state.pairs,
                               slope=alpha, slope_tol=descent_tol)
             state.steps += 1
             if not res.bounded:
@@ -327,7 +325,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 # axis, and rebuild; x and f are untouched.
                 try:
                     state.s = flip(state.s, res.neuron, state.pairs)
-                    state.pinv = add_axis(state.pinv, net, state.s, ignore[i], opts.dep_tol)
+                    state.pinv = add_axis(state.pinv, net, state.s, ignore[i])
                     refresh_pseudoinverse(state)
                 except (DependentColumn, Degenerate):
                     return state.finish(NON_REGULAR, neurons=[res.neuron, ignore[i]])
@@ -340,13 +338,11 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             c = res.neuron
             state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
             try:
-                state.pinv = add_axis(state.pinv, net, state.s, c, opts.dep_tol)
+                state.pinv = add_axis(state.pinv, net, state.s, c)
                 # crossed units sit in the last hidden layer and are not owners,
                 # so their bits enter neither c's normal nor any tracked one
                 state.s = flip(state.s, np.append(res.crossed, c), state.pairs)
-                state.pinv = update_axis_new_region(
-                    state.pinv, state.pinv.m - 1, net, state.s, c, opts.dep_tol
-                )
+                state.pinv = update_axis_new_region(state.pinv, state.pinv.m - 1, net, state.s, c)
             except (DependentColumn, Degenerate):
                 return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [c])
             next_flip = 0
@@ -374,9 +370,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             c = state.pinv.owners[next_flip]
             state.s = flip(state.s, c, state.pairs)
             try:
-                state.pinv = update_axis_new_region(
-                    state.pinv, next_flip, net, state.s, c, opts.dep_tol
-                )
+                state.pinv = update_axis_new_region(state.pinv, next_flip, net, state.s, c)
             except Degenerate:
                 return state.finish(NON_REGULAR, neurons=[c])
             state.emit("flip", neuron=c, alpha=alpha)
@@ -385,7 +379,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
 
 
 def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInverse,
-                     options: SolverOptions | None = None, pairs: PairGroups | None = None):
+                     pairs: PairGroups | None = None):
     """Directional derivatives along all 2m feasible axes at a pinned point.
 
     For every owner: the derivative along its axis under the current
@@ -394,7 +388,6 @@ def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInve
     Returns a list of (owner, bit, value, grad_norm) and mutates nothing;
     grad_norm is the gradient scale the value should be judged against.
     """
-    opts = options or SolverOptions()
     s = s.copy()
     pinv = pinv.copy()
     entries = []
@@ -405,7 +398,7 @@ def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInve
         entries.append((c, s.get(c), val, gnorm))
     for k, c in enumerate(list(pinv.owners)):
         s = flip(s, c, pairs)
-        pinv = update_axis_new_region(pinv, k, net, s, c, opts.dep_tol)
+        pinv = update_axis_new_region(pinv, k, net, s, c)
         grad = gradient(net, s)
         gnorm = float(np.linalg.norm(grad))
         val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
@@ -414,22 +407,19 @@ def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInve
 
 
 def certify_local_min(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInverse,
-                      options: SolverOptions | None = None,
                       pairs: PairGroups | None = None) -> bool:
     """True when no feasible axis at x has a negative directional derivative.
 
     With fewer active walls than input dimensions the free subspace must
     also be gradient-free, otherwise moving inside it would descend.
     """
-    opts = options or SolverOptions()
     if pinv.m < net.input_dim:
         grad = gradient(net, s)
         free = grad - project(pinv, net, s, grad)
-        if np.linalg.norm(free) > opts.descent_tol * (1.0 + np.linalg.norm(grad)):
+        if np.linalg.norm(free) > DESCENT_TOL * (1.0 + np.linalg.norm(grad)):
             return False
-    tol = opts.descent_tol
-    for _, _, val, gnorm in axis_derivatives(net, x, s, pinv, opts, pairs):
-        if val < -tol * (1.0 + gnorm):
+    for _, _, val, gnorm in axis_derivatives(net, x, s, pinv, pairs):
+        if val < -DESCENT_TOL * (1.0 + gnorm):
             return False
     return True
 
@@ -570,13 +560,13 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
-        active = critical_indices(net, state.s, state.x, opts.zero_tol, pairs)
+        active = critical_indices(net, state.s, state.x, pairs)
         g = q.grad(state.x) + gradient(net, state.s)
         normals = [oriented_normal(net, state.s, c) for c in active]
         v = _feasible_direction(g, normals, cache)
         if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
             v /= np.linalg.norm(v)
-            res = advance_max(net, state.x, v, state.s, active, state.pairs, opts.zero_tol)
+            res = advance_max(net, state.x, v, state.s, active, state.pairs)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
             slope = float(v @ g)

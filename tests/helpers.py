@@ -44,12 +44,10 @@ def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):
     """
     x = np.asarray(x, dtype=np.float64)
     scale = zero_tol * (1.0 + (np.max(np.abs(x)) if x.size else 0.0))
-    layers = []
-    for a in relu_arguments(net, x):
-        h = np.sign(a).astype(np.int8)
-        h[np.abs(a) <= scale] = 0
-        layers.append(h)
-    return HyperplanePattern(net.relu_widths, np.concatenate(layers))
+    a = relu_arguments(net, x)
+    h = np.sign(a).astype(np.int8)
+    h[np.abs(a) <= scale] = 0
+    return HyperplanePattern(net.relu_widths, h)
 
 
 def is_compatible(h, s):
@@ -71,18 +69,18 @@ def subjective_value(net, s, x):
     return float((net.weights[-1] @ y + net.biases[-1])[0])
 
 
-def critical_kernel_dim(net, s, x, zero_tol=ZERO_TOL):
+def critical_kernel_dim(net, s, x):
     """Dimension of the common kernel of all critical normals at x.
 
     Equals input_dim minus the rank of the stacked critical normals; the
     point is a vertex of its region exactly when this is zero.
     """
-    crit = critical_indices(net, s, x, zero_tol)
+    crit = critical_indices(net, s, x)
     if not crit:
         return net.input_dim
-    rows = np.concatenate(normal_matrices(net, s))[crit]
+    rows = normal_matrices(net, s)[crit]
     sv = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sv > zero_tol * max(1.0, sv[0])))
+    rank = int(np.sum(sv > ZERO_TOL * max(1.0, sv[0])))
     return net.input_dim - rank
 
 
@@ -132,14 +130,13 @@ def fd_gradient(net, s, x):
 
 def fd_oriented_normal(net, s, c, x):
     """Oriented normal of unit c via differences of its argument."""
-    l, j = net.neuron_at(c)
     x = np.asarray(x, dtype=np.float64)
     v = np.zeros_like(x)
     for i in range(len(x)):
         e = np.zeros_like(x)
         e[i] = 0.5
-        up = subjective_arguments(net, s, x + e)[l - 1][j - 1]
-        dn = subjective_arguments(net, s, x - e)[l - 1][j - 1]
+        up = subjective_arguments(net, s, x + e)[c]
+        dn = subjective_arguments(net, s, x - e)[c]
         v[i] = up - dn
     return v if s.get(c) == 1 else -v
 
@@ -156,7 +153,7 @@ def brute_pseudoinverse(net, s, owners):
     return np.linalg.pinv(normals_matrix(net, s, owners), rcond=1e-13)
 
 
-def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=1e-9):
+def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=ZERO_TOL):
     """Reference line search: per-unit rates from two full forward passes.
 
     Arguments are affine along the ray, so the rate is an exact
@@ -171,18 +168,16 @@ def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=1e-9):
     a0 = subjective_arguments(net, s, x)
     a1 = subjective_arguments(net, s, x + v)
     cands = []
-    for l in range(1, net.depth + 1):
-        for j in range(1, net.relu_widths[l - 1] + 1):
-            c = net.flat_index((l, j))
-            if c in ignore:
-                continue
-            alpha = a0[l - 1][j - 1]
-            beta = a1[l - 1][j - 1] - alpha
-            if abs(beta) <= zero_tol:
-                continue
-            bit = s.get(c)
-            if (bit == 1 and beta < 0.0) or (bit == 0 and beta > 0.0):
-                cands.append((-alpha / beta, c))
+    for c in range(net.num_neurons):
+        if c in ignore:
+            continue
+        alpha = a0[c]
+        beta = a1[c] - alpha
+        if abs(beta) <= zero_tol:
+            continue
+        bit = s.get(c)
+        if (bit == 1 and beta < 0.0) or (bit == 0 and beta > 0.0):
+            cands.append((-alpha / beta, c))
     if not cands:
         return float("inf"), None
     t_min = min(t for t, _ in cands)

@@ -130,8 +130,7 @@ def test_ac03_pattern_fixed_quantities_match_network():
             v = oriented_normal(net, s, c)
             nv2 = float(v @ v)
             if nv2 > 1e-18:
-                l, j = net.neuron_at(c)
-                arg = subjective_arguments(net, s, x)[l - 1][j - 1]
+                arg = subjective_arguments(net, s, x)[c]
                 x = x - arg / nv2 * (v if s.get(c) == 1 else -v)
             pts.append(x)
         for x in pts:
@@ -142,13 +141,10 @@ def test_ac03_pattern_fixed_quantities_match_network():
                 continue
             args = relu_arguments(net, x)
             f = evaluate(net, x)
-            scale = 1.0 + max(float(np.max(np.abs(a))) for a in args)
+            scale = 1.0 + float(np.max(np.abs(args)))
             for s in pats:
                 assert is_compatible(h, s)
-                sargs = subjective_arguments(net, s, x)
-                d = max(
-                    float(np.max(np.abs(sa - a))) for sa, a in zip(sargs, args)
-                )
+                d = float(np.max(np.abs(subjective_arguments(net, s, x) - args)))
                 d = max(d, abs(subjective_value(net, s, x) - f))
                 worst = max(worst, d / scale)
                 checked += 1
@@ -304,7 +300,7 @@ def test_ac08_first_layer_training_descends_to_termination():
     pivot_f = [rec.f for rec in out.trace if rec.phase == "pivot"]
     pivot_t = [rec.t for rec in out.trace if rec.phase == "pivot"]
     # blips are bounded by the candidate-filter noise floor: walls whose
-    # crossing rate sits under zero_tol are traversed silently, deflecting
+    # crossing rate sits under ZERO_TOL are traversed silently, deflecting
     # the value by ~rate*step on long flat edges
     monotone = all(
         b <= a + 1e-6 * (1.0 + abs(a)) for a, b in zip(pivot_f, pivot_f[1:])

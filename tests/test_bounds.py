@@ -97,5 +97,10 @@ class TestEmpirical:
             assert count <= improved_bound([n0] + widths)
 
     def test_bad_box_rejected(self, net_fold_sum):
-        with pytest.raises(ValueError):
-            count_regions_empirical(net_fold_sum, box=(1.0, -1.0))
+        inf = float("inf")
+        # empty, non-finite, and finite ends whose width hi - lo overflows
+        for box in ((1.0, -1.0), (-inf, inf), (0.0, float("nan")), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="box must be"):
+                count_regions_empirical(net_fold_sum, box=box)
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            count_regions_empirical(net_fold_sum, samples=-5)

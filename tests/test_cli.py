@@ -320,6 +320,16 @@ class TestCounting:
         assert code == 0
         assert json.loads(stdout)["empirical"] == 7
 
+    def test_regions_bad_input_exit_one(self, capsys, fold_model):
+        for argv, message in ((["--box=-inf,inf"], "box must be"),
+                              (["--box=-1e308,1e308"], "box must be"),
+                              (["--box=1"], "--box needs exactly lo,hi"),
+                              (["--box=-1,0,1"], "--box needs exactly lo,hi"),
+                              (["--samples=-5"], "samples must be >= 0")):
+            code, stdout, stderr = _run(capsys, ["regions", "--model", fold_model] + argv)
+            assert code == 1 and stdout == ""
+            assert stderr.startswith("error:") and message in stderr
+
 
 class TestCheck:
     def test_certifies_minimum_vertex(self, capsys, hinge_model):

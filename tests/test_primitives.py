@@ -7,11 +7,15 @@ from drlp import (
     DependentColumn,
     PairGroups,
     PseudoInverse,
+    RegressionData,
     ReluNetwork,
     activation_pattern,
     add_axis,
     advance_max,
     argument_residuals,
+    build_clad,
+    build_l1_first_layer,
+    build_quantile_lasso,
     build_random,
     evaluate,
     flip,
@@ -34,7 +38,7 @@ def _all_ones_pattern(net):
     # a huge positive point may still miss some units; force every bit on
     for c in range(net.num_neurons):
         if s.get(c) == 0:
-            s.flip_inplace(c)
+            s = flip(s, c)
     return s
 
 
@@ -181,15 +185,23 @@ class TestUpdateAxis:
 class TestAdvance:
     def test_matches_reference_on_random_nets(self):
         rng = np.random.Generator(np.random.Philox(6))
-        for trial in range(40):
-            net = build_random((3, 4, 3, 1), seed=trial)
-            x = rng.uniform(-2.0, 2.0, size=3)
-            v = rng.standard_normal(3)
+        cases = [(build_random((3, 4, 3, 1), seed=trial), None, [0] if trial % 3 == 0 else [])
+                 for trial in range(40)]
+        # compiled paired nets, each with a random ignore set
+        data = RegressionData(rng.normal(size=(12, 3)), rng.normal(size=12))
+        base = build_random((3, 3, 2, 1), seed=7)
+        compiled = [build_quantile_lasso(data, alpha=0.3, lam=0.5), build_clad(data),
+                    build_l1_first_layer(base, RegressionData(data.x[:6], data.y[:6]))]
+        for net, pairs in compiled * 10:
+            ignore = np.flatnonzero(rng.uniform(size=net.num_neurons) < 0.2).tolist()
+            cases.append((net, pairs, ignore))
+        for net, pairs, ignore in cases:
+            x = rng.uniform(-2.0, 2.0, size=net.input_dim)
+            v = rng.standard_normal(net.input_dim)
             v /= np.linalg.norm(v)
-            s = activation_pattern(net, x)
-            ignore = [0] if trial % 3 == 0 else []
-            res = advance_max(net, x, v, s, ignore)
-            t_ref, c_ref = brute_advance(net, x, v, s, ignore)
+            s = activation_pattern(net, x, pairs)
+            res = advance_max(net, x, v, s, ignore, pairs)
+            t_ref, c_ref = brute_advance(net, x, v, s, ignore, pairs)
             if c_ref is None:
                 assert not res.bounded
             else:
@@ -330,8 +342,8 @@ class TestLongStep:
             last = net.offsets[-2]
             assert np.all(res.crossed >= last)
             crossings += res.crossed.size
-            a0 = np.concatenate(subjective_arguments(net, s, x))
-            a1 = np.concatenate(subjective_arguments(net, s, x + v))
+            a0 = subjective_arguments(net, s, x)
+            a1 = subjective_arguments(net, s, x + v)
             with np.errstate(divide="ignore", invalid="ignore"):
                 walls = -a0 / (a1 - a0)
             knots = [0.0] + sorted(walls[res.crossed].tolist())
