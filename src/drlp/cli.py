@@ -133,7 +133,11 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
     limit.  A start that ends NonRegular is retried on jittered biases when
     asked; its f is then re-evaluated on net and marked "jittered".
     """
-    seeds = np.random.SeedSequence(args.seed).spawn(max(1, args.starts))
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
+    if args.max_steps < 0:
+        raise ValueError(f"--max-steps must be nonnegative, got {args.max_steps}")
+    seeds = np.random.SeedSequence(args.seed).spawn(args.starts)
     runs = []
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
         for k, seed in enumerate(seeds):
@@ -203,6 +207,8 @@ def cmd_lasso(args):
 
 
 def cmd_train_l1(args):
+    if not (args.base_model or args.base_topology):
+        raise ValueError("train-l1 needs --base-model or --base-topology")
     data = load_csv(args.data, args.response)
     if args.base_model:
         base, _ = load_model(args.base_model)

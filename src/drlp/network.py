@@ -282,6 +282,23 @@ def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarra
     return r if s.get(c) == 1 else -r
 
 
+def oriented_normals(net: ReluNetwork, s: ActivationPattern, units) -> np.ndarray:
+    """Matrix whose row i is oriented_normal(net, s, units[i]), bit for bit.
+
+    First-layer rows are one signed gather of weight rows; deeper units go
+    through oriented_normal one at a time, because a batched product would
+    sum in another order and change the rows' last bits.
+    """
+    units = np.asarray(units, dtype=np.intp).reshape(-1)
+    out = np.empty((units.size, net.input_dim))
+    first = units < net.offsets[1]
+    rows = net.weights[0][units[first]]
+    out[first] = np.where(s.bits[units[first], None] == 1, rows, -rows)
+    for i in np.nonzero(~first)[0]:
+        out[i] = oriented_normal(net, s, int(units[i]))
+    return out
+
+
 def inner_products_all(net: ReluNetwork, s: ActivationPattern, w) -> np.ndarray:
     """Inner products of w with every unit's oriented normal, one pass.
 

@@ -25,6 +25,7 @@ from .network import (
     ReluNetwork,
     inner_products_all,
     oriented_normal,
+    oriented_normals,
     subjective_arguments,
 )
 
@@ -136,7 +137,7 @@ def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners) -> Pseud
     """
     if not owners:
         return PseudoInverse.empty(net.input_dim)
-    cols = np.stack([oriented_normal(net, s, c) for c in owners], axis=1)
+    cols = oriented_normals(net, s, owners).T
     sv = np.linalg.svd(cols, compute_uv=False)
     if len(owners) > net.input_dim or sv[-1] <= DEP_TOL * sv[0]:
         raise Degenerate("tracked normals are not independent")

@@ -75,6 +75,11 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     return ReluNetwork(weights, biases)
 
 
+def _check_lam(lam):
+    if not 0.0 <= lam < np.inf:      # also false for nan
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+
+
 def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 0.0):
     """Quantile regression loss with optional L1 penalty, as a network.
 
@@ -87,8 +92,7 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     n, p = data.n, data.p
     design = np.hstack([np.ones((n, 1)), data.x])      # (n, p+1), intercept first
     blocks_w = [-design, design]
@@ -214,8 +218,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     network contributes lam * sum_j |theta_j| through p mirrored pairs.
     No intercept; center or augment the design beforehand.
     """
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     p = data.p
     q = QuadraticObjective(
         quad=data.x.T @ data.x,

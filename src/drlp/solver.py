@@ -28,7 +28,7 @@ from .network import (
     evaluate,
     flip,
     gradient,
-    oriented_normal,
+    oriented_normals,
 )
 from .primitives import (
     Degenerate,
@@ -459,12 +459,15 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
 def _feasible_direction(g, normals, cache):
     """-g with the components violating any active wall removed.
 
+    normals is a matrix with one active wall's oriented normal per row.
     Repeatedly subtracts (orthonormalized) violated normals until the
     direction points into the closed region; at most one pass per wall.
     Each pass's orthonormal vectors come from _pass_basis, which reuses
     them from `cache`, a list owned by one solve, when consecutive calls
-    face the same walls.  Norms are sqrt(u @ u), which is what
-    np.linalg.norm computes for a float vector, bit for bit.
+    face the same walls.  The wall norms (once per call) and the products
+    normals @ v (once per pass) feed only the violated-wall test, never
+    the basis or v, so their summation order matters only for a wall
+    whose v @ u lies within roundoff of -1e-13 |v| |u|.
     """
     v = -g.copy()
     if (g == 0.0).any():
@@ -472,17 +475,16 @@ def _feasible_direction(g, normals, cache):
         # entry; that reaches v only through a -0.0 entry of v, so such a
         # call builds its basis afresh
         cache = []
-    norms = [math.sqrt(u @ u) for u in normals]
+    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
     basis: list[np.ndarray] = []
     for k in range(len(normals) + 1):
         vn = math.sqrt(v @ v)
         if vn == 0.0:
             break
-        scale = -1e-13 * vn
-        bad = [u for u, un in zip(normals, norms) if v @ u < scale * un]
-        if not bad:
+        bad = normals @ v < -1e-13 * vn * norms
+        if not bad.any():
             break
-        for w in _pass_basis(cache, k, np.array(bad), basis):
+        for w in _pass_basis(cache, k, normals[bad], basis):
             basis.append(w)
             v -= (v @ w) * w
     return v
@@ -562,10 +564,10 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         active = critical_indices(net, state.s, state.x, pairs)
         g = q.grad(state.x) + gradient(net, state.s)
-        normals = [oriented_normal(net, state.s, c) for c in active]
-        v = _feasible_direction(g, normals, cache)
-        if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
-            v /= np.linalg.norm(v)
+        v = _feasible_direction(g, oriented_normals(net, state.s, active), cache)
+        vn = np.linalg.norm(v)
+        if vn > 1e-10 * (1.0 + np.linalg.norm(g)):
+            v /= vn
             res = advance_max(net, state.x, v, state.s, active, state.pairs)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
@@ -590,8 +592,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 state.steps += 1
                 state.emit("flip", neuron=c)
                 g2 = q.grad(state.x) + gradient(net, state.s)
-                normals2 = [oriented_normal(net, state.s, cc) for cc in active]
-                v2 = _feasible_direction(g2, normals2, cache)
+                v2 = _feasible_direction(g2, oriented_normals(net, state.s, active), cache)
                 if np.linalg.norm(v2) > 1e-10 * (1.0 + np.linalg.norm(g2)):
                     found = True
                     break

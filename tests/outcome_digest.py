@@ -2,7 +2,7 @@
 
 Run it from the repository root against the tree to be checked:
 
-    PYTHONPATH=src python tests/outcome_digest.py
+    PYTHONPATH=src python tests/outcome_digest.py [family ...]
 
 and again with PYTHONPATH pointing at another checkout's ``src``.  Equal
 lines mean equal outcomes bit for bit: each digest hashes every solve's
@@ -11,7 +11,9 @@ status, steps, the bytes of x and f, and every trace record (for
 left out.  The script uses only API that has been stable across
 releases (builders, ``drlsimplex``, ``solve_quadratic``,
 ``SolverOptions(seed, max_steps)``, and the ``check`` routines called
-with ``pairs`` by keyword), so one copy serves both trees.
+with ``pairs`` by keyword), so one copy serves both trees.  Name
+families (``lasso random_quadratic``) to digest only those; the default
+is all of them, and an unknown name exits 1.
 
 Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
@@ -149,9 +151,14 @@ FAMILIES = {
 }
 
 
-def main():
+def main(names):
+    unknown = [n for n in names if n not in FAMILIES]
+    if unknown:
+        print(f"error: unknown families {unknown}; choose from {list(FAMILIES)}", file=sys.stderr)
+        return 1
     print(f"# numpy {np.__version__}, python {sys.version.split()[0]}")
-    for name, family in FAMILIES.items():
+    for name in names or FAMILIES:
+        family = FAMILIES[name]
         digest = hashlib.sha256()
         statuses = Counter()
         for item in family():
@@ -167,4 +174,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

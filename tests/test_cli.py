@@ -106,6 +106,19 @@ class TestSolve:
         assert code == 4
         assert json.loads(stdout)["status"] == "StepLimit"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--starts", "0", "--starts must be at least 1, got 0"),
+        ("--starts", "-2", "--starts must be at least 1, got -2"),
+        ("--max-steps", "-1", "--max-steps must be nonnegative, got -1"),
+    ])
+    def test_out_of_range_counts_exit_one(self, capsys, hinge_model, tmp_path, flag, value, message):
+        trace = tmp_path / "t.jsonl"
+        code, stdout, stderr = _run(
+            capsys, ["solve", "--model", hinge_model, "--trace", str(trace), flag, value])
+        assert code == 1 and stdout == ""
+        assert message in stderr
+        assert not trace.exists()
+
     def test_missing_model_exit_one(self, capsys, tmp_path):
         code, _, stderr = _run(
             capsys, ["solve", "--model", str(tmp_path / "nope.json")]
@@ -294,6 +307,20 @@ class TestRegression:
         doc = json.loads(stdout)
         assert "theta" in doc and len(doc["theta"]) == 2 * 1 + 2
         assert out_model.exists()
+
+    def test_train_l1_without_base_exit_one(self, capsys, tiny_csv):
+        path, _, _ = tiny_csv
+        code, stdout, stderr = _run(capsys, ["train-l1", "--data", path])
+        assert code == 1 and stdout == ""
+        assert "error: train-l1 needs --base-model or --base-topology" in stderr
+
+    @pytest.mark.parametrize("cmd", ["lasso", "quantile"])
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_bad_lam_exit_one(self, capsys, tiny_csv, cmd, lam):
+        path, _, _ = tiny_csv
+        code, stdout, stderr = _run(capsys, [cmd, "--data", path, "--lam", lam])
+        assert code == 1 and stdout == ""
+        assert "lam must be finite and nonnegative" in stderr
 
     def test_non_finite_csv_exit_one(self, capsys, tmp_path):
         path = tmp_path / "d.csv"

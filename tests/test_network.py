@@ -18,6 +18,7 @@ from drlp import (
     inner_products_all,
     load_model,
     oriented_normal,
+    oriented_normals,
     relu_arguments,
     save_model,
     subjective_arguments,
@@ -216,6 +217,20 @@ class TestSubjective:
                     atol=1e-9,
                 )
 
+    @pytest.mark.parametrize("topo", [(3, 6, 1), (3, 4, 3, 1), (4, 3, 5, 2, 1), (2, 3, 3, 3, 3, 1)])
+    def test_oriented_normals_match_one_by_one(self, topo):
+        rng = np.random.Generator(np.random.Philox(37))
+        for _ in range(5):
+            net = build_random(topo, seed=int(rng.integers(1 << 30)))
+            s = activation_pattern(net, rng.uniform(-2, 2, size=topo[0]))
+            everything = rng.permutation(net.num_neurons)     # layers mixed, both bits
+            for units in (everything, everything[:3], [net.num_neurons - 1, 0], []):
+                got = oriented_normals(net, s, units)
+                assert got.shape == (len(units), net.input_dim)
+                for row, c in zip(got, units):
+                    assert row.tobytes() == oriented_normal(net, s, int(c)).tobytes()
+        assert set(s.bits.tolist()) == {0, 1}
+
     def test_inner_products_cover_every_unit(self):
         rng = np.random.Generator(np.random.Philox(41))
         for _ in range(10):
@@ -316,6 +331,15 @@ class TestPairsAndFlip:
         s = activation_pattern(net, x, pairs)
         assert critical_indices(net, s, x) == [0, 1, 2]
         assert critical_indices(net, s, x, pairs=pairs) == [0, 2]
+
+    def test_oriented_normals_on_paired_units(self):
+        net = self._paired_net()
+        pairs = PairGroups([(0, 1)])
+        s = activation_pattern(net, [1.0, 1.0], pairs)
+        assert s.to_layers() == [[1, 0, 1]]
+        got = oriented_normals(net, s, [2, 1, 0])
+        assert got.tobytes() == np.stack([oriented_normal(net, s, c) for c in (2, 1, 0)]).tobytes()
+        assert got[1].tobytes() == got[2].tobytes()     # one wall, both members face one side
 
     def test_complement_check(self):
         net = self._paired_net()

@@ -62,8 +62,10 @@ class TestQuantileBuilder:
         data = _data(4, 4, 1)
         with pytest.raises(ValueError):
             build_quantile_lasso(data, alpha=1.5)
-        with pytest.raises(ValueError):
-            build_quantile_lasso(data, lam=-1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            for build in (build_quantile_lasso, build_lasso):
+                with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+                    build(data, lam=lam)
 
     def test_tiny_median_regression_reaches_global(self):
         data = _data(5, 6, 1)

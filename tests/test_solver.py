@@ -448,7 +448,7 @@ class TestLongStep:
 
 
 def _same_direction(g, normals, cache):
-    got = drlp.solver._feasible_direction(g, normals, cache)
+    got = drlp.solver._feasible_direction(g, np.reshape(normals, (-1, g.size)), cache)
     want = feasible_direction_reference(g, normals)
     assert got.tobytes() == want.tobytes()
 
