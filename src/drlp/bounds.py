@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .network import ReluNetwork, activation_bits_batch
+from .network import ReluNetwork, _sweep_bits
 
 
 def _check_topology(topology):
@@ -38,26 +38,26 @@ def montufar_bound(topology) -> int:
 
 
 def improved_bound(topology) -> int:
-    """Sharper region bound; never exceeds montufar_bound.
+    """Sharper region bound (Serra et al. 2018); never exceeds montufar_bound.
 
     Sums prod_i C(width_i, j_i) over index tuples where each j_i is at
     most the input dimension, its own layer width, and every earlier
     layer's width minus that layer's index choice (crossing a layer can
-    only use rank the earlier layers left over).
+    only use rank the earlier layers left over).  Only that running cap
+    matters to later layers, so the sum is a dynamic program over the cap:
+    O(depth * width^2) exact integer terms instead of one per tuple.
     """
     topology = _check_topology(topology)
     n0, widths = topology[0], topology[1:]
-
-    def rec(i, caps_min, prod):
-        if i == len(widths):
-            return prod
-        w = widths[i]
-        total = 0
-        for j in range(min(caps_min, w) + 1):
-            total += rec(i + 1, min(caps_min, w - j), prod * comb(w, j))
-        return total
-
-    return rec(0, n0, 1)
+    ways = {n0: 1}   # running cap -> sum of products of the tuples reaching it
+    for w in widths:
+        nxt = {}
+        for cap, total in ways.items():
+            for j in range(min(cap, w) + 1):
+                key = min(cap, w - j)
+                nxt[key] = nxt.get(key, 0) + total * comb(w, j)
+        ways = nxt
+    return sum(ways.values())
 
 
 def count_regions_empirical(
@@ -69,23 +69,37 @@ def count_regions_empirical(
 ) -> int:
     """Distinct activation patterns over uniform samples from a box.
 
-    A lower bound on the true region count that is monotone in the number
-    of samples for a fixed seed: the sample stream is drawn in fixed-size
-    chunks, so the first k samples do not depend on the total.
+    A lower bound on the number of linear regions that meet the box.
+    Samples come from ``Philox(seed)`` in blocks of ``chunk`` points (the
+    last block is drawn whole and cut), so for a fixed seed and chunk the
+    first k samples do not depend on the total and the count is monotone
+    in ``samples``.  Each block is swept through the network in reusable
+    buffers and its patterns are packed to 64-bit words and deduplicated
+    in numpy; memory is O(chunk * width + distinct patterns), independent
+    of ``samples``.
     """
     lo, hi = float(box[0]), float(box[1])
     if not (np.isfinite(hi - lo) and hi > lo):
         raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got ({lo}, {hi})")
     if samples < 0:
         raise ValueError(f"samples must be >= 0; got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1; got {chunk}")
     rng = np.random.Generator(np.random.Philox(seed))
+    layers = [np.empty((chunk, w)) for w in net.relu_widths]
+    words = -(-net.num_neurons // 64)
+    bits = np.zeros((chunk, 64 * words), dtype=bool)   # padding columns stay 0
     seen = set()
     remaining = int(samples)
     while remaining > 0:
         take = min(chunk, remaining)
         xs = rng.uniform(lo, hi, size=(chunk, net.input_dim))[:take]
-        bits = activation_bits_batch(net, xs)
-        for row in bits:
-            seen.add(row.tobytes())
+        _sweep_bits(net, xs, layers, bits)
+        keys = np.packbits(bits[:take], axis=1).view(np.uint64)
+        # ordering by the first word puts most repeats side by side; the set drops the rest
+        keys = keys[np.argsort(keys[:, 0])]
+        fresh = np.ones(take, dtype=bool)
+        fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        seen.update(keys[fresh].view(f"V{8 * words}").ravel().tolist())
         remaining -= take
     return len(seen)

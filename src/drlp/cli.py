@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -209,6 +210,8 @@ def cmd_lasso(args):
 def cmd_train_l1(args):
     if not (args.base_model or args.base_topology):
         raise ValueError("train-l1 needs --base-model or --base-topology")
+    if args.base_model and args.base_topology:
+        raise ValueError("train-l1 takes --base-model or --base-topology, not both")
     data = load_csv(args.data, args.response)
     if args.base_model:
         base, _ = load_model(args.base_model)
@@ -270,7 +273,9 @@ def cmd_check(args):
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="drlp",
         description="Minimize feed-forward ReLU networks over their input space.",

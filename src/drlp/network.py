@@ -349,14 +349,29 @@ def flip(s: ActivationPattern, units, pairs: PairGroups | None = None) -> Activa
 
 
 def activation_bits_batch(net: ReluNetwork, xs: np.ndarray) -> np.ndarray:
-    """Activation bits for a batch of points, one row per point."""
-    y = np.asarray(xs, dtype=np.float64)
-    cols = []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = y @ w.T + b
-        cols.append(a > 0.0)
-        y = np.maximum(a, 0.0)
-    return np.concatenate(cols, axis=1).astype(np.uint8)
+    """Activation bits for a batch of points, one uint8 row per point."""
+    xs = np.asarray(xs, dtype=np.float64)
+    bits = np.empty((len(xs), net.num_neurons), dtype=bool)
+    _sweep_bits(net, xs, [np.empty((len(xs), w)) for w in net.relu_widths], bits)
+    return bits.view(np.uint8)
+
+
+def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
+    """Forward sweep of a batch into buffers the caller owns, reusable across batches.
+
+    ``layers[k]`` (float64, layer k+1's width) and the bool matrix ``bits``
+    need at least ``len(xs)`` rows; row i of ``bits[:, :num_neurons]`` gets
+    point i's activation bits.  Each layer is ``y @ W.T + b``, in place.
+    """
+    n = len(xs)
+    y = xs
+    for k, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        a = layers[k][:n]
+        np.matmul(y, w.T, out=a)
+        a += b
+        np.greater(a, 0.0, out=bits[:n, net.offsets[k]:net.offsets[k + 1]])
+        np.maximum(a, 0.0, out=a)
+        y = a
 
 
 def save_model(path, net: ReluNetwork, pairs: PairGroups | None = None):

@@ -263,6 +263,30 @@ def brute_improved_bound(topology):
     return total
 
 
+def count_regions_reference(net, box=(-10.0, 10.0), samples=100_000, seed=0, chunk=4096):
+    """Distinct activation patterns counted one sample at a time.
+
+    The same Philox stream and chunking as count_regions_empirical, with
+    each layer evaluated as a fresh ``y @ W.T + b`` and every sample's bit
+    row added to a set on its own.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    seen = set()
+    remaining = int(samples)
+    while remaining > 0:
+        take = min(chunk, remaining)
+        y = rng.uniform(box[0], box[1], size=(chunk, net.input_dim))[:take]
+        cols = []
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            a = y @ w.T + b
+            cols.append(a > 0.0)
+            y = np.maximum(a, 0.0)
+        for row in np.concatenate(cols, axis=1).astype(np.uint8):
+            seen.add(row.tobytes())
+        remaining -= take
+    return len(seen)
+
+
 def first_layer_wrapper(rows):
     """Network whose unit (1, j) has oriented normal rows[j-1] when all bits are 1.
 

@@ -1,4 +1,4 @@
-"""Print one digest per solver family over a fixed, seeded corpus.
+"""Print one digest per family over a fixed, seeded corpus.
 
 Run it from the repository root against the tree to be checked:
 
@@ -7,11 +7,12 @@ Run it from the repository root against the tree to be checked:
 and again with PYTHONPATH pointing at another checkout's ``src``.  Equal
 lines mean equal outcomes bit for bit: each digest hashes every solve's
 status, steps, the bytes of x and f, and every trace record (for
-``check``, every axis derivative and the certificate).  Wall times are
-left out.  The script uses only API that has been stable across
-releases (builders, ``drlsimplex``, ``solve_quadratic``,
-``SolverOptions(seed, max_steps)``, and the ``check`` routines called
-with ``pairs`` by keyword), so one copy serves both trees.  Name
+``check_axes``, every axis derivative and the certificate; for
+``regions``, every sampled count and bound).  Wall times are left out.
+The script uses only API that has been stable across releases
+(builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
+max_steps)``, the ``check`` routines called with ``pairs`` by keyword,
+and the region bounds and sampler), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
 is all of them, and an unknown name exits 1.
 
@@ -133,6 +134,23 @@ def check_axes():
                                for c, b, v, g in axes]))
 
 
+def regions():
+    """Sampled region counts around the chunk edge, and both bounds on random topologies."""
+    for depth in (1, 2, 3):
+        for hidden in (5, 40, 64, 65, 130):
+            widths = [hidden // depth + (k < hidden % depth) for k in range(depth)]
+            net = drlp.build_random([2 + depth] + widths + [1], seed=10 * hidden + depth)
+            for samples in (1, 4095, 4096, 4097, 9000):
+                for box in ((-10.0, 10.0), (-0.5, 0.5)):
+                    count = drlp.count_regions_empirical(net, box, samples=samples, seed=depth)
+                    yield repr((widths, samples, box, count))
+    rng = philox(8)
+    for _ in range(40):
+        topo = [int(rng.integers(1, 9))] + [int(rng.integers(1, 16))
+                                            for _ in range(int(rng.integers(1, 7)))]
+        yield repr((topo, drlp.montufar_bound(topo), drlp.improved_bound(topo)))
+
+
 def _solved_random_nets():
     for seed in range(8):
         net = drlp.build_random((3, 6, 6, 1), seed=100 + seed)
@@ -148,6 +166,7 @@ FAMILIES = {
     "train_l1": train_l1,
     "random_quadratic": random_quadratic,
     "check_axes": check_axes,
+    "regions": regions,
 }
 
 

@@ -7,7 +7,7 @@ from drlp import (
     improved_bound,
     montufar_bound,
 )
-from helpers import brute_improved_bound
+from helpers import brute_improved_bound, count_regions_reference
 
 
 class TestMontufar:
@@ -63,6 +63,10 @@ class TestImproved:
             ]
             assert improved_bound(topo) == brute_improved_bound(topo)
 
+    def test_deep_frozen_value(self):
+        # five layers deep; the value the tuple-by-tuple recursion gave
+        assert improved_bound((6, 12, 12, 12, 12, 12)) == 99625062625100000
+
 
 class TestEmpirical:
     def test_frozen_fold_count(self, net_fold_sum):
@@ -104,3 +108,25 @@ class TestEmpirical:
                 count_regions_empirical(net_fold_sum, box=box)
         with pytest.raises(ValueError, match="samples must be >= 0"):
             count_regions_empirical(net_fold_sum, samples=-5)
+
+    def test_zero_chunk_rejected(self, net_fold_sum):
+        for chunk in (0, -3):
+            with pytest.raises(ValueError, match="chunk must be >= 1"):
+                count_regions_empirical(net_fold_sum, samples=10, chunk=chunk)
+
+    @pytest.mark.parametrize("hidden", [5, 64, 65, 130])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_per_sample_reference(self, hidden, depth):
+        # hidden units split over the layers; 64 and 65 sit on either side of one packed word
+        widths = [hidden // depth + (k < hidden % depth) for k in range(depth)]
+        net = build_random([3] + widths + [1], seed=100 * hidden + depth)
+        for samples in (0, 1, 4095, 4096, 4097):
+            for box in ((-10.0, 10.0), (-0.5, 0.5)):
+                want = count_regions_reference(net, box, samples=samples, seed=depth)
+                assert count_regions_empirical(net, box, samples=samples, seed=depth) == want
+
+    def test_small_chunks_match_reference(self):
+        net = build_random((2, 40, 30, 1), seed=25)
+        for chunk in (1, 7, 100):
+            want = count_regions_reference(net, samples=523, seed=4, chunk=chunk)
+            assert count_regions_empirical(net, samples=523, seed=4, chunk=chunk) == want

@@ -314,6 +314,17 @@ class TestRegression:
         assert code == 1 and stdout == ""
         assert "error: train-l1 needs --base-model or --base-topology" in stderr
 
+    def test_train_l1_with_both_bases_exit_one(self, capsys, tiny_csv, tmp_path):
+        path, _, _ = tiny_csv
+        base = tmp_path / "base.json"
+        assert main(["random-net", "--topology", "1,3,1", "--out", str(base)]) == 0
+        capsys.readouterr()
+        code, stdout, stderr = _run(capsys, ["train-l1", "--data", path, "--base-model", str(base),
+                                             "--base-topology", "1,7,7,1"])
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error:")
+        assert "--base-model" in stderr and "--base-topology" in stderr
+
     @pytest.mark.parametrize("cmd", ["lasso", "quantile"])
     @pytest.mark.parametrize("lam", ["nan", "inf"])
     def test_bad_lam_exit_one(self, capsys, tiny_csv, cmd, lam):
@@ -333,6 +344,30 @@ class TestRegression:
 
 
 class TestCounting:
+    def test_shared_parser_leaks_no_state(self, capsys, fold_model, tiny_csv):
+        path, _, _ = tiny_csv
+        script = [
+            ["regions", "--model", fold_model, "--samples", "3000", "--seed", "2"],
+            ["bounds", "--topology", "3,4,4"],
+            ["quantile", "--data", path, "--alpha", "0.3", "--seed", "5"],
+            ["regions", "--model", fold_model, "--samples", "500"],
+        ]
+
+        def doc_of(argv):
+            code, stdout, stderr = _run(capsys, argv)
+            assert code == 0, stderr
+            doc = json.loads(stdout)
+            doc.pop("wall_ms", None)
+            return doc
+
+        shared = [doc_of(argv) for argv in script]
+        fresh = []
+        for argv in script:
+            drlp.cli.build_parser.cache_clear()
+            fresh.append(doc_of(argv))
+        assert shared == fresh
+        assert shared[0]["samples"] == 3000 and shared[3]["samples"] == 500
+
     def test_bounds_json(self, capsys):
         code, stdout, _ = _run(capsys, ["bounds", "--topology", "2,2,1"])
         assert code == 0

@@ -161,12 +161,16 @@ class TestPatterns:
         assert flip(once, np.array(units, dtype=np.intp)) == s
 
     def test_batch_bits_match_scalar(self):
-        net = build_random((2, 4, 3, 1), seed=4)
+        # the second net is three layers deep with more than 64 units
         rng = np.random.Generator(np.random.Philox(5))
-        pts = rng.uniform(-3, 3, size=(40, 2))
-        bits = activation_bits_batch(net, pts)
-        for row, x in zip(bits, pts):
-            assert np.array_equal(row, activation_pattern(net, x).bits)
+        for topo, seed in (((2, 4, 3, 1), 4), ((2, 40, 30, 20, 1), 6)):
+            net = build_random(topo, seed=seed)
+            pts = rng.uniform(-3, 3, size=(200, 2))
+            bits = activation_bits_batch(net, pts)
+            assert bits.dtype == np.uint8 and bits.shape == (200, net.num_neurons)
+            for row, x in zip(bits, pts):
+                assert np.array_equal(row, activation_pattern(net, x).bits)
+            assert activation_bits_batch(net, pts[:0]).shape == (0, net.num_neurons)
 
 
 class TestSubjective:
