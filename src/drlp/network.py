@@ -370,7 +370,8 @@ def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
         np.matmul(y, w.T, out=a)
         a += b
         np.greater(a, 0.0, out=bits[:n, net.offsets[k]:net.offsets[k + 1]])
-        np.maximum(a, 0.0, out=a)
+        if k + 1 < net.depth:       # the last ReLU layer's output is never read
+            np.maximum(a, 0.0, out=a)
         y = a
 
 

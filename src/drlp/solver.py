@@ -12,7 +12,6 @@ along walls instead of hopping between vertices.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -456,81 +455,79 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _feasible_direction(g, normals, cache):
-    """-g with the components violating any active wall removed.
+def _feasible_direction(g, normals, hess=None):
+    """Projection v of -g onto the tangent cone {d : normals @ d >= 0}, and a face step d.
 
-    normals is a matrix with one active wall's oriented normal per row.
-    Repeatedly subtracts (orthonormalized) violated normals until the
-    direction points into the closed region; at most one pass per wall.
-    Each pass's orthonormal vectors come from _pass_basis, which reuses
-    them from `cache`, a list owned by one solve, when consecutive calls
-    face the same walls.  The wall norms (once per call) and the products
-    normals @ v (once per pass) feed only the violated-wall test, never
-    the basis or v, so their summation order matters only for a wall
-    whose v @ u lies within roundoff of -1e-13 |v| |u|.
+    normals holds one active wall's oriented normal per row.  Each working
+    set of held walls gets one complete QR of its unit normals, N' = Q R:
+    the trailing columns Z of Q span their null space, v = Z Z'(-g), and
+    lam = R^-1 Q1' g are their multipliers.  All walls start held; the one
+    with the most negative multiplier is released until none is negative.
+    From there it is Lawson & Hanson's NNLS (1974): the wall v violates most
+    is held, and the multipliers move toward the new ones only until the
+    first reaches zero, whose wall is released.  It ends at the exact
+    projection.  Walls within roundoff of the span of earlier held ones are
+    not held; unit axis normals make Q a signed permutation, so v is exactly
+    zero on held axis walls.
+
+    Given hess, the objective's curvature, d is the Newton step on the final
+    face, Z (Z'HZ)^-1 Z'(-g), if Z'HZ is positive definite, d descends and d
+    violates no wall; otherwise d is v.  Returns (v, d, held row indices).
     """
-    v = -g.copy()
-    if (g == 0.0).any():
-        # reused vectors may differ from fresh ones in the sign of a zero
-        # entry; that reaches v only through a -0.0 entry of v, so such a
-        # call builds its basis afresh
-        cache = []
-    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-    basis: list[np.ndarray] = []
-    for k in range(len(normals) + 1):
-        vn = math.sqrt(v @ v)
-        if vn == 0.0:
-            break
-        bad = normals @ v < -1e-13 * vn * norms
-        if not bad.any():
-            break
-        for w in _pass_basis(cache, k, normals[bad], basis):
-            basis.append(w)
-            v -= (v @ w) * w
-    return v
+    unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
+    drop_tol = 1e-12 * (1.0 + math.sqrt(g @ g))
+    held = np.arange(len(unit))
+    mu = None           # multipliers of the last working set with none negative
+    for _ in range(4 * len(unit) + 1):     # bounds cycling by roundoff
+        held, q, r = _independent_qr(unit, held)
+        k = held.size
+        z = q[:, k:]
+        v = z @ (z.T @ -g)
+        lam = np.linalg.solve(r[:k, :k], q[:, :k].T @ g)
+        neg = lam < -drop_tol
+        if neg.any() and mu is None:
+            held = np.delete(held, np.argmin(lam))
+        elif neg.any():
+            old = mu[held]
+            ratio = np.full(k, np.inf)
+            ratio[neg] = old[neg] / (old[neg] - lam[neg])
+            mu[held] = old + ratio.min() * (lam - old)
+            held = held[(ratio > ratio.min()) & (mu[held] > 0.0)]
+        else:
+            mu = np.zeros(len(unit))
+            mu[held] = np.maximum(lam, 0.0)
+            slack = unit @ v
+            slack[held] = 0.0
+            if not len(unit) or slack.min() >= -1e-12 * math.sqrt(v @ v):
+                break
+            held = np.append(held, np.argmin(slack))
+    d = v
+    if hess is not None and z.shape[1]:
+        zhz = z.T @ hess @ z
+        try:
+            np.linalg.cholesky(zhz)        # raises unless positive definite
+        except np.linalg.LinAlgError:
+            return v, d, held
+        newton = z @ np.linalg.solve(zhz, z.T @ -g)
+        if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
+            d = newton
+    return v, d, held
 
 
-_SIGN_BIT = np.uint64(1 << 63)
+def _independent_qr(unit, held):
+    """Complete QR of unit[held].T, keeping only held rows independent of the earlier ones.
 
-
-def _pass_basis(cache, k, rows, basis):
-    """Orthonormal vectors that pass k of _feasible_direction adds for `rows`.
-
-    Left-looking modified Gram-Schmidt against `basis` (the earlier passes'
-    vectors), skipping rows that depend on the vectors before them, so the
-    vector of row i depends only on `basis` and rows 0..i.  cache[k] holds
-    (rows, source row of each vector, vectors) of the last pass k built;
-    it stays valid while passes 0..k-1 matched theirs.  The vectors of the
-    longest prefix of rows equal to the cached ones up to a sign per row
-    are reused and only the rest is built: negating a row negates its
-    vector, and a vector w enters only through (x @ w) * w, which is the
-    same for -w, so no sign needs fixing.
+    Without pivoting, |R_ii| is row i's distance from the span of the Q
+    columns before it, which is the earlier rows' span only while none of
+    them was dependent; so the first dependent row goes and the QR is redone.
     """
-    src, vecs, start = [], [], 0
-    if k < len(cache):
-        old_rows, old_src, old_vecs = cache[k]
-        m = min(len(rows), len(old_rows))
-        flips = rows[:m].view(np.uint64) ^ old_rows[:m].view(np.uint64)
-        match = (flips == 0).all(axis=1) | (flips == _SIGN_BIT).all(axis=1)
-        start = m if match.all() else int(np.argmin(match))
-        if start == len(rows) == len(old_rows):
-            return old_vecs
-        del cache[k:]
-        keep = bisect.bisect_left(old_src, start)
-        src, vecs = old_src[:keep], old_vecs[:keep]
-    for i in range(start, len(rows)):
-        u = rows[i]
-        w = u.copy()
-        for bvec in basis + vecs:
-            w -= (w @ bvec) * bvec
-        wn = math.sqrt(w @ w)
-        if wn <= 1e-13 * math.sqrt(u @ u):
-            continue
-        w /= wn
-        src.append(i)
-        vecs.append(w)
-    cache.append((rows, src, vecs))
-    return vecs
+    while True:
+        q, r = np.linalg.qr(unit[held].T, mode="complete")
+        k = min(held.size, unit.shape[1])
+        weak = np.flatnonzero(np.abs(np.diagonal(r)[:k]) <= 1e-13)
+        if not weak.size:
+            return held[:k], q, r[:, :k]
+        held = np.delete(held, weak[0])
 
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
@@ -538,13 +535,15 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                     pairs: PairGroups | None = None) -> SolveOutcome:
     """Minimize network + quadratic by sliding along active walls.
 
-    Projected steepest descent with exact line search on each segment:
-    the direction is the negative combined gradient, orthogonalized
-    against the walls currently sat on; steps stop at the first new wall
-    or at the segment parabola's vertex.  When the projected gradient
-    vanishes, adjacent regions are probed by flipping active units
-    (cumulatively); if none descends the point is reported as a local
-    minimum.
+    An active-set Newton method with exact line search on each segment.
+    The negative combined gradient is projected onto the tangent cone of
+    the walls x sits on; the walls whose multipliers stay nonnegative form
+    the face, and the step follows the Newton direction of the quadratic
+    restricted to that face (the projected gradient when the face's
+    curvature is not positive definite).  Steps stop at the first new wall
+    or at the segment parabola's vertex.  When the projection vanishes,
+    adjacent regions are probed by flipping active units (cumulatively);
+    if none descends the point is reported as a local minimum.
     """
     t0 = time.perf_counter()
     if pairs is not None:
@@ -556,7 +555,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
         rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
     )
-    cache = []      # Gram-Schmidt passes of the last direction, see _pass_basis
+    hess = q.quad + q.quad.T
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
@@ -564,10 +563,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         active = critical_indices(net, state.s, state.x, pairs)
         g = q.grad(state.x) + gradient(net, state.s)
-        v = _feasible_direction(g, oriented_normals(net, state.s, active), cache)
-        vn = np.linalg.norm(v)
-        if vn > 1e-10 * (1.0 + np.linalg.norm(g)):
-            v /= vn
+        v, d, _ = _feasible_direction(g, oriented_normals(net, state.s, active), hess)
+        if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
+            v = d / np.linalg.norm(d)
             res = advance_max(net, state.x, v, state.s, active, state.pairs)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
@@ -592,7 +590,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 state.steps += 1
                 state.emit("flip", neuron=c)
                 g2 = q.grad(state.x) + gradient(net, state.s)
-                v2 = _feasible_direction(g2, oriented_normals(net, state.s, active), cache)
+                v2 = _feasible_direction(g2, oriented_normals(net, state.s, active))[0]
                 if np.linalg.norm(v2) > 1e-10 * (1.0 + np.linalg.norm(g2)):
                     found = True
                     break

@@ -326,32 +326,15 @@ def lp_linprog(lp):
     return float(res.fun), float(np.max(np.abs(duals)))
 
 
-def feasible_direction_reference(g, normals):
-    """-g with the violated walls projected out, the basis built afresh.
+def cone_projection_nnls(g, normals):
+    """-g projected onto the cone {d : normals @ d >= 0}, from scipy's NNLS.
 
-    The loop drlp.solver._feasible_direction must reproduce bit for bit:
-    each pass collects the normals u with v @ u < -1e-13 |v| |u|, runs
-    left-looking modified Gram-Schmidt on them against the vectors of the
-    earlier passes (skipping rows whose remainder is below 1e-13 |u|) and
-    subtracts each new vector from v as soon as it is made.
+    By Moreau's decomposition the projection is -g + N' mu with mu the
+    nonnegative least-squares solution of N' mu = g.
     """
-    v = -g.copy()
-    basis = []
-    for _ in range(len(normals) + 1):
-        vn = np.linalg.norm(v)
-        if vn == 0.0:
-            break
-        bad = [u for u in normals if v @ u < -1e-13 * vn * np.linalg.norm(u)]
-        if not bad:
-            break
-        for u in bad:
-            w = u.copy()
-            for bvec in basis:
-                w -= (w @ bvec) * bvec
-            wn = np.linalg.norm(w)
-            if wn <= 1e-13 * np.linalg.norm(u):
-                continue
-            w /= wn
-            basis.append(w)
-            v -= (v @ w) * w
-    return v
+    from scipy.optimize import nnls
+
+    if not len(normals):
+        return -g       # scipy's nnls aborts the process on an empty matrix
+    mu, _ = nnls(normals.T, g)
+    return -g + normals.T @ mu
