@@ -144,7 +144,7 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
         for k, seed in enumerate(seeds):
             rng = np.random.Generator(np.random.Philox(seed))
             opts = SolverOptions(
-                max_steps=args.max_steps, rng=rng,
+                max_steps=args.max_steps, rng=rng, collect_trace=False,
                 on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
             )
             if fixed_x0 is not None:

@@ -189,6 +189,12 @@ def _crossing_gains(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
     return gains
 
 
+def scan_arrays(net: ReluNetwork, pairs: PairGroups | None):
+    """(skip, gains) for advance_max: second pair members, never candidates, and crossing gains."""
+    skip = pairs.secondary_flat_mask(net) if pairs is not None else np.zeros(net.num_neurons, dtype=bool)
+    return skip, _crossing_gains(net, pairs)
+
+
 def advance_max(
     net: ReluNetwork,
     x,
@@ -198,6 +204,7 @@ def advance_max(
     pairs: PairGroups | None = None,
     slope: float | None = None,
     slope_tol: float = 0.0,
+    scan: tuple | None = None,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
 
@@ -221,11 +228,12 @@ def advance_max(
     TIE_TOL * (1 + |t|) of the first wall of the stopping tie group.  A
     marginally negative t signals the start point sits just past that
     wall; the caller decides what to accept.
+
+    scan is scan_arrays(net, pairs); a solve builds it once and passes it
+    to every line search, and it is built here when not given.
     """
-    if pairs is not None:
-        ignore_mask = pairs.secondary_flat_mask(net)
-    else:
-        ignore_mask = np.zeros(net.num_neurons, dtype=bool)
+    skip, gains = scan if scan is not None else scan_arrays(net, pairs)
+    ignore_mask = skip.copy()
     ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
     rate = inner_products_all(net, s, v)
     flat = np.flatnonzero((rate < -ZERO_TOL) & ~ignore_mask)
@@ -239,7 +247,7 @@ def advance_max(
     ts, flat, rate = ts[order], flat[order], rate[order]
     stop = 0
     if slope is not None:
-        climb = slope + np.cumsum(_crossing_gains(net, pairs)[flat] * -rate)
+        climb = slope + np.cumsum(gains[flat] * -rate)
         stops = np.flatnonzero((climb >= -slope_tol) | (ts <= 0.0))
         if not stops.size:
             return AdvanceResult(float("inf"), None, flat)

@@ -39,6 +39,7 @@ from .primitives import (
     dense_pseudoinverse,
     project,
     remove_pseudorow,
+    scan_arrays,
     update_axis_new_region,
 )
 
@@ -106,6 +107,7 @@ class SolverState:
     pairs: PairGroups | None = None
     rng: np.random.Generator = None
     objective: object = None            # callable(x) -> float; network value by default
+    scan: tuple = None                  # scan_arrays(net, pairs), built once per solve
     steps: int = 0
     trace: list = field(default_factory=list)
 
@@ -179,7 +181,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
         pairs.check_pattern(s)
     return SolverState(
         net=net, x=x, s=s, pinv=PseudoInverse.empty(net.input_dim),
-        options=options, pairs=pairs, rng=rng,
+        options=options, pairs=pairs, rng=rng, scan=scan_arrays(net, pairs),
     )
 
 
@@ -247,7 +249,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v = -v
             tried_opposite = False
         v = v / np.linalg.norm(v)
-        res = advance_max(net, state.x, v, s, state.pinv.owners, state.pairs)
+        res = advance_max(net, state.x, v, s, state.pinv.owners, scan=state.scan)
         state.steps += 1
         if not res.bounded:
             if v @ grad < -1e-15 * gscale:
@@ -309,8 +311,8 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             state.pinv = remove_pseudorow(state.pinv, i)
             v = row / np.linalg.norm(row)
             # long step: pass every last-layer wall while f still descends
-            res = advance_max(net, state.x, v, state.s, ignore, state.pairs,
-                              slope=alpha, slope_tol=descent_tol)
+            res = advance_max(net, state.x, v, state.s, ignore,
+                              slope=alpha, slope_tol=descent_tol, scan=state.scan)
             state.steps += 1
             if not res.bounded:
                 return state.finish(UNBOUNDED, direction=v)
@@ -472,14 +474,22 @@ def _feasible_direction(g, normals, hess=None):
 
     Given hess, the objective's curvature, d is the Newton step on the final
     face, Z (Z'HZ)^-1 Z'(-g), if Z'HZ is positive definite, d descends and d
-    violates no wall; otherwise d is v.  Returns (v, d, held row indices).
+    violates no wall; otherwise d is v.
+
+    Returns (v, d, held row indices, mu, regular).  mu holds the final
+    working set's multipliers against the unit normals, zero for released
+    walls.  regular is True when no wall was dropped as dependent and the
+    NNLS loop converged; then g = sum_c mu_c n_c / |n_c| wherever v = 0.
     """
     unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
     drop_tol = 1e-12 * (1.0 + math.sqrt(g @ g))
     held = np.arange(len(unit))
     mu = None           # multipliers of the last working set with none negative
+    dependent, regular = False, False
     for _ in range(4 * len(unit) + 1):     # bounds cycling by roundoff
-        held, q, r = _independent_qr(unit, held)
+        kept, q, r = _independent_qr(unit, held)
+        dependent |= kept.size < held.size
+        held = kept
         k = held.size
         z = q[:, k:]
         v = z @ (z.T @ -g)
@@ -499,6 +509,7 @@ def _feasible_direction(g, normals, hess=None):
             slack = unit @ v
             slack[held] = 0.0
             if not len(unit) or slack.min() >= -1e-12 * math.sqrt(v @ v):
+                regular = not dependent
                 break
             held = np.append(held, np.argmin(slack))
     d = v
@@ -507,11 +518,11 @@ def _feasible_direction(g, normals, hess=None):
         try:
             np.linalg.cholesky(zhz)        # raises unless positive definite
         except np.linalg.LinAlgError:
-            return v, d, held
+            return v, d, held, mu, regular
         newton = z @ np.linalg.solve(zhz, z.T @ -g)
         if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
             d = newton
-    return v, d, held
+    return v, d, held, mu, regular
 
 
 def _independent_qr(unit, held):
@@ -541,9 +552,18 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     the face, and the step follows the Newton direction of the quadratic
     restricted to that face (the projected gradient when the face's
     curvature is not positive definite).  Steps stop at the first new wall
-    or at the segment parabola's vertex.  When the projection vanishes,
-    adjacent regions are probed by flipping active units (cumulatively);
-    if none descends the point is reported as a local minimum.
+    or at the segment parabola's vertex.
+
+    When the projection vanishes, the multipliers mu of that projection
+    certify the point.  Crossing active wall c raises the slope by
+    kappa_c |n_c| per unit distance, with kappa_c its crossing gain, so at
+    a regular point (independent walls, all in the last hidden layer) x is
+    a local minimum iff mu_c <= kappa_c |n_c| for every c, as in BVLS
+    (Stark & Parker 1995).  Otherwise the first wall that breaks the bound
+    is flipped, one step, and the descent goes on across it.  At any other
+    point the adjacent regions are probed by flipping active units one at
+    a time (the flips accumulate); if none gives a direction the point is
+    reported as a local minimum.
     """
     t0 = time.perf_counter()
     if pairs is not None:
@@ -554,7 +574,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         net=net, x=x, s=activation_pattern(net, x, pairs),
         pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
         rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
+        scan=scan_arrays(net, pairs),
     )
+    gains = state.scan[1]
     hess = q.quad + q.quad.T
     out = None
     while out is None:
@@ -563,10 +585,12 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         active = critical_indices(net, state.s, state.x, pairs)
         g = q.grad(state.x) + gradient(net, state.s)
-        v, d, _ = _feasible_direction(g, oriented_normals(net, state.s, active), hess)
-        if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
+        normals = oriented_normals(net, state.s, active)
+        v, d, _, mu, regular = _feasible_direction(g, normals, hess)
+        tol = 1e-10 * (1.0 + np.linalg.norm(g))
+        if np.linalg.norm(v) > tol:
             v = d / np.linalg.norm(d)
-            res = advance_max(net, state.x, v, state.s, active, state.pairs)
+            res = advance_max(net, state.x, v, state.s, active, scan=state.scan)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
             slope = float(v @ g)
@@ -578,11 +602,19 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x = state.x + t * v
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0)
-        else:
-            if not active:
+        elif regular and np.isfinite(kappa := gains[active]).all():
+            excess = mu - kappa * np.sqrt(np.einsum("ij,ij->i", normals, normals))
+            over = np.flatnonzero(excess > tol)
+            if not over.size:
                 state.emit("certify", alpha=0.0)
                 out = state.finish(LOCAL_MINIMUM)
                 break
+            # crossing this wall descends: flip it and go on from the new region
+            c = active[over[0]]
+            state.s = flip(state.s, c, state.pairs)
+            state.steps += 1
+            state.emit("flip", neuron=c)
+        else:
             # probe adjacent regions; flips accumulate like the vertex solver
             found = False
             for c in active:

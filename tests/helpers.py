@@ -338,3 +338,19 @@ def cone_projection_nnls(g, normals):
         return -g       # scipy's nnls aborts the process on an empty matrix
     mu, _ = nnls(normals.T, g)
     return -g + normals.T @ mu
+
+
+def certificate_residual(g, normals, upper):
+    """min |N' mu - g| over 0 <= mu <= upper, from scipy's BVLS (Stark & Parker 1995).
+
+    normals holds one wall's unit normal per row and upper bounds each
+    wall's multiplier by the slope that crossing it adds.  The residual is
+    zero exactly when g lies in the subdifferential of the local model
+    g.d + sum_c upper_c max(-n_c.d, 0), that is, at a local minimum.
+    """
+    from scipy.optimize import lsq_linear
+
+    if not len(normals):
+        return float(np.linalg.norm(g))
+    res = lsq_linear(normals.T, g, bounds=(np.zeros(len(normals)), upper), method="bvls")
+    return float(np.linalg.norm(normals.T @ res.x - g))

@@ -16,6 +16,10 @@ and the region bounds and sampler), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
 is all of them, and an unknown name exits 1.
 
+Next to each solve family's digest the script prints its total steps and
+the number of ``flip`` trace records, so step deltas between two trees
+read off the same two lines.
+
 Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
 """
@@ -179,15 +183,19 @@ def main(names):
     for name in names or FAMILIES:
         family = FAMILIES[name]
         digest = hashlib.sha256()
-        statuses = Counter()
+        statuses, work = Counter(), Counter()
         for item in family():
             if isinstance(item, str):
                 statuses["checked"] += 1
             else:
                 statuses[item.status] += 1
+                work["steps"] += int(item.steps)
+                work["flips"] += sum(r.phase == "flip" for r in item.trace)
                 item = solve_record(item)
             digest.update(item.encode() + b"\0")
         counts = " ".join(f"{k}:{v}" for k, v in sorted(statuses.items()))
+        if work:
+            counts += f"  steps:{work['steps']} flips:{work['flips']}"
         print(f"{name:<17} {digest.hexdigest()[:16]}  {counts}")
     return 0
 

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import drlp.cli
+import drlp.solver
 from drlp import (
     NON_REGULAR,
     ReluNetwork,
@@ -154,6 +155,19 @@ class TestSolve:
         fs = [rec["f"] for rec in records]
         for a, b in zip(fs, fs[1:]):
             assert b <= a + 1e-9 * (1.0 + abs(fs[0]))
+
+    def test_untraced_solve_evaluates_only_the_outcome(self, capsys, hinge_model, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        real = drlp.solver.evaluate
+        monkeypatch.setattr(drlp.solver, "evaluate", lambda *a: calls.append(1) or real(*a))
+        argv = ["solve", "--model", hinge_model, "--x0", "3,-2"]
+        assert _run(capsys, argv)[0] == 0
+        assert len(calls) == 1                      # the outcome's f alone
+        calls.clear()
+        trace = tmp_path / "trace.jsonl"
+        assert _run(capsys, argv + ["--trace", str(trace)])[0] == 0
+        assert len(calls) == len(trace.read_text().splitlines()) + 1
 
     def test_trace_names_first_unit(self, capsys, tmp_path):
         # f(x) = relu(x): the descent from x = 2 stops on unit (1, 1), flat index 0

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import drlp.network
+import drlp.primitives
 import drlp.solver
 from drlp import (
     LOCAL_MINIMUM,
@@ -30,8 +34,10 @@ from drlp import (
     evaluate,
     find_vertex,
     flatten_first_layer,
+    gradient,
     initialize,
     lasso_loss,
+    oriented_normals,
     parabola_step,
     position_correction,
     quantile_loss,
@@ -40,6 +46,7 @@ from drlp import (
     SolverOptions,
 )
 from helpers import (
+    certificate_residual,
     cone_projection_nnls,
     lp_linprog,
     probe_min,
@@ -392,6 +399,27 @@ class TestQuadratic:
                     assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses.count(STEP_LIMIT) <= 5
 
+    def test_dependent_walls_take_the_probe(self):
+        # relu(x1) + relu(x2) + relu(x1 + x2) + |x|^2: three walls meet at the
+        # minimum in two dimensions, so their multipliers are not unique and
+        # the adjacent regions are probed, flips accumulating
+        net = ReluNetwork([np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones((1, 3))],
+                          [np.zeros(3), np.zeros(1)])
+        out = solve_quadratic(net, QuadraticObjective(np.eye(2), np.zeros(2)), [0.0, 0.0])
+        assert out.status == LOCAL_MINIMUM
+        assert [r.phase for r in out.trace] == ["flip", "flip", "flip", "certify"]
+        assert [r.neuron for r in out.trace[:3]] == [0, 1, 2]
+
+    def test_wall_outside_last_layer_takes_the_probe(self):
+        # 2 relu(relu(x) + 1) + x^2 - x is least at x = 0, the first-layer
+        # wall, whose crossing gain the local model does not give
+        net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]]), np.array([[2.0]])],
+                          [np.zeros(1), np.ones(1), np.zeros(1)])
+        out = solve_quadratic(net, QuadraticObjective(np.eye(1), -np.ones(1)), [3.0])
+        assert out.status == LOCAL_MINIMUM
+        assert out.x[0] == pytest.approx(0.0, abs=1e-12)
+        assert [r.phase for r in out.trace[-2:]] == ["flip", "certify"]
+
     def test_degenerate_vertex_returns_a_status(self):
         # censored LAD through the origin: all 60 first-layer walls meet at
         # theta = 0, in three dimensions
@@ -405,6 +433,75 @@ class TestQuadratic:
         out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
         assert out.status in {LOCAL_MINIMUM, STEP_LIMIT}
         assert out.f <= evaluate(net, np.zeros(3)) + 1e-12
+
+
+BENCH_BETA = np.array([3.0, -2.5, 2.0, -1.5, 1.2, -1.0, 0.8, -0.6, 0.5, -0.4])
+
+
+@pytest.fixture(scope="module")
+def bench_lasso_solves():
+    """The 18 LASSO solves (n=500, p=40) of the benchmark's seed 7, with their problems."""
+    solves = []
+    for k in range(18):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7, 3, k // 3])))
+        x = rng.standard_normal((500, 40))
+        data = RegressionData(x, x[:, :10] @ BENCH_BETA + rng.standard_normal(500))
+        lam = (0.3, 0.1, 0.03)[k % 3] * 2.0 * float(np.max(np.abs(x.T @ data.y)))
+        net, q, pairs = build_lasso(data, lam)
+        out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+        solves.append((net, q, pairs, out))
+    return solves
+
+
+def _certificate_residual_at(net, q, pairs, x):
+    """BVLS residual of the local model at x, with crossing gains read off the output weights."""
+    s = activation_pattern(net, x, pairs)
+    active = critical_indices(net, s, x, pairs)
+    normals = oriented_normals(net, s, active)
+    norms = np.linalg.norm(normals, axis=1)
+    w = net.weights[-1][0]
+    kappa = w[active] + w[pairs.partner[active]]
+    g = q.grad(x) + gradient(net, s)
+    return certificate_residual(g, normals / norms[:, None], kappa * norms), g, active
+
+
+class TestCertificate:
+    """Regular points are certified from the projection's multipliers, one flip per violated wall."""
+
+    def test_bench_lasso_steps(self, bench_lasso_solves):
+        outs = [out for *_, out in bench_lasso_solves]
+        assert all(out.status == LOCAL_MINIMUM for out in outs)
+        assert sum(out.steps for out in outs) <= 350
+        for out in outs:
+            phases = [r.phase for r in out.trace]
+            # each flip crosses a violated wall, and a line search follows it
+            assert all(b == "pivot" for a, b in zip(phases, phases[1:]) if a == "flip")
+
+    def test_every_certificate_passes_bvls(self, bench_lasso_solves):
+        for net, q, pairs, out in bench_lasso_solves:
+            assert out.trace[-1].phase == "certify"
+            resid, g, active = _certificate_residual_at(net, q, pairs, out.x)
+            assert active
+            assert resid <= 1e-9 * (1.0 + np.linalg.norm(g))
+
+    def test_violated_bound_is_crossed(self, bench_lasso_solves):
+        net, q, pairs, out = bench_lasso_solves[1]
+        _, g, active = _certificate_residual_at(net, q, pairs, out.x)
+        c = active[len(active) // 2]
+        j = int(np.flatnonzero(net.weights[0][c])[0])
+        lam = float(net.weights[0][c, j])
+        # the wall theta_j = 0 with g_j = 2.01 lam: the multiplier exceeds the
+        # crossing gain 2 lam, so moving theta_j below zero descends
+        lin = q.lin.copy()
+        lin[j] += 2.01 * lam - g[j]
+        nudged = QuadraticObjective(q.quad, lin)
+        resid, _, _ = _certificate_residual_at(net, nudged, pairs, out.x)
+        assert resid >= 0.005 * lam
+        again = solve_quadratic(net, nudged, out.x, SolverOptions(seed=0), pairs)
+        assert (again.trace[0].phase, again.trace[0].neuron) == ("flip", c)
+        assert again.status == LOCAL_MINIMUM
+        assert again.x[j] < 0.0
+        assert again.f < nudged.value(out.x) + evaluate(net, out.x)
 
 
 def _pivots(out):
@@ -425,6 +522,25 @@ class TestLongStep:
         assert len(pivots) == 1 and pivots[0].crossed == 99
         assert out.x[0] == pytest.approx(np.median(y), rel=1e-12)
         assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-12)
+
+    @pytest.mark.parametrize("solve", ["drlsimplex", "solve_quadratic"])
+    def test_line_search_arrays_are_built_once_per_solve(self, solve, monkeypatch):
+        calls = Counter()
+        gains, mask = drlp.primitives._crossing_gains, drlp.network.PairGroups.secondary_flat_mask
+        monkeypatch.setattr(drlp.primitives, "_crossing_gains",
+                            lambda *a: calls.update(["gains"]) or gains(*a))
+        monkeypatch.setattr(drlp.network.PairGroups, "secondary_flat_mask",
+                            lambda *a: calls.update(["mask"]) or mask(*a))
+        rng = np.random.Generator(np.random.Philox(16))
+        data = _lasso_data(rng, 60, 12)
+        if solve == "drlsimplex":
+            net, pairs = build_quantile_lasso(data, lam=1.0)
+            out = drlsimplex(net, np.zeros(net.input_dim), SolverOptions(seed=3), pairs)
+        else:
+            net, q, pairs = build_lasso(data, lam=20.0)
+            out = solve_quadratic(net, q, np.zeros(12), SolverOptions(seed=3), pairs)
+        assert out.status == LOCAL_MINIMUM and len(_pivots(out)) > 5
+        assert calls == {"gains": 1, "mask": 1}
 
     def test_quantile_matches_linprog(self):
         rng = np.random.Generator(np.random.Philox(13))
@@ -537,10 +653,20 @@ class TestFeasibleDirection:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_matches_nnls(self, kind):
+        regular = Counter()
         for g, normals, _ in _direction_cases(kind, 31, 300):
-            v, _, _ = drlp.solver._feasible_direction(g, normals)
-            want = cone_projection_nnls(g, _exact_walls(kind, normals))
+            v, _, _, mu, ok = drlp.solver._feasible_direction(g, normals)
+            walls = _exact_walls(kind, normals)
+            want = cone_projection_nnls(g, walls)
             assert np.max(np.abs(v - want)) <= 1e-10 * (1.0 + np.linalg.norm(g))
+            assert ok == (np.linalg.matrix_rank(walls) == len(walls))
+            if ok:
+                # Moreau: -g = v - N' mu over the unit normals, with mu >= 0
+                unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+                assert np.all(mu >= 0.0)
+                assert np.max(np.abs(unit.T @ mu - g - v)) <= 1e-10 * (1.0 + np.linalg.norm(g))
+            regular[ok] += 1
+        assert min(regular[True], regular[False]) > 40
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_follows_sign_flips(self, kind):
@@ -559,14 +685,14 @@ class TestFeasibleDirection:
                 keep = rng.uniform(size=len(walls)) < 0.9     # now and then a wall leaves
                 normals = signs[keep, None] * walls[keep]
                 g = normals.T @ rng.uniform(0.5, 1.0, len(normals)) + 1e-3 * rng.standard_normal(n)
-                v, _, _ = drlp.solver._feasible_direction(g, normals)
+                v = drlp.solver._feasible_direction(g, normals)[0]
                 want = cone_projection_nnls(g, _exact_walls(kind, normals))
                 assert np.max(np.abs(v - want)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
     def test_held_axis_coordinates_are_exactly_zero(self):
         held_any = 0
         for g, normals, hess in _direction_cases("axis", 32, 300):
-            v, d, held = drlp.solver._feasible_direction(g, normals, hess)
+            v, d, held, _, _ = drlp.solver._feasible_direction(g, normals, hess)
             coords = np.nonzero(normals[held])[1]
             assert np.all(v[coords] == 0.0) and np.all(d[coords] == 0.0)
             held_any += coords.size > 0
@@ -576,7 +702,7 @@ class TestFeasibleDirection:
     def test_newton_step_matches_dense_kkt(self, kind):
         newton = 0
         for g, normals, hess in _direction_cases(kind, 33, 300):
-            v, d, held = drlp.solver._feasible_direction(g, normals, hess)
+            v, d, held, _, _ = drlp.solver._feasible_direction(g, normals, hess)
             rows = normals[held]
             k, n = rows.shape
             kkt = np.block([[hess, rows.T], [rows, np.zeros((k, k))]])
