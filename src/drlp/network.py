@@ -13,6 +13,11 @@ laid end to end, which is also ``(layer, unit)`` lexicographic order.
 People and files name units by 1-based pairs ``(layer, unit)``;
 ``ReluNetwork.flat_index`` and ``ReluNetwork.neuron_at`` convert between
 the two at that boundary.
+
+An activation pattern ``s`` is a flat ``np.uint8`` vector indexed by flat
+unit (1 = passes its argument, 0 = clamped); layer ``l`` is
+``s[net.offsets[l-1]:net.offsets[l]]``.  Every pattern-fixed quantity is
+one masked sweep, forward (``_forward``) or backward (``_backward``).
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ class ReluNetwork:
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in biases]
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.size == 0:
+                raise ValueError(f"layer {k + 1}: weight shape {w.shape} is empty; no layer may have width 0")
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {k + 1}: weight/bias shapes {w.shape}/{b.shape} do not chain")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
@@ -86,63 +93,6 @@ class ReluNetwork:
 
     def __repr__(self):
         return f"ReluNetwork(widths={self.widths})"
-
-
-class ActivationPattern:
-    """0/1 state of every hidden unit: 1 = passes its argument, 0 = clamped.
-
-    The bits sit in one flat uint8 vector indexed by flat unit; offsets[l-1]
-    is the flat index of layer l's first unit.
-    """
-
-    __slots__ = ("widths", "offsets", "bits")
-
-    def __init__(self, widths, bits):
-        self.widths = tuple(int(w) for w in widths)
-        self.offsets = tuple(itertools.accumulate(self.widths, initial=0))
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        if bits.shape != (self.offsets[-1],):
-            raise ValueError("bit vector length does not match widths")
-        self.bits = bits
-
-    @classmethod
-    def from_layers(cls, layers):
-        widths = tuple(len(a) for a in layers)
-        return cls(widths, np.concatenate([np.asarray(a) for a in layers]))
-
-    def layer(self, l: int) -> np.ndarray:
-        """View of layer ``l`` (1-based) entries."""
-        return self.bits[self.offsets[l - 1]:self.offsets[l]]
-
-    def to_layers(self):
-        return [self.layer(l).tolist() for l in range(1, len(self.widths) + 1)]
-
-    def get(self, c: int) -> int:
-        return int(self.bits[c])
-
-    def copy(self):
-        # widths and offsets are never mutated, so copies share them
-        out = object.__new__(ActivationPattern)
-        out.widths, out.offsets, out.bits = self.widths, self.offsets, self.bits.copy()
-        return out
-
-    def key(self) -> bytes:
-        """Hashable fingerprint (used for region counting)."""
-        return self.bits.tobytes()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ActivationPattern)
-            and self.widths == other.widths
-            and np.array_equal(self.bits, other.bits)
-        )
-
-    def __hash__(self):
-        return hash((self.widths, self.key()))
-
-    def __repr__(self):
-        parts = ",".join("".join(str(int(b)) for b in self.layer(l)) for l in range(1, len(self.widths) + 1))
-        return f"ActivationPattern({parts})"
 
 
 class PairGroups:
@@ -192,9 +142,9 @@ class PairGroups:
             raise ValueError(f"pair {net.neuron_at(int(a))}/{net.neuron_at(int(b))}: "
                              "not two units of one layer with exactly negated rows")
 
-    def check_pattern(self, s: ActivationPattern):
+    def check_pattern(self, s: np.ndarray):
         """Paired bits must be complementary."""
-        equal = s.bits[self.first] == s.bits[self.second]
+        equal = s[self.first] == s[self.second]
         if equal.any():
             a, b = self.first[equal][0], self.second[equal][0]
             raise ValueError(f"paired units {a}/{b} (flat indices) have equal activation bits")
@@ -202,9 +152,7 @@ class PairGroups:
 
 def evaluate(net: ReluNetwork, x) -> float:
     """Network output at x."""
-    y = np.asarray(x, dtype=np.float64)
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        y = np.maximum(w @ y + b, 0.0)
+    y = np.maximum(relu_arguments(net, x)[net.offsets[-2]:], 0.0)
     return float((net.weights[-1] @ y + net.biases[-1])[0])
 
 
@@ -214,48 +162,64 @@ def relu_arguments(net: ReluNetwork, x) -> np.ndarray:
     out = np.empty(net.num_neurons)
     for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
         a = out[net.offsets[l - 1]:net.offsets[l]] = w @ y + b
-        y = np.maximum(a, 0.0)
+        if l < net.depth:       # the last ReLU layer's output is never read
+            y = np.maximum(a, 0.0)
     return out
 
 
-def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> ActivationPattern:
+def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> np.ndarray:
     """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped).
 
     An argument exactly on a paired wall would give both members bit 0;
     with pairs, such a pair gets the complementary convention instead
     (first member 1, second 0), so paired bits always differ.
     """
-    s = ActivationPattern(net.relu_widths, relu_arguments(net, x) > 0.0)
+    s = (relu_arguments(net, x) > 0.0).astype(np.uint8)
     if pairs is not None:
-        tied = s.bits[pairs.first] == s.bits[pairs.second]
-        s.bits[pairs.first[tied]] = 1
-        s.bits[pairs.second[tied]] = 0
+        tied = s[pairs.first] == s[pairs.second]
+        s[pairs.first[tied]] = 1
+        s[pairs.second[tied]] = 0
     return s
 
 
-def subjective_arguments(net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:
+def _forward(net: ReluNetwork, s: np.ndarray, x, bias: bool) -> np.ndarray:
+    """Argument of every unit with each ReLU replaced by its bit in s.
+
+    Without bias, entry c is the inner product of x with unit c's unoriented normal.
+    """
+    y = np.asarray(x, dtype=np.float64)
+    out = np.empty(net.num_neurons)
+    for l in range(net.depth):
+        a = net.weights[l] @ y
+        if bias:
+            a += net.biases[l]
+        out[net.offsets[l]:net.offsets[l + 1]] = a
+        if l + 1 < net.depth:
+            y = s[net.offsets[l]:net.offsets[l + 1]] * a
+    return out
+
+
+def _backward(net: ReluNetwork, s: np.ndarray, r, l: int) -> np.ndarray:
+    """Input-space coefficients of the linear form r on layer l's outputs (layer 0 = input) under s."""
+    for k in range(l, 0, -1):
+        r = (r * s[net.offsets[k - 1]:net.offsets[k]]) @ net.weights[k - 1]
+    return r
+
+
+def subjective_arguments(net: ReluNetwork, s: np.ndarray, x) -> np.ndarray:
     """Arguments when every ReLU is replaced by multiplication with its bit in s.
 
     One vector indexed by flat unit.
     """
-    y = np.asarray(x, dtype=np.float64)
-    out = np.empty(net.num_neurons)
-    for l in range(1, net.depth + 1):
-        a = out[net.offsets[l - 1]:net.offsets[l]] = net.weights[l - 1] @ y + net.biases[l - 1]
-        if l < net.depth:
-            y = s.layer(l) * a
-    return out
+    return _forward(net, s, x, bias=True)
 
 
-def gradient(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
+def gradient(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     """Gradient of the network on the region with activation pattern s."""
-    g = net.weights[-1][0]
-    for l in range(net.depth, 0, -1):
-        g = (g * s.layer(l)) @ net.weights[l - 1]
-    return g
+    return _backward(net, s, net.weights[-1][0], net.depth)
 
 
-def normal_matrices(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
+def normal_matrices(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     """Matrix whose row c is the (unoriented) argument normal of flat unit c.
 
     The row is the gradient of the unit's argument under pattern s; the
@@ -264,11 +228,12 @@ def normal_matrices(net: ReluNetwork, s: ActivationPattern) -> np.ndarray:
     out = np.empty((net.num_neurons, net.input_dim))
     g = out[:net.offsets[1]] = net.weights[0]
     for l in range(1, net.depth):
-        g = out[net.offsets[l]:net.offsets[l + 1]] = net.weights[l] @ (s.layer(l)[:, None] * g)
+        sl = s[net.offsets[l - 1]:net.offsets[l]]
+        g = out[net.offsets[l]:net.offsets[l + 1]] = net.weights[l] @ (sl[:, None] * g)
     return out
 
 
-def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarray:
+def oriented_normal(net: ReluNetwork, s: np.ndarray, c: int) -> np.ndarray:
     """Normal of unit c's hyperplane, oriented into the side where s holds.
 
     Moving from a point on the hyperplane with positive inner product
@@ -276,13 +241,11 @@ def oriented_normal(net: ReluNetwork, s: ActivationPattern, c: int) -> np.ndarra
     activation consistent with s.
     """
     l, j = net.neuron_at(c)
-    r = net.weights[l - 1][j - 1]
-    for k in range(l - 1, 0, -1):
-        r = (r * s.layer(k)) @ net.weights[k - 1]
-    return r if s.get(c) == 1 else -r
+    r = _backward(net, s, net.weights[l - 1][j - 1], l - 1)
+    return r if s[c] == 1 else -r
 
 
-def oriented_normals(net: ReluNetwork, s: ActivationPattern, units) -> np.ndarray:
+def oriented_normals(net: ReluNetwork, s: np.ndarray, units) -> np.ndarray:
     """Matrix whose row i is oriented_normal(net, s, units[i]), bit for bit.
 
     First-layer rows are one signed gather of weight rows; deeper units go
@@ -293,30 +256,19 @@ def oriented_normals(net: ReluNetwork, s: ActivationPattern, units) -> np.ndarra
     out = np.empty((units.size, net.input_dim))
     first = units < net.offsets[1]
     rows = net.weights[0][units[first]]
-    out[first] = np.where(s.bits[units[first], None] == 1, rows, -rows)
+    out[first] = np.where(s[units[first], None] == 1, rows, -rows)
     for i in np.nonzero(~first)[0]:
         out[i] = oriented_normal(net, s, int(units[i]))
     return out
 
 
-def inner_products_all(net: ReluNetwork, s: ActivationPattern, w) -> np.ndarray:
-    """Inner products of w with every unit's oriented normal, one pass.
-
-    Cost is one bias-free forward sweep; returns one vector indexed by
-    flat unit.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    u = net.weights[0] @ w
-    out = np.empty(net.num_neurons)
-    for l in range(1, net.depth + 1):
-        sl = s.layer(l)
-        out[net.offsets[l - 1]:net.offsets[l]] = np.where(sl, u, -u)
-        if l < net.depth:
-            u = net.weights[l] @ (sl * u)
-    return out
+def inner_products_all(net: ReluNetwork, s: np.ndarray, w) -> np.ndarray:
+    """Inner products of w with every unit's oriented normal, one vector indexed by flat unit."""
+    u = _forward(net, s, w, bias=False)
+    return np.where(s, u, -u)
 
 
-def critical_indices(net: ReluNetwork, s: ActivationPattern, x, pairs: PairGroups | None = None):
+def critical_indices(net: ReluNetwork, s: np.ndarray, x, pairs: PairGroups | None = None):
     """Units whose argument vanishes at x and whose normal is nonzero.
 
     The zero test is relative: |argument| <= ZERO_TOL * (1 + |normal|).
@@ -333,7 +285,7 @@ def critical_indices(net: ReluNetwork, s: ActivationPattern, x, pairs: PairGroup
     return np.nonzero(hit)[0].tolist()
 
 
-def flip(s: ActivationPattern, units, pairs: PairGroups | None = None) -> ActivationPattern:
+def flip(s: np.ndarray, units, pairs: PairGroups | None = None) -> np.ndarray:
     """Copy of s with the bits of units toggled, and their partners' if paired.
 
     units is one flat index or an array of distinct ones, no two of which
@@ -343,8 +295,8 @@ def flip(s: ActivationPattern, units, pairs: PairGroups | None = None) -> Activa
     if pairs is not None:
         partners = pairs.partner[units[units < pairs.partner.size]]
         units = np.concatenate([units, partners[partners >= 0]])
-    out = s.copy()
-    out.bits[units] ^= 1
+    out = np.array(s, dtype=np.uint8)
+    out[units] ^= 1
     return out
 
 
@@ -393,14 +345,22 @@ def load_model(path):
     """Read a model JSON file; returns (network, pairs or None)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file {path}: expected a JSON object, got {type(doc).__name__}")
     try:
         net = ReluNetwork(doc["weights"], doc["biases"])
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc}") from exc
-    if "widths" in doc and tuple(doc["widths"]) != net.widths:
+    except TypeError as exc:
+        raise ValueError(f"model file {path}: weights and biases must be lists of numbers; {exc}") from exc
+    if "widths" in doc and doc["widths"] != list(net.widths):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
     pairs = None
     if doc.get("pairs"):
-        pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])
+        try:
+            pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] "
+                             f"lists of distinct hidden units; {exc}") from exc
         pairs.validate(net)
     return net, pairs

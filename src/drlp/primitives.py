@@ -20,7 +20,6 @@ import numpy as np
 
 from .network import (
     ZERO_TOL,
-    ActivationPattern,
     PairGroups,
     ReluNetwork,
     inner_products_all,
@@ -61,9 +60,6 @@ class PseudoInverse:
     def m(self) -> int:
         return self.matrix.shape[0]
 
-    def copy(self) -> "PseudoInverse":
-        return PseudoInverse(self.matrix.copy(), list(self.owners))
-
 
 @dataclass
 class AdvanceResult:
@@ -84,7 +80,7 @@ class AdvanceResult:
         return self.neuron is not None
 
 
-def project(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, v) -> np.ndarray:
+def project(pinv: PseudoInverse, net: ReluNetwork, s: np.ndarray, v) -> np.ndarray:
     """Component of v inside the span of the tracked oriented normals."""
     v = np.asarray(v, dtype=np.float64)
     if pinv.m == 0:
@@ -108,7 +104,7 @@ def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
 def add_axis(
     pinv: PseudoInverse,
     net: ReluNetwork,
-    s: ActivationPattern,
+    s: np.ndarray,
     c: int,
 ) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal u as a new column.
@@ -129,7 +125,7 @@ def add_axis(
     return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
 
 
-def dense_pseudoinverse(net: ReluNetwork, s: ActivationPattern, owners) -> PseudoInverse:
+def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInverse:
     """Pseudoinverse for owners built from scratch by an O(n^3) dense solve.
 
     Raises Degenerate when the owners' normals are (numerically) dependent,
@@ -148,7 +144,7 @@ def update_axis_new_region(
     pinv: PseudoInverse,
     i: int,
     net: ReluNetwork,
-    s: ActivationPattern,
+    s: np.ndarray,
     c: int,
 ) -> PseudoInverse:
     """Recompute row i after the activation bit of its owner c changed.
@@ -199,7 +195,7 @@ def advance_max(
     net: ReluNetwork,
     x,
     v,
-    s: ActivationPattern,
+    s: np.ndarray,
     ignore=(),
     pairs: PairGroups | None = None,
     slope: float | None = None,
@@ -241,7 +237,7 @@ def advance_max(
         return AdvanceResult(float("inf"), None)
     arg = subjective_arguments(net, s, x)[flat]
     rate = rate[flat]
-    ts = -np.where(s.bits[flat] == 1, arg, -arg) / rate
+    ts = -np.where(s[flat] == 1, arg, -arg) / rate
     # flat ascends, so a stable sort on t orders candidates by (t, flat index)
     order = np.argsort(ts, kind="stable")
     ts, flat, rate = ts[order], flat[order], rate[order]
@@ -260,6 +256,6 @@ def advance_max(
     return AdvanceResult(float(ts[k]), int(flat[k]), flat[:first])
 
 
-def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: ActivationPattern, x) -> np.ndarray:
+def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: np.ndarray, x) -> np.ndarray:
     """Arguments of the owner units at x (zero when x sits on every tracked wall)."""
     return subjective_arguments(net, s, x)[pinv.owners]

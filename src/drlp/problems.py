@@ -67,6 +67,8 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     topology = [int(w) for w in topology]
     if len(topology) < 3 or topology[-1] != 1:
         raise ValueError("topology must be (input, hidden..., 1)")
+    if not -np.inf < low <= high < np.inf:      # also false for nan
+        raise ValueError(f"low and high must be finite with low <= high, got {low}, {high}")
     rng = np.random.Generator(np.random.Philox(seed))
     weights, biases = [], []
     for fan_in, fan_out in zip(topology[:-1], topology[1:]):

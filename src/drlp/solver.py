@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (
-    ActivationPattern,
     PairGroups,
     ReluNetwork,
     activation_pattern,
@@ -101,7 +100,7 @@ class SolveOutcome:
 class SolverState:
     net: ReluNetwork
     x: np.ndarray
-    s: ActivationPattern
+    s: np.ndarray
     pinv: PseudoInverse
     options: SolverOptions
     pairs: PairGroups | None = None
@@ -207,7 +206,7 @@ def position_correction(state: SolverState) -> float:
     if state.pinv.m == 0:
         return 0.0
     r = argument_residuals(state.pinv, state.net, state.s, state.x)
-    signs = np.where(state.s.bits[state.pinv.owners] == 1, 1.0, -1.0)
+    signs = np.where(state.s[state.pinv.owners] == 1, 1.0, -1.0)
     delta = state.pinv.matrix.T @ (-signs * r)
     state.x = state.x + delta
     if np.linalg.norm(delta) > 1e-13 * (1.0 + np.linalg.norm(state.x)):
@@ -379,7 +378,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             state.steps += 1
 
 
-def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInverse,
+def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
                      pairs: PairGroups | None = None):
     """Directional derivatives along all 2m feasible axes at a pinned point.
 
@@ -389,25 +388,23 @@ def axis_derivatives(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInve
     Returns a list of (owner, bit, value, grad_norm) and mutates nothing;
     grad_norm is the gradient scale the value should be judged against.
     """
-    s = s.copy()
-    pinv = pinv.copy()
     entries = []
     grad = gradient(net, s)
     gnorm = float(np.linalg.norm(grad))
     for k, c in enumerate(pinv.owners):
         val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
-        entries.append((c, s.get(c), val, gnorm))
+        entries.append((c, int(s[c]), val, gnorm))
     for k, c in enumerate(list(pinv.owners)):
         s = flip(s, c, pairs)
         pinv = update_axis_new_region(pinv, k, net, s, c)
         grad = gradient(net, s)
         gnorm = float(np.linalg.norm(grad))
         val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
-        entries.append((c, s.get(c), val, gnorm))
+        entries.append((c, int(s[c]), val, gnorm))
     return entries
 
 
-def certify_local_min(net: ReluNetwork, x, s: ActivationPattern, pinv: PseudoInverse,
+def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
                       pairs: PairGroups | None = None) -> bool:
     """True when no feasible axis at x has a negative directional derivative.
 

@@ -12,7 +12,6 @@ import numpy as np
 
 from drlp import (
     ZERO_TOL,
-    ActivationPattern,
     ReluNetwork,
     critical_indices,
     evaluate,
@@ -22,22 +21,8 @@ from drlp import (
 )
 
 
-class HyperplanePattern:
-    """Sign in {-1, 0, +1} of every hidden unit's argument, one flat int8 vector."""
-
-    def __init__(self, widths, bits):
-        self.widths = tuple(int(w) for w in widths)
-        self.bits = np.asarray(bits, dtype=np.int8)
-
-    def get(self, c: int) -> int:
-        return int(self.bits[c])
-
-    def to_layers(self):
-        return [part.tolist() for part in np.split(self.bits, np.cumsum(self.widths)[:-1])]
-
-
 def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):
-    """Sign pattern of the arguments at x.
+    """Sign in {-1, 0, +1} of every hidden unit's argument at x, one flat int8 vector.
 
     An argument counts as zero when its magnitude is at most
     ``zero_tol * (1 + max|x|)``.
@@ -47,7 +32,7 @@ def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):
     a = relu_arguments(net, x)
     h = np.sign(a).astype(np.int8)
     h[np.abs(a) <= scale] = 0
-    return HyperplanePattern(net.relu_widths, h)
+    return h
 
 
 def is_compatible(h, s):
@@ -56,17 +41,37 @@ def is_compatible(h, s):
     Units with nonzero sign must keep the matching bit; units sitting on
     their hyperplane (sign 0) may take either bit.
     """
-    if h.widths != s.widths:
+    if h.shape != s.shape:
         raise ValueError("patterns describe different networks")
-    return bool(np.all(h.bits.astype(np.float64) * (s.bits.astype(np.float64) - 0.5) >= 0.0))
+    return bool(np.all(h.astype(np.float64) * (s.astype(np.float64) - 0.5) >= 0.0))
 
 
 def subjective_value(net, s, x):
     """Output when every ReLU is replaced by multiplication with its bit in s."""
     y = np.asarray(x, dtype=np.float64)
     for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
-        y = s.layer(l) * (w @ y + b)
+        y = s[net.offsets[l - 1]:net.offsets[l]] * (w @ y + b)
     return float((net.weights[-1] @ y + net.biases[-1])[0])
+
+
+def dense_sweeps(net, s, x):
+    """(arguments at x, unoriented normals, gradient) under pattern s, from explicit products.
+
+    Layer l's arguments are the affine map A_l x + c_l with A_1 = W_1,
+    c_1 = b_1, A_l = W_l diag(s_(l-1)) A_(l-1) and
+    c_l = W_l diag(s_(l-1)) c_(l-1) + b_l; the rows of A_l are layer l's
+    normals and the output layer's single row is the gradient.
+    """
+    a, c = np.eye(net.input_dim), np.zeros(net.input_dim)
+    args, normals = [], []
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if l:
+            d = np.diag(s[net.offsets[l - 1]:net.offsets[l]].astype(np.float64))
+            a, c = d @ a, d @ c
+        a, c = w @ a, w @ c + b
+        args.append(a @ x + c)
+        normals.append(a)
+    return np.concatenate(args[:-1]), np.vstack(normals[:-1]), normals[-1][0]
 
 
 def critical_kernel_dim(net, s, x):
@@ -91,16 +96,16 @@ def enumerate_compatible(net, x, zero_tol=ZERO_TOL, cap=65536):
     2**(#zero arguments) patterns; raises ValueError beyond cap.
     """
     h = hyperplane_pattern(net, x, zero_tol)
-    zeros = np.nonzero(h.bits == 0)[0]
+    zeros = np.nonzero(h == 0)[0]
     if len(zeros) > np.log2(cap):
         raise ValueError(f"2**{len(zeros)} compatible patterns exceed cap {cap}")
-    base = (h.bits > 0).astype(np.uint8)
+    base = (h > 0).astype(np.uint8)
     out = []
     for mask in range(1 << len(zeros)):
         bits = base.copy()
         for k, flat in enumerate(zeros):
             bits[flat] = (mask >> k) & 1
-        out.append(ActivationPattern(h.widths, bits))
+        out.append(bits)
     return out
 
 
@@ -138,7 +143,7 @@ def fd_oriented_normal(net, s, c, x):
         up = subjective_arguments(net, s, x + e)[c]
         dn = subjective_arguments(net, s, x - e)[c]
         v[i] = up - dn
-    return v if s.get(c) == 1 else -v
+    return v if s[c] == 1 else -v
 
 
 def normals_matrix(net, s, owners):
@@ -175,7 +180,7 @@ def brute_advance(net, x, v, s, ignore=(), pairs=None, zero_tol=ZERO_TOL):
         beta = a1[c] - alpha
         if abs(beta) <= zero_tol:
             continue
-        bit = s.get(c)
+        bit = s[c]
         if (bit == 1 and beta < 0.0) or (bit == 0 and beta > 0.0):
             cands.append((-alpha / beta, c))
     if not cands:

@@ -8,11 +8,13 @@ and again with PYTHONPATH pointing at another checkout's ``src``.  Equal
 lines mean equal outcomes bit for bit: each digest hashes every solve's
 status, steps, the bytes of x and f, and every trace record (for
 ``check_axes``, every axis derivative and the certificate; for
-``regions``, every sampled count and bound).  Wall times are left out.
+``regions``, every sampled count and bound; for ``sweeps``, the output
+bytes of every network sweep).  Wall times are left out.
 The script uses only API that has been stable across releases
 (builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
 max_steps)``, the ``check`` routines called with ``pairs`` by keyword,
-and the region bounds and sampler), so one copy serves both trees.  Name
+the region bounds and sampler, and the network sweeps called on patterns
+from ``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
 is all of them, and an unknown name exits 1.
 
@@ -155,6 +157,24 @@ def regions():
         yield repr((topo, drlp.montufar_bound(topo), drlp.improved_bound(topo)))
 
 
+def sweeps():
+    """Output bytes of every network sweep, at a point's pattern and at flips of it."""
+    for depth in (1, 2, 3):
+        for seed in range(8):
+            rng = philox(9, depth, seed)
+            topo = [int(rng.integers(1, 7))] + [int(rng.integers(1, 13)) for _ in range(depth)] + [1]
+            net = drlp.build_random(topo, seed=seed)
+            x, w = rng.standard_normal((2, topo[0]))
+            yield (drlp.relu_arguments(net, x).tobytes() + np.float64(drlp.evaluate(net, x)).tobytes()).hex()
+            s = drlp.activation_pattern(net, x)
+            units = rng.permutation(net.num_neurons)
+            for t in (s, drlp.flip(s, int(units[0])), drlp.flip(s, units[:(net.num_neurons + 1) // 2])):
+                yield b"".join(a.tobytes() for a in (
+                    drlp.subjective_arguments(net, t, x), drlp.inner_products_all(net, t, w),
+                    drlp.gradient(net, t), drlp.oriented_normals(net, t, units),
+                    drlp.normal_matrices(net, t))).hex()
+
+
 def _solved_random_nets():
     for seed in range(8):
         net = drlp.build_random((3, 6, 6, 1), seed=100 + seed)
@@ -171,6 +191,7 @@ FAMILIES = {
     "random_quadratic": random_quadratic,
     "check_axes": check_axes,
     "regions": regions,
+    "sweeps": sweeps,
 }
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from drlp import (
     LOCAL_MINIMUM,
     UNBOUNDED,
-    ActivationPattern,
     LpInstance,
     PseudoInverse,
     ReluNetwork,
@@ -68,7 +67,7 @@ def _hinge_gap():
 def test_ac01_axis_updates_at_shared_vertex():
     t0 = time.perf_counter()
     net = _hinge_gap()
-    s = ActivationPattern.from_layers([[1, 1], [1]])
+    s = np.ones(3, dtype=np.uint8)
     pinv = PseudoInverse.empty(2)
     pinv = add_axis(pinv, net, s, 1)
     pinv = add_axis(pinv, net, s, 2)
@@ -101,8 +100,8 @@ def test_ac02_critical_sets_on_shared_hyperplane():
         [np.zeros(2), np.zeros(1), np.zeros(1)],
     )
     x = np.array([0.0])
-    got_a = critical_indices(shared, ActivationPattern.from_layers([[0, 1], [1]]), x)
-    got_b = critical_indices(mirrored, ActivationPattern.from_layers([[0, 0], [1]]), x)
+    got_a = critical_indices(shared, np.array([0, 1, 1], dtype=np.uint8), x)
+    got_b = critical_indices(mirrored, np.array([0, 0, 1], dtype=np.uint8), x)
     ok = got_a == [0, 1, 2] and got_b == [0, 1]
     elapsed = time.perf_counter() - t0
     _report(
@@ -131,7 +130,7 @@ def test_ac03_pattern_fixed_quantities_match_network():
             nv2 = float(v @ v)
             if nv2 > 1e-18:
                 arg = subjective_arguments(net, s, x)[c]
-                x = x - arg / nv2 * (v if s.get(c) == 1 else -v)
+                x = x - arg / nv2 * (v if s[c] == 1 else -v)
             pts.append(x)
         for x in pts:
             h = hyperplane_pattern(net, x)

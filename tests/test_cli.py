@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,21 @@ class TestRandomNet:
         _run(capsys, ["random-net", "--topology", "3,4,1", "--seed", "9", "--out", str(a)])
         _run(capsys, ["random-net", "--topology", "3,4,1", "--seed", "9", "--out", str(b)])
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("bounds", [["--low", "nan"], ["--high", "inf"], ["--low=-inf"],
+                                        ["--low", "1", "--high", "0"]])
+    def test_bad_bounds_exit_one(self, capsys, tmp_path, bounds):
+        out = tmp_path / "net.json"
+        code, stdout, stderr = _run(capsys, ["random-net", "--topology", "2,3,1", "--out", str(out)]
+                                    + bounds)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert "error: low and high must be finite with low <= high" in stderr
+
+    def test_width_zero_exit_one(self, capsys, tmp_path):
+        out = tmp_path / "net.json"
+        code, stdout, stderr = _run(capsys, ["random-net", "--topology", "3,0,1", "--out", str(out)])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert "error: layer 1: weight shape (0, 3) is empty" in stderr
 
 
 class TestSolve:
@@ -443,12 +459,17 @@ class TestCheck:
         assert "--x must be finite" in stderr
 
 
+def _run_module(*argv):
+    """Run ``python -m`` on the drlp tree under test, whether or not PYTHONPATH names it."""
+    src = str(Path(drlp.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "drlp.cli", "bounds", "--topology", "1,2"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("drlp.cli", "bounds", "--topology", "1,2")
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"montufar": 3, "improved": 3}
 
@@ -459,9 +480,6 @@ class TestEntryPoint:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             assert tomllib.load(fh)["project"]["scripts"]["drlp"] == "drlp.cli:main"
-        proc = subprocess.run(
-            [sys.executable, "-m", "drlp", "bounds", "--topology", "2,3,3"],
-            capture_output=True, text=True,
-        )
+        proc = _run_module("drlp", "bounds", "--topology", "2,3,3")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["improved"] == 40

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
-    ActivationPattern,
     PairGroups,
     ReluNetwork,
     activation_bits_batch,
@@ -17,6 +16,7 @@ from drlp import (
     gradient,
     inner_products_all,
     load_model,
+    normal_matrices,
     oriented_normal,
     oriented_normals,
     relu_arguments,
@@ -25,6 +25,7 @@ from drlp import (
 )
 from helpers import (
     critical_kernel_dim,
+    dense_sweeps,
     enumerate_compatible,
     fd_gradient,
     fd_oriented_normal,
@@ -57,6 +58,13 @@ class TestConstruction:
             ReluNetwork([np.ones((2, 3)), np.ones((1, 5))], [np.zeros(2), np.zeros(1)])
         with pytest.raises(ValueError):
             ReluNetwork([np.ones((2, 3)), np.ones((2, 2))], [np.zeros(2), np.zeros(2)])
+        for topo, msg in (((3, 0, 1), r"layer 1: weight shape \(0, 3\)"),
+                          ((3, 2, 0, 1), r"layer 2: weight shape \(0, 2\)"),
+                          ((0, 2, 1), r"layer 1: weight shape \(2, 0\)")):
+            with pytest.raises(ValueError, match=msg + " is empty; no layer may have width 0"):
+                build_random(topo)
+        with pytest.raises(ValueError, match=r"layer 1: weight shape \(0,\) is empty"):
+            ReluNetwork([[], [[]]], [[], [0.0]])           # what a JSON model file holds
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -100,20 +108,20 @@ class TestEvaluation:
 class TestPatterns:
     def test_frozen_patterns(self, net_fold_sum):
         h = hyperplane_pattern(net_fold_sum, [1.0, 1.0])
-        assert h.to_layers() == [[0, 1], [1]]
+        assert h.tolist() == [0, 1, 1]
         s = activation_pattern(net_fold_sum, [1.0, 1.0])
-        assert s.to_layers() == [[0, 1], [1]]
+        assert s.dtype == np.uint8 and s.tolist() == [0, 1, 1]
 
     def test_zero_tolerance_scales_with_point(self, net_fold_sum):
         # argument x1 - x2 = 5e-10 is inside the zero band
         h = hyperplane_pattern(net_fold_sum, [1.0 + 5e-10, 1.0])
-        assert h.get(0) == 0
+        assert h[0] == 0
         h = hyperplane_pattern(net_fold_sum, [1.0 + 5e-6, 1.0])
-        assert h.get(0) == 1
+        assert h[0] == 1
 
     def test_compatibility_rules(self, net_split_line):
         h = hyperplane_pattern(net_split_line, [0.0])
-        assert h.to_layers() == [[0, 0], [0]]
+        assert h.tolist() == [0, 0, 0]
         for bits in range(8):
             s = activation_pattern(net_split_line, [0.0])
             for k, c in enumerate([0, 1, 2]):
@@ -133,32 +141,21 @@ class TestPatterns:
             s = activation_pattern(net, x)
             assert is_compatible(h, s)
 
-    def test_pattern_key_and_equality(self, net_fold_sum):
-        s = activation_pattern(net_fold_sum, [1.0, 2.0])
-        t = s.copy()
-        assert s == t and hash(s) == hash(t)
-        t = flip(t, 2)
-        assert s != t and s.key() != t.key()
-
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6), min_size=1, max_size=4),
            st.data())
     def test_pattern_layers_copy_and_flips(self, layers, data):
-        s = ActivationPattern.from_layers(layers)
-        assert s.to_layers() == layers
-        assert s.widths == tuple(len(a) for a in layers)
-        assert [s.layer(l).tolist() for l in range(1, len(layers) + 1)] == layers
-        n = s.bits.size
-        c = data.draw(st.integers(0, n - 1))
+        s = np.concatenate(layers).astype(np.uint8)
+        bits = s.tolist()
+        c = data.draw(st.integers(0, s.size - 1))
         t = flip(s, c)
-        assert s.to_layers() == layers          # the copy owns its bits
-        assert t != s and t.get(c) == 1 - s.get(c)
-        t = flip(t, c)
-        assert t == s and hash(t) == hash(s)
-        units = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        assert s.tolist() == bits               # the copy owns its bits
+        assert t.dtype == np.uint8 and t[c] == 1 - s[c]
+        assert np.array_equal(flip(t, c), s)
+        units = data.draw(st.lists(st.integers(0, s.size - 1), unique=True))
         once = flip(s, np.array(units, dtype=np.intp))
-        assert s.to_layers() == layers
-        assert flip(once, np.array(units, dtype=np.intp)) == s
+        assert s.tolist() == bits
+        assert np.array_equal(flip(once, np.array(units, dtype=np.intp)), s)
 
     def test_batch_bits_match_scalar(self):
         # the second net is three layers deep with more than 64 units
@@ -169,7 +166,7 @@ class TestPatterns:
             bits = activation_bits_batch(net, pts)
             assert bits.dtype == np.uint8 and bits.shape == (200, net.num_neurons)
             for row, x in zip(bits, pts):
-                assert np.array_equal(row, activation_pattern(net, x).bits)
+                assert np.array_equal(row, activation_pattern(net, x))
             assert activation_bits_batch(net, pts[:0]).shape == (0, net.num_neurons)
 
 
@@ -233,7 +230,25 @@ class TestSubjective:
                 assert got.shape == (len(units), net.input_dim)
                 for row, c in zip(got, units):
                     assert row.tobytes() == oriented_normal(net, s, int(c)).tobytes()
-        assert set(s.bits.tolist()) == {0, 1}
+        assert set(s.tolist()) == {0, 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.integers(0, 2**32 - 1), st.data())
+    def test_sweeps_match_dense_products(self, widths, seed, data):
+        # any bit vector, not only the pattern of a point: flips and probes use such patterns
+        net = build_random(widths + [1], seed=seed)
+        s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=net.num_neurons,
+                                        max_size=net.num_neurons)), dtype=np.uint8)
+        x, w = np.random.Generator(np.random.Philox(seed)).uniform(-3.0, 3.0, (2, widths[0]))
+        args, normals, grad = dense_sweeps(net, s, x)
+        oriented = np.where(s[:, None] == 1, normals, -normals)
+        assert_allclose(subjective_arguments(net, s, x), args, rtol=0, atol=1e-10)
+        assert_allclose(inner_products_all(net, s, w), oriented @ w, rtol=0, atol=1e-10)
+        assert_allclose(gradient(net, s), grad, rtol=0, atol=1e-10)
+        assert_allclose(normal_matrices(net, s), normals, rtol=0, atol=1e-10)
+        assert_allclose(oriented_normals(net, s, np.arange(net.num_neurons)), oriented, rtol=0, atol=1e-10)
+        for c in range(net.num_neurons):
+            assert_allclose(oriented_normal(net, s, c), oriented[c], rtol=0, atol=1e-10)
 
     def test_inner_products_cover_every_unit(self):
         rng = np.random.Generator(np.random.Philox(41))
@@ -252,15 +267,15 @@ class TestSubjective:
 class TestCritical:
     def test_shared_line_all_units_critical(self, net_split_line):
         s = activation_pattern(net_split_line, [0.0])
-        s = flip(flip(s, 1), 2)  # bits ((0,1),(1))
-        assert s.to_layers() == [[0, 1], [1]]
+        s = flip(flip(s, 1), 2)
+        assert s.tolist() == [0, 1, 1]
         crit = critical_indices(net_split_line, s, np.array([0.0]))
         assert crit == [0, 1, 2]
 
     def test_mirrored_line_drops_flat_unit(self, net_split_line_mirrored):
         net = net_split_line_mirrored
         s = flip(activation_pattern(net, [0.0]), 2)
-        assert s.to_layers() == [[0, 0], [1]]
+        assert s.tolist() == [0, 0, 1]
         crit = critical_indices(net, s, np.array([0.0]))
         assert crit == [0, 1]
 
@@ -284,7 +299,7 @@ class TestCritical:
         x = np.array([2.0, 0.5])
         pats = enumerate_compatible(net_fold_sum, x)
         assert len(pats) == 1
-        assert pats[0] == activation_pattern(net_fold_sum, x)
+        assert np.array_equal(pats[0], activation_pattern(net_fold_sum, x))
 
 
 class TestPairsAndFlip:
@@ -305,28 +320,28 @@ class TestPairsAndFlip:
         net = self._paired_net()
         pairs = PairGroups([(0, 1)])
         s = activation_pattern(net, [1.0, 1.0])
-        assert (s.get(0), s.get(1)) == (1, 0)
+        assert (s[0], s[1]) == (1, 0)
         t = flip(s, 0, pairs=pairs)
-        assert (t.get(0), t.get(1)) == (0, 1)
-        assert t.get(2) == s.get(2)
+        assert (t[0], t[1]) == (0, 1)
+        assert t[2] == s[2]
         back = flip(t, 1, pairs=pairs)
-        assert back == s
+        assert np.array_equal(back, s)
 
     def test_flip_without_pairs_is_involution(self, net_fold_sum):
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
         c = 0
-        assert flip(flip(s, c), c) == s
+        assert np.array_equal(flip(flip(s, c), c), s)
 
     def test_pattern_on_paired_wall_keeps_bits_complementary(self):
         net = self._paired_net()
         pairs = PairGroups([(0, 1)])
         x = np.array([-3.0, 0.0])      # on the pair's wall, off unit 2's
-        assert activation_pattern(net, x).to_layers() == [[0, 0, 0]]
+        assert activation_pattern(net, x).tolist() == [0, 0, 0]
         s = activation_pattern(net, x, pairs)
-        assert s.to_layers() == [[1, 0, 0]]
+        assert s.tolist() == [1, 0, 0]
         pairs.check_pattern(s)
         off_wall = activation_pattern(net, [1.0, 1.0])
-        assert activation_pattern(net, [1.0, 1.0], pairs) == off_wall
+        assert np.array_equal(activation_pattern(net, [1.0, 1.0], pairs), off_wall)
 
     def test_critical_indices_drop_second_members(self):
         net = self._paired_net()
@@ -340,7 +355,7 @@ class TestPairsAndFlip:
         net = self._paired_net()
         pairs = PairGroups([(0, 1)])
         s = activation_pattern(net, [1.0, 1.0], pairs)
-        assert s.to_layers() == [[1, 0, 1]]
+        assert s.tolist() == [1, 0, 1]
         got = oriented_normals(net, s, [2, 1, 0])
         assert got.tobytes() == np.stack([oriented_normal(net, s, c) for c in (2, 1, 0)]).tobytes()
         assert got[1].tobytes() == got[2].tobytes()     # one wall, both members face one side
@@ -397,6 +412,10 @@ class TestModelIO:
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{\"widths\": [2, 1]}")
-        with pytest.raises(ValueError):
-            load_model(path)
+        net = '"weights": [[[1.0]], [[1.0]]], "biases": [[0.0], [0.0]]'
+        for doc in ('{"widths": [2, 1]}', '[1, 2]', '{"weights": 5, "biases": 5}',
+                    '{%s, "widths": 5}' % net, '{%s, "pairs": 5}' % net,
+                    '{%s, "pairs": [[1, 2]]}' % net, '{%s, "pairs": [[[1, 1], null]]}' % net):
+            path.write_text(doc)
+            with pytest.raises(ValueError, match="model file .*bad.json"):
+                load_model(path)

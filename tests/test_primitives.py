@@ -37,7 +37,7 @@ def _all_ones_pattern(net):
     s = activation_pattern(net, np.full(net.input_dim, 1e6))
     # a huge positive point may still miss some units; force every bit on
     for c in range(net.num_neurons):
-        if s.get(c) == 0:
+        if s[c] == 0:
             s = flip(s, c)
     return s
 
@@ -150,9 +150,7 @@ class TestUpdateAxis:
     def test_multilayer_downstream_columns_stay_biorthogonal(self, net_hinge_gap):
         # s carries unit (1,2) active even though its argument is 0 at (1, 0)
         net = net_hinge_gap
-        from drlp import ActivationPattern
-
-        s = ActivationPattern.from_layers([[1, 1], [1]])
+        s = np.ones(3, dtype=np.uint8)
         pinv = _build_incremental(net, s, [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
         s2 = flip(s, 1)
@@ -261,9 +259,7 @@ class TestAdvance:
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
     def test_residuals_vanish_on_walls(self, net_hinge_gap):
-        from drlp import ActivationPattern
-
-        s = ActivationPattern.from_layers([[1, 1], [1]])
+        s = np.ones(3, dtype=np.uint8)
         pinv = _build_incremental(net_hinge_gap, s, [1, 2])
         r = argument_residuals(pinv, net_hinge_gap, s, np.array([1.0, 0.0]))
         assert_allclose(r, 0.0, atol=1e-14)

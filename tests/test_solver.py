@@ -11,7 +11,6 @@ from drlp import (
     LOCAL_MINIMUM,
     STEP_LIMIT,
     UNBOUNDED,
-    ActivationPattern,
     LpInstance,
     PseudoInverse,
     QuadraticObjective,
@@ -65,7 +64,7 @@ def _lasso_data(rng, n, p):
 
 def _vertex_state(net, s_layers, owners):
     """Hand-built solver state pinned at the walls of the given owners."""
-    s = ActivationPattern.from_layers(s_layers)
+    s = np.concatenate(s_layers).astype(np.uint8)
     pinv = PseudoInverse.empty(net.input_dim)
     for c in owners:
         pinv = add_axis(pinv, net, s, c)
