@@ -53,12 +53,20 @@ from .solver import (
 EXIT_CODES = {LOCAL_MINIMUM: 0, UNBOUNDED: 2, NON_REGULAR: 3, STEP_LIMIT: 4}
 
 
-def _parse_floats(text):
-    return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+def _parse_floats(text, flag):
+    """Comma separated numbers given to flag; a bad entry names the flag."""
+    try:
+        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
-def _parse_ints(text):
-    return [int(v) for v in text.split(",")]
+def _parse_ints(text, flag):
+    """Comma separated integers given to flag; a bad entry names the flag."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _trace_writer(fh, net, start_index=None):
@@ -92,11 +100,9 @@ def _jittered(net, rng, pairs):
     """net with 1e-8 relative bias noise; second pair members keep mirroring their first."""
     biases = [b + 1e-8 * (1.0 + np.max(np.abs(b))) * rng.standard_normal(b.shape)
               for b in net.biases]
-    if pairs is not None:
-        hidden = np.concatenate(biases[:-1])
-        hidden[pairs.second] = -hidden[pairs.first]
-        biases = np.split(hidden, net.offsets[1:-1]) + biases[-1:]
-    return ReluNetwork(net.weights, biases)
+    hidden = np.concatenate(biases[:-1])
+    hidden[pairs.second] = -hidden[pairs.first]
+    return ReluNetwork(net.weights, np.split(hidden, net.offsets[1:-1]) + biases[-1:])
 
 
 def _outcome_doc(out, net, extra=None):
@@ -138,6 +144,8 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
     if args.max_steps < 0:
         raise ValueError(f"--max-steps must be nonnegative, got {args.max_steps}")
+    if fixed_x0 is None and args.x0 not in ("zero", "random"):
+        fixed_x0 = _start_point(net, _parse_floats(args.x0, "--x0"), "--x0")
     seeds = np.random.SeedSequence(args.seed).spawn(args.starts)
     runs = []
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
@@ -151,10 +159,8 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
                 x0 = fixed_x0
             elif args.x0 == "zero":
                 x0 = np.zeros(net.input_dim)
-            elif args.x0 == "random":
-                x0 = rng.standard_normal(net.input_dim)
             else:
-                x0 = _parse_floats(args.x0)
+                x0 = rng.standard_normal(net.input_dim)
             out, jittered = solve(net, x0, opts, pairs), False
             for _ in range(3 if args.jitter_on_nonregular else 0):
                 if out.status != NON_REGULAR:
@@ -177,7 +183,8 @@ def _theta(out):
 
 
 def cmd_random_net(args):
-    net = build_random(_parse_ints(args.topology), seed=args.seed, low=args.low, high=args.high)
+    net = build_random(_parse_ints(args.topology, "--topology"), seed=args.seed,
+                       low=args.low, high=args.high)
     save_model(args.out, net)
     print(json.dumps({"path": args.out, "widths": list(net.widths)}))
     return 0
@@ -216,7 +223,7 @@ def cmd_train_l1(args):
     if args.base_model:
         base, _ = load_model(args.base_model)
     else:
-        base = build_random(_parse_ints(args.base_topology), seed=args.seed)
+        base = build_random(_parse_ints(args.base_topology, "--base-topology"), seed=args.seed)
     net, pairs = build_l1_first_layer(base, data)
     fixed = flatten_first_layer(base) if args.x0 == "warm" else None
 
@@ -231,7 +238,7 @@ def cmd_train_l1(args):
 
 
 def cmd_bounds(args):
-    topology = _parse_ints(args.topology)
+    topology = _parse_ints(args.topology, "--topology")
     doc = {
         "montufar": bounds_mod.montufar_bound(topology),
         "improved": bounds_mod.improved_bound(topology),
@@ -242,7 +249,7 @@ def cmd_bounds(args):
 
 def cmd_regions(args):
     net, _ = load_model(args.model)
-    box = _parse_floats(args.box)
+    box = _parse_floats(args.box, "--box")
     if box.size != 2:
         raise ValueError(f"--box needs exactly lo,hi; got {args.box!r}")
     lo, hi = box
@@ -253,7 +260,7 @@ def cmd_regions(args):
 
 def cmd_check(args):
     net, pairs = load_model(args.model)
-    x = _start_point(net, _parse_floats(args.x), "--x")
+    x = _start_point(net, _parse_floats(args.x, "--x"), "--x")
     s = activation_pattern(net, x, pairs)
     crit = critical_indices(net, s, x, pairs=pairs)
     reason = "dependent active walls"

@@ -104,11 +104,12 @@ class PairGroups:
     representative the line search scans; the second is skipped.  Pair k
     is ``(first[k], second[k])``, both flat unit indices; ``partner[u]`` is
     the other member of unit u's pair, or -1 (units past its end are unpaired).
+    A network without mirrored units has the empty ``PairGroups()``.
     """
 
     def __init__(self, pairs=()):
-        self.pairs = [(int(a), int(b)) for a, b in pairs]
-        members = np.fromiter(itertools.chain.from_iterable(self.pairs), np.int64, 2 * len(self.pairs))
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        members = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
         self.first, self.second = members[0::2], members[1::2]
         self.partner = np.full(members.max(initial=-1) + 1, -1, dtype=np.int64)
         self.partner[self.first] = self.second
@@ -117,7 +118,7 @@ class PairGroups:
             raise ValueError("pairs must be disjoint")
 
     def __len__(self):
-        return len(self.pairs)
+        return self.first.size
 
     def secondary_flat_mask(self, net: ReluNetwork) -> np.ndarray:
         """Boolean mask over flat unit indices marking second pair members."""
@@ -158,34 +159,28 @@ def evaluate(net: ReluNetwork, x) -> float:
 
 def relu_arguments(net: ReluNetwork, x) -> np.ndarray:
     """Pre-activation of every hidden unit at x, indexed by flat unit."""
-    y = np.asarray(x, dtype=np.float64)
-    out = np.empty(net.num_neurons)
-    for l, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1]), start=1):
-        a = out[net.offsets[l - 1]:net.offsets[l]] = w @ y + b
-        if l < net.depth:       # the last ReLU layer's output is never read
-            y = np.maximum(a, 0.0)
-    return out
+    return _forward(net, None, x, bias=True)
 
 
-def activation_pattern(net: ReluNetwork, x, pairs: PairGroups | None = None) -> np.ndarray:
+def activation_pattern(net: ReluNetwork, x, pairs: PairGroups = PairGroups()) -> np.ndarray:
     """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped).
 
     An argument exactly on a paired wall would give both members bit 0;
-    with pairs, such a pair gets the complementary convention instead
-    (first member 1, second 0), so paired bits always differ.
+    such a pair gets the complementary convention instead (first member
+    1, second 0), so paired bits always differ.
     """
     s = (relu_arguments(net, x) > 0.0).astype(np.uint8)
-    if pairs is not None:
-        tied = s[pairs.first] == s[pairs.second]
-        s[pairs.first[tied]] = 1
-        s[pairs.second[tied]] = 0
+    tied = s[pairs.first] == s[pairs.second]
+    s[pairs.first[tied]] = 1
+    s[pairs.second[tied]] = 0
     return s
 
 
-def _forward(net: ReluNetwork, s: np.ndarray, x, bias: bool) -> np.ndarray:
+def _forward(net: ReluNetwork, s: np.ndarray | None, x, bias: bool) -> np.ndarray:
     """Argument of every unit with each ReLU replaced by its bit in s.
 
-    Without bias, entry c is the inner product of x with unit c's unoriented normal.
+    Without bias, entry c is the inner product of x with unit c's unoriented
+    normal.  With s None every unit keeps its ReLU: the network's own arguments.
     """
     y = np.asarray(x, dtype=np.float64)
     out = np.empty(net.num_neurons)
@@ -194,8 +189,8 @@ def _forward(net: ReluNetwork, s: np.ndarray, x, bias: bool) -> np.ndarray:
         if bias:
             a += net.biases[l]
         out[net.offsets[l]:net.offsets[l + 1]] = a
-        if l + 1 < net.depth:
-            y = s[net.offsets[l]:net.offsets[l + 1]] * a
+        if l + 1 < net.depth:       # the last ReLU layer's output is never read
+            y = np.maximum(a, 0.0) if s is None else s[net.offsets[l]:net.offsets[l + 1]] * a
     return out
 
 
@@ -268,33 +263,30 @@ def inner_products_all(net: ReluNetwork, s: np.ndarray, w) -> np.ndarray:
     return np.where(s, u, -u)
 
 
-def critical_indices(net: ReluNetwork, s: np.ndarray, x, pairs: PairGroups | None = None):
+def critical_indices(net: ReluNetwork, s: np.ndarray, x, pairs: PairGroups = PairGroups()):
     """Units whose argument vanishes at x and whose normal is nonzero.
 
     The zero test is relative: |argument| <= ZERO_TOL * (1 + |normal|).
     Units with (numerically) zero normal have locally constant arguments
-    and are excluded; they never separate regions near x.  With pairs,
-    second pair members are left out: their first member stands for the
-    shared wall.
+    and are excluded; they never separate regions near x.  Second pair
+    members are left out: their first member stands for the shared wall.
     """
     args = subjective_arguments(net, s, x)
     norms = np.linalg.norm(normal_matrices(net, s), axis=1)
     hit = (np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)
-    if pairs is not None:
-        hit[pairs.second] = False
+    hit[pairs.second] = False
     return np.nonzero(hit)[0].tolist()
 
 
-def flip(s: np.ndarray, units, pairs: PairGroups | None = None) -> np.ndarray:
+def flip(s: np.ndarray, units, pairs: PairGroups = PairGroups()) -> np.ndarray:
     """Copy of s with the bits of units toggled, and their partners' if paired.
 
     units is one flat index or an array of distinct ones, no two of which
     form a pair; all bits change in one indexed XOR on one copy.
     """
     units = np.atleast_1d(np.asarray(units, dtype=np.intp))
-    if pairs is not None:
-        partners = pairs.partner[units[units < pairs.partner.size]]
-        units = np.concatenate([units, partners[partners >= 0]])
+    partners = pairs.partner[units[units < pairs.partner.size]]
+    units = np.concatenate([units, partners[partners >= 0]])
     out = np.array(s, dtype=np.uint8)
     out[units] ^= 1
     return out
@@ -327,22 +319,23 @@ def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
         y = a
 
 
-def save_model(path, net: ReluNetwork, pairs: PairGroups | None = None):
-    """Write a network (and optional pair metadata) as JSON."""
+def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
+    """Write a network as JSON, with its pairs when there are any."""
     doc = {
         "widths": list(net.widths),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    if pairs is not None and len(pairs):
-        doc["pairs"] = [[list(net.neuron_at(a)), list(net.neuron_at(b))] for a, b in pairs.pairs]
+    if len(pairs):
+        doc["pairs"] = [[list(net.neuron_at(a)), list(net.neuron_at(b))]
+                        for a, b in zip(pairs.first.tolist(), pairs.second.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
 def load_model(path):
-    """Read a model JSON file; returns (network, pairs or None)."""
+    """Read a model JSON file; returns (network, pairs), pairs empty when the file lists none."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -353,9 +346,11 @@ def load_model(path):
         raise ValueError(f"model file {path}: missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"model file {path}: weights and biases must be lists of numbers; {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from exc
     if "widths" in doc and doc["widths"] != list(net.widths):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
-    pairs = None
+    pairs = PairGroups()
     if doc.get("pairs"):
         try:
             pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])

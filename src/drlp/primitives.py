@@ -167,7 +167,7 @@ def update_axis_new_region(
     return PseudoInverse(matrix, list(pinv.owners))
 
 
-def _crossing_gains(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
+def _crossing_gains(net: ReluNetwork, pairs: PairGroups) -> np.ndarray:
     """Slope change per unit |rate| from crossing each flat unit's wall.
 
     Crossing the wall of last-layer unit c at rate beta_c changes the slope
@@ -179,16 +179,14 @@ def _crossing_gains(net: ReluNetwork, pairs: PairGroups | None) -> np.ndarray:
     w = net.weights[-1][0]
     gains = np.full(net.num_neurons, np.inf)
     gains[off:] = w
-    if pairs is not None:
-        last = pairs.first >= off          # pairs never straddle layers
-        gains[pairs.first[last]] += w[pairs.second[last] - off]
+    last = pairs.first >= off          # pairs never straddle layers
+    gains[pairs.first[last]] += w[pairs.second[last] - off]
     return gains
 
 
-def scan_arrays(net: ReluNetwork, pairs: PairGroups | None):
+def scan_arrays(net: ReluNetwork, pairs: PairGroups):
     """(skip, gains) for advance_max: second pair members, never candidates, and crossing gains."""
-    skip = pairs.secondary_flat_mask(net) if pairs is not None else np.zeros(net.num_neurons, dtype=bool)
-    return skip, _crossing_gains(net, pairs)
+    return pairs.secondary_flat_mask(net), _crossing_gains(net, pairs)
 
 
 def advance_max(
@@ -197,10 +195,10 @@ def advance_max(
     v,
     s: np.ndarray,
     ignore=(),
-    pairs: PairGroups | None = None,
+    *,
+    scan: tuple,
     slope: float | None = None,
     slope_tol: float = 0.0,
-    scan: tuple | None = None,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
 
@@ -225,10 +223,10 @@ def advance_max(
     marginally negative t signals the start point sits just past that
     wall; the caller decides what to accept.
 
-    scan is scan_arrays(net, pairs); a solve builds it once and passes it
-    to every line search, and it is built here when not given.
+    scan is scan_arrays(net, pairs), the pair information the search needs;
+    a solve builds it once and passes it to every line search.
     """
-    skip, gains = scan if scan is not None else scan_arrays(net, pairs)
+    skip, gains = scan
     ignore_mask = skip.copy()
     ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
     rate = inner_products_all(net, s, v)

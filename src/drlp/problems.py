@@ -5,7 +5,7 @@ loss of the corresponding estimation problem at that parameter vector,
 so minimizing the network minimizes the loss.  Builders that create
 mirrored unit pairs (two units sharing one hyperplane with opposite
 orientation) return the pair metadata the solver needs to keep them in
-lock step.
+lock step; a builder without such units returns the empty ``PairGroups()``.
 """
 
 from __future__ import annotations
@@ -217,7 +217,8 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     """Least squares with L1 penalty: quadratic part plus a penalty network.
 
     Returns (net, q, pairs): q(theta) = |y - X theta|^2 expanded, and the
-    network contributes lam * sum_j |theta_j| through p mirrored pairs.
+    network contributes lam * sum_j |theta_j| through p mirrored pairs
+    (pairs is empty at lam = 0, where the penalty units are constant zero).
     No intercept; center or augment the design beforehand.
     """
     _check_lam(lam)
@@ -231,7 +232,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     b1 = np.zeros(2 * p)
     w2 = np.ones((1, 2 * p))
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    pairs = PairGroups((j, p + j) for j in range(p)) if lam > 0.0 else None
+    pairs = PairGroups((j, p + j) for j in range(p)) if lam > 0.0 else PairGroups()
     return net, q, pairs
 
 

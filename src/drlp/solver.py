@@ -103,7 +103,7 @@ class SolverState:
     s: np.ndarray
     pinv: PseudoInverse
     options: SolverOptions
-    pairs: PairGroups | None = None
+    pairs: PairGroups = field(default_factory=PairGroups)
     rng: np.random.Generator = None
     objective: object = None            # callable(x) -> float; network value by default
     scan: tuple = None                  # scan_arrays(net, pairs), built once per solve
@@ -158,7 +158,7 @@ def _start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
 
 
 def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
-               pairs: PairGroups | None = None) -> SolverState:
+               pairs: PairGroups = PairGroups()) -> SolverState:
     """Solver state at x0, nudged off any hyperplane it happens to sit on.
 
     Only units whose normals are nonzero force a nudge; units with
@@ -176,8 +176,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
         x = x + 1e-7 * (1.0 + np.max(np.abs(x))) * step
     else:
         raise ValueError("could not nudge the start point off all hyperplanes")
-    if pairs is not None:
-        pairs.check_pattern(s)
+    pairs.check_pattern(s)
     return SolverState(
         net=net, x=x, s=s, pinv=PseudoInverse.empty(net.input_dim),
         options=options, pairs=pairs, rng=rng, scan=scan_arrays(net, pairs),
@@ -272,7 +271,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
 
 
 def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
-               pairs: PairGroups | None = None) -> SolveOutcome:
+               pairs: PairGroups = PairGroups()) -> SolveOutcome:
     """Minimize the network over its input space from x0.
 
     Terminates with one of four outcomes: a certified LocalMinimum, an
@@ -284,8 +283,7 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     to match the geometry without moving x.
     """
     t0 = time.perf_counter()
-    if pairs is not None:
-        pairs.validate(net)
+    pairs.validate(net)
     state = initialize(net, x0, options, pairs)
     out = find_vertex(state)
     if out is None:
@@ -379,7 +377,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
 
 
 def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
-                     pairs: PairGroups | None = None):
+                     pairs: PairGroups = PairGroups()):
     """Directional derivatives along all 2m feasible axes at a pinned point.
 
     For every owner: the derivative along its axis under the current
@@ -405,7 +403,7 @@ def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
 
 
 def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
-                      pairs: PairGroups | None = None) -> bool:
+                      pairs: PairGroups = PairGroups()) -> bool:
     """True when no feasible axis at x has a negative directional derivative.
 
     With fewer active walls than input dimensions the free subspace must
@@ -540,7 +538,7 @@ def _independent_qr(unit, held):
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                     options: SolverOptions | None = None,
-                    pairs: PairGroups | None = None) -> SolveOutcome:
+                    pairs: PairGroups = PairGroups()) -> SolveOutcome:
     """Minimize network + quadratic by sliding along active walls.
 
     An active-set Newton method with exact line search on each segment.
@@ -563,8 +561,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     reported as a local minimum.
     """
     t0 = time.perf_counter()
-    if pairs is not None:
-        pairs.validate(net)
+    pairs.validate(net)
     opts = options or SolverOptions()
     x = _start_point(net, x0)
     state = SolverState(

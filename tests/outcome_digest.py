@@ -122,7 +122,7 @@ def random_quadratic():
 
 def check_axes():
     """Axes and certificate at solved points, the way ``drlp check`` builds them."""
-    cases = [(net, None, out.x) for net, out in _solved_random_nets()]
+    cases = [(net, drlp.PairGroups(), out.x) for net, out in _solved_random_nets()]
     for seed in range(4):
         net, pairs = drlp.build_quantile_lasso(regression(seed, 30, 2), lam=0.5)
         cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(seed), pairs).x))

@@ -127,6 +127,8 @@ class TestSolve:
         ("--starts", "0", "--starts must be at least 1, got 0"),
         ("--starts", "-2", "--starts must be at least 1, got -2"),
         ("--max-steps", "-1", "--max-steps must be nonnegative, got -1"),
+        ("--x0", "abc", "--x0: could not convert string to float: 'abc'"),
+        ("--x0", "1,2,3", "--x0 must be finite with shape (2,)"),
     ])
     def test_out_of_range_counts_exit_one(self, capsys, hinge_model, tmp_path, flag, value, message):
         trace = tmp_path / "t.jsonl"
@@ -238,6 +240,7 @@ class TestSolve:
             code, stdout, stderr = _run(capsys, argv)
             assert code == 1 and stdout == ""
             assert "layer 1: weight [1, 2] is nan" in stderr
+            assert f"model file {path}: " in stderr
 
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
@@ -247,6 +250,26 @@ class TestSolve:
         a, b = json.loads(first), json.loads(second)
         a.pop("wall_ms"), b.pop("wall_ms")
         assert a == b
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["quantile", "--data", "CSV", "--x0", "1"], "--x0 must be finite with shape (2,); got shape (1,)"),
+        (["train-l1", "--data", "CSV", "--base-topology", "1,3,1", "--x0", "1,x"],
+         "--x0: could not convert string to float: 'x'"),
+        (["train-l1", "--data", "CSV", "--base-topology", "1,x,1"],
+         "--base-topology: invalid literal for int() with base 10: 'x'"),
+        (["check", "--model", "MODEL", "--x", "1,abc"], "--x: could not convert string to float: 'abc'"),
+        (["regions", "--model", "MODEL", "--box", "a,b"], "--box: could not convert string to float: 'a'"),
+        (["bounds", "--topology", "2,x"], "--topology: invalid literal for int() with base 10: 'x'"),
+        (["random-net", "--topology", "2,,1", "--out", "OUT"],
+         "--topology: invalid literal for int() with base 10: ''"),
+    ])
+    def test_bad_value_names_its_flag(self, capsys, hinge_model, tiny_csv, tmp_path, argv, message):
+        paths = {"MODEL": hinge_model, "CSV": tiny_csv[0], "OUT": str(tmp_path / "net.json")}
+        code, stdout, stderr = _run(capsys, [paths.get(a, a) for a in argv])
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: {message}\n"
 
 
 def _non_regular_first(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
@@ -17,6 +19,7 @@ from drlp import (
     build_l1_first_layer,
     build_quantile_lasso,
     build_random,
+    dense_pseudoinverse,
     evaluate,
     flip,
     gradient,
@@ -25,6 +28,7 @@ from drlp import (
     remove_pseudorow,
     update_axis_new_region,
 )
+from drlp.primitives import scan_arrays
 from helpers import (
     brute_advance,
     brute_pseudoinverse,
@@ -180,10 +184,61 @@ class TestUpdateAxis:
         assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
 
 
+@st.composite
+def _owned_nets(draw):
+    """A random net of depth 1-3 and widths 1-6, any pattern, and well-conditioned owners.
+
+    Owners are taken in a drawn order while the stacked oriented normals keep
+    a singular value ratio above 1e-2, so every prefix is independent too.
+    """
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    net = build_random(widths + [1], seed=draw(st.integers(0, 2**32 - 1)))
+    s = np.array(draw(st.lists(st.integers(0, 1), min_size=net.num_neurons,
+                               max_size=net.num_neurons)), dtype=np.uint8)
+    owners = []
+    for c in draw(st.permutations(range(net.num_neurons))):
+        if len(owners) == net.input_dim:
+            break
+        sv = np.linalg.svd(normals_matrix(net, s, owners + [c]), compute_uv=False)
+        if sv[-1] > 1e-2 * sv[0]:
+            owners.append(c)
+    return net, s, owners, draw(st.data())
+
+
+def _assert_rel_close(got, ref):
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-8 * np.max(np.abs(ref), initial=1.0)
+
+
+class TestAgainstDenseRebuild:
+    @settings(max_examples=150, deadline=None)
+    @given(_owned_nets())
+    def test_primitives_match_dense_pseudoinverse(self, case):
+        net, s, owners, data = case
+        pinv = _build_incremental(net, s, owners)
+        dense = dense_pseudoinverse(net, s, owners)
+        assert pinv.owners == owners
+        _assert_rel_close(pinv.matrix, dense.matrix)
+
+        i = data.draw(st.integers(0, len(owners) - 1), label="removed row")
+        kept = remove_pseudorow(pinv, i)
+        rest = owners[:i] + owners[i + 1:]
+        assert kept.owners == rest
+        _assert_rel_close(kept.matrix, dense_pseudoinverse(net, s, rest).matrix)
+
+        # flipping an owner with no owner behind it changes only its own normal
+        last = max(net.neuron_at(c)[0] for c in owners)
+        i = data.draw(st.sampled_from([k for k, c in enumerate(owners)
+                                       if net.neuron_at(c)[0] == last]), label="flipped row")
+        s2 = flip(s, owners[i])
+        moved = update_axis_new_region(pinv, i, net, s2, owners[i])
+        assert moved.owners == owners
+        _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
+
+
 class TestAdvance:
     def test_matches_reference_on_random_nets(self):
         rng = np.random.Generator(np.random.Philox(6))
-        cases = [(build_random((3, 4, 3, 1), seed=trial), None, [0] if trial % 3 == 0 else [])
+        cases = [(build_random((3, 4, 3, 1), seed=trial), PairGroups(), [0] if trial % 3 == 0 else [])
                  for trial in range(40)]
         # compiled paired nets, each with a random ignore set
         data = RegressionData(rng.normal(size=(12, 3)), rng.normal(size=12))
@@ -198,7 +253,7 @@ class TestAdvance:
             v = rng.standard_normal(net.input_dim)
             v /= np.linalg.norm(v)
             s = activation_pattern(net, x, pairs)
-            res = advance_max(net, x, v, s, ignore, pairs)
+            res = advance_max(net, x, v, s, ignore, scan=scan_arrays(net, pairs))
             t_ref, c_ref = brute_advance(net, x, v, s, ignore, pairs)
             if c_ref is None:
                 assert not res.bounded
@@ -209,24 +264,26 @@ class TestAdvance:
     def test_frozen_crossing(self, net_hinge_gap):
         x = np.array([3.0, -2.0])
         s = activation_pattern(net_hinge_gap, x)
-        res = advance_max(net_hinge_gap, x, np.array([-1.0, 0.0]), s)
+        res = advance_max(net_hinge_gap, x, np.array([-1.0, 0.0]), s,
+                          scan=scan_arrays(net_hinge_gap, PairGroups()))
         assert res.neuron == 2
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
     def test_unbounded_ray(self):
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
-        s = activation_pattern(net, [2.0])
-        res = advance_max(net, np.array([2.0]), np.array([1.0]), s)
+        s, scan = activation_pattern(net, [2.0]), scan_arrays(net, PairGroups())
+        res = advance_max(net, np.array([2.0]), np.array([1.0]), s, scan=scan)
         assert not res.bounded and res.t == float("inf")
-        back = advance_max(net, np.array([2.0]), np.array([-1.0]), s)
+        back = advance_max(net, np.array([2.0]), np.array([-1.0]), s, scan=scan)
         assert back.neuron == 0 and back.t == pytest.approx(2.0, abs=1e-14)
 
     def test_marginally_negative_step_reported(self):
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
         s = activation_pattern(net, [1.0])      # unit active
-        res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s)
+        res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s,
+                          scan=scan_arrays(net, PairGroups()))
         assert res.neuron == 0
         assert res.t == pytest.approx(-1e-12, abs=1e-15)
         # relu(x) - 3 relu(5 - x) still descends past that wall, but a long
@@ -234,7 +291,8 @@ class TestAdvance:
         net = ReluNetwork([np.array([[1.0], [-1.0]]), np.array([[1.0, -3.0]])],
                           [np.array([0.0, 5.0]), np.zeros(1)])
         s = activation_pattern(net, [1.0])
-        long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s, slope=-4.0)
+        long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s,
+                           scan=scan_arrays(net, PairGroups()), slope=-4.0)
         assert (long.t, long.neuron, long.crossed.size) == (res.t, res.neuron, 0)
 
     def test_pairs_report_primary_member(self):
@@ -243,7 +301,7 @@ class TestAdvance:
         pairs = PairGroups([(0, 1)])
         x = np.array([0.0])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, np.array([1.0]), s, pairs=pairs)
+        res = advance_max(net, x, np.array([1.0]), s, scan=scan_arrays(net, pairs))
         assert res.neuron == 0
         assert res.t == pytest.approx(1.0, abs=1e-14)
 
@@ -254,7 +312,7 @@ class TestAdvance:
                           [np.array([-2.0, -2.0, 0.0]), np.zeros(1)])
         x = np.array([0.0, 0.5])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, np.array([1.0, 0.0]), s)
+        res = advance_max(net, x, np.array([1.0, 0.0]), s, scan=scan_arrays(net, PairGroups()))
         assert res.neuron == 0
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
@@ -276,9 +334,9 @@ class TestLongStep:
         # slope -1 turns to +2 at x = 1, so the step stops at unit 1's wall
         net = _ramp_net(1.0)
         x, v = np.array([0.0]), np.array([1.0])
-        s = activation_pattern(net, x)
-        first = advance_max(net, x, v, s)
-        long = advance_max(net, x, v, s, slope=-1.0)
+        s, scan = activation_pattern(net, x), scan_arrays(net, PairGroups())
+        first = advance_max(net, x, v, s, scan=scan)
+        long = advance_max(net, x, v, s, scan=scan, slope=-1.0)
         assert (first.t, first.neuron, first.crossed.size) == (1.0, 1, 0)
         assert (long.t, long.neuron, long.crossed.size) == (1.0, 1, 0)
 
@@ -286,12 +344,12 @@ class TestLongStep:
         x, v = np.array([0.0]), np.array([1.0])
         # slope -3.5: +3 at x = 1 leaves -0.5, +1 at x = 2 turns it positive
         net = _ramp_net(3.5)
-        s = activation_pattern(net, x)
-        res = advance_max(net, x, v, s, slope=-3.5)
+        s, scan = activation_pattern(net, x), scan_arrays(net, PairGroups())
+        res = advance_max(net, x, v, s, scan=scan, slope=-3.5)
         assert (res.t, res.neuron, res.crossed.tolist()) == (2.0, 2, [1])
         # slope -5 stays negative past both walls: unbounded
         net = _ramp_net(5.0)
-        res = advance_max(net, x, v, s, slope=-5.0)
+        res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=-5.0)
         assert not res.bounded and res.crossed.tolist() == [1, 2]
 
     def test_paired_walls_count_both_members(self):
@@ -303,7 +361,7 @@ class TestLongStep:
             net = ReluNetwork([np.array([[1.0], [-1.0], [1.0]]), np.array([[0.25, 0.75, -w]])],
                               [np.array([-1.0, 1.0, 5.0]), np.zeros(1)])
             s = activation_pattern(net, x)
-            res = advance_max(net, x, v, s, pairs=pairs, slope=-0.75 - w)
+            res = advance_max(net, x, v, s, scan=scan_arrays(net, pairs), slope=-0.75 - w)
             if stops:
                 assert (res.t, res.neuron, res.crossed.size) == (1.0, 0, 0)
             else:
@@ -318,7 +376,7 @@ class TestLongStep:
                           [np.array([-1.0, 10.0]), np.array([-10.5, -12.0, 20.0]), np.zeros(1)])
         x, v = np.array([0.0]), np.array([1.0])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, v, s, slope=-10.0)
+        res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=-10.0)
         assert (res.t, res.neuron, res.crossed.tolist()) == (1.0, 0, [2])
 
     def test_descends_on_every_passed_segment(self):
@@ -334,7 +392,7 @@ class TestLongStep:
             slope = float(gradient(net, s) @ v)
             if slope > 0.0:
                 v, slope = -v, -slope
-            res = advance_max(net, x, v, s, slope=slope)
+            res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=slope)
             last = net.offsets[-2]
             assert np.all(res.crossed >= last)
             crossings += res.crossed.size

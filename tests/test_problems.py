@@ -145,7 +145,7 @@ class TestLassoBuilder:
 
     def test_no_pairs_without_penalty(self):
         net, q, pairs = build_lasso(_data(17, 5, 2), 0.0)
-        assert pairs is None
+        assert len(pairs) == 0
 
     def test_micro_problems_match_coordinate_descent(self):
         x = np.array([[1.0], [2.0]])

@@ -9,9 +9,11 @@ import drlp.primitives
 import drlp.solver
 from drlp import (
     LOCAL_MINIMUM,
+    NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
     LpInstance,
+    PairGroups,
     PseudoInverse,
     QuadraticObjective,
     RegressionData,
@@ -43,7 +45,10 @@ from drlp import (
     refresh_pseudoinverse,
     solve_quadratic,
     SolverOptions,
+    SolverState,
+    dense_pseudoinverse,
 )
+from drlp.primitives import scan_arrays
 from helpers import (
     certificate_residual,
     cone_projection_nnls,
@@ -239,6 +244,43 @@ class TestDrlsimplex:
         a = drlsimplex(net_hinge_gap, [1.0, 0.0], SolverOptions(seed=2))
         b = drlsimplex(net_hinge_gap, [1.0, 0.0], SolverOptions(seed=2))
         assert np.array_equal(a.x, b.x) and a.steps == b.steps
+
+
+def _stale_vertex(stale):
+    """Vertex state at the origin whose non-owner unit 2 claims the wrong side by stale.
+
+    f(x) = -relu(x1) + relu(x2) + 0.5 relu(-x1 - stale) + 2 relu(x1 - 1).  Units
+    0 and 1 own the walls through the origin, and the edge along +x1 descends.
+    Unit 2's argument is -stale at the origin and falls along that edge, but
+    its bit 1 claims it positive, so the line search meets its wall at
+    t = -stale.  The minimum is f = -1 on the half line x1 = 1, x2 <= 0.
+    """
+    w1 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]])
+    net = ReluNetwork([w1, np.array([[-1.0, 1.0, 0.5, 2.0]])],
+                      [np.array([0.0, 0.0, -stale, -1.0]), np.zeros(1)])
+    s = np.array([1, 1, 1, 0], dtype=np.uint8)
+    opts = SolverOptions()
+    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_pseudoinverse(net, s, [0, 1]),
+                       options=opts, rng=opts.make_rng(), scan=scan_arrays(net, PairGroups()))
+
+
+class TestResync:
+    def test_stale_bit_is_flipped_in_place(self):
+        state = _stale_vertex(1e-7)
+        x0, f0 = state.x.copy(), state.value()
+        out = drlp.solver._pivot_loop(state)
+        resync = [rec for rec in out.trace if rec.phase == "resync"]
+        assert len(resync) == 1 and resync[0].neuron == 2
+        assert resync[0].t == pytest.approx(-1e-7, rel=1e-9)
+        assert resync[0].x == tuple(x0) and resync[0].f == f0
+        assert out.status == LOCAL_MINIMUM
+        assert_allclose(out.x, [1.0, 0.0], atol=1e-12)
+        assert out.f == evaluate(state.net, out.x) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_bit_past_resync_tol_aborts(self):
+        out = drlp.solver._pivot_loop(_stale_vertex(1e-4))
+        assert out.status == NON_REGULAR and out.neurons == [2]
+        assert not [rec for rec in out.trace if rec.phase == "resync"]
 
 
 class TestCertification:
