@@ -261,20 +261,22 @@ def cmd_regions(args):
 def cmd_check(args):
     net, pairs = load_model(args.model)
     x = _start_point(net, _parse_floats(args.x, "--x"), "--x")
-    s = activation_pattern(net, x, pairs)
-    crit = critical_indices(net, s, x, pairs=pairs)
+    folded, kept = pairs.fold(net)
+    kept = kept.tolist()
+    s = activation_pattern(folded, x)
+    crit = critical_indices(folded, s, x)
     reason = "dependent active walls"
     try:
-        pinv = dense_pseudoinverse(net, s, crit)
+        pinv = dense_pseudoinverse(folded, s, crit)
         reason = "degenerate axis update"
-        ok = certify_local_min(net, x, s, pinv, pairs=pairs)
+        ok = certify_local_min(folded, x, s, pinv)
         axes = [
-            {"neuron": list(net.neuron_at(c)), "bit": int(bit), "derivative": val}
-            for c, bit, val, _ in axis_derivatives(net, x, s, pinv, pairs=pairs)
+            {"neuron": list(net.neuron_at(kept[c])), "bit": int(bit), "derivative": val}
+            for c, bit, val, _ in axis_derivatives(folded, x, s, pinv)
         ]
     except Degenerate:
         print(json.dumps({"certified": False, "reason": reason,
-                          "neurons": [list(net.neuron_at(c)) for c in crit]}))
+                          "neurons": [list(net.neuron_at(kept[c])) for c in crit]}))
         return 3
     print(json.dumps({"certified": bool(ok), "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2

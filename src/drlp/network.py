@@ -18,6 +18,11 @@ An activation pattern ``s`` is a flat ``np.uint8`` vector indexed by flat
 unit (1 = passes its argument, 0 = clamped); layer ``l`` is
 ``s[net.offsets[l-1]:net.offsets[l]]``.  Every pattern-fixed quantity is
 one masked sweep, forward (``_forward``) or backward (``_backward``).
+
+Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
+its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
+ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.
+``PairGroups.fold`` turns each mirrored pair of ReLUs (z, -z) into one such unit.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ class ReluNetwork:
         self.num_neurons = int(sum(self.relu_widths))
         # flat index of each layer's first unit, then num_neurons
         self.offsets = tuple(itertools.accumulate(self.relu_widths, initial=0))
+        # plain ReLUs until PairGroups.fold sets these (see the module docstring)
+        self.off_weights = np.zeros(self.relu_widths[-1])
+        self.two_slope = np.zeros(self.relu_widths[-1], dtype=bool)
 
     def flat_index(self, c) -> int:
         """Flat position of hidden unit ``c = (layer, unit)``, both 1-based."""
@@ -96,25 +104,20 @@ class ReluNetwork:
 
 
 class PairGroups:
-    """Disjoint pairs of same-layer units whose weight rows are exact negations.
+    """Disjoint pairs of last-hidden-layer units whose weight rows are exact negations.
 
-    The two units of a pair sit on one hyperplane with opposite orientation,
-    so a valid activation pattern keeps their bits complementary and the
-    solver flips them together.  The first member of each pair is the
-    representative the line search scans; the second is skipped.  Pair k
-    is ``(first[k], second[k])``, both flat unit indices; ``partner[u]`` is
-    the other member of unit u's pair, or -1 (units past its end are unpaired).
-    A network without mirrored units has the empty ``PairGroups()``.
+    Pair k, ``(first[k], second[k])`` by flat index, is z and -z: one
+    hyperplane with two orientations.  ``fold`` makes each pair one
+    two-slope unit, so the solvers never see a pair.  A network without
+    mirrored units has the empty ``PairGroups()``.
     """
 
     def __init__(self, pairs=()):
         pairs = [(int(a), int(b)) for a, b in pairs]
         members = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
         self.first, self.second = members[0::2], members[1::2]
-        self.partner = np.full(members.max(initial=-1) + 1, -1, dtype=np.int64)
-        self.partner[self.first] = self.second
-        self.partner[self.second] = self.first
-        if np.count_nonzero(self.partner >= 0) != members.size:
+        ordered = np.sort(members)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("pairs must be disjoint")
 
     def __len__(self):
@@ -127,34 +130,50 @@ class PairGroups:
         return mask
 
     def validate(self, net: ReluNetwork):
-        """Check that each pair is two units of one layer with exactly negated rows and biases."""
+        """Check that each pair is two last-hidden-layer units with exactly negated rows and biases."""
         units = np.concatenate([self.first, self.second])
         if units.size and not 0 <= units.min() <= units.max() < net.num_neurons:
             raise ValueError(f"pairs name units outside widths {net.widths}")
-        layer = np.searchsorted(net.offsets, self.first, side="right")
-        bad = layer != np.searchsorted(net.offsets, self.second, side="right")
-        for l in range(1, net.depth + 1):
-            k = np.nonzero((layer == l) & ~bad)[0]
-            ja, jb = self.first[k] - net.offsets[l - 1], self.second[k] - net.offsets[l - 1]
-            w, bias = net.weights[l - 1], net.biases[l - 1]
-            bad[k] = ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
+        last = net.offsets[-2]
+        outside = (self.first < last) | (self.second < last)
+        # an outside pair is bad anyway; clipping keeps its row lookup in range
+        ja, jb = np.maximum(self.first - last, 0), np.maximum(self.second - last, 0)
+        w, bias = net.weights[-2], net.biases[-2]
+        bad = outside | ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
         if bad.any():
-            a, b = self.first[bad][0], self.second[bad][0]
-            raise ValueError(f"pair {net.neuron_at(int(a))}/{net.neuron_at(int(b))}: "
-                             "not two units of one layer with exactly negated rows")
+            k = np.flatnonzero(bad)[0]
+            why = (f"not in the last hidden layer, {net.depth}, the only one pairs may mirror"
+                   if outside[k] else "rows and biases are not exactly negated")
+            raise ValueError(f"pair {net.neuron_at(int(self.first[k]))}/"
+                             f"{net.neuron_at(int(self.second[k]))}: {why}")
 
-    def check_pattern(self, s: np.ndarray):
-        """Paired bits must be complementary."""
-        equal = s[self.first] == s[self.second]
-        if equal.any():
-            a, b = self.first[equal][0], self.second[equal][0]
-            raise ValueError(f"paired units {a}/{b} (flat indices) have equal activation bits")
+    def fold(self, net: ReluNetwork):
+        """(folded_net, kept): net with each pair as one two-slope unit.
+
+        The folded unit is the pair's first member, with its row, bias and
+        output weight; its bit-0 output weight is minus the second member's
+        output weight, and the second member is dropped.  The folded net has
+        the same value everywhere.  kept[c] is the flat index in net of
+        folded unit c.
+        """
+        self.validate(net)
+        keep = ~self.secondary_flat_mask(net)
+        kept = np.flatnonzero(keep)
+        last, keep = net.offsets[-2], keep[net.offsets[-2]:]
+        folded = ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
+                             net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]])
+        folded.off_weights[:], folded.two_slope[:] = net.off_weights[keep], net.two_slope[keep]
+        j = np.searchsorted(kept, self.first) - last
+        folded.off_weights[j] = -net.weights[-1][0, self.second - last]
+        folded.two_slope[j] = True
+        return folded, kept
 
 
 def evaluate(net: ReluNetwork, x) -> float:
     """Network output at x."""
-    y = np.maximum(relu_arguments(net, x)[net.offsets[-2]:], 0.0)
-    return float((net.weights[-1] @ y + net.biases[-1])[0])
+    z = relu_arguments(net, x)[net.offsets[-2]:]
+    w = np.where(z > 0.0, net.weights[-1], net.off_weights)
+    return float((w @ z + net.biases[-1])[0])
 
 
 def relu_arguments(net: ReluNetwork, x) -> np.ndarray:
@@ -162,17 +181,11 @@ def relu_arguments(net: ReluNetwork, x) -> np.ndarray:
     return _forward(net, None, x, bias=True)
 
 
-def activation_pattern(net: ReluNetwork, x, pairs: PairGroups = PairGroups()) -> np.ndarray:
-    """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped).
-
-    An argument exactly on a paired wall would give both members bit 0;
-    such a pair gets the complementary convention instead (first member
-    1, second 0), so paired bits always differ.
-    """
-    s = (relu_arguments(net, x) > 0.0).astype(np.uint8)
-    tied = s[pairs.first] == s[pairs.second]
-    s[pairs.first[tied]] = 1
-    s[pairs.second[tied]] = 0
+def activation_pattern(net: ReluNetwork, x) -> np.ndarray:
+    """0/1 pattern at x; an exactly-zero argument maps to 0 (clamped), or to 1 for a two-slope unit."""
+    a = relu_arguments(net, x)
+    s = (a > 0.0).astype(np.uint8)
+    s[net.offsets[-2]:] |= net.two_slope & (a[net.offsets[-2]:] == 0.0)
     return s
 
 
@@ -211,7 +224,8 @@ def subjective_arguments(net: ReluNetwork, s: np.ndarray, x) -> np.ndarray:
 
 def gradient(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     """Gradient of the network on the region with activation pattern s."""
-    return _backward(net, s, net.weights[-1][0], net.depth)
+    w = np.where(s[net.offsets[-2]:], net.weights[-1][0], net.off_weights)
+    return _backward(net, s, w @ net.weights[-2], net.depth - 1)
 
 
 def normal_matrices(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
@@ -263,30 +277,21 @@ def inner_products_all(net: ReluNetwork, s: np.ndarray, w) -> np.ndarray:
     return np.where(s, u, -u)
 
 
-def critical_indices(net: ReluNetwork, s: np.ndarray, x, pairs: PairGroups = PairGroups()):
+def critical_indices(net: ReluNetwork, s: np.ndarray, x):
     """Units whose argument vanishes at x and whose normal is nonzero.
 
     The zero test is relative: |argument| <= ZERO_TOL * (1 + |normal|).
     Units with (numerically) zero normal have locally constant arguments
-    and are excluded; they never separate regions near x.  Second pair
-    members are left out: their first member stands for the shared wall.
+    and are excluded; they never separate regions near x.
     """
     args = subjective_arguments(net, s, x)
     norms = np.linalg.norm(normal_matrices(net, s), axis=1)
     hit = (np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)
-    hit[pairs.second] = False
     return np.nonzero(hit)[0].tolist()
 
 
-def flip(s: np.ndarray, units, pairs: PairGroups = PairGroups()) -> np.ndarray:
-    """Copy of s with the bits of units toggled, and their partners' if paired.
-
-    units is one flat index or an array of distinct ones, no two of which
-    form a pair; all bits change in one indexed XOR on one copy.
-    """
-    units = np.atleast_1d(np.asarray(units, dtype=np.intp))
-    partners = pairs.partner[units[units < pairs.partner.size]]
-    units = np.concatenate([units, partners[partners >= 0]])
+def flip(s: np.ndarray, units) -> np.ndarray:
+    """Copy of s with the bits of units (one flat index or an array of distinct ones) toggled."""
     out = np.array(s, dtype=np.uint8)
     out[units] ^= 1
     return out
@@ -321,6 +326,8 @@ def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
 
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
     """Write a network as JSON, with its pairs when there are any."""
+    if net.two_slope.any() or net.off_weights.any():
+        raise ValueError("model files hold no two-slope units; save the net PairGroups.fold was given")
     doc = {
         "widths": list(net.widths),
         "weights": [w.tolist() for w in net.weights],
@@ -354,8 +361,8 @@ def load_model(path):
     if doc.get("pairs"):
         try:
             pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])
+            pairs.validate(net)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] "
-                             f"lists of distinct hidden units; {exc}") from exc
-        pairs.validate(net)
+            raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "
+                             f"of distinct, exactly negated last-hidden-layer units; {exc}") from exc
     return net, pairs

@@ -20,7 +20,6 @@ import numpy as np
 
 from .network import (
     ZERO_TOL,
-    PairGroups,
     ReluNetwork,
     inner_products_all,
     oriented_normal,
@@ -145,16 +144,14 @@ def update_axis_new_region(
     i: int,
     net: ReluNetwork,
     s: np.ndarray,
-    c: int,
 ) -> PseudoInverse:
-    """Recompute row i after the activation bit of its owner c changed.
+    """Recompute row i after the activation bit of its owner changed.
 
     Flipping one unit leaves every other tracked axis unchanged, so only
     row i needs work.  All inner products are taken under the new pattern
     s.  Raises Degenerate on a vanishing denominator.
     """
-    if pinv.owners[i] != c:
-        raise ValueError(f"row {i} belongs to unit {pinv.owners[i]}, not {c}")
+    c = pinv.owners[i]
     u = oriented_normal(net, s, c)
     g = inner_products_all(net, s, u)[pinv.owners]
     w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
@@ -167,26 +164,17 @@ def update_axis_new_region(
     return PseudoInverse(matrix, list(pinv.owners))
 
 
-def _crossing_gains(net: ReluNetwork, pairs: PairGroups) -> np.ndarray:
+def _crossing_gains(net: ReluNetwork) -> np.ndarray:
     """Slope change per unit |rate| from crossing each flat unit's wall.
 
     Crossing the wall of last-layer unit c at rate beta_c changes the slope
-    along the ray by c's output weight plus its partner's, times |beta_c|,
-    whichever side c starts on.  Units of earlier layers get inf: their
-    walls always stop a long step.
+    along the ray by the difference of c's bit-1 and bit-0 output weights,
+    times |beta_c|, whichever side c starts on.  Units of earlier layers get
+    inf: their walls always stop a long step.
     """
-    off = net.offsets[-2]
-    w = net.weights[-1][0]
     gains = np.full(net.num_neurons, np.inf)
-    gains[off:] = w
-    last = pairs.first >= off          # pairs never straddle layers
-    gains[pairs.first[last]] += w[pairs.second[last] - off]
+    gains[net.offsets[-2]:] = net.weights[-1][0] - net.off_weights
     return gains
-
-
-def scan_arrays(net: ReluNetwork, pairs: PairGroups):
-    """(skip, gains) for advance_max: second pair members, never candidates, and crossing gains."""
-    return pairs.secondary_flat_mask(net), _crossing_gains(net, pairs)
 
 
 def advance_max(
@@ -196,8 +184,8 @@ def advance_max(
     s: np.ndarray,
     ignore=(),
     *,
-    scan: tuple,
     slope: float | None = None,
+    gains: np.ndarray | None = None,
     slope_tol: float = 0.0,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
@@ -206,31 +194,28 @@ def advance_max(
     oriented so that a unit's argument is positive on the side s claims.
     A unit is a candidate when its oriented rate is below -ZERO_TOL, so
     moving along v drives its argument against its current bit; ignored
-    units and second pair members are not candidates.  Candidates are
-    sorted by (crossing step, flat index).
+    units are not candidates.  Candidates are sorted by (crossing step,
+    flat index).
 
     Without slope the step stops at the first wall.  Given slope, the
-    directional derivative of the network along v at x, it is a long
-    (Barrodale-Roberts) step: it passes walls while the slope stays below
-    -slope_tol, each last-layer wall adding its crossing weight times
-    |rate|, and stops before any wall of an earlier layer, whose flip would
-    bend the walls behind it, and before any wall at t <= 0.  If nothing
-    stops it, the result is unbounded with every candidate in crossed.
+    directional derivative of the network along v at x, and gains, the
+    crossing gains ``_crossing_gains(net)``, it is a long (Barrodale-Roberts)
+    step: it passes walls while the slope stays below -slope_tol, each
+    last-layer wall adding its crossing gain times |rate|, and stops before
+    any wall of an earlier layer, whose flip would bend the walls behind
+    it, and before any wall at t <= 0.  If nothing stops it, the result is
+    unbounded with every candidate in crossed.
 
     The stop wall is the smallest flat index, which is the
     lexicographically smallest (layer, unit), among the walls within
     TIE_TOL * (1 + |t|) of the first wall of the stopping tie group.  A
     marginally negative t signals the start point sits just past that
     wall; the caller decides what to accept.
-
-    scan is scan_arrays(net, pairs), the pair information the search needs;
-    a solve builds it once and passes it to every line search.
     """
-    skip, gains = scan
-    ignore_mask = skip.copy()
-    ignore_mask[np.asarray(ignore, dtype=np.intp)] = True
     rate = inner_products_all(net, s, v)
-    flat = np.flatnonzero((rate < -ZERO_TOL) & ~ignore_mask)
+    candidate = rate < -ZERO_TOL
+    candidate[np.asarray(ignore, dtype=np.intp)] = False
+    flat = np.flatnonzero(candidate)
     if not flat.size:
         return AdvanceResult(float("inf"), None)
     arg = subjective_arguments(net, s, x)[flat]

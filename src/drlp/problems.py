@@ -2,10 +2,11 @@
 
 Each builder returns a network whose value at an input point equals the
 loss of the corresponding estimation problem at that parameter vector,
-so minimizing the network minimizes the loss.  Builders that create
-mirrored unit pairs (two units sharing one hyperplane with opposite
-orientation) return the pair metadata the solver needs to keep them in
-lock step; a builder without such units returns the empty ``PairGroups()``.
+so minimizing the network minimizes the loss.  A two-slope term such as
+an absolute residual is a mirrored pair of last-hidden-layer units (one
+hyperplane, opposite orientations); builders return those pairs, and the
+solvers fold each into one unit (``PairGroups.fold``).  A builder without
+such units returns the empty ``PairGroups()``.
 """
 
 from __future__ import annotations

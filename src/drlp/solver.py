@@ -32,13 +32,13 @@ from .primitives import (
     Degenerate,
     DependentColumn,
     PseudoInverse,
+    _crossing_gains,
     add_axis,
     advance_max,
     argument_residuals,
     dense_pseudoinverse,
     project,
     remove_pseudorow,
-    scan_arrays,
     update_axis_new_region,
 )
 
@@ -78,7 +78,7 @@ class TraceRecord:
     phase: str          # find_vertex | pivot | flip | certify | correct | resync
     x: tuple
     f: float
-    neuron: int | None = None      # flat unit index
+    neuron: int | None = None      # flat unit index in the caller's network
     t: float | None = None
     alpha: float | None = None
     crossed: int | None = None     # walls a pivot passed before its stop wall
@@ -92,7 +92,7 @@ class SolveOutcome:
     steps: int
     wall_ms: float = 0.0
     direction: np.ndarray | None = None   # certified descent ray when Unbounded
-    neurons: list | None = None           # diagnostic flat unit indices when NonRegular
+    neurons: list | None = None           # diagnostic flat unit indices (caller's) when NonRegular
     trace: list = field(default_factory=list)
 
 
@@ -103,12 +103,17 @@ class SolverState:
     s: np.ndarray
     pinv: PseudoInverse
     options: SolverOptions
-    pairs: PairGroups = field(default_factory=PairGroups)
     rng: np.random.Generator = None
     objective: object = None            # callable(x) -> float; network value by default
-    scan: tuple = None                  # scan_arrays(net, pairs), built once per solve
+    kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
+    gains: np.ndarray = field(init=False)   # _crossing_gains(net), built once per solve
+
+    def __post_init__(self):
+        self.gains = _crossing_gains(self.net)
+        if self.kept is None:
+            self.kept = np.arange(self.net.num_neurons)
 
     def value(self, x=None) -> float:
         x = self.x if x is None else x
@@ -124,7 +129,7 @@ class SolverState:
             phase=phase,
             x=tuple(self.x.tolist()),
             f=self.value(),
-            neuron=None if neuron is None else int(neuron),
+            neuron=None if neuron is None else int(self.kept[neuron]),
             t=None if t is None else float(t),
             alpha=None if alpha is None else float(alpha),
             crossed=crossed,
@@ -134,14 +139,15 @@ class SolverState:
         if self.options.on_record is not None:
             self.options.on_record(rec)
 
-    def finish(self, status, **kw) -> SolveOutcome:
+    def finish(self, status, direction=None, neurons=None) -> SolveOutcome:
         return SolveOutcome(
             status=status,
             x=self.x.copy(),
             f=self.value(),
             steps=self.steps,
+            direction=direction,
+            neurons=None if neurons is None else self.kept[neurons].tolist(),
             trace=self.trace,
-            **kw,
         )
 
 
@@ -157,8 +163,7 @@ def _start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
     return x
 
 
-def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
-               pairs: PairGroups = PairGroups()) -> SolverState:
+def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> SolverState:
     """Solver state at x0, nudged off any hyperplane it happens to sit on.
 
     Only units whose normals are nonzero force a nudge; units with
@@ -168,7 +173,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
     rng = options.make_rng()
     x = _start_point(net, x0)
     for _ in range(100):
-        s = activation_pattern(net, x, pairs)
+        s = activation_pattern(net, x)
         if not critical_indices(net, s, x):
             break
         step = rng.standard_normal(net.input_dim)
@@ -176,11 +181,8 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None,
         x = x + 1e-7 * (1.0 + np.max(np.abs(x))) * step
     else:
         raise ValueError("could not nudge the start point off all hyperplanes")
-    pairs.check_pattern(s)
-    return SolverState(
-        net=net, x=x, s=s, pinv=PseudoInverse.empty(net.input_dim),
-        options=options, pairs=pairs, rng=rng, scan=scan_arrays(net, pairs),
-    )
+    return SolverState(net=net, x=x, s=s, pinv=PseudoInverse.empty(net.input_dim),
+                       options=options, rng=rng)
 
 
 def choose_axis(pinv: PseudoInverse, grad: np.ndarray):
@@ -247,7 +249,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v = -v
             tried_opposite = False
         v = v / np.linalg.norm(v)
-        res = advance_max(net, state.x, v, s, state.pinv.owners, scan=state.scan)
+        res = advance_max(net, state.x, v, s, state.pinv.owners)
         state.steps += 1
         if not res.bounded:
             if v @ grad < -1e-15 * gscale:
@@ -280,11 +282,13 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     and strictly decreases at every pivot.  Roundoff is contained two ways:
     walls that drift past DRIFT_REFRESH_TOL force a dense axis rebuild, and
     a pattern bit found marginally stale (within RESYNC_TOL) is flipped back
-    to match the geometry without moving x.
+    to match the geometry without moving x.  The solve runs on
+    ``pairs.fold(net)``; records and outcomes name units of net.
     """
     t0 = time.perf_counter()
-    pairs.validate(net)
-    state = initialize(net, x0, options, pairs)
+    net, kept = pairs.fold(net)
+    state = initialize(net, x0, options)
+    state.kept = kept
     out = find_vertex(state)
     if out is None:
         out = _pivot_loop(state)
@@ -309,7 +313,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             v = row / np.linalg.norm(row)
             # long step: pass every last-layer wall while f still descends
             res = advance_max(net, state.x, v, state.s, ignore,
-                              slope=alpha, slope_tol=descent_tol, scan=state.scan)
+                              slope=alpha, gains=state.gains, slope_tol=descent_tol)
             state.steps += 1
             if not res.bounded:
                 return state.finish(UNBOUNDED, direction=v)
@@ -322,7 +326,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 # it).  Flip the bit to match the geometry, restore the removed
                 # axis, and rebuild; x and f are untouched.
                 try:
-                    state.s = flip(state.s, res.neuron, state.pairs)
+                    state.s = flip(state.s, res.neuron)
                     state.pinv = add_axis(state.pinv, net, state.s, ignore[i])
                     refresh_pseudoinverse(state)
                 except (DependentColumn, Degenerate):
@@ -339,8 +343,8 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 state.pinv = add_axis(state.pinv, net, state.s, c)
                 # crossed units sit in the last hidden layer and are not owners,
                 # so their bits enter neither c's normal nor any tracked one
-                state.s = flip(state.s, np.append(res.crossed, c), state.pairs)
-                state.pinv = update_axis_new_region(state.pinv, state.pinv.m - 1, net, state.s, c)
+                state.s = flip(state.s, np.append(res.crossed, c))
+                state.pinv = update_axis_new_region(state.pinv, state.pinv.m - 1, net, state.s)
             except (DependentColumn, Degenerate):
                 return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [c])
             next_flip = 0
@@ -366,9 +370,9 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             # adjacent region across wall next_flip; flips accumulate on purpose,
             # so all 2*n0 (owner, side) combinations get visited
             c = state.pinv.owners[next_flip]
-            state.s = flip(state.s, c, state.pairs)
+            state.s = flip(state.s, c)
             try:
-                state.pinv = update_axis_new_region(state.pinv, next_flip, net, state.s, c)
+                state.pinv = update_axis_new_region(state.pinv, next_flip, net, state.s)
             except Degenerate:
                 return state.finish(NON_REGULAR, neurons=[c])
             state.emit("flip", neuron=c, alpha=alpha)
@@ -376,8 +380,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             state.steps += 1
 
 
-def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
-                     pairs: PairGroups = PairGroups()):
+def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse):
     """Directional derivatives along all 2m feasible axes at a pinned point.
 
     For every owner: the derivative along its axis under the current
@@ -393,8 +396,8 @@ def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
         val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
         entries.append((c, int(s[c]), val, gnorm))
     for k, c in enumerate(list(pinv.owners)):
-        s = flip(s, c, pairs)
-        pinv = update_axis_new_region(pinv, k, net, s, c)
+        s = flip(s, c)
+        pinv = update_axis_new_region(pinv, k, net, s)
         grad = gradient(net, s)
         gnorm = float(np.linalg.norm(grad))
         val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
@@ -402,8 +405,7 @@ def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
     return entries
 
 
-def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
-                      pairs: PairGroups = PairGroups()) -> bool:
+def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse) -> bool:
     """True when no feasible axis at x has a negative directional derivative.
 
     With fewer active walls than input dimensions the free subspace must
@@ -414,7 +416,7 @@ def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
         free = grad - project(pinv, net, s, grad)
         if np.linalg.norm(free) > DESCENT_TOL * (1.0 + np.linalg.norm(grad)):
             return False
-    for _, _, val, gnorm in axis_derivatives(net, x, s, pinv, pairs):
+    for _, _, val, gnorm in axis_derivatives(net, x, s, pinv):
         if val < -DESCENT_TOL * (1.0 + gnorm):
             return False
     return True
@@ -558,33 +560,32 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     is flipped, one step, and the descent goes on across it.  At any other
     point the adjacent regions are probed by flipping active units one at
     a time (the flips accumulate); if none gives a direction the point is
-    reported as a local minimum.
+    reported as a local minimum.  Like drlsimplex, it runs on
+    ``pairs.fold(net)`` and names units of net.
     """
     t0 = time.perf_counter()
-    pairs.validate(net)
+    net, kept = pairs.fold(net)
     opts = options or SolverOptions()
     x = _start_point(net, x0)
     state = SolverState(
-        net=net, x=x, s=activation_pattern(net, x, pairs),
-        pinv=PseudoInverse.empty(net.input_dim), options=opts, pairs=pairs,
-        rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
-        scan=scan_arrays(net, pairs),
+        net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
+        options=opts, rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
+        kept=kept,
     )
-    gains = state.scan[1]
     hess = q.quad + q.quad.T
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
-        active = critical_indices(net, state.s, state.x, pairs)
+        active = critical_indices(net, state.s, state.x)
         g = q.grad(state.x) + gradient(net, state.s)
         normals = oriented_normals(net, state.s, active)
         v, d, _, mu, regular = _feasible_direction(g, normals, hess)
         tol = 1e-10 * (1.0 + np.linalg.norm(g))
         if np.linalg.norm(v) > tol:
             v = d / np.linalg.norm(d)
-            res = advance_max(net, state.x, v, state.s, active, scan=state.scan)
+            res = advance_max(net, state.x, v, state.s, active)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
             slope = float(v @ g)
@@ -596,7 +597,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x = state.x + t * v
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0)
-        elif regular and np.isfinite(kappa := gains[active]).all():
+        elif regular and np.isfinite(kappa := state.gains[active]).all():
             excess = mu - kappa * np.sqrt(np.einsum("ij,ij->i", normals, normals))
             over = np.flatnonzero(excess > tol)
             if not over.size:
@@ -605,14 +606,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 break
             # crossing this wall descends: flip it and go on from the new region
             c = active[over[0]]
-            state.s = flip(state.s, c, state.pairs)
+            state.s = flip(state.s, c)
             state.steps += 1
             state.emit("flip", neuron=c)
         else:
             # probe adjacent regions; flips accumulate like the vertex solver
             found = False
             for c in active:
-                state.s = flip(state.s, c, state.pairs)
+                state.s = flip(state.s, c)
                 state.steps += 1
                 state.emit("flip", neuron=c)
                 g2 = q.grad(state.x) + gradient(net, state.s)

@@ -12,7 +12,6 @@ import numpy as np
 
 from drlp import (
     ZERO_TOL,
-    PairGroups,
     ReluNetwork,
     critical_indices,
     evaluate,
@@ -159,7 +158,7 @@ def brute_pseudoinverse(net, s, owners):
     return np.linalg.pinv(normals_matrix(net, s, owners), rcond=1e-13)
 
 
-def brute_advance(net, x, v, s, ignore=(), pairs=PairGroups(), zero_tol=ZERO_TOL):
+def brute_advance(net, x, v, s, ignore=(), zero_tol=ZERO_TOL):
     """Reference line search: per-unit rates from two full forward passes.
 
     Arguments are affine along the ray, so the rate is an exact
@@ -168,7 +167,7 @@ def brute_advance(net, x, v, s, ignore=(), pairs=PairGroups(), zero_tol=ZERO_TOL
     """
     x = np.asarray(x, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    ignore = set(ignore) | set(pairs.second.tolist())
+    ignore = set(ignore)
     a0 = subjective_arguments(net, s, x)
     a1 = subjective_arguments(net, s, x + v)
     cands = []

@@ -12,9 +12,10 @@ status, steps, the bytes of x and f, and every trace record (for
 bytes of every network sweep).  Wall times are left out.
 The script uses only API that has been stable across releases
 (builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
-max_steps)``, the ``check`` routines called with ``pairs`` by keyword,
-the region bounds and sampler, and the network sweeps called on patterns
-from ``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
+max_steps)``, the ``check`` routines on a folded net, or called with
+``pairs`` by keyword where ``PairGroups.fold`` is absent, the region
+bounds and sampler, and the network sweeps called on patterns from
+``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
 is all of them, and an unknown name exits 1.
 
@@ -121,23 +122,34 @@ def random_quadratic():
 
 
 def check_axes():
-    """Axes and certificate at solved points, the way ``drlp check`` builds them."""
+    """Axes and certificate at solved points, the way ``drlp check`` builds them.
+
+    Paired nets are folded first and units named in the unfolded net, as
+    ``drlp check`` does; a tree without ``PairGroups.fold`` gets its
+    ``pairs=`` calls instead.
+    """
     cases = [(net, drlp.PairGroups(), out.x) for net, out in _solved_random_nets()]
     for seed in range(4):
         net, pairs = drlp.build_quantile_lasso(regression(seed, 30, 2), lam=0.5)
         cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(seed), pairs).x))
     for net, pairs, x in cases:
-        s = drlp.activation_pattern(net, x, pairs)
-        crit = drlp.critical_indices(net, s, x, pairs=pairs)
+        if hasattr(pairs, "fold"):
+            net, kept = pairs.fold(net)
+            kw = {}
+        else:
+            kept, kw = np.arange(net.num_neurons), {"pairs": pairs}
+        s = drlp.activation_pattern(net, x, **kw)
+        crit = drlp.critical_indices(net, s, x, **kw)
         try:
             pinv = drlp.dense_pseudoinverse(net, s, crit)
-            ok = drlp.certify_local_min(net, x, s, pinv, pairs=pairs)
-            axes = drlp.axis_derivatives(net, x, s, pinv, pairs=pairs)
+            ok = drlp.certify_local_min(net, x, s, pinv, **kw)
+            axes = drlp.axis_derivatives(net, x, s, pinv, **kw)
         except drlp.Degenerate:
-            yield repr(("Degenerate", crit))
+            yield repr(("Degenerate", [int(kept[c]) for c in crit]))
             continue
-        yield repr((ok, crit, [(c, b, np.float64(v).tobytes(), np.float64(g).tobytes())
-                               for c, b, v, g in axes]))
+        yield repr((ok, [int(kept[c]) for c in crit],
+                    [(int(kept[c]), b, np.float64(v).tobytes(), np.float64(g).tobytes())
+                     for c, b, v, g in axes]))
 
 
 def regions():

@@ -74,10 +74,10 @@ def test_ac01_axis_updates_at_shared_vertex():
     devs = [np.max(np.abs(pinv.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
 
     s = flip(s, 1)
-    pinv = update_axis_new_region(pinv, 0, net, s, 1)
+    pinv = update_axis_new_region(pinv, 0, net, s)
     devs.append(np.max(np.abs(pinv.matrix[0] - np.array([0.0, -1.0]))))
     s = flip(s, 2)
-    pinv = update_axis_new_region(pinv, 1, net, s, 2)
+    pinv = update_axis_new_region(pinv, 1, net, s)
     devs.append(np.max(np.abs(pinv.matrix[1] - np.array([-1.0, 0.0]))))
 
     elapsed = time.perf_counter() - t0
@@ -182,7 +182,7 @@ def test_ac04_incremental_updates_match_dense_rebuilds():
         for k, c in enumerate(owners):
             s2 = flip(s, c)
             try:
-                upd = update_axis_new_region(pinv, k, net, s2, c)
+                upd = update_axis_new_region(pinv, k, net, s2)
             except Exception:
                 continue
             cols2 = np.stack(

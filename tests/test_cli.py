@@ -12,8 +12,11 @@ import drlp.cli
 import drlp.solver
 from drlp import (
     NON_REGULAR,
+    LpInstance,
+    PairGroups,
     ReluNetwork,
     SolveOutcome,
+    build_from_lp,
     build_quantile_lasso,
     evaluate,
     load_csv,
@@ -242,6 +245,17 @@ class TestSolve:
             assert "layer 1: weight [1, 2] is nan" in stderr
             assert f"model file {path}: " in stderr
 
+    @pytest.mark.parametrize("command", [["solve", "--x0", "1"], ["check", "--x", "1"]])
+    def test_pairs_outside_last_hidden_layer_exit_one(self, capsys, tmp_path, command,
+                                                      net_split_line_mirrored):
+        path = tmp_path / "deep_pairs.json"
+        save_model(path, net_split_line_mirrored, PairGroups([(0, 1)]))
+        code, stdout, stderr = _run(capsys, command[:1] + ["--model", str(path)] + command[1:])
+        assert code == 1 and stdout == ""
+        assert stderr == (f"error: model file {path}: pairs must be [[layer, unit], [layer, unit]] "
+                          "lists of distinct, exactly negated last-hidden-layer units; pair (1, 1)/(1, 2): "
+                          "not in the last hidden layer, 2, the only one pairs may mirror\n")
+
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
                 "--starts", "3", "--seed", "11"]
@@ -455,6 +469,17 @@ class TestCheck:
         doc = json.loads(stdout)
         assert doc["certified"] is True
         assert len(doc["axes"]) == 4
+
+    def test_axes_name_units_of_the_paired_model(self, capsys, tmp_path):
+        # min -x subject to x <= 1, x >= 0: units (1, 1) and (1, 2) are the
+        # objective pair, and the minimum x = 1 sits on the wall of (1, 3)
+        net, pairs = build_from_lp(LpInstance([-1.0], [[1.0]], [1.0]), penalty=10.0)
+        path = tmp_path / "lp.json"
+        save_model(path, net, pairs)
+        code, stdout, _ = _run(capsys, ["check", "--model", str(path), "--x", "1"])
+        doc = json.loads(stdout)
+        assert code == 0 and doc["certified"] is True
+        assert [a["neuron"] for a in doc["axes"]] == [[1, 3], [1, 3]]
 
     def test_rejects_saddle_vertex(self, capsys, negated_model):
         code, stdout, _ = _run(

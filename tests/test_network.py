@@ -5,10 +5,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
+    LpInstance,
     PairGroups,
+    RegressionData,
     ReluNetwork,
     activation_bits_batch,
     activation_pattern,
+    build_clad,
+    build_from_lp,
+    build_l1_first_layer,
+    build_lasso,
+    build_quantile_lasso,
     build_random,
     critical_indices,
     evaluate,
@@ -23,6 +30,7 @@ from drlp import (
     save_model,
     subjective_arguments,
 )
+from drlp.primitives import _crossing_gains
 from helpers import (
     critical_kernel_dim,
     dense_sweeps,
@@ -315,17 +323,8 @@ class TestPairsAndFlip:
         PairGroups([(0, 1)]).validate(net)
         with pytest.raises(ValueError):
             PairGroups([(0, 2)]).validate(net)
-
-    def test_pair_flip_moves_both_bits(self):
-        net = self._paired_net()
-        pairs = PairGroups([(0, 1)])
-        s = activation_pattern(net, [1.0, 1.0])
-        assert (s[0], s[1]) == (1, 0)
-        t = flip(s, 0, pairs=pairs)
-        assert (t[0], t[1]) == (0, 1)
-        assert t[2] == s[2]
-        back = flip(t, 1, pairs=pairs)
-        assert np.array_equal(back, s)
+        with pytest.raises(ValueError, match="pairs must be disjoint"):
+            PairGroups([(0, 1), (1, 2)])
 
     def test_flip_without_pairs_is_involution(self, net_fold_sum):
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
@@ -333,41 +332,125 @@ class TestPairsAndFlip:
         assert np.array_equal(flip(flip(s, c), c), s)
 
     def test_pattern_on_paired_wall_keeps_bits_complementary(self):
+        # the folded unit takes bit 1 on its wall: first member 1, second 0
         net = self._paired_net()
-        pairs = PairGroups([(0, 1)])
+        folded, kept = PairGroups([(0, 1)]).fold(net)
         x = np.array([-3.0, 0.0])      # on the pair's wall, off unit 2's
         assert activation_pattern(net, x).tolist() == [0, 0, 0]
-        s = activation_pattern(net, x, pairs)
-        assert s.tolist() == [1, 0, 0]
-        pairs.check_pattern(s)
+        assert activation_pattern(folded, x).tolist() == [1, 0]
         off_wall = activation_pattern(net, [1.0, 1.0])
-        assert np.array_equal(activation_pattern(net, [1.0, 1.0], pairs), off_wall)
+        assert np.array_equal(activation_pattern(folded, [1.0, 1.0]), off_wall[kept])
 
     def test_critical_indices_drop_second_members(self):
         net = self._paired_net()
-        pairs = PairGroups([(0, 1)])
+        folded, kept = PairGroups([(0, 1)]).fold(net)
         x = np.array([0.0, -1.5])      # on the pair's wall and on unit 2's
-        s = activation_pattern(net, x, pairs)
-        assert critical_indices(net, s, x) == [0, 1, 2]
-        assert critical_indices(net, s, x, pairs=pairs) == [0, 2]
+        assert critical_indices(net, activation_pattern(net, x), x) == [0, 1, 2]
+        assert kept[critical_indices(folded, activation_pattern(folded, x), x)].tolist() == [0, 2]
 
     def test_oriented_normals_on_paired_units(self):
         net = self._paired_net()
-        pairs = PairGroups([(0, 1)])
-        s = activation_pattern(net, [1.0, 1.0], pairs)
+        s = activation_pattern(net, [1.0, 1.0])
         assert s.tolist() == [1, 0, 1]
         got = oriented_normals(net, s, [2, 1, 0])
         assert got.tobytes() == np.stack([oriented_normal(net, s, c) for c in (2, 1, 0)]).tobytes()
         assert got[1].tobytes() == got[2].tobytes()     # one wall, both members face one side
 
-    def test_complement_check(self):
-        net = self._paired_net()
-        pairs = PairGroups([(0, 1)])
-        good = activation_pattern(net, [1.0, 1.0])
-        pairs.check_pattern(good)
-        bad = flip(good, 1)
-        with pytest.raises(ValueError):
-            pairs.check_pattern(bad)
+
+def _fold_cases():
+    """(name, net, pairs, x) per builder; x puts at least one paired wall exactly at zero."""
+    rng = np.random.Generator(np.random.Philox(31))
+    data = RegressionData(rng.standard_normal((15, 2)), rng.standard_normal(15))
+    cases = []
+    for alpha in (0.3, 1.0):
+        for lam in (0.0, 0.5):
+            net, pairs = build_quantile_lasso(data, alpha=alpha, lam=lam)
+            # residual 3 vanishes at (y_3, 0, 0), and so do the penalty units
+            cases.append((f"quantile-{alpha}-{lam}", net, pairs, np.array([data.y[3], 0.0, 0.0])))
+    zero_y = RegressionData(data.x, np.where(np.arange(15) == 4, 0.0, data.y))
+    net, pairs = build_clad(zero_y)
+    cases.append(("clad", net, pairs, np.zeros(2)))            # residual 4 is max(0, 0) - 0
+    net, _, pairs = build_lasso(data, lam=2.0)
+    cases.append(("lasso", net, pairs, np.zeros(2)))
+    lp = LpInstance(np.array([1.0, -2.0]), rng.uniform(0.1, 1.0, (3, 2)), np.ones(3))
+    net, pairs = build_from_lp(lp)
+    cases.append(("lp", net, pairs, np.zeros(2)))              # <c, x> = 0
+    base = build_random((2, 3, 1), seed=4)
+    y = np.where(np.arange(15) == 2, base.biases[-1][0], data.y)
+    net, pairs = build_l1_first_layer(base, RegressionData(data.x, y))
+    # at theta = 0 the hidden layer is 0, so residual 2 is y_2's offset cancelled exactly
+    cases.append(("train_l1", net, pairs, np.zeros(net.input_dim)))
+    return cases
+
+
+FOLD_CASES = _fold_cases()
+
+
+@pytest.mark.parametrize("name, net, pairs, x_wall", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
+class TestFold:
+    """A folded net against the mirrored-pair net it came from, on every builder."""
+
+    def _pair_pattern(self, pairs, kept, s):
+        """The unfolded pattern a folded pattern stands for: second members take the other bit."""
+        out = np.empty(kept.size + len(pairs), dtype=np.uint8)
+        out[kept] = s
+        out[pairs.second] = 1 - out[pairs.first]
+        return out
+
+    def test_kept_maps_units_back(self, name, net, pairs, x_wall):
+        folded, kept = pairs.fold(net)
+        assert kept.tolist() == sorted(set(range(net.num_neurons)) - set(pairs.second.tolist()))
+        assert folded.relu_widths[-1] == net.relu_widths[-1] - len(pairs)
+        for c in range(folded.num_neurons):
+            (l, j), (lk, jk) = folded.neuron_at(c), net.neuron_at(int(kept[c]))
+            assert l == lk
+            assert np.array_equal(folded.weights[l - 1][j - 1], net.weights[l - 1][jk - 1])
+            assert folded.biases[l - 1][j - 1] == net.biases[l - 1][jk - 1]
+
+    def test_value_and_gradient_match(self, name, net, pairs, x_wall):
+        folded, kept = pairs.fold(net)
+        rng = np.random.Generator(np.random.Philox(32))
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, net.input_dim)
+            f = evaluate(net, x)
+            assert abs(evaluate(folded, x) - f) <= 1e-12 * (1.0 + abs(f))
+            s = activation_pattern(folded, x)
+            # unfolded, a pair exactly on its wall has two 0 bits; it stands for first 1, second 0
+            paired = activation_pattern(net, x)
+            tied = pairs.first[paired[pairs.first] == paired[pairs.second]]
+            paired[tied] = 1
+            assert np.array_equal(self._pair_pattern(pairs, kept, s), paired)
+            # any pattern, not only the one at x
+            for t in (s, flip(s, rng.permutation(folded.num_neurons)[:folded.num_neurons // 2])):
+                g = gradient(net, self._pair_pattern(pairs, kept, t))
+                assert_allclose(gradient(folded, t), g, rtol=0.0, atol=1e-12 * (1.0 + np.abs(g).max()))
+
+    def test_crossing_gains_are_pair_sums(self, name, net, pairs, x_wall):
+        folded, kept = pairs.fold(net)
+        last, w = net.offsets[-2], net.weights[-1][0]
+        gains = _crossing_gains(folded)
+        first = np.searchsorted(kept, pairs.first)
+        assert gains[first].tobytes() == (w[pairs.first - last] + w[pairs.second - last]).tobytes()
+        plain = np.setdiff1d(np.arange(last, net.num_neurons), np.concatenate([pairs.first, pairs.second]))
+        assert gains[np.searchsorted(kept, plain)].tobytes() == w[plain - last].tobytes()
+        assert np.all(np.isinf(gains[:last]))
+
+    def test_paired_wall_takes_bit_one(self, name, net, pairs, x_wall):
+        folded, kept = pairs.fold(net)
+        args = relu_arguments(net, x_wall)
+        on_wall = pairs.first[args[pairs.first] == 0.0]
+        assert on_wall.size and np.all(args[pairs.second[args[pairs.first] == 0.0]] == 0.0)
+        assert np.all(activation_pattern(net, x_wall)[on_wall] == 0)
+        s = activation_pattern(folded, x_wall)
+        assert np.all(s[np.searchsorted(kept, on_wall)] == 1)
+        # plain units on their walls keep bit 0
+        plain_zero = np.setdiff1d(np.flatnonzero(args == 0.0), np.concatenate([pairs.first, pairs.second]))
+        assert np.all(s[np.searchsorted(kept, plain_zero)] == 0)
+
+
+def test_fold_rejects_pairs_outside_the_last_hidden_layer(net_split_line_mirrored):
+    with pytest.raises(ValueError, match=r"pair \(1, 1\)/\(1, 2\): not in the last hidden layer, 2"):
+        PairGroups([(0, 1)]).fold(net_split_line_mirrored)
 
 
 class TestModelIO:
@@ -391,6 +474,14 @@ class TestModelIO:
         save_model(path, net, pairs=PairGroups([(0, 1)]))
         _, pairs = load_model(path)
         assert (pairs.first.tolist(), pairs.second.tolist()) == ([0], [1])
+
+    def test_folded_net_is_not_saved(self, tmp_path):
+        # the file would hold a different function: the off weights have no field
+        net, pairs = build_quantile_lasso(RegressionData(np.eye(2), np.ones(2)), alpha=1.0)
+        folded, _ = pairs.fold(net)
+        with pytest.raises(ValueError, match="no two-slope units"):
+            save_model(tmp_path / "m.json", folded)
+        assert not (tmp_path / "m.json").exists()
 
     def test_pairs_written_as_layer_unit(self, tmp_path):
         # files name units by 1-based (layer, unit); flat indices stay in memory

@@ -28,7 +28,7 @@ from drlp import (
     remove_pseudorow,
     update_axis_new_region,
 )
-from drlp.primitives import scan_arrays
+from drlp.primitives import _crossing_gains
 from helpers import (
     brute_advance,
     brute_pseudoinverse,
@@ -146,7 +146,7 @@ class TestUpdateAxis:
             pinv = _build_incremental(net, s, owners)
             for i, c in enumerate(owners):
                 s2 = flip(s, c)
-                got = update_axis_new_region(pinv, i, net, s2, c)
+                got = update_axis_new_region(pinv, i, net, s2)
                 assert_allclose(
                     got.matrix, brute_pseudoinverse(net, s2, owners), atol=1e-8
                 )
@@ -158,7 +158,7 @@ class TestUpdateAxis:
         pinv = _build_incremental(net, s, [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
         s2 = flip(s, 1)
-        upd = update_axis_new_region(pinv, 0, net, s2, 1)
+        upd = update_axis_new_region(pinv, 0, net, s2)
         assert_allclose(upd.matrix[0], [0.0, -1.0], atol=1e-12)
         # flipping (1,2) also changed the normal of (2,1); row 1 must still work
         assert_allclose(
@@ -167,20 +167,12 @@ class TestUpdateAxis:
             atol=1e-12,
         )
 
-    def test_wrong_owner_rejected(self):
-        rows = np.eye(2)
-        net = first_layer_wrapper(rows)
-        s = _all_ones_pattern(net)
-        pinv = _build_incremental(net, s, [0, 1])
-        with pytest.raises(ValueError):
-            update_axis_new_region(pinv, 0, net, s, 1)
-
     def test_single_wall_sign_flip(self, net_split_line):
         net = net_split_line
         s = activation_pattern(net, [1.0])
         pinv = _build_incremental(net, s, [0])
         s2 = flip(s, 0)
-        upd = update_axis_new_region(pinv, 0, net, s2, 0)
+        upd = update_axis_new_region(pinv, 0, net, s2)
         assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
 
 
@@ -230,7 +222,7 @@ class TestAgainstDenseRebuild:
         i = data.draw(st.sampled_from([k for k, c in enumerate(owners)
                                        if net.neuron_at(c)[0] == last]), label="flipped row")
         s2 = flip(s, owners[i])
-        moved = update_axis_new_region(pinv, i, net, s2, owners[i])
+        moved = update_axis_new_region(pinv, i, net, s2)
         assert moved.owners == owners
         _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
 
@@ -238,23 +230,24 @@ class TestAgainstDenseRebuild:
 class TestAdvance:
     def test_matches_reference_on_random_nets(self):
         rng = np.random.Generator(np.random.Philox(6))
-        cases = [(build_random((3, 4, 3, 1), seed=trial), PairGroups(), [0] if trial % 3 == 0 else [])
+        cases = [(build_random((3, 4, 3, 1), seed=trial), [0] if trial % 3 == 0 else [])
                  for trial in range(40)]
-        # compiled paired nets, each with a random ignore set
+        # compiled nets with their pairs folded, each with a random ignore set
         data = RegressionData(rng.normal(size=(12, 3)), rng.normal(size=12))
         base = build_random((3, 3, 2, 1), seed=7)
         compiled = [build_quantile_lasso(data, alpha=0.3, lam=0.5), build_clad(data),
                     build_l1_first_layer(base, RegressionData(data.x[:6], data.y[:6]))]
         for net, pairs in compiled * 10:
+            net, _ = pairs.fold(net)
             ignore = np.flatnonzero(rng.uniform(size=net.num_neurons) < 0.2).tolist()
-            cases.append((net, pairs, ignore))
-        for net, pairs, ignore in cases:
+            cases.append((net, ignore))
+        for net, ignore in cases:
             x = rng.uniform(-2.0, 2.0, size=net.input_dim)
             v = rng.standard_normal(net.input_dim)
             v /= np.linalg.norm(v)
-            s = activation_pattern(net, x, pairs)
-            res = advance_max(net, x, v, s, ignore, scan=scan_arrays(net, pairs))
-            t_ref, c_ref = brute_advance(net, x, v, s, ignore, pairs)
+            s = activation_pattern(net, x)
+            res = advance_max(net, x, v, s, ignore)
+            t_ref, c_ref = brute_advance(net, x, v, s, ignore)
             if c_ref is None:
                 assert not res.bounded
             else:
@@ -264,26 +257,24 @@ class TestAdvance:
     def test_frozen_crossing(self, net_hinge_gap):
         x = np.array([3.0, -2.0])
         s = activation_pattern(net_hinge_gap, x)
-        res = advance_max(net_hinge_gap, x, np.array([-1.0, 0.0]), s,
-                          scan=scan_arrays(net_hinge_gap, PairGroups()))
+        res = advance_max(net_hinge_gap, x, np.array([-1.0, 0.0]), s)
         assert res.neuron == 2
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
     def test_unbounded_ray(self):
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
-        s, scan = activation_pattern(net, [2.0]), scan_arrays(net, PairGroups())
-        res = advance_max(net, np.array([2.0]), np.array([1.0]), s, scan=scan)
+        s = activation_pattern(net, [2.0])
+        res = advance_max(net, np.array([2.0]), np.array([1.0]), s)
         assert not res.bounded and res.t == float("inf")
-        back = advance_max(net, np.array([2.0]), np.array([-1.0]), s, scan=scan)
+        back = advance_max(net, np.array([2.0]), np.array([-1.0]), s)
         assert back.neuron == 0 and back.t == pytest.approx(2.0, abs=1e-14)
 
     def test_marginally_negative_step_reported(self):
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]])],
                           [np.zeros(1), np.zeros(1)])
         s = activation_pattern(net, [1.0])      # unit active
-        res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s,
-                          scan=scan_arrays(net, PairGroups()))
+        res = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s)
         assert res.neuron == 0
         assert res.t == pytest.approx(-1e-12, abs=1e-15)
         # relu(x) - 3 relu(5 - x) still descends past that wall, but a long
@@ -292,17 +283,17 @@ class TestAdvance:
                           [np.array([0.0, 5.0]), np.zeros(1)])
         s = activation_pattern(net, [1.0])
         long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s,
-                           scan=scan_arrays(net, PairGroups()), slope=-4.0)
+                           slope=-4.0, gains=_crossing_gains(net))
         assert (long.t, long.neuron, long.crossed.size) == (res.t, res.neuron, 0)
 
     def test_pairs_report_primary_member(self):
         w1 = np.array([[1.0], [-1.0]])
         net = ReluNetwork([w1, np.ones((1, 2))], [np.array([-1.0, 1.0]), np.zeros(1)])
-        pairs = PairGroups([(0, 1)])
+        folded, kept = PairGroups([(0, 1)]).fold(net)
         x = np.array([0.0])
-        s = activation_pattern(net, x)
-        res = advance_max(net, x, np.array([1.0]), s, scan=scan_arrays(net, pairs))
-        assert res.neuron == 0
+        s = activation_pattern(folded, x)
+        res = advance_max(folded, x, np.array([1.0]), s)
+        assert kept[res.neuron] == 0
         assert res.t == pytest.approx(1.0, abs=1e-14)
 
     def test_ties_resolve_to_smallest_unit(self):
@@ -312,7 +303,7 @@ class TestAdvance:
                           [np.array([-2.0, -2.0, 0.0]), np.zeros(1)])
         x = np.array([0.0, 0.5])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, np.array([1.0, 0.0]), s, scan=scan_arrays(net, PairGroups()))
+        res = advance_max(net, x, np.array([1.0, 0.0]), s)
         assert res.neuron == 0
         assert res.t == pytest.approx(2.0, abs=1e-12)
 
@@ -334,9 +325,9 @@ class TestLongStep:
         # slope -1 turns to +2 at x = 1, so the step stops at unit 1's wall
         net = _ramp_net(1.0)
         x, v = np.array([0.0]), np.array([1.0])
-        s, scan = activation_pattern(net, x), scan_arrays(net, PairGroups())
-        first = advance_max(net, x, v, s, scan=scan)
-        long = advance_max(net, x, v, s, scan=scan, slope=-1.0)
+        s = activation_pattern(net, x)
+        first = advance_max(net, x, v, s)
+        long = advance_max(net, x, v, s, slope=-1.0, gains=_crossing_gains(net))
         assert (first.t, first.neuron, first.crossed.size) == (1.0, 1, 0)
         assert (long.t, long.neuron, long.crossed.size) == (1.0, 1, 0)
 
@@ -344,12 +335,12 @@ class TestLongStep:
         x, v = np.array([0.0]), np.array([1.0])
         # slope -3.5: +3 at x = 1 leaves -0.5, +1 at x = 2 turns it positive
         net = _ramp_net(3.5)
-        s, scan = activation_pattern(net, x), scan_arrays(net, PairGroups())
-        res = advance_max(net, x, v, s, scan=scan, slope=-3.5)
+        s = activation_pattern(net, x)
+        res = advance_max(net, x, v, s, slope=-3.5, gains=_crossing_gains(net))
         assert (res.t, res.neuron, res.crossed.tolist()) == (2.0, 2, [1])
         # slope -5 stays negative past both walls: unbounded
         net = _ramp_net(5.0)
-        res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=-5.0)
+        res = advance_max(net, x, v, s, slope=-5.0, gains=_crossing_gains(net))
         assert not res.bounded and res.crossed.tolist() == [1, 2]
 
     def test_paired_walls_count_both_members(self):
@@ -360,8 +351,9 @@ class TestLongStep:
         for w, stops in ((0.0, True), (0.5, False)):
             net = ReluNetwork([np.array([[1.0], [-1.0], [1.0]]), np.array([[0.25, 0.75, -w]])],
                               [np.array([-1.0, 1.0, 5.0]), np.zeros(1)])
+            net, _ = pairs.fold(net)        # the ramp unit 2 becomes unit 1
             s = activation_pattern(net, x)
-            res = advance_max(net, x, v, s, scan=scan_arrays(net, pairs), slope=-0.75 - w)
+            res = advance_max(net, x, v, s, slope=-0.75 - w, gains=_crossing_gains(net))
             if stops:
                 assert (res.t, res.neuron, res.crossed.size) == (1.0, 0, 0)
             else:
@@ -376,7 +368,7 @@ class TestLongStep:
                           [np.array([-1.0, 10.0]), np.array([-10.5, -12.0, 20.0]), np.zeros(1)])
         x, v = np.array([0.0]), np.array([1.0])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=-10.0)
+        res = advance_max(net, x, v, s, slope=-10.0, gains=_crossing_gains(net))
         assert (res.t, res.neuron, res.crossed.tolist()) == (1.0, 0, [2])
 
     def test_descends_on_every_passed_segment(self):
@@ -392,7 +384,7 @@ class TestLongStep:
             slope = float(gradient(net, s) @ v)
             if slope > 0.0:
                 v, slope = -v, -slope
-            res = advance_max(net, x, v, s, scan=scan_arrays(net, PairGroups()), slope=slope)
+            res = advance_max(net, x, v, s, slope=slope, gains=_crossing_gains(net))
             last = net.offsets[-2]
             assert np.all(res.crossed >= last)
             crossings += res.crossed.size

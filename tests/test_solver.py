@@ -13,7 +13,6 @@ from drlp import (
     STEP_LIMIT,
     UNBOUNDED,
     LpInstance,
-    PairGroups,
     PseudoInverse,
     QuadraticObjective,
     RegressionData,
@@ -43,12 +42,12 @@ from drlp import (
     position_correction,
     quantile_loss,
     refresh_pseudoinverse,
+    relu_arguments,
     solve_quadratic,
     SolverOptions,
     SolverState,
     dense_pseudoinverse,
 )
-from drlp.primitives import scan_arrays
 from helpers import (
     certificate_residual,
     cone_projection_nnls,
@@ -137,6 +136,15 @@ class TestFindVertex:
         f0 = evaluate(net_hinge_gap_negated, out.x)
         f1 = evaluate(net_hinge_gap_negated, out.x + 10.0 * d)
         assert f1 < f0
+
+    def test_hand_built_state_builds_its_own_gains(self):
+        net = build_random((2, 3, 1), seed=1)
+        x, opts = np.array([0.3, -0.2]), SolverOptions()
+        state = SolverState(net=net, x=x, s=activation_pattern(net, x),
+                            pinv=PseudoInverse.empty(2), options=opts, rng=opts.make_rng())
+        assert state.gains.tobytes() == drlp.primitives._crossing_gains(net).tobytes()
+        assert find_vertex(state) is None
+        assert state.pinv.m == 2
 
     def test_flat_region_still_reaches_vertex(self, net_hinge_gap):
         # gradient is zero below both folds; random fallbacks must pin walls
@@ -261,7 +269,7 @@ def _stale_vertex(stale):
     s = np.array([1, 1, 1, 0], dtype=np.uint8)
     opts = SolverOptions()
     return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_pseudoinverse(net, s, [0, 1]),
-                       options=opts, rng=opts.make_rng(), scan=scan_arrays(net, PairGroups()))
+                       options=opts, rng=opts.make_rng())
 
 
 class TestResync:
@@ -281,6 +289,13 @@ class TestResync:
         out = drlp.solver._pivot_loop(_stale_vertex(1e-4))
         assert out.status == NON_REGULAR and out.neurons == [2]
         assert not [rec for rec in out.trace if rec.phase == "resync"]
+
+    def test_abort_names_units_through_kept(self):
+        # as if the state ran on a folded net whose unit c is unit kept[c] of the caller's
+        state = _stale_vertex(1e-4)
+        state.kept = np.array([0, 2, 5, 7])
+        out = drlp.solver._pivot_loop(state)
+        assert out.status == NON_REGULAR and out.neurons == [5]
 
 
 class TestCertification:
@@ -468,8 +483,8 @@ class TestQuadratic:
         x = rng.standard_normal((60, 3))
         y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
         net, pairs = build_clad(RegressionData(x, y))
-        assert len(critical_indices(net, activation_pattern(net, np.zeros(3), pairs),
-                                    np.zeros(3), pairs)) == 60
+        folded, _ = pairs.fold(net)
+        assert len(critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))) == 60
         q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
         out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
         assert out.status in {LOCAL_MINIMUM, STEP_LIMIT}
@@ -495,15 +510,20 @@ def bench_lasso_solves():
 
 
 def _certificate_residual_at(net, q, pairs, x):
-    """BVLS residual of the local model at x, with crossing gains read off the output weights."""
-    s = activation_pattern(net, x, pairs)
-    active = critical_indices(net, s, x, pairs)
-    normals = oriented_normals(net, s, active)
+    """BVLS residual of the local model at x, with crossing gains read off the output weights.
+
+    Returns the residual, the gradient and the active units, named in net.
+    """
+    folded, kept = pairs.fold(net)
+    s = activation_pattern(folded, x)
+    active = critical_indices(folded, s, x)
+    normals = oriented_normals(folded, s, active)
     norms = np.linalg.norm(normals, axis=1)
-    w = net.weights[-1][0]
-    kappa = w[active] + w[pairs.partner[active]]
-    g = q.grad(x) + gradient(net, s)
-    return certificate_residual(g, normals / norms[:, None], kappa * norms), g, active
+    units = kept[active].tolist()
+    w, second = net.weights[-1][0], dict(zip(pairs.first.tolist(), pairs.second.tolist()))
+    kappa = np.array([w[c] + w[second[c]] for c in units])
+    g = q.grad(x) + gradient(folded, s)
+    return certificate_residual(g, normals / norms[:, None], kappa * norms), g, units
 
 
 class TestCertificate:
@@ -567,8 +587,8 @@ class TestLongStep:
     @pytest.mark.parametrize("solve", ["drlsimplex", "solve_quadratic"])
     def test_line_search_arrays_are_built_once_per_solve(self, solve, monkeypatch):
         calls = Counter()
-        gains, mask = drlp.primitives._crossing_gains, drlp.network.PairGroups.secondary_flat_mask
-        monkeypatch.setattr(drlp.primitives, "_crossing_gains",
+        gains, mask = drlp.solver._crossing_gains, drlp.network.PairGroups.secondary_flat_mask
+        monkeypatch.setattr(drlp.solver, "_crossing_gains",
                             lambda *a: calls.update(["gains"]) or gains(*a))
         monkeypatch.setattr(drlp.network.PairGroups, "secondary_flat_mask",
                             lambda *a: calls.update(["mask"]) or mask(*a))
@@ -596,6 +616,31 @@ class TestLongStep:
         assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-9)
         assert len(_pivots(out)) <= 150
         _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+    def test_records_name_walls_of_the_unfolded_net(self):
+        # the LP's objective pair is units 0 and 1, so folded unit c is unit c + 1
+        # of the net for c >= 1; each stop wall must vanish at its record's x
+        rng = np.random.Generator(np.random.Philox(17))
+        lp = LpInstance(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.1, 1.0, (4, 3)), rng.uniform(1.0, 2.0, 4))
+        net, pairs = build_from_lp(lp, penalty=10.0)
+        out = drlsimplex(net, rng.uniform(0.0, 1.0, 3), SolverOptions(seed=1), pairs)
+        assert out.status == LOCAL_MINIMUM
+        walls = [r for r in out.trace if r.phase in ("find_vertex", "pivot")]
+        assert any(r.neuron >= 2 for r in walls)
+        for r in walls:
+            assert r.neuron != 1
+            assert abs(relu_arguments(net, np.array(r.x))[r.neuron]) <= 1e-9 * (1.0 + np.abs(r.x).max())
+
+    def test_a_folded_net_solves_like_its_pairs(self):
+        # folding again with no pairs must keep the two-slope units
+        rng = np.random.Generator(np.random.Philox(18))
+        net, pairs = build_quantile_lasso(_lasso_data(rng, 50, 12), alpha=0.3, lam=1.0)
+        folded, kept = pairs.fold(net)
+        a = drlsimplex(net, np.zeros(13), SolverOptions(seed=1), pairs)
+        b = drlsimplex(folded, np.zeros(13), SolverOptions(seed=1))
+        assert (a.status, a.steps, a.x.tobytes(), a.f) == (b.status, b.steps, b.x.tobytes(), b.f)
+        assert [r.neuron for r in a.trace] == [None if r.neuron is None else int(kept[r.neuron])
+                                               for r in b.trace]
 
     def test_random_lps_match_linprog(self):
         rng = np.random.Generator(np.random.Philox(14))
