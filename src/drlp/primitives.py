@@ -7,9 +7,12 @@ to the columns: <row_k, normal_of_owner_m> = delta_km.  Rows double as
 the feasible edge directions leaving the current point inside its
 region, which is what makes the pivot step cheap.
 
-All update operations are O(m * input_dim) given the inner products of
-one vector with every unit normal, which a single bias-free forward
-sweep provides (inner_products_all).
+All update operations are O(m * input_dim) given the normals involved.
+A pivot is one basis exchange (exchange_axis), which needs only the
+entering unit's oriented normal, a partial backward sweep, and no full
+sweep.  add_axis and update_axis_new_region also need the inner products
+of a normal with every unit normal, one bias-free forward sweep
+(inner_products_all).
 """
 
 from __future__ import annotations
@@ -124,6 +127,41 @@ def add_axis(
     return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
 
 
+def exchange_axis(
+    pinv: PseudoInverse,
+    i: int,
+    net: ReluNetwork,
+    s: np.ndarray,
+    c: int,
+) -> PseudoInverse:
+    """Replace owner i by unit c: one rank-one basis exchange, as in a simplex pivot.
+
+    s is the pattern after the pivot flipped c's bit; pinv tracks its
+    owners under s with c's bit flipped back.  u is c's oriented normal
+    under s and beta = P u, with pivot element beta_i.  Row i becomes c's
+    row P_i / beta_i and moves last, after c's owner; every other row k
+    becomes P_k - beta_k P_i / beta_i, which keeps it biorthogonal to its
+    own column and makes it orthogonal to u.  With input_dim owners,
+    |beta_i| / |P_i| is the distance of u from the span of the other
+    normals, the quantity add_axis tests: raises DependentColumn when it is
+    within DEP_TOL of |u|.  Flipping c bends the walls of owners in later
+    layers, which only c's row sees; update_axis_new_region then rebuilds
+    that row and may raise Degenerate.
+    """
+    u = oriented_normal(net, s, c)
+    beta = pinv.matrix @ u
+    row = pinv.matrix[i]
+    if abs(beta[i]) <= DEP_TOL * np.linalg.norm(u) * np.linalg.norm(row):
+        raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
+    new_row = row / beta[i]
+    others = np.delete(pinv.matrix, i, axis=0) - np.outer(np.delete(beta, i), new_row)
+    owners = pinv.owners[:i] + pinv.owners[i + 1:]
+    out = PseudoInverse(np.vstack([others, new_row]), owners + [c])
+    if max(owners, default=-1) >= net.offsets[net.neuron_at(c)[0]]:
+        out = update_axis_new_region(out, len(owners), net, s)
+    return out
+
+
 def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInverse:
     """Pseudoinverse for owners built from scratch by an O(n^3) dense solve.
 
@@ -133,10 +171,12 @@ def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInvers
     if not owners:
         return PseudoInverse.empty(net.input_dim)
     cols = oriented_normals(net, s, owners).T
-    sv = np.linalg.svd(cols, compute_uv=False)
+    u, sv, vt = np.linalg.svd(cols, full_matrices=False)
     if len(owners) > net.input_dim or sv[-1] <= DEP_TOL * sv[0]:
         raise Degenerate("tracked normals are not independent")
-    return PseudoInverse(np.linalg.pinv(cols, rcond=1e-13), list(owners))
+    # np.linalg.pinv's formula on the same SVD; past the check above no
+    # singular value falls under its rcond=1e-13 cutoff
+    return PseudoInverse(vt.T @ ((1.0 / sv)[:, None] * u.T), list(owners))
 
 
 def update_axis_new_region(

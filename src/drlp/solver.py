@@ -37,8 +37,8 @@ from .primitives import (
     advance_max,
     argument_residuals,
     dense_pseudoinverse,
+    exchange_axis,
     project,
-    remove_pseudorow,
     update_axis_new_region,
 )
 
@@ -308,11 +308,11 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
         row, alpha, i = choose_axis(state.pinv, grad)
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
-            ignore = list(state.pinv.owners)          # old owner stays ignored this advance
-            state.pinv = remove_pseudorow(state.pinv, i)
+            owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
+            others = owners[:i] + owners[i + 1:]
             v = row / np.linalg.norm(row)
             # long step: pass every last-layer wall while f still descends
-            res = advance_max(net, state.x, v, state.s, ignore,
+            res = advance_max(net, state.x, v, state.s, owners,
                               slope=alpha, gains=state.gains, slope_tol=descent_tol)
             state.steps += 1
             if not res.bounded:
@@ -323,14 +323,15 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                     return state.finish(NON_REGULAR, neurons=[res.neuron])
                 # a negative crossing step means the bit for res.neuron claims
                 # the wrong side of its wall (roundoff left x marginally past
-                # it).  Flip the bit to match the geometry, restore the removed
-                # axis, and rebuild; x and f are untouched.
+                # it).  Flip the bit to match the geometry and rebuild, with
+                # owner i last; x and f are untouched.
+                state.s = flip(state.s, res.neuron)
+                order = [k for k in range(state.pinv.m) if k != i] + [i]
+                state.pinv = PseudoInverse(state.pinv.matrix[order], others + [owners[i]])
                 try:
-                    state.s = flip(state.s, res.neuron)
-                    state.pinv = add_axis(state.pinv, net, state.s, ignore[i])
                     refresh_pseudoinverse(state)
-                except (DependentColumn, Degenerate):
-                    return state.finish(NON_REGULAR, neurons=[res.neuron, ignore[i]])
+                except Degenerate:
+                    return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
                 state.emit("resync", neuron=res.neuron, t=res.t)
                 position_correction(state)
                 next_flip = 0
@@ -339,14 +340,13 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             state.x = state.x + res.t * v
             c = res.neuron
             state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
+            # crossed units sit in the last hidden layer and are not owners,
+            # so their bits enter neither c's normal nor any tracked one
+            state.s = flip(state.s, np.append(res.crossed, c))
             try:
-                state.pinv = add_axis(state.pinv, net, state.s, c)
-                # crossed units sit in the last hidden layer and are not owners,
-                # so their bits enter neither c's normal nor any tracked one
-                state.s = flip(state.s, np.append(res.crossed, c))
-                state.pinv = update_axis_new_region(state.pinv, state.pinv.m - 1, net, state.s)
+                state.pinv = exchange_axis(state.pinv, i, net, state.s, c)
             except (DependentColumn, Degenerate):
-                return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [c])
+                return state.finish(NON_REGULAR, neurons=others + [c])
             next_flip = 0
             pivots_since_refresh += 1
             try:

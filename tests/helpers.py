@@ -13,11 +13,16 @@ import numpy as np
 from drlp import (
     ZERO_TOL,
     ReluNetwork,
+    add_axis,
+    build_random,
     critical_indices,
     evaluate,
+    flip,
     normal_matrices,
     relu_arguments,
+    remove_pseudorow,
     subjective_arguments,
+    update_axis_new_region,
 )
 
 
@@ -156,6 +161,32 @@ def normals_matrix(net, s, owners):
 def brute_pseudoinverse(net, s, owners):
     """Moore-Penrose left inverse of the stacked normals, dense route."""
     return np.linalg.pinv(normals_matrix(net, s, owners), rcond=1e-13)
+
+
+def pivot_update_reference(pinv, i, net, s, c):
+    """A pivot's pseudoinverse update as three primitives, for exchange_axis to match.
+
+    Takes exchange_axis's arguments.  Drops row i, adds unit c's normal
+    under the pattern before the pivot (s with c's bit flipped back), then
+    rebuilds c's row under s, the way the pivot worked before the rank-one
+    exchange; this costs two full sweeps more.
+    """
+    grown = add_axis(remove_pseudorow(pinv, i), net, flip(s, c), c)
+    return update_axis_new_region(grown, grown.m - 1, net, s)
+
+
+def ac5_runs():
+    """(net, x0, seed) of the 20 deep random solves of acceptance check AC5.
+
+    Ten (1, 50, 10, 10, 10, 10, 10, 1) nets from 0 and ten
+    (2, 10, 10, 10, 10, 10, 1) nets from uniform starts in [-1, 1]^2.
+    """
+    for seed in range(10):
+        yield build_random((1, 50, 10, 10, 10, 10, 10, 1), seed=400 + seed), np.zeros(1), seed
+    for seed in range(10):
+        rng = np.random.Generator(np.random.Philox(600 + seed))
+        yield (build_random((2, 10, 10, 10, 10, 10, 1), seed=500 + seed),
+               rng.uniform(-1.0, 1.0, size=2), seed)
 
 
 def brute_advance(net, x, v, s, ignore=(), zero_tol=ZERO_TOL):

@@ -40,6 +40,7 @@ from drlp import (
     update_axis_new_region,
 )
 from helpers import (
+    ac5_runs,
     cd_lasso,
     enumerate_compatible,
     hyperplane_pattern,
@@ -209,16 +210,8 @@ def test_ac04_incremental_updates_match_dense_rebuilds():
 
 def test_ac05_deep_networks_terminate_at_verified_minima():
     t0 = time.perf_counter()
-    runs = []
-    for seed in range(10):
-        net = build_random((1, 50, 10, 10, 10, 10, 10, 1), seed=400 + seed)
-        runs.append((net, np.zeros(1), seed))
-    for seed in range(10):
-        net = build_random((2, 10, 10, 10, 10, 10, 1), seed=500 + seed)
-        rng = np.random.Generator(np.random.Philox(600 + seed))
-        runs.append((net, rng.uniform(-1.0, 1.0, size=2), seed))
     statuses = []
-    for net, x0, seed in runs:
+    for net, x0, seed in ac5_runs():
         out = drlsimplex(net, x0, SolverOptions(seed=seed, max_steps=10_000))
         statuses.append(out.status)
         assert out.status in (LOCAL_MINIMUM, UNBOUNDED), out.status

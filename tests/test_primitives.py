@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,19 +21,22 @@ from drlp import (
     build_random,
     dense_pseudoinverse,
     evaluate,
+    exchange_axis,
     flip,
     gradient,
+    oriented_normal,
     subjective_arguments,
     project,
     remove_pseudorow,
     update_axis_new_region,
 )
-from drlp.primitives import _crossing_gains
+from drlp.primitives import DEP_TOL, _crossing_gains
 from helpers import (
     brute_advance,
     brute_pseudoinverse,
     first_layer_wrapper,
     normals_matrix,
+    pivot_update_reference,
 )
 
 
@@ -108,6 +111,23 @@ class TestAddRemove:
         back = remove_pseudorow(grown, 3)
         assert back.owners == pinv.owners
         assert_allclose(back.matrix, pinv.matrix, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("tilt", [1e-9, 1e-7])
+    def test_exchange_dependence_is_add_axis_on_scaled_rows(self, scale, tilt):
+        # row 1 of the pseudoinverse has norm 1/scale; unit 2's normal lies
+        # tilt from owner 0's, so it is dependent at tilt = 1e-9 only
+        net = first_layer_wrapper([[1.0, 0.0], [0.0, scale], [1.0, tilt]])
+        s = _all_ones_pattern(net)
+        pinv, s2 = _build_incremental(net, s, [0, 1]), flip(s, 2)
+        if tilt < DEP_TOL:
+            for update in (exchange_axis, pivot_update_reference):
+                with pytest.raises(DependentColumn):
+                    update(pinv, 1, net, s2, 2)
+        else:
+            got = exchange_axis(pinv, 1, net, s2, 2)
+            assert got.owners == [0, 2]
+            assert_allclose(got.matrix, pivot_update_reference(pinv, 1, net, s2, 2).matrix, rtol=1e-9)
 
     def test_remove_zero_row_degenerate(self):
         pinv = PseudoInverse(np.zeros((1, 2)), [0])
@@ -225,6 +245,38 @@ class TestAgainstDenseRebuild:
         moved = update_axis_new_region(pinv, i, net, s2)
         assert moved.owners == owners
         _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_owned_nets())
+    def test_exchange_matches_dense_pseudoinverse(self, case):
+        net, s, owners, data = case
+        entering = [c for c in range(net.num_neurons) if c not in owners]
+        assume(len(owners) == net.input_dim and entering)     # a pivot's vertex
+        i = data.draw(st.integers(0, len(owners) - 1), label="leaving row")
+        c = data.draw(st.sampled_from(entering), label="entering unit")
+        pinv = dense_pseudoinverse(net, s, owners)
+        # |P_i u| / |P_i| is u's distance from the other normals, which
+        # add_axis compares with DEP_TOL |u|; keep away from that threshold
+        u = oriented_normal(net, s, c)
+        gap = abs(pinv.matrix[i] @ u) / np.linalg.norm(pinv.matrix[i])
+        nu = np.linalg.norm(u)
+        assume(nu == 0.0 or abs(gap - DEP_TOL * nu) > 1e-3 * DEP_TOL * nu)
+        s2 = flip(s, c)
+        try:
+            pivot_update_reference(pinv, i, net, s2, c)
+        except DependentColumn:
+            with pytest.raises(DependentColumn):
+                exchange_axis(pinv, i, net, s2, c)
+            return
+        except Degenerate:
+            pass        # the bent walls are dependent, so the check below skips them
+        rest = owners[:i] + owners[i + 1:] + [c]
+        sv = np.linalg.svd(normals_matrix(net, s2, rest), compute_uv=False)
+        if sv[-1] <= 1e-2 * sv[0]:
+            return      # an ill-conditioned rebuild is no oracle at 1e-8
+        got = exchange_axis(pinv, i, net, s2, c)
+        assert got.owners == rest
+        _assert_rel_close(got.matrix, dense_pseudoinverse(net, s2, rest).matrix)
 
 
 class TestAdvance:

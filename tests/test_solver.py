@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import drlp.network
@@ -49,9 +51,11 @@ from drlp import (
     dense_pseudoinverse,
 )
 from helpers import (
+    ac5_runs,
     certificate_residual,
     cone_projection_nnls,
     lp_linprog,
+    pivot_update_reference,
     probe_min,
     quantile_linprog,
     segment_parabola,
@@ -296,6 +300,61 @@ class TestResync:
         state.kept = np.array([0, 2, 5, 7])
         out = drlp.solver._pivot_loop(state)
         assert out.status == NON_REGULAR and out.neurons == [5]
+
+
+def _parallel_stop_vertex():
+    """Vertex state at the origin whose pivot stops at a wall parallel to the owner that stays.
+
+    f(x) = relu(relu(x1) - relu(x2) + relu(eps - x1 - eps x2) + 10), eps = 5e-9.
+    Units 0 and 1 own the walls x1 = 0 and x2 = 0, and the edge along +x2,
+    which leaves owner 1, descends fastest.  Unit 2's wall meets that edge
+    at t = 1 with rate -eps, past ZERO_TOL, and a first-layer wall ends the
+    long step; but its normal lies within eps of owner 0's, under DEP_TOL.
+    """
+    eps = 5e-9
+    w1 = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -eps]])
+    net = ReluNetwork([w1, np.array([[1.0, -1.0, 1.0]]), np.array([[1.0]])],
+                      [np.array([0.0, 0.0, eps]), np.array([10.0]), np.zeros(1)])
+    s = np.ones(4, dtype=np.uint8)
+    opts = SolverOptions()
+    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_pseudoinverse(net, s, [0, 1]),
+                       options=opts, rng=opts.make_rng())
+
+
+def _solve_ac5():
+    return [(out.status, out.steps) for out in
+            (drlsimplex(net, x0, SolverOptions(seed=seed)) for net, x0, seed in ac5_runs())]
+
+
+class TestPivotUpdate:
+    """The pivot's one basis exchange against the three updates it replaced."""
+
+    def test_exchange_matches_the_reference_on_deep_nets(self, monkeypatch):
+        bends = []
+        real = drlp.solver.exchange_axis
+
+        def checked(pinv, i, net, s, c):
+            got, ref = real(pinv, i, net, s, c), pivot_update_reference(pinv, i, net, s, c)
+            assert got.owners == ref.owners
+            assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-10 * np.max(np.abs(ref.matrix))
+            # an owner in a later layer than c: flipping c bent its wall
+            bends.append(max(got.owners[:-1], default=-1) >= net.offsets[net.neuron_at(c)[0]])
+            return got
+
+        monkeypatch.setattr(drlp.solver, "exchange_axis", checked)
+        _solve_ac5()
+        assert len(bends) > 100 and sum(bends) >= 10
+
+    def test_ac5_outcomes_match_the_reference_pivots(self, monkeypatch):
+        want = _solve_ac5()
+        monkeypatch.setattr(drlp.solver, "exchange_axis", pivot_update_reference)
+        assert _solve_ac5() == want
+        assert {status for status, _ in want} == {LOCAL_MINIMUM, UNBOUNDED}
+
+    def test_dependent_stop_wall_names_the_remaining_owners_and_the_wall(self):
+        out = drlp.solver._pivot_loop(_parallel_stop_vertex())
+        assert [(rec.phase, rec.neuron, rec.t) for rec in out.trace] == [("pivot", 2, 1.0)]
+        assert out.status == NON_REGULAR and out.neurons == [0, 2]
 
 
 class TestCertification:
@@ -616,6 +675,19 @@ class TestLongStep:
         assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-9)
         assert len(_pivots(out)) <= 150
         _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 80), p=st.integers(1, 4),
+           alpha=st.floats(0.1, 0.9))
+    def test_random_quantile_problems_match_linprog(self, seed, n, p, alpha):
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.standard_normal((n, p))
+        y = 1.0 + x @ rng.standard_normal(p) + rng.laplace(size=n)
+        net, pairs = build_quantile_lasso(RegressionData(x, y), alpha=alpha)
+        out = drlsimplex(net, np.zeros(p + 1), SolverOptions(), pairs)
+        assert out.status == LOCAL_MINIMUM
+        design = np.hstack([np.ones((n, 1)), x])
+        assert out.f == pytest.approx(quantile_linprog(design, y, alpha), rel=1e-8)
 
     def test_records_name_walls_of_the_unfolded_net(self):
         # the LP's objective pair is units 0 and 1, so folded unit c is unit c + 1
