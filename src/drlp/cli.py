@@ -152,7 +152,7 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
         for k, seed in enumerate(seeds):
             rng = np.random.Generator(np.random.Philox(seed))
             opts = SolverOptions(
-                max_steps=args.max_steps, rng=rng, collect_trace=False,
+                max_steps=args.max_steps, seed=rng, collect_trace=False,
                 on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
             )
             if fixed_x0 is not None:
@@ -269,11 +269,10 @@ def cmd_check(args):
     try:
         pinv = dense_pseudoinverse(folded, s, crit)
         reason = "degenerate axis update"
-        ok = certify_local_min(folded, x, s, pinv)
-        axes = [
-            {"neuron": list(net.neuron_at(kept[c])), "bit": int(bit), "derivative": val}
-            for c, bit, val, _ in axis_derivatives(folded, x, s, pinv)
-        ]
+        entries = axis_derivatives(folded, x, s, pinv)
+        ok = certify_local_min(folded, x, s, pinv, entries)
+        axes = [{"neuron": list(net.neuron_at(kept[c])), "bit": int(bit), "derivative": val}
+                for c, bit, val, _ in entries]
     except Degenerate:
         print(json.dumps({"certified": False, "reason": reason,
                           "neurons": [list(net.neuron_at(kept[c])) for c in crit]}))

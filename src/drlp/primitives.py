@@ -225,7 +225,6 @@ def advance_max(
     ignore=(),
     *,
     slope: float | None = None,
-    gains: np.ndarray | None = None,
     slope_tol: float = 0.0,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
@@ -238,13 +237,13 @@ def advance_max(
     flat index).
 
     Without slope the step stops at the first wall.  Given slope, the
-    directional derivative of the network along v at x, and gains, the
-    crossing gains ``_crossing_gains(net)``, it is a long (Barrodale-Roberts)
-    step: it passes walls while the slope stays below -slope_tol, each
-    last-layer wall adding its crossing gain times |rate|, and stops before
-    any wall of an earlier layer, whose flip would bend the walls behind
-    it, and before any wall at t <= 0.  If nothing stops it, the result is
-    unbounded with every candidate in crossed.
+    directional derivative of the network along v at x, it is a long
+    (Barrodale-Roberts) step: it passes walls while the slope stays below
+    -slope_tol, each last-layer wall adding its crossing gain
+    (``_crossing_gains``) times |rate|, and stops before any wall of an
+    earlier layer, whose flip would bend the walls behind it, and before
+    any wall at t <= 0.  If nothing stops it, the result is unbounded with
+    every candidate in crossed.
 
     The stop wall is the smallest flat index, which is the
     lexicographically smallest (layer, unit), among the walls within
@@ -266,7 +265,7 @@ def advance_max(
     ts, flat, rate = ts[order], flat[order], rate[order]
     stop = 0
     if slope is not None:
-        climb = slope + np.cumsum(gains[flat] * -rate)
+        climb = slope + np.cumsum(_crossing_gains(net)[flat] * -rate)
         stops = np.flatnonzero((climb >= -slope_tol) | (ts <= 0.0))
         if not stops.size:
             return AdvanceResult(float("inf"), None, flat)

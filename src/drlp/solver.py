@@ -51,7 +51,6 @@ _HUGE_T = 1e15
 STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
 DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|) that forces a dense rebuild
 RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
-AXIS_REFRESH_EVERY = 64    # pivots between full pseudoinverse rebuilds
 DESCENT_TOL = 1e-9         # slope (relative to 1 + |gradient|) that counts as descent
 
 
@@ -60,14 +59,13 @@ class SolverOptions:
     """Step limit, randomness and trace delivery of one solve."""
 
     max_steps: int = 10_000
-    seed: int = 0
-    rng: np.random.Generator | None = None
+    seed: int | np.random.Generator = 0   # a Generator is used as is
     collect_trace: bool = True
     on_record: object = None             # callable(TraceRecord), e.g. a JSONL writer
 
     def make_rng(self) -> np.random.Generator:
-        if self.rng is not None:
-            return self.rng
+        if isinstance(self.seed, np.random.Generator):
+            return self.seed
         # counter-based generator so runs are reproducible across platforms
         return np.random.Generator(np.random.Philox(self.seed))
 
@@ -108,10 +106,8 @@ class SolverState:
     kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
-    gains: np.ndarray = field(init=False)   # _crossing_gains(net), built once per solve
 
     def __post_init__(self):
-        self.gains = _crossing_gains(self.net)
         if self.kept is None:
             self.kept = np.arange(self.net.num_neurons)
 
@@ -218,7 +214,7 @@ def position_correction(state: SolverState) -> float:
 def refresh_pseudoinverse(state: SolverState):
     """Rebuild the pseudoinverse from scratch for the current owners.
 
-    Used periodically to stop drift from the rank-one updates.  Raises
+    Used when the walls drift from the rank-one updates.  Raises
     Degenerate when the tracked normals lost independence.
     """
     state.pinv = dense_pseudoinverse(state.net, state.s, state.pinv.owners)
@@ -300,7 +296,6 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
     net, opts = state.net, state.options
     n0 = net.input_dim
     next_flip = 0
-    pivots_since_refresh = 0
     while True:
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
@@ -312,8 +307,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             others = owners[:i] + owners[i + 1:]
             v = row / np.linalg.norm(row)
             # long step: pass every last-layer wall while f still descends
-            res = advance_max(net, state.x, v, state.s, owners,
-                              slope=alpha, gains=state.gains, slope_tol=descent_tol)
+            res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol)
             state.steps += 1
             if not res.bounded:
                 return state.finish(UNBOUNDED, direction=v)
@@ -326,8 +320,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 # it).  Flip the bit to match the geometry and rebuild, with
                 # owner i last; x and f are untouched.
                 state.s = flip(state.s, res.neuron)
-                order = [k for k in range(state.pinv.m) if k != i] + [i]
-                state.pinv = PseudoInverse(state.pinv.matrix[order], others + [owners[i]])
+                state.pinv.owners = others + [owners[i]]    # the rebuild reads only these
                 try:
                     refresh_pseudoinverse(state)
                 except Degenerate:
@@ -335,7 +328,6 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 state.emit("resync", neuron=res.neuron, t=res.t)
                 position_correction(state)
                 next_flip = 0
-                pivots_since_refresh = 0
                 continue
             state.x = state.x + res.t * v
             c = res.neuron
@@ -348,18 +340,12 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
             except (DependentColumn, Degenerate):
                 return state.finish(NON_REGULAR, neurons=others + [c])
             next_flip = 0
-            pivots_since_refresh += 1
             try:
-                if pivots_since_refresh >= AXIS_REFRESH_EVERY:
-                    refresh_pseudoinverse(state)
-                    pivots_since_refresh = 0
                 resid = position_correction(state)
-                # incremental updates compound multiplicatively near tight
-                # vertices; rebuild as soon as the walls drift instead of
-                # waiting out the fixed cadence
+                # the rank-one updates compound near tight vertices; rebuild
+                # from the owners as soon as their walls drift
                 if resid > DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x)))):
                     refresh_pseudoinverse(state)
-                    pivots_since_refresh = 0
                     position_correction(state)
             except Degenerate:
                 return state.finish(NON_REGULAR, neurons=list(state.pinv.owners))
@@ -405,18 +391,22 @@ def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse):
     return entries
 
 
-def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse) -> bool:
+def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
+                      entries=None) -> bool:
     """True when no feasible axis at x has a negative directional derivative.
 
     With fewer active walls than input dimensions the free subspace must
     also be gradient-free, otherwise moving inside it would descend.
+    entries are axis_derivatives(net, x, s, pinv), computed when not given.
     """
     if pinv.m < net.input_dim:
         grad = gradient(net, s)
         free = grad - project(pinv, net, s, grad)
         if np.linalg.norm(free) > DESCENT_TOL * (1.0 + np.linalg.norm(grad)):
             return False
-    for _, _, val, gnorm in axis_derivatives(net, x, s, pinv):
+    if entries is None:
+        entries = axis_derivatives(net, x, s, pinv)
+    for _, _, val, gnorm in entries:
         if val < -DESCENT_TOL * (1.0 + gnorm):
             return False
     return True
@@ -597,7 +587,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x = state.x + t * v
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0)
-        elif regular and np.isfinite(kappa := state.gains[active]).all():
+        elif regular and np.isfinite(kappa := _crossing_gains(net)[active]).all():
             excess = mu - kappa * np.sqrt(np.einsum("ij,ij->i", normals, normals))
             over = np.flatnonzero(excess > tol)
             if not over.size:

@@ -481,6 +481,15 @@ class TestCheck:
         assert code == 0 and doc["certified"] is True
         assert [a["neuron"] for a in doc["axes"]] == [[1, 3], [1, 3]]
 
+    def test_flip_probe_runs_once(self, capsys, hinge_model, monkeypatch):
+        calls = []
+        real = drlp.solver.axis_derivatives
+        probe = lambda *args: calls.append(1) or real(*args)
+        monkeypatch.setattr(drlp.solver, "axis_derivatives", probe)
+        monkeypatch.setattr(drlp.cli, "axis_derivatives", probe)
+        code, _, _ = _run(capsys, ["check", "--model", hinge_model, "--x", "1,0"])
+        assert code == 0 and len(calls) == 1
+
     def test_rejects_saddle_vertex(self, capsys, negated_model):
         code, stdout, _ = _run(
             capsys, ["check", "--model", negated_model, "--x", "1,0"]
@@ -494,6 +503,17 @@ class TestCheck:
         )
         assert code == 0
         assert json.loads(stdout)["certified"] is True
+
+    def test_dependent_active_walls_exit_three(self, capsys, tmp_path):
+        # three walls through x = 0 in one dimension: no pseudoinverse exists
+        net = ReluNetwork([np.array([[1.0], [1.0], [-1.0]]), np.array([[1.0, 2.0, 1.0]])],
+                          [np.zeros(3), np.zeros(1)])
+        path = tmp_path / "dependent.json"
+        save_model(path, net)
+        code, stdout, _ = _run(capsys, ["check", "--model", str(path), "--x", "0"])
+        assert code == 3
+        assert json.loads(stdout) == {"certified": False, "reason": "dependent active walls",
+                                      "neurons": [[1, 1], [1, 2], [1, 3]]}
 
     def test_dimension_mismatch_exit_one(self, capsys, hinge_model):
         code, _, stderr = _run(capsys, ["check", "--model", hinge_model, "--x", "1"])

@@ -30,7 +30,7 @@ from drlp import (
     remove_pseudorow,
     update_axis_new_region,
 )
-from drlp.primitives import DEP_TOL, _crossing_gains
+from drlp.primitives import DEP_TOL
 from helpers import (
     brute_advance,
     brute_pseudoinverse,
@@ -334,8 +334,7 @@ class TestAdvance:
         net = ReluNetwork([np.array([[1.0], [-1.0]]), np.array([[1.0, -3.0]])],
                           [np.array([0.0, 5.0]), np.zeros(1)])
         s = activation_pattern(net, [1.0])
-        long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s,
-                           slope=-4.0, gains=_crossing_gains(net))
+        long = advance_max(net, np.array([-1e-12]), np.array([-1.0]), s, slope=-4.0)
         assert (long.t, long.neuron, long.crossed.size) == (res.t, res.neuron, 0)
 
     def test_pairs_report_primary_member(self):
@@ -379,7 +378,7 @@ class TestLongStep:
         x, v = np.array([0.0]), np.array([1.0])
         s = activation_pattern(net, x)
         first = advance_max(net, x, v, s)
-        long = advance_max(net, x, v, s, slope=-1.0, gains=_crossing_gains(net))
+        long = advance_max(net, x, v, s, slope=-1.0)
         assert (first.t, first.neuron, first.crossed.size) == (1.0, 1, 0)
         assert (long.t, long.neuron, long.crossed.size) == (1.0, 1, 0)
 
@@ -388,11 +387,11 @@ class TestLongStep:
         # slope -3.5: +3 at x = 1 leaves -0.5, +1 at x = 2 turns it positive
         net = _ramp_net(3.5)
         s = activation_pattern(net, x)
-        res = advance_max(net, x, v, s, slope=-3.5, gains=_crossing_gains(net))
+        res = advance_max(net, x, v, s, slope=-3.5)
         assert (res.t, res.neuron, res.crossed.tolist()) == (2.0, 2, [1])
         # slope -5 stays negative past both walls: unbounded
         net = _ramp_net(5.0)
-        res = advance_max(net, x, v, s, slope=-5.0, gains=_crossing_gains(net))
+        res = advance_max(net, x, v, s, slope=-5.0)
         assert not res.bounded and res.crossed.tolist() == [1, 2]
 
     def test_paired_walls_count_both_members(self):
@@ -405,7 +404,7 @@ class TestLongStep:
                               [np.array([-1.0, 1.0, 5.0]), np.zeros(1)])
             net, _ = pairs.fold(net)        # the ramp unit 2 becomes unit 1
             s = activation_pattern(net, x)
-            res = advance_max(net, x, v, s, slope=-0.75 - w, gains=_crossing_gains(net))
+            res = advance_max(net, x, v, s, slope=-0.75 - w)
             if stops:
                 assert (res.t, res.neuron, res.crossed.size) == (1.0, 0, 0)
             else:
@@ -420,7 +419,7 @@ class TestLongStep:
                           [np.array([-1.0, 10.0]), np.array([-10.5, -12.0, 20.0]), np.zeros(1)])
         x, v = np.array([0.0]), np.array([1.0])
         s = activation_pattern(net, x)
-        res = advance_max(net, x, v, s, slope=-10.0, gains=_crossing_gains(net))
+        res = advance_max(net, x, v, s, slope=-10.0)
         assert (res.t, res.neuron, res.crossed.tolist()) == (1.0, 0, [2])
 
     def test_descends_on_every_passed_segment(self):
@@ -436,7 +435,7 @@ class TestLongStep:
             slope = float(gradient(net, s) @ v)
             if slope > 0.0:
                 v, slope = -v, -slope
-            res = advance_max(net, x, v, s, slope=slope, gains=_crossing_gains(net))
+            res = advance_max(net, x, v, s, slope=slope)
             last = net.offsets[-2]
             assert np.all(res.crossed >= last)
             crossings += res.crossed.size

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import drlp.network
-import drlp.primitives
 import drlp.solver
 from drlp import (
     LOCAL_MINIMUM,
     NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
+    Degenerate,
+    DependentColumn,
     LpInstance,
     PseudoInverse,
     QuadraticObjective,
@@ -141,12 +142,11 @@ class TestFindVertex:
         f1 = evaluate(net_hinge_gap_negated, out.x + 10.0 * d)
         assert f1 < f0
 
-    def test_hand_built_state_builds_its_own_gains(self):
+    def test_hand_built_state_reaches_vertex(self):
         net = build_random((2, 3, 1), seed=1)
         x, opts = np.array([0.3, -0.2]), SolverOptions()
         state = SolverState(net=net, x=x, s=activation_pattern(net, x),
                             pinv=PseudoInverse.empty(2), options=opts, rng=opts.make_rng())
-        assert state.gains.tobytes() == drlp.primitives._crossing_gains(net).tobytes()
         assert find_vertex(state) is None
         assert state.pinv.m == 2
 
@@ -187,6 +187,26 @@ class TestPositionCorrection:
         before = state.pinv.matrix.copy()
         refresh_pseudoinverse(state)
         assert state.pinv.matrix == pytest.approx(before, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forced_drift_rebuild_keeps_the_outcome(self, seed, monkeypatch):
+        # the drift rebuild is the only rebuild after a pivot; with a zero
+        # tolerance it runs after every pivot and must change nothing
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.standard_normal((120, 3))
+        y = 1.0 + x @ rng.standard_normal(3) + rng.laplace(size=120)
+        net, pairs = build_quantile_lasso(RegressionData(x, y))
+        plain = drlsimplex(net, np.zeros(4), SolverOptions(seed=seed), pairs)
+        calls = Counter()
+        real = drlp.solver.refresh_pseudoinverse
+        monkeypatch.setattr(drlp.solver, "refresh_pseudoinverse",
+                            lambda state: calls.update(["refresh"]) or real(state))
+        monkeypatch.setattr(drlp.solver, "DRIFT_REFRESH_TOL", 0.0)
+        forced = drlsimplex(net, np.zeros(4), SolverOptions(seed=seed), pairs)
+        assert calls["refresh"] > 0
+        assert plain.status == LOCAL_MINIMUM
+        assert (forced.status, forced.steps) == (plain.status, plain.steps)
+        assert forced.f == pytest.approx(plain.f, rel=1e-12)
 
 
 class TestDrlsimplex:
@@ -300,6 +320,40 @@ class TestResync:
         state.kept = np.array([0, 2, 5, 7])
         out = drlp.solver._pivot_loop(state)
         assert out.status == NON_REGULAR and out.neurons == [5]
+
+
+# solver-level function -> (exception it raises, flat units of the folded net
+# the NonRegular outcome must name, read off the call's arguments)
+_ABORTS = {
+    "add_axis": (DependentColumn, lambda pinv, net, s, c: list(pinv.owners) + [c]),
+    "refresh_pseudoinverse": (Degenerate, lambda state: list(state.pinv.owners)),
+    "update_axis_new_region": (Degenerate, lambda pinv, i, net, s: [pinv.owners[i]]),
+}
+
+
+class TestAborts:
+    @pytest.mark.parametrize("name", list(_ABORTS))
+    def test_abort_names_units_of_the_paired_net(self, name, monkeypatch):
+        # find_vertex adds axes, a drifted pivot rebuilds (forced by a zero
+        # tolerance) and certification flips owners; each exit must report
+        # the failing units under the caller's numbering, not the folded one
+        exc, named = _ABORTS[name]
+        culprits = []
+
+        def fail(*args):
+            culprits.append(named(*args))
+            raise exc(name)
+
+        monkeypatch.setattr(drlp.solver, name, fail)
+        monkeypatch.setattr(drlp.solver, "DRIFT_REFRESH_TOL", 0.0)
+        # the LP's objective pair is units 0 and 1, so folded unit c >= 1 is unit c + 1
+        rng = np.random.Generator(np.random.Philox(17))
+        lp = LpInstance(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.1, 1.0, (4, 3)), rng.uniform(1.0, 2.0, 4))
+        net, pairs = build_from_lp(lp, penalty=10.0)
+        out = drlsimplex(net, rng.uniform(0.0, 1.0, 3), SolverOptions(seed=1), pairs)
+        assert out.status == NON_REGULAR and len(culprits) == 1
+        assert out.neurons == [c + (c >= 1) for c in culprits[0]]
+        assert_allclose(relu_arguments(net, out.x)[out.neurons], 0.0, atol=1e-9)
 
 
 def _parallel_stop_vertex():
@@ -644,11 +698,9 @@ class TestLongStep:
         assert out.f == pytest.approx(quantile_loss(data, out.x), rel=1e-12)
 
     @pytest.mark.parametrize("solve", ["drlsimplex", "solve_quadratic"])
-    def test_line_search_arrays_are_built_once_per_solve(self, solve, monkeypatch):
+    def test_pair_mask_is_built_once_per_solve(self, solve, monkeypatch):
         calls = Counter()
-        gains, mask = drlp.solver._crossing_gains, drlp.network.PairGroups.secondary_flat_mask
-        monkeypatch.setattr(drlp.solver, "_crossing_gains",
-                            lambda *a: calls.update(["gains"]) or gains(*a))
+        mask = drlp.network.PairGroups.secondary_flat_mask
         monkeypatch.setattr(drlp.network.PairGroups, "secondary_flat_mask",
                             lambda *a: calls.update(["mask"]) or mask(*a))
         rng = np.random.Generator(np.random.Philox(16))
@@ -660,7 +712,7 @@ class TestLongStep:
             net, q, pairs = build_lasso(data, lam=20.0)
             out = solve_quadratic(net, q, np.zeros(12), SolverOptions(seed=3), pairs)
         assert out.status == LOCAL_MINIMUM and len(_pivots(out)) > 5
-        assert calls == {"gains": 1, "mask": 1}
+        assert calls == {"mask": 1}
 
     def test_quantile_matches_linprog(self):
         rng = np.random.Generator(np.random.Philox(13))
