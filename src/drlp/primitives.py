@@ -12,7 +12,8 @@ A pivot is one basis exchange (exchange_axis), which needs only the
 entering unit's oriented normal, a partial backward sweep, and no full
 sweep.  add_axis and update_axis_new_region also need the inner products
 of a normal with every unit normal, one bias-free forward sweep
-(inner_products_all).
+(inner_products_all).  remove_pseudorow needs no normal at all; the
+quadratic solver's working set releases walls with it.
 """
 
 from __future__ import annotations

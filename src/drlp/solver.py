@@ -39,6 +39,7 @@ from .primitives import (
     dense_pseudoinverse,
     exchange_axis,
     project,
+    remove_pseudorow,
     update_axis_new_region,
 )
 
@@ -49,7 +50,7 @@ STEP_LIMIT = "StepLimit"
 
 _HUGE_T = 1e15
 STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
-DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|) that forces a dense rebuild
+DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|, or held slack to |g|) forcing a rebuild
 RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
 DESCENT_TOL = 1e-9         # slope (relative to 1 + |gradient|) that counts as descent
 
@@ -444,88 +445,113 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _feasible_direction(g, normals, hess=None):
+class _WorkingSet:
+    """Rows P and unit normals A of independent walls, P A' = I, changed by rank-one updates."""
+
+    def __init__(self, n, hess=None):
+        try:        # positive definite curvature makes every face's Z'HZ so too
+            self.convex = hess is not None and np.linalg.cholesky(hess) is not None
+        except np.linalg.LinAlgError:
+            self.convex = False
+        self.pinv, self.a, self.drift = PseudoInverse.empty(n), np.zeros((0, n)), False
+
+    def remove(self, i):
+        self.pinv, self.a = remove_pseudorow(self.pinv, i), np.delete(self.a, i, axis=0)
+
+    def hold(self, u, key):
+        """add_axis's column update for unit normal u, unless u is within 1e-13 of the held span."""
+        w_perp = u - self.pinv.matrix.T @ (self.a @ u)
+        w_perp -= self.pinv.matrix.T @ (self.a @ w_perp)     # a second pass, as in Gram-Schmidt
+        if math.sqrt(w_perp @ w_perp) <= 1e-13:
+            return
+        row = w_perp / float(w_perp @ u)
+        rows = np.vstack([self.pinv.matrix - np.outer(self.pinv.matrix @ u, row), row])
+        self.pinv, self.a = PseudoInverse(rows, self.pinv.owners + [key]), np.vstack([self.a, u])
+
+    def rebuild(self, walls, unit):
+        """Dense build: one QR, P = R^-1 Q', if every |R_ii| > 1e-13; else sync holds each wall."""
+        self.pinv, self.a, self.drift = PseudoInverse.empty(unit.shape[1]), unit[:0], False
+        if len(unit) <= unit.shape[1]:
+            q, r = np.linalg.qr(unit.T)
+            if (np.abs(np.diagonal(r)) > 1e-13).all():
+                self.pinv, self.a = PseudoInverse(np.linalg.solve(r, q.T), list(walls)), unit
+
+    def sync(self, walls, unit):
+        """Drop walls that left or bent, negate flipped ones, hold new ones; rebuild if drifted."""
+        index = {c: j for j, c in enumerate(walls)}
+        pos = np.array([index.get(c, -1) for c in self.pinv.owners], dtype=np.intp)
+        if self.drift or not (pos >= 0).any():   # drift: held walls' slack, 0 while P A' = I
+            self.rebuild(walls, unit)
+        elif (pos < 0).any() or not np.array_equal(self.a, unit[pos]):
+            same = (pos >= 0) & (self.a == unit[pos]).all(axis=1)
+            flipped = (pos >= 0) & ~same & (self.a == -unit[pos]).all(axis=1)
+            self.pinv.matrix[flipped] *= -1.0
+            self.a[flipped] *= -1.0
+            for i in np.flatnonzero(~(same | flipped))[::-1]:
+                self.remove(i)
+        for j in sorted(set(range(len(walls))) - {index[c] for c in self.pinv.owners}):
+            self.hold(unit[j], walls[j])
+        self.pinv.owners = [index[c] for c in self.pinv.owners]
+
+
+def _feasible_direction(g, normals, hess=None, ws=None, walls=None):
     """Projection v of -g onto the tangent cone {d : normals @ d >= 0}, and a face step d.
 
-    normals holds one active wall's oriented normal per row.  Each working
-    set of held walls gets one complete QR of its unit normals, N' = Q R:
-    the trailing columns Z of Q span their null space, v = Z Z'(-g), and
-    lam = R^-1 Q1' g are their multipliers.  All walls start held; the one
-    with the most negative multiplier is released until none is negative.
-    From there it is Lawson & Hanson's NNLS (1974): the wall v violates most
-    is held, and the multipliers move toward the new ones only until the
-    first reaches zero, whose wall is released.  It ends at the exact
-    projection.  Walls within roundoff of the span of earlier held ones are
-    not held; unit axis normals make Q a signed permutation, so v is exactly
-    zero on held axis walls.
-
-    Given hess, the objective's curvature, d is the Newton step on the final
-    face, Z (Z'HZ)^-1 Z'(-g), if Z'HZ is positive definite, d descends and d
-    violates no wall; otherwise d is v.
-
-    Returns (v, d, held row indices, mu, regular).  mu holds the final
-    working set's multipliers against the unit normals, zero for released
-    walls.  regular is True when no wall was dropped as dependent and the
-    NNLS loop converged; then g = sum_c mu_c n_c / |n_c| wherever v = 0.
+    The working set ws (a fresh one by default) follows the walls, keyed by
+    the ascending walls, then runs Lawson & Hanson's NNLS (1974) to the exact
+    projection by rank-one releases and holds, mu = P g and v = A' mu - g,
+    and keeps the final face.  From all walls held, the most negative
+    multiplier is released until none is; then the wall v violates most is
+    held and the multipliers move toward the new ones until the first zero
+    is released.  Given hess, d is the face's Newton step Z (Z'HZ)^-1 Z'(-g)
+    as the solve of (F'HF + S) d = v, S = A'P, F = I - S, positive definite
+    iff Z'HZ is, unless it fails, ascends or leaves the cone; then d is v.
+    Returns (v, d, held rows, mu on unit normals, regular: independent, converged).
     """
     unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
-    drop_tol = 1e-12 * (1.0 + math.sqrt(g @ g))
-    held = np.arange(len(unit))
-    mu = None           # multipliers of the last working set with none negative
-    dependent, regular = False, False
+    if ws is None:
+        ws, walls = _WorkingSet(len(g)), range(len(unit))
+    ws.sync(walls, unit)
+    dependent = len(ws.pinv.owners) < len(unit)
+    gnorm = math.sqrt(g @ g)
+    mu, regular = None, False       # mu: multipliers of the last working set with none negative
     for _ in range(4 * len(unit) + 1):     # bounds cycling by roundoff
-        kept, q, r = _independent_qr(unit, held)
-        dependent |= kept.size < held.size
-        held = kept
-        k = held.size
-        z = q[:, k:]
-        v = z @ (z.T @ -g)
-        lam = np.linalg.solve(r[:k, :k], q[:, :k].T @ g)
-        neg = lam < -drop_tol
+        held = np.array(ws.pinv.owners, dtype=np.intp)
+        lam = ws.pinv.matrix @ g
+        v = ws.a.T @ lam - g
+        neg = lam < -1e-12 * (1.0 + gnorm)
         if neg.any() and mu is None:
-            held = np.delete(held, np.argmin(lam))
+            ws.remove(int(np.argmin(lam)))
         elif neg.any():
             old = mu[held]
-            ratio = np.full(k, np.inf)
+            ratio = np.full(held.size, np.inf)
             ratio[neg] = old[neg] / (old[neg] - lam[neg])
             mu[held] = old + ratio.min() * (lam - old)
-            held = held[(ratio > ratio.min()) & (mu[held] > 0.0)]
+            for i in np.flatnonzero((ratio <= ratio.min()) | (mu[held] <= 0.0))[::-1]:
+                ws.remove(i)
         else:
             mu = np.zeros(len(unit))
             mu[held] = np.maximum(lam, 0.0)
             slack = unit @ v
+            ws.drift = np.abs(slack[held]).max(initial=0.0) > DRIFT_REFRESH_TOL * (1.0 + gnorm)
             slack[held] = 0.0
             if not len(unit) or slack.min() >= -1e-12 * math.sqrt(v @ v):
                 regular = not dependent
                 break
-            held = np.append(held, np.argmin(slack))
-    d = v
-    if hess is not None and z.shape[1]:
-        zhz = z.T @ hess @ z
+            ws.hold(unit[j := int(np.argmin(slack))], j)
+    ws.pinv.owners = [walls[j] for j in ws.pinv.owners]
+    if hess is not None and held.size < len(g):
+        f = np.eye(len(g)) - (s := ws.a.T @ ws.pinv.matrix)
+        m = f.T @ hess @ f + s
         try:
-            np.linalg.cholesky(zhz)        # raises unless positive definite
+            ws.convex or np.linalg.cholesky(m)      # raises unless positive definite
         except np.linalg.LinAlgError:
-            return v, d, held, mu, regular
-        newton = z @ np.linalg.solve(zhz, z.T @ -g)
+            return v, v, held, mu, regular
+        newton = np.linalg.solve(m, v)
+        newton -= ws.a.T @ (ws.pinv.matrix @ newton)     # the solve's roundoff off the face
         if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
-            d = newton
-    return v, d, held, mu, regular
-
-
-def _independent_qr(unit, held):
-    """Complete QR of unit[held].T, keeping only held rows independent of the earlier ones.
-
-    Without pivoting, |R_ii| is row i's distance from the span of the Q
-    columns before it, which is the earlier rows' span only while none of
-    them was dependent; so the first dependent row goes and the QR is redone.
-    """
-    while True:
-        q, r = np.linalg.qr(unit[held].T, mode="complete")
-        k = min(held.size, unit.shape[1])
-        weak = np.flatnonzero(np.abs(np.diagonal(r)[:k]) <= 1e-13)
-        if not weak.size:
-            return held[:k], q, r[:, :k]
-        held = np.delete(held, weak[0])
+            return v, newton, held, mu, regular
+    return v, v, held, mu, regular
 
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
@@ -562,7 +588,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         options=opts, rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
         kept=kept,
     )
-    hess = q.quad + q.quad.T
+    ws = _WorkingSet(net.input_dim, hess := q.quad + q.quad.T)
     out = None
     while out is None:
         if state.steps >= opts.max_steps:
@@ -571,7 +597,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         active = critical_indices(net, state.s, state.x)
         g = q.grad(state.x) + gradient(net, state.s)
         normals = oriented_normals(net, state.s, active)
-        v, d, _, mu, regular = _feasible_direction(g, normals, hess)
+        v, d, _, mu, regular = _feasible_direction(g, normals, hess, ws, active)
         tol = 1e-10 * (1.0 + np.linalg.norm(g))
         if np.linalg.norm(v) > tol:
             v = d / np.linalg.norm(d)
@@ -601,7 +627,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.emit("flip", neuron=c)
         else:
             # probe adjacent regions; flips accumulate like the vertex solver
-            found = False
             for c in active:
                 state.s = flip(state.s, c)
                 state.steps += 1
@@ -609,9 +634,8 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 g2 = q.grad(state.x) + gradient(net, state.s)
                 v2 = _feasible_direction(g2, oriented_normals(net, state.s, active))[0]
                 if np.linalg.norm(v2) > 1e-10 * (1.0 + np.linalg.norm(g2)):
-                    found = True
                     break
-            if not found:
+            else:
                 state.emit("certify", alpha=0.0)
                 out = state.finish(LOCAL_MINIMUM)
                 break

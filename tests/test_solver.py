@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -550,22 +550,12 @@ class TestQuadratic:
             assert np.max(np.abs(g[~on])) <= lam + tol
 
     def test_random_net_corpus_reaches_probed_minima(self):
-        # 20 seeds each of three topologies; the quadratic is 0.2 A'A + 0.1 I
-        # with A and then x0 drawn from one Philox(seed) stream
         statuses = []
-        for topo in ((3, 8, 8, 1), (4, 12, 1), (5, 10, 10, 10, 1)):
-            n = topo[0]
-            for seed in range(20):
-                net = build_random(topo, seed=seed)
-                rng = np.random.Generator(np.random.Philox(seed))
-                a = rng.standard_normal((n, n))
-                q = QuadraticObjective(0.2 * a.T @ a + 0.1 * np.eye(n), np.zeros(n))
-                out = solve_quadratic(net, q, rng.standard_normal(n),
-                                      SolverOptions(max_steps=3000, collect_trace=False))
-                statuses.append(out.status)
-                if out.status == LOCAL_MINIMUM:
-                    best = probe_min(net, out.x, radius=1e-6, samples=2000, extra=q.value)
-                    assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
+        for topo, seed, net, q, out in _random_net_corpus():
+            statuses.append(out.status)
+            if out.status == LOCAL_MINIMUM:
+                best = probe_min(net, out.x, radius=1e-6, samples=2000, extra=q.value)
+                assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses.count(STEP_LIMIT) <= 5
 
     def test_dependent_walls_take_the_probe(self):
@@ -605,6 +595,24 @@ class TestQuadratic:
 
 
 BENCH_BETA = np.array([3.0, -2.5, 2.0, -1.5, 1.2, -1.0, 0.8, -0.6, 0.5, -0.4])
+
+
+def _random_net_corpus():
+    """The 60 quadratic solves on random nets: (topo, seed, net, q, outcome).
+
+    20 seeds each of three topologies; the quadratic is 0.2 A'A + 0.1 I
+    with A and then x0 drawn from one Philox(seed) stream.
+    """
+    for topo in ((3, 8, 8, 1), (4, 12, 1), (5, 10, 10, 10, 1)):
+        n = topo[0]
+        for seed in range(20):
+            net = build_random(topo, seed=seed)
+            rng = np.random.Generator(np.random.Philox(seed))
+            a = rng.standard_normal((n, n))
+            q = QuadraticObjective(0.2 * a.T @ a + 0.1 * np.eye(n), np.zeros(n))
+            out = solve_quadratic(net, q, rng.standard_normal(n),
+                                  SolverOptions(max_steps=3000, collect_trace=False))
+            yield topo, seed, net, q, out
 
 
 @pytest.fixture(scope="module")
@@ -676,6 +684,68 @@ class TestCertificate:
         assert again.status == LOCAL_MINIMUM
         assert again.x[j] < 0.0
         assert again.f < nudged.value(out.x) + evaluate(net, out.x)
+
+
+def _train_l1(n, seed, max_steps=10_000):
+    """First-layer L1 training of build_random((4,5,4,2,1), seed=1) from its own weights.
+
+    X (n x 4) and then y are standard normal draws from Philox(seed).
+    """
+    base = build_random((4, 5, 4, 2, 1), seed=1)
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.standard_normal((n, 4))
+    net, pairs = build_l1_first_layer(base, RegressionData(x, rng.standard_normal(n)))
+    return drlsimplex(net, flatten_first_layer(base), SolverOptions(seed=0, max_steps=max_steps), pairs)
+
+
+class TestDescentOracle:
+    def test_train_l1_never_rises(self):
+        # the rank-one exchange keeps every record at or below the one before
+        out = _train_l1(100, 11)
+        assert out.status == LOCAL_MINIMUM
+        for a, b in zip(out.trace, out.trace[1:]):
+            assert b.f <= a.f + 1e-12 * (1.0 + abs(b.f)), (b.step, b.phase, b.f - a.f)
+
+    def test_train_l1_leaves_its_degenerate_vertices(self):
+        # all 50 walls of a hidden unit meet where its parameters are zero;
+        # the solve leaves those vertices by roundoff, not by an anti-cycling rule
+        out = _train_l1(50, 5, max_steps=2000)
+        assert out.status == LOCAL_MINIMUM
+
+
+class TestWorkingSet:
+    """solve_quadratic's one working set against dense pseudoinverses, step by step."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """After every sync: A holds the held walls' unit normals, P matches pinv(A') to 1e-10."""
+        seen = Counter()
+        sync, rebuild = drlp.solver._WorkingSet.sync, drlp.solver._WorkingSet.rebuild
+
+        def checked_sync(ws, walls, unit):
+            sync(ws, walls, unit)
+            assert np.array_equal(ws.a, unit[ws.pinv.owners])
+            want = np.linalg.pinv(ws.a.T)
+            assert np.max(np.abs(ws.pinv.matrix - want), initial=0.0) <= \
+                1e-10 * np.max(np.abs(want), initial=0.0)
+            seen["syncs"] += 1
+
+        monkeypatch.setattr(drlp.solver._WorkingSet, "sync", checked_sync)
+        monkeypatch.setattr(drlp.solver._WorkingSet, "rebuild",
+                            lambda *a: seen.update(["rebuilds"]) or rebuild(*a))
+        return seen
+
+    def test_bench_lasso_rows_match_dense_and_build_once(self, bench_lasso_solves, checked):
+        for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
+            checked.clear()
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
+            assert checked["syncs"] >= out.steps
+            assert checked["rebuilds"] == 1
+
+    def test_random_net_corpus_rows_match_dense(self, checked):
+        outs = [out for *_, out in _random_net_corpus()]
+        assert checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
 
 
 def _pivots(out):
@@ -781,6 +851,22 @@ class TestLongStep:
             assert out.status == LOCAL_MINIMUM
             assert out.f == pytest.approx(want, abs=1e-8)
             _assert_non_increasing(out.trace, scale=out.trace[0].f)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_var=st.integers(2, 5), n_con=st.integers(2, 7))
+    def test_random_lps_match_linprog_by_hypothesis(self, seed, n_var, n_con):
+        # the ranges of test_random_lps_match_linprog, drawn from Philox(seed)
+        rng = np.random.Generator(np.random.Philox(seed))
+        lp = LpInstance(rng.uniform(-1.0, 1.0, n_var),
+                        rng.uniform(0.1, 1.0, (n_con, n_var)),
+                        rng.uniform(1.0, 2.0, n_con))
+        want, dual = lp_linprog(lp)
+        assume(dual < 50.0)              # the exact penalty below is large enough
+        net, pairs = build_from_lp(lp, penalty=50.0)
+        out = drlsimplex(net, rng.uniform(-1.0, 3.0, n_var), SolverOptions(seed=seed), pairs)
+        assert out.status == LOCAL_MINIMUM
+        assert out.f == pytest.approx(want, abs=1e-8)
+        _assert_non_increasing(out.trace, scale=out.trace[0].f)
 
     @pytest.mark.parametrize("problem", ["clad", "train_l1"])
     def test_crossed_units_sit_in_last_hidden_layer(self, problem, monkeypatch):
