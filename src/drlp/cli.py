@@ -23,10 +23,11 @@ from .network import (
     activation_pattern,
     critical_indices,
     evaluate,
+    gradient,
     load_model,
     save_model,
 )
-from .primitives import Degenerate, DependentColumn, dense_pseudoinverse
+from .primitives import Degenerate, DependentColumn, dense_pseudoinverse, project
 from .problems import (
     build_clad,
     build_l1_first_layer,
@@ -38,13 +39,14 @@ from .problems import (
     set_first_layer,
 )
 from .solver import (
+    DESCENT_TOL,
     LOCAL_MINIMUM,
     NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
+    SolverState,
     _start_point,
-    axis_derivatives,
     certify_local_min,
     drlsimplex,
     solve_quadratic,
@@ -259,25 +261,38 @@ def cmd_regions(args):
 
 
 def cmd_check(args):
+    """Certify --x by certify_local_min, the solver's own probe, from a state pinned at x."""
     net, pairs = load_model(args.model)
     x = _start_point(net, _parse_floats(args.x, "--x"), "--x")
     folded, kept = pairs.fold(net)
-    kept = kept.tolist()
     s = activation_pattern(folded, x)
     crit = critical_indices(folded, s, x)
     reason = "dependent active walls"
     try:
         pinv = dense_pseudoinverse(folded, s, crit)
         reason = "degenerate axis update"
-        entries = axis_derivatives(folded, x, s, pinv)
-        ok = certify_local_min(folded, x, s, pinv, entries)
-        axes = [{"neuron": list(net.neuron_at(kept[c])), "bit": int(bit), "derivative": val}
-                for c, bit, val, _ in entries]
+        # with fewer walls than dimensions, moving off their span must not descend either
+        grad = gradient(folded, s)
+        free = np.linalg.norm(grad - project(pinv, folded, s, grad))
+        ok = pinv.m == folded.input_dim or free <= DESCENT_TOL * (1.0 + np.linalg.norm(grad))
+        # steps stay at most pinv.m, so the probe never ends StepLimit
+        state = SolverState(folded, x, s, pinv, SolverOptions(max_steps=pinv.m + 1), kept=kept)
+        edge = certify_local_min(state)
+        if getattr(edge, "status", None) == NON_REGULAR:
+            raise Degenerate(reason)
     except Degenerate:
         print(json.dumps({"certified": False, "reason": reason,
-                          "neurons": [list(net.neuron_at(kept[c])) for c in crit]}))
+                          "neurons": [list(net.neuron_at(c)) for c in kept[crit].tolist()]}))
         return 3
-    print(json.dumps({"certified": bool(ok), "f": evaluate(net, x), "axes": axes}))
+    # one axes entry per probed region, in order: the wall crossed to reach it (null for
+    # x's own region), its bit there, and the region's least edge derivative; the trace
+    # holds a flip record per crossed wall, then certify unless an edge descends
+    least = [rec.alpha for rec in state.trace] + ([edge[1]] if isinstance(edge, tuple) else [])
+    axes = [{"neuron": None, "bit": None, "derivative": least[0]}] + [
+        {"neuron": list(net.neuron_at(rec.neuron)), "bit": int(state.s[c]), "derivative": d}
+        for rec, c, d in zip(state.trace, state.pinv.owners, least[1:])]
+    ok = bool(ok) and not isinstance(edge, tuple)
+    print(json.dumps({"certified": ok, "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2
 
 

@@ -297,14 +297,6 @@ def flip(s: np.ndarray, units) -> np.ndarray:
     return out
 
 
-def activation_bits_batch(net: ReluNetwork, xs: np.ndarray) -> np.ndarray:
-    """Activation bits for a batch of points, one uint8 row per point."""
-    xs = np.asarray(xs, dtype=np.float64)
-    bits = np.empty((len(xs), net.num_neurons), dtype=bool)
-    _sweep_bits(net, xs, [np.empty((len(xs), w)) for w in net.relu_widths], bits)
-    return bits.view(np.uint8)
-
-
 def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
     """Forward sweep of a batch into buffers the caller owns, reusable across batches.
 

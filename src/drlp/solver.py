@@ -4,10 +4,10 @@ The solver walks the polyhedral complex a network induces on its input
 space.  It first rides descent directions until enough hyperplanes are
 active to pin a vertex, then repeatedly either pivots along the one
 feasible edge whose directional derivative is most negative, or, when no
-edge descends, certifies the vertex by checking the edges of every
-adjacent region reachable by flipping one active unit.  A quadratic
-add-on objective is supported through an active-set variant that slides
-along walls instead of hopping between vertices.
+edge descends, certifies the vertex by probing its region and those
+across its walls (certify_local_min).  A quadratic add-on objective is
+supported through an active-set variant that slides along walls instead
+of hopping between vertices.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .network import (
     oriented_normals,
 )
 from .primitives import (
+    DEP_TOL,
     Degenerate,
     DependentColumn,
     PseudoInverse,
@@ -182,14 +183,18 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
                        options=options, rng=rng)
 
 
+def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray) -> np.ndarray:
+    """Directional derivative <grad, row>/|row| along each feasible edge (pseudoinverse row)."""
+    return (pinv.matrix @ grad) / np.linalg.norm(pinv.matrix, axis=1)
+
+
 def choose_axis(pinv: PseudoInverse, grad: np.ndarray):
     """Feasible edge with the most negative normalized directional derivative.
 
     Returns (row, alpha, i): the chosen pseudoinverse row, its derivative
     <grad, row>/|row|, and its index.  alpha < 0 means f descends along it.
     """
-    norms = np.linalg.norm(pinv.matrix, axis=1)
-    vals = (pinv.matrix @ grad) / norms
+    vals = axis_derivatives(pinv, grad)
     i = int(np.argmin(vals))
     return pinv.matrix[i].copy(), float(vals[i]), i
 
@@ -222,11 +227,13 @@ def refresh_pseudoinverse(state: SolverState):
 
 
 def find_vertex(state: SolverState) -> SolveOutcome | None:
-    """Ride descent directions until input_dim independent walls are active.
+    """Ride descent directions until rank(W1) independent walls are active.
 
     Follows the projected negative gradient; when that vanishes inside the
     remaining free subspace, falls back to random directions with the
-    ascending sign removed, so the objective never increases.  Returns an
+    ascending sign removed, so the objective never increases.  f is flat
+    along null(W1); rank(W1) and null(W1), which random directions leave
+    out, come from one SVD when the projection first vanishes.  Returns an
     outcome on early termination, None once a vertex is reached.
     """
     net, s, opts = state.net, state.s, state.options
@@ -234,12 +241,19 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
     gscale = 1.0 + np.linalg.norm(grad)
     v = -grad.copy()
     tried_opposite = False
-    while state.pinv.m < net.input_dim:
+    rank, null = net.input_dim, None
+    while state.pinv.m < rank:
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
         if np.linalg.norm(v) <= 1e-12 * gscale:
+            if null is None:
+                w = net.weights[0]
+                _, sv, vt = np.linalg.svd(w, full_matrices=w.shape[0] < w.shape[1])
+                rank = int(np.count_nonzero(sv > DEP_TOL * sv.max(initial=0.0)))
+                null = vt[rank:]
+                continue    # the walls may already pin the vertex
             v = state.rng.standard_normal(net.input_dim)
-            v -= project(state.pinv, net, s, v)
+            v -= project(state.pinv, net, s, v) + null.T @ (null @ v)
             if np.linalg.norm(v) <= 1e-12 * gscale:
                 continue  # unlucky draw inside the pinned subspace
             if v @ grad > 0.0:
@@ -249,7 +263,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
         res = advance_max(net, state.x, v, s, state.pinv.owners)
         state.steps += 1
         if not res.bounded:
-            if v @ grad < -1e-15 * gscale:
+            if v @ grad < -DESCENT_TOL * gscale:
                 return state.finish(UNBOUNDED, direction=v.copy())
             # flat ray; try the mirror direction once, then resample
             if not tried_opposite:
@@ -293,124 +307,89 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     return out
 
 
-def _pivot_loop(state: SolverState) -> SolveOutcome:
-    net, opts = state.net, state.options
-    n0 = net.input_dim
-    next_flip = 0
-    while True:
+def certify_local_min(state: SolverState):
+    """Descending edge (row, alpha, i, descent_tol) of the first probed region, or an outcome.
+
+    Probes x's region, then the region across each owner's wall in turn,
+    the flips accumulating, and leaves state in the region it returns from.
+    No descending edge ends LocalMinimum; StepLimit is checked before each
+    region and a degenerate flip ends NonRegular.  A ``flip`` record carries
+    the alpha of the region it leaves; with no owner, x is certified as is.
+    """
+    net, opts, alpha = state.net, state.options, None
+    for k in range(state.pinv.m + 1):
+        if k:
+            c = state.pinv.owners[k - 1]
+            state.s = flip(state.s, c)
+            try:
+                state.pinv = update_axis_new_region(state.pinv, k - 1, net, state.s)
+            except Degenerate:
+                return state.finish(NON_REGULAR, neurons=[c])
+            state.emit("flip", neuron=c, alpha=alpha)
+            state.steps += 1
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
+        if not state.pinv.m:
+            break
         grad = gradient(net, state.s)
         row, alpha, i = choose_axis(state.pinv, grad)
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
-            owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
-            others = owners[:i] + owners[i + 1:]
-            v = row / np.linalg.norm(row)
-            # long step: pass every last-layer wall while f still descends
-            res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol)
-            state.steps += 1
-            if not res.bounded:
-                return state.finish(UNBOUNDED, direction=v)
-            if res.t <= -STEP_ACCEPT_TOL:
-                xscale = 1.0 + float(np.max(np.abs(state.x)))
-                if res.t < -RESYNC_TOL * xscale:
-                    return state.finish(NON_REGULAR, neurons=[res.neuron])
-                # a negative crossing step means the bit for res.neuron claims
-                # the wrong side of its wall (roundoff left x marginally past
-                # it).  Flip the bit to match the geometry and rebuild, with
-                # owner i last; x and f are untouched.
-                state.s = flip(state.s, res.neuron)
-                state.pinv.owners = others + [owners[i]]    # the rebuild reads only these
-                try:
-                    refresh_pseudoinverse(state)
-                except Degenerate:
-                    return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
-                state.emit("resync", neuron=res.neuron, t=res.t)
+            return row, alpha, i, descent_tol
+    state.emit("certify", alpha=alpha)
+    return state.finish(LOCAL_MINIMUM)
+
+
+def _pivot_loop(state: SolverState) -> SolveOutcome:
+    net = state.net
+    while True:
+        if isinstance(edge := certify_local_min(state), SolveOutcome):
+            return edge
+        row, alpha, i, descent_tol = edge
+        owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
+        others = owners[:i] + owners[i + 1:]
+        v = row / np.linalg.norm(row)
+        # long step: pass every last-layer wall while f still descends
+        res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol)
+        state.steps += 1
+        if not res.bounded:
+            return state.finish(UNBOUNDED, direction=v)
+        if res.t <= -STEP_ACCEPT_TOL:
+            xscale = 1.0 + float(np.max(np.abs(state.x)))
+            if res.t < -RESYNC_TOL * xscale:
+                return state.finish(NON_REGULAR, neurons=[res.neuron])
+            # a negative crossing step means the bit for res.neuron claims
+            # the wrong side of its wall (roundoff left x marginally past
+            # it).  Flip the bit to match the geometry and rebuild, with
+            # owner i last; x and f are untouched.
+            state.s = flip(state.s, res.neuron)
+            state.pinv.owners = others + [owners[i]]    # the rebuild reads only these
+            try:
+                refresh_pseudoinverse(state)
+            except Degenerate:
+                return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
+            state.emit("resync", neuron=res.neuron, t=res.t)
+            position_correction(state)
+            continue
+        state.x = state.x + res.t * v
+        c = res.neuron
+        state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
+        # crossed units sit in the last hidden layer and are not owners,
+        # so their bits enter neither c's normal nor any tracked one
+        state.s = flip(state.s, np.append(res.crossed, c))
+        try:
+            state.pinv = exchange_axis(state.pinv, i, net, state.s, c)
+        except (DependentColumn, Degenerate):
+            return state.finish(NON_REGULAR, neurons=others + [c])
+        try:
+            resid = position_correction(state)
+            # the rank-one updates compound near tight vertices; rebuild
+            # from the owners as soon as their walls drift
+            if resid > DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x)))):
+                refresh_pseudoinverse(state)
                 position_correction(state)
-                next_flip = 0
-                continue
-            state.x = state.x + res.t * v
-            c = res.neuron
-            state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
-            # crossed units sit in the last hidden layer and are not owners,
-            # so their bits enter neither c's normal nor any tracked one
-            state.s = flip(state.s, np.append(res.crossed, c))
-            try:
-                state.pinv = exchange_axis(state.pinv, i, net, state.s, c)
-            except (DependentColumn, Degenerate):
-                return state.finish(NON_REGULAR, neurons=others + [c])
-            next_flip = 0
-            try:
-                resid = position_correction(state)
-                # the rank-one updates compound near tight vertices; rebuild
-                # from the owners as soon as their walls drift
-                if resid > DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x)))):
-                    refresh_pseudoinverse(state)
-                    position_correction(state)
-            except Degenerate:
-                return state.finish(NON_REGULAR, neurons=list(state.pinv.owners))
-        else:
-            if next_flip >= n0:
-                state.emit("certify", alpha=alpha)
-                return state.finish(LOCAL_MINIMUM)
-            # adjacent region across wall next_flip; flips accumulate on purpose,
-            # so all 2*n0 (owner, side) combinations get visited
-            c = state.pinv.owners[next_flip]
-            state.s = flip(state.s, c)
-            try:
-                state.pinv = update_axis_new_region(state.pinv, next_flip, net, state.s)
-            except Degenerate:
-                return state.finish(NON_REGULAR, neurons=[c])
-            state.emit("flip", neuron=c, alpha=alpha)
-            next_flip += 1
-            state.steps += 1
-
-
-def axis_derivatives(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse):
-    """Directional derivatives along all 2m feasible axes at a pinned point.
-
-    For every owner: the derivative along its axis under the current
-    pattern, then (with flips accumulating exactly like the solver's
-    certification sweep) under the pattern with that owner flipped.
-    Returns a list of (owner, bit, value, grad_norm) and mutates nothing;
-    grad_norm is the gradient scale the value should be judged against.
-    """
-    entries = []
-    grad = gradient(net, s)
-    gnorm = float(np.linalg.norm(grad))
-    for k, c in enumerate(pinv.owners):
-        val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
-        entries.append((c, int(s[c]), val, gnorm))
-    for k, c in enumerate(list(pinv.owners)):
-        s = flip(s, c)
-        pinv = update_axis_new_region(pinv, k, net, s)
-        grad = gradient(net, s)
-        gnorm = float(np.linalg.norm(grad))
-        val = float(pinv.matrix[k] @ grad / np.linalg.norm(pinv.matrix[k]))
-        entries.append((c, int(s[c]), val, gnorm))
-    return entries
-
-
-def certify_local_min(net: ReluNetwork, x, s: np.ndarray, pinv: PseudoInverse,
-                      entries=None) -> bool:
-    """True when no feasible axis at x has a negative directional derivative.
-
-    With fewer active walls than input dimensions the free subspace must
-    also be gradient-free, otherwise moving inside it would descend.
-    entries are axis_derivatives(net, x, s, pinv), computed when not given.
-    """
-    if pinv.m < net.input_dim:
-        grad = gradient(net, s)
-        free = grad - project(pinv, net, s, grad)
-        if np.linalg.norm(free) > DESCENT_TOL * (1.0 + np.linalg.norm(grad)):
-            return False
-    if entries is None:
-        entries = axis_derivatives(net, x, s, pinv)
-    for _, _, val, gnorm in entries:
-        if val < -DESCENT_TOL * (1.0 + gnorm):
-            return False
-    return True
+        except Degenerate:
+            return state.finish(NON_REGULAR, neurons=list(state.pinv.owners))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,12 @@ Run it from the repository root against the tree to be checked:
 and again with PYTHONPATH pointing at another checkout's ``src``.  Equal
 lines mean equal outcomes bit for bit: each digest hashes every solve's
 status, steps, the bytes of x and f, and every trace record (for
-``check_axes``, every axis derivative and the certificate; for
+``check_axes``, the exit code and JSON of ``drlp check``; for
 ``regions``, every sampled count and bound; for ``sweeps``, the output
 bytes of every network sweep).  Wall times are left out.
 The script uses only API that has been stable across releases
 (builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
-max_steps)``, the ``check`` routines on a folded net, or called with
-``pairs`` by keyword where ``PairGroups.fold`` is absent, the region
+max_steps)``, ``save_model`` and the ``drlp check`` command, the region
 bounds and sampler, and the network sweeps called on patterns from
 ``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
@@ -27,13 +26,18 @@ Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 from collections import Counter
 
 import numpy as np
 
 import drlp
+import drlp.cli
 
 MAX_STEPS = 3000
 
@@ -122,34 +126,25 @@ def random_quadratic():
 
 
 def check_axes():
-    """Axes and certificate at solved points, the way ``drlp check`` builds them.
+    """What ``drlp check`` prints, and its exit code, at solved points.
 
-    Paired nets are folded first and units named in the unfolded net, as
-    ``drlp check`` does; a tree without ``PairGroups.fold`` gets its
-    ``pairs=`` calls instead.
+    The command runs in process on a model file written to a temporary
+    directory, so the digest covers the verdict and the axes JSON of
+    whichever probe the tree's ``check`` uses.
     """
     cases = [(net, drlp.PairGroups(), out.x) for net, out in _solved_random_nets()]
     for seed in range(4):
         net, pairs = drlp.build_quantile_lasso(regression(seed, 30, 2), lam=0.5)
         cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(seed), pairs).x))
-    for net, pairs, x in cases:
-        if hasattr(pairs, "fold"):
-            net, kept = pairs.fold(net)
-            kw = {}
-        else:
-            kept, kw = np.arange(net.num_neurons), {"pairs": pairs}
-        s = drlp.activation_pattern(net, x, **kw)
-        crit = drlp.critical_indices(net, s, x, **kw)
-        try:
-            pinv = drlp.dense_pseudoinverse(net, s, crit)
-            ok = drlp.certify_local_min(net, x, s, pinv, **kw)
-            axes = drlp.axis_derivatives(net, x, s, pinv, **kw)
-        except drlp.Degenerate:
-            yield repr(("Degenerate", [int(kept[c]) for c in crit]))
-            continue
-        yield repr((ok, [int(kept[c]) for c in crit],
-                    [(int(kept[c]), b, np.float64(v).tobytes(), np.float64(g).tobytes())
-                     for c, b, v, g in axes]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        for net, pairs, x in cases:
+            drlp.save_model(path, net, pairs)
+            argv = ["check", "--model", path, "--x=" + ",".join(map(repr, x.tolist()))]
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = drlp.cli.main(argv)
+            yield repr((code, out.getvalue(), err.getvalue()))
 
 
 def regions():

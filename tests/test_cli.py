@@ -14,12 +14,18 @@ from drlp import (
     NON_REGULAR,
     LpInstance,
     PairGroups,
+    RegressionData,
     ReluNetwork,
     SolveOutcome,
+    SolverOptions,
+    build_clad,
     build_from_lp,
     build_quantile_lasso,
+    build_random,
+    drlsimplex,
     evaluate,
     load_csv,
+    load_model,
     save_model,
 )
 from drlp.cli import main
@@ -108,6 +114,15 @@ class TestSolve:
         assert doc["status"] == "LocalMinimum"
         assert doc["f"] == pytest.approx(0.0, abs=1e-9)
         assert doc["steps"] > 0 and doc["wall_ms"] >= 0.0
+
+    def test_zero_start(self, capsys, hinge_model, monkeypatch):
+        real, starts = drlp.cli.drlsimplex, []
+        monkeypatch.setattr(drlp.cli, "drlsimplex",
+                            lambda net, x0, *rest: starts.append(x0) or real(net, x0, *rest))
+        code, stdout, _ = _run(capsys, ["solve", "--model", hinge_model, "--x0", "zero",
+                                        "--starts", "2"])
+        assert code == 0 and json.loads(stdout)["status"] == "LocalMinimum"
+        assert [x0.tolist() for x0 in starts] == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_unbounded_exit_two(self, capsys, negated_model):
         code, stdout, _ = _run(
@@ -375,6 +390,33 @@ class TestRegression:
         assert "theta" in doc and len(doc["theta"]) == 2 * 1 + 2
         assert out_model.exists()
 
+    def test_train_l1_from_base_model_round_trips(self, capsys, tiny_csv, tmp_path):
+        path, _, _ = tiny_csv
+        base, trained = tmp_path / "base.json", tmp_path / "trained.json"
+        assert main(["random-net", "--topology", "1,3,2,1", "--seed", "5", "--out", str(base)]) == 0
+        capsys.readouterr()
+        code, stdout, _ = _run(capsys, ["train-l1", "--data", path, "--base-model", str(base),
+                                        "--out-model", str(trained)])
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "LocalMinimum" and doc["model"] == str(trained)
+        before, after = load_model(base)[0], load_model(trained)[0]
+        # the written first layer is theta; the frozen layers are the base's
+        assert np.concatenate([after.weights[0].ravel(), after.biases[0]]).tolist() == doc["theta"]
+        for a, b in zip(before.weights[1:] + before.biases[1:], after.weights[1:] + after.biases[1:]):
+            assert np.array_equal(a, b)
+        data = load_csv(path)
+        assert doc["f"] == pytest.approx(np.abs(data.y - [evaluate(after, x) for x in data.x]).sum(),
+                                         abs=1e-9)
+
+    def test_quantile_on_one_row_reaches_zero_loss(self, capsys, tmp_path):
+        # one row pins only rank(W1) = 1 of the 2 walls a full-rank vertex needs
+        path = tmp_path / "one.csv"
+        path.write_text("1,2\n")
+        code, stdout, _ = _run(capsys, ["quantile", "--data", str(path)])
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "LocalMinimum" and doc["f"] == 0.0
+        assert doc["x"][0] + doc["x"][1] == pytest.approx(2.0, abs=1e-12)
+
     def test_train_l1_without_base_exit_one(self, capsys, tiny_csv):
         path, _, _ = tiny_csv
         code, stdout, stderr = _run(capsys, ["train-l1", "--data", path])
@@ -468,7 +510,11 @@ class TestCheck:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["certified"] is True
-        assert len(doc["axes"]) == 4
+        # x's own region (both walls' units off at x), then across (1, 2),
+        # then across (2, 1) as well
+        assert doc["axes"] == [{"neuron": None, "bit": None, "derivative": 0.0},
+                               {"neuron": [1, 2], "bit": 1, "derivative": 0.0},
+                               {"neuron": [2, 1], "bit": 1, "derivative": 0.0}]
 
     def test_axes_name_units_of_the_paired_model(self, capsys, tmp_path):
         # min -x subject to x <= 1, x >= 0: units (1, 1) and (1, 2) are the
@@ -479,16 +525,46 @@ class TestCheck:
         code, stdout, _ = _run(capsys, ["check", "--model", str(path), "--x", "1"])
         doc = json.loads(stdout)
         assert code == 0 and doc["certified"] is True
-        assert [a["neuron"] for a in doc["axes"]] == [[1, 3], [1, 3]]
+        assert [a["neuron"] for a in doc["axes"]] == [None, [1, 3]]
 
     def test_flip_probe_runs_once(self, capsys, hinge_model, monkeypatch):
         calls = []
-        real = drlp.solver.axis_derivatives
+        real = drlp.solver.certify_local_min
         probe = lambda *args: calls.append(1) or real(*args)
-        monkeypatch.setattr(drlp.solver, "axis_derivatives", probe)
-        monkeypatch.setattr(drlp.cli, "axis_derivatives", probe)
+        monkeypatch.setattr(drlp.solver, "certify_local_min", probe)
+        monkeypatch.setattr(drlp.cli, "certify_local_min", probe)
         code, _, _ = _run(capsys, ["check", "--model", hinge_model, "--x", "1,0"])
         assert code == 0 and len(calls) == 1
+
+    def test_certifies_every_solver_minimum(self, capsys, tmp_path):
+        # check answers from the solver's own probe, so it certifies every
+        # LocalMinimum the solver reports, on paired and plain models alike
+        rng = np.random.Generator(np.random.Philox(41))
+        corpus = []
+        for _ in range(3):
+            x = rng.standard_normal((25, 2))
+            data = RegressionData(x, 1.0 + x @ [1.0, -0.5] + rng.laplace(size=25))
+            a = rng.uniform(0.1, 1.0, (4, 3))
+            lp = LpInstance(-rng.uniform(0.5, 1.5, 3), a, rng.uniform(1.0, 2.0, 4))
+            corpus += [("quantile", *build_quantile_lasso(data, alpha=0.3, lam=0.5), np.zeros(3)),
+                       ("clad", *build_clad(data), rng.standard_normal(2)),
+                       ("lp", *build_from_lp(lp, penalty=10.0), rng.uniform(0.0, 1.0, 3))]
+        for seed in range(10):
+            corpus.append(("random", build_random((3, 6, 6, 1), seed=seed), PairGroups(),
+                           rng.standard_normal(3)))
+        corpus.append(("rank 2 of 4", build_random((4, 2, 1), seed=2), PairGroups(),
+                       rng.standard_normal(4)))
+        certified = []
+        for k, (family, net, pairs, x0) in enumerate(corpus):
+            out = drlsimplex(net, x0, SolverOptions(seed=k), pairs)
+            if out.status != "LocalMinimum":
+                continue
+            save_model(tmp_path / "model.json", net, pairs)
+            code, stdout, _ = _run(capsys, ["check", "--model", str(tmp_path / "model.json"),
+                                            "--x=" + ",".join(map(repr, out.x.tolist()))])
+            assert code == 0 and json.loads(stdout)["certified"] is True, (family, k)
+            certified.append(family)
+        assert set(certified) == {family for family, *_ in corpus} and len(certified) >= 12
 
     def test_rejects_saddle_vertex(self, capsys, negated_model):
         code, stdout, _ = _run(

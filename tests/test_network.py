@@ -9,7 +9,6 @@ from drlp import (
     PairGroups,
     RegressionData,
     ReluNetwork,
-    activation_bits_batch,
     activation_pattern,
     build_clad,
     build_from_lp,
@@ -30,6 +29,7 @@ from drlp import (
     save_model,
     subjective_arguments,
 )
+from drlp.network import _sweep_bits
 from drlp.primitives import _crossing_gains
 from helpers import (
     critical_kernel_dim,
@@ -73,6 +73,25 @@ class TestConstruction:
                 build_random(topo)
         with pytest.raises(ValueError, match=r"layer 1: weight shape \(0,\) is empty"):
             ReluNetwork([[], [[]]], [[], [0.0]])           # what a JSON model file holds
+
+    def test_rejects_layer_lists_that_do_not_chain(self):
+        w, b = [np.ones((2, 3)), np.ones((1, 2))], [np.zeros(2), np.zeros(1)]
+        with pytest.raises(ValueError, match="need one bias vector per weight matrix"):
+            ReluNetwork(w, b[:1])
+        with pytest.raises(ValueError, match="need at least one ReLU layer plus the output layer"):
+            ReluNetwork(w[1:], b[1:])
+        with pytest.raises(ValueError, match=r"layer 1: weight/bias shapes \(2, 3\)/\(3,\) do not chain"):
+            ReluNetwork(w, [np.zeros(3), np.zeros(1)])
+
+    @pytest.mark.parametrize("c", [(0, 1), (3, 1), (1, 3), (2, 2), (1, 0)])
+    def test_flat_index_out_of_range(self, net_fold_sum, c):
+        with pytest.raises(ValueError, match=r"no hidden unit .* in widths \(2, 2, 1, 1\)"):
+            net_fold_sum.flat_index(c)
+
+    @pytest.mark.parametrize("flat", [-1, 3])
+    def test_neuron_at_out_of_range(self, net_fold_sum, flat):
+        with pytest.raises(ValueError, match=f"flat index {flat} out of range"):
+            net_fold_sum.neuron_at(flat)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -166,16 +185,20 @@ class TestPatterns:
         assert np.array_equal(flip(once, np.array(units, dtype=np.intp)), s)
 
     def test_batch_bits_match_scalar(self):
+        # _sweep_bits as count_regions_empirical runs it: buffers with more
+        # rows than the batch and padded bit columns, reused across batches;
         # the second net is three layers deep with more than 64 units
         rng = np.random.Generator(np.random.Philox(5))
         for topo, seed in (((2, 4, 3, 1), 4), ((2, 40, 30, 20, 1), 6)):
             net = build_random(topo, seed=seed)
-            pts = rng.uniform(-3, 3, size=(200, 2))
-            bits = activation_bits_batch(net, pts)
-            assert bits.dtype == np.uint8 and bits.shape == (200, net.num_neurons)
-            for row, x in zip(bits, pts):
-                assert np.array_equal(row, activation_pattern(net, x))
-            assert activation_bits_batch(net, pts[:0]).shape == (0, net.num_neurons)
+            layers = [np.empty((256, w)) for w in net.relu_widths]
+            bits = np.zeros((256, 64 * -(-net.num_neurons // 64)), dtype=bool)
+            for n in (200, 37, 0):
+                pts = rng.uniform(-3, 3, size=(n, 2))
+                _sweep_bits(net, pts, layers, bits)
+                for row, x in zip(bits[:n], pts):
+                    assert np.array_equal(row[:net.num_neurons], activation_pattern(net, x))
+                assert not bits[:, net.num_neurons:].any()
 
 
 class TestSubjective:

@@ -232,6 +232,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(f)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no data rows"),
+        ("\n , \n\n", "no data rows"),
+        ("a,b\n\n", "header but no data rows"),
+    ])
+    def test_no_data_rows_rejected(self, tmp_path, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"d.csv: {message}$"):
+            load_csv(f)
+
+    def test_named_response_needs_a_header(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2\n3,4\n")
+        with pytest.raises(ValueError, match="response column 'y' needs a header row"):
+            load_csv(f, response="y")
+
     def test_unknown_response_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1,2\n")

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import drlp.cli
 import drlp.network
 import drlp.solver
 from drlp import (
@@ -46,6 +48,7 @@ from drlp import (
     quantile_loss,
     refresh_pseudoinverse,
     relu_arguments,
+    save_model,
     solve_quadratic,
     SolverOptions,
     SolverState,
@@ -411,43 +414,93 @@ class TestPivotUpdate:
         assert out.status == NON_REGULAR and out.neurons == [0, 2]
 
 
+def _probe(net, x, s, pinv, **options):
+    """certify_local_min on a state pinned at x; returns (result, state)."""
+    state = SolverState(net=net, x=np.asarray(x, dtype=float), s=s, pinv=pinv,
+                        options=SolverOptions(**options))
+    return certify_local_min(state), state
+
+
 class TestCertification:
     def test_frozen_axis_sweep(self, net_hinge_gap):
         net = net_hinge_gap
-        x = np.array([1.0, 0.0])
         s, pinv = _vertex_state(net, [[1, 1], [1]], [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
-        entries = axis_derivatives(net, x, s, pinv)
-        frozen = [
-            (1, 1, 0.0),
-            (2, 1, 1.0),
-            (1, 0, 0.0),
-            (2, 0, 0.0),
-        ]
-        assert len(entries) == 4
-        for (c, bit, val, _), (fc, fbit, fval) in zip(entries, frozen):
-            assert c == fc and bit == fbit
-            assert val == pytest.approx(fval, abs=1e-12)
+        assert_allclose(axis_derivatives(pinv, gradient(net, s)), [0.0, 1.0], atol=1e-12)
+        out, state = _probe(net, [1.0, 0.0], s, pinv)
+        # x's region, then across wall 1, then across walls 1 and 2
+        frozen = [("flip", 0, 1, 0.0), ("flip", 1, 2, 0.0), ("certify", 2, None, 0.0)]
+        got = [(r.phase, r.step, r.neuron, r.alpha) for r in state.trace]
+        assert [g[:3] for g in got] == [f[:3] for f in frozen]
+        assert_allclose([g[3] for g in got], [f[3] for f in frozen], atol=1e-12)
+        assert out.status == LOCAL_MINIMUM and out.steps == state.steps == 2
+        assert state.s.tolist() == [1, 0, 0]
 
     def test_certifies_true_minimum(self, net_hinge_gap):
         s, pinv = _vertex_state(net_hinge_gap, [[1, 1], [1]], [1, 2])
-        assert certify_local_min(net_hinge_gap, np.array([1.0, 0.0]), s, pinv)
+        out, _ = _probe(net_hinge_gap, [1.0, 0.0], s, pinv)
+        assert out.status == LOCAL_MINIMUM
 
     def test_rejects_saddle_vertex(self, net_hinge_gap_negated):
-        s, pinv = _vertex_state(
-            net_hinge_gap_negated, [[1, 1], [1]], [1, 2]
-        )
-        assert not certify_local_min(
-            net_hinge_gap_negated, np.array([1.0, 0.0]), s, pinv
-        )
+        s, pinv = _vertex_state(net_hinge_gap_negated, [[1, 1], [1]], [1, 2])
+        edge, state = _probe(net_hinge_gap_negated, [1.0, 0.0], s, pinv)
+        row, alpha, i, descent_tol = edge
+        # x's own region descends along owner 2's edge; the state stays there
+        assert i == 1 and alpha == pytest.approx(-1.0) and alpha < -descent_tol
+        assert_allclose(row, [1.0, 0.0])
+        assert state.trace == [] and state.s.tolist() == [1, 1, 1]
 
-    def test_free_subspace_blocks_certification(self, net_fold_sum):
-        # only one wall active at (5, 5): the free direction still descends
+    def test_free_subspace_blocks_certification(self, net_fold_sum, tmp_path, capsys):
+        # only one wall active at (5, 5): its edge and the region across it
+        # do not descend, but the free direction does, so check refuses
         net = net_fold_sum
         x = np.array([5.0, 5.0])
         s = activation_pattern(net, x)
         pinv = add_axis(PseudoInverse.empty(2), net, s, 0)
-        assert not certify_local_min(net, x, s, pinv)
+        assert _probe(net, x, s, pinv)[0].status == LOCAL_MINIMUM
+        save_model(tmp_path / "fold.json", net)
+        assert drlp.cli.main(["check", "--model", str(tmp_path / "fold.json"), "--x", "5,5"]) == 2
+        assert json.loads(capsys.readouterr().out)["certified"] is False
+
+    def test_step_limit_inside_the_probe(self, net_hinge_gap):
+        # the last vertex is certified after both of its flips; one step
+        # fewer stops the probe between them
+        full = drlsimplex(net_hinge_gap, [3.0, -2.0], SolverOptions(seed=0))
+        assert full.status == LOCAL_MINIMUM
+        assert [r.phase for r in full.trace[-3:]] == ["flip", "flip", "certify"]
+        out = drlsimplex(net_hinge_gap, [3.0, -2.0], SolverOptions(seed=0, max_steps=full.steps - 1))
+        assert out.status == STEP_LIMIT and out.steps == full.steps - 1
+        assert out.trace == full.trace[:-2]
+
+
+class TestRankDeficientFirstLayer:
+    """f depends on x only through W1 x, so a vertex pins rank(W1) < input_dim walls."""
+
+    @pytest.mark.parametrize("topo", [(4, 2, 1), (5, 3, 1)])
+    def test_ends_at_a_minimum_or_a_falling_ray(self, topo, tmp_path, capsys):
+        minima = 0
+        for seed in range(10):
+            net = build_random(topo, seed=seed)
+            x0 = np.random.Generator(np.random.Philox(1000 + seed)).standard_normal(topo[0])
+            out = drlsimplex(net, x0, SolverOptions(seed=0, max_steps=3000))
+            if out.status == UNBOUNDED:
+                assert evaluate(net, out.x + 1e3 * out.direction) < out.f - 1e-6
+                continue
+            assert out.status == LOCAL_MINIMUM
+            minima += 1
+            assert probe_min(net, out.x, radius=1e-6, samples=500, seed=seed) >= out.f - 1e-12
+            save_model(tmp_path / "net.json", net)
+            x = ",".join(map(repr, out.x.tolist()))
+            assert drlp.cli.main(["check", "--model", str(tmp_path / "net.json"), "--x=" + x]) == 0
+            assert json.loads(capsys.readouterr().out)["certified"] is True
+        assert minima > 0
+
+    def test_zero_first_layer_is_certified_where_it_starts(self):
+        # rank 0: f is constant, no wall can be pinned and no edge exists
+        net = ReluNetwork([np.zeros((2, 3)), np.ones((1, 2))], [np.ones(2), np.zeros(1)])
+        out = drlsimplex(net, [1.0, 2.0, 3.0], SolverOptions(seed=0))
+        assert out.status == LOCAL_MINIMUM and out.f == 2.0
+        assert [(r.phase, r.alpha) for r in out.trace] == [("certify", None)]
 
 
 class TestQuadratic:
