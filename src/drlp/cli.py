@@ -275,8 +275,9 @@ def cmd_check(args):
         grad = gradient(folded, s)
         free = np.linalg.norm(grad - project(pinv, folded, s, grad))
         ok = pinv.m == folded.input_dim or free <= DESCENT_TOL * (1.0 + np.linalg.norm(grad))
-        # steps stay at most pinv.m, so the probe never ends StepLimit
-        state = SolverState(folded, x, s, pinv, SolverOptions(max_steps=pinv.m + 1), kept=kept)
+        # x never moves, so records share one f; steps stay at most pinv.m, never StepLimit
+        f = evaluate(net, x)
+        state = SolverState(folded, x, s, pinv, SolverOptions(max_steps=pinv.m + 1), objective=lambda _: f)
         edge = certify_local_min(state)
         if getattr(edge, "status", None) == NON_REGULAR:
             raise Degenerate(reason)
@@ -284,15 +285,15 @@ def cmd_check(args):
         print(json.dumps({"certified": False, "reason": reason,
                           "neurons": [list(net.neuron_at(c)) for c in kept[crit].tolist()]}))
         return 3
-    # one axes entry per probed region, in order: the wall crossed to reach it (null for
-    # x's own region), its bit there, and the region's least edge derivative; the trace
-    # holds a flip record per crossed wall, then certify unless an edge descends
+    # one axes entry per region the probe entered: the wall crossed to reach it (null for x's
+    # region), its bit there and the least edge derivative priced there, the descending edge
+    # in the last region of an uncertified x; a flip record per wall, then certify if certified
     least = [rec.alpha for rec in state.trace] + ([edge[1]] if isinstance(edge, tuple) else [])
     axes = [{"neuron": None, "bit": None, "derivative": least[0]}] + [
-        {"neuron": list(net.neuron_at(rec.neuron)), "bit": int(state.s[c]), "derivative": d}
-        for rec, c, d in zip(state.trace, state.pinv.owners, least[1:])]
+        {"neuron": list(net.neuron_at(int(kept[c]))), "bit": int(state.s[c]), "derivative": d}
+        for c, d in zip([rec.neuron for rec in state.trace], least[1:])]
     ok = bool(ok) and not isinstance(edge, tuple)
-    print(json.dumps({"certified": ok, "f": evaluate(net, x), "axes": axes}))
+    print(json.dumps({"certified": ok, "f": f, "axes": axes}))
     return 0 if ok else 2
 
 

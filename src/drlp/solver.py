@@ -2,12 +2,12 @@
 
 The solver walks the polyhedral complex a network induces on its input
 space.  It first rides descent directions until enough hyperplanes are
-active to pin a vertex, then repeatedly either pivots along the one
-feasible edge whose directional derivative is most negative, or, when no
-edge descends, certifies the vertex by probing its region and those
-across its walls (certify_local_min).  A quadratic add-on objective is
-supported through an active-set variant that slides along walls instead
-of hopping between vertices.
+active to pin a vertex, then repeatedly pivots along the steepest of the
+vertex's 2m edges, each leaving one wall inside x's region or across it,
+with last-layer crossings priced in closed form; when none descends, the
+regions across its earlier-layer walls are probed too (certify_local_min).
+A quadratic add-on objective is supported through an active-set variant
+that slides along walls instead of hopping between vertices.
 """
 
 from __future__ import annotations
@@ -183,20 +183,27 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
                        options=options, rng=rng)
 
 
-def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray) -> np.ndarray:
-    """Directional derivative <grad, row>/|row| along each feasible edge (pseudoinverse row)."""
-    return (pinv.matrix @ grad) / np.linalg.norm(pinv.matrix, axis=1)
+def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains=None) -> np.ndarray:
+    """Derivative per unit length along the 2m edges of a vertex: each row P_k, then each -P_k.
 
-
-def choose_axis(pinv: PseudoInverse, grad: np.ndarray):
-    """Feasible edge with the most negative normalized directional derivative.
-
-    Returns (row, alpha, i): the chosen pseudoinverse row, its derivative
-    <grad, row>/|row|, and its index.  alpha < 0 means f descends along it.
+    With mu = P grad, edge k is mu_k/|P_k| and edge m + k (gains[k] - mu_k)/|P_k|: crossing
+    owner k's last-layer wall of gain kappa makes the gradient grad - kappa n_k and row k -P_k,
+    and changes no other row or normal.  An inf gain (the default) leaves a crossing unpriced.
     """
-    vals = axis_derivatives(pinv, grad)
+    mu = pinv.matrix @ grad
+    across = np.full(pinv.m, np.inf) if gains is None else gains - mu
+    return np.concatenate([mu, across]) / np.tile(np.linalg.norm(pinv.matrix, axis=1), 2)
+
+
+def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains=None):
+    """(row, alpha, i): the edge of least derivative in axis_derivatives, ties to the first.
+
+    i < m is edge P_i, inside the region; i >= m is -P_(i-m), across owner i - m's wall.
+    alpha < 0 means f descends along it.
+    """
+    vals = axis_derivatives(pinv, grad, gains)
     i = int(np.argmin(vals))
-    return pinv.matrix[i].copy(), float(vals[i]), i
+    return (1.0 if i < pinv.m else -1.0) * pinv.matrix[i % pinv.m], float(vals[i]), i
 
 
 def position_correction(state: SolverState) -> float:
@@ -310,31 +317,40 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
 def certify_local_min(state: SolverState):
     """Descending edge (row, alpha, i, descent_tol) of the first probed region, or an outcome.
 
-    Probes x's region, then the region across each owner's wall in turn,
-    the flips accumulating, and leaves state in the region it returns from.
-    No descending edge ends LocalMinimum; StepLimit is checked before each
-    region and a degenerate flip ends NonRegular.  A ``flip`` record carries
-    the alpha of the region it leaves; with no owner, x is certified as is.
+    Probes x's region, then the region across each earlier-layer owner's wall in turn, the
+    flips accumulating, and prices each region's 2m edges from one gradient (choose_axis).
+    A descending crossing of last-layer owner i is taken at once: one ``flip`` record and step
+    negate row i.  No descending edge ends LocalMinimum; StepLimit is checked after each flip,
+    and a degenerate flip ends NonRegular.  A ``flip`` record carries the alpha of the region
+    it leaves; with no owner, x is certified as is.
     """
     net, opts, alpha = state.net, state.options, None
-    for k in range(state.pinv.m + 1):
-        if k:
-            c = state.pinv.owners[k - 1]
+    for k in [None] + [j for j, u in enumerate(state.pinv.owners) if u < net.offsets[-2]]:
+        if k is not None:
+            c = state.pinv.owners[k]
             state.s = flip(state.s, c)
             try:
-                state.pinv = update_axis_new_region(state.pinv, k - 1, net, state.s)
+                state.pinv = update_axis_new_region(state.pinv, k, net, state.s)
             except Degenerate:
                 return state.finish(NON_REGULAR, neurons=[c])
             state.emit("flip", neuron=c, alpha=alpha)
             state.steps += 1
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
-        if not state.pinv.m:
+        if not (m := state.pinv.m):
             break
         grad = gradient(net, state.s)
-        row, alpha, i = choose_axis(state.pinv, grad)
+        row, alpha, i = choose_axis(state.pinv, grad, _crossing_gains(net)[state.pinv.owners])
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
+            if i >= m:
+                i -= m
+                state.s = flip(state.s, state.pinv.owners[i])
+                state.pinv.matrix[i] = row
+                state.emit("flip", neuron=state.pinv.owners[i], alpha=alpha)
+                state.steps += 1
+                if state.steps >= opts.max_steps:
+                    return state.finish(STEP_LIMIT)
             return row, alpha, i, descent_tol
     state.emit("certify", alpha=alpha)
     return state.finish(LOCAL_MINIMUM)

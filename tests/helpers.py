@@ -12,8 +12,10 @@ import numpy as np
 
 from drlp import (
     ZERO_TOL,
+    PairGroups,
     ReluNetwork,
     add_axis,
+    build_clad,
     build_random,
     critical_indices,
     evaluate,
@@ -187,6 +189,21 @@ def ac5_runs():
         rng = np.random.Generator(np.random.Philox(600 + seed))
         yield (build_random((2, 10, 10, 10, 10, 10, 1), seed=500 + seed),
                rng.uniform(-1.0, 1.0, size=2), seed)
+
+
+def interleaved_clad(data):
+    """build_clad's (net, pairs) with each residual unit's mirror right after it in layer 2.
+
+    The value is the same everywhere, but folding keeps every other
+    layer-2 unit, so folded unit c is not unit c of this net: the solvers'
+    unit names in the caller's numbering are checked against it.
+    """
+    net, pairs = build_clad(data)
+    off, n = net.offsets[1], data.n
+    order = np.arange(2 * n).reshape(2, n).T.ravel()
+    w, b = net.weights, net.biases
+    mixed = ReluNetwork([w[0], w[1][order], w[2][:, order]], [b[0], b[1][order], b[2]])
+    return mixed, PairGroups((off + 2 * i, off + 2 * i + 1) for i in range(n))
 
 
 def brute_advance(net, x, v, s, ignore=(), zero_tol=ZERO_TOL):

@@ -26,10 +26,11 @@ from drlp import (
     evaluate,
     load_csv,
     load_model,
+    relu_arguments,
     save_model,
 )
 from drlp.cli import main
-from helpers import lad_enumerate
+from helpers import interleaved_clad, lad_enumerate
 
 
 @pytest.fixture
@@ -510,22 +511,55 @@ class TestCheck:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["certified"] is True
-        # x's own region (both walls' units off at x), then across (1, 2),
-        # then across (2, 1) as well
+        # x's own region (both walls' units off at x), then across (1, 2);
+        # the wall of (2, 1), a last-layer unit, is priced without a region
         assert doc["axes"] == [{"neuron": None, "bit": None, "derivative": 0.0},
-                               {"neuron": [1, 2], "bit": 1, "derivative": 0.0},
-                               {"neuron": [2, 1], "bit": 1, "derivative": 0.0}]
+                               {"neuron": [1, 2], "bit": 1, "derivative": 0.0}]
 
     def test_axes_name_units_of_the_paired_model(self, capsys, tmp_path):
-        # min -x subject to x <= 1, x >= 0: units (1, 1) and (1, 2) are the
-        # objective pair, and the minimum x = 1 sits on the wall of (1, 3)
-        net, pairs = build_from_lp(LpInstance([-1.0], [[1.0]], [1.0]), penalty=10.0)
-        path = tmp_path / "lp.json"
-        save_model(path, net, pairs)
-        code, stdout, _ = _run(capsys, ["check", "--model", str(path), "--x", "1"])
-        doc = json.loads(stdout)
-        assert code == 0 and doc["certified"] is True
-        assert [a["neuron"] for a in doc["axes"]] == [None, [1, 3]]
+        # CLAD with each mirror right after its unit: folded layer-2 unit j
+        # is unit 2j of the model's layer 2, so only the model's numbering
+        # names a wall that passes through x
+        path = str(tmp_path / "clad.json")
+
+        def solved(seed):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x = rng.standard_normal((12, 2))
+            y = np.maximum(x @ [1.0, -0.5], 0.0) + 0.3 * rng.standard_normal(12)
+            net, pairs = interleaved_clad(RegressionData(x, y))
+            save_model(path, net, pairs)
+            return net, drlsimplex(net, rng.standard_normal(2), SolverOptions(seed=seed), pairs)
+
+        def check(net, x):
+            code, stdout, _ = _run(capsys, ["check", "--model", path,
+                                            "--x=" + ",".join(map(repr, map(float, x)))])
+            doc = json.loads(stdout)
+            named = [net.flat_index(a["neuron"]) for a in doc["axes"][1:]]
+            assert_allclose(relu_arguments(net, np.array(x))[named], 0.0, atol=1e-9)
+            return code, doc["certified"], [a["neuron"] for a in doc["axes"]], named
+
+        # the solve crosses residual unit (2, 23) at its first vertex, and
+        # check at that vertex takes the same crossing
+        net, out = solved(3)
+        flip = out.trace[2]
+        assert (flip.phase, net.neuron_at(flip.neuron)) == ("flip", (2, 23))
+        assert check(net, flip.x) == (2, False, [None, [2, 23]], [flip.neuron])
+        # the minimum sits on the wall of (1, 4), which adds a region
+        net, out = solved(5)
+        assert out.status == "LocalMinimum"
+        assert check(net, out.x)[:3] == (0, True, [None, [1, 4]])
+
+    def test_evaluates_f_once(self, capsys, hinge_model, monkeypatch):
+        # x never moves during the probe: its flip and certify records and
+        # its outcome share the one f that check prints
+        calls = []
+        for module in (drlp.cli, drlp.solver):
+            real = module.evaluate
+            monkeypatch.setattr(module, "evaluate",
+                                lambda *args, real=real: calls.append(1) or real(*args))
+        code, stdout, _ = _run(capsys, ["check", "--model", hinge_model, "--x", "1,0"])
+        assert code == 0 and json.loads(stdout)["f"] == 0.0
+        assert len(calls) == 1
 
     def test_flip_probe_runs_once(self, capsys, hinge_model, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 import drlp.cli
 import drlp.network
 import drlp.solver
+from drlp.primitives import _crossing_gains
 from drlp import (
     LOCAL_MINIMUM,
     NON_REGULAR,
@@ -18,6 +19,7 @@ from drlp import (
     Degenerate,
     DependentColumn,
     LpInstance,
+    PairGroups,
     PseudoInverse,
     QuadraticObjective,
     RegressionData,
@@ -39,6 +41,7 @@ from drlp import (
     evaluate,
     find_vertex,
     flatten_first_layer,
+    flip,
     gradient,
     initialize,
     lasso_loss,
@@ -53,11 +56,13 @@ from drlp import (
     SolverOptions,
     SolverState,
     dense_pseudoinverse,
+    update_axis_new_region,
 )
 from helpers import (
     ac5_runs,
     certificate_residual,
     cone_projection_nnls,
+    interleaved_clad,
     lp_linprog,
     pivot_update_reference,
     probe_min,
@@ -338,8 +343,9 @@ class TestAborts:
     @pytest.mark.parametrize("name", list(_ABORTS))
     def test_abort_names_units_of_the_paired_net(self, name, monkeypatch):
         # find_vertex adds axes, a drifted pivot rebuilds (forced by a zero
-        # tolerance) and certification flips owners; each exit must report
-        # the failing units under the caller's numbering, not the folded one
+        # tolerance) and certification flips first-layer owners; each exit
+        # must report the failing units under the caller's numbering, not
+        # the folded one
         exc, named = _ABORTS[name]
         culprits = []
 
@@ -349,13 +355,16 @@ class TestAborts:
 
         monkeypatch.setattr(drlp.solver, name, fail)
         monkeypatch.setattr(drlp.solver, "DRIFT_REFRESH_TOL", 0.0)
-        # the LP's objective pair is units 0 and 1, so folded unit c >= 1 is unit c + 1
-        rng = np.random.Generator(np.random.Philox(17))
-        lp = LpInstance(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.1, 1.0, (4, 3)), rng.uniform(1.0, 2.0, 4))
-        net, pairs = build_from_lp(lp, penalty=10.0)
-        out = drlsimplex(net, rng.uniform(0.0, 1.0, 3), SolverOptions(seed=1), pairs)
+        # CLAD with interleaved mirrors: folded layer-2 unit j is unit 2j of the net's layer 2
+        rng = np.random.Generator(np.random.Philox(1))
+        x = rng.standard_normal((12, 2))
+        y = np.maximum(x @ [1.0, -0.5], 0.0) + 0.3 * rng.standard_normal(12)
+        net, pairs = interleaved_clad(RegressionData(x, y))
+        kept = pairs.fold(net)[1]
+        out = drlsimplex(net, rng.standard_normal(2), SolverOptions(seed=1), pairs)
         assert out.status == NON_REGULAR and len(culprits) == 1
-        assert out.neurons == [c + (c >= 1) for c in culprits[0]]
+        assert out.neurons == kept[culprits[0]].tolist()
+        assert any(c >= net.offsets[1] for c in culprits[0]) == (name != "update_axis_new_region")
         assert_allclose(relu_arguments(net, out.x)[out.neurons], 0.0, atol=1e-9)
 
 
@@ -426,15 +435,22 @@ class TestCertification:
         net = net_hinge_gap
         s, pinv = _vertex_state(net, [[1, 1], [1]], [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
-        assert_allclose(axis_derivatives(pinv, gradient(net, s)), [0.0, 1.0], atol=1e-12)
+        # both in-region edges, then the crossings: unit 1's (first layer) is
+        # not priced; unit 2's gain 1 is exactly its multiplier mu = 1
+        gains = _crossing_gains(net)[pinv.owners]
+        assert gains[0] == np.inf and gains[1] == 1.0
+        assert_allclose(axis_derivatives(pinv, gradient(net, s), gains), [0.0, 1.0, np.inf, 0.0],
+                        atol=1e-12)
+        assert_allclose(axis_derivatives(pinv, gradient(net, s)), [0.0, 1.0, np.inf, np.inf],
+                        atol=1e-12)
         out, state = _probe(net, [1.0, 0.0], s, pinv)
-        # x's region, then across wall 1, then across walls 1 and 2
-        frozen = [("flip", 0, 1, 0.0), ("flip", 1, 2, 0.0), ("certify", 2, None, 0.0)]
+        # x's region, then across wall 1, the only first-layer owner
+        frozen = [("flip", 0, 1, 0.0), ("certify", 1, None, 0.0)]
         got = [(r.phase, r.step, r.neuron, r.alpha) for r in state.trace]
         assert [g[:3] for g in got] == [f[:3] for f in frozen]
         assert_allclose([g[3] for g in got], [f[3] for f in frozen], atol=1e-12)
-        assert out.status == LOCAL_MINIMUM and out.steps == state.steps == 2
-        assert state.s.tolist() == [1, 0, 0]
+        assert out.status == LOCAL_MINIMUM and out.steps == state.steps == 1
+        assert state.s.tolist() == [1, 0, 1]
 
     def test_certifies_true_minimum(self, net_hinge_gap):
         s, pinv = _vertex_state(net_hinge_gap, [[1, 1], [1]], [1, 2])
@@ -462,15 +478,89 @@ class TestCertification:
         assert drlp.cli.main(["check", "--model", str(tmp_path / "fold.json"), "--x", "5,5"]) == 2
         assert json.loads(capsys.readouterr().out)["certified"] is False
 
-    def test_step_limit_inside_the_probe(self, net_hinge_gap):
-        # the last vertex is certified after both of its flips; one step
-        # fewer stops the probe between them
-        full = drlsimplex(net_hinge_gap, [3.0, -2.0], SolverOptions(seed=0))
-        assert full.status == LOCAL_MINIMUM
-        assert [r.phase for r in full.trace[-3:]] == ["flip", "flip", "certify"]
-        out = drlsimplex(net_hinge_gap, [3.0, -2.0], SolverOptions(seed=0, max_steps=full.steps - 1))
-        assert out.status == STEP_LIMIT and out.steps == full.steps - 1
-        assert out.trace == full.trace[:-2]
+    def test_step_limit_inside_the_probe(self):
+        # find_vertex twice, a crossing flip and its pivot, then the last
+        # vertex is certified after both of its first-layer flips
+        net = build_random((2, 3, 3, 1), seed=7)
+        x0 = np.random.Generator(np.random.Philox(7)).uniform(-2.0, 2.0, 2)
+        full = drlsimplex(net, x0, SolverOptions(seed=7))
+        assert full.status == LOCAL_MINIMUM and full.steps == 6
+        # units 0-2 are the first layer, 3-5 the last
+        assert [(r.phase, r.neuron) for r in full.trace] == [
+            ("find_vertex", 4), ("find_vertex", 0), ("flip", 4), ("pivot", 1),
+            ("flip", 0), ("flip", 1), ("certify", None)]
+        # limit 3 ends on the crossing flip's record, before its pivot, and
+        # limit 5 stops the last probe between its two flips
+        for limit in range(1, full.steps):
+            out = drlsimplex(net, x0, SolverOptions(seed=7, max_steps=limit))
+            assert out.status == STEP_LIMIT and out.steps == limit
+            assert out.trace == full.trace[:limit]
+
+
+def _vertices(net, x0, seed, pairs=PairGroups()):
+    """(outcome, [(x, s, pinv) at every certify_local_min call]) of one drlsimplex solve."""
+    seen, real = [], drlp.solver.certify_local_min
+
+    def spy(state):
+        seen.append((state.x.copy(), state.s.copy(),
+                     PseudoInverse(state.pinv.matrix.copy(), list(state.pinv.owners))))
+        return real(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drlp.solver, "certify_local_min", spy)
+        out = drlsimplex(net, x0, SolverOptions(seed=seed), pairs)
+    return out, seen
+
+
+def _crossing_corpus():
+    for topo in ((3, 8, 1), (3, 4, 8, 1), (3, 4, 4, 8, 1)):
+        for seed in range(10):
+            x0 = np.random.Generator(np.random.Philox(seed)).standard_normal(3)
+            yield build_random(topo, seed=seed), PairGroups(), x0, seed
+    for seed in range(4):
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.standard_normal((60, 3))
+        y = 1.0 + x @ [1.0, -0.5, 0.25] + rng.laplace(size=60)
+        yield (*build_quantile_lasso(RegressionData(x, y), alpha=0.3 + 0.1 * seed), np.zeros(4), seed)
+
+
+class TestCrossingPrice:
+    """The closed-form derivative across a last-layer wall against the flip that it replaced."""
+
+    def test_closed_form_matches_the_flipped_region(self):
+        priced = Counter()
+        for net, pairs, x0, seed in _crossing_corpus():
+            folded = pairs.fold(net)[0]
+            gains = _crossing_gains(folded)
+            for _, s, pinv in _vertices(net, x0, seed, pairs)[1]:
+                g = gradient(folded, s)
+                closed = axis_derivatives(pinv, g, gains[pinv.owners])[pinv.m:]
+                for k, c in enumerate(pinv.owners):
+                    if c < folded.offsets[-2]:
+                        assert closed[k] == np.inf
+                        continue
+                    # the old route: flip, rebuild the row, take the new gradient
+                    s2 = flip(s, c)
+                    row = update_axis_new_region(pinv, k, folded, s2).matrix[k]
+                    old = (row @ gradient(folded, s2)) / np.linalg.norm(row)
+                    assert abs(closed[k] - old) <= 1e-12 * (1.0 + np.linalg.norm(g)), (seed, c)
+                    priced[net.depth] += 1
+        assert min(priced[1], priced[2], priced[3]) >= 15
+
+    def test_minima_hold_along_every_edge(self):
+        minima = 0
+        for net, pairs, x0, seed in _crossing_corpus():
+            out, seen = _vertices(net, x0, seed, pairs)
+            if out.status != LOCAL_MINIMUM:
+                continue
+            x, _, pinv = seen[-1]
+            assert np.array_equal(x, out.x)
+            tol = 1e-12 * (1.0 + abs(out.f))
+            for row in pinv.matrix:
+                for sign in (1.0, -1.0):
+                    assert evaluate(net, x + sign * 1e-7 * row / np.linalg.norm(row)) >= out.f - tol
+            minima += 1
+        assert minima >= 16
 
 
 class TestRankDeficientFirstLayer:
@@ -764,6 +854,23 @@ class TestDescentOracle:
         # the solve leaves those vertices by roundoff, not by an anti-cycling rule
         out = _train_l1(50, 5, max_steps=2000)
         assert out.status == LOCAL_MINIMUM
+
+
+class TestDegenerateQuantile:
+    def test_integer_design_matches_highs(self):
+        # X in {-1, 0, 1} and y in {-2..2}: many residual walls meet at each vertex
+        steps = []
+        for seed in range(50):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x = rng.integers(-1, 2, (80, 3)).astype(float)
+            y = rng.integers(-2, 3, 80).astype(float)
+            net, pairs = build_quantile_lasso(RegressionData(x, y))
+            out = drlsimplex(net, np.zeros(4), SolverOptions(seed=seed), pairs)
+            assert out.status == LOCAL_MINIMUM, seed
+            want = quantile_linprog(np.hstack([np.ones((80, 1)), x]), y)
+            assert out.f == pytest.approx(want, rel=1e-12, abs=1e-12), seed
+            steps.append(out.steps)
+        assert np.median(steps) <= 16
 
 
 class TestWorkingSet:
