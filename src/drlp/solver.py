@@ -183,19 +183,18 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
                        options=options, rng=rng)
 
 
-def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains=None) -> np.ndarray:
+def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray) -> np.ndarray:
     """Derivative per unit length along the 2m edges of a vertex: each row P_k, then each -P_k.
 
     With mu = P grad, edge k is mu_k/|P_k| and edge m + k (gains[k] - mu_k)/|P_k|: crossing
     owner k's last-layer wall of gain kappa makes the gradient grad - kappa n_k and row k -P_k,
-    and changes no other row or normal.  An inf gain (the default) leaves a crossing unpriced.
+    and changes no other row or normal.  An inf gain (earlier layers) leaves a crossing unpriced.
     """
     mu = pinv.matrix @ grad
-    across = np.full(pinv.m, np.inf) if gains is None else gains - mu
-    return np.concatenate([mu, across]) / np.tile(np.linalg.norm(pinv.matrix, axis=1), 2)
+    return np.concatenate([mu, gains - mu]) / np.tile(np.linalg.norm(pinv.matrix, axis=1), 2)
 
 
-def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains=None):
+def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray):
     """(row, alpha, i): the edge of least derivative in axis_derivatives, ties to the first.
 
     i < m is edge P_i, inside the region; i >= m is -P_(i-m), across owner i - m's wall.
@@ -325,7 +324,8 @@ def certify_local_min(state: SolverState):
     it leaves; with no owner, x is certified as is.
     """
     net, opts, alpha = state.net, state.options, None
-    for k in [None] + [j for j, u in enumerate(state.pinv.owners) if u < net.offsets[-2]]:
+    gains = _crossing_gains(net)[state.pinv.owners]   # owners keep their order across flips
+    for k in [None, *np.flatnonzero(np.isinf(gains))]:
         if k is not None:
             c = state.pinv.owners[k]
             state.s = flip(state.s, c)
@@ -340,7 +340,7 @@ def certify_local_min(state: SolverState):
         if not (m := state.pinv.m):
             break
         grad = gradient(net, state.s)
-        row, alpha, i = choose_axis(state.pinv, grad, _crossing_gains(net)[state.pinv.owners])
+        row, alpha, i = choose_axis(state.pinv, grad, gains)
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
             if i >= m:

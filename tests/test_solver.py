@@ -167,17 +167,33 @@ class TestFindVertex:
 
 
 class TestChooseAxis:
+    UNPRICED = np.full(2, np.inf)
+
     def test_frozen_pick(self):
         pinv = PseudoInverse(np.eye(2), [0, 1])
-        row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]))
+        row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]), self.UNPRICED)
         assert i == 0 and alpha == pytest.approx(-1.0)
         assert_allclose(row, [1.0, 0.0])
 
     def test_normalization_matters(self):
         pinv = PseudoInverse(np.array([[10.0, 0.0], [0.0, 1.0]]), [0, 1])
         # raw products would favor row 0; per-unit-length slope favors row 1
-        row, alpha, i = choose_axis(pinv, np.array([-1.0, -2.0]))
+        row, alpha, i = choose_axis(pinv, np.array([-1.0, -2.0]), self.UNPRICED)
         assert i == 1 and alpha == pytest.approx(-2.0)
+
+    def test_priced_crossing_wins(self):
+        pinv = PseudoInverse(np.eye(2), [0, 1])
+        # in-region edges ascend (1, 2); crossing wall 0 with gain 0 gives 0 - 1
+        row, alpha, i = choose_axis(pinv, np.array([1.0, 2.0]), np.array([0.0, np.inf]))
+        assert i == 2 and alpha == pytest.approx(-1.0)
+        assert_allclose(row, [-1.0, 0.0])
+
+    def test_tie_goes_to_the_in_region_edge(self):
+        pinv = PseudoInverse(np.eye(2), [0, 1])
+        # edge P_0 and the crossing -P_0 both have derivative -1
+        row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]), np.array([-2.0, np.inf]))
+        assert i == 0 and alpha == pytest.approx(-1.0)
+        assert_allclose(row, [1.0, 0.0])
 
 
 class TestPositionCorrection:
@@ -440,8 +456,6 @@ class TestCertification:
         gains = _crossing_gains(net)[pinv.owners]
         assert gains[0] == np.inf and gains[1] == 1.0
         assert_allclose(axis_derivatives(pinv, gradient(net, s), gains), [0.0, 1.0, np.inf, 0.0],
-                        atol=1e-12)
-        assert_allclose(axis_derivatives(pinv, gradient(net, s)), [0.0, 1.0, np.inf, np.inf],
                         atol=1e-12)
         out, state = _probe(net, [1.0, 0.0], s, pinv)
         # x's region, then across wall 1, the only first-layer owner
