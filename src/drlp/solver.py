@@ -1,11 +1,11 @@
 """Minimization of piecewise-linear ReLU networks by vertex pivoting.
 
 The solver walks the polyhedral complex a network induces on its input
-space.  It first rides descent directions until enough hyperplanes are
-active to pin a vertex, then repeatedly pivots along the steepest of the
-vertex's 2m edges, each leaving one wall inside x's region or across it,
-with last-layer crossings priced in closed form; when none descends, the
-regions across its earlier-layer walls are probed too (certify_local_min).
+space.  Descent rays pin enough walls for a vertex; then each pivot takes
+the steepest of the vertex's 2m edges, leaving one wall inside x's region
+or across it, last-layer crossings priced in closed form.  Both take long
+steps past last-layer walls while f falls.  With no descending edge, the
+regions across earlier-layer walls are probed too (certify_local_min).
 A quadratic add-on objective is supported through an active-set variant
 that slides along walls instead of hopping between vertices.
 """
@@ -81,7 +81,7 @@ class TraceRecord:
     neuron: int | None = None      # flat unit index in the caller's network
     t: float | None = None
     alpha: float | None = None
-    crossed: int | None = None     # walls a pivot passed before its stop wall
+    crossed: int | None = None     # walls a pivot or find_vertex step passed before its stop wall
 
 
 @dataclass
@@ -235,12 +235,14 @@ def refresh_pseudoinverse(state: SolverState):
 def find_vertex(state: SolverState) -> SolveOutcome | None:
     """Ride descent directions until rank(W1) independent walls are active.
 
-    Follows the projected negative gradient; when that vanishes inside the
-    remaining free subspace, falls back to random directions with the
-    ascending sign removed, so the objective never increases.  f is flat
-    along null(W1); rank(W1) and null(W1), which random directions leave
-    out, come from one SVD when the projection first vanishes.  Returns an
-    outcome on early termination, None once a vertex is reached.
+    Follows the projected negative gradient with the pivot loop's long step,
+    which passes last-layer walls while f falls; after crossing any, the ray
+    restarts from the new region's projected -g.  When that vanishes in the
+    free subspace, random directions with the ascending sign removed take
+    first-wall steps, so f never increases.  f is flat along null(W1);
+    rank(W1) and null(W1), which random directions leave out, come from one
+    SVD when the projection first vanishes.  Returns an outcome on early
+    termination, None once a vertex is reached.
     """
     net, s, opts = state.net, state.s, state.options
     grad = gradient(net, s)
@@ -266,10 +268,12 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v = -v
             tried_opposite = False
         v = v / np.linalg.norm(v)
-        res = advance_max(net, state.x, v, s, state.pinv.owners)
+        slope, tol = float(v @ grad), DESCENT_TOL * gscale
+        res = advance_max(net, state.x, v, s, state.pinv.owners,
+                          slope=slope if slope < -tol else None, slope_tol=tol)
         state.steps += 1
         if not res.bounded:
-            if v @ grad < -DESCENT_TOL * gscale:
+            if slope < -tol:
                 return state.finish(UNBOUNDED, direction=v.copy())
             # flat ray; try the mirror direction once, then resample
             if not tried_opposite:
@@ -278,11 +282,16 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v, tried_opposite = np.zeros_like(v), False
             continue
         state.x = state.x + res.t * v
-        state.emit("find_vertex", neuron=res.neuron, t=res.t)
+        state.emit("find_vertex", neuron=res.neuron, t=res.t, crossed=res.crossed.size)
         try:
             state.pinv = add_axis(state.pinv, net, s, res.neuron)
         except DependentColumn:
             return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [res.neuron])
+        if res.crossed.size:
+            # crossed units sit in the last hidden layer, so no tracked normal bends
+            state.s = s = flip(s, res.crossed)
+            grad = gradient(net, s)
+            gscale, v = 1.0 + np.linalg.norm(grad), -grad
         v = v - project(state.pinv, net, s, v)
         tried_opposite = False
     position_correction(state)
@@ -294,13 +303,13 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     """Minimize the network over its input space from x0.
 
     Terminates with one of four outcomes: a certified LocalMinimum, an
-    Unbounded descent ray, NonRegular when dependent walls abort a pivot,
-    or StepLimit.  The objective is non-increasing along the whole trace
-    and strictly decreases at every pivot.  Roundoff is contained two ways:
-    walls that drift past DRIFT_REFRESH_TOL force a dense axis rebuild, and
-    a pattern bit found marginally stale (within RESYNC_TOL) is flipped back
-    to match the geometry without moving x.  The solve runs on
-    ``pairs.fold(net)``; records and outcomes name units of net.
+    Unbounded descent ray, NonRegular when dependent walls abort a step, or
+    StepLimit.  Both phases take long steps past last-layer walls; f never
+    rises along the trace and strictly falls at every pivot.  Roundoff is
+    contained two ways: walls that drift past DRIFT_REFRESH_TOL force a dense
+    axis rebuild, and a pattern bit found marginally stale (within RESYNC_TOL)
+    is flipped back to match the geometry without moving x.  The solve runs
+    on ``pairs.fold(net)``; records and outcomes name units of net.
     """
     t0 = time.perf_counter()
     net, kept = pairs.fold(net)

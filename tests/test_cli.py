@@ -239,9 +239,11 @@ class TestSolve:
             runs.append(trace.read_text().splitlines())
         assert runs[0] == runs[1]
         records = [json.loads(line) for line in runs[0]]
-        pivots = [rec for rec in records if rec["phase"] == "pivot"]
-        assert pivots and all(isinstance(rec["crossed"], int) for rec in pivots)
-        assert all(rec["crossed"] is None for rec in records if rec["phase"] != "pivot")
+        stepping = ("pivot", "find_vertex")
+        steps = [rec for rec in records if rec["phase"] in stepping]
+        assert {rec["phase"] for rec in steps} == set(stepping)
+        assert all(isinstance(rec["crossed"], int) for rec in steps)
+        assert all(rec["crossed"] is None for rec in records if rec["phase"] not in stepping)
 
     def test_non_finite_x0_exit_one(self, capsys, hinge_model):
         code, stdout, stderr = _run(capsys, ["solve", "--model", hinge_model, "--x0", "nan,0"])
@@ -538,12 +540,12 @@ class TestCheck:
             assert_allclose(relu_arguments(net, np.array(x))[named], 0.0, atol=1e-9)
             return code, doc["certified"], [a["neuron"] for a in doc["axes"]], named
 
-        # the solve crosses residual unit (2, 23) at its first vertex, and
+        # the solve crosses residual unit (2, 11) at its first vertex, and
         # check at that vertex takes the same crossing
-        net, out = solved(3)
+        net, out = solved(10)
         flip = out.trace[2]
-        assert (flip.phase, net.neuron_at(flip.neuron)) == ("flip", (2, 23))
-        assert check(net, flip.x) == (2, False, [None, [2, 23]], [flip.neuron])
+        assert (flip.phase, net.neuron_at(flip.neuron)) == ("flip", (2, 11))
+        assert check(net, flip.x) == (2, False, [None, [2, 11]], [flip.neuron])
         # the minimum sits on the wall of (1, 4), which adds a region
         net, out = solved(5)
         assert out.status == "LocalMinimum"
