@@ -45,9 +45,9 @@ from .solver import (
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
-    SolverState,
     _start_point,
-    certify_local_min,
+    axis_derivatives,
+    crossing_terms,
     drlsimplex,
     solve_quadratic,
 )
@@ -261,39 +261,29 @@ def cmd_regions(args):
 
 
 def cmd_check(args):
-    """Certify --x by certify_local_min, the solver's own probe, from a state pinned at x."""
+    """Certify --x from the solver's own pricing of the 2m edges at the vertex of its active walls."""
     net, pairs = load_model(args.model)
     x = _start_point(net, _parse_floats(args.x, "--x"), "--x")
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
     crit = critical_indices(folded, s, x)
-    reason = "dependent active walls"
     try:
         pinv = dense_pseudoinverse(folded, s, crit)
-        reason = "degenerate axis update"
-        # with fewer walls than dimensions, moving off their span must not descend either
-        grad = gradient(folded, s)
-        free = np.linalg.norm(grad - project(pinv, folded, s, grad))
-        ok = pinv.m == folded.input_dim or free <= DESCENT_TOL * (1.0 + np.linalg.norm(grad))
-        # x never moves, so records share one f; steps stay at most pinv.m, never StepLimit
-        f = evaluate(net, x)
-        state = SolverState(folded, x, s, pinv, SolverOptions(max_steps=pinv.m + 1), objective=lambda _: f)
-        edge = certify_local_min(state)
-        if getattr(edge, "status", None) == NON_REGULAR:
-            raise Degenerate(reason)
     except Degenerate:
-        print(json.dumps({"certified": False, "reason": reason,
+        print(json.dumps({"certified": False, "reason": "dependent active walls",
                           "neurons": [list(net.neuron_at(c)) for c in kept[crit].tolist()]}))
         return 3
-    # one axes entry per region the probe entered: the wall crossed to reach it (null for x's
-    # region), its bit there and the least edge derivative priced there, the descending edge
-    # in the last region of an uncertified x; a flip record per wall, then certify if certified
-    least = [rec.alpha for rec in state.trace] + ([edge[1]] if isinstance(edge, tuple) else [])
-    axes = [{"neuron": None, "bit": None, "derivative": least[0]}] + [
-        {"neuron": list(net.neuron_at(int(kept[c]))), "bit": int(state.s[c]), "derivative": d}
-        for c, d in zip([rec.neuron for rec in state.trace], least[1:])]
-    ok = bool(ok) and not isinstance(edge, tuple)
-    print(json.dumps({"certified": ok, "f": f, "axes": axes}))
+    grad = gradient(folded, s)
+    tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
+    vals = axis_derivatives(pinv, grad, *crossing_terms(folded, s, crit))[1].reshape(2, -1)
+    # with fewer walls than dimensions, moving off their span must not descend either
+    free = np.linalg.norm(grad - project(pinv, folded, s, grad))
+    ok = bool((pinv.m == folded.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
+    # one axes entry per active wall: its bit at x and the derivatives along its two edges,
+    # inside x's region and across the wall
+    axes = [{"neuron": list(net.neuron_at(int(kept[c]))), "bit": int(s[c]),
+             "derivatives": vals[:, k].tolist()} for k, c in enumerate(crit)]
+    print(json.dumps({"certified": ok, "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2
 
 

@@ -228,6 +228,39 @@ def gradient(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     return _backward(net, s, w @ net.weights[-2], net.depth - 1)
 
 
+def _crossing_gains(net: ReluNetwork) -> np.ndarray:
+    """Slope change per unit |rate| from crossing each flat unit's wall, whichever side it starts on.
+
+    A last-layer unit's is its bit-1 minus its bit-0 output weight; earlier layers get inf.
+    """
+    gains = np.full(net.num_neurons, np.inf)
+    gains[net.offsets[-2]:] = net.weights[-1][0] - net.off_weights
+    return gains
+
+
+def crossing_terms(net: ReluNetwork, s: np.ndarray, owners) -> tuple:
+    """(gains, bend) that price the crossing of each owner's wall under s.
+
+    gains[k] is df/d out_c for owner c = owners[k], out_c = s_c arg_c, or c's crossing gain in
+    the last hidden layer.  bend[j, k] is sigma_j d arg_j / d out_c for owner j, sigma_j = +-1
+    the side of its bit: one forward sweep carries a unit column from each owner's layer.
+    """
+    owners = np.asarray(owners, dtype=np.intp)
+    gains, last = _crossing_gains(net)[owners], net.offsets[-2]
+    if not (early := owners < last).any():
+        return gains, np.zeros((owners.size, owners.size))        # no crossing bends a wall
+    layer = np.searchsorted(net.offsets, owners, side="right")     # 1-based
+    jac = np.zeros((net.num_neurons, owners.size))
+    for l in range(int(layer.min()), net.depth):
+        lo, hi = net.offsets[l - 1], net.offsets[l]
+        y = s[lo:hi, None] * jac[lo:hi]
+        y[owners[layer == l] - lo, np.flatnonzero(layer == l)] += 1.0
+        rows = np.flatnonzero(y.any(axis=1))    # the owners' downstream may be a small block
+        jac[hi:net.offsets[l + 1]] = net.weights[l][:, rows] @ y[rows]
+    gains[early] = (np.where(s[last:], net.weights[-1][0], net.off_weights) @ jac[last:])[early]
+    return gains, np.where(s[owners] == 1, 1.0, -1.0)[:, None] * jac[owners]
+
+
 def normal_matrices(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     """Matrix whose row c is the (unoriented) argument normal of flat unit c.
 

@@ -25,6 +25,7 @@ import numpy as np
 from .network import (
     ZERO_TOL,
     ReluNetwork,
+    _crossing_gains,
     inner_products_all,
     oriented_normal,
     oriented_normals,
@@ -203,19 +204,6 @@ def update_axis_new_region(
     matrix = pinv.matrix.copy()
     matrix[i] = w / denom
     return PseudoInverse(matrix, list(pinv.owners))
-
-
-def _crossing_gains(net: ReluNetwork) -> np.ndarray:
-    """Slope change per unit |rate| from crossing each flat unit's wall.
-
-    Crossing the wall of last-layer unit c at rate beta_c changes the slope
-    along the ray by the difference of c's bit-1 and bit-0 output weights,
-    times |beta_c|, whichever side c starts on.  Units of earlier layers get
-    inf: their walls always stop a long step.
-    """
-    gains = np.full(net.num_neurons, np.inf)
-    gains[net.offsets[-2]:] = net.weights[-1][0] - net.off_weights
-    return gains
 
 
 def advance_max(

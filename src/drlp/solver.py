@@ -3,9 +3,9 @@
 The solver walks the polyhedral complex a network induces on its input
 space.  Descent rays pin enough walls for a vertex; then each pivot takes
 the steepest of the vertex's 2m edges, leaving one wall inside x's region
-or across it, last-layer crossings priced in closed form.  Both take long
-steps past last-layer walls while f falls.  With no descending edge, the
-regions across earlier-layer walls are probed too (certify_local_min).
+or across it, every crossing priced in closed form from x's region.  Both
+take long steps past last-layer walls while f falls.  With no descending
+edge the vertex is a local minimum (certify_local_min).
 A quadratic add-on objective is supported through an active-set variant
 that slides along walls instead of hopping between vertices.
 """
@@ -21,8 +21,10 @@ import numpy as np
 from .network import (
     PairGroups,
     ReluNetwork,
+    _crossing_gains,
     activation_pattern,
     critical_indices,
+    crossing_terms,
     evaluate,
     flip,
     gradient,
@@ -33,7 +35,6 @@ from .primitives import (
     Degenerate,
     DependentColumn,
     PseudoInverse,
-    _crossing_gains,
     add_axis,
     advance_max,
     argument_residuals,
@@ -41,7 +42,6 @@ from .primitives import (
     exchange_axis,
     project,
     remove_pseudorow,
-    update_axis_new_region,
 )
 
 LOCAL_MINIMUM = "LocalMinimum"
@@ -183,26 +183,28 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
                        options=options, rng=rng)
 
 
-def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Derivative per unit length along the 2m edges of a vertex: each row P_k, then each -P_k.
+def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, bend) -> tuple:
+    """(edges, derivatives): the 2m edges of a vertex, each row P_k, then each crossing row Q_k.
 
-    With mu = P grad, edge k is mu_k/|P_k| and edge m + k (gains[k] - mu_k)/|P_k|: crossing
-    owner k's last-layer wall of gain kappa makes the gradient grad - kappa n_k and row k -P_k,
-    and changes no other row or normal.  An inf gain (earlier layers) leaves a crossing unpriced.
+    With mu = P grad, edge k has derivative mu_k/|P_k| per unit length.  Crossing owner k's
+    wall negates its normal n_k, bends each owner j by bend[j, k] n_k and the gradient by
+    -gains[k] n_k (crossing_terms); only row k changes, to Q_k = -(P_k + sum_j bend[j, k] P_j),
+    and edge m + k has derivative (gains[k] - mu_k - sum_j bend[j, k] mu_j)/|Q_k|.
     """
     mu = pinv.matrix @ grad
-    return np.concatenate([mu, gains - mu]) / np.tile(np.linalg.norm(pinv.matrix, axis=1), 2)
+    edges = np.concatenate([pinv.matrix, -(pinv.matrix + bend.T @ pinv.matrix)])
+    return edges, np.concatenate([mu, gains - mu - bend.T @ mu]) / np.linalg.norm(edges, axis=1)
 
 
-def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray):
+def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, bend):
     """(row, alpha, i): the edge of least derivative in axis_derivatives, ties to the first.
 
-    i < m is edge P_i, inside the region; i >= m is -P_(i-m), across owner i - m's wall.
+    i < m is edge P_i, inside the region; i >= m is Q_(i-m), across owner i - m's wall.
     alpha < 0 means f descends along it.
     """
-    vals = axis_derivatives(pinv, grad, gains)
+    edges, vals = axis_derivatives(pinv, grad, gains, bend)
     i = int(np.argmin(vals))
-    return (1.0 if i < pinv.m else -1.0) * pinv.matrix[i % pinv.m], float(vals[i]), i
+    return edges[i], float(vals[i]), i
 
 
 def position_correction(state: SolverState) -> float:
@@ -323,33 +325,19 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
 
 
 def certify_local_min(state: SolverState):
-    """Descending edge (row, alpha, i, descent_tol) of the first probed region, or an outcome.
+    """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
-    Probes x's region, then the region across each earlier-layer owner's wall in turn, the
-    flips accumulating, and prices each region's 2m edges from one gradient (choose_axis).
-    A descending crossing of last-layer owner i is taken at once: one ``flip`` record and step
-    negate row i.  No descending edge ends LocalMinimum; StepLimit is checked after each flip,
-    and a degenerate flip ends NonRegular.  A ``flip`` record carries the alpha of the region
-    it leaves; with no owner, x is certified as is.
+    Prices the vertex's 2m edges from one gradient (choose_axis).  A descending crossing of
+    owner i is taken at once: its bit flips and row i becomes the crossing row, one ``flip``
+    record, carrying the edge's alpha, and one step.  No descending edge ends LocalMinimum,
+    with no owner x is certified as is, and StepLimit is checked before pricing and after a flip.
     """
     net, opts, alpha = state.net, state.options, None
-    gains = _crossing_gains(net)[state.pinv.owners]   # owners keep their order across flips
-    for k in [None, *np.flatnonzero(np.isinf(gains))]:
-        if k is not None:
-            c = state.pinv.owners[k]
-            state.s = flip(state.s, c)
-            try:
-                state.pinv = update_axis_new_region(state.pinv, k, net, state.s)
-            except Degenerate:
-                return state.finish(NON_REGULAR, neurons=[c])
-            state.emit("flip", neuron=c, alpha=alpha)
-            state.steps += 1
-        if state.steps >= opts.max_steps:
-            return state.finish(STEP_LIMIT)
-        if not (m := state.pinv.m):
-            break
+    if state.steps >= opts.max_steps:
+        return state.finish(STEP_LIMIT)
+    if m := state.pinv.m:
         grad = gradient(net, state.s)
-        row, alpha, i = choose_axis(state.pinv, grad, gains)
+        row, alpha, i = choose_axis(state.pinv, grad, *crossing_terms(net, state.s, state.pinv.owners))
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
             if i >= m:

@@ -18,11 +18,11 @@ bounds and sampler, and the network sweeps called on patterns from
 families (``lasso random_quadratic``) to digest only those; the default
 is all of them, and an unknown name exits 1.
 
-Next to each solve family's digest the script prints its total steps, the
-number of ``flip``, ``find_vertex`` and ``pivot`` trace records, and the
-walls the records say were crossed, so step deltas between two trees and
-their split between the vertex search and the pivots read off the same
-two lines.
+Next to each solve family's digest the script prints its total steps, its
+summed f, the number of ``flip``, ``find_vertex`` and ``pivot`` trace
+records, and the walls the records say were crossed, so step deltas between
+two trees, the f they end at and their split between the vertex search and
+the pivots read off the same two lines.
 
 Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
@@ -220,6 +220,7 @@ def main(names):
             else:
                 statuses[item.status] += 1
                 work["steps"] += int(item.steps)
+                work["f"] += float(item.f)
                 for r in item.trace:
                     work[r.phase] += 1
                     work["crossed"] += r.crossed or 0
@@ -227,7 +228,7 @@ def main(names):
             digest.update(item.encode() + b"\0")
         counts = " ".join(f"{k}:{v}" for k, v in sorted(statuses.items()))
         if work:
-            counts += (f"  steps:{work['steps']} flips:{work['flip']} find_vertex:"
+            counts += (f"  steps:{work['steps']} f:{work['f']:.10g} flips:{work['flip']} find_vertex:"
                        f"{work['find_vertex']} pivots:{work['pivot']} crossed:{work['crossed']}")
         print(f"{name:<17} {digest.hexdigest()[:16]}  {counts}")
     return 0

@@ -513,10 +513,10 @@ class TestCheck:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["certified"] is True
-        # x's own region (both walls' units off at x), then across (1, 2);
-        # the wall of (2, 1), a last-layer unit, is priced without a region
-        assert doc["axes"] == [{"neuron": None, "bit": None, "derivative": 0.0},
-                               {"neuron": [1, 2], "bit": 1, "derivative": 0.0}]
+        # one entry per wall through x, both units off at x: f is flat in x's region and
+        # across (1, 2), and rises at rate 1 across the wall of (2, 1)
+        assert doc["axes"] == [{"neuron": [1, 2], "bit": 0, "derivatives": [0.0, 0.0]},
+                               {"neuron": [2, 1], "bit": 0, "derivatives": [0.0, 1.0]}]
 
     def test_axes_name_units_of_the_paired_model(self, capsys, tmp_path):
         # CLAD with each mirror right after its unit: folded layer-2 unit j
@@ -536,24 +536,28 @@ class TestCheck:
             code, stdout, _ = _run(capsys, ["check", "--model", path,
                                             "--x=" + ",".join(map(repr, map(float, x)))])
             doc = json.loads(stdout)
-            named = [net.flat_index(a["neuron"]) for a in doc["axes"][1:]]
+            named = [net.flat_index(a["neuron"]) for a in doc["axes"]]
             assert_allclose(relu_arguments(net, np.array(x))[named], 0.0, atol=1e-9)
-            return code, doc["certified"], [a["neuron"] for a in doc["axes"]], named
+            least = min(doc["axes"], key=lambda a: min(a["derivatives"]))
+            return code, doc["certified"], named, least
 
         # the solve crosses residual unit (2, 11) at its first vertex, and
-        # check at that vertex takes the same crossing
+        # check at that vertex prices the same crossing as its steepest edge
         net, out = solved(10)
         flip = out.trace[2]
         assert (flip.phase, net.neuron_at(flip.neuron)) == ("flip", (2, 11))
-        assert check(net, flip.x) == (2, False, [None, [2, 11]], [flip.neuron])
-        # the minimum sits on the wall of (1, 4), which adds a region
+        code, certified, named, least = check(net, flip.x)
+        assert (code, certified, least["neuron"]) == (2, False, [2, 11]) and flip.neuron in named
+        assert least["derivatives"][1] == pytest.approx(flip.alpha, rel=1e-9)
+        # the minimum sits on the walls of a first-layer unit and a residual unit
         net, out = solved(5)
         assert out.status == "LocalMinimum"
-        assert check(net, out.x)[:3] == (0, True, [None, [1, 4]])
+        code, certified, named, _ = check(net, out.x)
+        assert (code, certified) == (0, True)
+        assert sorted(net.neuron_at(c)[0] for c in named) == [1, 2]
 
     def test_evaluates_f_once(self, capsys, hinge_model, monkeypatch):
-        # x never moves during the probe: its flip and certify records and
-        # its outcome share the one f that check prints
+        # x never moves, so check evaluates the one f that it prints
         calls = []
         for module in (drlp.cli, drlp.solver):
             real = module.evaluate
@@ -563,18 +567,16 @@ class TestCheck:
         assert code == 0 and json.loads(stdout)["f"] == 0.0
         assert len(calls) == 1
 
-    def test_flip_probe_runs_once(self, capsys, hinge_model, monkeypatch):
+    def test_prices_the_vertex_once(self, capsys, hinge_model, monkeypatch):
         calls = []
-        real = drlp.solver.certify_local_min
-        probe = lambda *args: calls.append(1) or real(*args)
-        monkeypatch.setattr(drlp.solver, "certify_local_min", probe)
-        monkeypatch.setattr(drlp.cli, "certify_local_min", probe)
+        real = drlp.cli.axis_derivatives
+        monkeypatch.setattr(drlp.cli, "axis_derivatives", lambda *args: calls.append(1) or real(*args))
         code, _, _ = _run(capsys, ["check", "--model", hinge_model, "--x", "1,0"])
         assert code == 0 and len(calls) == 1
 
     def test_certifies_every_solver_minimum(self, capsys, tmp_path):
-        # check answers from the solver's own probe, so it certifies every
-        # LocalMinimum the solver reports, on paired and plain models alike
+        # check answers from the solver's own edge pricing, so it certifies
+        # every LocalMinimum the solver reports, on paired and plain models alike
         rng = np.random.Generator(np.random.Philox(41))
         corpus = []
         for _ in range(3):

@@ -30,7 +30,7 @@ from drlp import (
     subjective_arguments,
 )
 from drlp.network import _sweep_bits
-from drlp.primitives import _crossing_gains
+from drlp.network import _crossing_gains
 from helpers import (
     critical_kernel_dim,
     dense_sweeps,
