@@ -6,8 +6,8 @@ the steepest of the vertex's 2m edges, leaving one wall inside x's region
 or across it, every crossing priced in closed form from x's region.  Both
 take long steps past last-layer walls while f falls.  With no descending
 edge the vertex is a local minimum (certify_local_min).
-A quadratic add-on objective is supported through an active-set variant
-that slides along walls instead of hopping between vertices.
+A quadratic add-on objective slides along walls in an active-set variant
+that prices the same crossings where its projected gradient vanishes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .network import (
     PairGroups,
     ReluNetwork,
-    _crossing_gains,
     activation_pattern,
     critical_indices,
     crossing_terms,
@@ -420,6 +419,14 @@ class QuadraticObjective:
     def __post_init__(self):
         self.quad = np.asarray(self.quad, dtype=np.float64)
         self.lin = np.asarray(self.lin, dtype=np.float64)
+        if self.quad.ndim != 2 or self.quad.shape[0] != self.quad.shape[1]:
+            raise ValueError(f"quad must be a square matrix; got shape {self.quad.shape}")
+        if self.lin.shape != self.quad.shape[:1]:
+            raise ValueError(f"lin must have shape {self.quad.shape[:1]} to match quad {self.quad.shape}; "
+                             f"got shape {self.lin.shape}")
+        for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const, float))):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite; got {a[~np.isfinite(a)][0]} in shape {a.shape}")
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -559,20 +566,20 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     curvature is not positive definite).  Steps stop at the first new wall
     or at the segment parabola's vertex.
 
-    When the projection vanishes, the multipliers mu of that projection
-    certify the point.  Crossing active wall c raises the slope by
-    kappa_c |n_c| per unit distance, with kappa_c its crossing gain, so at
-    a regular point (independent walls, all in the last hidden layer) x is
-    a local minimum iff mu_c <= kappa_c |n_c| for every c, as in BVLS
-    (Stark & Parker 1995).  Otherwise the first wall that breaks the bound
-    is flipped, one step, and the descent goes on across it.  At any other
-    point the adjacent regions are probed by flipping active units one at
-    a time (the flips accumulate); if none gives a direction the point is
-    reported as a local minimum.  Like drlsimplex, it runs on
-    ``pairs.fold(net)`` and names units of net.
+    When the projection vanishes, its multipliers mu on the unit normals
+    certify the point, as in BVLS (Stark & Parker 1995).  Crossing active
+    wall k changes f's slope by its crossing gain D_k and bends each other
+    wall j's normal by B_jk n_k (crossing_terms), so at a regular point
+    (independent walls) x is a local minimum iff
+    mu_k <= |n_k| (D_k - sum_j B_jk mu_j/|n_j|) for every k.  Otherwise the
+    first wall that breaks its bound is flipped, one step, and the descent
+    goes on across it; dependent walls end NonRegular.  Like drlsimplex,
+    it runs on ``pairs.fold(net)`` and names units of net.
     """
     t0 = time.perf_counter()
     net, kept = pairs.fold(net)
+    if q.lin.shape != (net.input_dim,):
+        raise ValueError(f"lin has shape {q.lin.shape} but the network takes shape ({net.input_dim},)")
     opts = options or SolverOptions()
     x = _start_point(net, x0)
     state = SolverState(
@@ -605,31 +612,21 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x = state.x + t * v
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0)
-        elif regular and np.isfinite(kappa := _crossing_gains(net)[active]).all():
-            excess = mu - kappa * np.sqrt(np.einsum("ij,ij->i", normals, normals))
-            over = np.flatnonzero(excess > tol)
+        elif not regular:
+            out = state.finish(NON_REGULAR, neurons=active)
+            break
+        else:
+            # crossing wall k descends iff mu_k > |n_k| (D_k - sum_j B_jk mu_j/|n_j|)
+            gains, bend = crossing_terms(net, state.s, active)
+            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+            over = np.flatnonzero(mu - norms * (gains - bend.T @ (mu / norms)) > tol)
             if not over.size:
                 state.emit("certify", alpha=0.0)
                 out = state.finish(LOCAL_MINIMUM)
                 break
-            # crossing this wall descends: flip it and go on from the new region
             c = active[over[0]]
             state.s = flip(state.s, c)
             state.steps += 1
             state.emit("flip", neuron=c)
-        else:
-            # probe adjacent regions; flips accumulate like the vertex solver
-            for c in active:
-                state.s = flip(state.s, c)
-                state.steps += 1
-                state.emit("flip", neuron=c)
-                g2 = q.grad(state.x) + gradient(net, state.s)
-                v2 = _feasible_direction(g2, oriented_normals(net, state.s, active))[0]
-                if np.linalg.norm(v2) > 1e-10 * (1.0 + np.linalg.norm(g2)):
-                    break
-            else:
-                state.emit("certify", alpha=0.0)
-                out = state.finish(LOCAL_MINIMUM)
-                break
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

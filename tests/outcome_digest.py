@@ -24,6 +24,14 @@ records, and the walls the records say were crossed, so step deltas between
 two trees, the f they end at and their split between the vertex search and
 the pivots read off the same two lines.
 
+To compare with another checkout in one command, pass its ``src``:
+
+    PYTHONPATH=src python tests/outcome_digest.py --against OTHER/src [family ...]
+
+The same families then run in a child process with ``PYTHONPATH=OTHER/src``
+while this one digests the current tree, and each line ends in ``same`` when
+the two digests are equal and ``moved`` when they differ.
+
 Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
 """
@@ -32,6 +40,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -204,12 +213,9 @@ FAMILIES = {
 }
 
 
-def main(names):
-    unknown = [n for n in names if n not in FAMILIES]
-    if unknown:
-        print(f"error: unknown families {unknown}; choose from {list(FAMILIES)}", file=sys.stderr)
-        return 1
-    print(f"# numpy {np.__version__}, python {sys.version.split()[0]}")
+def digest_lines(names):
+    """The header line, then one line per family: its name, digest and counts."""
+    yield f"# numpy {np.__version__}, python {sys.version.split()[0]}"
     for name in names or FAMILIES:
         family = FAMILIES[name]
         digest = hashlib.sha256()
@@ -230,7 +236,38 @@ def main(names):
         if work:
             counts += (f"  steps:{work['steps']} f:{work['f']:.10g} flips:{work['flip']} find_vertex:"
                        f"{work['find_vertex']} pivots:{work['pivot']} crossed:{work['crossed']}")
-        print(f"{name:<17} {digest.hexdigest()[:16]}  {counts}")
+        yield f"{name:<17} {digest.hexdigest()[:16]}  {counts}"
+
+
+def main(argv):
+    names, other = list(argv), None
+    if "--against" in names:
+        at = names.index("--against")
+        other = names[at + 1] if at + 1 < len(names) else None
+        del names[at:at + 2]
+        if other is None:
+            print("error: --against needs the src directory of another checkout", file=sys.stderr)
+            return 1
+    unknown = [n for n in names if n not in FAMILIES]
+    if unknown:
+        print(f"error: unknown families {unknown}; choose from {list(FAMILIES)}", file=sys.stderr)
+        return 1
+    if other is None:
+        for line in digest_lines(names):
+            print(line, flush=True)
+        return 0
+    child = subprocess.Popen([sys.executable, os.path.abspath(__file__), *names], text=True,
+                             env={**os.environ, "PYTHONPATH": other},
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    ours = list(digest_lines(names))
+    theirs, err = child.communicate()
+    if child.returncode:
+        print(f"error: the digest of {other} failed:\n{err}", file=sys.stderr)
+        return 1
+    theirs = theirs.splitlines()
+    print(f"{ours[0]}; against {other}")
+    for line, other_line in zip(ours[1:], theirs[1:]):
+        print(f"{line}  {'same' if line.split()[:2] == other_line.split()[:2] else 'moved'}")
     return 0
 
 

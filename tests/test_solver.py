@@ -776,46 +776,65 @@ class TestQuadratic:
                 assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses.count(STEP_LIMIT) <= 5
 
-    def test_dependent_walls_take_the_probe(self):
+    def test_dependent_walls_end_non_regular(self):
         # relu(x1) + relu(x2) + relu(x1 + x2) + |x|^2: three walls meet at the
         # minimum in two dimensions, so their multipliers are not unique and
-        # the adjacent regions are probed, flips accumulating
+        # no closed-form certificate applies
         net = ReluNetwork([np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones((1, 3))],
                           [np.zeros(3), np.zeros(1)])
         out = solve_quadratic(net, QuadraticObjective(np.eye(2), np.zeros(2)), [0.0, 0.0])
-        assert out.status == LOCAL_MINIMUM
-        assert [r.phase for r in out.trace] == ["flip", "flip", "flip", "certify"]
-        assert [r.neuron for r in out.trace[:3]] == [0, 1, 2]
+        assert out.status == NON_REGULAR
+        assert out.x.tolist() == [0.0, 0.0] and out.steps == 0 and out.trace == []
+        assert out.neurons == [0, 1, 2]
 
-    def test_wall_outside_last_layer_takes_the_probe(self):
+    def test_wall_outside_last_layer_is_priced(self):
         # 2 relu(relu(x) + 1) + x^2 - x is least at x = 0, the first-layer
-        # wall, whose crossing gain the local model does not give
+        # wall, whose crossing gain 2 comes from crossing_terms: no flip
         net = ReluNetwork([np.array([[1.0]]), np.array([[1.0]]), np.array([[2.0]])],
                           [np.zeros(1), np.ones(1), np.zeros(1)])
         out = solve_quadratic(net, QuadraticObjective(np.eye(1), -np.ones(1)), [3.0])
         assert out.status == LOCAL_MINIMUM
         assert out.x[0] == pytest.approx(0.0, abs=1e-12)
-        assert [r.phase for r in out.trace[-2:]] == ["flip", "certify"]
+        assert [r.phase for r in out.trace] == ["pivot", "certify"]
 
     def test_degenerate_vertex_returns_a_status(self):
         # censored LAD through the origin: all 60 first-layer walls meet at
-        # theta = 0, in three dimensions
+        # theta = 0, in three dimensions, so the start is left NonRegular
         rng = np.random.Generator(np.random.Philox(22))
         x = rng.standard_normal((60, 3))
         y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
         net, pairs = build_clad(RegressionData(x, y))
-        folded, _ = pairs.fold(net)
-        assert len(critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))) == 60
+        folded, kept = pairs.fold(net)
+        walls = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
+        assert len(walls) == 60
         q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
         out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
-        assert out.status in {LOCAL_MINIMUM, STEP_LIMIT}
-        assert out.f <= evaluate(net, np.zeros(3)) + 1e-12
+        assert out.status == NON_REGULAR and out.steps == 0
+        assert out.neurons == kept[walls].tolist()
+
+    @pytest.mark.parametrize("quad, lin, const, message", [
+        (np.ones(2), np.ones(2), 0.0, "quad must be a square matrix; got shape (2,)"),
+        (np.ones((2, 3)), np.ones(2), 0.0, "quad must be a square matrix; got shape (2, 3)"),
+        (np.eye(2), np.ones(3), 0.0, "lin must have shape (2,) to match quad (2, 2); got shape (3,)"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 0.0, "quad must be finite; got nan"),
+        (np.eye(2), np.array([0.0, np.inf]), 0.0, "lin must be finite; got inf"),
+        (np.eye(2), np.ones(2), -np.inf, "const must be finite; got -inf"),
+    ])
+    def test_bad_objective_is_rejected(self, quad, lin, const, message):
+        with pytest.raises(ValueError) as err:
+            QuadraticObjective(quad, lin, const)
+        assert str(err.value).startswith(message)
+
+    def test_objective_of_another_dimension_is_rejected(self):
+        net = build_random((3, 4, 1), seed=0)
+        with pytest.raises(ValueError, match=r"lin has shape \(2,\) but the network takes shape \(3,\)"):
+            solve_quadratic(net, QuadraticObjective(np.eye(2), np.ones(2)), np.zeros(3))
 
 
 BENCH_BETA = np.array([3.0, -2.5, 2.0, -1.5, 1.2, -1.0, 0.8, -0.6, 0.5, -0.4])
 
 
-def _random_net_corpus():
+def _random_net_corpus(collect_trace=False):
     """The 60 quadratic solves on random nets: (topo, seed, net, q, outcome).
 
     20 seeds each of three topologies; the quadratic is 0.2 A'A + 0.1 I
@@ -829,8 +848,36 @@ def _random_net_corpus():
             a = rng.standard_normal((n, n))
             q = QuadraticObjective(0.2 * a.T @ a + 0.1 * np.eye(n), np.zeros(n))
             out = solve_quadratic(net, q, rng.standard_normal(n),
-                                  SolverOptions(max_steps=3000, collect_trace=False))
+                                  SolverOptions(max_steps=3000, collect_trace=collect_trace))
             yield topo, seed, net, q, out
+
+
+@pytest.fixture(scope="module")
+def certified_corpus():
+    """The traced 60-net corpus: (net, q, outcome, [(s, active, g, mu) at each certification]).
+
+    g and mu are the solver's gradient and multipliers where the projection
+    vanished and crossing_terms priced the active walls.
+    """
+    solves, seen, last = [], [], []
+    real_direction, real_terms = drlp.solver._feasible_direction, drlp.solver.crossing_terms
+
+    def direction_spy(g, normals, *args):
+        out = real_direction(g, normals, *args)
+        last[:] = [g, out[3]]
+        return out
+
+    def terms_spy(net, s, owners):
+        seen.append((s, list(owners), *last))
+        return real_terms(net, s, owners)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drlp.solver, "_feasible_direction", direction_spy)
+        mp.setattr(drlp.solver, "crossing_terms", terms_spy)
+        for _, _, net, q, out in _random_net_corpus(collect_trace=True):
+            solves.append((net, q, out, seen[:]))
+            seen.clear()
+    return solves
 
 
 @pytest.fixture(scope="module")
@@ -902,6 +949,47 @@ class TestCertificate:
         assert again.status == LOCAL_MINIMUM
         assert again.x[j] < 0.0
         assert again.f < nudged.value(out.x) + evaluate(net, out.x)
+
+
+class TestCrossingCertificate:
+    """solve_quadratic's multiplier bounds are the crossing-edge prices of axis_derivatives."""
+
+    def test_bounds_match_the_edge_prices_and_a_difference(self, certified_corpus):
+        points = bent = signed = 0
+        for net, q, out, seen in certified_corpus:
+            # each certification emits one flip or certify record, at its x
+            records = [r for r in out.trace if r.phase in ("flip", "certify")]
+            assert len(records) == len(seen)
+            for rec, (s, active, g, mu) in zip(records, seen):
+                x, m, tol = np.array(rec.x), len(active), 1e-12 * (1.0 + np.linalg.norm(g))
+                norms = np.linalg.norm(oriented_normals(net, s, active), axis=1)
+                gains, bend = crossing_terms(net, s, active)
+                excess = mu - norms * (gains - bend.T @ (mu / norms))
+                edges, vals = axis_derivatives(dense_pseudoinverse(net, s, active), g, gains, bend)
+                edge_norms = np.linalg.norm(edges[m:], axis=1)
+                assert_allclose(excess / norms, -vals[m:] * edge_norms, rtol=0.0, atol=tol)
+                # the solver flips the first wall whose crossing edge descends, or certifies
+                falls = np.flatnonzero(-vals[m:] * edge_norms * norms > 1e-10 * (1.0 + np.linalg.norm(g)))
+                assert rec.neuron == (active[falls[0]] if falls.size else None)
+                # f + q just across each wall, along its crossing edge
+                f0 = evaluate(net, x) + q.value(x)
+                for k in np.flatnonzero(np.abs(vals[m:]) > 1e-4):
+                    y = x + 1e-7 * edges[m + k] / edge_norms[k]
+                    assert np.sign(evaluate(net, y) + q.value(y) - f0) == np.sign(vals[m + k])
+                    signed += 1
+                points += 1
+                bent += bool(bend.any())
+        assert points >= 300 and bent >= 150 and signed >= 500, (points, bent, signed)
+
+    def test_every_flip_is_followed_by_a_falling_pivot(self, certified_corpus):
+        flips = 0
+        for *_, out, _ in certified_corpus:
+            assert out.status == LOCAL_MINIMUM
+            for a, b in zip(out.trace, out.trace[1:]):
+                if a.phase == "flip":
+                    assert (b.phase, b.step) == ("pivot", a.step + 1) and b.f < a.f, a.step
+                    flips += 1
+        assert flips >= 300
 
 
 def _train_l1_problem(n, seed):
