@@ -7,7 +7,7 @@ or across it, every crossing priced in closed form from x's region.  Both
 take long steps past last-layer walls while f falls.  With no descending
 edge the vertex is a local minimum (certify_local_min).
 A quadratic add-on objective slides along walls in an active-set variant
-that prices the same crossings where its projected gradient vanishes.
+that certifies with the same routine where its projected gradient vanishes.
 """
 
 from __future__ import annotations
@@ -97,13 +97,15 @@ class SolveOutcome:
 
 @dataclass
 class SolverState:
+    """A solve's point, pattern, rows P, steps and trace; f is the network plus objective, if any."""
+
     net: ReluNetwork
     x: np.ndarray
     s: np.ndarray
     pinv: PseudoInverse
     options: SolverOptions
     rng: np.random.Generator = None
-    objective: object = None            # callable(x) -> float; network value by default
+    objective: QuadraticObjective = None    # quadratic term added to the network; none by default
     kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
@@ -112,11 +114,13 @@ class SolverState:
         if self.kept is None:
             self.kept = np.arange(self.net.num_neurons)
 
-    def value(self, x=None) -> float:
-        x = self.x if x is None else x
-        if self.objective is not None:
-            return self.objective(x)
-        return evaluate(self.net, x)
+    def value(self) -> float:
+        f = evaluate(self.net, self.x)
+        return f if self.objective is None else f + self.objective.value(self.x)
+
+    def gradient(self) -> np.ndarray:
+        g = gradient(self.net, self.s)
+        return g if self.objective is None else g + self.objective.grad(self.x)
 
     def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None):
         if not self.options.collect_trace and self.options.on_record is None:
@@ -326,16 +330,17 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
 def certify_local_min(state: SolverState):
     """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
-    Prices the vertex's 2m edges from one gradient (choose_axis).  A descending crossing of
-    owner i is taken at once: its bit flips and row i becomes the crossing row, one ``flip``
-    record, carrying the edge's alpha, and one step.  No descending edge ends LocalMinimum,
-    with no owner x is certified as is, and StepLimit is checked before pricing and after a flip.
+    Both solvers' certificate: prices the vertex's 2m edges from state.gradient() (choose_axis).
+    A descending crossing of owner i is taken at once: its bit flips and row i becomes the
+    crossing row, one step, then one ``flip`` record carrying the edge's alpha.  No descending
+    edge ends LocalMinimum, with no owner x is certified as is, and StepLimit is checked
+    before pricing and after a flip.
     """
     net, opts, alpha = state.net, state.options, None
     if state.steps >= opts.max_steps:
         return state.finish(STEP_LIMIT)
     if m := state.pinv.m:
-        grad = gradient(net, state.s)
+        grad = state.gradient()
         row, alpha, i = choose_axis(state.pinv, grad, *crossing_terms(net, state.s, state.pinv.owners))
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
@@ -343,8 +348,8 @@ def certify_local_min(state: SolverState):
                 i -= m
                 state.s = flip(state.s, state.pinv.owners[i])
                 state.pinv.matrix[i] = row
-                state.emit("flip", neuron=state.pinv.owners[i], alpha=alpha)
                 state.steps += 1
+                state.emit("flip", neuron=state.pinv.owners[i], alpha=alpha)
                 if state.steps >= opts.max_steps:
                     return state.finish(STEP_LIMIT)
             return row, alpha, i, descent_tol
@@ -544,9 +549,9 @@ def _feasible_direction(g, normals, hess=None, ws=None, walls=None):
         m = f.T @ hess @ f + s
         try:
             ws.convex or np.linalg.cholesky(m)      # raises unless positive definite
+            newton = np.linalg.solve(m, v)          # may still find m singular by roundoff
         except np.linalg.LinAlgError:
             return v, v, held, mu, regular
-        newton = np.linalg.solve(m, v)
         newton -= ws.a.T @ (ws.pinv.matrix @ newton)     # the solve's roundoff off the face
         if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
             return v, newton, held, mu, regular
@@ -566,15 +571,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     curvature is not positive definite).  Steps stop at the first new wall
     or at the segment parabola's vertex.
 
-    When the projection vanishes, its multipliers mu on the unit normals
-    certify the point, as in BVLS (Stark & Parker 1995).  Crossing active
-    wall k changes f's slope by its crossing gain D_k and bends each other
-    wall j's normal by B_jk n_k (crossing_terms), so at a regular point
-    (independent walls) x is a local minimum iff
-    mu_k <= |n_k| (D_k - sum_j B_jk mu_j/|n_j|) for every k.  Otherwise the
-    first wall that breaks its bound is flipped, one step, and the descent
-    goes on across it; dependent walls end NonRegular.  Like drlsimplex,
-    it runs on ``pairs.fold(net)`` and names units of net.
+    When the projection vanishes at independent walls, certify_local_min
+    prices x's 2m edges, with the working set's rows over every active
+    wall, row k rescaled to the raw normal n_k.  A crossing edge descends
+    iff its multiplier mu_k on the unit normal exceeds the BVLS bound
+    |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
+    one is flipped, one step, and the descent goes on across it.  With
+    none, x is a local minimum; dependent walls end NonRegular.  Like
+    drlsimplex, it runs on ``pairs.fold(net)`` and names units of net.
     """
     t0 = time.perf_counter()
     net, kept = pairs.fold(net)
@@ -582,11 +586,8 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         raise ValueError(f"lin has shape {q.lin.shape} but the network takes shape ({net.input_dim},)")
     opts = options or SolverOptions()
     x = _start_point(net, x0)
-    state = SolverState(
-        net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
-        options=opts, rng=opts.make_rng(), objective=lambda y: evaluate(net, y) + q.value(y),
-        kept=kept,
-    )
+    state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
+                        options=opts, objective=q, kept=kept)
     ws = _WorkingSet(net.input_dim, hess := q.quad + q.quad.T)
     out = None
     while out is None:
@@ -594,11 +595,10 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             out = state.finish(STEP_LIMIT)
             break
         active = critical_indices(net, state.s, state.x)
-        g = q.grad(state.x) + gradient(net, state.s)
+        g = state.gradient()
         normals = oriented_normals(net, state.s, active)
-        v, d, _, mu, regular = _feasible_direction(g, normals, hess, ws, active)
-        tol = 1e-10 * (1.0 + np.linalg.norm(g))
-        if np.linalg.norm(v) > tol:
+        v, d, _, _, regular = _feasible_direction(g, normals, hess, ws, active)
+        if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
             v = d / np.linalg.norm(d)
             res = advance_max(net, state.x, v, state.s, active)
             state.steps += 1
@@ -616,17 +616,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             out = state.finish(NON_REGULAR, neurons=active)
             break
         else:
-            # crossing wall k descends iff mu_k > |n_k| (D_k - sum_j B_jk mu_j/|n_j|)
-            gains, bend = crossing_terms(net, state.s, active)
+            # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-            over = np.flatnonzero(mu - norms * (gains - bend.T @ (mu / norms)) > tol)
-            if not over.size:
-                state.emit("certify", alpha=0.0)
-                out = state.finish(LOCAL_MINIMUM)
-                break
-            c = active[over[0]]
-            state.s = flip(state.s, c)
-            state.steps += 1
-            state.emit("flip", neuron=c)
+            ws.sync(active, normals / norms[:, None])
+            pos, ws.pinv.owners = ws.pinv.owners, [active[j] for j in ws.pinv.owners]
+            state.pinv = PseudoInverse(ws.pinv.matrix / norms[pos, None], list(ws.pinv.owners))
+            out = edge if isinstance(edge := certify_local_min(state), SolveOutcome) else None
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

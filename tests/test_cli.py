@@ -98,6 +98,12 @@ class TestRandomNet:
         assert code == 1 and stdout == "" and not out.exists()
         assert "error: low and high must be finite with low <= high" in stderr
 
+    def test_topology_not_ending_in_one_exit_one(self, capsys, tmp_path):
+        out = tmp_path / "net.json"
+        code, stdout, stderr = _run(capsys, ["random-net", "--topology", "2,3,2", "--out", str(out)])
+        assert code == 1 and stdout == "" and not out.exists()
+        assert "error: topology must be (input, hidden..., 1)" in stderr
+
     def test_width_zero_exit_one(self, capsys, tmp_path):
         out = tmp_path / "net.json"
         code, stdout, stderr = _run(capsys, ["random-net", "--topology", "3,0,1", "--out", str(out)])
@@ -379,6 +385,25 @@ class TestRegression:
         doc = json.loads(stdout)
         want = np.linalg.lstsq(x, y, rcond=None)[0]
         assert_allclose(doc["theta"], want, atol=1e-6)
+
+    def test_lasso_with_more_features_than_rows(self, capsys, tmp_path):
+        # X is 5 x 10, so faces of singular curvature come up; each ends at the LASSO optimum
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((5, 10)), rng.standard_normal(5)
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in np.column_stack([x, y]).tolist()))
+        lam_max = 2.0 * float(np.max(np.abs(x.T @ y)))
+        for lam in (0.41, 0.12):
+            code, stdout, _ = _run(capsys, ["lasso", "--data", str(path), "--x0", "zero", "--lam", str(lam)])
+            doc = json.loads(stdout)
+            assert code == 0 and doc["status"] == "LocalMinimum"
+            # 0 lies in 2 X'(X theta - y) + lam * d|theta|_1
+            theta = np.array(doc["theta"])
+            g, tol = 2.0 * x.T @ (x @ theta - y), 1e-7 * (lam + lam_max)
+            on = np.abs(theta) > 1e-9 * (1.0 + np.max(np.abs(theta)))
+            assert 0 < on.sum() < 10
+            assert np.max(np.abs(g[on] + lam * np.sign(theta[on]))) <= tol
+            assert np.max(np.abs(g[~on])) <= lam + tol
 
     def test_train_l1_emits_trained_model(self, capsys, tiny_csv, tmp_path):
         path, _, _ = tiny_csv

@@ -349,6 +349,10 @@ class TestPairsAndFlip:
         with pytest.raises(ValueError, match="pairs must be disjoint"):
             PairGroups([(0, 1), (1, 2)])
 
+    def test_fold_rejects_units_outside_the_net(self):
+        with pytest.raises(ValueError, match=r"pairs name units outside widths \(2, 3, 1\)"):
+            PairGroups([(0, 3)]).fold(self._paired_net())
+
     def test_flip_without_pairs_is_involution(self, net_fold_sum):
         s = activation_pattern(net_fold_sum, [1.0, 2.0])
         c = 0

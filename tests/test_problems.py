@@ -35,6 +35,20 @@ def _data(seed, n, p):
     return RegressionData(x, y)
 
 
+class TestInputChecks:
+    def test_misaligned_regression_data(self):
+        with pytest.raises(ValueError, match=r"design \(3, 2\) and response \(4,\) do not align"):
+            RegressionData(np.zeros((3, 2)), np.zeros(4))
+
+    def test_lp_matrix_must_match_c_and_b(self):
+        with pytest.raises(ValueError, match="constraint matrix does not match c and b"):
+            LpInstance(np.ones(2), np.ones((3, 3)), np.ones(3))
+
+    def test_random_topology_must_end_in_one(self):
+        with pytest.raises(ValueError, match=r"topology must be \(input, hidden\.\.\., 1\)"):
+            build_random((2, 3, 2))
+
+
 class TestQuantileBuilder:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("lam", [0.0, 0.7])

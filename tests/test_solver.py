@@ -506,6 +506,18 @@ class TestCertification:
         assert drlp.cli.main(["check", "--model", str(tmp_path / "fold.json"), "--x", "5,5"]) == 2
         assert json.loads(capsys.readouterr().out)["certified"] is False
 
+    def test_step_records_count_up_in_both_solvers(self, certified_corpus):
+        # a find_vertex, flip or pivot record carries the step count after its own step
+        quadratic = [out for *_, out, _ in certified_corpus]
+        simplex = [drlsimplex(build_random((3, 6, 6, 1), seed=100 + seed),
+                              np.random.default_rng(seed).standard_normal(3), SolverOptions(seed=seed))
+                   for seed in range(8)]
+        for outs in (quadratic, simplex):
+            assert any(r.phase == "flip" for out in outs for r in out.trace)
+            for out in outs:
+                steps = [r.step for r in out.trace if r.phase in ("find_vertex", "flip", "pivot")]
+                assert all(a < b for a, b in zip(steps, steps[1:])), steps
+
     def test_step_limit_after_a_crossing_flip(self):
         # find_vertex twice, then the crossing of first-layer wall 0, which
         # bends owner 4's wall, and its pivot; units 0-2 are the first layer
@@ -776,6 +788,22 @@ class TestQuadratic:
                 assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses.count(STEP_LIMIT) <= 5
 
+    def test_zero_quadratic_solves_like_drlsimplex(self):
+        # with no curvature a face's Newton matrix is singular, though Cholesky may pass it
+        # by roundoff; the step then falls back to the projection
+        for seed in range(8):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([2, seed])))
+            x = rng.standard_normal((60, 3))
+            data = RegressionData(x, 1.0 + x @ np.linspace(1.0, -1.0, 3) + rng.laplace(size=60))
+            for alpha, lam in ((0.5, 0.0), (0.3, 0.0), (0.5, 2.0), (0.7, 0.5)):
+                net, pairs = build_quantile_lasso(data, alpha=alpha, lam=lam)
+                d, opts = net.input_dim, SolverOptions(seed=seed, max_steps=3000)
+                zero = QuadraticObjective(np.zeros((d, d)), np.zeros(d))
+                out = solve_quadratic(net, zero, np.zeros(d), opts, pairs)
+                assert out.status == LOCAL_MINIMUM, (seed, alpha, lam)
+                want = drlsimplex(net, np.zeros(d), opts, pairs).f
+                assert out.f == pytest.approx(want, rel=1e-9), (seed, alpha, lam)
+
     def test_dependent_walls_end_non_regular(self):
         # relu(x1) + relu(x2) + relu(x1 + x2) + |x|^2: three walls meet at the
         # minimum in two dimensions, so their multipliers are not unique and
@@ -854,26 +882,19 @@ def _random_net_corpus(collect_trace=False):
 
 @pytest.fixture(scope="module")
 def certified_corpus():
-    """The traced 60-net corpus: (net, q, outcome, [(s, active, g, mu) at each certification]).
+    """The traced 60-net corpus: (net, q, outcome, [(s, owners) at each certification]).
 
-    g and mu are the solver's gradient and multipliers where the projection
-    vanished and crossing_terms priced the active walls.
+    s and owners are the state certify_local_min was called with: the
+    pattern before any flip and the walls its rows cover.
     """
-    solves, seen, last = [], [], []
-    real_direction, real_terms = drlp.solver._feasible_direction, drlp.solver.crossing_terms
+    solves, seen = [], []
 
-    def direction_spy(g, normals, *args):
-        out = real_direction(g, normals, *args)
-        last[:] = [g, out[3]]
-        return out
-
-    def terms_spy(net, s, owners):
-        seen.append((s, list(owners), *last))
-        return real_terms(net, s, owners)
+    def certify_spy(state):
+        seen.append((state.s.copy(), list(state.pinv.owners)))
+        return certify_local_min(state)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(drlp.solver, "_feasible_direction", direction_spy)
-        mp.setattr(drlp.solver, "crossing_terms", terms_spy)
+        mp.setattr(drlp.solver, "certify_local_min", certify_spy)
         for _, _, net, q, out in _random_net_corpus(collect_trace=True):
             solves.append((net, q, out, seen[:]))
             seen.clear()
@@ -952,27 +973,33 @@ class TestCertificate:
 
 
 class TestCrossingCertificate:
-    """solve_quadratic's multiplier bounds are the crossing-edge prices of axis_derivatives."""
+    """solve_quadratic certifies through certify_local_min: the steepest of all 2m edges, or certify."""
 
-    def test_bounds_match_the_edge_prices_and_a_difference(self, certified_corpus):
+    def test_records_take_the_steepest_edge_and_a_difference(self, certified_corpus):
         points = bent = signed = 0
         for net, q, out, seen in certified_corpus:
             # each certification emits one flip or certify record, at its x
             records = [r for r in out.trace if r.phase in ("flip", "certify")]
             assert len(records) == len(seen)
-            for rec, (s, active, g, mu) in zip(records, seen):
-                x, m, tol = np.array(rec.x), len(active), 1e-12 * (1.0 + np.linalg.norm(g))
-                norms = np.linalg.norm(oriented_normals(net, s, active), axis=1)
+            for rec, (s, owners) in zip(records, seen):
+                x = np.array(rec.x)
+                active = critical_indices(net, s, x)
+                assert sorted(owners) == active       # the rows cover every active wall
+                g, m = q.grad(x) + gradient(net, s), len(active)
+                if not m:       # nothing to price: g vanished off every wall
+                    assert (rec.phase, rec.alpha) == ("certify", None)
+                    continue
                 gains, bend = crossing_terms(net, s, active)
-                excess = mu - norms * (gains - bend.T @ (mu / norms))
                 edges, vals = axis_derivatives(dense_pseudoinverse(net, s, active), g, gains, bend)
-                edge_norms = np.linalg.norm(edges[m:], axis=1)
-                assert_allclose(excess / norms, -vals[m:] * edge_norms, rtol=0.0, atol=tol)
-                # the solver flips the first wall whose crossing edge descends, or certifies
-                falls = np.flatnonzero(-vals[m:] * edge_norms * norms > 1e-10 * (1.0 + np.linalg.norm(g)))
-                assert rec.neuron == (active[falls[0]] if falls.size else None)
+                k = int(np.argmin(vals))
+                assert rec.alpha == pytest.approx(vals[k], rel=0.0, abs=1e-12 * (1.0 + np.linalg.norm(g)))
+                if vals[k] < -drlp.solver.DESCENT_TOL * (1.0 + np.linalg.norm(g)):
+                    assert k >= m and (rec.phase, rec.neuron) == ("flip", active[k - m])
+                else:
+                    assert rec.phase == "certify"
                 # f + q just across each wall, along its crossing edge
                 f0 = evaluate(net, x) + q.value(x)
+                edge_norms = np.linalg.norm(edges[m:], axis=1)
                 for k in np.flatnonzero(np.abs(vals[m:]) > 1e-4):
                     y = x + 1e-7 * edges[m + k] / edge_norms[k]
                     assert np.sign(evaluate(net, y) + q.value(y) - f0) == np.sign(vals[m + k])
@@ -989,7 +1016,7 @@ class TestCrossingCertificate:
                 if a.phase == "flip":
                     assert (b.phase, b.step) == ("pivot", a.step + 1) and b.f < a.f, a.step
                     flips += 1
-        assert flips >= 300
+        assert flips >= 250
 
 
 def _train_l1_problem(n, seed):
