@@ -55,20 +55,24 @@ from .solver import (
 EXIT_CODES = {LOCAL_MINIMUM: 0, UNBOUNDED: 2, NON_REGULAR: 3, STEP_LIMIT: 4}
 
 
-def _parse_floats(text, flag):
-    """Comma separated numbers given to flag; a bad entry names the flag."""
+def _parse_list(text, flag, kind):
+    """Comma separated values of type kind given to flag; a bad entry names the flag."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        return [kind(v) for v in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
 
 
-def _parse_ints(text, flag):
-    """Comma separated integers given to flag; a bad entry names the flag."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from exc
+class _FlagError(Exception):
+    """A flag value rejected while parsing; main exits 1 on it, where argparse's own errors exit 2."""
+
+
+def _seed(text):
+    """Argparse type of every --seed: numpy seeds its generators only from nonnegative integers."""
+    with contextlib.suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise _FlagError(f"--seed must be a nonnegative integer, got {text}")
 
 
 def _trace_writer(fh, net, start_index=None):
@@ -88,7 +92,7 @@ def _add_solve_args(p, with_x0=True):
     if with_x0:
         p.add_argument("--x0", default="random",
                        help="start point: 'zero', 'random', or comma separated values")
-    p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    p.add_argument("--seed", type=_seed, default=0, help="master seed for all randomness")
     p.add_argument("--max-steps", type=int, default=10_000)
     p.add_argument("--starts", type=int, default=1,
                    help="independent solver runs, one after another; best outcome is reported")
@@ -147,7 +151,7 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
     if args.max_steps < 0:
         raise ValueError(f"--max-steps must be nonnegative, got {args.max_steps}")
     if fixed_x0 is None and args.x0 not in ("zero", "random"):
-        fixed_x0 = _start_point(net, _parse_floats(args.x0, "--x0"), "--x0")
+        fixed_x0 = _start_point(net, _parse_list(args.x0, "--x0", float), "--x0")
     seeds = np.random.SeedSequence(args.seed).spawn(args.starts)
     runs = []
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
@@ -185,7 +189,7 @@ def _theta(out):
 
 
 def cmd_random_net(args):
-    net = build_random(_parse_ints(args.topology, "--topology"), seed=args.seed,
+    net = build_random(_parse_list(args.topology, "--topology", int), seed=args.seed,
                        low=args.low, high=args.high)
     save_model(args.out, net)
     print(json.dumps({"path": args.out, "widths": list(net.widths)}))
@@ -225,7 +229,7 @@ def cmd_train_l1(args):
     if args.base_model:
         base, _ = load_model(args.base_model)
     else:
-        base = build_random(_parse_ints(args.base_topology, "--base-topology"), seed=args.seed)
+        base = build_random(_parse_list(args.base_topology, "--base-topology", int), seed=args.seed)
     net, pairs = build_l1_first_layer(base, data)
     fixed = flatten_first_layer(base) if args.x0 == "warm" else None
 
@@ -240,7 +244,7 @@ def cmd_train_l1(args):
 
 
 def cmd_bounds(args):
-    topology = _parse_ints(args.topology, "--topology")
+    topology = _parse_list(args.topology, "--topology", int)
     doc = {
         "montufar": bounds_mod.montufar_bound(topology),
         "improved": bounds_mod.improved_bound(topology),
@@ -251,8 +255,8 @@ def cmd_bounds(args):
 
 def cmd_regions(args):
     net, _ = load_model(args.model)
-    box = _parse_floats(args.box, "--box")
-    if box.size != 2:
+    box = _parse_list(args.box, "--box", float)
+    if len(box) != 2:
         raise ValueError(f"--box needs exactly lo,hi; got {args.box!r}")
     lo, hi = box
     n = bounds_mod.count_regions_empirical(net, (lo, hi), samples=args.samples, seed=args.seed)
@@ -263,10 +267,10 @@ def cmd_regions(args):
 def cmd_check(args):
     """Certify --x from the solver's own pricing of the 2m edges at the vertex of its active walls."""
     net, pairs = load_model(args.model)
-    x = _start_point(net, _parse_floats(args.x, "--x"), "--x")
+    x = _start_point(net, _parse_list(args.x, "--x", float), "--x")
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
-    crit = critical_indices(folded, s, x)
+    crit, _ = critical_indices(folded, s, x)
     try:
         pinv = dense_pseudoinverse(folded, s, crit)
     except Degenerate:
@@ -299,7 +303,7 @@ def build_parser():
     p = sub.add_parser("random-net", help="draw a network with uniform weights")
     p.add_argument("--topology", required=True,
                    help="comma separated widths, input first, output width 1 last")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--low", type=float, default=-1.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--out", required=True, help="model JSON path")
@@ -351,7 +355,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--box", default="-10,10", help="sampling box lo,hi per coordinate")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("check", help="certify whether a point is a local minimum")
@@ -363,10 +367,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, json.JSONDecodeError, _FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DependentColumn, Degenerate) as exc:

@@ -17,7 +17,8 @@ the two at that boundary.
 An activation pattern ``s`` is a flat ``np.uint8`` vector indexed by flat
 unit (1 = passes its argument, 0 = clamped); layer ``l`` is
 ``s[net.offsets[l-1]:net.offsets[l]]``.  Every pattern-fixed quantity is
-one masked sweep, forward (``_forward``) or backward (``_backward``).
+one masked sweep: forward (``_forward``), all normals at once included, or
+backward (``_backward``) for the gradient or a single normal.
 
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
@@ -193,17 +194,19 @@ def _forward(net: ReluNetwork, s: np.ndarray | None, x, bias: bool) -> np.ndarra
     """Argument of every unit with each ReLU replaced by its bit in s.
 
     Without bias, entry c is the inner product of x with unit c's unoriented
-    normal.  With s None every unit keeps its ReLU: the network's own arguments.
+    normal; a matrix x is swept column by column.  With s None every unit
+    keeps its ReLU: the network's own arguments.
     """
     y = np.asarray(x, dtype=np.float64)
-    out = np.empty(net.num_neurons)
+    col = (slice(None),) + (None,) * (y.ndim - 1)      # broadcasts a layer's vector across y's columns
+    out = np.empty((net.num_neurons,) + y.shape[1:])
     for l in range(net.depth):
         a = net.weights[l] @ y
         if bias:
-            a += net.biases[l]
+            a += net.biases[l][col]
         out[net.offsets[l]:net.offsets[l + 1]] = a
         if l + 1 < net.depth:       # the last ReLU layer's output is never read
-            y = np.maximum(a, 0.0) if s is None else s[net.offsets[l]:net.offsets[l + 1]] * a
+            y = np.maximum(a, 0.0) if s is None else s[net.offsets[l]:net.offsets[l + 1]][col] * a
     return out
 
 
@@ -264,15 +267,10 @@ def crossing_terms(net: ReluNetwork, s: np.ndarray, owners) -> tuple:
 def normal_matrices(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     """Matrix whose row c is the (unoriented) argument normal of flat unit c.
 
-    The row is the gradient of the unit's argument under pattern s; the
-    unit's hyperplane is where that affine argument vanishes.
+    The row is the gradient of the unit's argument under pattern s (one forward
+    sweep of the identity); the unit's hyperplane is where that argument vanishes.
     """
-    out = np.empty((net.num_neurons, net.input_dim))
-    g = out[:net.offsets[1]] = net.weights[0]
-    for l in range(1, net.depth):
-        sl = s[net.offsets[l - 1]:net.offsets[l]]
-        g = out[net.offsets[l]:net.offsets[l + 1]] = net.weights[l] @ (sl[:, None] * g)
-    return out
+    return _forward(net, s, np.eye(net.input_dim), bias=False)
 
 
 def oriented_normal(net: ReluNetwork, s: np.ndarray, c: int) -> np.ndarray:
@@ -287,23 +285,6 @@ def oriented_normal(net: ReluNetwork, s: np.ndarray, c: int) -> np.ndarray:
     return r if s[c] == 1 else -r
 
 
-def oriented_normals(net: ReluNetwork, s: np.ndarray, units) -> np.ndarray:
-    """Matrix whose row i is oriented_normal(net, s, units[i]), bit for bit.
-
-    First-layer rows are one signed gather of weight rows; deeper units go
-    through oriented_normal one at a time, because a batched product would
-    sum in another order and change the rows' last bits.
-    """
-    units = np.asarray(units, dtype=np.intp).reshape(-1)
-    out = np.empty((units.size, net.input_dim))
-    first = units < net.offsets[1]
-    rows = net.weights[0][units[first]]
-    out[first] = np.where(s[units[first], None] == 1, rows, -rows)
-    for i in np.nonzero(~first)[0]:
-        out[i] = oriented_normal(net, s, int(units[i]))
-    return out
-
-
 def inner_products_all(net: ReluNetwork, s: np.ndarray, w) -> np.ndarray:
     """Inner products of w with every unit's oriented normal, one vector indexed by flat unit."""
     u = _forward(net, s, w, bias=False)
@@ -311,16 +292,17 @@ def inner_products_all(net: ReluNetwork, s: np.ndarray, w) -> np.ndarray:
 
 
 def critical_indices(net: ReluNetwork, s: np.ndarray, x):
-    """Units whose argument vanishes at x and whose normal is nonzero.
+    """(units, normals): units whose argument vanishes at x and whose normal is nonzero.
 
+    Row k of normals is units[k]'s oriented normal, a row of normal_matrices.
     The zero test is relative: |argument| <= ZERO_TOL * (1 + |normal|).
     Units with (numerically) zero normal have locally constant arguments
     and are excluded; they never separate regions near x.
     """
-    args = subjective_arguments(net, s, x)
-    norms = np.linalg.norm(normal_matrices(net, s), axis=1)
-    hit = (np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)
-    return np.nonzero(hit)[0].tolist()
+    args, normals = subjective_arguments(net, s, x), normal_matrices(net, s)
+    norms = np.linalg.norm(normals, axis=1)
+    units = np.flatnonzero((np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL))
+    return units.tolist(), np.where(s[units, None] == 1, normals[units], -normals[units])
 
 
 def flip(s: np.ndarray, units) -> np.ndarray:

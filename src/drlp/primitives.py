@@ -8,12 +8,12 @@ the feasible edge directions leaving the current point inside its
 region, which is what makes the pivot step cheap.
 
 All update operations are O(m * input_dim) given the normals involved.
-A pivot is one basis exchange (exchange_axis), which needs only the
-entering unit's oriented normal, a partial backward sweep, and no full
-sweep.  add_axis and update_axis_new_region also need the inner products
-of a normal with every unit normal, one bias-free forward sweep
-(inner_products_all).  remove_pseudorow needs no normal at all; the
-quadratic solver's working set releases walls with it.
+A pivot is one basis exchange (exchange_axis): a partial backward sweep
+for the entering unit's oriented normal, and only when that unit bends a
+later owner one bias-free forward sweep (inner_products_all), with which
+update_axis_new_region rebuilds its row from the same normal.  add_axis
+takes one sweep of each kind.  remove_pseudorow needs no normal at all;
+the quadratic solver's working set releases walls with it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .network import (
     ReluNetwork,
     _crossing_gains,
     inner_products_all,
+    normal_matrices,
     oriented_normal,
-    oriented_normals,
     subjective_arguments,
 )
 
@@ -160,7 +160,7 @@ def exchange_axis(
     owners = pinv.owners[:i] + pinv.owners[i + 1:]
     out = PseudoInverse(np.vstack([others, new_row]), owners + [c])
     if max(owners, default=-1) >= net.offsets[net.neuron_at(c)[0]]:
-        out = update_axis_new_region(out, len(owners), net, s)
+        out = update_axis_new_region(out, len(owners), net, s, u)
     return out
 
 
@@ -172,8 +172,8 @@ def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInvers
     """
     if not owners:
         return PseudoInverse.empty(net.input_dim)
-    cols = oriented_normals(net, s, owners).T
-    u, sv, vt = np.linalg.svd(cols, full_matrices=False)
+    rows = normal_matrices(net, s)[owners]
+    u, sv, vt = np.linalg.svd(np.where(s[owners, None] == 1, rows, -rows).T, full_matrices=False)
     if len(owners) > net.input_dim or sv[-1] <= DEP_TOL * sv[0]:
         raise Degenerate("tracked normals are not independent")
     # np.linalg.pinv's formula on the same SVD; past the check above no
@@ -186,15 +186,15 @@ def update_axis_new_region(
     i: int,
     net: ReluNetwork,
     s: np.ndarray,
+    u: np.ndarray,
 ) -> PseudoInverse:
-    """Recompute row i after the activation bit of its owner changed.
+    """Recompute row i from u, its owner's oriented normal after the owner's bit flipped.
 
     Flipping one unit leaves every other tracked axis unchanged, so only
-    row i needs work.  All inner products are taken under the new pattern
-    s.  Raises Degenerate on a vanishing denominator.
+    row i needs work.  u and all inner products are taken under the new
+    pattern s.  Raises Degenerate on a vanishing denominator.
     """
     c = pinv.owners[i]
-    u = oriented_normal(net, s, c)
     g = inner_products_all(net, s, u)[pinv.owners]
     w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
     denom = float(w @ u)

@@ -130,6 +130,8 @@ def build_clad(data: RegressionData):
     No intercept column is added; include one in the design if wanted.
     Second-layer rows come in mirrored pairs; returns (net, pairs).
     """
+    if not data.p:
+        raise ValueError("clad needs at least one feature column besides the response; the data has none")
     n = data.n
     w1 = data.x.copy()
     b1 = np.zeros(n)
@@ -222,6 +224,8 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     (pairs is empty at lam = 0, where the penalty units are constant zero).
     No intercept; center or augment the design beforehand.
     """
+    if not data.p:
+        raise ValueError("lasso needs at least one feature column besides the response; the data has none")
     _check_lam(lam)
     p = data.p
     q = QuadraticObjective(

@@ -27,7 +27,6 @@ from .network import (
     evaluate,
     flip,
     gradient,
-    oriented_normals,
 )
 from .primitives import (
     DEP_TOL,
@@ -175,7 +174,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
     x = _start_point(net, x0)
     for _ in range(100):
         s = activation_pattern(net, x)
-        if not critical_indices(net, s, x):
+        if not critical_indices(net, s, x)[0]:
             break
         step = rng.standard_normal(net.input_dim)
         step /= np.linalg.norm(step)
@@ -327,20 +326,19 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     return out
 
 
-def certify_local_min(state: SolverState):
+def certify_local_min(state: SolverState, grad: np.ndarray):
     """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
-    Both solvers' certificate: prices the vertex's 2m edges from state.gradient() (choose_axis).
-    A descending crossing of owner i is taken at once: its bit flips and row i becomes the
-    crossing row, one step, then one ``flip`` record carrying the edge's alpha.  No descending
-    edge ends LocalMinimum, with no owner x is certified as is, and StepLimit is checked
-    before pricing and after a flip.
+    Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from grad, the
+    caller's state.gradient() at x under state.s.  A descending crossing of owner i is
+    taken at once: its bit flips and row i becomes the crossing row, one step, then one
+    ``flip`` record carrying the edge's alpha.  No descending edge ends LocalMinimum, with
+    no owner x is certified as is, and StepLimit is checked before pricing and after a flip.
     """
     net, opts, alpha = state.net, state.options, None
     if state.steps >= opts.max_steps:
         return state.finish(STEP_LIMIT)
     if m := state.pinv.m:
-        grad = state.gradient()
         row, alpha, i = choose_axis(state.pinv, grad, *crossing_terms(net, state.s, state.pinv.owners))
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
@@ -360,7 +358,7 @@ def certify_local_min(state: SolverState):
 def _pivot_loop(state: SolverState) -> SolveOutcome:
     net = state.net
     while True:
-        if isinstance(edge := certify_local_min(state), SolveOutcome):
+        if isinstance(edge := certify_local_min(state, state.gradient()), SolveOutcome):
             return edge
         row, alpha, i, descent_tol = edge
         owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
@@ -594,9 +592,8 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
-        active = critical_indices(net, state.s, state.x)
+        active, normals = critical_indices(net, state.s, state.x)
         g = state.gradient()
-        normals = oriented_normals(net, state.s, active)
         v, d, _, _, regular = _feasible_direction(g, normals, hess, ws, active)
         if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
             v = d / np.linalg.norm(d)
@@ -621,6 +618,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             ws.sync(active, normals / norms[:, None])
             pos, ws.pinv.owners = ws.pinv.owners, [active[j] for j in ws.pinv.owners]
             state.pinv = PseudoInverse(ws.pinv.matrix / norms[pos, None], list(ws.pinv.owners))
-            out = edge if isinstance(edge := certify_local_min(state), SolveOutcome) else None
+            out = edge if isinstance(edge := certify_local_min(state, g), SolveOutcome) else None
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

@@ -20,7 +20,7 @@ from drlp import (
     critical_indices,
     evaluate,
     flip,
-    normal_matrices,
+    oriented_normal,
     relu_arguments,
     remove_pseudorow,
     subjective_arguments,
@@ -87,10 +87,9 @@ def critical_kernel_dim(net, s, x):
     Equals input_dim minus the rank of the stacked critical normals; the
     point is a vertex of its region exactly when this is zero.
     """
-    crit = critical_indices(net, s, x)
+    crit, rows = critical_indices(net, s, x)
     if not crit:
         return net.input_dim
-    rows = normal_matrices(net, s)[crit]
     sv = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sv > ZERO_TOL * max(1.0, sv[0])))
     return net.input_dim - rank
@@ -155,8 +154,6 @@ def fd_oriented_normal(net, s, c, x):
 
 def normals_matrix(net, s, owners):
     """Columns = oriented normals of the owners, from the definition."""
-    from drlp import oriented_normal
-
     return np.stack([oriented_normal(net, s, c) for c in owners], axis=1)
 
 
@@ -170,11 +167,11 @@ def pivot_update_reference(pinv, i, net, s, c):
 
     Takes exchange_axis's arguments.  Drops row i, adds unit c's normal
     under the pattern before the pivot (s with c's bit flipped back), then
-    rebuilds c's row under s, the way the pivot worked before the rank-one
-    exchange; this costs two full sweeps more.
+    rebuilds c's row under s from c's normal under s, the way the pivot
+    worked before the rank-one exchange; this costs two full sweeps more.
     """
     grown = add_axis(remove_pseudorow(pinv, i), net, flip(s, c), c)
-    return update_axis_new_region(grown, grown.m - 1, net, s)
+    return update_axis_new_region(grown, grown.m - 1, net, s, oriented_normal(net, s, c))
 
 
 def ac5_runs():

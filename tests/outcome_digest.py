@@ -189,7 +189,7 @@ def sweeps():
             for t in (s, drlp.flip(s, int(units[0])), drlp.flip(s, units[:(net.num_neurons + 1) // 2])):
                 yield b"".join(a.tobytes() for a in (
                     drlp.subjective_arguments(net, t, x), drlp.inner_products_all(net, t, w),
-                    drlp.gradient(net, t), drlp.oriented_normals(net, t, units),
+                    drlp.gradient(net, t), *(drlp.oriented_normal(net, t, int(c)) for c in units),
                     drlp.normal_matrices(net, t))).hex()
 
 

@@ -75,10 +75,10 @@ def test_ac01_axis_updates_at_shared_vertex():
     devs = [np.max(np.abs(pinv.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
 
     s = flip(s, 1)
-    pinv = update_axis_new_region(pinv, 0, net, s)
+    pinv = update_axis_new_region(pinv, 0, net, s, oriented_normal(net, s, 1))
     devs.append(np.max(np.abs(pinv.matrix[0] - np.array([0.0, -1.0]))))
     s = flip(s, 2)
-    pinv = update_axis_new_region(pinv, 1, net, s)
+    pinv = update_axis_new_region(pinv, 1, net, s, oriented_normal(net, s, 2))
     devs.append(np.max(np.abs(pinv.matrix[1] - np.array([-1.0, 0.0]))))
 
     elapsed = time.perf_counter() - t0
@@ -101,8 +101,8 @@ def test_ac02_critical_sets_on_shared_hyperplane():
         [np.zeros(2), np.zeros(1), np.zeros(1)],
     )
     x = np.array([0.0])
-    got_a = critical_indices(shared, np.array([0, 1, 1], dtype=np.uint8), x)
-    got_b = critical_indices(mirrored, np.array([0, 0, 1], dtype=np.uint8), x)
+    got_a = critical_indices(shared, np.array([0, 1, 1], dtype=np.uint8), x)[0]
+    got_b = critical_indices(mirrored, np.array([0, 0, 1], dtype=np.uint8), x)[0]
     ok = got_a == [0, 1, 2] and got_b == [0, 1]
     elapsed = time.perf_counter() - t0
     _report(
@@ -183,7 +183,7 @@ def test_ac04_incremental_updates_match_dense_rebuilds():
         for k, c in enumerate(owners):
             s2 = flip(s, c)
             try:
-                upd = update_axis_new_region(pinv, k, net, s2)
+                upd = update_axis_new_region(pinv, k, net, s2, oriented_normal(net, s2, c))
             except Exception:
                 continue
             cols2 = np.stack(

@@ -154,6 +154,7 @@ class TestSolve:
         ("--max-steps", "-1", "--max-steps must be nonnegative, got -1"),
         ("--x0", "abc", "--x0: could not convert string to float: 'abc'"),
         ("--x0", "1,2,3", "--x0 must be finite with shape (2,)"),
+        ("--seed", "-1", "--seed must be a nonnegative integer, got -1"),
     ])
     def test_out_of_range_counts_exit_one(self, capsys, hinge_model, tmp_path, flag, value, message):
         trace = tmp_path / "t.jsonl"
@@ -302,6 +303,9 @@ class TestParseErrors:
         (["bounds", "--topology", "2,x"], "--topology: invalid literal for int() with base 10: 'x'"),
         (["random-net", "--topology", "2,,1", "--out", "OUT"],
          "--topology: invalid literal for int() with base 10: ''"),
+        (["random-net", "--topology", "2,3,1", "--seed", "-1", "--out", "OUT"],
+         "--seed must be a nonnegative integer, got -1"),
+        (["regions", "--model", "MODEL", "--seed=-3"], "--seed must be a nonnegative integer, got -3"),
     ])
     def test_bad_value_names_its_flag(self, capsys, hinge_model, tiny_csv, tmp_path, argv, message):
         paths = {"MODEL": hinge_model, "CSV": tiny_csv[0], "OUT": str(tmp_path / "net.json")}
@@ -385,6 +389,19 @@ class TestRegression:
         doc = json.loads(stdout)
         want = np.linalg.lstsq(x, y, rcond=None)[0]
         assert_allclose(doc["theta"], want, atol=1e-6)
+
+    def test_featureless_csv(self, capsys, tmp_path):
+        # one column is the response alone: no coefficient for lasso or clad, an intercept for quantile
+        path = tmp_path / "y.csv"
+        path.write_text("y\n1\n-2\n4\n")
+        for command in ("lasso", "clad"):
+            code, stdout, stderr = _run(capsys, [command, "--data", str(path)])
+            assert code == 1 and stdout == ""
+            assert stderr == (f"error: {command} needs at least one feature column besides the response; "
+                              "the data has none\n")
+        code, stdout, _ = _run(capsys, ["quantile", "--data", str(path), "--x0", "zero"])
+        doc = json.loads(stdout)
+        assert code == 0 and doc["status"] == "LocalMinimum" and doc["theta"] == [1.0]
 
     def test_lasso_with_more_features_than_rows(self, capsys, tmp_path):
         # X is 5 x 10, so faces of singular curvature come up; each ends at the LASSO optimum

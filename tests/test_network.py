@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
+    ZERO_TOL,
     LpInstance,
     PairGroups,
     RegressionData,
@@ -24,13 +25,11 @@ from drlp import (
     load_model,
     normal_matrices,
     oriented_normal,
-    oriented_normals,
     relu_arguments,
     save_model,
     subjective_arguments,
 )
-from drlp.network import _sweep_bits
-from drlp.network import _crossing_gains
+from drlp.network import _crossing_gains, _forward, _sweep_bits
 from helpers import (
     critical_kernel_dim,
     dense_sweeps,
@@ -249,19 +248,31 @@ class TestSubjective:
                     atol=1e-9,
                 )
 
-    @pytest.mark.parametrize("topo", [(3, 6, 1), (3, 4, 3, 1), (4, 3, 5, 2, 1), (2, 3, 3, 3, 3, 1)])
-    def test_oriented_normals_match_one_by_one(self, topo):
-        rng = np.random.Generator(np.random.Philox(37))
-        for _ in range(5):
-            net = build_random(topo, seed=int(rng.integers(1 << 30)))
-            s = activation_pattern(net, rng.uniform(-2, 2, size=topo[0]))
-            everything = rng.permutation(net.num_neurons)     # layers mixed, both bits
-            for units in (everything, everything[:3], [net.num_neurons - 1, 0], []):
-                got = oriented_normals(net, s, units)
-                assert got.shape == (len(units), net.input_dim)
-                for row, c in zip(got, units):
-                    assert row.tobytes() == oriented_normal(net, s, int(c)).tobytes()
-        assert set(s.tolist()) == {0, 1}
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.integers(0, 2**32 - 1),
+           st.booleans(), st.data())
+    def test_critical_normals_match_one_by_one(self, widths, seed, mirror, data):
+        # critical_indices' rows come from the forward sweep, oriented_normal's from the backward one
+        net = build_random(widths + [1], seed=seed)
+        if mirror:      # mirror the first k last-layer units, then fold each pair into a two-slope unit
+            k, last, w, b = data.draw(st.integers(1, widths[-1])), net.offsets[-2], net.weights, net.biases
+            net, _ = PairGroups((last + j, last + widths[-1] + j) for j in range(k)).fold(ReluNetwork(
+                w[:-2] + [np.vstack([w[-2], -w[-2][:k]]), np.hstack([w[-1], w[-1][:, :k]])],
+                b[:-2] + [np.concatenate([b[-2], -b[-2][:k]]), b[-1]]))
+        bits = st.lists(st.integers(0, 1), min_size=net.num_neurons, max_size=net.num_neurons)
+        s, on = np.array(data.draw(bits), dtype=np.uint8), np.array(data.draw(bits), dtype=bool)
+        x = np.random.Generator(np.random.Philox(seed)).uniform(-3.0, 3.0, widths[0])
+        for l in range(net.depth):      # shift biases, layer by layer, so the units on marks vanish at x
+            lo, hi = net.offsets[l], net.offsets[l + 1]
+            net.biases[l][on[lo:hi]] -= subjective_arguments(net, s, x)[lo:hi][on[lo:hi]]
+        units, normals = critical_indices(net, s, x)
+        nonzero = np.linalg.norm(normal_matrices(net, s), axis=1) > ZERO_TOL
+        assert units == np.flatnonzero(on & nonzero).tolist()
+        want = np.array([oriented_normal(net, s, c) for c in units]).reshape(-1, net.input_dim)
+        assert normals.shape == want.shape
+        # relative to the same sweep over |W|, which bounds both sweeps' roundoff
+        scale = normal_matrices(ReluNetwork([np.abs(w) for w in net.weights], net.biases), s)[units]
+        assert (np.linalg.norm(normals - want, axis=1) <= 1e-12 * np.linalg.norm(scale, axis=1)).all()
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.integers(0, 2**32 - 1), st.data())
@@ -277,7 +288,11 @@ class TestSubjective:
         assert_allclose(inner_products_all(net, s, w), oriented @ w, rtol=0, atol=1e-10)
         assert_allclose(gradient(net, s), grad, rtol=0, atol=1e-10)
         assert_allclose(normal_matrices(net, s), normals, rtol=0, atol=1e-10)
-        assert_allclose(oriented_normals(net, s, np.arange(net.num_neurons)), oriented, rtol=0, atol=1e-10)
+        # normal_matrices is _forward on the identity; a matrix of directions sweeps column by column
+        ws = np.random.Generator(np.random.Philox(seed)).uniform(-3.0, 3.0, (widths[0], 3))
+        assert_allclose(_forward(net, s, ws, bias=False), normals @ ws, rtol=0, atol=1e-10)
+        assert_allclose(_forward(net, s, ws, bias=True), args[:, None] + normals @ (ws - x[:, None]),
+                        rtol=0, atol=1e-10)
         for c in range(net.num_neurons):
             assert_allclose(oriented_normal(net, s, c), oriented[c], rtol=0, atol=1e-10)
 
@@ -300,14 +315,14 @@ class TestCritical:
         s = activation_pattern(net_split_line, [0.0])
         s = flip(flip(s, 1), 2)
         assert s.tolist() == [0, 1, 1]
-        crit = critical_indices(net_split_line, s, np.array([0.0]))
+        crit, _ = critical_indices(net_split_line, s, np.array([0.0]))
         assert crit == [0, 1, 2]
 
     def test_mirrored_line_drops_flat_unit(self, net_split_line_mirrored):
         net = net_split_line_mirrored
         s = flip(activation_pattern(net, [0.0]), 2)
         assert s.tolist() == [0, 0, 1]
-        crit = critical_indices(net, s, np.array([0.0]))
+        crit, _ = critical_indices(net, s, np.array([0.0]))
         assert crit == [0, 1]
 
     def test_kernel_dimension(self, net_fold_sum, net_split_line):
@@ -320,7 +335,7 @@ class TestCritical:
     def test_off_hyperplane_point_has_none(self, net_fold_sum):
         x = np.array([2.0, 0.5])
         s = activation_pattern(net_fold_sum, x)
-        assert critical_indices(net_fold_sum, s, x) == []
+        assert critical_indices(net_fold_sum, s, x)[0] == []
 
     def test_enumeration_respects_cap(self, net_split_line):
         with pytest.raises(ValueError):
@@ -372,16 +387,18 @@ class TestPairsAndFlip:
         net = self._paired_net()
         folded, kept = PairGroups([(0, 1)]).fold(net)
         x = np.array([0.0, -1.5])      # on the pair's wall and on unit 2's
-        assert critical_indices(net, activation_pattern(net, x), x) == [0, 1, 2]
-        assert kept[critical_indices(folded, activation_pattern(folded, x), x)].tolist() == [0, 2]
+        assert critical_indices(net, activation_pattern(net, x), x)[0] == [0, 1, 2]
+        assert kept[critical_indices(folded, activation_pattern(folded, x), x)[0]].tolist() == [0, 2]
 
     def test_oriented_normals_on_paired_units(self):
         net = self._paired_net()
         s = activation_pattern(net, [1.0, 1.0])
         assert s.tolist() == [1, 0, 1]
-        got = oriented_normals(net, s, [2, 1, 0])
-        assert got.tobytes() == np.stack([oriented_normal(net, s, c) for c in (2, 1, 0)]).tobytes()
-        assert got[1].tobytes() == got[2].tobytes()     # one wall, both members face one side
+        units, got = critical_indices(net, s, np.array([0.0, -1.5]))     # on all three walls
+        assert units == [0, 1, 2]
+        # one layer: the forward rows are the weight rows, as the backward sweep gives them
+        assert got.tobytes() == np.stack([oriented_normal(net, s, c) for c in units]).tobytes()
+        assert got[0].tobytes() == got[1].tobytes()     # one wall, both members face one side
 
 
 def _fold_cases():

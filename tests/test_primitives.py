@@ -166,7 +166,7 @@ class TestUpdateAxis:
             pinv = _build_incremental(net, s, owners)
             for i, c in enumerate(owners):
                 s2 = flip(s, c)
-                got = update_axis_new_region(pinv, i, net, s2)
+                got = update_axis_new_region(pinv, i, net, s2, oriented_normal(net, s2, c))
                 assert_allclose(
                     got.matrix, brute_pseudoinverse(net, s2, owners), atol=1e-8
                 )
@@ -178,7 +178,7 @@ class TestUpdateAxis:
         pinv = _build_incremental(net, s, [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
         s2 = flip(s, 1)
-        upd = update_axis_new_region(pinv, 0, net, s2)
+        upd = update_axis_new_region(pinv, 0, net, s2, oriented_normal(net, s2, 1))
         assert_allclose(upd.matrix[0], [0.0, -1.0], atol=1e-12)
         # flipping (1,2) also changed the normal of (2,1); row 1 must still work
         assert_allclose(
@@ -192,7 +192,7 @@ class TestUpdateAxis:
         s = activation_pattern(net, [1.0])
         pinv = _build_incremental(net, s, [0])
         s2 = flip(s, 0)
-        upd = update_axis_new_region(pinv, 0, net, s2)
+        upd = update_axis_new_region(pinv, 0, net, s2, oriented_normal(net, s2, 0))
         assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
 
 
@@ -242,7 +242,7 @@ class TestAgainstDenseRebuild:
         i = data.draw(st.sampled_from([k for k, c in enumerate(owners)
                                        if net.neuron_at(c)[0] == last]), label="flipped row")
         s2 = flip(s, owners[i])
-        moved = update_axis_new_region(pinv, i, net, s2)
+        moved = update_axis_new_region(pinv, i, net, s2, oriented_normal(net, s2, owners[i]))
         assert moved.owners == owners
         _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
 

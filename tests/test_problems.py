@@ -48,6 +48,17 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"topology must be \(input, hidden\.\.\., 1\)"):
             build_random((2, 3, 2))
 
+    def test_featureless_data(self):
+        # lasso and clad fit coefficients only; quantile still fits its intercept
+        data = RegressionData(np.zeros((3, 0)), np.array([1.0, -2.0, 4.0]))
+        for build, name in ((build_lasso, "lasso"), (build_clad, "clad")):
+            with pytest.raises(ValueError, match=f"^{name} needs at least one feature column"):
+                build(data)
+        net, pairs = build_quantile_lasso(data, alpha=0.5, lam=1.0)
+        out = drlsimplex(net, np.zeros(1), SolverOptions(seed=0), pairs)
+        assert out.status == LOCAL_MINIMUM
+        assert out.f == pytest.approx(quantile_loss(data, [1.0], alpha=0.5), abs=1e-12)
+
 
 class TestQuantileBuilder:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 1.0])

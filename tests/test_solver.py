@@ -46,7 +46,7 @@ from drlp import (
     gradient,
     initialize,
     lasso_loss,
-    oriented_normals,
+    oriented_normal,
     parabola_step,
     position_correction,
     quantile_loss,
@@ -99,11 +99,11 @@ class TestInitialize:
     def test_clean_start_is_untouched(self, net_hinge_gap):
         state = initialize(net_hinge_gap, [3.0, -2.0])
         assert_allclose(state.x, [3.0, -2.0])
-        assert critical_indices(net_hinge_gap, state.s, state.x) == []
+        assert critical_indices(net_hinge_gap, state.s, state.x)[0] == []
 
     def test_start_on_wall_gets_nudged(self, net_hinge_gap):
         state = initialize(net_hinge_gap, [1.0, 0.0])
-        assert critical_indices(net_hinge_gap, state.s, state.x) == []
+        assert critical_indices(net_hinge_gap, state.s, state.x)[0] == []
         assert np.linalg.norm(state.x - [1.0, 0.0]) < 1e-5
 
     def test_zero_network_needs_no_nudge(self):
@@ -363,7 +363,7 @@ _ABORTS = {
     "refresh_pseudoinverse": (drlp.solver, Degenerate, lambda state: list(state.pinv.owners)),
     # only exchange_axis's bend rebuild calls it, on the exchanged basis, all of whose owners
     # the pivot names
-    "update_axis_new_region": (drlp.primitives, Degenerate, lambda pinv, i, net, s: list(pinv.owners)),
+    "update_axis_new_region": (drlp.primitives, Degenerate, lambda pinv, i, net, s, u: list(pinv.owners)),
 }
 
 
@@ -456,7 +456,7 @@ def _probe(net, x, s, pinv, **options):
     """certify_local_min on a state pinned at x; returns (result, state)."""
     state = SolverState(net=net, x=np.asarray(x, dtype=float), s=s, pinv=pinv,
                         options=SolverOptions(**options))
-    return certify_local_min(state), state
+    return certify_local_min(state, state.gradient()), state
 
 
 class TestCertification:
@@ -540,10 +540,10 @@ def _vertices(net, x0, seed, pairs=PairGroups(), max_steps=10_000):
     """(outcome, [(x, s, pinv) at every certify_local_min call]) of one drlsimplex solve."""
     seen, real = [], drlp.solver.certify_local_min
 
-    def spy(state):
+    def spy(state, grad):
         seen.append((state.x.copy(), state.s.copy(),
                      PseudoInverse(state.pinv.matrix.copy(), list(state.pinv.owners))))
-        return real(state)
+        return real(state, grad)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "certify_local_min", spy)
@@ -579,7 +579,7 @@ class TestCrossingPrice:
                 for k, c in enumerate(pinv.owners):
                     # the old route: flip, rebuild the row, take the new gradient
                     s2 = flip(s, c)
-                    row = update_axis_new_region(pinv, k, folded, s2).matrix[k]
+                    row = update_axis_new_region(pinv, k, folded, s2, oriented_normal(folded, s2, c)).matrix[k]
                     old = (row @ gradient(folded, s2)) / np.linalg.norm(row)
                     k += pinv.m
                     assert abs(vals[k] - old) <= 1e-10 * (1.0 + np.linalg.norm(g)), (seed, c)
@@ -833,7 +833,7 @@ class TestQuadratic:
         y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
         net, pairs = build_clad(RegressionData(x, y))
         folded, kept = pairs.fold(net)
-        walls = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
+        walls, _ = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
         assert len(walls) == 60
         q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
         out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
@@ -889,9 +889,9 @@ def certified_corpus():
     """
     solves, seen = [], []
 
-    def certify_spy(state):
+    def certify_spy(state, grad):
         seen.append((state.s.copy(), list(state.pinv.owners)))
-        return certify_local_min(state)
+        return certify_local_min(state, grad)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "certify_local_min", certify_spy)
@@ -923,8 +923,7 @@ def _certificate_residual_at(net, q, pairs, x):
     """
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
-    active = critical_indices(folded, s, x)
-    normals = oriented_normals(folded, s, active)
+    active, normals = critical_indices(folded, s, x)
     norms = np.linalg.norm(normals, axis=1)
     units = kept[active].tolist()
     w, second = net.weights[-1][0], dict(zip(pairs.first.tolist(), pairs.second.tolist()))
@@ -983,7 +982,7 @@ class TestCrossingCertificate:
             assert len(records) == len(seen)
             for rec, (s, owners) in zip(records, seen):
                 x = np.array(rec.x)
-                active = critical_indices(net, s, x)
+                active, _ = critical_indices(net, s, x)
                 assert sorted(owners) == active       # the rows cover every active wall
                 g, m = q.grad(x) + gradient(net, s), len(active)
                 if not m:       # nothing to price: g vanished off every wall
