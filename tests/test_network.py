@@ -248,6 +248,28 @@ class TestSubjective:
                     atol=1e-9,
                 )
 
+    @pytest.mark.parametrize("topo", [(3, 6, 1), (3, 4, 3, 1), (4, 3, 5, 2, 1), (2, 3, 3, 3, 3, 1)])
+    def test_oriented_normals_match_one_by_one(self, topo):
+        # oriented rows of the forward sweep (what critical_indices and dense_pseudoinverse
+        # take) against the backward sweep of oriented_normal, unit by unit
+        rng = np.random.Generator(np.random.Philox(37))
+        for _ in range(5):
+            net = build_random(topo, seed=int(rng.integers(1 << 30)))
+            s = activation_pattern(net, rng.uniform(-2, 2, size=topo[0]))
+            rows = normal_matrices(net, s)
+            oriented = np.where(s[:, None] == 1, rows, -rows)
+            # the same sweep over |W| bounds the roundoff of both sweeps
+            scale = np.linalg.norm(
+                normal_matrices(ReluNetwork([np.abs(w) for w in net.weights], net.biases), s), axis=1)
+            everything = rng.permutation(net.num_neurons)     # layers mixed, both bits
+            for units in (everything, everything[:3], [net.num_neurons - 1, 0], []):
+                got = oriented[np.asarray(units, dtype=int)]
+                assert got.shape == (len(units), net.input_dim)
+                for row, c in zip(got, units):
+                    want = oriented_normal(net, s, int(c))
+                    assert np.linalg.norm(row - want) <= 1e-12 * scale[c]
+        assert set(s.tolist()) == {0, 1}
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=2, max_size=5), st.integers(0, 2**32 - 1),
            st.booleans(), st.data())
