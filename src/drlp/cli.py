@@ -64,7 +64,14 @@ def _parse_list(text, flag, kind):
 
 
 class _FlagError(Exception):
-    """A flag value rejected while parsing; main exits 1 on it, where argparse's own errors exit 2."""
+    """A usage error: a rejected flag value or any argparse error; main exits 1 on it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, subparsers included, whose usage errors raise _FlagError, not exit 2."""
+
+    def error(self, message):
+        raise _FlagError(f"{self.prog}: {message}")
 
 
 def _seed(text):
@@ -294,7 +301,7 @@ def cmd_check(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drlp",
         description="Minimize feed-forward ReLU networks over their input space.",
     )

@@ -8,12 +8,12 @@ the feasible edge directions leaving the current point inside its
 region, which is what makes the pivot step cheap.
 
 All update operations are O(m * input_dim) given the normals involved.
-A pivot is one basis exchange (exchange_axis): a partial backward sweep
-for the entering unit's oriented normal, and only when that unit bends a
-later owner one bias-free forward sweep (inner_products_all), with which
-update_axis_new_region rebuilds its row from the same normal.  add_axis
-takes one sweep of each kind.  remove_pseudorow needs no normal at all;
-the quadratic solver's working set releases walls with it.
+A pivot is one basis exchange (exchange_axis): one partial backward sweep
+for the entering unit's oriented normal.  When flipping that unit bends a
+later owner's wall, update_axis_new_region bends the entering row in
+closed form from the caller's crossing_terms bend column, with no sweep.
+add_axis takes one sweep of each kind.  remove_pseudorow needs no normal
+at all; the quadratic solver's working set releases walls with it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class DependentColumn(Exception):
 
 
 class Degenerate(Exception):
-    """An axis update hit a vanishing denominator; the vertex is not regular."""
+    """Tracked normals lost independence, or a row to remove is zero; the vertex is not regular."""
 
 
 @dataclass
@@ -129,13 +129,8 @@ def add_axis(
     return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
 
 
-def exchange_axis(
-    pinv: PseudoInverse,
-    i: int,
-    net: ReluNetwork,
-    s: np.ndarray,
-    c: int,
-) -> PseudoInverse:
+def exchange_axis(pinv: PseudoInverse, i: int, net: ReluNetwork, s: np.ndarray, c: int,
+                  bend: np.ndarray) -> PseudoInverse:
     """Replace owner i by unit c: one rank-one basis exchange, as in a simplex pivot.
 
     s is the pattern after the pivot flipped c's bit; pinv tracks its
@@ -147,8 +142,9 @@ def exchange_axis(
     |beta_i| / |P_i| is the distance of u from the span of the other
     normals, the quantity add_axis tests: raises DependentColumn when it is
     within DEP_TOL of |u|.  Flipping c bends the walls of owners in later
-    layers, which only c's row sees; update_axis_new_region then rebuilds
-    that row and may raise Degenerate.
+    layers, which only c's row sees: bend is crossing_terms' bend column of
+    c under s, over the new owners (the staying ones, then c), and where it
+    is nonzero update_axis_new_region bends c's row.
     """
     u = oriented_normal(net, s, c)
     beta = pinv.matrix @ u
@@ -157,11 +153,8 @@ def exchange_axis(
         raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
     new_row = row / beta[i]
     others = np.delete(pinv.matrix, i, axis=0) - np.outer(np.delete(beta, i), new_row)
-    owners = pinv.owners[:i] + pinv.owners[i + 1:]
-    out = PseudoInverse(np.vstack([others, new_row]), owners + [c])
-    if max(owners, default=-1) >= net.offsets[net.neuron_at(c)[0]]:
-        out = update_axis_new_region(out, len(owners), net, s, u)
-    return out
+    out = PseudoInverse(np.vstack([others, new_row]), pinv.owners[:i] + pinv.owners[i + 1:] + [c])
+    return update_axis_new_region(out, out.m - 1, bend) if bend.any() else out
 
 
 def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInverse:
@@ -181,28 +174,18 @@ def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInvers
     return PseudoInverse(vt.T @ ((1.0 / sv)[:, None] * u.T), list(owners))
 
 
-def update_axis_new_region(
-    pinv: PseudoInverse,
-    i: int,
-    net: ReluNetwork,
-    s: np.ndarray,
-    u: np.ndarray,
-) -> PseudoInverse:
-    """Recompute row i from u, its owner's oriented normal after the owner's bit flipped.
+def update_axis_new_region(pinv: PseudoInverse, i: int, bend: np.ndarray) -> PseudoInverse:
+    """Bend row i after its owner c's bit flipped: row i becomes P_i - bend @ P.
 
-    Flipping one unit leaves every other tracked axis unchanged, so only
-    row i needs work.  u and all inner products are taken under the new
-    pattern s.  Raises Degenerate on a vanishing denominator.
+    Row i must already be biorthogonal to c's oriented normal u under the
+    new pattern.  The flip bends each owner j's normal by bend[j] u, where
+    bend[j] = sigma_j d arg_j / d out_c is c's column of crossing_terms'
+    bend under the new pattern (bend[i] = 0).  The bent columns are
+    A (I + e_i bend'), whose inverse I - e_i bend' changes row i alone;
+    its determinant is 1, so the bent basis is as independent as A.
     """
-    c = pinv.owners[i]
-    g = inner_products_all(net, s, u)[pinv.owners]
-    w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
-    denom = float(w @ u)
-    uu = float(u @ u)
-    if uu == 0.0 or abs(denom) <= DEP_TOL * uu:
-        raise Degenerate(f"axis update for unit {c} is degenerate")
     matrix = pinv.matrix.copy()
-    matrix[i] = w / denom
+    matrix[i] -= bend @ pinv.matrix
     return PseudoInverse(matrix, list(pinv.owners))
 
 

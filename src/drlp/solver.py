@@ -326,20 +326,21 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     return out
 
 
-def certify_local_min(state: SolverState, grad: np.ndarray):
+def certify_local_min(state: SolverState, grad: np.ndarray, terms):
     """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
-    Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from grad, the
-    caller's state.gradient() at x under state.s.  A descending crossing of owner i is
-    taken at once: its bit flips and row i becomes the crossing row, one step, then one
-    ``flip`` record carrying the edge's alpha.  No descending edge ends LocalMinimum, with
-    no owner x is certified as is, and StepLimit is checked before pricing and after a flip.
+    Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from the caller's
+    grad = state.gradient() at x and terms = crossing_terms(net, state.s, state.pinv.owners).
+    A descending crossing of owner i is taken at once: its bit flips and row i becomes the
+    crossing row, one step, then one ``flip`` record carrying the edge's alpha.  No descending
+    edge ends LocalMinimum, with no owner x is certified as is; StepLimit is checked before
+    pricing and after a flip.
     """
-    net, opts, alpha = state.net, state.options, None
+    opts, alpha = state.options, None
     if state.steps >= opts.max_steps:
         return state.finish(STEP_LIMIT)
     if m := state.pinv.m:
-        row, alpha, i = choose_axis(state.pinv, grad, *crossing_terms(net, state.s, state.pinv.owners))
+        row, alpha, i = choose_axis(state.pinv, grad, *terms)
         descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
         if alpha < -descent_tol:
             if i >= m:
@@ -357,8 +358,9 @@ def certify_local_min(state: SolverState, grad: np.ndarray):
 
 def _pivot_loop(state: SolverState) -> SolveOutcome:
     net = state.net
+    terms = crossing_terms(net, state.s, state.pinv.owners)
     while True:
-        if isinstance(edge := certify_local_min(state, state.gradient()), SolveOutcome):
+        if isinstance(edge := certify_local_min(state, state.gradient(), terms), SolveOutcome):
             return edge
         row, alpha, i, descent_tol = edge
         owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
@@ -385,16 +387,18 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
             state.emit("resync", neuron=res.neuron, t=res.t)
             position_correction(state)
+            terms = crossing_terms(net, state.s, state.pinv.owners)
             continue
         state.x = state.x + res.t * v
         c = res.neuron
         state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
-        # crossed units sit in the last hidden layer and are not owners,
-        # so their bits enter neither c's normal nor any tracked one
+        # crossed units sit in the last hidden layer and are not owners, so their bits
+        # enter neither c's normal nor any tracked one; terms price the next vertex too
         state.s = flip(state.s, np.append(res.crossed, c))
+        terms = crossing_terms(net, state.s, others + [c])
         try:
-            state.pinv = exchange_axis(state.pinv, i, net, state.s, c)
-        except (DependentColumn, Degenerate):
+            state.pinv = exchange_axis(state.pinv, i, net, state.s, c, terms[1][:, -1])
+        except DependentColumn:
             return state.finish(NON_REGULAR, neurons=others + [c])
         try:
             resid = position_correction(state)
@@ -588,7 +592,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                         options=opts, objective=q, kept=kept)
     ws = _WorkingSet(net.input_dim, hess := q.quad + q.quad.T)
     out = None
-    while out is None:
+    while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
@@ -618,6 +622,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             ws.sync(active, normals / norms[:, None])
             pos, ws.pinv.owners = ws.pinv.owners, [active[j] for j in ws.pinv.owners]
             state.pinv = PseudoInverse(ws.pinv.matrix / norms[pos, None], list(ws.pinv.owners))
-            out = edge if isinstance(edge := certify_local_min(state, g), SolveOutcome) else None
+            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

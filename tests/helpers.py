@@ -12,20 +12,25 @@ import numpy as np
 
 from drlp import (
     ZERO_TOL,
+    Degenerate,
     PairGroups,
+    PseudoInverse,
     ReluNetwork,
     add_axis,
     build_clad,
     build_random,
     critical_indices,
+    crossing_terms,
     evaluate,
     flip,
+    inner_products_all,
     oriented_normal,
     relu_arguments,
     remove_pseudorow,
     subjective_arguments,
     update_axis_new_region,
 )
+from drlp.primitives import DEP_TOL
 
 
 def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):
@@ -162,16 +167,49 @@ def brute_pseudoinverse(net, s, owners):
     return np.linalg.pinv(normals_matrix(net, s, owners), rcond=1e-13)
 
 
-def pivot_update_reference(pinv, i, net, s, c):
+def sweep_row_rebuild(pinv, i, net, s, u):
+    """Row i rebuilt from u, its owner's oriented normal after the owner's bit flipped.
+
+    The dense route to what update_axis_new_region does in closed form:
+    one full sweep takes the inner products of u with every owner's normal
+    under s, and row i becomes the part of u off the other owners' span,
+    scaled to <row, u> = 1.  Raises Degenerate on a vanishing denominator.
+    """
+    c = pinv.owners[i]
+    g = inner_products_all(net, s, u)[pinv.owners]
+    w = u - (pinv.matrix.T @ g - g[i] * pinv.matrix[i])
+    denom = float(w @ u)
+    uu = float(u @ u)
+    if uu == 0.0 or abs(denom) <= DEP_TOL * uu:
+        raise Degenerate(f"axis update for unit {c} is degenerate")
+    matrix = pinv.matrix.copy()
+    matrix[i] = w / denom
+    return PseudoInverse(matrix, list(pinv.owners))
+
+
+def owner_flip_updates(pinv, i, net, s):
+    """[closed form, sweep rebuild]: owner i's row update under s, its bit already flipped there.
+
+    The closed form negates row i and bends it by the owner's column of
+    crossing_terms (update_axis_new_region); sweep_row_rebuild rebuilds it
+    from the owner's normal under s.
+    """
+    negated = PseudoInverse(pinv.matrix.copy(), list(pinv.owners))
+    negated.matrix[i] *= -1.0       # biorthogonal to the owner's negated normal
+    return [update_axis_new_region(negated, i, crossing_terms(net, s, pinv.owners)[1][:, i]),
+            sweep_row_rebuild(pinv, i, net, s, oriented_normal(net, s, pinv.owners[i]))]
+
+
+def pivot_update_reference(pinv, i, net, s, c, bend=None):
     """A pivot's pseudoinverse update as three primitives, for exchange_axis to match.
 
-    Takes exchange_axis's arguments.  Drops row i, adds unit c's normal
-    under the pattern before the pivot (s with c's bit flipped back), then
-    rebuilds c's row under s from c's normal under s, the way the pivot
-    worked before the rank-one exchange; this costs two full sweeps more.
+    Takes exchange_axis's arguments and ignores bend.  Drops row i, adds
+    unit c's normal under the pattern before the pivot (s with c's bit
+    flipped back), then rebuilds c's row under s from c's normal under s
+    with sweep_row_rebuild; this costs two full sweeps more.
     """
     grown = add_axis(remove_pseudorow(pinv, i), net, flip(s, c), c)
-    return update_axis_new_region(grown, grown.m - 1, net, s, oriented_normal(net, s, c))
+    return sweep_row_rebuild(grown, grown.m - 1, net, s, oriented_normal(net, s, c))
 
 
 def ac5_runs():

@@ -30,7 +30,9 @@ To compare with another checkout in one command, pass its ``src``:
 
 The same families then run in a child process with ``PYTHONPATH=OTHER/src``
 while this one digests the current tree, and each line ends in ``same`` when
-the two digests are equal and ``moved`` when they differ.
+the two digests are equal and ``moved`` when they differ.  Under a moved
+line the other tree's line follows, ending in its ``src``, so the two
+count lines show whether steps or f moved or only the bits.
 
 Digests depend on the numpy/BLAS build, so this is a tool for comparing
 two trees on one machine, not a test; pytest does not collect it.
@@ -267,7 +269,10 @@ def main(argv):
     theirs = theirs.splitlines()
     print(f"{ours[0]}; against {other}")
     for line, other_line in zip(ours[1:], theirs[1:]):
-        print(f"{line}  {'same' if line.split()[:2] == other_line.split()[:2] else 'moved'}")
+        same = line.split()[:2] == other_line.split()[:2]
+        print(f"{line}  {'same' if same else 'moved'}")
+        if not same:
+            print(f"{other_line}  ({other})")
     return 0
 
 

@@ -37,7 +37,6 @@ from drlp import (
     relu_arguments,
     solve_quadratic,
     subjective_arguments,
-    update_axis_new_region,
 )
 from helpers import (
     ac5_runs,
@@ -46,6 +45,7 @@ from helpers import (
     hyperplane_pattern,
     is_compatible,
     lad_enumerate,
+    owner_flip_updates,
     probe_min,
     subjective_value,
 )
@@ -69,17 +69,16 @@ def test_ac01_axis_updates_at_shared_vertex():
     t0 = time.perf_counter()
     net = _hinge_gap()
     s = np.ones(3, dtype=np.uint8)
-    pinv = PseudoInverse.empty(2)
-    pinv = add_axis(pinv, net, s, 1)
-    pinv = add_axis(pinv, net, s, 2)
-    devs = [np.max(np.abs(pinv.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
+    vertex = add_axis(add_axis(PseudoInverse.empty(2), net, s, 1), net, s, 2)
+    devs = [np.max(np.abs(vertex.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
 
-    s = flip(s, 1)
-    pinv = update_axis_new_region(pinv, 0, net, s, oriented_normal(net, s, 1))
-    devs.append(np.max(np.abs(pinv.matrix[0] - np.array([0.0, -1.0]))))
-    s = flip(s, 2)
-    pinv = update_axis_new_region(pinv, 1, net, s, oriented_normal(net, s, 2))
-    devs.append(np.max(np.abs(pinv.matrix[1] - np.array([-1.0, 0.0]))))
+    for route in (0, 1):    # the closed form, then the sweep rebuild
+        s1 = flip(s, 1)
+        pinv = owner_flip_updates(vertex, 0, net, s1)[route]
+        devs.append(np.max(np.abs(pinv.matrix[0] - np.array([0.0, -1.0]))))
+        s2 = flip(s1, 2)
+        pinv = owner_flip_updates(pinv, 1, net, s2)[route]
+        devs.append(np.max(np.abs(pinv.matrix[1] - np.array([-1.0, 0.0]))))
 
     elapsed = time.perf_counter() - t0
     worst = max(devs)
@@ -183,7 +182,7 @@ def test_ac04_incremental_updates_match_dense_rebuilds():
         for k, c in enumerate(owners):
             s2 = flip(s, c)
             try:
-                upd = update_axis_new_region(pinv, k, net, s2, oriented_normal(net, s2, c))
+                upds = owner_flip_updates(pinv, k, net, s2)
             except Exception:
                 continue
             cols2 = np.stack(
@@ -192,9 +191,9 @@ def test_ac04_incremental_updates_match_dense_rebuilds():
             if np.linalg.cond(cols2) > 1e6:
                 continue
             dense = np.linalg.pinv(cols2, rcond=1e-13)
-            num = np.linalg.norm(upd.matrix - dense)
             den = 1.0 + np.linalg.norm(dense)
-            worst_update = max(worst_update, num / den)
+            for upd in upds:
+                worst_update = max(worst_update, np.linalg.norm(upd.matrix - dense) / den)
             flips += 1
     elapsed = time.perf_counter() - t0
     _report(

@@ -306,12 +306,22 @@ class TestParseErrors:
         (["random-net", "--topology", "2,3,1", "--seed", "-1", "--out", "OUT"],
          "--seed must be a nonnegative integer, got -1"),
         (["regions", "--model", "MODEL", "--seed=-3"], "--seed must be a nonnegative integer, got -3"),
+        (["solve", "--model", "MODEL", "--max-steps", "abc"],
+         "drlp solve: argument --max-steps: invalid int value: 'abc'"),
+        (["solve"], "drlp solve: the following arguments are required: --model"),
+        ([], "drlp: the following arguments are required: command"),
     ])
     def test_bad_value_names_its_flag(self, capsys, hinge_model, tiny_csv, tmp_path, argv, message):
         paths = {"MODEL": hinge_model, "CSV": tiny_csv[0], "OUT": str(tmp_path / "net.json")}
         code, stdout, stderr = _run(capsys, [paths.get(a, a) for a in argv])
         assert code == 1 and stdout == ""
         assert stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage: drlp" in capsys.readouterr().out
 
 
 def _non_regular_first(monkeypatch):

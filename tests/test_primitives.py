@@ -19,6 +19,7 @@ from drlp import (
     build_l1_first_layer,
     build_quantile_lasso,
     build_random,
+    crossing_terms,
     dense_pseudoinverse,
     evaluate,
     exchange_axis,
@@ -36,6 +37,7 @@ from helpers import (
     brute_pseudoinverse,
     first_layer_wrapper,
     normals_matrix,
+    owner_flip_updates,
     pivot_update_reference,
 )
 
@@ -120,12 +122,13 @@ class TestAddRemove:
         net = first_layer_wrapper([[1.0, 0.0], [0.0, scale], [1.0, tilt]])
         s = _all_ones_pattern(net)
         pinv, s2 = _build_incremental(net, s, [0, 1]), flip(s, 2)
+        bend = crossing_terms(net, s2, [0, 2])[1][:, -1]
         if tilt < DEP_TOL:
             for update in (exchange_axis, pivot_update_reference):
                 with pytest.raises(DependentColumn):
-                    update(pinv, 1, net, s2, 2)
+                    update(pinv, 1, net, s2, 2, bend)
         else:
-            got = exchange_axis(pinv, 1, net, s2, 2)
+            got = exchange_axis(pinv, 1, net, s2, 2, bend)
             assert got.owners == [0, 2]
             assert_allclose(got.matrix, pivot_update_reference(pinv, 1, net, s2, 2).matrix, rtol=1e-9)
 
@@ -166,10 +169,10 @@ class TestUpdateAxis:
             pinv = _build_incremental(net, s, owners)
             for i, c in enumerate(owners):
                 s2 = flip(s, c)
-                got = update_axis_new_region(pinv, i, net, s2, oriented_normal(net, s2, c))
-                assert_allclose(
-                    got.matrix, brute_pseudoinverse(net, s2, owners), atol=1e-8
-                )
+                for got in owner_flip_updates(pinv, i, net, s2):
+                    assert_allclose(
+                        got.matrix, brute_pseudoinverse(net, s2, owners), atol=1e-8
+                    )
 
     def test_multilayer_downstream_columns_stay_biorthogonal(self, net_hinge_gap):
         # s carries unit (1,2) active even though its argument is 0 at (1, 0)
@@ -178,22 +181,22 @@ class TestUpdateAxis:
         pinv = _build_incremental(net, s, [1, 2])
         assert_allclose(pinv.matrix, [[1.0, 1.0], [1.0, 0.0]], atol=1e-12)
         s2 = flip(s, 1)
-        upd = update_axis_new_region(pinv, 0, net, s2, oriented_normal(net, s2, 1))
-        assert_allclose(upd.matrix[0], [0.0, -1.0], atol=1e-12)
-        # flipping (1,2) also changed the normal of (2,1); row 1 must still work
-        assert_allclose(
-            upd.matrix @ normals_matrix(net, s2, [1, 2]),
-            np.eye(2),
-            atol=1e-12,
-        )
+        for upd in owner_flip_updates(pinv, 0, net, s2):
+            assert_allclose(upd.matrix[0], [0.0, -1.0], atol=1e-12)
+            # flipping (1,2) also changed the normal of (2,1); row 1 must still work
+            assert_allclose(
+                upd.matrix @ normals_matrix(net, s2, [1, 2]),
+                np.eye(2),
+                atol=1e-12,
+            )
 
     def test_single_wall_sign_flip(self, net_split_line):
         net = net_split_line
         s = activation_pattern(net, [1.0])
         pinv = _build_incremental(net, s, [0])
         s2 = flip(s, 0)
-        upd = update_axis_new_region(pinv, 0, net, s2, oriented_normal(net, s2, 0))
-        assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
+        for upd in owner_flip_updates(pinv, 0, net, s2):
+            assert_allclose(upd.matrix, [[-1.0]], atol=1e-12)
 
 
 @st.composite
@@ -237,12 +240,12 @@ class TestAgainstDenseRebuild:
         assert kept.owners == rest
         _assert_rel_close(kept.matrix, dense_pseudoinverse(net, s, rest).matrix)
 
-        # flipping an owner with no owner behind it changes only its own normal
-        last = max(net.neuron_at(c)[0] for c in owners)
-        i = data.draw(st.sampled_from([k for k, c in enumerate(owners)
-                                       if net.neuron_at(c)[0] == last]), label="flipped row")
+        # flipping any owner negates its normal and bends the owners behind it
+        i = data.draw(st.integers(0, len(owners) - 1), label="flipped row")
         s2 = flip(s, owners[i])
-        moved = update_axis_new_region(pinv, i, net, s2, oriented_normal(net, s2, owners[i]))
+        negated = PseudoInverse(pinv.matrix.copy(), list(owners))
+        negated.matrix[i] *= -1.0
+        moved = update_axis_new_region(negated, i, crossing_terms(net, s2, owners)[1][:, i])
         assert moved.owners == owners
         _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
 
@@ -262,19 +265,20 @@ class TestAgainstDenseRebuild:
         nu = np.linalg.norm(u)
         assume(nu == 0.0 or abs(gap - DEP_TOL * nu) > 1e-3 * DEP_TOL * nu)
         s2 = flip(s, c)
+        rest = owners[:i] + owners[i + 1:] + [c]
+        bend = crossing_terms(net, s2, rest)[1][:, -1]
         try:
             pivot_update_reference(pinv, i, net, s2, c)
         except DependentColumn:
             with pytest.raises(DependentColumn):
-                exchange_axis(pinv, i, net, s2, c)
+                exchange_axis(pinv, i, net, s2, c, bend)
             return
         except Degenerate:
             pass        # the bent walls are dependent, so the check below skips them
-        rest = owners[:i] + owners[i + 1:] + [c]
         sv = np.linalg.svd(normals_matrix(net, s2, rest), compute_uv=False)
         if sv[-1] <= 1e-2 * sv[0]:
             return      # an ill-conditioned rebuild is no oracle at 1e-8
-        got = exchange_axis(pinv, i, net, s2, c)
+        got = exchange_axis(pinv, i, net, s2, c, bend)
         assert got.owners == rest
         _assert_rel_close(got.matrix, dense_pseudoinverse(net, s2, rest).matrix)
 

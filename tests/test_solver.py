@@ -57,7 +57,6 @@ from drlp import (
     SolverOptions,
     SolverState,
     dense_pseudoinverse,
-    update_axis_new_region,
 )
 from helpers import (
     ac5_runs,
@@ -69,6 +68,7 @@ from helpers import (
     probe_min,
     quantile_linprog,
     segment_parabola,
+    sweep_row_rebuild,
 )
 
 
@@ -361,19 +361,15 @@ class TestResync:
 _ABORTS = {
     "add_axis": (drlp.solver, DependentColumn, lambda pinv, net, s, c: list(pinv.owners) + [c]),
     "refresh_pseudoinverse": (drlp.solver, Degenerate, lambda state: list(state.pinv.owners)),
-    # only exchange_axis's bend rebuild calls it, on the exchanged basis, all of whose owners
-    # the pivot names
-    "update_axis_new_region": (drlp.primitives, Degenerate, lambda pinv, i, net, s, u: list(pinv.owners)),
 }
 
 
 class TestAborts:
     @pytest.mark.parametrize("name", list(_ABORTS))
     def test_abort_names_units_of_the_paired_net(self, name, monkeypatch):
-        # find_vertex adds axes, a drifted pivot rebuilds (forced by a zero
-        # tolerance) and a pivot onto a first-layer wall rebuilds its bent row;
-        # each exit must report the failing units under the caller's
-        # numbering, not the folded one
+        # find_vertex adds axes and a drifted pivot rebuilds (forced by a zero
+        # tolerance); each exit must report the failing units under the
+        # caller's numbering, not the folded one
         module, exc, named = _ABORTS[name]
         culprits = []
 
@@ -428,12 +424,12 @@ class TestPivotUpdate:
         bends = []
         real = drlp.solver.exchange_axis
 
-        def checked(pinv, i, net, s, c):
-            got, ref = real(pinv, i, net, s, c), pivot_update_reference(pinv, i, net, s, c)
+        def checked(pinv, i, net, s, c, bend):
+            got, ref = real(pinv, i, net, s, c, bend), pivot_update_reference(pinv, i, net, s, c)
             assert got.owners == ref.owners
             assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-10 * np.max(np.abs(ref.matrix))
-            # an owner in a later layer than c: flipping c bent its wall
-            bends.append(max(got.owners[:-1], default=-1) >= net.offsets[net.neuron_at(c)[0]])
+            # flipping c bent the wall of an owner behind it
+            bends.append(bend.any())
             return got
 
         monkeypatch.setattr(drlp.solver, "exchange_axis", checked)
@@ -446,6 +442,34 @@ class TestPivotUpdate:
         assert _solve_ac5() == want
         assert {status for status, _ in want} == {LOCAL_MINIMUM, UNBOUNDED}
 
+    def test_one_crossing_terms_per_vertex_and_no_sweep_in_the_exchange(self, monkeypatch):
+        # the crossing_terms a pivot takes its bend column from prices the next vertex,
+        # so the exchange makes no full sweep of its own
+        calls, inside = Counter(), Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                calls[name, "in exchange_axis"] += inside["exchange_axis"]
+                inside[name] += 1
+                try:
+                    return real(*args)
+                finally:
+                    inside[name] -= 1
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module, name in ((drlp.solver, "crossing_terms"), (drlp.solver, "certify_local_min"),
+                             (drlp.solver, "exchange_axis"), (drlp.primitives, "inner_products_all")):
+            spy(module, name)
+        _solve_ac5()
+        _train_l1(50, 1)
+        assert calls["exchange_axis"] > 300 and calls["inner_products_all"] > 0
+        assert calls["crossing_terms"] == calls["certify_local_min"]
+        assert calls["inner_products_all", "in exchange_axis"] == 0
+
     def test_dependent_stop_wall_names_the_remaining_owners_and_the_wall(self):
         out = drlp.solver._pivot_loop(_parallel_stop_vertex())
         assert [(rec.phase, rec.neuron, rec.t) for rec in out.trace] == [("pivot", 2, 1.0)]
@@ -456,7 +480,7 @@ def _probe(net, x, s, pinv, **options):
     """certify_local_min on a state pinned at x; returns (result, state)."""
     state = SolverState(net=net, x=np.asarray(x, dtype=float), s=s, pinv=pinv,
                         options=SolverOptions(**options))
-    return certify_local_min(state, state.gradient()), state
+    return certify_local_min(state, state.gradient(), crossing_terms(net, s, pinv.owners)), state
 
 
 class TestCertification:
@@ -540,10 +564,10 @@ def _vertices(net, x0, seed, pairs=PairGroups(), max_steps=10_000):
     """(outcome, [(x, s, pinv) at every certify_local_min call]) of one drlsimplex solve."""
     seen, real = [], drlp.solver.certify_local_min
 
-    def spy(state, grad):
+    def spy(state, grad, terms):
         seen.append((state.x.copy(), state.s.copy(),
                      PseudoInverse(state.pinv.matrix.copy(), list(state.pinv.owners))))
-        return real(state, grad)
+        return real(state, grad, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "certify_local_min", spy)
@@ -579,7 +603,7 @@ class TestCrossingPrice:
                 for k, c in enumerate(pinv.owners):
                     # the old route: flip, rebuild the row, take the new gradient
                     s2 = flip(s, c)
-                    row = update_axis_new_region(pinv, k, folded, s2, oriented_normal(folded, s2, c)).matrix[k]
+                    row = sweep_row_rebuild(pinv, k, folded, s2, oriented_normal(folded, s2, c)).matrix[k]
                     old = (row @ gradient(folded, s2)) / np.linalg.norm(row)
                     k += pinv.m
                     assert abs(vals[k] - old) <= 1e-10 * (1.0 + np.linalg.norm(g)), (seed, c)
@@ -889,9 +913,9 @@ def certified_corpus():
     """
     solves, seen = [], []
 
-    def certify_spy(state, grad):
+    def certify_spy(state, grad, terms):
         seen.append((state.s.copy(), list(state.pinv.owners)))
-        return certify_local_min(state, grad)
+        return certify_local_min(state, grad, terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "certify_local_min", certify_spy)
