@@ -277,9 +277,9 @@ def cmd_check(args):
     x = _start_point(net, _parse_list(args.x, "--x", float), "--x")
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
-    crit, _ = critical_indices(folded, s, x)
+    crit, normals = critical_indices(folded, s, x)
     try:
-        pinv = dense_pseudoinverse(folded, s, crit)
+        pinv = dense_pseudoinverse(normals, crit)
     except Degenerate:
         print(json.dumps({"certified": False, "reason": "dependent active walls",
                           "neurons": [list(net.neuron_at(c)) for c in kept[crit].tolist()]}))
@@ -288,7 +288,7 @@ def cmd_check(args):
     tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
     vals = axis_derivatives(pinv, grad, *crossing_terms(folded, s, crit))[1].reshape(2, -1)
     # with fewer walls than dimensions, moving off their span must not descend either
-    free = np.linalg.norm(grad - project(pinv, folded, s, grad))
+    free = np.linalg.norm(grad - project(pinv, grad))
     ok = bool((pinv.m == folded.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
     # one axes entry per active wall: its bit at x and the derivatives along its two edges,
     # inside x's region and across the wall

@@ -1,23 +1,21 @@
-"""Incremental pseudoinverse maintenance and the region line search.
+"""The biorthogonal basis of both solvers, and the region line search.
 
-The pivoting solver tracks a set of constraint hyperplanes (one per
-"owner" unit) through the rows of a left pseudoinverse of the matrix
-whose columns are the owners' oriented normals.  Row k is biorthogonal
-to the columns: <row_k, normal_of_owner_m> = delta_km.  Rows double as
-the feasible edge directions leaving the current point inside its
-region, which is what makes the pivot step cheap.
+A basis tracks constraint hyperplanes, one per "owner" unit: the owners'
+oriented normals as the rows of A, and rows P with P A' = I.  Rows of P
+double as the feasible edge directions leaving the current point inside
+its region, which is what makes the pivot step cheap.
 
-All update operations are O(m * input_dim) given the normals involved.
-A pivot is one basis exchange (exchange_axis): one partial backward sweep
-for the entering unit's oriented normal.  When flipping that unit bends a
-later owner's wall, update_axis_new_region bends the entering row in
-closed form from the caller's crossing_terms bend column, with no sweep.
-add_axis takes one sweep of each kind.  remove_pseudorow needs no normal
-at all; the quadratic solver's working set releases walls with it.
+Each basis update is O(m * input_dim) on normals the caller passes, and
+none sweeps the network: project is P'(A v), add_axis and
+remove_pseudorow hold and release a wall, a pivot is one rank-one
+exchange (exchange_axis), and update_axis_new_region bends the walls a
+flip bends, from the caller's crossing_terms.  Only advance_max and
+argument_residuals read the network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +25,6 @@ from .network import (
     ReluNetwork,
     _crossing_gains,
     inner_products_all,
-    normal_matrices,
-    oriented_normal,
     subjective_arguments,
 )
 
@@ -46,19 +42,19 @@ class Degenerate(Exception):
 
 @dataclass
 class PseudoInverse:
-    """Rows biorthogonal to the oriented normals of the owner units.
+    """Rows P biorthogonal to the owners' oriented normals A: P A' = I.
 
-    matrix has one row per owner; matrix @ A = identity, where A stacks
-    the owners' oriented normals as columns.  The columns themselves are
-    never stored; they are recomputed from (net, s, owner) on demand.
+    Row k of normals is owner k's oriented normal, and row k of matrix is
+    biorthogonal to it.  Every update changes both together.
     """
 
-    matrix: np.ndarray            # (m, input_dim)
+    matrix: np.ndarray            # P, (m, input_dim)
+    normals: np.ndarray           # A, (m, input_dim)
     owners: list                  # m flat unit indices
 
     @classmethod
     def empty(cls, input_dim: int) -> "PseudoInverse":
-        return cls(np.zeros((0, input_dim)), [])
+        return cls(np.zeros((0, input_dim)), np.zeros((0, input_dim)), [])
 
     @property
     def m(self) -> int:
@@ -84,109 +80,92 @@ class AdvanceResult:
         return self.neuron is not None
 
 
-def project(pinv: PseudoInverse, net: ReluNetwork, s: np.ndarray, v) -> np.ndarray:
-    """Component of v inside the span of the tracked oriented normals."""
-    v = np.asarray(v, dtype=np.float64)
-    if pinv.m == 0:
-        return np.zeros_like(v)
-    return pinv.matrix.T @ inner_products_all(net, s, v)[pinv.owners]
+def project(pinv: PseudoInverse, v) -> np.ndarray:
+    """Component of v inside the span of the tracked normals, P'(A v)."""
+    return pinv.matrix.T @ (pinv.normals @ v)
 
 
 def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
-    """Drop row i and its owner, restoring the pseudoinverse of the rest."""
+    """Drop row i, its normal and its owner, restoring the pseudoinverse of the rest."""
     ai = pinv.matrix[i]
-    nrm2 = float(ai @ ai)
-    if nrm2 == 0.0:
+    if not (nrm2 := float(ai @ ai)):
         raise Degenerate("cannot remove a zero row")
     others = np.delete(pinv.matrix, i, axis=0)
-    coef = (others @ ai) / nrm2
-    owners = list(pinv.owners)
-    del owners[i]
-    return PseudoInverse(others - np.outer(coef, ai), owners)
+    return PseudoInverse(others - np.outer(others @ ai / nrm2, ai), np.delete(pinv.normals, i, axis=0),
+                         pinv.owners[:i] + pinv.owners[i + 1:])
 
 
-def add_axis(
-    pinv: PseudoInverse,
-    net: ReluNetwork,
-    s: np.ndarray,
-    c: int,
-) -> PseudoInverse:
-    """Track unit c's hyperplane: add its oriented normal u as a new column.
+def add_axis(pinv: PseudoInverse, u: np.ndarray, c: int) -> PseudoInverse:
+    """Track unit c's hyperplane: add its oriented normal u as a new row of A.
 
     Raises DependentColumn when u lies within DEP_TOL (relative) of the
-    span of the current columns.
+    span of the tracked normals.
     """
-    u = oriented_normal(net, s, c)
-    w_perp = u - project(pinv, net, s, u)
-    nu = np.linalg.norm(u)
-    if nu == 0.0 or np.linalg.norm(w_perp) <= DEP_TOL * nu:
+    w_perp = u - project(pinv, u)
+    w_perp -= project(pinv, w_perp)     # a second pass, as in Gram-Schmidt
+    nu = math.sqrt(u @ u)
+    if nu == 0.0 or math.sqrt(w_perp @ w_perp) <= DEP_TOL * nu:
         raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
     new_row = w_perp / float(w_perp @ u)
-    if pinv.m == 0:
-        return PseudoInverse(new_row[None, :], [c])
-    # existing rows must become orthogonal to the new column
+    # existing rows must become orthogonal to the new normal
     shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
-    return PseudoInverse(np.vstack([shifted, new_row]), list(pinv.owners) + [c])
+    return PseudoInverse(np.vstack([shifted, new_row]), np.vstack([pinv.normals, u]),
+                         pinv.owners + [c])
 
 
-def exchange_axis(pinv: PseudoInverse, i: int, net: ReluNetwork, s: np.ndarray, c: int,
+def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
                   bend: np.ndarray) -> PseudoInverse:
     """Replace owner i by unit c: one rank-one basis exchange, as in a simplex pivot.
 
-    s is the pattern after the pivot flipped c's bit; pinv tracks its
-    owners under s with c's bit flipped back.  u is c's oriented normal
-    under s and beta = P u, with pivot element beta_i.  Row i becomes c's
-    row P_i / beta_i and moves last, after c's owner; every other row k
-    becomes P_k - beta_k P_i / beta_i, which keeps it biorthogonal to its
-    own column and makes it orthogonal to u.  With input_dim owners,
-    |beta_i| / |P_i| is the distance of u from the span of the other
-    normals, the quantity add_axis tests: raises DependentColumn when it is
-    within DEP_TOL of |u|.  Flipping c bends the walls of owners in later
-    layers, which only c's row sees: bend is crossing_terms' bend column of
-    c under s, over the new owners (the staying ones, then c), and where it
-    is nonzero update_axis_new_region bends c's row.
+    pinv tracks its owners before the pivot flipped c's bit; u is c's
+    oriented normal after it, and beta = P u.  Row i becomes c's row
+    P_i / beta_i and moves last, with u and c; every other row k becomes
+    P_k - beta_k P_i / beta_i.  |beta_i| / |P_i| is u's distance from the
+    other normals' span, as add_axis tests: raises DependentColumn when it
+    is within DEP_TOL of |u|.  Flipping c bends later owners' walls: bend
+    is c's crossing_terms bend column after the pivot, over the new owners
+    (the staying ones, then c), applied by update_axis_new_region.
     """
-    u = oriented_normal(net, s, c)
     beta = pinv.matrix @ u
-    row = pinv.matrix[i]
-    if abs(beta[i]) <= DEP_TOL * np.linalg.norm(u) * np.linalg.norm(row):
+    if abs(beta[i]) <= DEP_TOL * math.sqrt(u @ u) * math.sqrt(pinv.matrix[i] @ pinv.matrix[i]):
         raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
-    new_row = row / beta[i]
-    others = np.delete(pinv.matrix, i, axis=0) - np.outer(np.delete(beta, i), new_row)
-    out = PseudoInverse(np.vstack([others, new_row]), pinv.owners[:i] + pinv.owners[i + 1:] + [c])
+    order = [*range(i), *range(i + 1, pinv.m), i]
+    matrix, normals, beta = pinv.matrix[order], pinv.normals[order], beta[order]
+    matrix[-1] /= beta[-1]
+    matrix[:-1] -= np.outer(beta[:-1], matrix[-1])
+    normals[-1] = u
+    out = PseudoInverse(matrix, normals, pinv.owners[:i] + pinv.owners[i + 1:] + [c])
     return update_axis_new_region(out, out.m - 1, bend) if bend.any() else out
 
 
-def dense_pseudoinverse(net: ReluNetwork, s: np.ndarray, owners) -> PseudoInverse:
-    """Pseudoinverse for owners built from scratch by an O(n^3) dense solve.
+def dense_pseudoinverse(normals: np.ndarray, owners) -> PseudoInverse:
+    """The basis of the owners' oriented normals (rows of A), P = R^-1 Q' from one QR of A'.
 
-    Raises Degenerate when the owners' normals are (numerically) dependent,
-    including when there are more owners than input dimensions.
+    |R_kk| is normal k's distance from the span of the ones before it, as
+    add_axis tests: raises Degenerate when it is within DEP_TOL of the
+    normal's length for any k, or when there are more normals than inputs.
     """
-    if not owners:
-        return PseudoInverse.empty(net.input_dim)
-    rows = normal_matrices(net, s)[owners]
-    u, sv, vt = np.linalg.svd(np.where(s[owners, None] == 1, rows, -rows).T, full_matrices=False)
-    if len(owners) > net.input_dim or sv[-1] <= DEP_TOL * sv[0]:
-        raise Degenerate("tracked normals are not independent")
-    # np.linalg.pinv's formula on the same SVD; past the check above no
-    # singular value falls under its rcond=1e-13 cutoff
-    return PseudoInverse(vt.T @ ((1.0 / sv)[:, None] * u.T), list(owners))
+    if len(normals) <= normals.shape[1]:
+        q, r = np.linalg.qr(normals.T)
+        if (np.abs(np.diagonal(r)) > DEP_TOL * np.sqrt(np.einsum("ij,ij->i", normals, normals))).all():
+            return PseudoInverse(np.linalg.solve(r, q.T), normals, list(owners))
+    raise Degenerate("tracked normals are not independent")
 
 
 def update_axis_new_region(pinv: PseudoInverse, i: int, bend: np.ndarray) -> PseudoInverse:
     """Bend row i after its owner c's bit flipped: row i becomes P_i - bend @ P.
 
-    Row i must already be biorthogonal to c's oriented normal u under the
-    new pattern.  The flip bends each owner j's normal by bend[j] u, where
-    bend[j] = sigma_j d arg_j / d out_c is c's column of crossing_terms'
-    bend under the new pattern (bend[i] = 0).  The bent columns are
-    A (I + e_i bend'), whose inverse I - e_i bend' changes row i alone;
-    its determinant is 1, so the bent basis is as independent as A.
+    Row i and normal i must already be c's under the new pattern, with
+    oriented normal u.  The flip bends each owner j's normal by bend[j] u,
+    where bend[j] = sigma_j d arg_j / d out_c is c's column of
+    crossing_terms' bend under the new pattern (bend[i] = 0).  The bent
+    columns are A' (I + e_i bend'), whose inverse I - e_i bend' changes row
+    i of P alone; its determinant is 1, so the bent basis is as independent
+    as A.
     """
     matrix = pinv.matrix.copy()
     matrix[i] -= bend @ pinv.matrix
-    return PseudoInverse(matrix, list(pinv.owners))
+    return PseudoInverse(matrix, pinv.normals + np.outer(bend, pinv.normals[i]), list(pinv.owners))
 
 
 def advance_max(

@@ -12,6 +12,7 @@ that certifies with the same routine where its projected gradient vanishes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ from .network import (
     evaluate,
     flip,
     gradient,
+    normal_matrices,
+    oriented_normal,
 )
 from .primitives import (
     DEP_TOL,
@@ -228,12 +231,14 @@ def position_correction(state: SolverState) -> float:
 
 
 def refresh_pseudoinverse(state: SolverState):
-    """Rebuild the pseudoinverse from scratch for the current owners.
+    """Rebuild the basis from scratch: the owners' normals from one forward sweep, then one QR.
 
     Used when the walls drift from the rank-one updates.  Raises
     Degenerate when the tracked normals lost independence.
     """
-    state.pinv = dense_pseudoinverse(state.net, state.s, state.pinv.owners)
+    owners = state.pinv.owners
+    rows = normal_matrices(state.net, state.s)[owners]
+    state.pinv = dense_pseudoinverse(np.where(state.s[owners, None] == 1, rows, -rows), owners)
 
 
 def find_vertex(state: SolverState) -> SolveOutcome | None:
@@ -265,7 +270,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 null = vt[rank:]
                 continue    # the walls may already pin the vertex
             v = state.rng.standard_normal(net.input_dim)
-            v -= project(state.pinv, net, s, v) + null.T @ (null @ v)
+            v -= project(state.pinv, v) + null.T @ (null @ v)
             if np.linalg.norm(v) <= 1e-12 * gscale:
                 continue  # unlucky draw inside the pinned subspace
             if v @ grad > 0.0:
@@ -288,7 +293,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
         state.x = state.x + res.t * v
         state.emit("find_vertex", neuron=res.neuron, t=res.t, crossed=res.crossed.size)
         try:
-            state.pinv = add_axis(state.pinv, net, s, res.neuron)
+            state.pinv = add_axis(state.pinv, oriented_normal(net, s, res.neuron), res.neuron)
         except DependentColumn:
             return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [res.neuron])
         if res.crossed.size:
@@ -296,7 +301,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
             state.s = s = flip(s, res.crossed)
             grad = gradient(net, s)
             gscale, v = 1.0 + np.linalg.norm(grad), -grad
-        v = v - project(state.pinv, net, s, v)
+        v = v - project(state.pinv, v)
         tried_opposite = False
     position_correction(state)
     return None
@@ -331,8 +336,9 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
 
     Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from the caller's
     grad = state.gradient() at x and terms = crossing_terms(net, state.s, state.pinv.owners).
-    A descending crossing of owner i is taken at once: its bit flips and row i becomes the
-    crossing row, one step, then one ``flip`` record carrying the edge's alpha.  No descending
+    A descending crossing of owner i is taken at once: its bit flips, row i becomes the
+    crossing row and normal i is negated, bending each owner j's normal by bend[j, i] times
+    it, one step, then one ``flip`` record carrying the edge's alpha.  No descending
     edge ends LocalMinimum, with no owner x is certified as is; StepLimit is checked before
     pricing and after a flip.
     """
@@ -347,6 +353,9 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
                 i -= m
                 state.s = flip(state.s, state.pinv.owners[i])
                 state.pinv.matrix[i] = row
+                state.pinv.normals[i] *= -1.0
+                if (bend := terms[1][:, i]).any():
+                    state.pinv.normals += np.outer(bend, state.pinv.normals[i])
                 state.steps += 1
                 state.emit("flip", neuron=state.pinv.owners[i], alpha=alpha)
                 if state.steps >= opts.max_steps:
@@ -397,7 +406,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
         state.s = flip(state.s, np.append(res.crossed, c))
         terms = crossing_terms(net, state.s, others + [c])
         try:
-            state.pinv = exchange_axis(state.pinv, i, net, state.s, c, terms[1][:, -1])
+            state.pinv = exchange_axis(state.pinv, i, oriented_normal(net, state.s, c), c, terms[1][:, -1])
         except DependentColumn:
             return state.finish(NON_REGULAR, neurons=others + [c])
         try:
@@ -451,113 +460,96 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-class _WorkingSet:
-    """Rows P and unit normals A of independent walls, P A' = I, changed by rank-one updates."""
+def _sync(basis: PseudoInverse, walls, unit) -> PseudoInverse:
+    """basis (keyed by wall) over the walls' unit normals, keyed by position in walls.
 
-    def __init__(self, n, hess=None):
-        try:        # positive definite curvature makes every face's Z'HZ so too
-            self.convex = hess is not None and np.linalg.cholesky(hess) is not None
-        except np.linalg.LinAlgError:
-            self.convex = False
-        self.pinv, self.a, self.drift = PseudoInverse.empty(n), np.zeros((0, n)), False
-
-    def remove(self, i):
-        self.pinv, self.a = remove_pseudorow(self.pinv, i), np.delete(self.a, i, axis=0)
-
-    def hold(self, u, key):
-        """add_axis's column update for unit normal u, unless u is within 1e-13 of the held span."""
-        w_perp = u - self.pinv.matrix.T @ (self.a @ u)
-        w_perp -= self.pinv.matrix.T @ (self.a @ w_perp)     # a second pass, as in Gram-Schmidt
-        if math.sqrt(w_perp @ w_perp) <= 1e-13:
-            return
-        row = w_perp / float(w_perp @ u)
-        rows = np.vstack([self.pinv.matrix - np.outer(self.pinv.matrix @ u, row), row])
-        self.pinv, self.a = PseudoInverse(rows, self.pinv.owners + [key]), np.vstack([self.a, u])
-
-    def rebuild(self, walls, unit):
-        """Dense build: one QR, P = R^-1 Q', if every |R_ii| > 1e-13; else sync holds each wall."""
-        self.pinv, self.a, self.drift = PseudoInverse.empty(unit.shape[1]), unit[:0], False
-        if len(unit) <= unit.shape[1]:
-            q, r = np.linalg.qr(unit.T)
-            if (np.abs(np.diagonal(r)) > 1e-13).all():
-                self.pinv, self.a = PseudoInverse(np.linalg.solve(r, q.T), list(walls)), unit
-
-    def sync(self, walls, unit):
-        """Drop walls that left or bent, negate flipped ones, hold new ones; rebuild if drifted."""
-        index = {c: j for j, c in enumerate(walls)}
-        pos = np.array([index.get(c, -1) for c in self.pinv.owners], dtype=np.intp)
-        if self.drift or not (pos >= 0).any():   # drift: held walls' slack, 0 while P A' = I
-            self.rebuild(walls, unit)
-        elif (pos < 0).any() or not np.array_equal(self.a, unit[pos]):
-            same = (pos >= 0) & (self.a == unit[pos]).all(axis=1)
-            flipped = (pos >= 0) & ~same & (self.a == -unit[pos]).all(axis=1)
-            self.pinv.matrix[flipped] *= -1.0
-            self.a[flipped] *= -1.0
-            for i in np.flatnonzero(~(same | flipped))[::-1]:
-                self.remove(i)
-        for j in sorted(set(range(len(walls))) - {index[c] for c in self.pinv.owners}):
-            self.hold(unit[j], walls[j])
-        self.pinv.owners = [index[c] for c in self.pinv.owners]
+    Releases walls that left or bent, negates flipped ones and holds new
+    ones; with no wall kept, one QR builds it, or holds each if dependent.
+    """
+    index = {c: j for j, c in enumerate(walls)}
+    pos = np.array([index.get(c, -1) for c in basis.owners], dtype=np.intp)
+    if not (pos >= 0).any():
+        try:
+            return dense_pseudoinverse(unit, range(len(unit)))
+        except Degenerate:
+            basis, pos = PseudoInverse.empty(unit.shape[1]), pos[:0]
+    elif (pos < 0).any() or not np.array_equal(basis.normals, unit[pos]):
+        same = (pos >= 0) & (basis.normals == unit[pos]).all(axis=1)
+        flipped = (pos >= 0) & ~same & (basis.normals == -unit[pos]).all(axis=1)
+        basis.matrix[flipped] *= -1.0
+        basis.normals[flipped] *= -1.0
+        for i in np.flatnonzero(~(same | flipped))[::-1]:
+            basis = remove_pseudorow(basis, i)
+        pos = pos[same | flipped]
+    basis.owners = pos.tolist()
+    for j in sorted(set(range(len(walls))) - set(basis.owners)):
+        with contextlib.suppress(DependentColumn):
+            basis = add_axis(basis, unit[j], j)
+    return basis
 
 
-def _feasible_direction(g, normals, hess=None, ws=None, walls=None):
+def _feasible_direction(g, normals, walls, basis, hess=None, convex=False):
     """Projection v of -g onto the tangent cone {d : normals @ d >= 0}, and a face step d.
 
-    The working set ws (a fresh one by default) follows the walls, keyed by
-    the ascending walls, then runs Lawson & Hanson's NNLS (1974) to the exact
-    projection by rank-one releases and holds, mu = P g and v = A' mu - g,
-    and keeps the final face.  From all walls held, the most negative
-    multiplier is released until none is; then the wall v violates most is
-    held and the multipliers move toward the new ones until the first zero
-    is released.  Given hess, d is the face's Newton step Z (Z'HZ)^-1 Z'(-g)
-    as the solve of (F'HF + S) d = v, S = A'P, F = I - S, positive definite
-    iff Z'HZ is, unless it fails, ascends or leaves the cone; then d is v.
-    Returns (v, d, held rows, mu on unit normals, regular: independent, converged).
+    The basis (keyed by wall) is synced to walls, then Lawson & Hanson's
+    NNLS (1974) runs to the exact projection by rank-one releases and holds,
+    mu = P g and v = A' mu - g, over unit normals.  From all walls held, the
+    most negative multiplier is released until none is; then the wall v
+    violates most is held and the multipliers move toward the new ones until
+    the first zero is released.  Given hess, d is the face's Newton step
+    Z (Z'HZ)^-1 Z'(-g) as the solve of (F'HF + S) d = v, S = A'P, F = I - S,
+    positive definite iff Z'HZ is (so if convex), unless it fails, ascends
+    or leaves the cone; then d is v.  Returns (v, d, the face's basis keyed
+    by wall, empty if its walls drifted, mu on unit normals, regular:
+    independent, converged).
     """
     unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
-    if ws is None:
-        ws, walls = _WorkingSet(len(g)), range(len(unit))
-    ws.sync(walls, unit)
-    dependent = len(ws.pinv.owners) < len(unit)
+    basis = _sync(basis, walls, unit)
+    dependent = basis.m < len(unit)
     gnorm = math.sqrt(g @ g)
-    mu, regular = None, False       # mu: multipliers of the last working set with none negative
+    mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
     for _ in range(4 * len(unit) + 1):     # bounds cycling by roundoff
-        held = np.array(ws.pinv.owners, dtype=np.intp)
-        lam = ws.pinv.matrix @ g
-        v = ws.a.T @ lam - g
+        held = np.array(basis.owners, dtype=np.intp)
+        lam = basis.matrix @ g
+        v = basis.normals.T @ lam - g
         neg = lam < -1e-12 * (1.0 + gnorm)
         if neg.any() and mu is None:
-            ws.remove(int(np.argmin(lam)))
+            basis = remove_pseudorow(basis, int(np.argmin(lam)))
         elif neg.any():
             old = mu[held]
             ratio = np.full(held.size, np.inf)
             ratio[neg] = old[neg] / (old[neg] - lam[neg])
             mu[held] = old + ratio.min() * (lam - old)
             for i in np.flatnonzero((ratio <= ratio.min()) | (mu[held] <= 0.0))[::-1]:
-                ws.remove(i)
+                basis = remove_pseudorow(basis, i)
         else:
             mu = np.zeros(len(unit))
             mu[held] = np.maximum(lam, 0.0)
             slack = unit @ v
-            ws.drift = np.abs(slack[held]).max(initial=0.0) > DRIFT_REFRESH_TOL * (1.0 + gnorm)
+            # held walls' slack is 0 while P A' = I
+            drift = np.abs(slack[held]).max(initial=0.0) > DRIFT_REFRESH_TOL * (1.0 + gnorm)
             slack[held] = 0.0
             if not len(unit) or slack.min() >= -1e-12 * math.sqrt(v @ v):
                 regular = not dependent
                 break
-            ws.hold(unit[j := int(np.argmin(slack))], j)
-    ws.pinv.owners = [walls[j] for j in ws.pinv.owners]
+            try:
+                basis = add_axis(basis, unit[j := int(np.argmin(slack))], j)
+            except DependentColumn:
+                break
+    basis.owners = [walls[j] for j in basis.owners]
+    face = PseudoInverse.empty(len(g)) if drift else basis
     if hess is not None and held.size < len(g):
-        f = np.eye(len(g)) - (s := ws.a.T @ ws.pinv.matrix)
+        f = np.eye(len(g)) - (s := basis.normals.T @ basis.matrix)
         m = f.T @ hess @ f + s
         try:
-            ws.convex or np.linalg.cholesky(m)      # raises unless positive definite
+            convex or np.linalg.cholesky(m)         # raises unless positive definite
             newton = np.linalg.solve(m, v)          # may still find m singular by roundoff
         except np.linalg.LinAlgError:
-            return v, v, held, mu, regular
-        newton -= ws.a.T @ (ws.pinv.matrix @ newton)     # the solve's roundoff off the face
+            return v, v, face, mu, regular
+        newton -= basis.normals.T @ (basis.matrix @ newton)     # the solve's roundoff off the face
         if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
-            return v, newton, held, mu, regular
-    return v, v, held, mu, regular
+            return v, newton, face, mu, regular
+    return v, v, face, mu, regular
 
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
@@ -574,7 +566,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     or at the segment parabola's vertex.
 
     When the projection vanishes at independent walls, certify_local_min
-    prices x's 2m edges, with the working set's rows over every active
+    prices x's 2m edges, with the basis's rows over every active
     wall, row k rescaled to the raw normal n_k.  A crossing edge descends
     iff its multiplier mu_k on the unit normal exceeds the BVLS bound
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
@@ -590,7 +582,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     x = _start_point(net, x0)
     state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
                         options=opts, objective=q, kept=kept)
-    ws = _WorkingSet(net.input_dim, hess := q.quad + q.quad.T)
+    hess, basis = q.quad + q.quad.T, PseudoInverse.empty(net.input_dim)
+    try:        # positive definite curvature makes every face's Z'HZ so too
+        convex = np.linalg.cholesky(hess) is not None
+    except np.linalg.LinAlgError:
+        convex = False
     out = None
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
@@ -598,7 +594,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         active, normals = critical_indices(net, state.s, state.x)
         g = state.gradient()
-        v, d, _, _, regular = _feasible_direction(g, normals, hess, ws, active)
+        v, d, basis, _, regular = _feasible_direction(g, normals, active, basis, hess, convex)
         if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
             v = d / np.linalg.norm(d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -619,9 +615,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-            ws.sync(active, normals / norms[:, None])
-            pos, ws.pinv.owners = ws.pinv.owners, [active[j] for j in ws.pinv.owners]
-            state.pinv = PseudoInverse(ws.pinv.matrix / norms[pos, None], list(ws.pinv.owners))
+            basis = _sync(basis, active, normals / norms[:, None])
+            pos, basis.owners = basis.owners, [active[j] for j in basis.owners]
+            state.pinv = PseudoInverse(basis.matrix / norms[pos, None], normals[pos], list(basis.owners))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

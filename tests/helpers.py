@@ -21,6 +21,7 @@ from drlp import (
     build_random,
     critical_indices,
     crossing_terms,
+    dense_pseudoinverse,
     evaluate,
     flip,
     inner_products_all,
@@ -162,6 +163,12 @@ def normals_matrix(net, s, owners):
     return np.stack([oriented_normal(net, s, c) for c in owners], axis=1)
 
 
+def dense_basis(net, s, owners):
+    """dense_pseudoinverse of the owners' oriented normals under s, one backward sweep each."""
+    normals = np.array([oriented_normal(net, s, c) for c in owners]).reshape(len(owners), net.input_dim)
+    return dense_pseudoinverse(normals, owners)
+
+
 def brute_pseudoinverse(net, s, owners):
     """Moore-Penrose left inverse of the stacked normals, dense route."""
     return np.linalg.pinv(normals_matrix(net, s, owners), rcond=1e-13)
@@ -173,7 +180,8 @@ def sweep_row_rebuild(pinv, i, net, s, u):
     The dense route to what update_axis_new_region does in closed form:
     one full sweep takes the inner products of u with every owner's normal
     under s, and row i becomes the part of u off the other owners' span,
-    scaled to <row, u> = 1.  Raises Degenerate on a vanishing denominator.
+    scaled to <row, u> = 1.  The normals are every owner's under s, one
+    backward sweep each.  Raises Degenerate on a vanishing denominator.
     """
     c = pinv.owners[i]
     g = inner_products_all(net, s, u)[pinv.owners]
@@ -184,7 +192,7 @@ def sweep_row_rebuild(pinv, i, net, s, u):
         raise Degenerate(f"axis update for unit {c} is degenerate")
     matrix = pinv.matrix.copy()
     matrix[i] = w / denom
-    return PseudoInverse(matrix, list(pinv.owners))
+    return PseudoInverse(matrix, normals_matrix(net, s, pinv.owners).T, list(pinv.owners))
 
 
 def owner_flip_updates(pinv, i, net, s):
@@ -194,21 +202,23 @@ def owner_flip_updates(pinv, i, net, s):
     crossing_terms (update_axis_new_region); sweep_row_rebuild rebuilds it
     from the owner's normal under s.
     """
-    negated = PseudoInverse(pinv.matrix.copy(), list(pinv.owners))
+    negated = PseudoInverse(pinv.matrix.copy(), pinv.normals.copy(), list(pinv.owners))
     negated.matrix[i] *= -1.0       # biorthogonal to the owner's negated normal
+    negated.normals[i] *= -1.0
     return [update_axis_new_region(negated, i, crossing_terms(net, s, pinv.owners)[1][:, i]),
             sweep_row_rebuild(pinv, i, net, s, oriented_normal(net, s, pinv.owners[i]))]
 
 
-def pivot_update_reference(pinv, i, net, s, c, bend=None):
-    """A pivot's pseudoinverse update as three primitives, for exchange_axis to match.
+def pivot_update_reference(pinv, i, net, s, c):
+    """A pivot's basis update as three primitives, for exchange_axis to match.
 
-    Takes exchange_axis's arguments and ignores bend.  Drops row i, adds
-    unit c's normal under the pattern before the pivot (s with c's bit
-    flipped back), then rebuilds c's row under s from c's normal under s
-    with sweep_row_rebuild; this costs two full sweeps more.
+    Takes the network and the pattern s after the pivot where exchange_axis
+    takes c's normal and bend.  Drops row i, adds unit c's normal under the
+    pattern before the pivot (s with c's bit flipped back), then rebuilds
+    c's row and every normal under s with sweep_row_rebuild; this costs two
+    full sweeps more.
     """
-    grown = add_axis(remove_pseudorow(pinv, i), net, flip(s, c), c)
+    grown = add_axis(remove_pseudorow(pinv, i), oriented_normal(net, flip(s, c), c), c)
     return sweep_row_rebuild(grown, grown.m - 1, net, s, oriented_normal(net, s, c))
 
 

@@ -69,7 +69,9 @@ def test_ac01_axis_updates_at_shared_vertex():
     t0 = time.perf_counter()
     net = _hinge_gap()
     s = np.ones(3, dtype=np.uint8)
-    vertex = add_axis(add_axis(PseudoInverse.empty(2), net, s, 1), net, s, 2)
+    vertex = PseudoInverse.empty(2)
+    for c in (1, 2):
+        vertex = add_axis(vertex, oriented_normal(net, s, c), c)
     devs = [np.max(np.abs(vertex.matrix - np.array([[1.0, 1.0], [1.0, 0.0]])))]
 
     for route in (0, 1):    # the closed form, then the sweep rebuild

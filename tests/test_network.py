@@ -250,7 +250,7 @@ class TestSubjective:
 
     @pytest.mark.parametrize("topo", [(3, 6, 1), (3, 4, 3, 1), (4, 3, 5, 2, 1), (2, 3, 3, 3, 3, 1)])
     def test_oriented_normals_match_one_by_one(self, topo):
-        # oriented rows of the forward sweep (what critical_indices and dense_pseudoinverse
+        # oriented rows of the forward sweep (what critical_indices and refresh_pseudoinverse
         # take) against the backward sweep of oriented_normal, unit by unit
         rng = np.random.Generator(np.random.Philox(37))
         for _ in range(5):

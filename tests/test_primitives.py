@@ -35,6 +35,7 @@ from drlp.primitives import DEP_TOL
 from helpers import (
     brute_advance,
     brute_pseudoinverse,
+    dense_basis,
     first_layer_wrapper,
     normals_matrix,
     owner_flip_updates,
@@ -54,7 +55,7 @@ def _all_ones_pattern(net):
 def _build_incremental(net, s, owners):
     pinv = PseudoInverse.empty(net.input_dim)
     for c in owners:
-        pinv = add_axis(pinv, net, s, c)
+        pinv = add_axis(pinv, oriented_normal(net, s, c), c)
     return pinv
 
 
@@ -70,6 +71,7 @@ class TestAddRemove:
             owners = list(range(m))
             pinv = _build_incremental(net, s, owners)
             assert_allclose(pinv.matrix @ rows.T, np.eye(m), atol=1e-10)
+            assert np.array_equal(pinv.normals, rows)
             # rows stay inside the column span, so this is the Moore-Penrose inverse
             assert_allclose(pinv.matrix, np.linalg.pinv(rows.T), atol=1e-9)
 
@@ -79,14 +81,14 @@ class TestAddRemove:
         s = _all_ones_pattern(net)
         pinv = _build_incremental(net, s, [0, 1])
         with pytest.raises(DependentColumn):
-            add_axis(pinv, net, s, 2)
+            add_axis(pinv, rows[2], 2)
 
     def test_zero_normal_rejected(self):
         rows = np.array([[0.0, 0.0]])
         net = first_layer_wrapper(rows)
         s = _all_ones_pattern(net)
         with pytest.raises(DependentColumn):
-            add_axis(PseudoInverse.empty(2), net, s, 0)
+            add_axis(PseudoInverse.empty(2), oriented_normal(net, s, 0), 0)
 
     def test_remove_matches_dense_rebuild(self):
         rng = np.random.Generator(np.random.Philox(2))
@@ -100,6 +102,7 @@ class TestAddRemove:
                 got = remove_pseudorow(pinv, i)
                 keep = [j for j in range(4) if j != i]
                 assert got.owners == [owners[j] for j in keep]
+                assert np.array_equal(got.normals, rows[keep])
                 assert_allclose(got.matrix, np.linalg.pinv(rows[keep].T), atol=1e-9)
 
     def test_add_remove_round_trip(self):
@@ -109,9 +112,10 @@ class TestAddRemove:
         net = first_layer_wrapper(np.vstack([rows, extra]))
         s = _all_ones_pattern(net)
         pinv = _build_incremental(net, s, [0, 1, 2])
-        grown = add_axis(pinv, net, s, 3)
+        grown = add_axis(pinv, extra, 3)
         back = remove_pseudorow(grown, 3)
         assert back.owners == pinv.owners
+        assert np.array_equal(back.normals, pinv.normals)
         assert_allclose(back.matrix, pinv.matrix, atol=1e-10)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
@@ -122,18 +126,36 @@ class TestAddRemove:
         net = first_layer_wrapper([[1.0, 0.0], [0.0, scale], [1.0, tilt]])
         s = _all_ones_pattern(net)
         pinv, s2 = _build_incremental(net, s, [0, 1]), flip(s, 2)
-        bend = crossing_terms(net, s2, [0, 2])[1][:, -1]
+        u, bend = oriented_normal(net, s2, 2), crossing_terms(net, s2, [0, 2])[1][:, -1]
         if tilt < DEP_TOL:
-            for update in (exchange_axis, pivot_update_reference):
-                with pytest.raises(DependentColumn):
-                    update(pinv, 1, net, s2, 2, bend)
+            with pytest.raises(DependentColumn):
+                exchange_axis(pinv, 1, u, 2, bend)
+            with pytest.raises(DependentColumn):
+                pivot_update_reference(pinv, 1, net, s2, 2)
         else:
-            got = exchange_axis(pinv, 1, net, s2, 2, bend)
+            got, ref = exchange_axis(pinv, 1, u, 2, bend), pivot_update_reference(pinv, 1, net, s2, 2)
             assert got.owners == [0, 2]
-            assert_allclose(got.matrix, pivot_update_reference(pinv, 1, net, s2, 2).matrix, rtol=1e-9)
+            assert_allclose(got.matrix, ref.matrix, rtol=1e-9)
+            assert_allclose(got.normals, ref.normals, rtol=1e-12)
+
+    @pytest.mark.parametrize("tilt", [1e-9, 1e-7])
+    def test_dense_dependence_is_add_axis_on_each_row(self, tilt):
+        # the third normal lies tilt from the first two's span, at any scale;
+        # four normals in R^3 are always dependent
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1e3, 0.0], [1.0, 2.0, tilt]])
+        for scale in (1e-3, 1.0, 1e3):
+            normals = scale * rows
+            if tilt < DEP_TOL:
+                with pytest.raises(Degenerate):
+                    dense_pseudoinverse(normals, [0, 1, 2])
+            else:
+                pinv = dense_pseudoinverse(normals, [0, 1, 2])
+                assert_allclose(pinv.matrix @ normals.T, np.eye(3), atol=1e-9)
+        with pytest.raises(Degenerate):
+            dense_pseudoinverse(np.vstack([rows, rows[:1]]), [0, 1, 2, 3])
 
     def test_remove_zero_row_degenerate(self):
-        pinv = PseudoInverse(np.zeros((1, 2)), [0])
+        pinv = PseudoInverse(np.zeros((1, 2)), np.ones((1, 2)), [0])
         with pytest.raises(Degenerate):
             remove_pseudorow(pinv, 0)
 
@@ -149,12 +171,12 @@ class TestProject:
         dense = a @ np.linalg.pinv(a)
         for _ in range(5):
             v = rng.standard_normal(4)
-            assert_allclose(project(pinv, net, s, v), dense @ v, atol=1e-10)
+            assert_allclose(project(pinv, v), dense @ v, atol=1e-10)
 
     def test_empty_is_zero(self):
         net = first_layer_wrapper(np.array([[1.0, 0.0]]))
         s = _all_ones_pattern(net)
-        v = project(PseudoInverse.empty(2), net, s, np.array([3.0, 4.0]))
+        v = project(PseudoInverse.empty(2), np.array([3.0, 4.0]))
         assert_allclose(v, 0.0)
 
 
@@ -173,6 +195,7 @@ class TestUpdateAxis:
                     assert_allclose(
                         got.matrix, brute_pseudoinverse(net, s2, owners), atol=1e-8
                     )
+                    assert_allclose(got.normals, normals_matrix(net, s2, owners).T, atol=1e-12)
 
     def test_multilayer_downstream_columns_stay_biorthogonal(self, net_hinge_gap):
         # s carries unit (1,2) active even though its argument is 0 at (1, 0)
@@ -189,6 +212,7 @@ class TestUpdateAxis:
                 np.eye(2),
                 atol=1e-12,
             )
+            assert_allclose(upd.normals, normals_matrix(net, s2, [1, 2]).T, atol=1e-12)
 
     def test_single_wall_sign_flip(self, net_split_line):
         net = net_split_line
@@ -230,24 +254,30 @@ class TestAgainstDenseRebuild:
     def test_primitives_match_dense_pseudoinverse(self, case):
         net, s, owners, data = case
         pinv = _build_incremental(net, s, owners)
-        dense = dense_pseudoinverse(net, s, owners)
+        dense = dense_basis(net, s, owners)
         assert pinv.owners == owners
         _assert_rel_close(pinv.matrix, dense.matrix)
+        assert np.array_equal(pinv.normals, dense.normals)
 
         i = data.draw(st.integers(0, len(owners) - 1), label="removed row")
         kept = remove_pseudorow(pinv, i)
         rest = owners[:i] + owners[i + 1:]
         assert kept.owners == rest
-        _assert_rel_close(kept.matrix, dense_pseudoinverse(net, s, rest).matrix)
+        dense = dense_basis(net, s, rest)
+        _assert_rel_close(kept.matrix, dense.matrix)
+        assert np.array_equal(kept.normals, dense.normals)
 
         # flipping any owner negates its normal and bends the owners behind it
         i = data.draw(st.integers(0, len(owners) - 1), label="flipped row")
         s2 = flip(s, owners[i])
-        negated = PseudoInverse(pinv.matrix.copy(), list(owners))
+        negated = PseudoInverse(pinv.matrix.copy(), pinv.normals.copy(), list(owners))
         negated.matrix[i] *= -1.0
+        negated.normals[i] *= -1.0
         moved = update_axis_new_region(negated, i, crossing_terms(net, s2, owners)[1][:, i])
         assert moved.owners == owners
-        _assert_rel_close(moved.matrix, dense_pseudoinverse(net, s2, owners).matrix)
+        dense = dense_basis(net, s2, owners)
+        _assert_rel_close(moved.matrix, dense.matrix)
+        _assert_rel_close(moved.normals, dense.normals)
 
     @settings(max_examples=150, deadline=None)
     @given(_owned_nets())
@@ -257,7 +287,7 @@ class TestAgainstDenseRebuild:
         assume(len(owners) == net.input_dim and entering)     # a pivot's vertex
         i = data.draw(st.integers(0, len(owners) - 1), label="leaving row")
         c = data.draw(st.sampled_from(entering), label="entering unit")
-        pinv = dense_pseudoinverse(net, s, owners)
+        pinv = dense_basis(net, s, owners)
         # |P_i u| / |P_i| is u's distance from the other normals, which
         # add_axis compares with DEP_TOL |u|; keep away from that threshold
         u = oriented_normal(net, s, c)
@@ -266,21 +296,23 @@ class TestAgainstDenseRebuild:
         assume(nu == 0.0 or abs(gap - DEP_TOL * nu) > 1e-3 * DEP_TOL * nu)
         s2 = flip(s, c)
         rest = owners[:i] + owners[i + 1:] + [c]
-        bend = crossing_terms(net, s2, rest)[1][:, -1]
+        u, bend = oriented_normal(net, s2, c), crossing_terms(net, s2, rest)[1][:, -1]
         try:
             pivot_update_reference(pinv, i, net, s2, c)
         except DependentColumn:
             with pytest.raises(DependentColumn):
-                exchange_axis(pinv, i, net, s2, c, bend)
+                exchange_axis(pinv, i, u, c, bend)
             return
         except Degenerate:
             pass        # the bent walls are dependent, so the check below skips them
         sv = np.linalg.svd(normals_matrix(net, s2, rest), compute_uv=False)
         if sv[-1] <= 1e-2 * sv[0]:
             return      # an ill-conditioned rebuild is no oracle at 1e-8
-        got = exchange_axis(pinv, i, net, s2, c, bend)
+        got = exchange_axis(pinv, i, u, c, bend)
         assert got.owners == rest
-        _assert_rel_close(got.matrix, dense_pseudoinverse(net, s2, rest).matrix)
+        dense = dense_basis(net, s2, rest)
+        _assert_rel_close(got.matrix, dense.matrix)
+        _assert_rel_close(got.normals, dense.normals)
 
 
 class TestAdvance:

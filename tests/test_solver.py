@@ -52,9 +52,11 @@ from drlp import (
     quantile_loss,
     refresh_pseudoinverse,
     relu_arguments,
+    normal_matrices,
     save_model,
     solve_quadratic,
     SolverOptions,
+    SolveOutcome,
     SolverState,
     dense_pseudoinverse,
 )
@@ -62,6 +64,7 @@ from helpers import (
     ac5_runs,
     certificate_residual,
     cone_projection_nnls,
+    dense_basis,
     interleaved_clad,
     lp_linprog,
     pivot_update_reference,
@@ -85,7 +88,7 @@ def _vertex_state(net, s_layers, owners):
     s = np.concatenate(s_layers).astype(np.uint8)
     pinv = PseudoInverse.empty(net.input_dim)
     for c in owners:
-        pinv = add_axis(pinv, net, s, c)
+        pinv = add_axis(pinv, oriented_normal(net, s, c), c)
     return s, pinv
 
 
@@ -171,33 +174,33 @@ class TestChooseAxis:
     UNPRICED, FLAT = np.full(2, np.inf), np.zeros((2, 2))
 
     def test_frozen_pick(self):
-        pinv = PseudoInverse(np.eye(2), [0, 1])
+        pinv = PseudoInverse(np.eye(2), np.eye(2), [0, 1])
         row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]), self.UNPRICED, self.FLAT)
         assert i == 0 and alpha == pytest.approx(-1.0)
         assert_allclose(row, [1.0, 0.0])
 
     def test_normalization_matters(self):
-        pinv = PseudoInverse(np.array([[10.0, 0.0], [0.0, 1.0]]), [0, 1])
+        pinv = PseudoInverse(np.diag([10.0, 1.0]), np.diag([0.1, 1.0]), [0, 1])
         # raw products would favor row 0; per-unit-length slope favors row 1
         row, alpha, i = choose_axis(pinv, np.array([-1.0, -2.0]), self.UNPRICED, self.FLAT)
         assert i == 1 and alpha == pytest.approx(-2.0)
 
     def test_priced_crossing_wins(self):
-        pinv = PseudoInverse(np.eye(2), [0, 1])
+        pinv = PseudoInverse(np.eye(2), np.eye(2), [0, 1])
         # in-region edges ascend (1, 2); crossing wall 0 with gain 0 gives 0 - 1
         row, alpha, i = choose_axis(pinv, np.array([1.0, 2.0]), np.array([0.0, np.inf]), self.FLAT)
         assert i == 2 and alpha == pytest.approx(-1.0)
         assert_allclose(row, [-1.0, 0.0])
 
     def test_tie_goes_to_the_in_region_edge(self):
-        pinv = PseudoInverse(np.eye(2), [0, 1])
+        pinv = PseudoInverse(np.eye(2), np.eye(2), [0, 1])
         # edge P_0 and the crossing -P_0 both have derivative -1
         row, alpha, i = choose_axis(pinv, np.array([-1.0, 2.0]), np.array([-2.0, np.inf]), self.FLAT)
         assert i == 0 and alpha == pytest.approx(-1.0)
         assert_allclose(row, [1.0, 0.0])
 
     def test_bent_crossing_takes_the_bent_row(self):
-        pinv = PseudoInverse(np.eye(2), [0, 1])
+        pinv = PseudoInverse(np.eye(2), np.eye(2), [0, 1])
         # crossing wall 0 bends wall 1 by its normal: row 0 becomes -(P_0 + P_1), and the
         # derivative (3 - 1 - 1 * 1)/sqrt(2) loses the bent wall's multiplier too
         bend = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -326,7 +329,7 @@ def _stale_vertex(stale):
                       [np.array([0.0, 0.0, -stale, -1.0]), np.zeros(1)])
     s = np.array([1, 1, 1, 0], dtype=np.uint8)
     opts = SolverOptions()
-    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_pseudoinverse(net, s, [0, 1]),
+    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_basis(net, s, [0, 1]),
                        options=opts, rng=opts.make_rng())
 
 
@@ -359,7 +362,7 @@ class TestResync:
 # solver-level function -> (exception it raises, flat units of the folded net
 # the NonRegular outcome must name, read off the call's arguments)
 _ABORTS = {
-    "add_axis": (drlp.solver, DependentColumn, lambda pinv, net, s, c: list(pinv.owners) + [c]),
+    "add_axis": (drlp.solver, DependentColumn, lambda pinv, u, c: list(pinv.owners) + [c]),
     "refresh_pseudoinverse": (drlp.solver, Degenerate, lambda state: list(state.pinv.owners)),
 }
 
@@ -408,7 +411,7 @@ def _parallel_stop_vertex():
                       [np.array([0.0, 0.0, eps]), np.array([10.0]), np.zeros(1)])
     s = np.ones(4, dtype=np.uint8)
     opts = SolverOptions()
-    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_pseudoinverse(net, s, [0, 1]),
+    return SolverState(net=net, x=np.zeros(2), s=s, pinv=dense_basis(net, s, [0, 1]),
                        options=opts, rng=opts.make_rng())
 
 
@@ -417,17 +420,38 @@ def _solve_ac5():
             (drlsimplex(net, x0, SolverOptions(seed=seed)) for net, x0, seed in ac5_runs())]
 
 
+def _solver_states(monkeypatch):
+    """The SolverState of every drlsimplex solve from here on, the current one last."""
+    states, real = [], drlp.solver.initialize
+    monkeypatch.setattr(drlp.solver, "initialize", lambda *args: states.append(real(*args)) or states[-1])
+    return states
+
+
+# the basis operations, which take every normal from their caller
+BASIS_UPDATES = ("project", "add_axis", "exchange_axis", "remove_pseudorow", "update_axis_new_region")
+
+
+def _assert_basis(pinv, net, s):
+    """The kept normals are the owners' re-swept under s, and P A' = I, both to 1e-9."""
+    rows = normal_matrices(net, s)[pinv.owners]
+    want = np.where(s[pinv.owners, None] == 1, rows, -rows)
+    assert np.all(np.linalg.norm(pinv.normals - want, axis=1) <= 1e-9 * np.linalg.norm(want, axis=1))
+    assert np.max(np.abs(pinv.matrix @ pinv.normals.T - np.eye(pinv.m)), initial=0.0) <= 1e-9
+
+
 class TestPivotUpdate:
     """The pivot's one basis exchange against the three updates it replaced."""
 
     def test_exchange_matches_the_reference_on_deep_nets(self, monkeypatch):
-        bends = []
+        bends, states = [], _solver_states(monkeypatch)
         real = drlp.solver.exchange_axis
 
-        def checked(pinv, i, net, s, c, bend):
-            got, ref = real(pinv, i, net, s, c, bend), pivot_update_reference(pinv, i, net, s, c)
+        def checked(pinv, i, u, c, bend):
+            got = real(pinv, i, u, c, bend)
+            ref = pivot_update_reference(pinv, i, states[-1].net, states[-1].s, c)
             assert got.owners == ref.owners
             assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-10 * np.max(np.abs(ref.matrix))
+            assert np.max(np.abs(got.normals - ref.normals)) <= 1e-10 * np.max(np.abs(ref.normals))
             # flipping c bent the wall of an owner behind it
             bends.append(bend.any())
             return got
@@ -438,37 +462,97 @@ class TestPivotUpdate:
 
     def test_ac5_outcomes_match_the_reference_pivots(self, monkeypatch):
         want = _solve_ac5()
-        monkeypatch.setattr(drlp.solver, "exchange_axis", pivot_update_reference)
+        states = _solver_states(monkeypatch)
+        monkeypatch.setattr(drlp.solver, "exchange_axis", lambda pinv, i, u, c, bend:
+                            pivot_update_reference(pinv, i, states[-1].net, states[-1].s, c))
         assert _solve_ac5() == want
         assert {status for status, _ in want} == {LOCAL_MINIMUM, UNBOUNDED}
 
     def test_one_crossing_terms_per_vertex_and_no_sweep_in_the_exchange(self, monkeypatch):
         # the crossing_terms a pivot takes its bend column from prices the next vertex,
-        # so the exchange makes no full sweep of its own
+        # so the exchange makes no full sweep of its own, and no basis update sweeps at all
         calls, inside = Counter(), Counter()
 
         def spy(module, name):
             real = getattr(module, name)
 
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 calls[name] += 1
                 calls[name, "in exchange_axis"] += inside["exchange_axis"]
+                calls[name, "in a basis update"] += sum(inside[b] for b in BASIS_UPDATES)
                 inside[name] += 1
                 try:
-                    return real(*args)
+                    return real(*args, **kwargs)
                 finally:
                     inside[name] -= 1
 
             monkeypatch.setattr(module, name, wrapped)
 
         for module, name in ((drlp.solver, "crossing_terms"), (drlp.solver, "certify_local_min"),
-                             (drlp.solver, "exchange_axis"), (drlp.primitives, "inner_products_all")):
+                             (drlp.primitives, "inner_products_all"), (drlp.network, "_forward"),
+                             (drlp.network, "_backward")):
             spy(module, name)
+        for name in BASIS_UPDATES:
+            for module in (drlp.solver, drlp.primitives):
+                if hasattr(module, name):
+                    spy(module, name)
         _solve_ac5()
         _train_l1(50, 1)
         assert calls["exchange_axis"] > 300 and calls["inner_products_all"] > 0
         assert calls["crossing_terms"] == calls["certify_local_min"]
         assert calls["inner_products_all", "in exchange_axis"] == 0
+        assert min(calls["project"], calls["add_axis"], calls["update_axis_new_region"]) > 0
+        assert calls["_forward"] > 0 and calls["_backward"] > 0
+        assert calls["_forward", "in a basis update"] == calls["_backward", "in a basis update"] == 0
+
+    def test_kept_normals_match_a_sweep_after_every_update(self, monkeypatch):
+        # nothing else reads A after find_vertex, so a wrong bend would go unseen
+        states, seen = _solver_states(monkeypatch), Counter()
+
+        def after_update(name):
+            real = getattr(drlp.solver, name)
+
+            def checked(*args):
+                out = real(*args)
+                _assert_basis(out, states[-1].net, states[-1].s)
+                seen[name] += 1
+                return out
+
+            monkeypatch.setattr(drlp.solver, name, checked)
+
+        def after_state(name):
+            real = getattr(drlp.solver, name)
+
+            def checked(state, *args):
+                before = state.s.copy()
+                out = real(state, *args)
+                if not isinstance(out, SolveOutcome):
+                    _assert_basis(state.pinv, state.net, state.s)
+                    seen[name] += 1
+                    seen["flips"] += not np.array_equal(before, state.s)
+                return out
+
+            monkeypatch.setattr(drlp.solver, name, checked)
+
+        for name in ("add_axis", "exchange_axis"):
+            after_update(name)
+        for name in ("certify_local_min", "refresh_pseudoinverse"):
+            after_state(name)
+        for net, x0, seed in ac5_runs():
+            drlsimplex(net, x0, SolverOptions(seed=seed))
+        for topo in DEEP_TOPOLOGIES:
+            for seed in range(20):
+                _deep_solve(topo, seed)
+        _train_l1(50, 1)
+        assert seen["add_axis"] > 200 and seen["exchange_axis"] > 500 and seen["flips"] > 100
+        # a stale bit resyncs, and a zero drift tolerance refreshes after every pivot
+        refreshes = seen["refresh_pseudoinverse"]
+        states.append(_stale_vertex(1e-7))
+        out = drlp.solver._pivot_loop(states[-1])
+        assert [r.phase for r in out.trace].count("resync") == seen["refresh_pseudoinverse"] - refreshes == 1
+        monkeypatch.setattr(drlp.solver, "DRIFT_REFRESH_TOL", 0.0)
+        _train_l1(50, 1)
+        assert seen["refresh_pseudoinverse"] - refreshes > 100
 
     def test_dependent_stop_wall_names_the_remaining_owners_and_the_wall(self):
         out = drlp.solver._pivot_loop(_parallel_stop_vertex())
@@ -524,7 +608,7 @@ class TestCertification:
         net = net_fold_sum
         x = np.array([5.0, 5.0])
         s = activation_pattern(net, x)
-        pinv = add_axis(PseudoInverse.empty(2), net, s, 0)
+        pinv = add_axis(PseudoInverse.empty(2), oriented_normal(net, s, 0), 0)
         assert _probe(net, x, s, pinv)[0].status == LOCAL_MINIMUM
         save_model(tmp_path / "fold.json", net)
         assert drlp.cli.main(["check", "--model", str(tmp_path / "fold.json"), "--x", "5,5"]) == 2
@@ -565,8 +649,8 @@ def _vertices(net, x0, seed, pairs=PairGroups(), max_steps=10_000):
     seen, real = [], drlp.solver.certify_local_min
 
     def spy(state, grad, terms):
-        seen.append((state.x.copy(), state.s.copy(),
-                     PseudoInverse(state.pinv.matrix.copy(), list(state.pinv.owners))))
+        seen.append((state.x.copy(), state.s.copy(), PseudoInverse(
+            state.pinv.matrix.copy(), state.pinv.normals.copy(), list(state.pinv.owners))))
         return real(state, grad, terms)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -644,6 +728,9 @@ class TestCrossingPrice:
         assert minima >= 16
 
 
+DEEP_TOPOLOGIES = ((3, 8, 1), (4, 6, 6, 1), (5, 8, 8, 6, 1), (3, 10, 10, 1))
+
+
 def _deep_solve(topo, seed):
     net = build_random(topo, seed=seed)
     x0 = np.random.Generator(np.random.Philox(1000 + seed)).standard_normal(topo[0])
@@ -655,10 +742,8 @@ class TestDeepRandomNets:
 
     def test_minima_hold_against_a_probe_and_rays_fall(self):
         statuses = Counter()
-        for topo in ((3, 8, 1), (4, 6, 6, 1), (5, 8, 8, 6, 1), (3, 10, 10, 1)):
+        for topo in DEEP_TOPOLOGIES:
             for seed in range(20):
-                if (topo, seed) == ((5, 8, 8, 6, 1), 18):
-                    continue    # test_dependent_vertex_is_left
                 net, out = _deep_solve(topo, seed)
                 statuses[out.status] += 1
                 if out.status == UNBOUNDED:
@@ -668,10 +753,6 @@ class TestDeepRandomNets:
                 best = probe_min(net, out.x, radius=1e-6, samples=2000, seed=seed)
                 assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses[LOCAL_MINIMUM] >= 8
-
-    @pytest.mark.xfail(strict=True, reason="degenerate vertices have no exact certificate yet")
-    def test_dependent_vertex_is_left(self):
-        assert _deep_solve((5, 8, 8, 6, 1), 18)[1].status != NON_REGULAR
 
 
 class TestRankDeficientFirstLayer:
@@ -1006,14 +1087,14 @@ class TestCrossingCertificate:
             assert len(records) == len(seen)
             for rec, (s, owners) in zip(records, seen):
                 x = np.array(rec.x)
-                active, _ = critical_indices(net, s, x)
+                active, normals = critical_indices(net, s, x)
                 assert sorted(owners) == active       # the rows cover every active wall
                 g, m = q.grad(x) + gradient(net, s), len(active)
                 if not m:       # nothing to price: g vanished off every wall
                     assert (rec.phase, rec.alpha) == ("certify", None)
                     continue
                 gains, bend = crossing_terms(net, s, active)
-                edges, vals = axis_derivatives(dense_pseudoinverse(net, s, active), g, gains, bend)
+                edges, vals = axis_derivatives(dense_pseudoinverse(normals, active), g, gains, bend)
                 k = int(np.argmin(vals))
                 assert rec.alpha == pytest.approx(vals[k], rel=0.0, abs=1e-12 * (1.0 + np.linalg.norm(g)))
                 if vals[k] < -drlp.solver.DESCENT_TOL * (1.0 + np.linalg.norm(g)):
@@ -1121,21 +1202,23 @@ class TestWorkingSet:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """After every sync: A holds the held walls' unit normals, P matches pinv(A') to 1e-10."""
+        """After every _sync: A holds the held walls' unit normals, P A' = I and P = pinv(A')."""
         seen = Counter()
-        sync, rebuild = drlp.solver._WorkingSet.sync, drlp.solver._WorkingSet.rebuild
+        sync, dense = drlp.solver._sync, drlp.solver.dense_pseudoinverse
 
-        def checked_sync(ws, walls, unit):
-            sync(ws, walls, unit)
-            assert np.array_equal(ws.a, unit[ws.pinv.owners])
-            want = np.linalg.pinv(ws.a.T)
-            assert np.max(np.abs(ws.pinv.matrix - want), initial=0.0) <= \
+        def checked_sync(basis, walls, unit):
+            basis = sync(basis, walls, unit)
+            assert np.array_equal(basis.normals, unit[basis.owners])
+            assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
+            want = np.linalg.pinv(basis.normals.T)
+            assert np.max(np.abs(basis.matrix - want), initial=0.0) <= \
                 1e-10 * np.max(np.abs(want), initial=0.0)
             seen["syncs"] += 1
+            return basis
 
-        monkeypatch.setattr(drlp.solver._WorkingSet, "sync", checked_sync)
-        monkeypatch.setattr(drlp.solver._WorkingSet, "rebuild",
-                            lambda *a: seen.update(["rebuilds"]) or rebuild(*a))
+        monkeypatch.setattr(drlp.solver, "_sync", checked_sync)
+        monkeypatch.setattr(drlp.solver, "dense_pseudoinverse",
+                            lambda *a: seen.update(["rebuilds"]) or dense(*a))
         return seen
 
     def test_bench_lasso_rows_match_dense_and_build_once(self, bench_lasso_solves, checked):
@@ -1359,6 +1442,13 @@ def _direction_cases(kind, seed, count):
         yield g, normals, a @ a.T + 0.1 * np.eye(n)
 
 
+def _direction(g, normals, hess=None):
+    """_feasible_direction from an empty basis with walls named by row: (v, d, held rows, mu, regular)."""
+    v, d, basis, mu, regular = drlp.solver._feasible_direction(
+        g, normals, range(len(normals)), PseudoInverse.empty(len(g)), hess)
+    return v, d, basis.owners, mu, regular
+
+
 class TestFeasibleDirection:
     """The working-set projection against NNLS, and the face Newton step against KKT."""
 
@@ -1366,7 +1456,7 @@ class TestFeasibleDirection:
     def test_projection_matches_nnls(self, kind):
         regular = Counter()
         for g, normals, _ in _direction_cases(kind, 31, 300):
-            v, _, _, mu, ok = drlp.solver._feasible_direction(g, normals)
+            v, _, _, mu, ok = _direction(g, normals)
             walls = _exact_walls(kind, normals)
             want = cone_projection_nnls(g, walls)
             assert np.max(np.abs(v - want)) <= 1e-10 * (1.0 + np.linalg.norm(g))
@@ -1396,14 +1486,14 @@ class TestFeasibleDirection:
                 keep = rng.uniform(size=len(walls)) < 0.9     # now and then a wall leaves
                 normals = signs[keep, None] * walls[keep]
                 g = normals.T @ rng.uniform(0.5, 1.0, len(normals)) + 1e-3 * rng.standard_normal(n)
-                v = drlp.solver._feasible_direction(g, normals)[0]
+                v = _direction(g, normals)[0]
                 want = cone_projection_nnls(g, _exact_walls(kind, normals))
                 assert np.max(np.abs(v - want)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
     def test_held_axis_coordinates_are_exactly_zero(self):
         held_any = 0
         for g, normals, hess in _direction_cases("axis", 32, 300):
-            v, d, held, _, _ = drlp.solver._feasible_direction(g, normals, hess)
+            v, d, held, _, _ = _direction(g, normals, hess)
             coords = np.nonzero(normals[held])[1]
             assert np.all(v[coords] == 0.0) and np.all(d[coords] == 0.0)
             held_any += coords.size > 0
@@ -1413,7 +1503,7 @@ class TestFeasibleDirection:
     def test_newton_step_matches_dense_kkt(self, kind):
         newton = 0
         for g, normals, hess in _direction_cases(kind, 33, 300):
-            v, d, held, _, _ = drlp.solver._feasible_direction(g, normals, hess)
+            v, d, held, _, _ = _direction(g, normals, hess)
             rows = normals[held]
             k, n = rows.shape
             kkt = np.block([[hess, rows.T], [rows, np.zeros((k, k))]])
