@@ -11,7 +11,9 @@ from math import comb
 
 import numpy as np
 
-from .network import ReluNetwork, _sweep_bits
+from .network import ReluNetwork
+
+KEY_BITS = 52   # units per key word: sums of distinct powers of two below 2**52 are exact
 
 
 def _check_topology(topology):
@@ -60,6 +62,25 @@ def improved_bound(topology) -> int:
     return sum(ways.values())
 
 
+def _sweep_bits(maps, z: np.ndarray, xs: np.ndarray):
+    """Sweep a batch through a network, one sample per column of ``z``.
+
+    ``maps[k]`` is ReLU layer k+1's ``[W | b]``; ``z``'s rows are the input, a row of ones,
+    layer 1's units, a row of ones, ... the last layer's units.  Returns the rows after the
+    first ones row: activation bits as 0.0 and 1.0, the ones rows left at 1 for the next batch.
+    """
+    n, r = xs.shape                         # r: the ones row under the block being read
+    z[:r, :n] = xs.T
+    bits = z[r + 1:, :n]
+    for k, m in enumerate(maps):
+        a = z[r + 1:r + 1 + len(m), :n]
+        np.matmul(m, z[r + 1 - m.shape[1]:r + 1, :n], out=a)
+        if k + 1 < len(maps):               # the last ReLU layer's output is never read
+            np.maximum(a, 0.0, out=a)
+        r += 1 + len(m)
+    return np.greater(bits, 0.0, out=bits)
+
+
 def count_regions_empirical(
     net: ReluNetwork,
     box: tuple = (-10.0, 10.0),
@@ -73,10 +94,9 @@ def count_regions_empirical(
     Samples come from ``Philox(seed)`` in blocks of ``chunk`` points (the
     last block is drawn whole and cut), so for a fixed seed and chunk the
     first k samples do not depend on the total and the count is monotone
-    in ``samples``.  Each block is swept through the network in reusable
-    buffers and its patterns are packed to 64-bit words and deduplicated
-    in numpy; memory is O(chunk * width + distinct patterns), independent
-    of ``samples``.
+    in ``samples``.  Each block is swept through the network in one buffer,
+    a gemm with powers of two turns its patterns into exact float64 keys and
+    numpy deduplicates them; memory is O(chunk * width + distinct patterns).
     """
     lo, hi = float(box[0]), float(box[1])
     if not (np.isfinite(hi - lo) and hi > lo):
@@ -86,16 +106,19 @@ def count_regions_empirical(
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1; got {chunk}")
     rng = np.random.Generator(np.random.Philox(seed))
-    layers = [np.empty((chunk, w)) for w in net.relu_widths]
-    words = -(-net.num_neurons // 64)
-    bits = np.zeros((chunk, 64 * words), dtype=bool)   # padding columns stay 0
+    maps = [np.column_stack((w, b)) for w, b in zip(net.weights[:-1], net.biases[:-1])]
+    z = np.ones((net.input_dim + net.depth + net.num_neurons, chunk))
+    # unit j: bit row j + its layer's index, weight 2**(j % KEY_BITS) in word j // KEY_BITS
+    unit = np.arange(net.num_neurons)
+    words = -(-net.num_neurons // KEY_BITS)
+    powers = np.zeros((net.depth - 1 + net.num_neurons, words))
+    powers[unit + np.repeat(np.arange(net.depth), net.relu_widths), unit // KEY_BITS] = np.ldexp(1.0, unit % KEY_BITS)
     seen = set()
     remaining = int(samples)
     while remaining > 0:
         take = min(chunk, remaining)
         xs = rng.uniform(lo, hi, size=(chunk, net.input_dim))[:take]
-        _sweep_bits(net, xs, layers, bits)
-        keys = np.packbits(bits[:take], axis=1).view(np.uint64)
+        keys = _sweep_bits(maps, z, xs).T @ powers
         # ordering by the first word puts most repeats side by side; the set drops the rest
         keys = keys[np.argsort(keys[:, 0])]
         fresh = np.ones(take, dtype=bool)

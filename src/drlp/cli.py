@@ -252,11 +252,8 @@ def cmd_train_l1(args):
 
 def cmd_bounds(args):
     topology = _parse_list(args.topology, "--topology", int)
-    doc = {
-        "montufar": bounds_mod.montufar_bound(topology),
-        "improved": bounds_mod.improved_bound(topology),
-    }
-    print(json.dumps(doc))
+    print(json.dumps({"montufar": bounds_mod.montufar_bound(topology),
+                      "improved": bounds_mod.improved_bound(topology)}))
     return 0
 
 
@@ -265,9 +262,8 @@ def cmd_regions(args):
     box = _parse_list(args.box, "--box", float)
     if len(box) != 2:
         raise ValueError(f"--box needs exactly lo,hi; got {args.box!r}")
-    lo, hi = box
-    n = bounds_mod.count_regions_empirical(net, (lo, hi), samples=args.samples, seed=args.seed)
-    print(json.dumps({"empirical": n, "samples": args.samples, "box": [lo, hi]}))
+    n = bounds_mod.count_regions_empirical(net, box, samples=args.samples, seed=args.seed)
+    print(json.dumps({"empirical": n, "samples": args.samples, "box": box}))
     return 0
 
 

@@ -312,25 +312,6 @@ def flip(s: np.ndarray, units) -> np.ndarray:
     return out
 
 
-def _sweep_bits(net: ReluNetwork, xs: np.ndarray, layers, bits: np.ndarray):
-    """Forward sweep of a batch into buffers the caller owns, reusable across batches.
-
-    ``layers[k]`` (float64, layer k+1's width) and the bool matrix ``bits``
-    need at least ``len(xs)`` rows; row i of ``bits[:, :num_neurons]`` gets
-    point i's activation bits.  Each layer is ``y @ W.T + b``, in place.
-    """
-    n = len(xs)
-    y = xs
-    for k, (w, b) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
-        a = layers[k][:n]
-        np.matmul(y, w.T, out=a)
-        a += b
-        np.greater(a, 0.0, out=bits[:n, net.offsets[k]:net.offsets[k + 1]])
-        if k + 1 < net.depth:       # the last ReLU layer's output is never read
-            np.maximum(a, 0.0, out=a)
-        y = a
-
-
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
     """Write a network as JSON, with its pairs when there are any."""
     if net.two_slope.any() or net.off_weights.any():

@@ -114,10 +114,11 @@ class TestEmpirical:
             with pytest.raises(ValueError, match="chunk must be >= 1"):
                 count_regions_empirical(net_fold_sum, samples=10, chunk=chunk)
 
-    @pytest.mark.parametrize("hidden", [5, 64, 65, 130])
+    @pytest.mark.parametrize("hidden", [5, 52, 53, 64, 65, 130])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matches_per_sample_reference(self, hidden, depth):
-        # hidden units split over the layers; 64 and 65 sit on either side of one packed word
+        # hidden units split over the layers; 52 and 53 sit on either side of
+        # one 52-unit key word, and 130 takes three words
         widths = [hidden // depth + (k < hidden % depth) for k in range(depth)]
         net = build_random([3] + widths + [1], seed=100 * hidden + depth)
         for samples in (0, 1, 4095, 4096, 4097):

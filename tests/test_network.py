@@ -29,7 +29,8 @@ from drlp import (
     save_model,
     subjective_arguments,
 )
-from drlp.network import _crossing_gains, _forward, _sweep_bits
+from drlp.bounds import _sweep_bits
+from drlp.network import _crossing_gains, _forward
 from helpers import (
     critical_kernel_dim,
     dense_sweeps,
@@ -184,20 +185,23 @@ class TestPatterns:
         assert np.array_equal(flip(once, np.array(units, dtype=np.intp)), s)
 
     def test_batch_bits_match_scalar(self):
-        # _sweep_bits as count_regions_empirical runs it: buffers with more
-        # rows than the batch and padded bit columns, reused across batches;
+        # _sweep_bits as count_regions_empirical runs it: a buffer with more
+        # columns than the batch, reused across batches, whose ones rows stay 1;
         # the second net is three layers deep with more than 64 units
         rng = np.random.Generator(np.random.Philox(5))
         for topo, seed in (((2, 4, 3, 1), 4), ((2, 40, 30, 20, 1), 6)):
             net = build_random(topo, seed=seed)
-            layers = [np.empty((256, w)) for w in net.relu_widths]
-            bits = np.zeros((256, 64 * -(-net.num_neurons // 64)), dtype=bool)
+            maps = [np.column_stack((w, b)) for w, b in zip(net.weights[:-1], net.biases[:-1])]
+            z = np.ones((net.input_dim + net.depth + net.num_neurons, 256))
+            rows = np.arange(net.input_dim + 1, len(z))     # z's rows the sweep returns
+            ones = net.input_dim + np.arange(net.depth) + net.offsets[:-1]
             for n in (200, 37, 0):
                 pts = rng.uniform(-3, 3, size=(n, 2))
-                _sweep_bits(net, pts, layers, bits)
-                for row, x in zip(bits[:n], pts):
-                    assert np.array_equal(row[:net.num_neurons], activation_pattern(net, x))
-                assert not bits[:, net.num_neurons:].any()
+                bits = _sweep_bits(maps, z, pts)
+                assert bits.shape == (len(rows), n)
+                for col, x in zip(bits[~np.isin(rows, ones)].T, pts):
+                    assert np.array_equal(col, activation_pattern(net, x))
+                assert (z[ones] == 1.0).all()
 
 
 class TestSubjective:
