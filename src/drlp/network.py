@@ -86,12 +86,20 @@ class ReluNetwork:
         self.off_weights = np.zeros(self.relu_widths[-1])
         self.two_slope = np.zeros(self.relu_widths[-1], dtype=bool)
 
-    def flat_index(self, c) -> int:
-        """Flat position of hidden unit ``c = (layer, unit)``, both 1-based."""
-        l, j = map(int, c)
-        if not (1 <= l <= self.depth and 1 <= j <= self.relu_widths[l - 1]):
-            raise ValueError(f"no hidden unit {c!r} in widths {self.widths}")
-        return self.offsets[l - 1] + j - 1
+    def flat_index(self, c):
+        """Flat position of hidden unit ``c = (layer, unit)``, both 1-based.
+
+        An array of such rows, shape (..., 2), gives an array of positions in
+        one vectorized pass; its first bad row raises the scalar call's error.
+        """
+        lj = np.asarray(c, dtype=np.int64)
+        l, j = np.moveaxis(lj, -1, 0)
+        ok = (1 <= j) & (j <= np.array((0,) + self.relu_widths + (0,))[np.clip(l, 0, self.depth + 1)])
+        if not ok.all():
+            bad = c if lj.ndim == 1 else lj.reshape(-1, 2)[np.argmin(ok)].tolist()
+            raise ValueError(f"no hidden unit {bad!r} in widths {self.widths}")
+        flat = np.array(self.offsets)[l - 1] + j - 1
+        return int(flat) if lj.ndim == 1 else flat
 
     def neuron_at(self, flat: int):
         """Inverse of flat_index."""
@@ -107,17 +115,16 @@ class ReluNetwork:
 class PairGroups:
     """Disjoint pairs of last-hidden-layer units whose weight rows are exact negations.
 
-    Pair k, ``(first[k], second[k])`` by flat index, is z and -z: one
-    hyperplane with two orientations.  ``fold`` makes each pair one
-    two-slope unit, so the solvers never see a pair.  A network without
-    mirrored units has the empty ``PairGroups()``.
+    Pair k, ``(first[k], second[k])`` by flat index, is z and -z: one hyperplane
+    with two orientations, given as a (k, 2) integer array or any iterable of
+    pairs.  ``fold`` makes each pair one two-slope unit, so the solvers never
+    see a pair.  A network without mirrored units has the empty ``PairGroups()``.
     """
 
     def __init__(self, pairs=()):
-        pairs = [(int(a), int(b)) for a, b in pairs]
-        members = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-        self.first, self.second = members[0::2], members[1::2]
-        ordered = np.sort(members)
+        pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        self.first, self.second = pairs.reshape(len(pairs), 2).T
+        ordered = np.sort(pairs, axis=None)
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("pairs must be disjoint")
 
@@ -345,12 +352,10 @@ def load_model(path):
         raise ValueError(f"model file {path}: {exc}") from exc
     if "widths" in doc and doc["widths"] != list(net.widths):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
-    pairs = PairGroups()
-    if doc.get("pairs"):
-        try:
-            pairs = PairGroups((net.flat_index(a), net.flat_index(b)) for a, b in doc["pairs"])
-            pairs.validate(net)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "
-                             f"of distinct, exactly negated last-hidden-layer units; {exc}") from exc
+    try:
+        pairs = PairGroups(net.flat_index(doc["pairs"]) if doc.get("pairs") else ())
+        pairs.validate(net)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "
+                         f"of distinct, exactly negated last-hidden-layer units; {exc}") from exc
     return net, pairs

@@ -12,6 +12,7 @@ such units returns the empty ``PairGroups()``.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,11 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     return ReluNetwork(weights, biases)
 
 
+def _mirrored(start: int, n: int) -> np.ndarray:
+    """Pairs (start + i, start + n + i), i < n: a block of n units, then its mirror block."""
+    return start + np.stack([np.arange(n), n + np.arange(n)], axis=1)
+
+
 def _check_lam(lam):
     if not 0.0 <= lam < np.inf:      # also false for nan
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
@@ -101,18 +107,17 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     blocks_w = [-design, design]
     blocks_b = [data.y, -data.y]
     out_w = [np.full(n, alpha), np.full(n, 1.0 - alpha)]
-    pairs = [(i, n + i) for i in range(n)]
     if lam > 0.0:
         pen = np.hstack([np.zeros((p, 1)), np.eye(p)])  # no intercept penalty
         blocks_w += [pen, -pen]
         blocks_b += [np.zeros(p), np.zeros(p)]
         out_w += [np.full(p, lam), np.full(p, lam)]
-        pairs += [(2 * n + j, 2 * n + p + j) for j in range(p)]
     w1 = np.vstack(blocks_w)
     b1 = np.concatenate(blocks_b)
     w2 = np.concatenate(out_w)[None, :]
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    return net, PairGroups(pairs)
+    # residual pairs, then the penalty's (none at lam = 0)
+    return net, PairGroups(np.concatenate([_mirrored(0, n), _mirrored(2 * n, p if lam > 0.0 else 0)]))
 
 
 def quantile_loss(data: RegressionData, theta, alpha: float = 0.5, lam: float = 0.0) -> float:
@@ -139,8 +144,7 @@ def build_clad(data: RegressionData):
     b2 = np.concatenate([-data.y, data.y])
     w3 = np.ones((1, 2 * n))
     net = ReluNetwork([w1, w2, w3], [b1, b2, np.zeros(1)])
-    off = net.offsets[1]
-    return net, PairGroups((off + i, off + n + i) for i in range(n))
+    return net, PairGroups(_mirrored(net.offsets[1], n))
 
 
 def clad_loss(data: RegressionData, theta) -> float:
@@ -186,8 +190,7 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     layers_w.append(np.ones((1, 2 * n)))
     layers_b.append(np.zeros(1))
     net = ReluNetwork(layers_w, layers_b)
-    off = net.offsets[base.depth]
-    return net, PairGroups((off + i, off + n + i) for i in range(n))
+    return net, PairGroups(_mirrored(net.offsets[base.depth], n))
 
 
 def flatten_first_layer(base: ReluNetwork) -> np.ndarray:
@@ -237,8 +240,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     b1 = np.zeros(2 * p)
     w2 = np.ones((1, 2 * p))
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    pairs = PairGroups((j, p + j) for j in range(p)) if lam > 0.0 else PairGroups()
-    return net, q, pairs
+    return net, q, PairGroups(_mirrored(0, p if lam > 0.0 else 0))  # none at lam = 0
 
 
 def lasso_loss(data: RegressionData, theta, lam: float = 0.0) -> float:
@@ -264,54 +266,66 @@ def build_from_lp(lp: LpInstance, penalty: float = 1.0):
     b1 = np.concatenate([np.zeros(2), -lp.b, np.zeros(n_var)])
     w2 = np.concatenate([[1.0, -1.0], np.full(n_con + n_var, penalty)])[None, :]
     net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    return net, PairGroups([(0, 1)])
+    return net, PairGroups(_mirrored(0, 1))
+
+
+def _rows(path):
+    """(line number, line) of each line of path with a cell that is not blank."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for k, line in enumerate(fh, 1):
+            text = line.replace(",", "").strip()
+            if text and ('"' not in text or any(cell.strip() for cell in next(csv.reader([line])))):
+                yield k, line
+
+
+def _numbers(lines, **usecols) -> np.ndarray | None:
+    """numpy's C reader on CSV lines: a 2-D float array, or None when it rejects a line."""
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, **usecols)
+    except ValueError:
+        return None
+
+
+def _fault(path, header: bool) -> str:
+    """Why path's data rows are no table of finite numbers: the first ragged row, else the first bad cell."""
+    bad = lambda a: a is None or not np.isfinite(a).all()
+    fault = width = None
+    for number, line in itertools.islice(_rows(path), header, None):
+        cells = next(csv.reader([line]))
+        width = width or len(cells)
+        if len(cells) != width:
+            return f"row {number} has {len(cells)} cells, expected {width}"
+        if fault is None and bad(_numbers([line])):
+            fault = next((f"row {number}, column {j + 1}: not a finite number: {cell!r}"
+                          for j, cell in enumerate(cells) if bad(_numbers([line], usecols=j))), f"row {number}")
+    return fault
 
 
 def load_csv(path, response=None) -> RegressionData:
-    """Numeric CSV -> RegressionData.
+    """Numeric CSV -> RegressionData, parsed by numpy's C reader.
 
-    Comma separated, '.' decimal, UTF-8, no quoting.  A first row that
-    fails to parse as numbers is taken as a header.  The response is the
-    named column (header required) or the last column when response is
-    None.  Malformed and non-finite cells are reported with 1-based row
-    and column.
+    Comma separated, UTF-8 with or without a byte-order mark; '"' quotes a
+    cell.  A number is what float() reads, less '_' and non-ASCII digits.
+    Lines of blank cells are skipped; a first row that is not all numbers
+    is a header.  The response is the named column (header required) or
+    the last column.  A ragged row or a bad or non-finite cell is reported
+    by its line in the file and 1-based column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and not all(cell.strip() == "" for cell in r)]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    header = None
-    try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1 + (header is not None)} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                data[i, j] = np.nan
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}: row {i + 1 + (header is not None)}, column {j + 1}: "
-                         f"not a finite number: {rows[i][j]!r}")
-    if response is None:
-        y_col = width - 1
-    else:
+    lines = (line for _, line in _rows(path))
+    first, header = next(lines, None), None
+    if first is not None and _numbers([first]) is None:
+        header, first = [cell.strip() for cell in next(csv.reader([first]))], next(lines, None)
+    if first is None:
+        raise ValueError(f"{path}: {'header but ' * (header is not None)}no data rows")
+    data = _numbers(itertools.chain([first], lines))
+    if data is None or not np.isfinite(data).all():
+        raise ValueError(f"{path}: {_fault(path, header is not None)}")
+    y_col = data.shape[1] - 1
+    if response is not None:
         if header is None:
             raise ValueError(f"{path}: response column {response!r} needs a header row")
         if response not in header:
             raise ValueError(f"{path}: no column named {response!r}")
         y_col = header.index(response)
-    x_cols = [j for j in range(width) if j != y_col]
-    columns = [header[j] for j in x_cols] if header else None
-    return RegressionData(x=data[:, x_cols], y=data[:, y_col], columns=columns)
+    x_cols = [j for j in range(data.shape[1]) if j != y_col]
+    return RegressionData(x=data[:, x_cols], y=data[:, y_col], columns=header and [header[j] for j in x_cols])

@@ -5,6 +5,7 @@ differences, dense linear algebra, exhaustive enumeration, coordinate
 descent) without touching the incremental code paths under test.
 """
 
+import csv
 import itertools
 from math import comb
 
@@ -15,6 +16,7 @@ from drlp import (
     Degenerate,
     PairGroups,
     PseudoInverse,
+    RegressionData,
     ReluNetwork,
     add_axis,
     build_clad,
@@ -450,3 +452,52 @@ def certificate_residual(g, normals, upper):
         return float(np.linalg.norm(g))
     res = lsq_linear(normals.T, g, bounds=(np.zeros(len(normals)), upper), method="bvls")
     return float(np.linalg.norm(normals.T @ res.x - g))
+
+
+def load_csv_reference(path, response=None) -> RegressionData:
+    """drlp.load_csv as a per-cell parser: csv.reader splits, float() reads each cell.
+
+    Comma separated, UTF-8, '"' quotes a cell.  Rows whose cells are all
+    blank are dropped before rows are counted, so an error's ``row R``
+    counts the rows that are left.  A first row that fails to parse as
+    numbers is taken as a header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r and not all(cell.strip() == "" for cell in r)]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    header = None
+    try:
+        [float(cell) for cell in rows[0]]
+    except ValueError:
+        header = [cell.strip() for cell in rows[0]]
+        rows = rows[1:]
+        if not rows:
+            raise ValueError(f"{path}: header but no data rows")
+    width = len(rows[0])
+    data = np.empty((len(rows), width))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i + 1 + (header is not None)} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                data[i, j] = np.nan
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: row {i + 1 + (header is not None)}, column {j + 1}: "
+                         f"not a finite number: {rows[i][j]!r}")
+    if response is None:
+        y_col = width - 1
+    else:
+        if header is None:
+            raise ValueError(f"{path}: response column {response!r} needs a header row")
+        if response not in header:
+            raise ValueError(f"{path}: no column named {response!r}")
+        y_col = header.index(response)
+    x_cols = [j for j in range(width) if j != y_col]
+    columns = [header[j] for j in x_cols] if header else None
+    return RegressionData(x=data[:, x_cols], y=data[:, y_col], columns=columns)

@@ -281,6 +281,33 @@ class TestSolve:
                           "lists of distinct, exactly negated last-hidden-layer units; pair (1, 1)/(1, 2): "
                           "not in the last hidden layer, 2, the only one pairs may mirror\n")
 
+    @pytest.mark.parametrize("entry, why", [
+        ([[0, 1], [1, 2]], "; no hidden unit [0, 1] in widths (1, 2, 1)\n"),
+        ([[1, 1], [2, 2]], "; no hidden unit [2, 2] in widths (1, 2, 1)\n"),
+        ([[1, 0], [1, 2]], "; no hidden unit [1, 0] in widths (1, 2, 1)\n"),
+        ([[1, 1], [1, 3]], "; no hidden unit [1, 3] in widths (1, 2, 1)\n"),
+        (None, "; int() argument must be a string, a bytes-like object or a real number, not 'NoneType'\n"),
+        ([[None, 1], [1, 2]], "not 'NoneType'\n"),
+        ([[1, 1], None], "inhomogeneous shape"),
+        ([[1, 1], [1]], "inhomogeneous shape"),
+        ([[1, 1], [1, 2, 3]], "inhomogeneous shape"),
+        ([[1, 1, 1], [1, 2, 1]], "; too many values to unpack (expected 2)\n"),
+        ([[1, 1], [1, 1]], "; pairs must be disjoint\n"),
+    ])
+    def test_bad_pairs_entry_exit_one(self, capsys, tmp_path, entry, why):
+        # |x| as a mirrored pair, whose good entry is [[1, 1], [1, 2]]
+        path = tmp_path / "abs.json"
+        save_model(path, ReluNetwork([[[1.0], [-1.0]], [[1.0, 1.0]]], [[0.0, 0.0], [0.0]]), PairGroups([(0, 1)]))
+        doc = json.loads(path.read_text())
+        assert doc["pairs"] == [[[1, 1], [1, 2]]]
+        doc["pairs"] = [entry]
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = _run(capsys, ["check", "--model", str(path), "--x", "0"])
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "
+                                 "of distinct, exactly negated last-hidden-layer units; ")
+        assert why in stderr
+
     def test_multi_start_is_deterministic(self, capsys, hinge_model):
         args = ["solve", "--model", hinge_model, "--x0", "random",
                 "--starts", "3", "--seed", "11"]

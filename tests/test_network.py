@@ -88,6 +88,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"no hidden unit .* in widths \(2, 2, 1, 1\)"):
             net_fold_sum.flat_index(c)
 
+    def test_flat_index_of_an_array_equals_scalar_calls(self):
+        net = build_random((2, 3, 4, 2, 1), seed=1)
+        units = np.array([net.neuron_at(flat) for flat in range(net.num_neurons)] * 2)
+        flat = net.flat_index(units)
+        assert flat.shape == (len(units),)
+        assert flat.tolist() == [net.flat_index(c) for c in units.tolist()]
+        assert type(net.flat_index((2, 3))) is int
+        # a model file's (k, 2, 2) pairs convert in the same one call
+        assert net.flat_index(units.reshape(-1, 2, 2)).tolist() == flat.reshape(-1, 2).tolist()
+        assert net.flat_index(np.zeros((0, 2), dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [(0, 1), (4, 1), (1, 0), (1, 4), (3, 3)])
+    def test_flat_index_of_an_array_raises_for_its_first_bad_row(self, bad):
+        net = build_random((2, 3, 4, 2, 1), seed=1)
+        units = np.array([(1, 1), (3, 2), bad, (0, 0), (2, 4)])
+        with pytest.raises(ValueError) as scalar:
+            net.flat_index(list(bad))
+        with pytest.raises(ValueError) as array:
+            net.flat_index(units)
+        assert str(array.value) == str(scalar.value) == f"no hidden unit {list(bad)} in widths (2, 3, 4, 2, 1)"
+
     @pytest.mark.parametrize("flat", [-1, 3])
     def test_neuron_at_out_of_range(self, net_fold_sum, flat):
         with pytest.raises(ValueError, match=f"flat index {flat} out of range"):
