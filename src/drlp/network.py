@@ -142,14 +142,15 @@ class PairGroups:
         units = np.concatenate([self.first, self.second])
         if units.size and not 0 <= units.min() <= units.max() < net.num_neurons:
             raise ValueError(f"pairs name units outside widths {net.widths}")
-        last = net.offsets[-2]
-        outside = (self.first < last) | (self.second < last)
+        last, w, bias = net.offsets[-2], net.weights[-2], net.biases[-2]
         # an outside pair is bad anyway; clipping keeps its row lookup in range
         ja, jb = np.maximum(self.first - last, 0), np.maximum(self.second - last, 0)
-        w, bias = net.weights[-2], net.biases[-2]
+        if units.min(initial=last) >= last and (w[ja] == -w[jb]).all() and (bias[ja] == -bias[jb]).all():
+            return      # all pairs at once; the scan for the first bad pair runs only when that fails
+        outside = (self.first < last) | (self.second < last)
         bad = outside | ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
         if bad.any():
-            k = np.flatnonzero(bad)[0]
+            k = bad.nonzero()[0][0]
             why = (f"not in the last hidden layer, {net.depth}, the only one pairs may mirror"
                    if outside[k] else "rows and biases are not exactly negated")
             raise ValueError(f"pair {net.neuron_at(int(self.first[k]))}/"
@@ -166,7 +167,7 @@ class PairGroups:
         """
         self.validate(net)
         keep = ~self.secondary_flat_mask(net)
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         last, keep = net.offsets[-2], keep[net.offsets[-2]:]
         folded = ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
                              net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]])
@@ -179,7 +180,12 @@ class PairGroups:
 
 def evaluate(net: ReluNetwork, x) -> float:
     """Network output at x."""
-    z = relu_arguments(net, x)[net.offsets[-2]:]
+    return output(net, relu_arguments(net, x))
+
+
+def output(net: ReluNetwork, args: np.ndarray) -> float:
+    """Network output from every unit's argument, indexed by flat unit; only the last layer's are read."""
+    z = args[net.offsets[-2]:]
     w = np.where(z > 0.0, net.weights[-1], net.off_weights)
     return float((w @ z + net.biases[-1])[0])
 
@@ -248,15 +254,15 @@ def _crossing_gains(net: ReluNetwork) -> np.ndarray:
     return gains
 
 
-def crossing_terms(net: ReluNetwork, s: np.ndarray, owners) -> tuple:
+def crossing_terms(net: ReluNetwork, s: np.ndarray, owners, gains=None) -> tuple:
     """(gains, bend) that price the crossing of each owner's wall under s.
 
     gains[k] is df/d out_c for owner c = owners[k], out_c = s_c arg_c, or c's crossing gain in
-    the last hidden layer.  bend[j, k] is sigma_j d arg_j / d out_c for owner j, sigma_j = +-1
-    the side of its bit: one forward sweep carries a unit column from each owner's layer.
+    the last layer (given gains, a solve's _crossing_gains).  bend[j, k] is sigma_j d arg_j / d out_c
+    for owner j, sigma_j = +-1 its bit's side: one forward sweep carries a unit column per owner.
     """
     owners = np.asarray(owners, dtype=np.intp)
-    gains, last = _crossing_gains(net)[owners], net.offsets[-2]
+    gains, last = (_crossing_gains(net) if gains is None else gains)[owners], net.offsets[-2]
     if not (early := owners < last).any():
         return gains, np.zeros((owners.size, owners.size))        # no crossing bends a wall
     layer = np.searchsorted(net.offsets, owners, side="right")     # 1-based
@@ -264,8 +270,8 @@ def crossing_terms(net: ReluNetwork, s: np.ndarray, owners) -> tuple:
     for l in range(int(layer.min()), net.depth):
         lo, hi = net.offsets[l - 1], net.offsets[l]
         y = s[lo:hi, None] * jac[lo:hi]
-        y[owners[layer == l] - lo, np.flatnonzero(layer == l)] += 1.0
-        rows = np.flatnonzero(y.any(axis=1))    # the owners' downstream may be a small block
+        y[owners[layer == l] - lo, (layer == l).nonzero()[0]] += 1.0
+        rows = y.any(axis=1).nonzero()[0]    # the owners' downstream may be a small block
         jac[hi:net.offsets[l + 1]] = net.weights[l][:, rows] @ y[rows]
     gains[early] = (np.where(s[last:], net.weights[-1][0], net.off_weights) @ jac[last:])[early]
     return gains, np.where(s[owners] == 1, 1.0, -1.0)[:, None] * jac[owners]
@@ -308,7 +314,7 @@ def critical_indices(net: ReluNetwork, s: np.ndarray, x):
     """
     args, normals = subjective_arguments(net, s, x), normal_matrices(net, s)
     norms = np.linalg.norm(normals, axis=1)
-    units = np.flatnonzero((np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL))
+    units = ((np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)).nonzero()[0]
     return units.tolist(), np.where(s[units, None] == 1, normals[units], -normals[units])
 
 

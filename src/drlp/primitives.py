@@ -68,16 +68,25 @@ class AdvanceResult:
     t is the step length to unit neuron's wall (may be slightly negative
     when the start point sits marginally past it); neuron is None and t is
     +inf when nothing stops the ray.  crossed holds the flat indices of the
-    walls the step passed before stopping, in crossing order.
+    walls the step passed before stopping, in crossing order.  args and rates
+    are every unit's argument at x and its rate along v under the search's
+    pattern, unoriented: at(t, units) is the arguments at x + t v with no sweep,
+    and at the stop also after its flips (last-layer walls, and the stop unit,
+    whose argument is 0 there).
     """
 
     t: float
     neuron: int | None
     crossed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+    args: np.ndarray | None = None
+    rates: np.ndarray | None = None
 
     @property
     def bounded(self) -> bool:
         return self.neuron is not None
+
+    def at(self, t: float, units=slice(None)) -> np.ndarray:
+        return self.args[units] + t * self.rates[units]
 
 
 def project(pinv: PseudoInverse, v) -> np.ndarray:
@@ -132,7 +141,7 @@ def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
     order = [*range(i), *range(i + 1, pinv.m), i]
     matrix, normals, beta = pinv.matrix[order], pinv.normals[order], beta[order]
     matrix[-1] /= beta[-1]
-    matrix[:-1] -= np.outer(beta[:-1], matrix[-1])
+    matrix[:-1] -= beta[:-1, None] * matrix[-1]
     normals[-1] = u
     out = PseudoInverse(matrix, normals, pinv.owners[:i] + pinv.owners[i + 1:] + [c])
     return update_axis_new_region(out, out.m - 1, bend) if bend.any() else out
@@ -177,6 +186,7 @@ def advance_max(
     *,
     slope: float | None = None,
     slope_tol: float = 0.0,
+    gains: np.ndarray | None = None,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
 
@@ -190,8 +200,8 @@ def advance_max(
     Without slope the step stops at the first wall.  Given slope, the
     directional derivative of the network along v at x, it is a long
     (Barrodale-Roberts) step: it passes walls while the slope stays below
-    -slope_tol, each last-layer wall adding its crossing gain
-    (``_crossing_gains``) times |rate|, and stops before any wall of an
+    -slope_tol, each last-layer wall adding its crossing gain (gains, a
+    solve's ``_crossing_gains``) times |rate|, and stops before any wall of an
     earlier layer, whose flip would bend the walls behind it, and before
     any wall at t <= 0.  If nothing stops it, the result is unbounded with
     every candidate in crossed.
@@ -203,30 +213,28 @@ def advance_max(
     wall; the caller decides what to accept.
     """
     rate = inner_products_all(net, s, v)
+    alpha, beta = subjective_arguments(net, s, x), np.where(s, rate, -rate)
     candidate = rate < -ZERO_TOL
     candidate[np.asarray(ignore, dtype=np.intp)] = False
-    flat = np.flatnonzero(candidate)
+    flat = candidate.nonzero()[0]
     if not flat.size:
-        return AdvanceResult(float("inf"), None)
-    arg = subjective_arguments(net, s, x)[flat]
-    rate = rate[flat]
-    ts = -np.where(s[flat] == 1, arg, -arg) / rate
+        return AdvanceResult(float("inf"), None, args=alpha, rates=beta)
+    ts = -alpha[flat] / beta[flat]     # the orientation cancels
     # flat ascends, so a stable sort on t orders candidates by (t, flat index)
-    order = np.argsort(ts, kind="stable")
-    ts, flat, rate = ts[order], flat[order], rate[order]
+    order = ts.argsort(kind="stable")
+    ts, flat = ts[order], flat[order]
     stop = 0
     if slope is not None:
-        climb = slope + np.cumsum(_crossing_gains(net)[flat] * -rate)
-        stops = np.flatnonzero((climb >= -slope_tol) | (ts <= 0.0))
-        if not stops.size:
-            return AdvanceResult(float("inf"), None, flat)
-        stop = int(stops[0])
+        climb = slope - ((_crossing_gains(net) if gains is None else gains)[flat] * rate[flat]).cumsum()
+        stops = (climb >= -slope_tol) | (ts <= 0.0)
+        if not stops[stop := int(stops.argmax())]:
+            return AdvanceResult(float("inf"), None, flat, alpha, beta)
     # the stopping tie group starts at the first wall within the tie window
     # of the stop wall; everything before it is crossed
-    first = int(np.searchsorted(ts, ts[stop] - TIE_TOL * (1.0 + abs(ts[stop]))))
-    end = int(np.searchsorted(ts, ts[first] + TIE_TOL * (1.0 + abs(ts[first])), side="right"))
-    k = first + int(np.argmin(flat[first:end]))
-    return AdvanceResult(float(ts[k]), int(flat[k]), flat[:first])
+    first = int(ts.searchsorted(ts[stop] - TIE_TOL * (1.0 + abs(ts[stop]))))
+    end = int(ts.searchsorted(ts[first] + TIE_TOL * (1.0 + abs(ts[first])), side="right"))
+    k = first + int(flat[first:end].argmin())
+    return AdvanceResult(float(ts[k]), int(flat[k]), flat[:first], alpha, beta)
 
 
 def argument_residuals(pinv: PseudoInverse, net: ReluNetwork, s: np.ndarray, x) -> np.ndarray:

@@ -309,7 +309,7 @@ def load_csv(path, response=None) -> RegressionData:
     Lines of blank cells are skipped; a first row that is not all numbers
     is a header.  The response is the named column (header required) or
     the last column.  A ragged row or a bad or non-finite cell is reported
-    by its line in the file and 1-based column.
+    by file line and 1-based column, a header of the wrong width by both widths.
     """
     lines = (line for _, line in _rows(path))
     first, header = next(lines, None), None
@@ -320,6 +320,8 @@ def load_csv(path, response=None) -> RegressionData:
     data = _numbers(itertools.chain([first], lines))
     if data is None or not np.isfinite(data).all():
         raise ValueError(f"{path}: {_fault(path, header is not None)}")
+    if header is not None and len(header) != data.shape[1]:
+        raise ValueError(f"{path}: header has {len(header)} columns but the data rows have {data.shape[1]}")
     y_col = data.shape[1] - 1
     if response is not None:
         if header is None:
@@ -327,5 +329,6 @@ def load_csv(path, response=None) -> RegressionData:
         if response not in header:
             raise ValueError(f"{path}: no column named {response!r}")
         y_col = header.index(response)
-    x_cols = [j for j in range(data.shape[1]) if j != y_col]
-    return RegressionData(x=data[:, x_cols], y=data[:, y_col], columns=header and [header[j] for j in x_cols])
+    # x and y own their data, so the parsed table is freed on return
+    return RegressionData(x=np.delete(data, y_col, axis=1), y=data[:, y_col].copy(),
+                          columns=header and header[:y_col] + header[y_col + 1:])

@@ -22,6 +22,7 @@ import numpy as np
 from .network import (
     PairGroups,
     ReluNetwork,
+    _crossing_gains,
     activation_pattern,
     critical_indices,
     crossing_terms,
@@ -30,6 +31,7 @@ from .network import (
     gradient,
     normal_matrices,
     oriented_normal,
+    output,
 )
 from .primitives import (
     DEP_TOL,
@@ -78,7 +80,7 @@ class TraceRecord:
     step: int
     phase: str          # find_vertex | pivot | flip | certify | correct | resync
     x: tuple
-    f: float
+    f: float            # find_vertex, pivot: from the step's arguments (AdvanceResult.at); else evaluate
     neuron: int | None = None      # flat unit index in the caller's network
     t: float | None = None
     alpha: float | None = None
@@ -89,7 +91,7 @@ class TraceRecord:
 class SolveOutcome:
     status: str         # LocalMinimum | Unbounded | NonRegular | StepLimit
     x: np.ndarray
-    f: float
+    f: float            # a fresh evaluate at x (plus the objective), never a step's arguments
     steps: int
     wall_ms: float = 0.0
     direction: np.ndarray | None = None   # certified descent ray when Unbounded
@@ -111,27 +113,30 @@ class SolverState:
     kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
+    gains: np.ndarray = field(init=False, repr=False)     # net's _crossing_gains, once per solve
 
     def __post_init__(self):
         if self.kept is None:
             self.kept = np.arange(self.net.num_neurons)
+        self.gains = _crossing_gains(self.net)
 
-    def value(self) -> float:
-        f = evaluate(self.net, self.x)
+    def value(self, args=None) -> float:
+        f = evaluate(self.net, self.x) if args is None else output(self.net, args)
         return f if self.objective is None else f + self.objective.value(self.x)
 
     def gradient(self) -> np.ndarray:
         g = gradient(self.net, self.s)
         return g if self.objective is None else g + self.objective.grad(self.x)
 
-    def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None):
+    def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None, step=None):
+        """Record the event at x; step, the AdvanceResult that moved x by t, gives f with no sweep."""
         if not self.options.collect_trace and self.options.on_record is None:
             return
         rec = TraceRecord(
             step=self.steps,
             phase=phase,
             x=tuple(self.x.tolist()),
-            f=self.value(),
+            f=self.value(None if step is None else step.at(t)),
             neuron=None if neuron is None else int(self.kept[neuron]),
             t=None if t is None else float(t),
             alpha=None if alpha is None else float(alpha),
@@ -159,7 +164,7 @@ def _start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
     x = np.array(x0, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise ValueError(f"{name} must be finite with shape ({net.input_dim},); got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
+    bad = (~np.isfinite(x)).nonzero()[0]
     if bad.size:
         raise ValueError(f"{name} must be finite with shape ({net.input_dim},); "
                          f"got {x[bad[0]]} at index {bad[0]}")
@@ -180,7 +185,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
         if not critical_indices(net, s, x)[0]:
             break
         step = rng.standard_normal(net.input_dim)
-        step /= np.linalg.norm(step)
+        step /= math.sqrt(step @ step)
         x = x + 1e-7 * (1.0 + np.max(np.abs(x))) * step
     else:
         raise ValueError("could not nudge the start point off all hyperplanes")
@@ -198,7 +203,7 @@ def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, b
     """
     mu = pinv.matrix @ grad
     edges = np.concatenate([pinv.matrix, -(pinv.matrix + bend.T @ pinv.matrix)])
-    return edges, np.concatenate([mu, gains - mu - bend.T @ mu]) / np.linalg.norm(edges, axis=1)
+    return edges, np.concatenate([mu, gains - mu - bend.T @ mu]) / np.sqrt((edges * edges).sum(axis=1))
 
 
 def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, bend):
@@ -208,26 +213,27 @@ def choose_axis(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, bend):
     alpha < 0 means f descends along it.
     """
     edges, vals = axis_derivatives(pinv, grad, gains, bend)
-    i = int(np.argmin(vals))
+    i = int(vals.argmin())
     return edges[i], float(vals[i]), i
 
 
-def position_correction(state: SolverState) -> float:
+def position_correction(state: SolverState, r=None) -> float:
     """Re-project x onto the intersection of the tracked walls.
 
     Solves for the displacement that zeroes every owner's argument; exact
-    up to roundoff because arguments are affine on the region.  Returns the
-    largest residual found before correcting, a drift measure for callers.
+    up to roundoff because arguments are affine on the region, from r, the
+    owners' arguments at x (the pivot loop's from its step), or one sweep.
+    Returns the largest residual found before correcting, a drift measure.
     """
     if state.pinv.m == 0:
         return 0.0
-    r = argument_residuals(state.pinv, state.net, state.s, state.x)
+    r = argument_residuals(state.pinv, state.net, state.s, state.x) if r is None else r
     signs = np.where(state.s[state.pinv.owners] == 1, 1.0, -1.0)
     delta = state.pinv.matrix.T @ (-signs * r)
     state.x = state.x + delta
-    if np.linalg.norm(delta) > 1e-13 * (1.0 + np.linalg.norm(state.x)):
+    if math.sqrt(delta @ delta) > 1e-13 * (1.0 + math.sqrt(state.x @ state.x)):
         state.emit("correct")
-    return float(np.max(np.abs(r)))
+    return float(abs(r).max())
 
 
 def refresh_pseudoinverse(state: SolverState):
@@ -255,14 +261,14 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
     """
     net, s, opts = state.net, state.s, state.options
     grad = gradient(net, s)
-    gscale = 1.0 + np.linalg.norm(grad)
+    gscale = 1.0 + math.sqrt(grad @ grad)
     v = -grad.copy()
     tried_opposite = False
     rank, null = net.input_dim, None
     while state.pinv.m < rank:
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
-        if np.linalg.norm(v) <= 1e-12 * gscale:
+        if math.sqrt(v @ v) <= 1e-12 * gscale:
             if null is None:
                 w = net.weights[0]
                 _, sv, vt = np.linalg.svd(w, full_matrices=w.shape[0] < w.shape[1])
@@ -271,15 +277,15 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 continue    # the walls may already pin the vertex
             v = state.rng.standard_normal(net.input_dim)
             v -= project(state.pinv, v) + null.T @ (null @ v)
-            if np.linalg.norm(v) <= 1e-12 * gscale:
+            if math.sqrt(v @ v) <= 1e-12 * gscale:
                 continue  # unlucky draw inside the pinned subspace
             if v @ grad > 0.0:
                 v = -v
             tried_opposite = False
-        v = v / np.linalg.norm(v)
+        v = v / math.sqrt(v @ v)
         slope, tol = float(v @ grad), DESCENT_TOL * gscale
         res = advance_max(net, state.x, v, s, state.pinv.owners,
-                          slope=slope if slope < -tol else None, slope_tol=tol)
+                          slope=slope if slope < -tol else None, slope_tol=tol, gains=state.gains)
         state.steps += 1
         if not res.bounded:
             if slope < -tol:
@@ -291,7 +297,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 v, tried_opposite = np.zeros_like(v), False
             continue
         state.x = state.x + res.t * v
-        state.emit("find_vertex", neuron=res.neuron, t=res.t, crossed=res.crossed.size)
+        state.emit("find_vertex", neuron=res.neuron, t=res.t, crossed=res.crossed.size, step=res)
         try:
             state.pinv = add_axis(state.pinv, oriented_normal(net, s, res.neuron), res.neuron)
         except DependentColumn:
@@ -300,7 +306,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
             # crossed units sit in the last hidden layer, so no tracked normal bends
             state.s = s = flip(s, res.crossed)
             grad = gradient(net, s)
-            gscale, v = 1.0 + np.linalg.norm(grad), -grad
+            gscale, v = 1.0 + math.sqrt(grad @ grad), -grad
         v = v - project(state.pinv, v)
         tried_opposite = False
     position_correction(state)
@@ -347,7 +353,7 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
         return state.finish(STEP_LIMIT)
     if m := state.pinv.m:
         row, alpha, i = choose_axis(state.pinv, grad, *terms)
-        descent_tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
+        descent_tol = DESCENT_TOL * (1.0 + math.sqrt(grad @ grad))
         if alpha < -descent_tol:
             if i >= m:
                 i -= m
@@ -367,16 +373,17 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
 
 def _pivot_loop(state: SolverState) -> SolveOutcome:
     net = state.net
-    terms = crossing_terms(net, state.s, state.pinv.owners)
+    terms = crossing_terms(net, state.s, state.pinv.owners, state.gains)
     while True:
         if isinstance(edge := certify_local_min(state, state.gradient(), terms), SolveOutcome):
             return edge
         row, alpha, i, descent_tol = edge
         owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
         others = owners[:i] + owners[i + 1:]
-        v = row / np.linalg.norm(row)
+        v = row / math.sqrt(row @ row)
         # long step: pass every last-layer wall while f still descends
-        res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol)
+        res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol,
+                          gains=state.gains)
         state.steps += 1
         if not res.bounded:
             return state.finish(UNBOUNDED, direction=v)
@@ -396,24 +403,25 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
             state.emit("resync", neuron=res.neuron, t=res.t)
             position_correction(state)
-            terms = crossing_terms(net, state.s, state.pinv.owners)
+            terms = crossing_terms(net, state.s, state.pinv.owners, state.gains)
             continue
         state.x = state.x + res.t * v
         c = res.neuron
-        state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size)
+        state.emit("pivot", neuron=c, t=res.t, alpha=alpha, crossed=res.crossed.size, step=res)
         # crossed units sit in the last hidden layer and are not owners, so their bits
         # enter neither c's normal nor any tracked one; terms price the next vertex too
         state.s = flip(state.s, np.append(res.crossed, c))
-        terms = crossing_terms(net, state.s, others + [c])
+        terms = crossing_terms(net, state.s, others + [c], state.gains)
         try:
             state.pinv = exchange_axis(state.pinv, i, oriented_normal(net, state.s, c), c, terms[1][:, -1])
         except DependentColumn:
             return state.finish(NON_REGULAR, neurons=others + [c])
         try:
-            resid = position_correction(state)
+            # c and the crossed walls changed no argument at x, so the step's are the owners'
+            resid = position_correction(state, res.at(res.t, state.pinv.owners))
             # the rank-one updates compound near tight vertices; rebuild
             # from the owners as soon as their walls drift
-            if resid > DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x)))):
+            if resid > DRIFT_REFRESH_TOL * (1.0 + float(abs(state.x).max())):
                 refresh_pseudoinverse(state)
                 position_correction(state)
         except Degenerate:
@@ -478,7 +486,7 @@ def _sync(basis: PseudoInverse, walls, unit) -> PseudoInverse:
         flipped = (pos >= 0) & ~same & (basis.normals == -unit[pos]).all(axis=1)
         basis.matrix[flipped] *= -1.0
         basis.normals[flipped] *= -1.0
-        for i in np.flatnonzero(~(same | flipped))[::-1]:
+        for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
         pos = pos[same | flipped]
     basis.owners = pos.tolist()
@@ -520,7 +528,7 @@ def _feasible_direction(g, normals, walls, basis, hess=None, convex=False):
             ratio = np.full(held.size, np.inf)
             ratio[neg] = old[neg] / (old[neg] - lam[neg])
             mu[held] = old + ratio.min() * (lam - old)
-            for i in np.flatnonzero((ratio <= ratio.min()) | (mu[held] <= 0.0))[::-1]:
+            for i in ((ratio <= ratio.min()) | (mu[held] <= 0.0)).nonzero()[0][::-1]:
                 basis = remove_pseudorow(basis, i)
         else:
             mu = np.zeros(len(unit))
@@ -595,8 +603,8 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         active, normals = critical_indices(net, state.s, state.x)
         g = state.gradient()
         v, d, basis, _, regular = _feasible_direction(g, normals, active, basis, hess, convex)
-        if np.linalg.norm(v) > 1e-10 * (1.0 + np.linalg.norm(g)):
-            v = d / np.linalg.norm(d)
+        if math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g)):
+            v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
             state.steps += 1
             a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
@@ -608,7 +616,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 break
             state.x = state.x + t * v
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
-                       crossed=0)
+                       crossed=0, step=res)
         elif not regular:
             out = state.finish(NON_REGULAR, neurons=active)
             break
@@ -618,6 +626,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             basis = _sync(basis, active, normals / norms[:, None])
             pos, basis.owners = basis.owners, [active[j] for j in basis.owners]
             state.pinv = PseudoInverse(basis.matrix / norms[pos, None], normals[pos], list(basis.owners))
-            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
+            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners, state.gains))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

@@ -490,6 +490,8 @@ def load_csv_reference(path, response=None) -> RegressionData:
         i, j = bad[0]
         raise ValueError(f"{path}: row {i + 1 + (header is not None)}, column {j + 1}: "
                          f"not a finite number: {rows[i][j]!r}")
+    if header is not None and len(header) != width:
+        raise ValueError(f"{path}: header has {len(header)} columns but the data rows have {width}")
     if response is None:
         y_col = width - 1
     else:

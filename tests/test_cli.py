@@ -211,7 +211,10 @@ class TestSolve:
         calls.clear()
         trace = tmp_path / "trace.jsonl"
         assert _run(capsys, argv + ["--trace", str(trace)])[0] == 0
-        assert len(calls) == len(trace.read_text().splitlines()) + 1
+        # find_vertex and pivot records take f from their step's arguments; the rest evaluate
+        phases = [json.loads(line)["phase"] for line in trace.read_text().splitlines()]
+        swept = sum(phase in ("flip", "certify", "correct", "resync") for phase in phases)
+        assert swept < len(phases) and len(calls) == swept + 1
 
     def test_trace_names_first_unit(self, capsys, tmp_path):
         # f(x) = relu(x): the descent from x = 2 stops on unit (1, 1), flat index 0
@@ -532,6 +535,14 @@ class TestRegression:
             code, stdout, stderr = _run(capsys, [cmd, "--data", str(path)] + extra)
             assert code == 1 and stdout == ""
             assert "row 3, column 2: not a finite number: 'inf'" in stderr
+
+    def test_header_width_mismatch_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n7,8,10\n")
+        code, stdout, stderr = _run(capsys, ["quantile", "--data", str(path), "--response", "b"])
+        assert code == 1 and stdout == ""
+        assert "d.csv: header has 2 columns but the data rows have 3" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestCounting:

@@ -26,6 +26,7 @@ from drlp import (
     ReluNetwork,
     activation_pattern,
     add_axis,
+    advance_max,
     argument_residuals,
     axis_derivatives,
     build_clad,
@@ -55,6 +56,7 @@ from drlp import (
     normal_matrices,
     save_model,
     solve_quadratic,
+    subjective_arguments,
     SolverOptions,
     SolveOutcome,
     SolverState,
@@ -281,7 +283,9 @@ class TestDrlsimplex:
         assert out.status == LOCAL_MINIMUM and len(calls) == 1     # finish() alone
         calls.clear()
         out = drlsimplex(net_hinge_gap, [3.0, -2.0])
-        assert len(calls) == len(out.trace) + 1
+        # find_vertex and pivot records take f from their step's arguments; the rest evaluate
+        swept = sum(r.phase in ("flip", "certify", "correct", "resync") for r in out.trace)
+        assert swept < len(out.trace) and len(calls) == swept + 1
 
     def test_record_callback_sees_every_phase(self, net_hinge_gap):
         phases = []
@@ -753,6 +757,96 @@ class TestDeepRandomNets:
                 best = probe_min(net, out.x, radius=1e-6, samples=2000, seed=seed)
                 assert best >= out.f - 1e-12 * (1.0 + abs(out.f)), (topo, seed)
         assert statuses[LOCAL_MINIMUM] >= 8
+
+
+class TestStepArguments:
+    """The line search's arguments stand in for the sweeps a step's record and correction made."""
+
+    def test_step_arguments_match_a_fresh_sweep(self):
+        # alpha + t beta against subjective_arguments at x + t v under the search's pattern,
+        # and at the stop under the pattern with the crossed and stop walls' bits flipped
+        rng = np.random.Generator(np.random.Philox(31))
+        crossed = early_stops = 0
+        for topo in DEEP_TOPOLOGIES:
+            for seed in range(20):
+                net = build_random(topo, seed=seed)
+                x = rng.uniform(-2.0, 2.0, size=topo[0])
+                v = rng.standard_normal(topo[0])
+                s = (activation_pattern(net, x) if seed % 2
+                     else rng.integers(0, 2, size=net.num_neurons).astype(np.uint8))
+                slope = float(gradient(net, s) @ v)
+                if slope > 0.0:
+                    v, slope = -v, -slope
+                res = advance_max(net, x, v, s, slope=slope)
+                stops = [(res.t, flip(s, np.append(res.crossed, res.neuron)))] if res.bounded else []
+                for t, after in [(0.0, s), (0.5, s), (4.0, s)] + stops:
+                    fresh = subjective_arguments(net, after, x + t * v)
+                    gap = np.abs(res.at(t) - fresh)
+                    assert np.all(gap <= 1e-12 * (1.0 + np.abs(fresh))), (topo, seed, t, gap.max())
+                crossed += res.crossed.size
+                early_stops += res.bounded and res.neuron < net.offsets[-2]
+        assert crossed > 20 and early_stops > 20
+
+    @staticmethod
+    def _solves(problem):
+        """(net, objective or None, outcome) of a few solves of one problem family."""
+        if problem == "random":
+            for topo in DEEP_TOPOLOGIES:
+                for seed in range(5):
+                    net, out = _deep_solve(topo, seed)
+                    yield net, None, out
+            return
+        if problem == "train_l1":
+            net, pairs, start = _train_l1_problem(20, 1)
+            yield net, None, drlsimplex(net, start, SolverOptions(seed=0), pairs)
+            return
+        for seed in range(4):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x = rng.standard_normal((60, 3))
+            data = RegressionData(x, 1.0 + x @ [1.0, -0.5, 0.25] + rng.laplace(size=60))
+            if problem == "lasso":
+                net, q, pairs = build_lasso(data, lam=5.0)
+                yield net, q, solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=seed), pairs)
+                continue
+            net, pairs = (build_quantile_lasso(data, alpha=0.3, lam=0.5) if problem == "quantile"
+                          else build_clad(data))
+            x0 = np.zeros(net.input_dim) if problem == "quantile" else rng.standard_normal(3)
+            yield net, None, drlsimplex(net, x0, SolverOptions(seed=seed), pairs)
+
+    @pytest.mark.parametrize("problem", ["quantile", "clad", "lasso", "train_l1", "random"])
+    def test_step_records_match_a_fresh_evaluation(self, problem):
+        records = 0
+        for net, q, out in self._solves(problem):
+            for rec in out.trace:
+                if rec.phase in ("find_vertex", "pivot"):
+                    ref = evaluate(net, np.array(rec.x)) + (0.0 if q is None else q.value(rec.x))
+                    assert abs(rec.f - ref) <= 1e-12 * (1.0 + abs(ref)), (rec.step, rec.f - ref)
+                    records += 1
+        assert records >= 10
+
+    def test_owners_stay_within_the_drift_bound_after_each_pivot(self, monkeypatch):
+        # the pivot loop corrects x from the step's arguments, not a sweep; a fresh sweep at
+        # every vertex it prices must still find each owner's wall within the drift bound,
+        # and those residuals must not trip the rebuild that would hide a wrong correction
+        real, vertices = drlp.solver.certify_local_min, []
+        rebuild, rebuilds = drlp.solver.refresh_pseudoinverse, []
+
+        def checked(state, *args):
+            r = argument_residuals(state.pinv, state.net, state.s, state.x)
+            bound = drlp.solver.DRIFT_REFRESH_TOL * (1.0 + float(np.max(np.abs(state.x))))
+            assert np.max(np.abs(r), initial=0.0) <= bound, (state.steps, r)
+            vertices.append(state.steps)
+            return real(state, *args)
+
+        monkeypatch.setattr(drlp.solver, "certify_local_min", checked)
+        monkeypatch.setattr(drlp.solver, "refresh_pseudoinverse",
+                            lambda state: rebuilds.append(state.steps) or rebuild(state))
+        for topo in DEEP_TOPOLOGIES:
+            for seed in range(10):
+                _deep_solve(topo, seed)
+        _train_l1(50, 1)
+        _descent_solve("quantile", 3)
+        assert len(vertices) > 300 and len(rebuilds) < 5
 
 
 class TestRankDeficientFirstLayer:
