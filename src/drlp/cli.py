@@ -45,11 +45,11 @@ from .solver import (
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
-    _start_point,
     axis_derivatives,
     crossing_terms,
     drlsimplex,
     solve_quadratic,
+    start_point,
 )
 
 EXIT_CODES = {LOCAL_MINIMUM: 0, UNBOUNDED: 2, NON_REGULAR: 3, STEP_LIMIT: 4}
@@ -118,7 +118,7 @@ def _jittered(net, rng, pairs):
     return ReluNetwork(net.weights, np.split(hidden, net.offsets[1:-1]) + biases[-1:])
 
 
-def _outcome_doc(out, net, extra=None):
+def _emit_outcome(args, out, net, extra):
     doc = {
         "status": out.status,
         "x": [float(v) for v in out.x],
@@ -130,13 +130,7 @@ def _outcome_doc(out, net, extra=None):
         doc["direction"] = [float(v) for v in out.direction]
     if out.neurons:
         doc["neurons"] = [list(net.neuron_at(c)) for c in out.neurons]
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _emit_outcome(args, out, net, extra=None):
-    doc = _outcome_doc(out, net, extra)
+    doc.update(extra)
     text = json.dumps(doc)
     print(text)
     if args.out:
@@ -157,8 +151,10 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
         raise ValueError(f"--starts must be at least 1, got {args.starts}")
     if args.max_steps < 0:
         raise ValueError(f"--max-steps must be nonnegative, got {args.max_steps}")
-    if fixed_x0 is None and args.x0 not in ("zero", "random"):
-        fixed_x0 = _start_point(net, _parse_list(args.x0, "--x0", float), "--x0")
+    if fixed_x0 is None and args.x0 == "zero":
+        fixed_x0 = np.zeros(net.input_dim)
+    elif fixed_x0 is None and args.x0 != "random":
+        fixed_x0 = start_point(net, _parse_list(args.x0, "--x0", float), "--x0")
     seeds = np.random.SeedSequence(args.seed).spawn(args.starts)
     runs = []
     with open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext() as fh:
@@ -168,12 +164,7 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
                 max_steps=args.max_steps, seed=rng, collect_trace=False,
                 on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
             )
-            if fixed_x0 is not None:
-                x0 = fixed_x0
-            elif args.x0 == "zero":
-                x0 = np.zeros(net.input_dim)
-            else:
-                x0 = rng.standard_normal(net.input_dim)
+            x0 = rng.standard_normal(net.input_dim) if fixed_x0 is None else fixed_x0
             out, jittered = solve(net, x0, opts, pairs), False
             for _ in range(3 if args.jitter_on_nonregular else 0):
                 if out.status != NON_REGULAR:
@@ -270,9 +261,12 @@ def cmd_regions(args):
 def cmd_check(args):
     """Certify --x from the solver's own pricing of the 2m edges at the vertex of its active walls."""
     net, pairs = load_model(args.model)
-    x = _start_point(net, _parse_list(args.x, "--x", float), "--x")
+    x = start_point(net, _parse_list(args.x, "--x", float), "--x")
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
+    # each wall through x takes the bit of an exactly zero argument, not its roundoff sign
+    crit = critical_indices(folded, s, x)[0]
+    s[crit] = np.concatenate([np.zeros(folded.offsets[-2], dtype=bool), folded.two_slope])[crit]
     crit, normals = critical_indices(folded, s, x)
     try:
         pinv = dense_pseudoinverse(normals, crit)

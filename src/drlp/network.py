@@ -23,12 +23,13 @@ backward (``_backward``) for the gradient or a single normal.
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
 ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.
-``PairGroups.fold`` turns each mirrored pair of ReLUs (z, -z) into one such unit.
+``PairGroups.fold`` builds a net with each mirrored pair of ReLUs (z, -z) as one such unit.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 
@@ -37,6 +38,13 @@ import numpy as np
 # Threshold for "this argument is exactly zero" (critical_indices, relative
 # to 1 + |normal|) and "this rate is zero" (advance_max, absolute).
 ZERO_TOL = 1e-9
+
+
+def require_finite(name: str, a: np.ndarray, rule: str):
+    """Raises ValueError naming a's first non-finite entry by its 1-based index, then rule."""
+    if not np.isfinite(a).all():
+        at = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{name} [{', '.join(str(i + 1) for i in at)}] is {a[tuple(at)]}; {rule}")
 
 
 class ReluNetwork:
@@ -49,12 +57,15 @@ class ReluNetwork:
         arguments; the last entry is the 1-row output map.
     biases : sequence of 1-D arrays
         One bias vector per weight matrix.
+    off_weights, two_slope : 1-D arrays over the last hidden layer, optional
+        See the module docstring; plain ReLUs (0, False) by default.
 
     The network has ``depth = len(weights) - 1`` ReLU layers.  The output
-    layer is affine (no ReLU) and must have exactly one unit.
+    layer is affine (no ReLU) and must have exactly one unit.  The slopes and
+    ``gains`` are read-only; a network is not changed once built.
     """
 
-    def __init__(self, weights, biases):
+    def __init__(self, weights, biases, off_weights=None, two_slope=None):
         if len(weights) != len(biases):
             raise ValueError("need one bias vector per weight matrix")
         if len(weights) < 2:
@@ -69,10 +80,7 @@ class ReluNetwork:
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
                 raise ValueError(f"layer {k + 1}: input width {w.shape[1]} != previous layer width")
             for name, a in (("weight", w), ("bias", b)):
-                if not np.isfinite(a).all():
-                    at = np.argwhere(~np.isfinite(a))[0]
-                    raise ValueError(f"layer {k + 1}: {name} [{', '.join(str(i + 1) for i in at)}] "
-                                     f"is {a[tuple(at)]}; weights and biases must be finite")
+                require_finite(f"layer {k + 1}: {name}", a, "weights and biases must be finite")
         if self.weights[-1].shape[0] != 1:
             raise ValueError("output layer must have exactly one unit")
         self.depth = len(self.weights) - 1
@@ -82,9 +90,22 @@ class ReluNetwork:
         self.num_neurons = int(sum(self.relu_widths))
         # flat index of each layer's first unit, then num_neurons
         self.offsets = tuple(itertools.accumulate(self.relu_widths, initial=0))
-        # plain ReLUs until PairGroups.fold sets these (see the module docstring)
-        self.off_weights = np.zeros(self.relu_widths[-1])
-        self.two_slope = np.zeros(self.relu_widths[-1], dtype=bool)
+        last = (self.relu_widths[-1],)
+        self.off_weights = np.zeros(last) if off_weights is None else np.array(off_weights, dtype=np.float64)
+        self.two_slope = np.zeros(last, dtype=bool) if two_slope is None else np.array(two_slope, dtype=bool)
+        for name, a in (("off_weights", self.off_weights), ("two_slope", self.two_slope)):
+            if a.shape != last:
+                raise ValueError(f"{name} must have shape {last}, one entry per last-layer unit; got {a.shape}")
+            a.setflags(write=False)
+        if off_weights is not None:
+            require_finite("off_weights", self.off_weights, "off_weights must be finite")
+
+    @functools.cached_property
+    def gains(self) -> np.ndarray:
+        """Slope change per |rate| from crossing each flat unit's wall: w - off_weights, inf before the last layer."""
+        gains = np.concatenate([np.full(self.offsets[-2], np.inf), self.weights[-1][0] - self.off_weights])
+        gains.setflags(write=False)
+        return gains
 
     def flat_index(self, c):
         """Flat position of hidden unit ``c = (layer, unit)``, both 1-based.
@@ -169,12 +190,10 @@ class PairGroups:
         keep = ~self.secondary_flat_mask(net)
         kept = keep.nonzero()[0]
         last, keep = net.offsets[-2], keep[net.offsets[-2]:]
+        off, two_slope = net.off_weights.copy(), net.two_slope.copy()
+        off[self.first - last], two_slope[self.first - last] = -net.weights[-1][0, self.second - last], True
         folded = ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
-                             net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]])
-        folded.off_weights[:], folded.two_slope[:] = net.off_weights[keep], net.two_slope[keep]
-        j = np.searchsorted(kept, self.first) - last
-        folded.off_weights[j] = -net.weights[-1][0, self.second - last]
-        folded.two_slope[j] = True
+                             net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]], off[keep], two_slope[keep])
         return folded, kept
 
 
@@ -244,25 +263,15 @@ def gradient(net: ReluNetwork, s: np.ndarray) -> np.ndarray:
     return _backward(net, s, w @ net.weights[-2], net.depth - 1)
 
 
-def _crossing_gains(net: ReluNetwork) -> np.ndarray:
-    """Slope change per unit |rate| from crossing each flat unit's wall, whichever side it starts on.
-
-    A last-layer unit's is its bit-1 minus its bit-0 output weight; earlier layers get inf.
-    """
-    gains = np.full(net.num_neurons, np.inf)
-    gains[net.offsets[-2]:] = net.weights[-1][0] - net.off_weights
-    return gains
-
-
-def crossing_terms(net: ReluNetwork, s: np.ndarray, owners, gains=None) -> tuple:
+def crossing_terms(net: ReluNetwork, s: np.ndarray, owners) -> tuple:
     """(gains, bend) that price the crossing of each owner's wall under s.
 
-    gains[k] is df/d out_c for owner c = owners[k], out_c = s_c arg_c, or c's crossing gain in
-    the last layer (given gains, a solve's _crossing_gains).  bend[j, k] is sigma_j d arg_j / d out_c
-    for owner j, sigma_j = +-1 its bit's side: one forward sweep carries a unit column per owner.
+    gains[k] is df/d out_c for owner c = owners[k], out_c = s_c arg_c, or net.gains[c] in the
+    last layer.  bend[j, k] is sigma_j d arg_j / d out_c for owner j, sigma_j = +-1 its bit's
+    side: one forward sweep carries a unit column per owner.
     """
     owners = np.asarray(owners, dtype=np.intp)
-    gains, last = (_crossing_gains(net) if gains is None else gains)[owners], net.offsets[-2]
+    gains, last = net.gains[owners], net.offsets[-2]
     if not (early := owners < last).any():
         return gains, np.zeros((owners.size, owners.size))        # no crossing bends a wall
     layer = np.searchsorted(net.offsets, owners, side="right")     # 1-based

@@ -23,7 +23,6 @@ import numpy as np
 from .network import (
     ZERO_TOL,
     ReluNetwork,
-    _crossing_gains,
     inner_products_all,
     subjective_arguments,
 )
@@ -186,7 +185,6 @@ def advance_max(
     *,
     slope: float | None = None,
     slope_tol: float = 0.0,
-    gains: np.ndarray | None = None,
 ) -> AdvanceResult:
     """Step along v from x to the wall where the line search stops.
 
@@ -200,11 +198,10 @@ def advance_max(
     Without slope the step stops at the first wall.  Given slope, the
     directional derivative of the network along v at x, it is a long
     (Barrodale-Roberts) step: it passes walls while the slope stays below
-    -slope_tol, each last-layer wall adding its crossing gain (gains, a
-    solve's ``_crossing_gains``) times |rate|, and stops before any wall of an
-    earlier layer, whose flip would bend the walls behind it, and before
-    any wall at t <= 0.  If nothing stops it, the result is unbounded with
-    every candidate in crossed.
+    -slope_tol, each last-layer wall adding its crossing gain (``net.gains``)
+    times |rate|, and stops before any wall of an earlier layer, whose flip
+    would bend the walls behind it, and before any wall at t <= 0.  If
+    nothing stops it, the result is unbounded with every candidate in crossed.
 
     The stop wall is the smallest flat index, which is the
     lexicographically smallest (layer, unit), among the walls within
@@ -225,7 +222,7 @@ def advance_max(
     ts, flat = ts[order], flat[order]
     stop = 0
     if slope is not None:
-        climb = slope - ((_crossing_gains(net) if gains is None else gains)[flat] * rate[flat]).cumsum()
+        climb = slope - (net.gains[flat] * rate[flat]).cumsum()
         stops = (climb >= -slope_tol) | (ts <= 0.0)
         if not stops[stop := int(stops.argmax())]:
             return AdvanceResult(float("inf"), None, flat, alpha, beta)

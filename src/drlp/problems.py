@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PairGroups, ReluNetwork
+from .network import PairGroups, ReluNetwork, require_finite
 from .solver import QuadraticObjective
 
 
@@ -34,6 +34,8 @@ class RegressionData:
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
             raise ValueError(f"design {self.x.shape} and response {self.y.shape} do not align")
+        for name in ("x", "y"):
+            require_finite(f"RegressionData.{name}", getattr(self, name), "data must be finite")
 
     @property
     def n(self) -> int:
@@ -58,6 +60,8 @@ class LpInstance:
         self.b = np.asarray(self.b, dtype=np.float64)
         if self.a.ndim != 2 or self.a.shape != (len(self.b), len(self.c)):
             raise ValueError("constraint matrix does not match c and b")
+        for name in ("c", "a", "b"):
+            require_finite(f"LpInstance.{name}", getattr(self, name), "data must be finite")
 
 
 def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) -> ReluNetwork:
@@ -258,8 +262,8 @@ def build_from_lp(lp: LpInstance, penalty: float = 1.0):
     returns (net, pairs).  With a large enough penalty, minima coincide
     with LP optima; an unbounded LP keeps the network unbounded.
     """
-    if penalty <= 0.0:
-        raise ValueError("penalty must be positive")
+    if not 0.0 < penalty < np.inf:      # also false for nan
+        raise ValueError(f"penalty must be finite and positive, got {penalty}")
     n_var = len(lp.c)
     n_con = len(lp.b)
     w1 = np.vstack([lp.c[None, :], -lp.c[None, :], lp.a, -np.eye(n_var)])

@@ -22,7 +22,6 @@ import numpy as np
 from .network import (
     PairGroups,
     ReluNetwork,
-    _crossing_gains,
     activation_pattern,
     critical_indices,
     crossing_terms,
@@ -32,6 +31,7 @@ from .network import (
     normal_matrices,
     oriented_normal,
     output,
+    require_finite,
 )
 from .primitives import (
     DEP_TOL,
@@ -113,12 +113,10 @@ class SolverState:
     kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
-    gains: np.ndarray = field(init=False, repr=False)     # net's _crossing_gains, once per solve
 
     def __post_init__(self):
         if self.kept is None:
             self.kept = np.arange(self.net.num_neurons)
-        self.gains = _crossing_gains(self.net)
 
     def value(self, args=None) -> float:
         f = evaluate(self.net, self.x) if args is None else output(self.net, args)
@@ -159,15 +157,12 @@ class SolverState:
         )
 
 
-def _start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
+def start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
     """x0 as a fresh float vector; rejects a wrong shape or a non-finite entry."""
-    x = np.array(x0, dtype=np.float64)
+    x, rule = np.array(x0, dtype=np.float64), f"{name} must be finite with shape ({net.input_dim},)"
     if x.shape != (net.input_dim,):
-        raise ValueError(f"{name} must be finite with shape ({net.input_dim},); got shape {x.shape}")
-    bad = (~np.isfinite(x)).nonzero()[0]
-    if bad.size:
-        raise ValueError(f"{name} must be finite with shape ({net.input_dim},); "
-                         f"got {x[bad[0]]} at index {bad[0]}")
+        raise ValueError(f"{rule}; got shape {x.shape}")
+    require_finite(name, x, rule)
     return x
 
 
@@ -179,7 +174,7 @@ def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> So
     """
     options = options or SolverOptions()
     rng = options.make_rng()
-    x = _start_point(net, x0)
+    x = start_point(net, x0)
     for _ in range(100):
         s = activation_pattern(net, x)
         if not critical_indices(net, s, x)[0]:
@@ -285,7 +280,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
         v = v / math.sqrt(v @ v)
         slope, tol = float(v @ grad), DESCENT_TOL * gscale
         res = advance_max(net, state.x, v, s, state.pinv.owners,
-                          slope=slope if slope < -tol else None, slope_tol=tol, gains=state.gains)
+                          slope=slope if slope < -tol else None, slope_tol=tol)
         state.steps += 1
         if not res.bounded:
             if slope < -tol:
@@ -373,7 +368,7 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
 
 def _pivot_loop(state: SolverState) -> SolveOutcome:
     net = state.net
-    terms = crossing_terms(net, state.s, state.pinv.owners, state.gains)
+    terms = crossing_terms(net, state.s, state.pinv.owners)
     while True:
         if isinstance(edge := certify_local_min(state, state.gradient(), terms), SolveOutcome):
             return edge
@@ -382,8 +377,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
         others = owners[:i] + owners[i + 1:]
         v = row / math.sqrt(row @ row)
         # long step: pass every last-layer wall while f still descends
-        res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol,
-                          gains=state.gains)
+        res = advance_max(net, state.x, v, state.s, owners, slope=alpha, slope_tol=descent_tol)
         state.steps += 1
         if not res.bounded:
             return state.finish(UNBOUNDED, direction=v)
@@ -403,7 +397,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 return state.finish(NON_REGULAR, neurons=[res.neuron, owners[i]])
             state.emit("resync", neuron=res.neuron, t=res.t)
             position_correction(state)
-            terms = crossing_terms(net, state.s, state.pinv.owners, state.gains)
+            terms = crossing_terms(net, state.s, state.pinv.owners)
             continue
         state.x = state.x + res.t * v
         c = res.neuron
@@ -411,7 +405,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
         # crossed units sit in the last hidden layer and are not owners, so their bits
         # enter neither c's normal nor any tracked one; terms price the next vertex too
         state.s = flip(state.s, np.append(res.crossed, c))
-        terms = crossing_terms(net, state.s, others + [c], state.gains)
+        terms = crossing_terms(net, state.s, others + [c])
         try:
             state.pinv = exchange_axis(state.pinv, i, oriented_normal(net, state.s, c), c, terms[1][:, -1])
         except DependentColumn:
@@ -587,7 +581,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     if q.lin.shape != (net.input_dim,):
         raise ValueError(f"lin has shape {q.lin.shape} but the network takes shape ({net.input_dim},)")
     opts = options or SolverOptions()
-    x = _start_point(net, x0)
+    x = start_point(net, x0)
     state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
                         options=opts, objective=q, kept=kept)
     hess, basis = q.quad + q.quad.T, PseudoInverse.empty(net.input_dim)
@@ -626,6 +620,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             basis = _sync(basis, active, normals / norms[:, None])
             pos, basis.owners = basis.owners, [active[j] for j in basis.owners]
             state.pinv = PseudoInverse(basis.matrix / norms[pos, None], normals[pos], list(basis.owners))
-            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners, state.gains))
+            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

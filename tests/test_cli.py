@@ -18,10 +18,13 @@ from drlp import (
     ReluNetwork,
     SolveOutcome,
     SolverOptions,
+    activation_pattern,
     build_clad,
     build_from_lp,
     build_quantile_lasso,
     build_random,
+    critical_indices,
+    dense_pseudoinverse,
     drlsimplex,
     evaluate,
     load_csv,
@@ -645,6 +648,33 @@ class TestCheck:
         code, certified, named, _ = check(net, out.x)
         assert (code, certified) == (0, True)
         assert sorted(net.neuron_at(c)[0] for c in named) == [1, 2]
+
+    def test_axes_ignore_roundoff_moves(self, capsys, tmp_path):
+        # a wall through x prints the bit of an exactly zero argument, so moving x by
+        # 1e-14 (1 + |x|) along any pseudoinverse row, on either side of a wall, prints
+        # the same axes; before, each wall's bit and derivatives followed the roundoff
+        rng = np.random.Generator(np.random.Philox(7))
+        x = rng.standard_normal((60, 2))
+        data = RegressionData(x, x @ rng.standard_normal(2) + rng.laplace(size=60))
+        net, pairs = build_quantile_lasso(data)
+        out = drlsimplex(net, np.zeros(3), SolverOptions(seed=0), pairs)
+        path = str(tmp_path / "quantile.json")
+        save_model(path, net, pairs)
+
+        def check(x):
+            code, stdout, _ = _run(capsys, ["check", "--model", path, "--x=" + ",".join(map(repr, x.tolist()))])
+            return code, json.loads(stdout)["axes"]
+
+        code, axes = check(out.x)
+        assert code == 0 and len(axes) == 3
+        assert all(a["bit"] == 1 for a in axes)     # folded residual walls are two-slope
+        folded, kept = pairs.fold(net)
+        crit, normals = critical_indices(folded, activation_pattern(folded, out.x), out.x)
+        rows = dense_pseudoinverse(normals, crit).matrix
+        h = 1e-14 * (1.0 + np.abs(out.x).max())
+        for row in rows / np.linalg.norm(rows, axis=1)[:, None]:
+            for sign in (1.0, -1.0):
+                assert check(out.x + sign * h * row) == (code, axes)
 
     def test_evaluates_f_once(self, capsys, hinge_model, monkeypatch):
         # x never moves, so check evaluates the one f that it prints

@@ -30,7 +30,7 @@ from drlp import (
     subjective_arguments,
 )
 from drlp.bounds import _sweep_bits
-from drlp.network import _crossing_gains, _forward
+from drlp.network import _forward
 from helpers import (
     critical_kernel_dim,
     dense_sweeps,
@@ -125,6 +125,36 @@ class TestConstruction:
         biases[1][0] = bad
         with pytest.raises(ValueError, match=r"layer 2: bias \[1\] is -?(nan|inf);"):
             ReluNetwork(weights, biases)
+
+    @pytest.mark.parametrize("kw, msg", [
+        ({"off_weights": np.zeros(3)}, r"off_weights must have shape \(2,\), one entry per last-layer unit; "
+                                       r"got \(3,\)"),
+        ({"off_weights": np.zeros((1, 2))}, r"off_weights must have shape \(2,\).*got \(1, 2\)"),
+        ({"two_slope": [True]}, r"two_slope must have shape \(2,\).*got \(1,\)"),
+        ({"two_slope": True}, r"two_slope must have shape \(2,\).*got \(\)"),
+        ({"off_weights": [0.5, np.nan]}, r"off_weights \[2\] is nan; off_weights must be finite"),
+        ({"off_weights": [-np.inf, 0.0]}, r"off_weights \[1\] is -inf; off_weights must be finite"),
+    ])
+    def test_rejects_bad_slopes(self, kw, msg):
+        with pytest.raises(ValueError, match=msg):
+            ReluNetwork([np.ones((3, 2)), np.ones((2, 3)), np.ones((1, 2))], [np.zeros(3), np.zeros(2), np.zeros(1)],
+                        **kw)
+
+    def test_slopes_and_gains_are_read_only(self):
+        off = np.array([0.5, -1.0])
+        net = ReluNetwork([np.ones((2, 2)), np.array([[2.0, 3.0]])], [np.zeros(2), np.zeros(1)],
+                          off_weights=off, two_slope=[True, False])
+        assert net.gains.tolist() == [1.5, 4.0]
+        off[0] = 9.0        # the net holds its own copy
+        assert net.off_weights.tolist() == [0.5, -1.0]
+        for a in (net.off_weights, net.two_slope, net.gains):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        plain = build_random((2, 3, 1), seed=1)
+        assert plain.off_weights.tolist() == [0.0] * 3 and not plain.two_slope.any()
+        assert plain.gains.tobytes() == plain.weights[-1][0].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            plain.gains[:] = 0.0
 
     def test_random_builder_is_seeded(self):
         a = build_random((3, 4, 2, 1), seed=9)
@@ -519,12 +549,13 @@ class TestFold:
     def test_crossing_gains_are_pair_sums(self, name, net, pairs, x_wall):
         folded, kept = pairs.fold(net)
         last, w = net.offsets[-2], net.weights[-1][0]
-        gains = _crossing_gains(folded)
+        gains = folded.gains
         first = np.searchsorted(kept, pairs.first)
         assert gains[first].tobytes() == (w[pairs.first - last] + w[pairs.second - last]).tobytes()
         plain = np.setdiff1d(np.arange(last, net.num_neurons), np.concatenate([pairs.first, pairs.second]))
         assert gains[np.searchsorted(kept, plain)].tobytes() == w[plain - last].tobytes()
         assert np.all(np.isinf(gains[:last]))
+        assert gains[last:].tobytes() == (folded.weights[-1][0] - folded.off_weights).tobytes()
 
     def test_paired_wall_takes_bit_one(self, name, net, pairs, x_wall):
         folded, kept = pairs.fold(net)

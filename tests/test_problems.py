@@ -50,6 +50,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="constraint matrix does not match c and b"):
             LpInstance(np.ones(2), np.ones((3, 3)), np.ones(3))
 
+    @pytest.mark.parametrize("field, make", [
+        ("RegressionData.x [2, 3] is nan", lambda x, y: RegressionData(x, y)),
+        ("RegressionData.y [4] is -inf", lambda x, y: RegressionData(np.zeros((4, 1)), y)),
+        ("LpInstance.a [2, 3] is nan", lambda x, y: LpInstance(np.ones(3), x, np.ones(4))),
+        ("LpInstance.b [4] is -inf", lambda x, y: LpInstance(np.ones(1), np.zeros((4, 1)), y)),
+    ])
+    def test_non_finite_data_named_where_it_enters(self, field, make):
+        # the message names the field and its first bad entry, 1-based, not a network layer
+        x = np.ones((4, 3))
+        x[1, 2] = x[3, 0] = np.nan
+        y = np.array([1.0, 2.0, 3.0, -np.inf])
+        with pytest.raises(ValueError, match=re.escape(f"{field}; data must be finite")):
+            make(x, y)
+
+    def test_lp_objective_must_be_finite(self):
+        with pytest.raises(ValueError, match=re.escape("LpInstance.c [2] is inf")):
+            LpInstance(np.array([1.0, np.inf]), np.ones((1, 2)), np.ones(1))
+
+    @pytest.mark.parametrize("penalty", [0.0, -1.0, np.nan, np.inf])
+    def test_lp_penalty_must_be_finite_and_positive(self, penalty):
+        lp = LpInstance(np.ones(2), np.ones((1, 2)), np.ones(1))
+        with pytest.raises(ValueError, match=f"penalty must be finite and positive, got {penalty}"):
+            build_from_lp(lp, penalty=penalty)
+
     def test_random_topology_must_end_in_one(self):
         with pytest.raises(ValueError, match=r"topology must be \(input, hidden\.\.\., 1\)"):
             build_random((2, 3, 2))
