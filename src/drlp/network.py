@@ -322,9 +322,13 @@ def critical_indices(net: ReluNetwork, s: np.ndarray, x):
     and are excluded; they never separate regions near x.
     """
     args, normals = subjective_arguments(net, s, x), normal_matrices(net, s)
-    norms = np.linalg.norm(normals, axis=1)
-    units = ((np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)).nonzero()[0]
+    units = on_walls(args, np.linalg.norm(normals, axis=1))
     return units.tolist(), np.where(s[units, None] == 1, normals[units], -normals[units])
+
+
+def on_walls(args, norms) -> np.ndarray:
+    """Ascending flat units on their walls: |args| <= ZERO_TOL * (1 + norms), norms (of the normals) > ZERO_TOL."""
+    return ((np.abs(args) <= ZERO_TOL * (1.0 + norms)) & (norms > ZERO_TOL)).nonzero()[0]
 
 
 def flip(s: np.ndarray, units) -> np.ndarray:

@@ -98,8 +98,8 @@ def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
     ai = pinv.matrix[i]
     if not (nrm2 := float(ai @ ai)):
         raise Degenerate("cannot remove a zero row")
-    others = np.delete(pinv.matrix, i, axis=0)
-    return PseudoInverse(others - np.outer(others @ ai / nrm2, ai), np.delete(pinv.normals, i, axis=0),
+    others = pinv.matrix[keep := np.arange(pinv.m) != i]
+    return PseudoInverse(others - np.outer(others @ ai / nrm2, ai), pinv.normals[keep],
                          pinv.owners[:i] + pinv.owners[i + 1:])
 
 

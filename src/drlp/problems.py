@@ -322,17 +322,23 @@ def load_csv(path, response=None) -> RegressionData:
     if first is None:
         raise ValueError(f"{path}: {'header but ' * (header is not None)}no data rows")
     data = _numbers(itertools.chain([first], lines))
-    if data is None or not np.isfinite(data).all():
+    if data is None:
         raise ValueError(f"{path}: {_fault(path, header is not None)}")
-    if header is not None and len(header) != data.shape[1]:
-        raise ValueError(f"{path}: header has {len(header)} columns but the data rows have {data.shape[1]}")
-    y_col = data.shape[1] - 1
-    if response is not None:
-        if header is None:
-            raise ValueError(f"{path}: response column {response!r} needs a header row")
-        if response not in header:
-            raise ValueError(f"{path}: no column named {response!r}")
-        y_col = header.index(response)
-    # x and y own their data, so the parsed table is freed on return
-    return RegressionData(x=np.delete(data, y_col, axis=1), y=data[:, y_col].copy(),
-                          columns=header and header[:y_col] + header[y_col + 1:])
+    try:    # RegressionData makes the one finiteness scan of a good file
+        if header is not None and len(header) != data.shape[1]:
+            raise ValueError(f"{path}: header has {len(header)} columns but the data rows have {data.shape[1]}")
+        y_col = data.shape[1] - 1
+        if response is not None:
+            if header is None:
+                raise ValueError(f"{path}: response column {response!r} needs a header row")
+            if response not in header:
+                raise ValueError(f"{path}: no column named {response!r}")
+            y_col = header.index(response)
+        # x and y own their data, so the parsed table is freed on return
+        return RegressionData(x=np.delete(data, y_col, axis=1), y=data[:, y_col].copy(),
+                              columns=header and header[:y_col] + header[y_col + 1:])
+    except ValueError:
+        if np.isfinite(data).all():
+            raise
+        # a non-finite cell is reported before the header's faults, by its row and column
+        raise ValueError(f"{path}: {_fault(path, header is not None)}") from None

@@ -29,9 +29,11 @@ from .network import (
     flip,
     gradient,
     normal_matrices,
+    on_walls,
     oriented_normal,
     output,
     require_finite,
+    subjective_arguments,
 )
 from .primitives import (
     DEP_TOL,
@@ -123,8 +125,7 @@ class SolverState:
         return f if self.objective is None else f + self.objective.value(self.x)
 
     def gradient(self) -> np.ndarray:
-        g = gradient(self.net, self.s)
-        return g if self.objective is None else g + self.objective.grad(self.x)
+        return gradient(self.net, self.s)
 
     def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None, step=None):
         """Record the event at x; step, the AdvanceResult that moved x by t, gives f with no sweep."""
@@ -462,50 +463,50 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _sync(basis: PseudoInverse, walls, unit) -> PseudoInverse:
-    """basis (keyed by wall) over the walls' unit normals, keyed by position in walls.
+def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
+    """basis (keyed by wall) over unit, the ascending walls' unit normals, keyed by position in walls.
 
     Releases walls that left or bent, negates flipped ones and holds new
     ones; with no wall kept, one QR builds it, or holds each if dependent.
     """
-    index = {c: j for j, c in enumerate(walls)}
-    pos = np.array([index.get(c, -1) for c in basis.owners], dtype=np.intp)
-    if not (pos >= 0).any():
+    owners = np.array(basis.owners, dtype=np.intp)
+    pos = np.minimum(walls.searchsorted(owners), max(walls.size - 1, 0))
+    kept = walls[pos] == owners if walls.size else np.zeros(pos.size, dtype=bool)
+    if not kept.any():
         try:
             return dense_pseudoinverse(unit, range(len(unit)))
         except Degenerate:
-            basis, pos = PseudoInverse.empty(unit.shape[1]), pos[:0]
-    elif (pos < 0).any() or not np.array_equal(basis.normals, unit[pos]):
-        same = (pos >= 0) & (basis.normals == unit[pos]).all(axis=1)
-        flipped = (pos >= 0) & ~same & (basis.normals == -unit[pos]).all(axis=1)
+            basis = PseudoInverse.empty(unit.shape[1])
+    elif not kept.all() or not np.array_equal(basis.normals, unit[pos]):
+        same = kept & (basis.normals == unit[pos]).all(axis=1)
+        flipped = kept & ~same & (basis.normals == -unit[pos]).all(axis=1)
         basis.matrix[flipped] *= -1.0
         basis.normals[flipped] *= -1.0
         for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
-        pos = pos[same | flipped]
-    basis.owners = pos.tolist()
-    for j in sorted(set(range(len(walls))) - set(basis.owners)):
+        kept = same | flipped
+    basis.owners = pos[kept].tolist()
+    for j in sorted(set(range(walls.size)) - set(basis.owners)):
         with contextlib.suppress(DependentColumn):
             basis = add_axis(basis, unit[j], j)
     return basis
 
 
-def _feasible_direction(g, normals, walls, basis, hess=None, convex=False):
-    """Projection v of -g onto the tangent cone {d : normals @ d >= 0}, and a face step d.
+def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
+    """Projection v of -g onto the tangent cone {d : unit @ d >= 0}, and a face step d.
 
-    The basis (keyed by wall) is synced to walls, then Lawson & Hanson's
-    NNLS (1974) runs to the exact projection by rank-one releases and holds,
-    mu = P g and v = A' mu - g, over unit normals.  From all walls held, the
-    most negative multiplier is released until none is; then the wall v
-    violates most is held and the multipliers move toward the new ones until
-    the first zero is released.  Given hess, d is the face's Newton step
-    Z (Z'HZ)^-1 Z'(-g) as the solve of (F'HF + S) d = v, S = A'P, F = I - S,
-    positive definite iff Z'HZ is (so if convex), unless it fails, ascends
-    or leaves the cone; then d is v.  Returns (v, d, the face's basis keyed
-    by wall, empty if its walls drifted, mu on unit normals, regular:
-    independent, converged).
+    The basis (keyed by wall) is synced to the ascending walls, whose unit
+    normals are unit, then Lawson & Hanson's NNLS (1974) runs to the exact
+    projection by rank-one releases and holds, mu = P g and v = A' mu - g.
+    From all walls held, the most negative multiplier is released until
+    none is; then the wall v violates most is held and the multipliers
+    move toward the new ones until the first zero is released.  Given hess,
+    d is the face's Newton step Z (Z'HZ)^-1 Z'(-g) as the solve of
+    (F'HF + S) d = v, S = A'P, F = I - S, positive definite iff Z'HZ is
+    (so if convex), unless it fails, ascends or leaves the cone; then d is
+    v.  Returns (v, d, the face's basis keyed by wall, empty if its walls
+    drifted, mu on unit normals, regular: independent, converged).
     """
-    unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
     basis = _sync(basis, walls, unit)
     dependent = basis.m < len(unit)
     gnorm = math.sqrt(g @ g)
@@ -538,7 +539,7 @@ def _feasible_direction(g, normals, walls, basis, hess=None, convex=False):
                 basis = add_axis(basis, unit[j := int(np.argmin(slack))], j)
             except DependentColumn:
                 break
-    basis.owners = [walls[j] for j in basis.owners]
+    basis.owners = walls[basis.owners].tolist()
     face = PseudoInverse.empty(len(g)) if drift else basis
     if hess is not None and held.size < len(g):
         f = np.eye(len(g)) - (s := basis.normals.T @ basis.matrix)
@@ -589,14 +590,20 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         convex = np.linalg.cholesky(hess) is not None
     except np.linalg.LinAlgError:
         convex = False
-    out = None
+    out = pattern = None
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             out = state.finish(STEP_LIMIT)
             break
-        active, normals = critical_indices(net, state.s, state.x)
-        g = state.gradient()
-        v, d, basis, _, regular = _feasible_direction(g, normals, active, basis, hess, convex)
+        if state.s is not pattern:      # at the start and after a flip: the wall table
+            pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
+            normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
+            lengths = np.linalg.norm(normals, axis=1)       # critical_indices' zero test, bit for bit
+            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale
+            unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
+        active = on_walls(args, lengths)
+        g = grad + (hess @ state.x + q.lin)
+        v, d, basis, _, regular = _feasible_direction(g, unit[active], active, basis, hess, convex)
         if math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g)):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -608,7 +615,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             if not np.isfinite(t) or t > _HUGE_T:
                 out = state.finish(UNBOUNDED, direction=v)
                 break
-            state.x = state.x + t * v
+            state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0, step=res)
         elif not regular:
@@ -616,10 +623,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
-            basis = _sync(basis, active, normals / norms[:, None])
-            pos, basis.owners = basis.owners, [active[j] for j in basis.owners]
-            state.pinv = PseudoInverse(basis.matrix / norms[pos, None], normals[pos], list(basis.owners))
+            basis = _sync(basis, active, unit[active])
+            basis.owners = (held := active[basis.owners]).tolist()
+            state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(basis.owners))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

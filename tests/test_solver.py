@@ -1327,6 +1327,67 @@ class TestWorkingSet:
         outs = [out for *_, out in _random_net_corpus()]
         assert checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
 
+    def test_sync_holds_dependent_walls_one_by_one_when_none_is_kept(self):
+        # the held wall 7 left; the two new walls are one, so the dense build raises Degenerate
+        basis = dense_pseudoinverse(np.eye(3)[:1], [7])
+        unit = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        out = drlp.solver._sync(basis, np.array([2, 4]), unit)
+        assert out.owners == [0] and np.array_equal(out.normals, unit[:1])
+
+    @pytest.fixture
+    def walls_checked(self, monkeypatch):
+        """At every _sync: the walls and unit rows solve_quadratic passes are critical_indices' at its s and x.
+
+        The rows are normalized as the solver always has, by the einsum row norm; both checks are
+        byte for byte.  Counts syncs, and normal_matrices calls per solve.
+        """
+        seen, states, sync, normal_matrices = Counter(), [], drlp.solver._sync, drlp.solver.normal_matrices
+
+        class Spied(SolverState):
+            def __post_init__(self):
+                super().__post_init__()
+                states.append(self)
+
+        def checked_sync(basis, walls, unit):
+            units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
+            assert walls.tolist() == units
+            want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
+            assert unit.shape == want.shape and unit.tobytes() == want.tobytes()
+            seen["syncs"] += 1
+            return sync(basis, walls, unit)
+
+        monkeypatch.setattr(drlp.solver, "SolverState", Spied)
+        monkeypatch.setattr(drlp.solver, "_sync", checked_sync)
+        monkeypatch.setattr(drlp.solver, "normal_matrices",
+                            lambda *a: seen.update(["normal_matrices"]) or normal_matrices(*a))
+        return seen
+
+    def test_bench_lasso_walls_are_critical_indices(self, bench_lasso_solves, walls_checked):
+        for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
+            walls_checked.clear()
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
+            assert walls_checked["syncs"] >= out.steps
+
+    def test_random_net_corpus_walls_are_critical_indices(self, walls_checked):
+        outs = [out for *_, out in _random_net_corpus()]
+        assert walls_checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
+
+    def test_one_wall_table_per_pattern(self, bench_lasso_solves, walls_checked):
+        # the normals are swept at the start and after each certification flip, never per step
+        outs = []
+        for k, (net, q, pairs, _) in enumerate(bench_lasso_solves):
+            walls_checked.clear()
+            outs.append(solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs))
+            assert walls_checked["normal_matrices"] == 1 + sum(r.phase == "flip" for r in outs[-1].trace)
+        walls_checked.clear()
+        for *_, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
+            assert walls_checked["normal_matrices"] == 1 + sum(r.phase == "flip" for r in out.trace)
+            walls_checked.clear()
+            outs.append(out)
+        assert sum(r.phase == "flip" for out in outs for r in out.trace) > 100
+        assert sum(out.steps for out in outs) > 3 * sum(r.phase == "flip" for out in outs for r in out.trace)
+
 
 def _pivots(out):
     return [rec for rec in out.trace if rec.phase == "pivot"]
@@ -1538,8 +1599,9 @@ def _direction_cases(kind, seed, count):
 
 def _direction(g, normals, hess=None):
     """_feasible_direction from an empty basis with walls named by row: (v, d, held rows, mu, regular)."""
+    unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
     v, d, basis, mu, regular = drlp.solver._feasible_direction(
-        g, normals, range(len(normals)), PseudoInverse.empty(len(g)), hess)
+        g, unit, np.arange(len(normals)), PseudoInverse.empty(len(g)), hess)
     return v, d, basis.owners, mu, regular
 
 
