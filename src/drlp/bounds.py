@@ -13,8 +13,6 @@ import numpy as np
 
 from .network import ReluNetwork
 
-KEY_BITS = 52   # units per key word: sums of distinct powers of two below 2**52 are exact
-
 
 def _check_topology(topology):
     topology = [int(w) for w in topology]
@@ -62,23 +60,23 @@ def improved_bound(topology) -> int:
     return sum(ways.values())
 
 
-def _sweep_bits(maps, z: np.ndarray, xs: np.ndarray):
+def _sweep_bits(maps, z: np.ndarray, xs: np.ndarray, out=None):
     """Sweep a batch through a network, one sample per column of ``z``.
 
     ``maps[k]`` is ReLU layer k+1's ``[W | b]``; ``z``'s rows are the input, a row of ones,
-    layer 1's units, a row of ones, ... the last layer's units.  Returns the rows after the
-    first ones row: activation bits as 0.0 and 1.0, the ones rows left at 1 for the next batch.
+    layer 1's units, a row of ones, ... the last layer's units.  Returns, as bools (in
+    ``out`` if given), the signs of the rows after the first ones row: the units'
+    activation bits, the ones rows True.  ``z`` keeps the arguments and its ones rows.
     """
     n, r = xs.shape                         # r: the ones row under the block being read
     z[:r, :n] = xs.T
-    bits = z[r + 1:, :n]
     for k, m in enumerate(maps):
         a = z[r + 1:r + 1 + len(m), :n]
         np.matmul(m, z[r + 1 - m.shape[1]:r + 1, :n], out=a)
         if k + 1 < len(maps):               # the last ReLU layer's output is never read
             np.maximum(a, 0.0, out=a)
         r += 1 + len(m)
-    return np.greater(bits, 0.0, out=bits)
+    return np.greater(z[xs.shape[1] + 1:, :n], 0.0, out=out)
 
 
 def count_regions_empirical(
@@ -94,9 +92,12 @@ def count_regions_empirical(
     Samples come from ``Philox(seed)`` in blocks of ``chunk`` points (the
     last block is drawn whole and cut), so for a fixed seed and chunk the
     first k samples do not depend on the total and the count is monotone
-    in ``samples``.  Each block is swept through the network in one buffer,
-    a gemm with powers of two turns its patterns into exact float64 keys and
-    numpy deduplicates them; memory is O(chunk * width + distinct patterns).
+    in ``samples``.  Each block is swept through the network in one buffer
+    and its bits taken as bools.  A float32 product with powers of two sums
+    each 24 units into one exact row, and row pairs join into float64 keys
+    of 48 units each.  With one key per sample (at most 48 units) a sort
+    per block finds the new patterns; wider nets order by the first key and
+    let the set drop the rest.  Memory is O(chunk * width + distinct patterns).
     """
     lo, hi = float(box[0]), float(box[1])
     if not (np.isfinite(hi - lo) and hi > lo):
@@ -108,21 +109,35 @@ def count_regions_empirical(
     rng = np.random.Generator(np.random.Philox(seed))
     maps = [np.column_stack((w, b)) for w, b in zip(net.weights[:-1], net.biases[:-1])]
     z = np.ones((net.input_dim + net.depth + net.num_neurons, chunk))
-    # unit j: bit row j + its layer's index, weight 2**(j % KEY_BITS) in word j // KEY_BITS
+    # unit j: bit row j + its layer's index, weight 2**(j % 24) in float32 row j // 24;
+    # rows 2k and 2k + 1 make key word k, padded to an even count
     unit = np.arange(net.num_neurons)
-    words = -(-net.num_neurons // KEY_BITS)
-    powers = np.zeros((net.depth - 1 + net.num_neurons, words))
-    powers[unit + np.repeat(np.arange(net.depth), net.relu_widths), unit // KEY_BITS] = np.ldexp(1.0, unit % KEY_BITS)
+    words = -(-net.num_neurons // 48)
+    powers = np.zeros((2 * words, net.depth - 1 + net.num_neurons), dtype=np.float32)
+    powers[unit // 24, unit + np.repeat(np.arange(net.depth), net.relu_widths)] = np.ldexp(1.0, unit % 24)
+    xs, bits = np.empty((chunk, net.input_dim)), np.empty((powers.shape[1], chunk), dtype=bool)
+    halves, keys = np.empty((2 * words, chunk), dtype=np.float32), np.empty((words, chunk))
+    fresh = np.ones(chunk, dtype=bool)
     seen = set()
     remaining = int(samples)
     while remaining > 0:
         take = min(chunk, remaining)
-        xs = rng.uniform(lo, hi, size=(chunk, net.input_dim))[:take]
-        keys = _sweep_bits(maps, z, xs).T @ powers
-        # ordering by the first word puts most repeats side by side; the set drops the rest
-        keys = keys[np.argsort(keys[:, 0])]
-        fresh = np.ones(take, dtype=bool)
-        fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        seen.update(keys[fresh].view(f"V{8 * words}").ravel().tolist())
+        rng.random(out=xs)                  # Generator.uniform's lo + (hi - lo) * u, bit for bit
+        xs *= hi - lo
+        xs += lo
+        b, h = _sweep_bits(maps, z, xs[:take], bits[:, :take]), halves[:, :take]
+        for j in range(0, take, 1024):      # the product casts its bits to float32; a slab stays in cache
+            np.matmul(powers, b[:, j:j + 1024], out=h[:, j:j + 1024])
+        k = np.multiply(h[1::2], 2.0 ** 24, out=keys[:, :take])
+        k += h[0::2]
+        if words == 1:      # one key per sample: a sorted block's fresh neighbours
+            k = k[0]
+            k.sort()
+            np.not_equal(k[1:], k[:-1], out=fresh[1:take])
+            seen.update(k[fresh[:take]].tolist())
+        else:               # ordering by the first word puts most repeats side by side; the set drops the rest
+            k = k.T[np.argsort(k[0])]
+            np.any(k[1:] != k[:-1], axis=1, out=fresh[1:take])
+            seen.update(k[fresh[:take]].view(f"V{8 * words}").ravel().tolist())
         remaining -= take
     return len(seen)

@@ -61,8 +61,9 @@ class ReluNetwork:
         See the module docstring; plain ReLUs (0, False) by default.
 
     The network has ``depth = len(weights) - 1`` ReLU layers.  The output
-    layer is affine (no ReLU) and must have exactly one unit.  The slopes and
-    ``gains`` are read-only; a network is not changed once built.
+    layer is affine (no ReLU) and must have exactly one unit.  Its weight row
+    is the network's own copy; it, the slopes and ``gains`` are read-only,
+    and a network is not changed once built.
     """
 
     def __init__(self, weights, biases, off_weights=None, two_slope=None):
@@ -71,6 +72,7 @@ class ReluNetwork:
         if len(weights) < 2:
             raise ValueError("need at least one ReLU layer plus the output layer")
         self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
+        self.weights[-1] = np.array(self.weights[-1])   # gains reads it; hidden layers may stay the caller's
         self.biases = [np.ascontiguousarray(b, dtype=np.float64) for b in biases]
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.size == 0:
@@ -97,6 +99,7 @@ class ReluNetwork:
             if a.shape != last:
                 raise ValueError(f"{name} must have shape {last}, one entry per last-layer unit; got {a.shape}")
             a.setflags(write=False)
+        self.weights[-1].setflags(write=False)
         if off_weights is not None:
             require_finite("off_weights", self.off_weights, "off_weights must be finite")
 

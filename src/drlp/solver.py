@@ -492,6 +492,11 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
     return basis
 
 
+def _steps(v, g) -> bool:
+    """Whether solve_quadratic steps from a projection v of -g; if not, it certifies x."""
+    return math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g))
+
+
 def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
     """Projection v of -g onto the tangent cone {d : unit @ d >= 0}, and a face step d.
 
@@ -504,6 +509,7 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
     d is the face's Newton step Z (Z'HZ)^-1 Z'(-g) as the solve of
     (F'HF + S) d = v, S = A'P, F = I - S, positive definite iff Z'HZ is
     (so if convex), unless it fails, ascends or leaves the cone; then d is
+    v; where no step is taken (``_steps``), no system is formed and d is
     v.  Returns (v, d, the face's basis keyed by wall, empty if its walls
     drifted, mu on unit normals, regular: independent, converged).
     """
@@ -541,8 +547,9 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
                 break
     basis.owners = walls[basis.owners].tolist()
     face = PseudoInverse.empty(len(g)) if drift else basis
-    if hess is not None and held.size < len(g):
-        f = np.eye(len(g)) - (s := basis.normals.T @ basis.matrix)
+    if hess is not None and held.size < len(g) and _steps(v, g):
+        f = -(s := basis.normals.T @ basis.matrix)
+        f.flat[::len(g) + 1] += 1.0                     # I - S
         m = f.T @ hess @ f + s
         try:
             convex or np.linalg.cholesky(m)         # raises unless positive definite
@@ -604,7 +611,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         active = on_walls(args, lengths)
         g = grad + (hess @ state.x + q.lin)
         v, d, basis, _, regular = _feasible_direction(g, unit[active], active, basis, hess, convex)
-        if math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g)):
+        if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
             state.steps += 1

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import drlp.bounds
 from drlp import (
+    ReluNetwork,
     build_random,
     count_regions_empirical,
     improved_bound,
@@ -131,3 +137,38 @@ class TestEmpirical:
         for chunk in (1, 7, 100):
             want = count_regions_reference(net, samples=523, seed=4, chunk=chunk)
             assert count_regions_empirical(net, samples=523, seed=4, chunk=chunk) == want
+
+    @pytest.mark.parametrize("hidden, depth", [(24, 1), (25, 2), (48, 1), (49, 1), (49, 3), (96, 2), (97, 3), (120, 1)])
+    def test_key_words_match_reference(self, hidden, depth):
+        # a key word holds 48 units in two float32 rows of 24: 24 and 25 sit on either side of
+        # one row, 48 and 49 of one word, and 97 and 120 take three words
+        widths = [hidden // depth + (k < hidden % depth) for k in range(depth)]
+        net = build_random([2] + widths + [1], seed=1000 * depth + hidden)
+        for samples, chunk in ((0, 4096), (1, 4096), (1000, 4096), (4097, 4096), (2 * 4096 + 1, 4096),
+                               (0, 1), (60, 1), (523, 100)):
+            want = count_regions_reference(net, samples=samples, seed=depth, chunk=chunk)
+            assert count_regions_empirical(net, samples=samples, seed=depth, chunk=chunk) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e300, 1e300), width=st.floats(1e-300, 1e300), d=st.integers(1, 4),
+           chunk=st.integers(1, 64), data=st.data())
+    def test_block_draws_are_generator_uniform(self, lo, width, d, chunk, data):
+        # each block drawn in place is Generator.uniform(lo, hi, size=(chunk, d)), bit for bit,
+        # on boxes below, above and across zero from widths 1e-300 to 1e300
+        hi = lo + width
+        assume(hi > lo and np.isfinite(hi - lo))
+        samples = data.draw(st.integers(1, 3 * chunk))
+        seed = data.draw(st.integers(0, 2**32))
+        net = ReluNetwork([np.ones((1, d)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+        drawn, sweep = [], drlp.bounds._sweep_bits
+
+        def spy(maps, z, xs, out):
+            drawn.append(xs.copy())
+            return sweep(maps, z, xs, out)
+
+        with mock.patch.object(drlp.bounds, "_sweep_bits", spy):
+            count_regions_empirical(net, (lo, hi), samples=samples, seed=seed, chunk=chunk)
+        assert [len(xs) for xs in drawn] == [min(chunk, samples - k) for k in range(0, samples, chunk)]
+        rng = np.random.Generator(np.random.Philox(seed))
+        for xs in drawn:
+            assert xs.tobytes() == rng.uniform(lo, hi, size=(chunk, d))[:len(xs)].tobytes()

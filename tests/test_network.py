@@ -156,6 +156,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="read-only"):
             plain.gains[:] = 0.0
 
+    def test_output_row_is_the_nets_own(self):
+        # a write into the caller's output array after gains was read leaves net and gains as built
+        w1, w2 = np.eye(2), np.array([[2.0, 3.0]])
+        net = ReluNetwork([w1, w2], [np.zeros(2), np.zeros(1)])
+        assert net.gains.tolist() == [2.0, 3.0]
+        w2[0, 0] = 5.0
+        assert net.weights[-1].tolist() == [[2.0, 3.0]] and net.gains.tolist() == [2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            net.weights[-1][0, 0] = 5.0
+        assert net.weights[0] is w1         # hidden layers stay shared, not copied
+
     def test_random_builder_is_seeded(self):
         a = build_random((3, 4, 2, 1), seed=9)
         b = build_random((3, 4, 2, 1), seed=9)

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -1387,6 +1388,31 @@ class TestWorkingSet:
             outs.append(out)
         assert sum(r.phase == "flip" for out in outs for r in out.trace) > 100
         assert sum(out.steps for out in outs) > 3 * sum(r.phase == "flip" for out in outs for r in out.trace)
+
+    def test_face_newton_system_only_for_a_step(self, bench_lasso_solves, monkeypatch):
+        # both corpora are convex, so each face Newton system formed is one np.linalg.solve from
+        # _feasible_direction; a certification point takes no step and forms none
+        formed, solve = Counter(), np.linalg.solve
+
+        def counted(*args):
+            formed[sys._getframe(1).f_code.co_name] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        outs = []
+        for k, (net, q, pairs, _) in enumerate(bench_lasso_solves):
+            formed.clear()
+            outs.append(solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs))
+            assert outs[-1].status == LOCAL_MINIMUM
+            assert formed["_feasible_direction"] == len(_pivots(outs[-1]))
+        formed.clear()
+        for *_, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
+            if out.status == LOCAL_MINIMUM:
+                assert formed["_feasible_direction"] == len(_pivots(out))
+                outs.append(out)
+            formed.clear()
+        assert len(outs) > 40
+        assert sum(r.phase == "certify" for out in outs for r in out.trace) > 50
 
 
 def _pivots(out):
