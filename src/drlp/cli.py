@@ -110,12 +110,13 @@ def _add_solve_args(p, with_x0=True):
 
 
 def _jittered(net, rng, pairs):
-    """net with 1e-8 relative bias noise; second pair members keep mirroring their first."""
+    """net with 1e-8 relative bias noise and its slopes; second pair members keep mirroring their first."""
     biases = [b + 1e-8 * (1.0 + np.max(np.abs(b))) * rng.standard_normal(b.shape)
               for b in net.biases]
     hidden = np.concatenate(biases[:-1])
     hidden[pairs.second] = -hidden[pairs.first]
-    return ReluNetwork(net.weights, np.split(hidden, net.offsets[1:-1]) + biases[-1:])
+    return ReluNetwork(net.weights, np.split(hidden, net.offsets[1:-1]) + biases[-1:],
+                       net.off_weights, net.two_slope)
 
 
 def _emit_outcome(args, out, net, extra):

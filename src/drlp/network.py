@@ -23,7 +23,7 @@ backward (``_backward``) for the gradient or a single normal.
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
 ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.
-``PairGroups.fold`` builds a net with each mirrored pair of ReLUs (z, -z) as one such unit.
+``PairGroups.fold`` makes each mirrored pair of ReLUs (z, -z) one such unit; model files hold the pairs.
 """
 
 from __future__ import annotations
@@ -187,8 +187,10 @@ class PairGroups:
         output weight; its bit-0 output weight is minus the second member's
         output weight, and the second member is dropped.  The folded net has
         the same value everywhere.  kept[c] is the flat index in net of
-        folded unit c.
+        folded unit c.  Without pairs the folded net is net itself.
         """
+        if not len(self):
+            return net, np.arange(net.num_neurons)
         self.validate(net)
         keep = ~self.secondary_flat_mask(net)
         kept = keep.nonzero()[0]
@@ -325,7 +327,7 @@ def critical_indices(net: ReluNetwork, s: np.ndarray, x):
     and are excluded; they never separate regions near x.
     """
     args, normals = subjective_arguments(net, s, x), normal_matrices(net, s)
-    units = on_walls(args, np.linalg.norm(normals, axis=1))
+    units = on_walls(args, np.sqrt(np.einsum("ij,ij->i", normals, normals)))
     return units.tolist(), np.where(s[units, None] == 1, normals[units], -normals[units])
 
 
@@ -341,10 +343,25 @@ def flip(s: np.ndarray, units) -> np.ndarray:
     return out
 
 
+def _unfolded(net: ReluNetwork, pairs: PairGroups):
+    """(net, pairs) with each two-slope unit j a mirrored pair of ReLUs, the inverse of PairGroups.fold: j keeps
+    its place, and its mirror (-row, 0.0 - bias, never -0.0, output weight -off_weights[j]) follows the layer."""
+    j, w, b = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2]
+    if net.off_weights[~net.two_slope].any():
+        raise ValueError("model files hold no bit-0 slope on a unit that is not two-slope")
+    if not j.size:
+        return net, pairs
+    if len(pairs):
+        raise ValueError("a net with two-slope units is saved without pairs; save_model writes its own")
+    out = np.hstack([net.weights[-1], -net.off_weights[None, j]])
+    mirrored = ReluNetwork(net.weights[:-2] + [np.vstack([w, -w[j]]), out],
+                           net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]])
+    return mirrored, PairGroups(np.stack([net.offsets[-2] + j, net.num_neurons + np.arange(j.size)], axis=1))
+
+
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
-    """Write a network as JSON, with its pairs when there are any."""
-    if net.two_slope.any() or net.off_weights.any():
-        raise ValueError("model files hold no two-slope units; save the net PairGroups.fold was given")
+    """Write a network as JSON, each two-slope unit as a mirrored pair, with its pairs when there are any."""
+    net, pairs = _unfolded(net, pairs)
     doc = {
         "widths": list(net.widths),
         "weights": [w.tolist() for w in net.weights],
@@ -358,6 +375,15 @@ def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
         fh.write("\n")
 
 
+def _layer_arrays(layers, name: str) -> list:
+    """One array per layer for ReluNetwork; raises on a string or a true/false layer numpy would read as numbers."""
+    arrays = [np.asarray(a) for a in layers]
+    for k, a in enumerate(arrays):
+        if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(type(v) in (int, float) for v in a.flat)):
+            raise TypeError(f"{name} of layer {k + 1} holds a value that is not a number")
+    return arrays
+
+
 def load_model(path):
     """Read a model JSON file; returns (network, pairs), pairs empty when the file lists none."""
     with open(path, encoding="utf-8") as fh:
@@ -365,7 +391,7 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ValueError(f"model file {path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        net = ReluNetwork(doc["weights"], doc["biases"])
+        net = ReluNetwork(*(_layer_arrays(doc[name], name) for name in ("weights", "biases")))
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc}") from exc
     except TypeError as exc:
@@ -375,7 +401,12 @@ def load_model(path):
     if "widths" in doc and doc["widths"] != list(net.widths):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
     try:
-        pairs = PairGroups(net.flat_index(doc["pairs"]) if doc.get("pairs") else ())
+        listed = doc.get("pairs") or ()
+        pairs = PairGroups(net.flat_index(listed) if listed else ())
+        # flat_index reads 1.7, "1" and true as unit 1; only integers name a unit
+        bad = next((v for pair in listed for unit in pair for v in unit if type(v) is not int), None)
+        if bad is not None:
+            raise TypeError(f"{json.dumps(bad)} is not a JSON integer")
         pairs.validate(net)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "

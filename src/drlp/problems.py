@@ -3,10 +3,9 @@
 Each builder returns a network whose value at an input point equals the
 loss of the corresponding estimation problem at that parameter vector,
 so minimizing the network minimizes the loss.  A two-slope term such as
-an absolute residual is a mirrored pair of last-hidden-layer units (one
-hyperplane, opposite orientations); builders return those pairs, and the
-solvers fold each into one unit (``PairGroups.fold``).  A builder without
-such units returns the empty ``PairGroups()``.
+an absolute residual is one ``two_slope`` last-hidden-layer unit, its bit-0
+output weight in ``off_weights``.  Builders still return a pairs slot, the
+empty ``PairGroups()`` that perfbench unpacks and passes on.
 """
 
 from __future__ import annotations
@@ -83,11 +82,6 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     return ReluNetwork(weights, biases)
 
 
-def _mirrored(start: int, n: int) -> np.ndarray:
-    """Pairs (start + i, start + n + i), i < n: a block of n units, then its mirror block."""
-    return start + np.stack([np.arange(n), n + np.arange(n)], axis=1)
-
-
 def _check_lam(lam):
     if not 0.0 <= lam < np.inf:      # also false for nan
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
@@ -99,29 +93,21 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     The input point is (intercept, coefficients).  Per observation the
     residual r = y - <theta, (1, x)> contributes
     alpha * max(r, 0) + (1 - alpha) * max(-r, 0); the penalty adds
-    lam * |theta_j| per coefficient (never the intercept).  Mirrored rows
-    hold the residual in exact (row, -row) form with the alpha weights
-    moved to the output layer; returns (net, pairs).
+    lam * |theta_j| per coefficient (never the intercept).  Each residual,
+    then each penalized coefficient, is one two-slope unit; returns (net, PairGroups()).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _check_lam(lam)
     n, p = data.n, data.p
-    design = np.hstack([np.ones((n, 1)), data.x])      # (n, p+1), intercept first
-    blocks_w = [-design, design]
-    blocks_b = [data.y, -data.y]
-    out_w = [np.full(n, alpha), np.full(n, 1.0 - alpha)]
-    if lam > 0.0:
-        pen = np.hstack([np.zeros((p, 1)), np.eye(p)])  # no intercept penalty
-        blocks_w += [pen, -pen]
-        blocks_b += [np.zeros(p), np.zeros(p)]
-        out_w += [np.full(p, lam), np.full(p, lam)]
-    w1 = np.vstack(blocks_w)
-    b1 = np.concatenate(blocks_b)
-    w2 = np.concatenate(out_w)[None, :]
-    net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    # residual pairs, then the penalty's (none at lam = 0)
-    return net, PairGroups(np.concatenate([_mirrored(0, n), _mirrored(2 * n, p if lam > 0.0 else 0)]))
+    m = p if lam > 0.0 else 0          # penalty units, none for the intercept
+    w1 = np.eye(n + m, p + 1, 1 - n)    # penalty row j is e_(j+1)
+    w1[:n, 0] = -1.0                    # residual rows -(1, x_i), intercept first
+    np.negative(data.x, out=w1[:n, 1:])
+    b1 = np.concatenate([data.y, np.zeros(m)])
+    w2 = np.concatenate([np.full(n, alpha), np.full(m, lam)])[None, :]
+    off = -np.concatenate([np.full(n, 1.0 - alpha), np.full(m, lam)])
+    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off, np.ones(n + m, dtype=bool)), PairGroups()
 
 
 def quantile_loss(data: RegressionData, theta, alpha: float = 0.5, lam: float = 0.0) -> float:
@@ -137,18 +123,13 @@ def build_clad(data: RegressionData):
 
     The network value at theta is sum_i |y_i - max(<theta, x_i>, 0)|.
     No intercept column is added; include one in the design if wanted.
-    Second-layer rows come in mirrored pairs; returns (net, pairs).
+    Each absolute residual is one two-slope unit; returns (net, PairGroups()).
     """
     if not data.p:
         raise ValueError("clad needs at least one feature column besides the response; the data has none")
     n = data.n
-    w1 = data.x.copy()
-    b1 = np.zeros(n)
-    w2 = np.vstack([np.eye(n), -np.eye(n)])
-    b2 = np.concatenate([-data.y, data.y])
-    w3 = np.ones((1, 2 * n))
-    net = ReluNetwork([w1, w2, w3], [b1, b2, np.zeros(1)])
-    return net, PairGroups(_mirrored(net.offsets[1], n))
+    return ReluNetwork([data.x.copy(), np.eye(n), np.ones((1, n))], [np.zeros(n), -data.y, np.zeros(1)],
+                       np.full(n, -1.0), np.ones(n, dtype=bool)), PairGroups()
 
 
 def clad_loss(data: RegressionData, theta) -> float:
@@ -170,7 +151,7 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     sum_i |y_i - base(x_i)| with all deeper layers of `base` frozen.
     Dimensions: base first layer has n1 * (n0 + 1) parameters; the loss
     network stacks every observation's copy of the deeper layers as block
-    diagonals and ends in 2N mirrored residual units.  Returns (net, pairs).
+    diagonals and ends in N two-slope residual units.  Returns (net, PairGroups()).
     """
     n0, n1 = base.input_dim, base.relu_widths[0]
     if data.p != n0:
@@ -186,15 +167,10 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     for l in range(1, base.depth):
         layers_w.append(_block_diag_repeat(base.weights[l], n))
         layers_b.append(np.tile(base.biases[l], n))
-    # residual layer: +/- copies of the frozen output map against y
-    d_out = _block_diag_repeat(base.weights[-1], n)        # (n, n * n_last)
-    t_out = np.tile(base.biases[-1], n)
-    layers_w.append(np.vstack([d_out, -d_out]))
-    layers_b.append(np.concatenate([-data.y + t_out, data.y - t_out]))
-    layers_w.append(np.ones((1, 2 * n)))
-    layers_b.append(np.zeros(1))
-    net = ReluNetwork(layers_w, layers_b)
-    return net, PairGroups(_mirrored(net.offsets[base.depth], n))
+    # residual layer: the frozen output map against y, one two-slope unit per sample
+    layers_w += [_block_diag_repeat(base.weights[-1], n), np.ones((1, n))]     # (n, n * n_last)
+    layers_b += [-data.y + np.tile(base.biases[-1], n), np.zeros(1)]
+    return ReluNetwork(layers_w, layers_b, np.full(n, -1.0), np.ones(n, dtype=bool)), PairGroups()
 
 
 def flatten_first_layer(base: ReluNetwork) -> np.ndarray:
@@ -226,10 +202,9 @@ def l1_first_layer_loss(base: ReluNetwork, data: RegressionData, theta) -> float
 def build_lasso(data: RegressionData, lam: float = 0.0):
     """Least squares with L1 penalty: quadratic part plus a penalty network.
 
-    Returns (net, q, pairs): q(theta) = |y - X theta|^2 expanded, and the
-    network contributes lam * sum_j |theta_j| through p mirrored pairs
-    (pairs is empty at lam = 0, where the penalty units are constant zero).
-    No intercept; center or augment the design beforehand.
+    Returns (net, q, PairGroups()): q(theta) = |y - X theta|^2 expanded, and
+    the network contributes lam * sum_j |theta_j| through p two-slope units
+    (constant zero at lam = 0).  No intercept; center or augment the design beforehand.
     """
     if not data.p:
         raise ValueError("lasso needs at least one feature column besides the response; the data has none")
@@ -240,11 +215,8 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
         lin=-2.0 * data.x.T @ data.y,
         const=float(data.y @ data.y),
     )
-    w1 = np.vstack([lam * np.eye(p), -lam * np.eye(p)])
-    b1 = np.zeros(2 * p)
-    w2 = np.ones((1, 2 * p))
-    net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    return net, q, PairGroups(_mirrored(0, p if lam > 0.0 else 0))  # none at lam = 0
+    return ReluNetwork([lam * np.eye(p), np.ones((1, p))], [np.zeros(p), np.zeros(1)],
+                       np.full(p, -1.0), np.ones(p, dtype=bool)), q, PairGroups()
 
 
 def lasso_loss(data: RegressionData, theta, lam: float = 0.0) -> float:
@@ -258,19 +230,19 @@ def build_from_lp(lp: LpInstance, penalty: float = 1.0):
     """Exact penalty network for an LP: objective plus weighted violations.
 
     Value is <c, x> + penalty * (sum of constraint violations + sum of
-    negative parts of x).  The two objective units mirror each other;
-    returns (net, pairs).  With a large enough penalty, minima coincide
+    negative parts of x).  The objective is one two-slope unit; returns
+    (net, PairGroups()).  With a large enough penalty, minima coincide
     with LP optima; an unbounded LP keeps the network unbounded.
     """
     if not 0.0 < penalty < np.inf:      # also false for nan
         raise ValueError(f"penalty must be finite and positive, got {penalty}")
     n_var = len(lp.c)
     n_con = len(lp.b)
-    w1 = np.vstack([lp.c[None, :], -lp.c[None, :], lp.a, -np.eye(n_var)])
-    b1 = np.concatenate([np.zeros(2), -lp.b, np.zeros(n_var)])
-    w2 = np.concatenate([[1.0, -1.0], np.full(n_con + n_var, penalty)])[None, :]
-    net = ReluNetwork([w1, w2], [b1, np.zeros(1)])
-    return net, PairGroups(_mirrored(0, 1))
+    w1 = np.vstack([lp.c[None, :], lp.a, -np.eye(n_var)])
+    b1 = np.concatenate([np.zeros(1), -lp.b, np.zeros(n_var)])
+    w2 = np.concatenate([[1.0], np.full(n_con + n_var, penalty)])[None, :]
+    off = np.concatenate([[1.0], np.zeros(n_con + n_var)])     # <c, x> on both sides of the objective's wall
+    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off, off != 0.0), PairGroups()
 
 
 def _rows(path):

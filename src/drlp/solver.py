@@ -605,10 +605,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         if state.s is not pattern:      # at the start and after a flip: the wall table
             pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
             normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
-            lengths = np.linalg.norm(normals, axis=1)       # critical_indices' zero test, bit for bit
-            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale
+            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
-        active = on_walls(args, lengths)
+        active = on_walls(args, norms)
         g = grad + (hess @ state.x + q.lin)
         v, d, basis, _, regular = _feasible_direction(g, unit[active], active, basis, hess, convex)
         if _steps(v, g):

@@ -14,12 +14,17 @@ import numpy as np
 from drlp import (
     ZERO_TOL,
     Degenerate,
+    LpInstance,
     PairGroups,
     PseudoInverse,
     RegressionData,
     ReluNetwork,
     add_axis,
     build_clad,
+    build_from_lp,
+    build_l1_first_layer,
+    build_lasso,
+    build_quantile_lasso,
     build_random,
     critical_indices,
     crossing_terms,
@@ -238,14 +243,107 @@ def ac5_runs():
                rng.uniform(-1.0, 1.0, size=2), seed)
 
 
+def _mirrored(start, n):
+    """Pairs (start + i, start + n + i), i < n: a block of n units, then its mirror block."""
+    return start + np.stack([np.arange(n), n + np.arange(n)], axis=1)
+
+
+# The problem builders as they were when each two-slope term was a mirrored pair of
+# ReLUs: (net, pairs), the net a chain of plain ReLUs.  PairGroups.fold of each is
+# the builder's own net, byte for byte, and save_model writes both alike.
+
+def mirrored_quantile(data, alpha=0.5, lam=0.0):
+    """Residual rows, their mirrors, then at lam > 0 the penalty rows and their mirrors."""
+    n, p = data.n, data.p
+    design = np.hstack([np.ones((n, 1)), data.x])
+    blocks_w, blocks_b = [-design, design], [data.y, -data.y]
+    out_w = [np.full(n, alpha), np.full(n, 1.0 - alpha)]
+    if lam > 0.0:
+        pen = np.hstack([np.zeros((p, 1)), np.eye(p)])
+        blocks_w += [pen, -pen]
+        blocks_b += [np.zeros(p), np.zeros(p)]
+        out_w += [np.full(p, lam), np.full(p, lam)]
+    net = ReluNetwork([np.vstack(blocks_w), np.concatenate(out_w)[None, :]],
+                      [np.concatenate(blocks_b), np.zeros(1)])
+    return net, PairGroups(np.concatenate([_mirrored(0, n), _mirrored(2 * n, p if lam > 0.0 else 0)]))
+
+
+def mirrored_clad(data):
+    """Layer 2 holds the residual rows, then their mirrors."""
+    n = data.n
+    net = ReluNetwork([data.x.copy(), np.vstack([np.eye(n), -np.eye(n)]), np.ones((1, 2 * n))],
+                      [np.zeros(n), np.concatenate([-data.y, data.y]), np.zeros(1)])
+    return net, PairGroups(_mirrored(net.offsets[1], n))
+
+
+def mirrored_l1_first_layer(base, data):
+    """The residual layer holds every sample's residual row, then their mirrors."""
+    n1, n = base.relu_widths[0], data.n
+    layers_w = [np.vstack([np.hstack([np.kron(np.eye(n1), data.x[i][None, :]), np.eye(n1)]) for i in range(n)])]
+    layers_b = [np.zeros(n * n1)]
+    for l in range(1, base.depth):
+        layers_w.append(np.kron(np.eye(n), base.weights[l]))
+        layers_b.append(np.tile(base.biases[l], n))
+    d_out, t_out = np.kron(np.eye(n), base.weights[-1]), np.tile(base.biases[-1], n)
+    layers_w += [np.vstack([d_out, -d_out]), np.ones((1, 2 * n))]
+    layers_b += [np.concatenate([-data.y + t_out, data.y - t_out]), np.zeros(1)]
+    net = ReluNetwork(layers_w, layers_b)
+    return net, PairGroups(_mirrored(net.offsets[base.depth], n))
+
+
+def mirrored_lasso(data, lam=0.0):
+    """The penalty rows, then their mirrors; pairs at lam = 0 too, where every unit is constant zero."""
+    p = data.p
+    net = ReluNetwork([np.vstack([lam * np.eye(p), -lam * np.eye(p)]), np.ones((1, 2 * p))],
+                      [np.zeros(2 * p), np.zeros(1)])
+    return net, PairGroups(_mirrored(0, p))
+
+
+def mirrored_lp(lp, penalty=1.0):
+    """The objective row and its mirror, then the constraint and bound rows."""
+    n_var, n_con = len(lp.c), len(lp.b)
+    w1 = np.vstack([lp.c[None, :], -lp.c[None, :], lp.a, -np.eye(n_var)])
+    b1 = np.concatenate([np.zeros(2), -lp.b, np.zeros(n_var)])
+    w2 = np.concatenate([[1.0, -1.0], np.full(n_con + n_var, penalty)])[None, :]
+    return ReluNetwork([w1, w2], [b1, np.zeros(1)]), PairGroups(_mirrored(0, 1))
+
+
+def builder_cases():
+    """(name, builder's (net, pairs), mirrored reference's (net, pairs), x) per builder.
+
+    x puts at least one two-slope wall exactly at zero.
+    """
+    rng = np.random.Generator(np.random.Philox(31))
+    data = RegressionData(rng.standard_normal((15, 2)), rng.standard_normal(15))
+    cases = []
+    for alpha in (0.3, 1.0):
+        for lam in (0.0, 0.5):
+            # residual 3 vanishes at (y_3, 0, 0), and so do the penalty units
+            cases.append((f"quantile-{alpha}-{lam}", build_quantile_lasso(data, alpha=alpha, lam=lam),
+                          mirrored_quantile(data, alpha=alpha, lam=lam), np.array([data.y[3], 0.0, 0.0])))
+    zero_y = RegressionData(data.x, np.where(np.arange(15) == 4, 0.0, data.y))
+    cases.append(("clad", build_clad(zero_y), mirrored_clad(zero_y), np.zeros(2)))   # residual 4 is max(0, 0) - 0
+    for name, lam in (("lasso", 2.0), ("lasso-0", 0.0)):
+        net, _, pairs = build_lasso(data, lam=lam)
+        cases.append((name, (net, pairs), mirrored_lasso(data, lam=lam), np.zeros(2)))
+    lp = LpInstance(np.array([1.0, -2.0]), rng.uniform(0.1, 1.0, (3, 2)), np.ones(3))
+    cases.append(("lp", build_from_lp(lp), mirrored_lp(lp), np.zeros(2)))     # <c, x> = 0
+    base = build_random((2, 3, 1), seed=4)
+    shifted = RegressionData(data.x, np.where(np.arange(15) == 2, base.biases[-1][0], data.y))
+    # at theta = 0 the hidden layer is 0, so residual 2 is y_2's offset cancelled exactly
+    cases.append(("train_l1", build_l1_first_layer(base, shifted), mirrored_l1_first_layer(base, shifted),
+                  np.zeros(base.relu_widths[0] * (base.input_dim + 1))))
+    return cases
+
+
 def interleaved_clad(data):
-    """build_clad's (net, pairs) with each residual unit's mirror right after it in layer 2.
+    """mirrored_clad's (net, pairs) with each residual unit's mirror right after it in layer 2.
 
     The value is the same everywhere, but folding keeps every other
     layer-2 unit, so folded unit c is not unit c of this net: the solvers'
     unit names in the caller's numbering are checked against it.
     """
-    net, pairs = build_clad(data)
+    net, pairs = mirrored_clad(data)
     off, n = net.offsets[1], data.n
     order = np.arange(2 * n).reshape(2, n).T.ravel()
     w, b = net.weights, net.biases

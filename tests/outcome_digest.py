@@ -9,7 +9,9 @@ lines mean equal outcomes bit for bit: each digest hashes every solve's
 status, steps, the bytes of x and f, and every trace record (for
 ``check_axes``, the exit code and JSON of ``drlp check``; for
 ``regions``, every sampled count and bound; for ``sweeps``, the output
-bytes of every network sweep).  Wall times are left out.
+bytes of every network sweep).  Wall times are left out.  A second digest
+on each line leaves out unit names (the ``neuron`` of every record and the
+units ``check`` names), so a change that only renumbers units keeps it.
 The script uses only API that has been stable across releases
 (builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
 max_steps)``, ``save_model`` and the ``drlp check`` command, the region
@@ -30,7 +32,8 @@ To compare with another checkout in one command, pass its ``src``:
 
 The same families then run in a child process with ``PYTHONPATH=OTHER/src``
 while this one digests the current tree, and each line ends in ``same`` when
-the two digests are equal and ``moved`` when they differ.  Under a moved
+the two digests are equal, ``renamed`` when only the digests without unit
+names are, and ``moved`` when those differ too.  Under a renamed or moved
 line the other tree's line follows, ending in its ``src``, so the two
 count lines show whether steps or f moved or only the bits.
 
@@ -41,6 +44,7 @@ two trees on one machine, not a test; pytest does not collect it.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -59,12 +63,24 @@ def philox(*seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed))))
 
 
-def solve_record(out):
-    """The bytes of one outcome that a bit-for-bit claim covers."""
+def solve_record(out, names=True):
+    """The bytes of one outcome that a bit-for-bit claim covers; without names, no record's neuron."""
     head = repr((out.status, int(out.steps), np.asarray(out.x, dtype=np.float64).tobytes(),
                  np.float64(out.f).tobytes()))
-    recs = [repr((r.step, r.phase, r.x, r.f, r.neuron, r.t, r.alpha, r.crossed)) for r in out.trace]
+    recs = [repr((r.step, r.phase, r.x, r.f) + ((r.neuron,) if names else ()) + (r.t, r.alpha, r.crossed))
+            for r in out.trace]
     return "\n".join([head] + recs)
+
+
+def check_record(code, out, err, names=True):
+    """What one ``drlp check`` printed; without names, its JSON less the units it names."""
+    if not names and out:
+        doc = json.loads(out)
+        doc.pop("neurons", None)
+        for axis in doc.get("axes", ()):
+            del axis["neuron"]
+        out = json.dumps(doc) + "\n"
+    return repr((code, out, err))
 
 
 def options(seed):
@@ -157,7 +173,7 @@ def check_axes():
             with contextlib.redirect_stdout(io.StringIO()) as out, \
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = drlp.cli.main(argv)
-            yield repr((code, out.getvalue(), err.getvalue()))
+            yield code, out.getvalue(), err.getvalue()
 
 
 def regions():
@@ -216,15 +232,19 @@ FAMILIES = {
 
 
 def digest_lines(names):
-    """The header line, then one line per family: its name, digest and counts."""
+    """The header line, then one line per family: its name, digests with and without unit names, and counts."""
     yield f"# numpy {np.__version__}, python {sys.version.split()[0]}"
     for name in names or FAMILIES:
         family = FAMILIES[name]
-        digest = hashlib.sha256()
+        digest, unnamed = hashlib.sha256(), hashlib.sha256()
         statuses, work = Counter(), Counter()
         for item in family():
-            if isinstance(item, str):
+            if isinstance(item, str):       # regions and sweeps name no unit
                 statuses["checked"] += 1
+                full = bare = item
+            elif isinstance(item, tuple):   # a check's exit code, stdout and stderr
+                statuses["checked"] += 1
+                full, bare = check_record(*item), check_record(*item, names=False)
             else:
                 statuses[item.status] += 1
                 work["steps"] += int(item.steps)
@@ -232,13 +252,14 @@ def digest_lines(names):
                 for r in item.trace:
                     work[r.phase] += 1
                     work["crossed"] += r.crossed or 0
-                item = solve_record(item)
-            digest.update(item.encode() + b"\0")
+                full, bare = solve_record(item), solve_record(item, names=False)
+            digest.update(full.encode() + b"\0")
+            unnamed.update(bare.encode() + b"\0")
         counts = " ".join(f"{k}:{v}" for k, v in sorted(statuses.items()))
         if work:
             counts += (f"  steps:{work['steps']} f:{work['f']:.10g} flips:{work['flip']} find_vertex:"
                        f"{work['find_vertex']} pivots:{work['pivot']} crossed:{work['crossed']}")
-        yield f"{name:<17} {digest.hexdigest()[:16]}  {counts}"
+        yield f"{name:<17} {digest.hexdigest()[:16]} {unnamed.hexdigest()[:16]}  {counts}"
 
 
 def main(argv):
@@ -269,9 +290,10 @@ def main(argv):
     theirs = theirs.splitlines()
     print(f"{ours[0]}; against {other}")
     for line, other_line in zip(ours[1:], theirs[1:]):
-        same = line.split()[:2] == other_line.split()[:2]
-        print(f"{line}  {'same' if same else 'moved'}")
-        if not same:
+        (name, full, bare), (_, other_full, other_bare) = line.split()[:3], other_line.split()[:3]
+        verdict = "same" if full == other_full else "renamed" if bare == other_bare else "moved"
+        print(f"{line}  {verdict}")
+        if verdict != "same":
             print(f"{other_line}  ({other})")
     return 0
 

@@ -384,16 +384,32 @@ class TestJitter:
         assert doc["f"] == evaluate(net_hinge_gap, x)
         assert doc["f"] != evaluate(nets[1], x)    # the jittered net's value differs
 
-    def test_paired_problem_keeps_its_pairs(self, capsys, monkeypatch, tiny_csv):
-        path, _, _ = tiny_csv
+    def test_paired_problem_keeps_its_pairs(self, capsys, monkeypatch, tiny_csv, tmp_path):
+        # a model file holds the quantile net's residuals as mirrored pairs
+        net, _ = build_quantile_lasso(load_csv(tiny_csv[0]))
+        save_model(tmp_path / "q.json", net)
         nets = _non_regular_first(monkeypatch)
-        code, stdout, stderr = _run(capsys, ["quantile", "--data", path, "--seed", "1",
+        code, stdout, stderr = _run(capsys, ["solve", "--model", str(tmp_path / "q.json"), "--seed", "1",
                                              "--jitter-on-nonregular"])
         assert code == 0, stderr
         doc = json.loads(stdout)
         assert doc["jittered"] is True and len(nets) == 2
-        net, pairs = build_quantile_lasso(load_csv(path))
+        paired, pairs = load_model(tmp_path / "q.json")
+        assert len(pairs) == net.num_neurons
         pairs.validate(nets[1])
+        assert doc["f"] == evaluate(paired, np.array(doc["x"]))
+
+    def test_builder_net_keeps_its_slopes(self, capsys, monkeypatch, tiny_csv):
+        path, _, _ = tiny_csv
+        nets = _non_regular_first(monkeypatch)
+        code, stdout, stderr = _run(capsys, ["quantile", "--data", path, "--alpha", "0.3", "--seed", "1",
+                                             "--jitter-on-nonregular"])
+        assert code == 0, stderr
+        doc = json.loads(stdout)
+        assert doc["jittered"] is True and len(nets) == 2
+        net, _ = build_quantile_lasso(load_csv(path), alpha=0.3)
+        assert nets[1].off_weights.tobytes() == net.off_weights.tobytes() and nets[1].two_slope.all()
+        assert not np.array_equal(nets[1].biases[0], net.biases[0])
         assert doc["f"] == evaluate(net, np.array(doc["x"]))
 
     def test_without_flag_the_abort_is_reported(self, capsys, monkeypatch, hinge_model):

@@ -6,16 +6,10 @@ from numpy.testing import assert_allclose
 
 from drlp import (
     ZERO_TOL,
-    LpInstance,
     PairGroups,
     RegressionData,
     ReluNetwork,
     activation_pattern,
-    build_clad,
-    build_from_lp,
-    build_l1_first_layer,
-    build_lasso,
-    build_quantile_lasso,
     build_random,
     critical_indices,
     evaluate,
@@ -32,6 +26,7 @@ from drlp import (
 from drlp.bounds import _sweep_bits
 from drlp.network import _forward
 from helpers import (
+    builder_cases,
     critical_kernel_dim,
     dense_sweeps,
     enumerate_compatible,
@@ -39,6 +34,7 @@ from helpers import (
     fd_oriented_normal,
     hyperplane_pattern,
     is_compatible,
+    mirrored_quantile,
     subjective_value,
 )
 
@@ -489,33 +485,8 @@ class TestPairsAndFlip:
         assert got[0].tobytes() == got[1].tobytes()     # one wall, both members face one side
 
 
-def _fold_cases():
-    """(name, net, pairs, x) per builder; x puts at least one paired wall exactly at zero."""
-    rng = np.random.Generator(np.random.Philox(31))
-    data = RegressionData(rng.standard_normal((15, 2)), rng.standard_normal(15))
-    cases = []
-    for alpha in (0.3, 1.0):
-        for lam in (0.0, 0.5):
-            net, pairs = build_quantile_lasso(data, alpha=alpha, lam=lam)
-            # residual 3 vanishes at (y_3, 0, 0), and so do the penalty units
-            cases.append((f"quantile-{alpha}-{lam}", net, pairs, np.array([data.y[3], 0.0, 0.0])))
-    zero_y = RegressionData(data.x, np.where(np.arange(15) == 4, 0.0, data.y))
-    net, pairs = build_clad(zero_y)
-    cases.append(("clad", net, pairs, np.zeros(2)))            # residual 4 is max(0, 0) - 0
-    net, _, pairs = build_lasso(data, lam=2.0)
-    cases.append(("lasso", net, pairs, np.zeros(2)))
-    lp = LpInstance(np.array([1.0, -2.0]), rng.uniform(0.1, 1.0, (3, 2)), np.ones(3))
-    net, pairs = build_from_lp(lp)
-    cases.append(("lp", net, pairs, np.zeros(2)))              # <c, x> = 0
-    base = build_random((2, 3, 1), seed=4)
-    y = np.where(np.arange(15) == 2, base.biases[-1][0], data.y)
-    net, pairs = build_l1_first_layer(base, RegressionData(data.x, y))
-    # at theta = 0 the hidden layer is 0, so residual 2 is y_2's offset cancelled exactly
-    cases.append(("train_l1", net, pairs, np.zeros(net.input_dim)))
-    return cases
-
-
-FOLD_CASES = _fold_cases()
+# each builder's mirrored reference, the paired nets fold is for
+FOLD_CASES = [(name, *reference, x) for name, _, reference, x in builder_cases()]
 
 
 @pytest.mark.parametrize("name, net, pairs, x_wall", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
@@ -609,11 +580,15 @@ class TestModelIO:
         assert (pairs.first.tolist(), pairs.second.tolist()) == ([0], [1])
 
     def test_folded_net_is_not_saved(self, tmp_path):
-        # the file would hold a different function: the off weights have no field
-        net, pairs = build_quantile_lasso(RegressionData(np.eye(2), np.ones(2)), alpha=1.0)
+        # a folded net is saved only as the pairs save_model makes of it: a bit-0 slope
+        # on a plain unit has no pair form, and pairs of its own are refused
+        net, pairs = mirrored_quantile(RegressionData(np.eye(2), np.ones(2)), alpha=0.3)
         folded, _ = pairs.fold(net)
-        with pytest.raises(ValueError, match="no two-slope units"):
-            save_model(tmp_path / "m.json", folded)
+        plain = ReluNetwork(folded.weights, folded.biases, folded.off_weights)
+        with pytest.raises(ValueError, match="no bit-0 slope on a unit that is not two-slope"):
+            save_model(tmp_path / "m.json", plain)
+        with pytest.raises(ValueError, match="saved without pairs; save_model writes its own"):
+            save_model(tmp_path / "m.json", folded, PairGroups([(0, 1)]))
         assert not (tmp_path / "m.json").exists()
 
     def test_pairs_written_as_layer_unit(self, tmp_path):
@@ -643,3 +618,21 @@ class TestModelIO:
             path.write_text(doc)
             with pytest.raises(ValueError, match="model file .*bad.json"):
                 load_model(path)
+        # numpy reads "2" as 2.0 and 1.7, "1" and true as unit 1; only JSON numbers load
+        for doc, field in (('{"weights": [[["2"]], [[1.0]]], "biases": [[0.0], [0.0]]}', "weights of layer 1"),
+                           ('{"weights": [[[1.0]], [[1.0]]], "biases": [[0.0], ["0"]]}', "biases of layer 2"),
+                           ('{"weights": [[[true]], [[1.0]]], "biases": [[0.0], [0.0]]}', "weights of layer 1"),
+                           ('{"weights": [[[100000000000000000000000, "2"]], [[1.0]]], "biases": [[0.0], [0.0]]}',
+                            "weights of layer 1")):
+            path.write_text(doc)
+            with pytest.raises(ValueError, match=f"model file .*bad.json: .*{field} holds a value that is not a number"):
+                load_model(path)
+        pair = '"weights": [[[1.0], [-1.0]], [[1.0, 1.0]]], "biases": [[0.0, 0.0], [0.0]]'
+        for entry, shown in (("1.7", "1.7"), ('"1"', '"1"'), ("true", "true")):
+            path.write_text('{%s, "pairs": [[[1, %s], [1, 2]]]}' % (pair, entry))
+            with pytest.raises(ValueError, match=f"model file .*bad.json: pairs .*; {shown} is not a JSON integer"):
+                load_model(path)
+        path.write_text('{%s, "pairs": [[[1, 1], [1, 2]]]}' % pair)
+        assert len(load_model(path)[1]) == 1
+        path.write_text('{"weights": [[[100000000000000000000000]], [[1]]], "biases": [[0.0], [0]]}')
+        assert load_model(path)[0].weights[0].tolist() == [[1e23]]

@@ -26,11 +26,13 @@ from drlp import (
     l1_first_layer_loss,
     lasso_loss,
     load_csv,
+    load_model,
     quantile_loss,
+    save_model,
     set_first_layer,
     solve_quadratic,
 )
-from helpers import cd_lasso, lad_enumerate, load_csv_reference
+from helpers import builder_cases, cd_lasso, lad_enumerate, load_csv_reference
 
 
 def _data(seed, n, p):
@@ -105,13 +107,12 @@ class TestQuantileBuilder:
             )
 
     def test_widths_and_pairs(self):
+        # one two-slope unit per residual, then per penalized coefficient
         data = _data(3, 5, 2)
-        net, pairs = build_quantile_lasso(data, alpha=0.5, lam=0.0)
-        assert net.widths == (3, 10, 1)
-        assert len(pairs) == 5
-        net2, pairs2 = build_quantile_lasso(data, alpha=0.5, lam=1.0)
-        assert net2.widths == (3, 14, 1)
-        assert len(pairs2) == 7
+        for lam, width in ((0.0, 5), (1.0, 7)):
+            net, pairs = build_quantile_lasso(data, alpha=0.5, lam=lam)
+            assert net.widths == (3, width, 1)
+            assert net.two_slope.all() and len(pairs) == 0
 
     def test_rejects_bad_parameters(self):
         data = _data(4, 4, 1)
@@ -136,7 +137,7 @@ class TestCladBuilder:
         data = _data(6, 7, 3)
         net, pairs = build_clad(data)
         pairs.validate(net)
-        assert net.widths == (3, 7, 14, 1)
+        assert net.widths == (3, 7, 7, 1)
         rng = np.random.Generator(np.random.Philox(7))
         for _ in range(10):
             theta = rng.normal(size=3)
@@ -161,7 +162,7 @@ class TestL1FirstLayer:
         pairs.validate(net)
         n_params = 4 * (3 + 1)
         assert net.input_dim == n_params
-        assert net.widths == (n_params, 24, 18, 12, 1)
+        assert net.widths == (n_params, 24, 18, 6, 1)
         rng = np.random.Generator(np.random.Philox(11))
         for _ in range(8):
             theta = rng.normal(size=n_params)
@@ -200,7 +201,8 @@ class TestLassoBuilder:
 
     def test_no_pairs_without_penalty(self):
         net, q, pairs = build_lasso(_data(17, 5, 2), 0.0)
-        assert len(pairs) == 0
+        assert len(pairs) == 0 and net.widths == (2, 2, 1)
+        assert not net.weights[0].any() and not net.biases[0].any()
 
     def test_micro_problems_match_coordinate_descent(self):
         x = np.array([[1.0], [2.0]])
@@ -478,44 +480,84 @@ def _csv_lines(draw):
     return lines, response
 
 
-class TestBuilderPairs:
-    """Every builder's array pairs equal the generator of tuples it once passed."""
+BUILDER_CASES = builder_cases()
+
+
+@pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
+class TestBuilderNets:
+    """Each builder's net is its mirrored reference folded, and reloads as itself."""
 
     @staticmethod
-    def _same(pairs, tuples):
-        old = PairGroups(tuples)
-        assert pairs.first.tolist() == old.first.tolist() and len(old) > 0
-        assert pairs.second.tolist() == old.second.tolist()
+    def _arrays(net):
+        return net.weights + net.biases + [net.off_weights, net.two_slope]
+
+    def _same_net(self, net, other):
+        assert net.widths == other.widths
+        for a, b in zip(self._arrays(net), self._arrays(other), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_net_is_the_folded_reference(self, name, built, reference, x_wall):
+        (net, pairs), (mirrored, mirror_pairs) = built, reference
+        assert len(pairs) == 0
+        self._same_net(net, mirror_pairs.fold(mirrored)[0])
+
+    def test_reloaded_net_folds_back(self, tmp_path, name, built, reference, x_wall):
+        save_model(tmp_path / "m.json", *built)
+        loaded, pairs = load_model(tmp_path / "m.json")
+        folded, kept = pairs.fold(loaded)
+        self._same_net(folded, built[0])
+        assert kept.tolist() == list(range(built[0].num_neurons))
+
+
+# the cases whose reference's pairs end the last hidden layer, so that it lists its units as save_model does
+SAVED_AS_BEFORE = [c for c in BUILDER_CASES if c[0] not in ("quantile-0.3-0.5", "quantile-1.0-0.5", "lp")]
+
+
+@pytest.mark.parametrize("name, built, reference, x_wall", SAVED_AS_BEFORE, ids=[c[0] for c in SAVED_AS_BEFORE])
+def test_saved_as_the_reference(tmp_path, name, built, reference, x_wall):
+    save_model(tmp_path / "built.json", *built)
+    save_model(tmp_path / "reference.json", *reference)
+    assert (tmp_path / "built.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+class TestBuilderPairs:
+    """Every builder returns no pairs, and save_model writes its two-slope units as these pairs."""
+
+    @staticmethod
+    def _same(built, tuples, tmp_path):
+        net, pairs = built
+        assert len(pairs) == 0
+        save_model(tmp_path / "m.json", net)
+        saved, old = load_model(tmp_path / "m.json")[1], PairGroups(tuples)
+        assert saved.first.tolist() == old.first.tolist() and len(old) > 0
+        assert saved.second.tolist() == old.second.tolist()
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
-    def test_quantile(self, lam):
+    def test_quantile(self, lam, tmp_path):
         data = _data(19, 6, 3)
-        n, p = data.n, data.p
-        _, pairs = build_quantile_lasso(data, lam=lam)
-        tuples = [(i, n + i) for i in range(n)]
-        if lam > 0.0:
-            tuples += [(2 * n + j, 2 * n + p + j) for j in range(p)]
-        self._same(pairs, (pair for pair in tuples))
+        units = data.n + (data.p if lam > 0.0 else 0)
+        # residuals, then penalties, then their mirrors in that order
+        self._same(build_quantile_lasso(data, lam=lam), [(i, units + i) for i in range(units)], tmp_path)
 
-    def test_clad(self):
+    def test_clad(self, tmp_path):
         data = _data(20, 5, 2)
         net, pairs = build_clad(data)
         off, n = net.offsets[1], data.n
-        self._same(pairs, ((off + i, off + n + i) for i in range(n)))
+        self._same((net, pairs), ((off + i, off + n + i) for i in range(n)), tmp_path)
 
-    def test_lasso(self):
+    def test_lasso(self, tmp_path):
         data = _data(21, 7, 4)
-        _, _, pairs = build_lasso(data, 0.5)
-        self._same(pairs, ((j, data.p + j) for j in range(data.p)))
+        net, _, pairs = build_lasso(data, 0.5)
+        self._same((net, pairs), ((j, data.p + j) for j in range(data.p)), tmp_path)
 
-    def test_l1_first_layer(self):
+    def test_l1_first_layer(self, tmp_path):
         base = build_random((3, 4, 3, 1), seed=22)
         data = _data(23, 5, 3)
         net, pairs = build_l1_first_layer(base, data)
         off, n = net.offsets[base.depth], data.n
-        self._same(pairs, ((off + i, off + n + i) for i in range(n)))
+        self._same((net, pairs), ((off + i, off + n + i) for i in range(n)), tmp_path)
 
-    def test_lp(self):
+    def test_lp(self, tmp_path):
         lp = LpInstance(np.array([1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([3.0]))
-        _, pairs = build_from_lp(lp)
-        self._same(pairs, [(0, 1)])
+        # the objective, one constraint and two bounds, then the objective's mirror
+        self._same(build_from_lp(lp), [(0, 4)], tmp_path)

@@ -70,6 +70,8 @@ from helpers import (
     dense_basis,
     interleaved_clad,
     lp_linprog,
+    mirrored_lasso,
+    mirrored_quantile,
     pivot_update_reference,
     probe_min,
     quantile_linprog,
@@ -1101,25 +1103,31 @@ def certified_corpus():
     return solves
 
 
+def _bench_lasso_problem(k):
+    """(data, lam) of LASSO solve k (n=500, p=40) of the benchmark's seed 7."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7, 3, k // 3])))
+    x = rng.standard_normal((500, 40))
+    data = RegressionData(x, x[:, :10] @ BENCH_BETA + rng.standard_normal(500))
+    return data, (0.3, 0.1, 0.03)[k % 3] * 2.0 * float(np.max(np.abs(x.T @ data.y)))
+
+
 @pytest.fixture(scope="module")
 def bench_lasso_solves():
-    """The 18 LASSO solves (n=500, p=40) of the benchmark's seed 7, with their problems."""
+    """The 18 LASSO solves of the benchmark's seed 7, with their problems."""
     solves = []
     for k in range(18):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([7, 3, k // 3])))
-        x = rng.standard_normal((500, 40))
-        data = RegressionData(x, x[:, :10] @ BENCH_BETA + rng.standard_normal(500))
-        lam = (0.3, 0.1, 0.03)[k % 3] * 2.0 * float(np.max(np.abs(x.T @ data.y)))
-        net, q, pairs = build_lasso(data, lam)
+        net, q, pairs = build_lasso(*_bench_lasso_problem(k))
         out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
         solves.append((net, q, pairs, out))
     return solves
 
 
-def _certificate_residual_at(net, q, pairs, x):
+def _certificate_residual_at(net, pairs, q, x):
     """BVLS residual of the local model at x, with crossing gains read off the output weights.
 
-    Returns the residual, the gradient and the active units, named in net.
+    net and pairs are a mirrored reference; the gain of a pair is the sum of its
+    members' output weights.  Returns the residual, the gradient and the active
+    units, named in net.
     """
     folded, kept = pairs.fold(net)
     s = activation_pattern(folded, x)
@@ -1145,15 +1153,16 @@ class TestCertificate:
             assert all(b == "pivot" for a, b in zip(phases, phases[1:]) if a == "flip")
 
     def test_every_certificate_passes_bvls(self, bench_lasso_solves):
-        for net, q, pairs, out in bench_lasso_solves:
+        for k, (_, q, _, out) in enumerate(bench_lasso_solves):
             assert out.trace[-1].phase == "certify"
-            resid, g, active = _certificate_residual_at(net, q, pairs, out.x)
+            resid, g, active = _certificate_residual_at(*mirrored_lasso(*_bench_lasso_problem(k)), q, out.x)
             assert active
             assert resid <= 1e-9 * (1.0 + np.linalg.norm(g))
 
     def test_violated_bound_is_crossed(self, bench_lasso_solves):
         net, q, pairs, out = bench_lasso_solves[1]
-        _, g, active = _certificate_residual_at(net, q, pairs, out.x)
+        reference = mirrored_lasso(*_bench_lasso_problem(1))
+        _, g, active = _certificate_residual_at(*reference, q, out.x)
         c = active[len(active) // 2]
         j = int(np.flatnonzero(net.weights[0][c])[0])
         lam = float(net.weights[0][c, j])
@@ -1162,7 +1171,7 @@ class TestCertificate:
         lin = q.lin.copy()
         lin[j] += 2.01 * lam - g[j]
         nudged = QuadraticObjective(q.quad, lin)
-        resid, _, _ = _certificate_residual_at(net, nudged, pairs, out.x)
+        resid, _, _ = _certificate_residual_at(*reference, nudged, out.x)
         assert resid >= 0.005 * lam
         again = solve_quadratic(net, nudged, out.x, SolverOptions(seed=0), pairs)
         assert (again.trace[0].phase, again.trace[0].neuron) == ("flip", c)
@@ -1442,13 +1451,18 @@ class TestLongStep:
         rng = np.random.Generator(np.random.Philox(16))
         data = _lasso_data(rng, 60, 12)
         if solve == "drlsimplex":
-            net, pairs = build_quantile_lasso(data, lam=1.0)
-            out = drlsimplex(net, np.zeros(net.input_dim), SolverOptions(seed=3), pairs)
+            built, reference = build_quantile_lasso(data, lam=1.0), mirrored_quantile(data, lam=1.0)
+            run = lambda net, pairs: drlsimplex(net, np.zeros(net.input_dim), SolverOptions(seed=3), pairs)
         else:
             net, q, pairs = build_lasso(data, lam=20.0)
-            out = solve_quadratic(net, q, np.zeros(12), SolverOptions(seed=3), pairs)
-        assert out.status == LOCAL_MINIMUM and len(_pivots(out)) > 5
-        assert calls == {"mask": 1}
+            built, reference = (net, pairs), mirrored_lasso(data, lam=20.0)
+            run = lambda net, pairs: solve_quadratic(net, q, np.zeros(12), SolverOptions(seed=3), pairs)
+        # a mirrored net folds once; a builder's net has no pairs to mask
+        for (net, pairs), want in ((reference, {"mask": 1}), (built, {})):
+            calls.clear()
+            out = run(net, pairs)
+            assert out.status == LOCAL_MINIMUM and len(_pivots(out)) > 5
+            assert calls == want
 
     def test_quantile_matches_linprog(self):
         rng = np.random.Generator(np.random.Philox(13))
