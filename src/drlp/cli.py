@@ -109,14 +109,11 @@ def _add_solve_args(p, with_x0=True):
                    help="retry with 1e-8 bias jitter (up to 3 times) after a NonRegular abort")
 
 
-def _jittered(net, rng, pairs):
-    """net with 1e-8 relative bias noise and its slopes; second pair members keep mirroring their first."""
+def _jittered(net, rng):
+    """net with 1e-8 relative bias noise and its slopes."""
     biases = [b + 1e-8 * (1.0 + np.max(np.abs(b))) * rng.standard_normal(b.shape)
               for b in net.biases]
-    hidden = np.concatenate(biases[:-1])
-    hidden[pairs.second] = -hidden[pairs.first]
-    return ReluNetwork(net.weights, np.split(hidden, net.offsets[1:-1]) + biases[-1:],
-                       net.off_weights, net.two_slope)
+    return ReluNetwork(net.weights, biases, net.off_weights, net.two_slope)
 
 
 def _emit_outcome(args, out, net, extra):
@@ -140,10 +137,10 @@ def _emit_outcome(args, out, net, extra):
     return EXIT_CODES[out.status]
 
 
-def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=None):
+def _solve(args, net, solve, value=evaluate, extra_from=None, fixed_x0=None):
     """Run --starts solves of net one after another and emit the best outcome.
 
-    solve(net, x0, options, pairs) minimizes value(net, x).  Each start draws
+    solve(net, x0, options) minimizes value(net, x).  Each start draws
     its generator from --seed; unbounded wins, then the least f, then a step
     limit.  A start that ends NonRegular is retried on jittered biases when
     asked; its f is then re-evaluated on net and marked "jittered".
@@ -166,11 +163,11 @@ def _solve(args, net, pairs, solve, value=evaluate, extra_from=None, fixed_x0=No
                 on_record=_trace_writer(fh, net, k if args.starts > 1 else None) if fh else None,
             )
             x0 = rng.standard_normal(net.input_dim) if fixed_x0 is None else fixed_x0
-            out, jittered = solve(net, x0, opts, pairs), False
+            out, jittered = solve(net, x0, opts), False
             for _ in range(3 if args.jitter_on_nonregular else 0):
                 if out.status != NON_REGULAR:
                     break
-                out, jittered = solve(_jittered(net, rng, pairs), x0, opts, pairs), True
+                out, jittered = solve(_jittered(net, rng), x0, opts), True
             if jittered:
                 out.f = value(net, out.x)
             runs.append((out, jittered))
@@ -196,26 +193,24 @@ def cmd_random_net(args):
 
 
 def cmd_solve(args):
-    net, pairs = load_model(args.model)
-    return _solve(args, net, pairs, drlsimplex)
+    return _solve(args, load_model(args.model), drlsimplex)
 
 
 def cmd_quantile(args):
     data = load_csv(args.data, args.response)
-    net, pairs = build_quantile_lasso(data, alpha=args.alpha, lam=args.lam)
-    return _solve(args, net, pairs, drlsimplex, extra_from=_theta)
+    net = build_quantile_lasso(data, alpha=args.alpha, lam=args.lam)[0]
+    return _solve(args, net, drlsimplex, extra_from=_theta)
 
 
 def cmd_clad(args):
     data = load_csv(args.data, args.response)
-    net, pairs = build_clad(data)
-    return _solve(args, net, pairs, drlsimplex, extra_from=_theta)
+    return _solve(args, build_clad(data)[0], drlsimplex, extra_from=_theta)
 
 
 def cmd_lasso(args):
     data = load_csv(args.data, args.response)
-    net, q, pairs = build_lasso(data, lam=args.lam)
-    return _solve(args, net, pairs, lambda n, x0, opts, p: solve_quadratic(n, q, x0, opts, p),
+    net, q, _ = build_lasso(data, lam=args.lam)
+    return _solve(args, net, lambda n, x0, opts: solve_quadratic(n, q, x0, opts),
                   value=lambda n, x: evaluate(n, x) + q.value(x), extra_from=_theta)
 
 
@@ -226,10 +221,10 @@ def cmd_train_l1(args):
         raise ValueError("train-l1 takes --base-model or --base-topology, not both")
     data = load_csv(args.data, args.response)
     if args.base_model:
-        base, _ = load_model(args.base_model)
+        base = load_model(args.base_model)
     else:
         base = build_random(_parse_list(args.base_topology, "--base-topology", int), seed=args.seed)
-    net, pairs = build_l1_first_layer(base, data)
+    net = build_l1_first_layer(base, data)[0]
     fixed = flatten_first_layer(base) if args.x0 == "warm" else None
 
     def extra(out):
@@ -239,7 +234,7 @@ def cmd_train_l1(args):
             doc["model"] = args.out_model
         return doc
 
-    return _solve(args, net, pairs, drlsimplex, extra_from=extra, fixed_x0=fixed)
+    return _solve(args, net, drlsimplex, extra_from=extra, fixed_x0=fixed)
 
 
 def cmd_bounds(args):
@@ -250,7 +245,7 @@ def cmd_bounds(args):
 
 
 def cmd_regions(args):
-    net, _ = load_model(args.model)
+    net = load_model(args.model)
     box = _parse_list(args.box, "--box", float)
     if len(box) != 2:
         raise ValueError(f"--box needs exactly lo,hi; got {args.box!r}")
@@ -261,29 +256,28 @@ def cmd_regions(args):
 
 def cmd_check(args):
     """Certify --x from the solver's own pricing of the 2m edges at the vertex of its active walls."""
-    net, pairs = load_model(args.model)
+    net = load_model(args.model)
     x = start_point(net, _parse_list(args.x, "--x", float), "--x")
-    folded, kept = pairs.fold(net)
-    s = activation_pattern(folded, x)
+    s = activation_pattern(net, x)
     # each wall through x takes the bit of an exactly zero argument, not its roundoff sign
-    crit = critical_indices(folded, s, x)[0]
-    s[crit] = np.concatenate([np.zeros(folded.offsets[-2], dtype=bool), folded.two_slope])[crit]
-    crit, normals = critical_indices(folded, s, x)
+    crit = critical_indices(net, s, x)[0]
+    s[crit] = np.concatenate([np.zeros(net.offsets[-2], dtype=bool), net.two_slope])[crit]
+    crit, normals = critical_indices(net, s, x)
     try:
         pinv = dense_pseudoinverse(normals, crit)
     except Degenerate:
         print(json.dumps({"certified": False, "reason": "dependent active walls",
-                          "neurons": [list(net.neuron_at(c)) for c in kept[crit].tolist()]}))
+                          "neurons": [list(net.neuron_at(c)) for c in crit]}))
         return 3
-    grad = gradient(folded, s)
+    grad = gradient(net, s)
     tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
-    vals = axis_derivatives(pinv, grad, *crossing_terms(folded, s, crit))[1].reshape(2, -1)
+    vals = axis_derivatives(pinv, grad, *crossing_terms(net, s, crit))[1].reshape(2, -1)
     # with fewer walls than dimensions, moving off their span must not descend either
     free = np.linalg.norm(grad - project(pinv, grad))
-    ok = bool((pinv.m == folded.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
+    ok = bool((pinv.m == net.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
     # one axes entry per active wall: its bit at x and the derivatives along its two edges,
     # inside x's region and across the wall
-    axes = [{"neuron": list(net.neuron_at(int(kept[c]))), "bit": int(s[c]),
+    axes = [{"neuron": list(net.neuron_at(c)), "bit": int(s[c]),
              "derivatives": vals[:, k].tolist()} for k, c in enumerate(crit)]
     print(json.dumps({"certified": ok, "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2

@@ -22,8 +22,9 @@ backward (``_backward``) for the gradient or a single normal.
 
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
-ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.
-``PairGroups.fold`` makes each mirrored pair of ReLUs (z, -z) one such unit; model files hold the pairs.
+ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.  Model files
+hold such a unit as a mirrored pair of ReLUs (z, -z): ``load_model`` folds the
+pairs (``PairGroups.fold``), ``save_model`` writes them back.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class ReluNetwork:
         See the module docstring; plain ReLUs (0, False) by default.
 
     The network has ``depth = len(weights) - 1`` ReLU layers.  The output
-    layer is affine (no ReLU) and must have exactly one unit.  Its weight row
-    is the network's own copy; it, the slopes and ``gains`` are read-only,
-    and a network is not changed once built.
+    layer is affine (no ReLU) and must have exactly one unit.  Its weight row,
+    the slopes and ``gains`` are read-only copies; hidden-layer weights and
+    biases already contiguous float64 are the caller's arrays, not copies.
     """
 
     def __init__(self, weights, biases, off_weights=None, two_slope=None):
@@ -141,8 +142,8 @@ class PairGroups:
 
     Pair k, ``(first[k], second[k])`` by flat index, is z and -z: one hyperplane
     with two orientations, given as a (k, 2) integer array or any iterable of
-    pairs.  ``fold`` makes each pair one two-slope unit, so the solvers never
-    see a pair.  A network without mirrored units has the empty ``PairGroups()``.
+    pairs.  ``fold`` makes each pair one two-slope unit; ``load_model`` folds a
+    file's pairs.  A network without mirrored units has the empty ``PairGroups()``.
     """
 
     def __init__(self, pairs=()):
@@ -162,44 +163,43 @@ class PairGroups:
         return mask
 
     def validate(self, net: ReluNetwork):
-        """Check that each pair is two last-hidden-layer units with exactly negated rows and biases."""
+        """Check that each pair is two plain last-hidden-layer ReLUs with exactly negated rows and biases."""
         units = np.concatenate([self.first, self.second])
         if units.size and not 0 <= units.min() <= units.max() < net.num_neurons:
             raise ValueError(f"pairs name units outside widths {net.widths}")
         last, w, bias = net.offsets[-2], net.weights[-2], net.biases[-2]
         # an outside pair is bad anyway; clipping keeps its row lookup in range
         ja, jb = np.maximum(self.first - last, 0), np.maximum(self.second - last, 0)
-        if units.min(initial=last) >= last and (w[ja] == -w[jb]).all() and (bias[ja] == -bias[jb]).all():
+        plain = ~net.two_slope & (net.off_weights == 0.0)     # fold makes two plain ReLUs one two-slope unit
+        ok = units.min(initial=last) >= last and plain[ja].all() and plain[jb].all()
+        if ok and (w[ja] == -w[jb]).all() and (bias[ja] == -bias[jb]).all():
             return      # all pairs at once; the scan for the first bad pair runs only when that fails
         outside = (self.first < last) | (self.second < last)
-        bad = outside | ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
+        bad = outside | ~(plain[ja] & plain[jb]) | ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
         if bad.any():
             k = bad.nonzero()[0][0]
-            why = (f"not in the last hidden layer, {net.depth}, the only one pairs may mirror"
-                   if outside[k] else "rows and biases are not exactly negated")
+            why = (f"not in the last hidden layer, {net.depth}, the only one pairs may mirror" if outside[k] else
+                   "rows and biases are not exactly negated" if plain[ja[k]] and plain[jb[k]] else
+                   "a member has a bit-0 slope, and pairs mirror plain ReLUs")
             raise ValueError(f"pair {net.neuron_at(int(self.first[k]))}/"
                              f"{net.neuron_at(int(self.second[k]))}: {why}")
 
-    def fold(self, net: ReluNetwork):
-        """(folded_net, kept): net with each pair as one two-slope unit.
+    def fold(self, net: ReluNetwork) -> ReluNetwork:
+        """net with each pair as one two-slope unit, the same value everywhere.
 
         The folded unit is the pair's first member, with its row, bias and
         output weight; its bit-0 output weight is minus the second member's
-        output weight, and the second member is dropped.  The folded net has
-        the same value everywhere.  kept[c] is the flat index in net of
-        folded unit c.  Without pairs the folded net is net itself.
+        output weight, and the second member is dropped, so the other units
+        keep their order.  Without pairs the folded net is net itself.
         """
         if not len(self):
-            return net, np.arange(net.num_neurons)
+            return net
         self.validate(net)
-        keep = ~self.secondary_flat_mask(net)
-        kept = keep.nonzero()[0]
-        last, keep = net.offsets[-2], keep[net.offsets[-2]:]
+        last, keep = net.offsets[-2], ~self.secondary_flat_mask(net)[net.offsets[-2]:]
         off, two_slope = net.off_weights.copy(), net.two_slope.copy()
         off[self.first - last], two_slope[self.first - last] = -net.weights[-1][0, self.second - last], True
-        folded = ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
-                             net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]], off[keep], two_slope[keep])
-        return folded, kept
+        return ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
+                           net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]], off[keep], two_slope[keep])
 
 
 def evaluate(net: ReluNetwork, x) -> float:
@@ -343,16 +343,14 @@ def flip(s: np.ndarray, units) -> np.ndarray:
     return out
 
 
-def _unfolded(net: ReluNetwork, pairs: PairGroups):
+def _unfolded(net: ReluNetwork):
     """(net, pairs) with each two-slope unit j a mirrored pair of ReLUs, the inverse of PairGroups.fold: j keeps
     its place, and its mirror (-row, 0.0 - bias, never -0.0, output weight -off_weights[j]) follows the layer."""
     j, w, b = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2]
     if net.off_weights[~net.two_slope].any():
         raise ValueError("model files hold no bit-0 slope on a unit that is not two-slope")
     if not j.size:
-        return net, pairs
-    if len(pairs):
-        raise ValueError("a net with two-slope units is saved without pairs; save_model writes its own")
+        return net, PairGroups()
     out = np.hstack([net.weights[-1], -net.off_weights[None, j]])
     mirrored = ReluNetwork(net.weights[:-2] + [np.vstack([w, -w[j]]), out],
                            net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]])
@@ -360,8 +358,8 @@ def _unfolded(net: ReluNetwork, pairs: PairGroups):
 
 
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
-    """Write a network as JSON, each two-slope unit as a mirrored pair, with its pairs when there are any."""
-    net, pairs = _unfolded(net, pairs)
+    """Write pairs.fold(net) as JSON, each two-slope unit a pair whose mirror follows the last hidden layer."""
+    net, pairs = _unfolded(pairs.fold(net))
     doc = {
         "widths": list(net.widths),
         "weights": [w.tolist() for w in net.weights],
@@ -385,7 +383,7 @@ def _layer_arrays(layers, name: str) -> list:
 
 
 def load_model(path):
-    """Read a model JSON file; returns (network, pairs), pairs empty when the file lists none."""
+    """Read a model JSON file; returns its network with the pairs the file lists folded (PairGroups.fold)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -407,8 +405,7 @@ def load_model(path):
         bad = next((v for pair in listed for unit in pair for v in unit if type(v) is not int), None)
         if bad is not None:
             raise TypeError(f"{json.dumps(bad)} is not a JSON integer")
-        pairs.validate(net)
+        return pairs.fold(net)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model file {path}: pairs must be [[layer, unit], [layer, unit]] lists "
                          f"of distinct, exactly negated last-hidden-layer units; {exc}") from exc
-    return net, pairs

@@ -154,6 +154,8 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     diagonals and ends in N two-slope residual units.  Returns (net, PairGroups()).
     """
     n0, n1 = base.input_dim, base.relu_widths[0]
+    if base.off_weights.any():      # the loss network's middle layers hold plain ReLUs only
+        raise ValueError("base has bit-0 slopes in its last hidden layer; the loss network needs plain ReLUs")
     if data.p != n0:
         raise ValueError(f"data has {data.p} features but base expects {n0}")
     n = data.n
@@ -188,7 +190,7 @@ def set_first_layer(base: ReluNetwork, theta) -> ReluNetwork:
     biases = [b.copy() for b in base.biases]
     weights[0] = theta[: n1 * n0].reshape(n1, n0)
     biases[0] = theta[n1 * n0:]
-    return ReluNetwork(weights, biases)
+    return ReluNetwork(weights, biases, base.off_weights, base.two_slope)
 
 
 def l1_first_layer_loss(base: ReluNetwork, data: RegressionData, theta) -> float:

@@ -83,7 +83,7 @@ class TraceRecord:
     phase: str          # find_vertex | pivot | flip | certify | correct | resync
     x: tuple
     f: float            # find_vertex, pivot: from the step's arguments (AdvanceResult.at); else evaluate
-    neuron: int | None = None      # flat unit index in the caller's network
+    neuron: int | None = None      # flat unit of the solved network
     t: float | None = None
     alpha: float | None = None
     crossed: int | None = None     # walls a pivot or find_vertex step passed before its stop wall
@@ -97,7 +97,7 @@ class SolveOutcome:
     steps: int
     wall_ms: float = 0.0
     direction: np.ndarray | None = None   # certified descent ray when Unbounded
-    neurons: list | None = None           # diagnostic flat unit indices (caller's) when NonRegular
+    neurons: list | None = None           # diagnostic flat units (ints) of the solved net when NonRegular
     trace: list = field(default_factory=list)
 
 
@@ -112,13 +112,8 @@ class SolverState:
     options: SolverOptions
     rng: np.random.Generator = None
     objective: QuadraticObjective = None    # quadratic term added to the network; none by default
-    kept: np.ndarray = None             # caller's flat index of each unit; identity by default
     steps: int = 0
     trace: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kept is None:
-            self.kept = np.arange(self.net.num_neurons)
 
     def value(self, args=None) -> float:
         f = evaluate(self.net, self.x) if args is None else output(self.net, args)
@@ -136,7 +131,7 @@ class SolverState:
             phase=phase,
             x=tuple(self.x.tolist()),
             f=self.value(None if step is None else step.at(t)),
-            neuron=None if neuron is None else int(self.kept[neuron]),
+            neuron=None if neuron is None else int(neuron),
             t=None if t is None else float(t),
             alpha=None if alpha is None else float(alpha),
             crossed=crossed,
@@ -153,7 +148,7 @@ class SolverState:
             f=self.value(),
             steps=self.steps,
             direction=direction,
-            neurons=None if neurons is None else self.kept[neurons].tolist(),
+            neurons=None if neurons is None else [int(c) for c in neurons],
             trace=self.trace,
         )
 
@@ -320,12 +315,11 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     contained two ways: walls that drift past DRIFT_REFRESH_TOL force a dense
     axis rebuild, and a pattern bit found marginally stale (within RESYNC_TOL)
     is flipped back to match the geometry without moving x.  The solve runs
-    on ``pairs.fold(net)``; records and outcomes name units of net.
+    on ``pairs.fold(net)``, and records and outcomes name its units.
     """
     t0 = time.perf_counter()
-    net, kept = pairs.fold(net)
+    net = pairs.fold(net)
     state = initialize(net, x0, options)
-    state.kept = kept
     out = find_vertex(state)
     if out is None:
         out = _pivot_loop(state)
@@ -467,25 +461,25 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
     """basis (keyed by wall) over unit, the ascending walls' unit normals, keyed by position in walls.
 
     Releases walls that left or bent, negates flipped ones and holds new
-    ones; with no wall kept, one QR builds it, or holds each if dependent.
+    ones; with no wall staying, one QR builds it, or holds each if dependent.
     """
     owners = np.array(basis.owners, dtype=np.intp)
     pos = np.minimum(walls.searchsorted(owners), max(walls.size - 1, 0))
-    kept = walls[pos] == owners if walls.size else np.zeros(pos.size, dtype=bool)
-    if not kept.any():
+    stays = walls[pos] == owners if walls.size else np.zeros(pos.size, dtype=bool)
+    if not stays.any():
         try:
             return dense_pseudoinverse(unit, range(len(unit)))
         except Degenerate:
             basis = PseudoInverse.empty(unit.shape[1])
-    elif not kept.all() or not np.array_equal(basis.normals, unit[pos]):
-        same = kept & (basis.normals == unit[pos]).all(axis=1)
-        flipped = kept & ~same & (basis.normals == -unit[pos]).all(axis=1)
+    elif not stays.all() or not np.array_equal(basis.normals, unit[pos]):
+        same = stays & (basis.normals == unit[pos]).all(axis=1)
+        flipped = stays & ~same & (basis.normals == -unit[pos]).all(axis=1)
         basis.matrix[flipped] *= -1.0
         basis.normals[flipped] *= -1.0
         for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
-        kept = same | flipped
-    basis.owners = pos[kept].tolist()
+        stays = same | flipped
+    basis.owners = pos[stays].tolist()
     for j in sorted(set(range(walls.size)) - set(basis.owners)):
         with contextlib.suppress(DependentColumn):
             basis = add_axis(basis, unit[j], j)
@@ -582,16 +576,16 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
     one is flipped, one step, and the descent goes on across it.  With
     none, x is a local minimum; dependent walls end NonRegular.  Like
-    drlsimplex, it runs on ``pairs.fold(net)`` and names units of net.
+    drlsimplex, it runs on ``pairs.fold(net)`` and names its units.
     """
     t0 = time.perf_counter()
-    net, kept = pairs.fold(net)
+    net = pairs.fold(net)
     if q.lin.shape != (net.input_dim,):
         raise ValueError(f"lin has shape {q.lin.shape} but the network takes shape ({net.input_dim},)")
     opts = options or SolverOptions()
     x = start_point(net, x0)
     state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
-                        options=opts, objective=q, kept=kept)
+                        options=opts, objective=q)
     hess, basis = q.quad + q.quad.T, PseudoInverse.empty(net.input_dim)
     try:        # positive definite curvature makes every face's Z'HZ so too
         convex = np.linalg.cholesky(hess) is not None

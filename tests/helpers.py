@@ -7,6 +7,7 @@ descent) without touching the incremental code paths under test.
 
 import csv
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -243,6 +244,21 @@ def ac5_runs():
                rng.uniform(-1.0, 1.0, size=2), seed)
 
 
+def write_model(path, net, pairs):
+    """A model file listing net's pairs as given, in any unit order; save_model writes only its canonical form."""
+    doc = {"widths": list(net.widths), "weights": [w.tolist() for w in net.weights],
+           "biases": [b.tolist() for b in net.biases],
+           "pairs": [[list(net.neuron_at(a)), list(net.neuron_at(b))]
+                     for a, b in zip(pairs.first.tolist(), pairs.second.tolist())]}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
+
+
+def folded_units(net, pairs):
+    """Flat unit of net that each unit of pairs.fold(net) is: every unit but the second members, in order."""
+    return np.flatnonzero(~pairs.secondary_flat_mask(net))
+
+
 def _mirrored(start, n):
     """Pairs (start + i, start + n + i), i < n: a block of n units, then its mirror block."""
     return start + np.stack([np.arange(n), n + np.arange(n)], axis=1)
@@ -340,8 +356,8 @@ def interleaved_clad(data):
     """mirrored_clad's (net, pairs) with each residual unit's mirror right after it in layer 2.
 
     The value is the same everywhere, but folding keeps every other
-    layer-2 unit, so folded unit c is not unit c of this net: the solvers'
-    unit names in the caller's numbering are checked against it.
+    layer-2 unit, so folded unit c is not unit c of this net: the names
+    records, outcomes and ``drlp check`` give are checked to be the folded ones.
     """
     net, pairs = mirrored_clad(data)
     off, n = net.offsets[1], data.n

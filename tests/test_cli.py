@@ -33,7 +33,7 @@ from drlp import (
     save_model,
 )
 from drlp.cli import main
-from helpers import interleaved_clad, lad_enumerate
+from helpers import interleaved_clad, lad_enumerate, mirrored_clad, write_model
 
 
 @pytest.fixture
@@ -280,7 +280,7 @@ class TestSolve:
     def test_pairs_outside_last_hidden_layer_exit_one(self, capsys, tmp_path, command,
                                                       net_split_line_mirrored):
         path = tmp_path / "deep_pairs.json"
-        save_model(path, net_split_line_mirrored, PairGroups([(0, 1)]))
+        write_model(path, net_split_line_mirrored, PairGroups([(0, 1)]))
         code, stdout, stderr = _run(capsys, command[:1] + ["--model", str(path)] + command[1:])
         assert code == 1 and stdout == ""
         assert stderr == (f"error: model file {path}: pairs must be [[layer, unit], [layer, unit]] "
@@ -361,12 +361,12 @@ def _non_regular_first(monkeypatch):
     """Make the CLI's first drlsimplex call end NonRegular; the rest solve."""
     real, nets = drlp.cli.drlsimplex, []
 
-    def solve(net, x0, options, pairs):
+    def solve(net, x0, options):
         nets.append(net)
         if len(nets) == 1:
             x = np.array(x0, dtype=np.float64)
             return SolveOutcome(NON_REGULAR, x, evaluate(net, x), 0, neurons=[0])
-        return real(net, x0, options, pairs)
+        return real(net, x0, options)
 
     monkeypatch.setattr(drlp.cli, "drlsimplex", solve)
     return nets
@@ -385,19 +385,21 @@ class TestJitter:
         assert doc["f"] != evaluate(nets[1], x)    # the jittered net's value differs
 
     def test_paired_problem_keeps_its_pairs(self, capsys, monkeypatch, tiny_csv, tmp_path):
-        # a model file holds the quantile net's residuals as mirrored pairs
+        # a model file holds the quantile net's residuals as mirrored pairs; they are
+        # folded when the file loads, so each residual's one bias is jittered
         net, _ = build_quantile_lasso(load_csv(tiny_csv[0]))
         save_model(tmp_path / "q.json", net)
+        assert len(json.loads((tmp_path / "q.json").read_text())["pairs"]) == net.num_neurons
         nets = _non_regular_first(monkeypatch)
         code, stdout, stderr = _run(capsys, ["solve", "--model", str(tmp_path / "q.json"), "--seed", "1",
                                              "--jitter-on-nonregular"])
         assert code == 0, stderr
         doc = json.loads(stdout)
         assert doc["jittered"] is True and len(nets) == 2
-        paired, pairs = load_model(tmp_path / "q.json")
-        assert len(pairs) == net.num_neurons
-        pairs.validate(nets[1])
-        assert doc["f"] == evaluate(paired, np.array(doc["x"]))
+        assert nets[0].widths == nets[1].widths == net.widths
+        assert nets[1].off_weights.tobytes() == net.off_weights.tobytes() and nets[1].two_slope.all()
+        assert not np.array_equal(nets[1].biases[0], net.biases[0])
+        assert doc["f"] == evaluate(load_model(tmp_path / "q.json"), np.array(doc["x"]))
 
     def test_builder_net_keeps_its_slopes(self, capsys, monkeypatch, tiny_csv):
         path, _, _ = tiny_csv
@@ -503,7 +505,7 @@ class TestRegression:
                                         "--out-model", str(trained)])
         doc = json.loads(stdout)
         assert code == 0 and doc["status"] == "LocalMinimum" and doc["model"] == str(trained)
-        before, after = load_model(base)[0], load_model(trained)[0]
+        before, after = load_model(base), load_model(trained)
         # the written first layer is theta; the frozen layers are the base's
         assert np.concatenate([after.weights[0].ravel(), after.biases[0]]).tolist() == doc["theta"]
         for a, b in zip(before.weights[1:] + before.biases[1:], after.weights[1:] + after.biases[1:]):
@@ -511,6 +513,17 @@ class TestRegression:
         data = load_csv(path)
         assert doc["f"] == pytest.approx(np.abs(data.y - [evaluate(after, x) for x in data.x]).sum(),
                                          abs=1e-9)
+
+    def test_train_l1_refuses_a_paired_base_model(self, capsys, tiny_csv, tmp_path):
+        # a base file's pairs load as two-slope units, which the loss network cannot hold
+        plain = build_random((1, 3, 2, 1), seed=5)
+        save_model(tmp_path / "base.json", ReluNetwork(plain.weights, plain.biases, [-1.0, 0.0], [True, False]))
+        assert "pairs" in json.loads((tmp_path / "base.json").read_text())
+        code, stdout, stderr = _run(capsys, ["train-l1", "--data", tiny_csv[0], "--base-model",
+                                             str(tmp_path / "base.json")])
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: base has bit-0 slopes in its last hidden layer; "
+                          "the loss network needs plain ReLUs\n")
 
     def test_quantile_on_one_row_reaches_zero_loss(self, capsys, tmp_path):
         # one row pins only rank(W1) = 1 of the 2 walls a full-rank vertex needs
@@ -627,10 +640,9 @@ class TestCheck:
         assert doc["axes"] == [{"neuron": [1, 2], "bit": 0, "derivatives": [0.0, 0.0]},
                                {"neuron": [2, 1], "bit": 0, "derivatives": [0.0, 1.0]}]
 
-    def test_axes_name_units_of_the_paired_model(self, capsys, tmp_path):
-        # CLAD with each mirror right after its unit: folded layer-2 unit j
-        # is unit 2j of the model's layer 2, so only the model's numbering
-        # names a wall that passes through x
+    def test_axes_name_units_of_the_folded_model(self, capsys, tmp_path):
+        # CLAD with each mirror right after its unit: the file's layer-2 unit 2j - 1 is
+        # unit j of the folded net that check loads, and check names that net's units
         path = str(tmp_path / "clad.json")
 
         def solved(seed):
@@ -638,32 +650,50 @@ class TestCheck:
             x = rng.standard_normal((12, 2))
             y = np.maximum(x @ [1.0, -0.5], 0.0) + 0.3 * rng.standard_normal(12)
             net, pairs = interleaved_clad(RegressionData(x, y))
-            save_model(path, net, pairs)
-            return net, drlsimplex(net, rng.standard_normal(2), SolverOptions(seed=seed), pairs)
+            write_model(path, net, pairs)
+            return pairs.fold(net), drlsimplex(net, rng.standard_normal(2), SolverOptions(seed=seed), pairs)
 
-        def check(net, x):
+        def check(folded, x):
             code, stdout, _ = _run(capsys, ["check", "--model", path,
                                             "--x=" + ",".join(map(repr, map(float, x)))])
             doc = json.loads(stdout)
-            named = [net.flat_index(a["neuron"]) for a in doc["axes"]]
-            assert_allclose(relu_arguments(net, np.array(x))[named], 0.0, atol=1e-9)
+            named = [folded.flat_index(a["neuron"]) for a in doc["axes"]]
+            assert_allclose(relu_arguments(folded, np.array(x))[named], 0.0, atol=1e-9)
             least = min(doc["axes"], key=lambda a: min(a["derivatives"]))
             return code, doc["certified"], named, least
 
-        # the solve crosses residual unit (2, 11) at its first vertex, and
-        # check at that vertex prices the same crossing as its steepest edge
-        net, out = solved(10)
+        # the solve crosses residual unit (2, 6), the file's (2, 11), at its first vertex,
+        # and check at that vertex prices the same crossing as its steepest edge
+        folded, out = solved(10)
         flip = out.trace[2]
-        assert (flip.phase, net.neuron_at(flip.neuron)) == ("flip", (2, 11))
-        code, certified, named, least = check(net, flip.x)
-        assert (code, certified, least["neuron"]) == (2, False, [2, 11]) and flip.neuron in named
+        assert (flip.phase, folded.neuron_at(flip.neuron)) == ("flip", (2, 6))
+        code, certified, named, least = check(folded, flip.x)
+        assert (code, certified, least["neuron"]) == (2, False, [2, 6]) and flip.neuron in named
         assert least["derivatives"][1] == pytest.approx(flip.alpha, rel=1e-9)
-        # the minimum sits on the walls of a first-layer unit and a residual unit
-        net, out = solved(5)
+        # the minimum sits on the walls of first-layer unit (1, 4) and residual unit (2, 10)
+        folded, out = solved(5)
         assert out.status == "LocalMinimum"
-        code, certified, named, _ = check(net, out.x)
+        code, certified, named, _ = check(folded, out.x)
         assert (code, certified) == (0, True)
-        assert sorted(net.neuron_at(c)[0] for c in named) == [1, 2]
+        assert [folded.neuron_at(c) for c in named] == [(1, 4), (2, 10)]
+
+    def test_pair_order_in_the_file_changes_no_output(self, capsys, tmp_path):
+        # one CLAD net, its mirrors interleaved in one file and appended in the other: both
+        # load as one folded net, so check prints the same bytes, f included; evaluating the
+        # mirrored net instead summed the pairs in file order and moved f's last bit here
+        rng = np.random.Generator(np.random.Philox(2))
+        x = rng.standard_normal((12, 2))
+        data = RegressionData(x, np.maximum(x @ [1.0, -0.5], 0.0) + 0.3 * rng.standard_normal(12))
+        (appended, pairs), (mixed, mixed_pairs) = mirrored_clad(data), interleaved_clad(data)
+        out = drlsimplex(appended, rng.standard_normal(2), SolverOptions(seed=2), pairs)
+        assert evaluate(appended, out.x) != evaluate(mixed, out.x)
+        write_model(tmp_path / "appended.json", appended, pairs)
+        write_model(tmp_path / "mixed.json", mixed, mixed_pairs)
+        at = "--x=" + ",".join(map(repr, out.x.tolist()))
+        printed = [_run(capsys, ["check", "--model", str(tmp_path / name), at])
+                   for name in ("appended.json", "mixed.json")]
+        assert printed[0] == printed[1] and printed[0][0] == 0
+        assert json.loads(printed[0][1])["f"] == evaluate(pairs.fold(appended), out.x)
 
     def test_axes_ignore_roundoff_moves(self, capsys, tmp_path):
         # a wall through x prints the bit of an exactly zero argument, so moving x by
@@ -684,7 +714,7 @@ class TestCheck:
         code, axes = check(out.x)
         assert code == 0 and len(axes) == 3
         assert all(a["bit"] == 1 for a in axes)     # folded residual walls are two-slope
-        folded, kept = pairs.fold(net)
+        folded = pairs.fold(net)
         crit, normals = critical_indices(folded, activation_pattern(folded, out.x), out.x)
         rows = dense_pseudoinverse(normals, crit).matrix
         h = 1e-14 * (1.0 + np.abs(out.x).max())

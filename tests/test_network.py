@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,14 @@ from helpers import (
     enumerate_compatible,
     fd_gradient,
     fd_oriented_normal,
+    folded_units,
     hyperplane_pattern,
+    interleaved_clad,
     is_compatible,
+    mirrored_clad,
     mirrored_quantile,
     subjective_value,
+    write_model,
 )
 
 
@@ -340,7 +346,7 @@ class TestSubjective:
         net = build_random(widths + [1], seed=seed)
         if mirror:      # mirror the first k last-layer units, then fold each pair into a two-slope unit
             k, last, w, b = data.draw(st.integers(1, widths[-1])), net.offsets[-2], net.weights, net.biases
-            net, _ = PairGroups((last + j, last + widths[-1] + j) for j in range(k)).fold(ReluNetwork(
+            net = PairGroups((last + j, last + widths[-1] + j) for j in range(k)).fold(ReluNetwork(
                 w[:-2] + [np.vstack([w[-2], -w[-2][:k]]), np.hstack([w[-1], w[-1][:, :k]])],
                 b[:-2] + [np.concatenate([b[-2], -b[-2][:k]]), b[-1]]))
         bits = st.lists(st.integers(0, 1), min_size=net.num_neurons, max_size=net.num_neurons)
@@ -445,6 +451,10 @@ class TestPairsAndFlip:
         PairGroups([(0, 1)]).validate(net)
         with pytest.raises(ValueError):
             PairGroups([(0, 2)]).validate(net)
+        # fold drops the second member, so a member with a bit-0 slope of its own is refused
+        for off, two_slope in (([0.0, -1.0, 0.0], [False, False, False]), ([0.0, 0.0, 0.0], [True, False, False])):
+            with pytest.raises(ValueError, match=r"pair \(1, 1\)/\(1, 2\): a member has a bit-0 slope"):
+                PairGroups([(0, 1)]).fold(ReluNetwork(net.weights, net.biases, off, two_slope))
         with pytest.raises(ValueError, match="pairs must be disjoint"):
             PairGroups([(0, 1), (1, 2)])
 
@@ -459,8 +469,8 @@ class TestPairsAndFlip:
 
     def test_pattern_on_paired_wall_keeps_bits_complementary(self):
         # the folded unit takes bit 1 on its wall: first member 1, second 0
-        net = self._paired_net()
-        folded, kept = PairGroups([(0, 1)]).fold(net)
+        net, pairs = self._paired_net(), PairGroups([(0, 1)])
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         x = np.array([-3.0, 0.0])      # on the pair's wall, off unit 2's
         assert activation_pattern(net, x).tolist() == [0, 0, 0]
         assert activation_pattern(folded, x).tolist() == [1, 0]
@@ -468,8 +478,8 @@ class TestPairsAndFlip:
         assert np.array_equal(activation_pattern(folded, [1.0, 1.0]), off_wall[kept])
 
     def test_critical_indices_drop_second_members(self):
-        net = self._paired_net()
-        folded, kept = PairGroups([(0, 1)]).fold(net)
+        net, pairs = self._paired_net(), PairGroups([(0, 1)])
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         x = np.array([0.0, -1.5])      # on the pair's wall and on unit 2's
         assert critical_indices(net, activation_pattern(net, x), x)[0] == [0, 1, 2]
         assert kept[critical_indices(folded, activation_pattern(folded, x), x)[0]].tolist() == [0, 2]
@@ -486,7 +496,8 @@ class TestPairsAndFlip:
 
 
 # each builder's mirrored reference, the paired nets fold is for
-FOLD_CASES = [(name, *reference, x) for name, _, reference, x in builder_cases()]
+BUILDER_FILES = builder_cases()
+FOLD_CASES = [(name, *reference, x) for name, _, reference, x in BUILDER_FILES]
 
 
 @pytest.mark.parametrize("name, net, pairs, x_wall", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
@@ -501,7 +512,7 @@ class TestFold:
         return out
 
     def test_kept_maps_units_back(self, name, net, pairs, x_wall):
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         assert kept.tolist() == sorted(set(range(net.num_neurons)) - set(pairs.second.tolist()))
         assert folded.relu_widths[-1] == net.relu_widths[-1] - len(pairs)
         for c in range(folded.num_neurons):
@@ -511,7 +522,7 @@ class TestFold:
             assert folded.biases[l - 1][j - 1] == net.biases[l - 1][jk - 1]
 
     def test_value_and_gradient_match(self, name, net, pairs, x_wall):
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         rng = np.random.Generator(np.random.Philox(32))
         for _ in range(20):
             x = rng.uniform(-3.0, 3.0, net.input_dim)
@@ -529,7 +540,7 @@ class TestFold:
                 assert_allclose(gradient(folded, t), g, rtol=0.0, atol=1e-12 * (1.0 + np.abs(g).max()))
 
     def test_crossing_gains_are_pair_sums(self, name, net, pairs, x_wall):
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         last, w = net.offsets[-2], net.weights[-1][0]
         gains = folded.gains
         first = np.searchsorted(kept, pairs.first)
@@ -540,7 +551,7 @@ class TestFold:
         assert gains[last:].tobytes() == (folded.weights[-1][0] - folded.off_weights).tobytes()
 
     def test_paired_wall_takes_bit_one(self, name, net, pairs, x_wall):
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         args = relu_arguments(net, x_wall)
         on_wall = pairs.first[args[pairs.first] == 0.0]
         assert on_wall.size and np.all(args[pairs.second[args[pairs.first] == 0.0]] == 0.0)
@@ -562,12 +573,12 @@ class TestModelIO:
         path = tmp_path / "model.json"
         pairs = PairGroups([])
         save_model(path, net_fold_sum, pairs=pairs)
-        loaded, loaded_pairs = load_model(path)
+        loaded = load_model(path)
         for a, b in zip(net_fold_sum.weights, loaded.weights):
             assert np.array_equal(a, b)
         for a, b in zip(net_fold_sum.biases, loaded.biases):
             assert np.array_equal(a, b)
-        assert len(loaded_pairs) == 0
+        assert not loaded.two_slope.any() and not loaded.off_weights.any()
 
     def test_pairs_round_trip(self, tmp_path):
         w1 = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -576,20 +587,50 @@ class TestModelIO:
         )
         path = tmp_path / "m.json"
         save_model(path, net, pairs=PairGroups([(0, 1)]))
-        _, pairs = load_model(path)
-        assert (pairs.first.tolist(), pairs.second.tolist()) == ([0], [1])
+        assert json.loads(path.read_text())["pairs"] == [[[1, 1], [1, 2]]]
+        # the pair loads as one two-slope unit, the first member's row with the mirror's weight negated
+        loaded = load_model(path)
+        assert loaded.weights[0].tolist() == [[1.0, 0.0]] and loaded.biases[0].tolist() == [2.0]
+        assert loaded.two_slope.tolist() == [True] and loaded.off_weights.tolist() == [-1.0]
 
     def test_folded_net_is_not_saved(self, tmp_path):
         # a folded net is saved only as the pairs save_model makes of it: a bit-0 slope
-        # on a plain unit has no pair form, and pairs of its own are refused
+        # on a plain unit has no pair form, and pairs given with it are refused, since
+        # fold takes only plain ReLUs
         net, pairs = mirrored_quantile(RegressionData(np.eye(2), np.ones(2)), alpha=0.3)
-        folded, _ = pairs.fold(net)
+        folded = pairs.fold(net)
         plain = ReluNetwork(folded.weights, folded.biases, folded.off_weights)
         with pytest.raises(ValueError, match="no bit-0 slope on a unit that is not two-slope"):
             save_model(tmp_path / "m.json", plain)
-        with pytest.raises(ValueError, match="saved without pairs; save_model writes its own"):
+        with pytest.raises(ValueError, match=r"pair \(1, 1\)/\(1, 2\): a member has a bit-0 slope"):
             save_model(tmp_path / "m.json", folded, PairGroups([(0, 1)]))
         assert not (tmp_path / "m.json").exists()
+        # the mirrored net with its pairs is saved as its fold
+        save_model(tmp_path / "m.json", net, pairs)
+        save_model(tmp_path / "folded.json", folded)
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "folded.json").read_bytes()
+
+    def test_interleaved_pairs_are_saved_after_the_layer(self, tmp_path):
+        # a file with each mirror right after its unit loads as the fold, which saves
+        # with every mirror after the last hidden layer; that file then round-trips byte for byte
+        rng = np.random.Generator(np.random.Philox(3))
+        x = rng.standard_normal((6, 2))
+        data = RegressionData(x, x @ [1.0, -0.5] + rng.standard_normal(6))
+        (mixed, mixed_pairs), (appended, pairs) = interleaved_clad(data), mirrored_clad(data)
+        write_model(tmp_path / "mixed.json", mixed, mixed_pairs)
+        save_model(tmp_path / "saved.json", load_model(tmp_path / "mixed.json"))
+        doc = json.loads((tmp_path / "saved.json").read_text())
+        assert doc["pairs"] == [[[2, j], [2, 6 + j]] for j in range(1, 7)]
+        write_model(tmp_path / "appended.json", appended, pairs)
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "appended.json").read_bytes()
+        save_model(tmp_path / "again.json", load_model(tmp_path / "saved.json"))
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+    @pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_FILES, ids=[c[0] for c in BUILDER_FILES])
+    def test_builder_files_round_trip(self, tmp_path, name, built, reference, x_wall):
+        save_model(tmp_path / "m.json", built[0])
+        save_model(tmp_path / "again.json", load_model(tmp_path / "m.json"))
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "m.json").read_bytes()
 
     def test_pairs_written_as_layer_unit(self, tmp_path):
         # files name units by 1-based (layer, unit); flat indices stay in memory
@@ -599,15 +640,17 @@ class TestModelIO:
         )
         path = tmp_path / "m.json"
         save_model(path, net, pairs=PairGroups([(0, 1)]))
+        # the pair is saved folded and unfolded again, so the mirror row is the first's negation, -0.0 included
         assert path.read_text() == (
-            '{"widths": [2, 2, 1], "weights": [[[1.0, 0.0], [-1.0, 0.0]], [[1.0, 1.0]]], '
+            '{"widths": [2, 2, 1], "weights": [[[1.0, 0.0], [-1.0, -0.0]], [[1.0, 1.0]]], '
             '"biases": [[2.0, -2.0], [0.0]], "pairs": [[[1, 1], [1, 2]]]}\n'
         )
-        # a file that lists the second unit first loads with that order
+        # a file that lists the second unit first keeps that unit and drops the other
         path.write_text(path.read_text().replace('"pairs": [[[1, 1], [1, 2]]]',
                                                  '"pairs": [[[1, 2], [1, 1]]]'))
-        _, pairs = load_model(path)
-        assert (pairs.first.tolist(), pairs.second.tolist()) == ([1], [0])
+        loaded = load_model(path)
+        assert loaded.weights[0].tolist() == [[-1.0, 0.0]] and loaded.biases[0].tolist() == [-2.0]
+        assert loaded.two_slope.tolist() == [True] and loaded.off_weights.tolist() == [-1.0]
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -633,6 +676,6 @@ class TestModelIO:
             with pytest.raises(ValueError, match=f"model file .*bad.json: pairs .*; {shown} is not a JSON integer"):
                 load_model(path)
         path.write_text('{%s, "pairs": [[[1, 1], [1, 2]]]}' % pair)
-        assert len(load_model(path)[1]) == 1
+        assert load_model(path).two_slope.tolist() == [True]
         path.write_text('{"weights": [[[100000000000000000000000]], [[1]]], "biases": [[0.0], [0]]}')
-        assert load_model(path)[0].weights[0].tolist() == [[1e23]]
+        assert load_model(path).weights[0].tolist() == [[1e23]]

@@ -37,6 +37,7 @@ from helpers import (
     brute_pseudoinverse,
     dense_basis,
     first_layer_wrapper,
+    folded_units,
     normals_matrix,
     owner_flip_updates,
     pivot_update_reference,
@@ -326,7 +327,7 @@ class TestAdvance:
         compiled = [build_quantile_lasso(data, alpha=0.3, lam=0.5), build_clad(data),
                     build_l1_first_layer(base, RegressionData(data.x[:6], data.y[:6]))]
         for net, pairs in compiled * 10:
-            net, _ = pairs.fold(net)
+            net = pairs.fold(net)
             ignore = np.flatnonzero(rng.uniform(size=net.num_neurons) < 0.2).tolist()
             cases.append((net, ignore))
         for net, ignore in cases:
@@ -376,7 +377,8 @@ class TestAdvance:
     def test_pairs_report_primary_member(self):
         w1 = np.array([[1.0], [-1.0]])
         net = ReluNetwork([w1, np.ones((1, 2))], [np.array([-1.0, 1.0]), np.zeros(1)])
-        folded, kept = PairGroups([(0, 1)]).fold(net)
+        pairs = PairGroups([(0, 1)])
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         x = np.array([0.0])
         s = activation_pattern(folded, x)
         res = advance_max(folded, x, np.array([1.0]), s)
@@ -438,7 +440,7 @@ class TestLongStep:
         for w, stops in ((0.0, True), (0.5, False)):
             net = ReluNetwork([np.array([[1.0], [-1.0], [1.0]]), np.array([[0.25, 0.75, -w]])],
                               [np.array([-1.0, 1.0, 5.0]), np.zeros(1)])
-            net, _ = pairs.fold(net)        # the ramp unit 2 becomes unit 1
+            net = pairs.fold(net)        # the ramp unit 2 becomes unit 1
             s = activation_pattern(net, x)
             res = advance_max(net, x, v, s, slope=-0.75 - w)
             if stops:

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from drlp import (
     LpInstance,
     PairGroups,
     RegressionData,
+    ReluNetwork,
     SolverOptions,
     build_clad,
     build_from_lp,
@@ -32,7 +34,7 @@ from drlp import (
     set_first_layer,
     solve_quadratic,
 )
-from helpers import builder_cases, cd_lasso, lad_enumerate, load_csv_reference
+from helpers import builder_cases, cd_lasso, folded_units, lad_enumerate, load_csv_reference
 
 
 def _data(seed, n, p):
@@ -184,6 +186,16 @@ class TestL1FirstLayer:
         base = build_random((3, 4, 1), seed=13)
         with pytest.raises(ValueError):
             build_l1_first_layer(base, _data(14, 5, 2))
+
+    def test_base_with_bit_0_slopes(self):
+        # a model file's pairs load as two-slope units: set_first_layer keeps their slopes, and
+        # the loss network, whose middle layers are plain ReLUs, refuses a base that has them
+        plain = build_random((2, 3, 2, 1), seed=14)
+        base = ReluNetwork(plain.weights, plain.biases, [-0.5, 0.0], [True, False])
+        rebuilt = set_first_layer(base, flatten_first_layer(base))
+        assert rebuilt.off_weights.tolist() == [-0.5, 0.0] and rebuilt.two_slope.tolist() == [True, False]
+        with pytest.raises(ValueError, match="base has bit-0 slopes in its last hidden layer"):
+            build_l1_first_layer(base, _data(15, 5, 2))
 
 
 class TestLassoBuilder:
@@ -483,6 +495,13 @@ def _csv_lines(draw):
 BUILDER_CASES = builder_cases()
 
 
+def _written(path):
+    """(net, pairs) as a model file lists them, before load_model folds the pairs."""
+    doc = json.loads(path.read_text())
+    net = ReluNetwork(doc["weights"], doc["biases"])
+    return net, PairGroups(net.flat_index(doc["pairs"]))
+
+
 @pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
 class TestBuilderNets:
     """Each builder's net is its mirrored reference folded, and reloads as itself."""
@@ -499,21 +518,18 @@ class TestBuilderNets:
     def test_net_is_the_folded_reference(self, name, built, reference, x_wall):
         (net, pairs), (mirrored, mirror_pairs) = built, reference
         assert len(pairs) == 0
-        self._same_net(net, mirror_pairs.fold(mirrored)[0])
+        self._same_net(net, mirror_pairs.fold(mirrored))
 
     def test_reloaded_net_folds_back(self, tmp_path, name, built, reference, x_wall):
         save_model(tmp_path / "m.json", *built)
-        loaded, pairs = load_model(tmp_path / "m.json")
-        folded, kept = pairs.fold(loaded)
-        self._same_net(folded, built[0])
+        self._same_net(load_model(tmp_path / "m.json"), built[0])
+        # the file holds the mirrored net, each mirror after every unit the fold keeps
+        kept = folded_units(*_written(tmp_path / "m.json"))
         assert kept.tolist() == list(range(built[0].num_neurons))
 
 
-# the cases whose reference's pairs end the last hidden layer, so that it lists its units as save_model does
-SAVED_AS_BEFORE = [c for c in BUILDER_CASES if c[0] not in ("quantile-0.3-0.5", "quantile-1.0-0.5", "lp")]
-
-
-@pytest.mark.parametrize("name, built, reference, x_wall", SAVED_AS_BEFORE, ids=[c[0] for c in SAVED_AS_BEFORE])
+# save_model folds a reference's pairs first, so each is saved as its builder's net, mirrors last
+@pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
 def test_saved_as_the_reference(tmp_path, name, built, reference, x_wall):
     save_model(tmp_path / "built.json", *built)
     save_model(tmp_path / "reference.json", *reference)
@@ -528,7 +544,7 @@ class TestBuilderPairs:
         net, pairs = built
         assert len(pairs) == 0
         save_model(tmp_path / "m.json", net)
-        saved, old = load_model(tmp_path / "m.json")[1], PairGroups(tuples)
+        saved, old = _written(tmp_path / "m.json")[1], PairGroups(tuples)
         assert saved.first.tolist() == old.first.tolist() and len(old) > 0
         assert saved.second.tolist() == old.second.tolist()
 

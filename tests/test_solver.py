@@ -68,9 +68,11 @@ from helpers import (
     certificate_residual,
     cone_projection_nnls,
     dense_basis,
+    folded_units,
     interleaved_clad,
     lp_linprog,
     mirrored_lasso,
+    mirrored_lp,
     mirrored_quantile,
     pivot_update_reference,
     probe_min,
@@ -355,15 +357,16 @@ class TestResync:
 
     def test_bit_past_resync_tol_aborts(self):
         out = drlp.solver._pivot_loop(_stale_vertex(1e-4))
-        assert out.status == NON_REGULAR and out.neurons == [2]
+        assert out.status == NON_REGULAR and out.neurons == [2] and type(out.neurons[0]) is int
         assert not [rec for rec in out.trace if rec.phase == "resync"]
 
-    def test_abort_names_units_through_kept(self):
-        # as if the state ran on a folded net whose unit c is unit kept[c] of the caller's
+    def test_abort_names_units_of_the_state_net(self):
+        # no unit map stands between the net a state solves and its outcome: the
+        # stop wall is that net's unit (1, 3), named by its flat index as a Python int
         state = _stale_vertex(1e-4)
-        state.kept = np.array([0, 2, 5, 7])
         out = drlp.solver._pivot_loop(state)
-        assert out.status == NON_REGULAR and out.neurons == [5]
+        assert [state.net.neuron_at(c) for c in out.neurons] == [(1, 3)]
+        assert [type(c) for c in out.neurons] == [int]
 
 
 # solver-level function -> (exception it raises, flat units of the folded net
@@ -372,14 +375,16 @@ _ABORTS = {
     "add_axis": (drlp.solver, DependentColumn, lambda pinv, u, c: list(pinv.owners) + [c]),
     "refresh_pseudoinverse": (drlp.solver, Degenerate, lambda state: list(state.pinv.owners)),
 }
+# the (layer, unit) names in the folded net of the units each abort in TestAborts reports
+_ABORT_NAMES = {"add_axis": [(2, 11)], "refresh_pseudoinverse": [(2, 11), (1, 12)]}
 
 
 class TestAborts:
     @pytest.mark.parametrize("name", list(_ABORTS))
-    def test_abort_names_units_of_the_paired_net(self, name, monkeypatch):
+    def test_abort_names_units_of_the_folded_net(self, name, monkeypatch):
         # find_vertex adds axes and a drifted pivot rebuilds (forced by a zero
-        # tolerance); each exit must report the failing units under the
-        # caller's numbering, not the folded one
+        # tolerance); each exit must report the failing units of the folded net
+        # the solve runs on, as Python ints
         module, exc, named = _ABORTS[name]
         culprits = []
 
@@ -389,18 +394,18 @@ class TestAborts:
 
         monkeypatch.setattr(module, name, fail)
         monkeypatch.setattr(drlp.solver, "DRIFT_REFRESH_TOL", 0.0)
-        # CLAD with interleaved mirrors: folded layer-2 unit j is unit 2j of the net's layer 2;
-        # at seed 16 the first find_vertex wall is residual unit (2, 21)
+        # CLAD with interleaved mirrors: folded layer-2 unit j is the net's unit 2j - 1 there;
+        # at seed 16 the first find_vertex wall is residual unit (2, 11), the net's (2, 21)
         rng = np.random.Generator(np.random.Philox(16))
         x = rng.standard_normal((12, 2))
         y = np.maximum(x @ [1.0, -0.5], 0.0) + 0.3 * rng.standard_normal(12)
         net, pairs = interleaved_clad(RegressionData(x, y))
-        kept = pairs.fold(net)[1]
+        folded = pairs.fold(net)
         out = drlsimplex(net, rng.standard_normal(2), SolverOptions(seed=16), pairs)
         assert out.status == NON_REGULAR and len(culprits) == 1
-        assert out.neurons == kept[culprits[0]].tolist()
-        assert any(c >= net.offsets[1] for c in culprits[0])
-        assert_allclose(relu_arguments(net, out.x)[out.neurons], 0.0, atol=1e-9)
+        assert out.neurons == [int(c) for c in culprits[0]] and all(type(c) is int for c in out.neurons)
+        assert [folded.neuron_at(c) for c in out.neurons] == _ABORT_NAMES[name]
+        assert_allclose(relu_arguments(folded, out.x)[out.neurons], 0.0, atol=1e-9)
 
 
 def _parallel_stop_vertex():
@@ -564,7 +569,7 @@ class TestPivotUpdate:
     def test_dependent_stop_wall_names_the_remaining_owners_and_the_wall(self):
         out = drlp.solver._pivot_loop(_parallel_stop_vertex())
         assert [(rec.phase, rec.neuron, rec.t) for rec in out.trace] == [("pivot", 2, 1.0)]
-        assert out.status == NON_REGULAR and out.neurons == [0, 2]
+        assert out.status == NON_REGULAR and out.neurons == [0, 2] and all(type(c) is int for c in out.neurons)
 
 
 def _probe(net, x, s, pinv, **options):
@@ -687,7 +692,7 @@ class TestCrossingPrice:
         runs += [(*_train_l1_problem(50, seed), seed, 36) for seed in (1, 2, 3)]
         priced = Counter()
         for net, pairs, x0, seed, max_steps in runs:
-            folded = pairs.fold(net)[0]
+            folded = pairs.fold(net)
             for _, s, pinv in _vertices(net, x0, seed, pairs, max_steps)[1]:
                 g = gradient(folded, s)
                 edges, vals = axis_derivatives(pinv, g, *crossing_terms(folded, s, pinv.owners))
@@ -1015,7 +1020,7 @@ class TestQuadratic:
         out = solve_quadratic(net, QuadraticObjective(np.eye(2), np.zeros(2)), [0.0, 0.0])
         assert out.status == NON_REGULAR
         assert out.x.tolist() == [0.0, 0.0] and out.steps == 0 and out.trace == []
-        assert out.neurons == [0, 1, 2]
+        assert out.neurons == [0, 1, 2] and all(type(c) is int for c in out.neurons)
 
     def test_wall_outside_last_layer_is_priced(self):
         # 2 relu(relu(x) + 1) + x^2 - x is least at x = 0, the first-layer
@@ -1034,13 +1039,13 @@ class TestQuadratic:
         x = rng.standard_normal((60, 3))
         y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
         net, pairs = build_clad(RegressionData(x, y))
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         walls, _ = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
         assert len(walls) == 60
         q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
         out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
         assert out.status == NON_REGULAR and out.steps == 0
-        assert out.neurons == kept[walls].tolist()
+        assert out.neurons == kept[walls].tolist() and all(type(c) is int for c in out.neurons)
 
     @pytest.mark.parametrize("quad, lin, const, message", [
         (np.ones(2), np.ones(2), 0.0, "quad must be a square matrix; got shape (2,)"),
@@ -1129,7 +1134,7 @@ def _certificate_residual_at(net, pairs, q, x):
     members' output weights.  Returns the residual, the gradient and the active
     units, named in net.
     """
-    folded, kept = pairs.fold(net)
+    folded, kept = pairs.fold(net), folded_units(net, pairs)
     s = activation_pattern(folded, x)
     active, normals = critical_indices(folded, s, x)
     norms = np.linalg.norm(normals, axis=1)
@@ -1354,8 +1359,8 @@ class TestWorkingSet:
         seen, states, sync, normal_matrices = Counter(), [], drlp.solver._sync, drlp.solver.normal_matrices
 
         class Spied(SolverState):
-            def __post_init__(self):
-                super().__post_init__()
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 states.append(self)
 
         def checked_sync(basis, walls, unit):
@@ -1503,25 +1508,28 @@ class TestLongStep:
         design = np.hstack([np.ones((n, 1)), x])
         assert out.f == pytest.approx(quantile_linprog(design, y, alpha), rel=1e-8)
 
-    def test_records_name_walls_of_the_unfolded_net(self):
-        # the LP's objective pair is units 0 and 1, so folded unit c is unit c + 1
-        # of the net for c >= 1; each stop wall must vanish at its record's x
+    def test_records_name_walls_of_the_folded_net(self):
+        # the mirrored LP's objective pair is units 0 and 1, so its folded unit c is unit
+        # c + 1 of the mirrored net for c >= 1; records name the folded units, as on the
+        # builder's net, and each stop wall vanishes at its record's x
         rng = np.random.Generator(np.random.Philox(17))
         lp = LpInstance(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.1, 1.0, (4, 3)), rng.uniform(1.0, 2.0, 4))
-        net, pairs = build_from_lp(lp, penalty=10.0)
-        out = drlsimplex(net, rng.uniform(0.0, 1.0, 3), SolverOptions(seed=1), pairs)
+        net, pairs = mirrored_lp(lp, penalty=10.0)
+        folded, x0 = pairs.fold(net), rng.uniform(0.0, 1.0, 3)
+        out = drlsimplex(net, x0, SolverOptions(seed=1), pairs)
+        built = drlsimplex(build_from_lp(lp, penalty=10.0)[0], x0, SolverOptions(seed=1))
         assert out.status == LOCAL_MINIMUM
+        assert [(r.phase, r.neuron) for r in out.trace] == [(r.phase, r.neuron) for r in built.trace]
         walls = [r for r in out.trace if r.phase in ("find_vertex", "pivot")]
-        assert any(r.neuron >= 2 for r in walls)
+        assert [r.neuron for r in walls] == [3, 2, 5, 7] and all(type(r.neuron) is int for r in walls)
         for r in walls:
-            assert r.neuron != 1
-            assert abs(relu_arguments(net, np.array(r.x))[r.neuron]) <= 1e-9 * (1.0 + np.abs(r.x).max())
+            assert abs(relu_arguments(folded, np.array(r.x))[r.neuron]) <= 1e-9 * (1.0 + np.abs(r.x).max())
 
     def test_a_folded_net_solves_like_its_pairs(self):
         # folding again with no pairs must keep the two-slope units
         rng = np.random.Generator(np.random.Philox(18))
         net, pairs = build_quantile_lasso(_lasso_data(rng, 50, 12), alpha=0.3, lam=1.0)
-        folded, kept = pairs.fold(net)
+        folded, kept = pairs.fold(net), folded_units(net, pairs)
         a = drlsimplex(net, np.zeros(13), SolverOptions(seed=1), pairs)
         b = drlsimplex(folded, np.zeros(13), SolverOptions(seed=1))
         assert (a.status, a.steps, a.x.tobytes(), a.f) == (b.status, b.steps, b.x.tobytes(), b.f)
