@@ -113,7 +113,7 @@ def _jittered(net, rng):
     """net with 1e-8 relative bias noise and its slopes."""
     biases = [b + 1e-8 * (1.0 + np.max(np.abs(b))) * rng.standard_normal(b.shape)
               for b in net.biases]
-    return ReluNetwork(net.weights, biases, net.off_weights, net.two_slope)
+    return ReluNetwork(net.weights, biases, net.off_weights)
 
 
 def _emit_outcome(args, out, net, extra):

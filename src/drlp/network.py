@@ -22,9 +22,9 @@ backward (``_backward``) for the gradient or a single normal.
 
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
-ReLU); a ``net.two_slope`` unit takes bit 1 exactly on its wall.  Model files
-hold such a unit as a mirrored pair of ReLUs (z, -z): ``load_model`` folds the
-pairs (``PairGroups.fold``), ``save_model`` writes them back.
+ReLU).  A unit with a nonzero bit-0 weight (``net.two_slope``) takes bit 1
+exactly on its wall.  Model files hold it as a mirrored pair of ReLUs (z, -z):
+``load_model`` folds the pairs (``PairGroups.fold``), ``save_model`` writes them back.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ ZERO_TOL = 1e-9
 
 
 def require_finite(name: str, a: np.ndarray, rule: str):
-    """Raises ValueError naming a's first non-finite entry by its 1-based index, then rule."""
+    """Raises ValueError naming a's first non-finite entry by its 1-based index (none for a scalar), then rule."""
     if not np.isfinite(a).all():
         at = np.argwhere(~np.isfinite(a))[0]
-        raise ValueError(f"{name} [{', '.join(str(i + 1) for i in at)}] is {a[tuple(at)]}; {rule}")
+        raise ValueError(f"{name}{f' {(at + 1).tolist()}' if at.size else ''} is {a[tuple(at)]}; {rule}")
 
 
 class ReluNetwork:
@@ -58,8 +58,8 @@ class ReluNetwork:
         arguments; the last entry is the 1-row output map.
     biases : sequence of 1-D arrays
         One bias vector per weight matrix.
-    off_weights, two_slope : 1-D arrays over the last hidden layer, optional
-        See the module docstring; plain ReLUs (0, False) by default.
+    off_weights : 1-D array over the last hidden layer, optional
+        Bit-0 output weights (module docstring), 0 by default; ``two_slope`` is off_weights != 0.
 
     The network has ``depth = len(weights) - 1`` ReLU layers.  The output
     layer is affine (no ReLU) and must have exactly one unit.  Its weight row,
@@ -67,7 +67,7 @@ class ReluNetwork:
     biases already contiguous float64 are the caller's arrays, not copies.
     """
 
-    def __init__(self, weights, biases, off_weights=None, two_slope=None):
+    def __init__(self, weights, biases, off_weights=None):
         if len(weights) != len(biases):
             raise ValueError("need one bias vector per weight matrix")
         if len(weights) < 2:
@@ -94,15 +94,14 @@ class ReluNetwork:
         # flat index of each layer's first unit, then num_neurons
         self.offsets = tuple(itertools.accumulate(self.relu_widths, initial=0))
         last = (self.relu_widths[-1],)
-        self.off_weights = np.zeros(last) if off_weights is None else np.array(off_weights, dtype=np.float64)
-        self.two_slope = np.zeros(last, dtype=bool) if two_slope is None else np.array(two_slope, dtype=bool)
-        for name, a in (("off_weights", self.off_weights), ("two_slope", self.two_slope)):
-            if a.shape != last:
-                raise ValueError(f"{name} must have shape {last}, one entry per last-layer unit; got {a.shape}")
-            a.setflags(write=False)
-        self.weights[-1].setflags(write=False)
+        off = self.off_weights = np.zeros(last) if off_weights is None else np.array(off_weights, dtype=np.float64)
+        if off.shape != last:
+            raise ValueError(f"off_weights must have shape {last}, one entry per last-layer unit; got {off.shape}")
         if off_weights is not None:
-            require_finite("off_weights", self.off_weights, "off_weights must be finite")
+            require_finite("off_weights", off, "off_weights must be finite")
+        self.two_slope = off != 0.0
+        for a in (self.weights[-1], off, self.two_slope):
+            a.setflags(write=False)
 
     @functools.cached_property
     def gains(self) -> np.ndarray:
@@ -170,7 +169,7 @@ class PairGroups:
         last, w, bias = net.offsets[-2], net.weights[-2], net.biases[-2]
         # an outside pair is bad anyway; clipping keeps its row lookup in range
         ja, jb = np.maximum(self.first - last, 0), np.maximum(self.second - last, 0)
-        plain = ~net.two_slope & (net.off_weights == 0.0)     # fold makes two plain ReLUs one two-slope unit
+        plain = net.off_weights == 0.0     # fold makes two plain ReLUs one two-slope unit
         ok = units.min(initial=last) >= last and plain[ja].all() and plain[jb].all()
         if ok and (w[ja] == -w[jb]).all() and (bias[ja] == -bias[jb]).all():
             return      # all pairs at once; the scan for the first bad pair runs only when that fails
@@ -189,17 +188,17 @@ class PairGroups:
 
         The folded unit is the pair's first member, with its row, bias and
         output weight; its bit-0 output weight is minus the second member's
-        output weight, and the second member is dropped, so the other units
-        keep their order.  Without pairs the folded net is net itself.
+        output weight (0 leaves a plain ReLU), and the second member is dropped,
+        so the other units keep their order.  Without pairs it is net itself.
         """
         if not len(self):
             return net
         self.validate(net)
         last, keep = net.offsets[-2], ~self.secondary_flat_mask(net)[net.offsets[-2]:]
-        off, two_slope = net.off_weights.copy(), net.two_slope.copy()
-        off[self.first - last], two_slope[self.first - last] = -net.weights[-1][0, self.second - last], True
+        off = net.off_weights.copy()
+        off[self.first - last] = -net.weights[-1][0, self.second - last]
         return ReluNetwork(net.weights[:-2] + [net.weights[-2][keep], net.weights[-1][:, keep]],
-                           net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]], off[keep], two_slope[keep])
+                           net.biases[:-2] + [net.biases[-2][keep], net.biases[-1]], off[keep])
 
 
 def evaluate(net: ReluNetwork, x) -> float:
@@ -344,11 +343,10 @@ def flip(s: np.ndarray, units) -> np.ndarray:
 
 
 def _unfolded(net: ReluNetwork):
-    """(net, pairs) with each two-slope unit j a mirrored pair of ReLUs, the inverse of PairGroups.fold: j keeps
-    its place, and its mirror (-row, 0.0 - bias, never -0.0, output weight -off_weights[j]) follows the layer."""
+    """(net, pairs), the inverse of PairGroups.fold: each two-slope unit j (nonzero bit-0 weight) a mirrored pair of
+    ReLUs; j keeps its place, and its mirror (-row, 0.0 - bias, never -0.0, output weight -off_weights[j]) follows
+    the layer."""
     j, w, b = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2]
-    if net.off_weights[~net.two_slope].any():
-        raise ValueError("model files hold no bit-0 slope on a unit that is not two-slope")
     if not j.size:
         return net, PairGroups()
     out = np.hstack([net.weights[-1], -net.off_weights[None, j]])

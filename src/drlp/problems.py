@@ -3,9 +3,9 @@
 Each builder returns a network whose value at an input point equals the
 loss of the corresponding estimation problem at that parameter vector,
 so minimizing the network minimizes the loss.  A two-slope term such as
-an absolute residual is one ``two_slope`` last-hidden-layer unit, its bit-0
-output weight in ``off_weights``.  Builders still return a pairs slot, the
-empty ``PairGroups()`` that perfbench unpacks and passes on.
+an absolute residual is one last-hidden-layer unit whose bit-0 output
+weight, in ``off_weights``, is nonzero.  Builders still return a pairs slot,
+the empty ``PairGroups()`` that perfbench unpacks and passes on.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     b1 = np.concatenate([data.y, np.zeros(m)])
     w2 = np.concatenate([np.full(n, alpha), np.full(m, lam)])[None, :]
     off = -np.concatenate([np.full(n, 1.0 - alpha), np.full(m, lam)])
-    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off, np.ones(n + m, dtype=bool)), PairGroups()
+    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off), PairGroups()
 
 
 def quantile_loss(data: RegressionData, theta, alpha: float = 0.5, lam: float = 0.0) -> float:
@@ -129,7 +129,7 @@ def build_clad(data: RegressionData):
         raise ValueError("clad needs at least one feature column besides the response; the data has none")
     n = data.n
     return ReluNetwork([data.x.copy(), np.eye(n), np.ones((1, n))], [np.zeros(n), -data.y, np.zeros(1)],
-                       np.full(n, -1.0), np.ones(n, dtype=bool)), PairGroups()
+                       np.full(n, -1.0)), PairGroups()
 
 
 def clad_loss(data: RegressionData, theta) -> float:
@@ -172,7 +172,7 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     # residual layer: the frozen output map against y, one two-slope unit per sample
     layers_w += [_block_diag_repeat(base.weights[-1], n), np.ones((1, n))]     # (n, n * n_last)
     layers_b += [-data.y + np.tile(base.biases[-1], n), np.zeros(1)]
-    return ReluNetwork(layers_w, layers_b, np.full(n, -1.0), np.ones(n, dtype=bool)), PairGroups()
+    return ReluNetwork(layers_w, layers_b, np.full(n, -1.0)), PairGroups()
 
 
 def flatten_first_layer(base: ReluNetwork) -> np.ndarray:
@@ -190,7 +190,7 @@ def set_first_layer(base: ReluNetwork, theta) -> ReluNetwork:
     biases = [b.copy() for b in base.biases]
     weights[0] = theta[: n1 * n0].reshape(n1, n0)
     biases[0] = theta[n1 * n0:]
-    return ReluNetwork(weights, biases, base.off_weights, base.two_slope)
+    return ReluNetwork(weights, biases, base.off_weights)
 
 
 def l1_first_layer_loss(base: ReluNetwork, data: RegressionData, theta) -> float:
@@ -218,7 +218,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
         const=float(data.y @ data.y),
     )
     return ReluNetwork([lam * np.eye(p), np.ones((1, p))], [np.zeros(p), np.zeros(1)],
-                       np.full(p, -1.0), np.ones(p, dtype=bool)), q, PairGroups()
+                       np.full(p, -1.0)), q, PairGroups()
 
 
 def lasso_loss(data: RegressionData, theta, lam: float = 0.0) -> float:
@@ -244,7 +244,7 @@ def build_from_lp(lp: LpInstance, penalty: float = 1.0):
     b1 = np.concatenate([np.zeros(1), -lp.b, np.zeros(n_var)])
     w2 = np.concatenate([[1.0], np.full(n_con + n_var, penalty)])[None, :]
     off = np.concatenate([[1.0], np.zeros(n_con + n_var)])     # <c, x> on both sides of the objective's wall
-    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off, off != 0.0), PairGroups()
+    return ReluNetwork([w1, w2], [b1, np.zeros(1)], off), PairGroups()
 
 
 def _rows(path):

@@ -162,26 +162,27 @@ def start_point(net: ReluNetwork, x0, name: str = "x0") -> np.ndarray:
     return x
 
 
-def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> SolverState:
+def initialize(net: ReluNetwork, x0, options: SolverOptions | None = None) -> SolverState | SolveOutcome:
     """Solver state at x0, nudged off any hyperplane it happens to sit on.
 
     Only units whose normals are nonzero force a nudge; units with
     constant zero arguments can never separate regions and keep bit 0.
+    A start that 100 nudges leave on some wall ends NonRegular at x0,
+    step 0, naming the units on their walls there.
     """
     options = options or SolverOptions()
-    rng = options.make_rng()
-    x = start_point(net, x0)
+    state = SolverState(net=net, x=start_point(net, x0), s=None, pinv=PseudoInverse.empty(net.input_dim),
+                        options=options, rng=options.make_rng())
+    start = state.x
     for _ in range(100):
-        s = activation_pattern(net, x)
-        if not critical_indices(net, s, x)[0]:
-            break
-        step = rng.standard_normal(net.input_dim)
+        state.s = activation_pattern(net, state.x)
+        if not critical_indices(net, state.s, state.x)[0]:
+            return state
+        step = state.rng.standard_normal(net.input_dim)
         step /= math.sqrt(step @ step)
-        x = x + 1e-7 * (1.0 + np.max(np.abs(x))) * step
-    else:
-        raise ValueError("could not nudge the start point off all hyperplanes")
-    return SolverState(net=net, x=x, s=s, pinv=PseudoInverse.empty(net.input_dim),
-                       options=options, rng=rng)
+        state.x = state.x + 1e-7 * (1.0 + np.max(np.abs(state.x))) * step
+    state.x, state.s = start, activation_pattern(net, start)
+    return state.finish(NON_REGULAR, neurons=critical_indices(net, state.s, start)[0])
 
 
 def axis_derivatives(pinv: PseudoInverse, grad: np.ndarray, gains: np.ndarray, bend) -> tuple:
@@ -309,20 +310,20 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     """Minimize the network over its input space from x0.
 
     Terminates with one of four outcomes: a certified LocalMinimum, an
-    Unbounded descent ray, NonRegular when dependent walls abort a step, or
-    StepLimit.  Both phases take long steps past last-layer walls; f never
-    rises along the trace and strictly falls at every pivot.  Roundoff is
-    contained two ways: walls that drift past DRIFT_REFRESH_TOL force a dense
-    axis rebuild, and a pattern bit found marginally stale (within RESYNC_TOL)
-    is flipped back to match the geometry without moving x.  The solve runs
-    on ``pairs.fold(net)``, and records and outcomes name its units.
+    Unbounded descent ray, NonRegular when dependent walls abort a step or
+    no nudge clears the start's (initialize), or StepLimit.  Both phases
+    take long steps past last-layer walls; f never rises along the trace and
+    strictly falls at every pivot.  Roundoff is contained two ways: walls
+    that drift past DRIFT_REFRESH_TOL force a dense axis rebuild, and a
+    pattern bit found marginally stale (within RESYNC_TOL) is flipped back to
+    match the geometry without moving x.  The solve runs on
+    ``pairs.fold(net)``, and records and outcomes name its units.
     """
     t0 = time.perf_counter()
     net = pairs.fold(net)
-    state = initialize(net, x0, options)
-    out = find_vertex(state)
-    if out is None:
-        out = _pivot_loop(state)
+    out = state = initialize(net, x0, options)
+    if isinstance(state, SolverState):
+        out = find_vertex(state) or _pivot_loop(state)
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out
 
@@ -438,8 +439,7 @@ class QuadraticObjective:
             raise ValueError(f"lin must have shape {self.quad.shape[:1]} to match quad {self.quad.shape}; "
                              f"got shape {self.lin.shape}")
         for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const, float))):
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite; got {a[~np.isfinite(a)][0]} in shape {a.shape}")
+            require_finite(name, a, "the quadratic objective must be finite")
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -458,29 +458,26 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
 
 
 def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
-    """basis (keyed by wall) over unit, the ascending walls' unit normals, keyed by position in walls.
+    """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
     Releases walls that left or bent, negates flipped ones and holds new
     ones; with no wall staying, one QR builds it, or holds each if dependent.
     """
     owners = np.array(basis.owners, dtype=np.intp)
-    pos = np.minimum(walls.searchsorted(owners), max(walls.size - 1, 0))
-    stays = walls[pos] == owners if walls.size else np.zeros(pos.size, dtype=bool)
+    stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
     if not stays.any():
         try:
-            return dense_pseudoinverse(unit, range(len(unit)))
+            return dense_pseudoinverse(unit[walls], walls.tolist())
         except Degenerate:
             basis = PseudoInverse.empty(unit.shape[1])
-    elif not stays.all() or not np.array_equal(basis.normals, unit[pos]):
-        same = stays & (basis.normals == unit[pos]).all(axis=1)
-        flipped = stays & ~same & (basis.normals == -unit[pos]).all(axis=1)
+    elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
+        same = stays & (basis.normals == unit[owners]).all(axis=1)
+        flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
         basis.matrix[flipped] *= -1.0
         basis.normals[flipped] *= -1.0
         for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
-        stays = same | flipped
-    basis.owners = pos[stays].tolist()
-    for j in sorted(set(range(walls.size)) - set(basis.owners)):
+    for j in sorted(set(walls.tolist()) - set(basis.owners)):
         with contextlib.suppress(DependentColumn):
             basis = add_axis(basis, unit[j], j)
     return basis
@@ -492,10 +489,10 @@ def _steps(v, g) -> bool:
 
 
 def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
-    """Projection v of -g onto the tangent cone {d : unit @ d >= 0}, and a face step d.
+    """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
-    The basis (keyed by wall) is synced to the ascending walls, whose unit
-    normals are unit, then Lawson & Hanson's NNLS (1974) runs to the exact
+    The basis is synced to the ascending walls, whose unit normals are
+    their rows of unit, then Lawson & Hanson's NNLS (1974) runs to the exact
     projection by rank-one releases and holds, mu = P g and v = A' mu - g.
     From all walls held, the most negative multiplier is released until
     none is; then the wall v violates most is held and the multipliers
@@ -504,14 +501,14 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
     (F'HF + S) d = v, S = A'P, F = I - S, positive definite iff Z'HZ is
     (so if convex), unless it fails, ascends or leaves the cone; then d is
     v; where no step is taken (``_steps``), no system is formed and d is
-    v.  Returns (v, d, the face's basis keyed by wall, empty if its walls
-    drifted, mu on unit normals, regular: independent, converged).
+    v.  Returns (v, d, the face's basis, empty if its walls drifted, mu
+    on unit normals by flat unit, regular: independent, converged).
     """
-    basis = _sync(basis, walls, unit)
-    dependent = basis.m < len(unit)
+    basis, rows = _sync(basis, walls, unit), unit[walls]
+    dependent = basis.m < walls.size
     gnorm = math.sqrt(g @ g)
     mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
-    for _ in range(4 * len(unit) + 1):     # bounds cycling by roundoff
+    for _ in range(4 * walls.size + 1):     # bounds cycling by roundoff
         held = np.array(basis.owners, dtype=np.intp)
         lam = basis.matrix @ g
         v = basis.normals.T @ lam - g
@@ -528,18 +525,18 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
         else:
             mu = np.zeros(len(unit))
             mu[held] = np.maximum(lam, 0.0)
-            slack = unit @ v
+            slack = np.full(len(unit), np.inf)     # only walls bound the cone
+            slack[walls] = rows @ v
             # held walls' slack is 0 while P A' = I
             drift = np.abs(slack[held]).max(initial=0.0) > DRIFT_REFRESH_TOL * (1.0 + gnorm)
             slack[held] = 0.0
-            if not len(unit) or slack.min() >= -1e-12 * math.sqrt(v @ v):
+            if not walls.size or slack.min() >= -1e-12 * math.sqrt(v @ v):
                 regular = not dependent
                 break
             try:
                 basis = add_axis(basis, unit[j := int(np.argmin(slack))], j)
             except DependentColumn:
                 break
-    basis.owners = walls[basis.owners].tolist()
     face = PseudoInverse.empty(len(g)) if drift else basis
     if hess is not None and held.size < len(g) and _steps(v, g):
         f = -(s := basis.normals.T @ basis.matrix)
@@ -551,7 +548,7 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
         except np.linalg.LinAlgError:
             return v, v, face, mu, regular
         newton -= basis.normals.T @ (basis.matrix @ newton)     # the solve's roundoff off the face
-        if newton @ g < 0.0 and (unit @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
+        if newton @ g < 0.0 and (rows @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
             return v, newton, face, mu, regular
     return v, v, face, mu, regular
 
@@ -603,7 +600,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
         active = on_walls(args, norms)
         g = grad + (hess @ state.x + q.lin)
-        v, d, basis, _, regular = _feasible_direction(g, unit[active], active, basis, hess, convex)
+        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, hess, convex)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -623,9 +620,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             break
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis = _sync(basis, active, unit[active])
-            basis.owners = (held := active[basis.owners]).tolist()
-            state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(basis.owners))
+            basis = _sync(basis, active, unit)
+            held = basis.owners
+            state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
     out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

@@ -367,6 +367,18 @@ def interleaved_clad(data):
     return mixed, PairGroups((off + 2 * i, off + 2 * i + 1) for i in range(n))
 
 
+def clad_start_data(n=1000):
+    """Censored data whose CLAD start theta = 0 lies on all n first-layer walls.
+
+    Design: a ones column and 4 standard-normal columns; theta standard
+    normal; y = max(X theta + Laplace, 0), all from Philox(1).
+    """
+    rng = np.random.Generator(np.random.Philox(1))
+    x = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 4))])
+    theta = rng.standard_normal(5)
+    return RegressionData(x, np.maximum(x @ theta + rng.laplace(size=n), 0.0))
+
+
 def brute_advance(net, x, v, s, ignore=(), zero_tol=ZERO_TOL):
     """Reference line search: per-unit rates from two full forward passes.
 

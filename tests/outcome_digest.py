@@ -165,6 +165,9 @@ def check_axes():
     for seed in range(4):
         net, pairs = drlp.build_quantile_lasso(regression(seed, 30, 2), lam=0.5)
         cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(seed), pairs).x))
+    # alpha = 1: each residual's bit-0 weight is -0.0, a plain ReLU that is bit 0 on its wall
+    net, pairs = drlp.build_quantile_lasso(regression(4, 30, 2), alpha=1.0)
+    cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(4), pairs).x))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         for net, pairs, x in cases:

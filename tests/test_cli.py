@@ -33,7 +33,7 @@ from drlp import (
     save_model,
 )
 from drlp.cli import main
-from helpers import interleaved_clad, lad_enumerate, mirrored_clad, write_model
+from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, write_model
 
 
 @pytest.fixture
@@ -441,6 +441,21 @@ class TestRegression:
         assert code == 0
         assert json.loads(stdout)["status"] == "LocalMinimum"
 
+    def test_clad_start_that_cannot_be_nudged_exit_three(self, capsys, tmp_path):
+        # theta = 0 is on all 1000 first-layer walls, and seed 9's nudges leave it on some:
+        # a non-regular start, exit 3, not an argument error
+        data, path = clad_start_data(), tmp_path / "clad.csv"
+        np.savetxt(path, np.hstack([data.x, data.y[:, None]]), delimiter=",")
+        argv = ["clad", "--data", str(path), "--x0", "zero", "--seed", "9", "--max-steps", "0"]
+        code, stdout, stderr = _run(capsys, argv)
+        doc = json.loads(stdout)
+        assert (code, stderr, doc["status"], doc["steps"], doc["x"]) == (3, "", "NonRegular", 0, [0.0] * 5)
+        assert doc["neurons"] == [[1, j] for j in range(1, 1001)]
+        # jittered biases move the walls off x0, so the retry starts and meets the step limit
+        code, stdout, stderr = _run(capsys, argv + ["--jitter-on-nonregular"])
+        doc = json.loads(stdout)
+        assert (code, stderr, doc["status"], doc["jittered"]) == (4, "", "StepLimit", True)
+
     def test_lasso_without_penalty_is_least_squares(self, capsys, tiny_csv):
         path, x, y = tiny_csv
         code, stdout, _ = _run(
@@ -517,7 +532,7 @@ class TestRegression:
     def test_train_l1_refuses_a_paired_base_model(self, capsys, tiny_csv, tmp_path):
         # a base file's pairs load as two-slope units, which the loss network cannot hold
         plain = build_random((1, 3, 2, 1), seed=5)
-        save_model(tmp_path / "base.json", ReluNetwork(plain.weights, plain.biases, [-1.0, 0.0], [True, False]))
+        save_model(tmp_path / "base.json", ReluNetwork(plain.weights, plain.biases, [-1.0, 0.0]))
         assert "pairs" in json.loads((tmp_path / "base.json").read_text())
         code, stdout, stderr = _run(capsys, ["train-l1", "--data", tiny_csv[0], "--base-model",
                                              str(tmp_path / "base.json")])
@@ -676,6 +691,24 @@ class TestCheck:
         code, certified, named, _ = check(folded, out.x)
         assert (code, certified) == (0, True)
         assert [folded.neuron_at(c) for c in named] == [(1, 4), (2, 10)]
+
+    def test_alpha_one_quantile_residuals_are_plain(self, capsys, tmp_path):
+        # at alpha = 1 a residual's bit-0 weight is -0.0: a plain ReLU, saved with no mirror,
+        # which takes bit 0 on its wall at the minimum check certifies
+        rng = np.random.Generator(np.random.Philox(4))
+        x = rng.standard_normal((30, 2))
+        net = build_quantile_lasso(RegressionData(x, x @ [1.0, -0.5] + rng.standard_normal(30)), alpha=1.0)[0]
+        path = tmp_path / "q.json"
+        save_model(path, net)
+        assert "pairs" not in json.loads(path.read_text())
+        save_model(tmp_path / "again.json", load_model(path))
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        out = drlsimplex(net, np.zeros(3), SolverOptions(seed=4))
+        code, stdout, _ = _run(capsys, ["check", "--model", str(path), "--x=" + ",".join(map(repr, out.x.tolist()))])
+        doc = json.loads(stdout)
+        assert (out.status, code, doc["certified"], len(doc["axes"])) == ("LocalMinimum", 0, True, 3)
+        assert [a["bit"] for a in doc["axes"]] == [0, 0, 0]
+        assert all(a["neuron"][0] == 1 for a in doc["axes"])     # residual units
 
     def test_pair_order_in_the_file_changes_no_output(self, capsys, tmp_path):
         # one CLAD net, its mirrors interleaved in one file and appended in the other: both

@@ -132,8 +132,8 @@ class TestConstruction:
         ({"off_weights": np.zeros(3)}, r"off_weights must have shape \(2,\), one entry per last-layer unit; "
                                        r"got \(3,\)"),
         ({"off_weights": np.zeros((1, 2))}, r"off_weights must have shape \(2,\).*got \(1, 2\)"),
-        ({"two_slope": [True]}, r"two_slope must have shape \(2,\).*got \(1,\)"),
-        ({"two_slope": True}, r"two_slope must have shape \(2,\).*got \(\)"),
+        ({"off_weights": [0.5]}, r"off_weights must have shape \(2,\).*got \(1,\)"),
+        ({"off_weights": 0.5}, r"off_weights must have shape \(2,\).*got \(\)"),
         ({"off_weights": [0.5, np.nan]}, r"off_weights \[2\] is nan; off_weights must be finite"),
         ({"off_weights": [-np.inf, 0.0]}, r"off_weights \[1\] is -inf; off_weights must be finite"),
     ])
@@ -143,12 +143,13 @@ class TestConstruction:
                         **kw)
 
     def test_slopes_and_gains_are_read_only(self):
-        off = np.array([0.5, -1.0])
-        net = ReluNetwork([np.ones((2, 2)), np.array([[2.0, 3.0]])], [np.zeros(2), np.zeros(1)],
-                          off_weights=off, two_slope=[True, False])
-        assert net.gains.tolist() == [1.5, 4.0]
+        off = np.array([0.5, -0.0])
+        net = ReluNetwork([np.ones((2, 2)), np.array([[2.0, 3.0]])], [np.zeros(2), np.zeros(1)], off_weights=off)
+        assert net.gains.tolist() == [1.5, 3.0]
+        # two-slope exactly where the bit-0 weight is nonzero; -0.0 is a plain ReLU
+        assert net.two_slope.tolist() == [True, False]
         off[0] = 9.0        # the net holds its own copy
-        assert net.off_weights.tolist() == [0.5, -1.0]
+        assert net.off_weights.tolist() == [0.5, 0.0] and net.two_slope.tolist() == [True, False]
         for a in (net.off_weights, net.two_slope, net.gains):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
@@ -452,9 +453,9 @@ class TestPairsAndFlip:
         with pytest.raises(ValueError):
             PairGroups([(0, 2)]).validate(net)
         # fold drops the second member, so a member with a bit-0 slope of its own is refused
-        for off, two_slope in (([0.0, -1.0, 0.0], [False, False, False]), ([0.0, 0.0, 0.0], [True, False, False])):
+        for off in ([0.0, -1.0, 0.0], [-1.0, 0.0, 0.0]):
             with pytest.raises(ValueError, match=r"pair \(1, 1\)/\(1, 2\): a member has a bit-0 slope"):
-                PairGroups([(0, 1)]).fold(ReluNetwork(net.weights, net.biases, off, two_slope))
+                PairGroups([(0, 1)]).fold(ReluNetwork(net.weights, net.biases, off))
         with pytest.raises(ValueError, match="pairs must be disjoint"):
             PairGroups([(0, 1), (1, 2)])
 
@@ -557,7 +558,11 @@ class TestFold:
         assert on_wall.size and np.all(args[pairs.second[args[pairs.first] == 0.0]] == 0.0)
         assert np.all(activation_pattern(net, x_wall)[on_wall] == 0)
         s = activation_pattern(folded, x_wall)
-        assert np.all(s[np.searchsorted(kept, on_wall)] == 1)
+        # a pair whose mirror has output weight 0 (a quantile residual at alpha = 1) folds to
+        # a plain ReLU, which keeps bit 0 on its wall; every other pair takes bit 1
+        two_slope = folded.two_slope[np.searchsorted(kept, on_wall) - folded.offsets[-2]]
+        assert two_slope.all() != name.startswith("quantile-1.0")
+        assert np.array_equal(s[np.searchsorted(kept, on_wall)], two_slope)
         # plain units on their walls keep bit 0
         plain_zero = np.setdiff1d(np.flatnonzero(args == 0.0), np.concatenate([pairs.first, pairs.second]))
         assert np.all(s[np.searchsorted(kept, plain_zero)] == 0)
@@ -594,21 +599,19 @@ class TestModelIO:
         assert loaded.two_slope.tolist() == [True] and loaded.off_weights.tolist() == [-1.0]
 
     def test_folded_net_is_not_saved(self, tmp_path):
-        # a folded net is saved only as the pairs save_model makes of it: a bit-0 slope
-        # on a plain unit has no pair form, and pairs given with it are refused, since
-        # fold takes only plain ReLUs
+        # a folded net is saved only as the pairs save_model makes of it: pairs given
+        # with it are refused, since fold takes only plain ReLUs
         net, pairs = mirrored_quantile(RegressionData(np.eye(2), np.ones(2)), alpha=0.3)
         folded = pairs.fold(net)
-        plain = ReluNetwork(folded.weights, folded.biases, folded.off_weights)
-        with pytest.raises(ValueError, match="no bit-0 slope on a unit that is not two-slope"):
-            save_model(tmp_path / "m.json", plain)
         with pytest.raises(ValueError, match=r"pair \(1, 1\)/\(1, 2\): a member has a bit-0 slope"):
             save_model(tmp_path / "m.json", folded, PairGroups([(0, 1)]))
         assert not (tmp_path / "m.json").exists()
-        # the mirrored net with its pairs is saved as its fold
+        # the mirrored net with its pairs is saved as its fold, and so is the net its bit-0 weights make
         save_model(tmp_path / "m.json", net, pairs)
         save_model(tmp_path / "folded.json", folded)
+        save_model(tmp_path / "rebuilt.json", ReluNetwork(folded.weights, folded.biases, folded.off_weights))
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "folded.json").read_bytes()
+        assert (tmp_path / "rebuilt.json").read_bytes() == (tmp_path / "folded.json").read_bytes()
 
     def test_interleaved_pairs_are_saved_after_the_layer(self, tmp_path):
         # a file with each mirror right after its unit loads as the fold, which saves
@@ -631,6 +634,19 @@ class TestModelIO:
         save_model(tmp_path / "m.json", built[0])
         save_model(tmp_path / "again.json", load_model(tmp_path / "m.json"))
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "m.json").read_bytes()
+
+    def test_bit_0_weights_alone_make_two_slope_units(self, tmp_path):
+        # the bit-0 weights are the only fact: unit 2's is nonzero, so it is two-slope, takes
+        # bit 1 on its wall and is saved as a pair; unit 1's is 0, a plain ReLU that takes bit 0
+        net = ReluNetwork([np.eye(2), np.array([[1.0, 3.0]])], [np.zeros(2), np.zeros(1)], off_weights=[0.0, -2.0])
+        assert net.two_slope.tolist() == [False, True]
+        assert activation_pattern(net, np.zeros(2)).tolist() == [0, 1]
+        save_model(tmp_path / "m.json", net)
+        assert json.loads((tmp_path / "m.json").read_text())["pairs"] == [[[1, 2], [1, 3]]]
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.off_weights.tolist() == [0.0, -2.0] and loaded.two_slope.tolist() == [False, True]
+        for x in ([0.0, 0.0], [1.5, -2.0], [-1.0, 0.5], [-0.5, -0.25]):
+            assert evaluate(loaded, x) == evaluate(net, x) == max(x[0], 0.0) + max(3.0 * x[1], -2.0 * x[1])
 
     def test_pairs_written_as_layer_unit(self, tmp_path):
         # files name units by 1-based (layer, unit); flat indices stay in memory

@@ -66,6 +66,7 @@ from drlp import (
 from helpers import (
     ac5_runs,
     certificate_residual,
+    clad_start_data,
     cone_projection_nnls,
     dense_basis,
     folded_units,
@@ -141,6 +142,19 @@ class TestInitialize:
         a = initialize(net_hinge_gap, [1.0, 0.0], SolverOptions(seed=5))
         b = initialize(net_hinge_gap, [1.0, 0.0], SolverOptions(seed=5))
         assert np.array_equal(a.x, b.x)
+
+    def test_start_that_cannot_be_nudged_ends_non_regular(self):
+        # CLAD from zero sits on all 1000 first-layer walls; at seed 0, 100 nudges leave
+        # some unit on its wall, so the solve ends NonRegular at x0, naming those walls
+        net, x0 = build_clad(clad_start_data())[0], np.zeros(5)
+        walls = critical_indices(net, activation_pattern(net, x0), x0)[0]
+        assert walls == list(range(1000))
+        assert isinstance(initialize(net, x0, SolverOptions(seed=1)), SolverState)
+        for out in (initialize(net, x0, SolverOptions(seed=0)), drlsimplex(net, x0, SolverOptions(seed=0))):
+            assert isinstance(out, SolveOutcome)
+            assert (out.status, out.steps, out.trace, out.neurons) == (NON_REGULAR, 0, [], walls)
+            assert out.x.tobytes() == x0.tobytes() and out.f == evaluate(net, x0)
+            assert all(type(c) is int for c in out.neurons)
 
 
 class TestFindVertex:
@@ -1051,9 +1065,10 @@ class TestQuadratic:
         (np.ones(2), np.ones(2), 0.0, "quad must be a square matrix; got shape (2,)"),
         (np.ones((2, 3)), np.ones(2), 0.0, "quad must be a square matrix; got shape (2, 3)"),
         (np.eye(2), np.ones(3), 0.0, "lin must have shape (2,) to match quad (2, 2); got shape (3,)"),
-        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 0.0, "quad must be finite; got nan"),
-        (np.eye(2), np.array([0.0, np.inf]), 0.0, "lin must be finite; got inf"),
-        (np.eye(2), np.ones(2), -np.inf, "const must be finite; got -inf"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), 0.0,
+         "quad [1, 2] is nan; the quadratic objective must be finite"),
+        (np.eye(2), np.array([0.0, np.inf]), 0.0, "lin [2] is inf; the quadratic objective must be finite"),
+        (np.eye(2), np.ones(2), -np.inf, "const is -inf; the quadratic objective must be finite"),
     ])
     def test_bad_objective_is_rejected(self, quad, lin, const, message):
         with pytest.raises(ValueError) as err:
@@ -1345,13 +1360,14 @@ class TestWorkingSet:
     def test_sync_holds_dependent_walls_one_by_one_when_none_is_kept(self):
         # the held wall 7 left; the two new walls are one, so the dense build raises Degenerate
         basis = dense_pseudoinverse(np.eye(3)[:1], [7])
-        unit = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        unit = np.zeros((8, 3))
+        unit[[2, 4]], unit[7] = [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]
         out = drlp.solver._sync(basis, np.array([2, 4]), unit)
-        assert out.owners == [0] and np.array_equal(out.normals, unit[:1])
+        assert out.owners == [2] and np.array_equal(out.normals, unit[[2]])
 
     @pytest.fixture
     def walls_checked(self, monkeypatch):
-        """At every _sync: the walls and unit rows solve_quadratic passes are critical_indices' at its s and x.
+        """At every _sync: the walls and their unit rows solve_quadratic passes are critical_indices' at its s and x.
 
         The rows are normalized as the solver always has, by the einsum row norm; both checks are
         byte for byte.  Counts syncs, and normal_matrices calls per solve.
@@ -1367,7 +1383,8 @@ class TestWorkingSet:
             units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
             assert walls.tolist() == units
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
-            assert unit.shape == want.shape and unit.tobytes() == want.tobytes()
+            assert unit.shape[0] == states[-1].net.num_neurons
+            assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
             return sync(basis, walls, unit)
 
