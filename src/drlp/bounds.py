@@ -11,11 +11,11 @@ from math import comb
 
 import numpy as np
 
-from .network import ReluNetwork
+from .network import ReluNetwork, require_int
 
 
 def _check_topology(topology):
-    topology = [int(w) for w in topology]
+    topology = [require_int("topology", w) for w in topology]
     if len(topology) < 2 or any(w < 1 for w in topology):
         raise ValueError("topology needs (input_dim, at least one positive width)")
     return topology
@@ -102,7 +102,7 @@ def count_regions_empirical(
     lo, hi = float(box[0]), float(box[1])
     if not (np.isfinite(hi - lo) and hi > lo):
         raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got ({lo}, {hi})")
-    if samples < 0:
+    if (samples := require_int("samples", samples)) < 0:
         raise ValueError(f"samples must be >= 0; got {samples}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1; got {chunk}")
@@ -119,7 +119,7 @@ def count_regions_empirical(
     halves, keys = np.empty((2 * words, chunk), dtype=np.float32), np.empty((words, chunk))
     fresh = np.ones(chunk, dtype=bool)
     seen = set()
-    remaining = int(samples)
+    remaining = samples
     while remaining > 0:
         take = min(chunk, remaining)
         rng.random(out=xs)                  # Generator.uniform's lo + (hi - lo) * u, bit for bit

@@ -1,4 +1,4 @@
-"""Command line interface.
+"""Command line interface: parsing, start points, retries and JSON; no solver logic.
 
 Exit codes for solver commands follow the outcome: 0 local minimum,
 2 unbounded, 3 non-regular abort, 4 step limit; 1 is reserved for file
@@ -18,16 +18,8 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .network import (
-    ReluNetwork,
-    activation_pattern,
-    critical_indices,
-    evaluate,
-    gradient,
-    load_model,
-    save_model,
-)
-from .primitives import Degenerate, DependentColumn, dense_pseudoinverse, project
+from .network import ReluNetwork, evaluate, load_model, save_model
+from .primitives import Degenerate, DependentColumn
 from .problems import (
     build_clad,
     build_l1_first_layer,
@@ -39,14 +31,12 @@ from .problems import (
     set_first_layer,
 )
 from .solver import (
-    DESCENT_TOL,
     LOCAL_MINIMUM,
     NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
     SolverOptions,
-    axis_derivatives,
-    crossing_terms,
+    certify_point,
     drlsimplex,
     solve_quadratic,
     start_point,
@@ -255,30 +245,16 @@ def cmd_regions(args):
 
 
 def cmd_check(args):
-    """Certify --x from the solver's own pricing of the 2m edges at the vertex of its active walls."""
+    """Print the solver's certificate of --x (certify_point): per wall through x, its bit and edge derivatives."""
     net = load_model(args.model)
     x = start_point(net, _parse_list(args.x, "--x", float), "--x")
-    s = activation_pattern(net, x)
-    # each wall through x takes the bit of an exactly zero argument, not its roundoff sign
-    crit = critical_indices(net, s, x)[0]
-    s[crit] = np.concatenate([np.zeros(net.offsets[-2], dtype=bool), net.two_slope])[crit]
-    crit, normals = critical_indices(net, s, x)
-    try:
-        pinv = dense_pseudoinverse(normals, crit)
-    except Degenerate:
+    walls, bits, vals, ok = certify_point(net, x)
+    if vals is None:
         print(json.dumps({"certified": False, "reason": "dependent active walls",
-                          "neurons": [list(net.neuron_at(c)) for c in crit]}))
+                          "neurons": [list(net.neuron_at(c)) for c in walls]}))
         return 3
-    grad = gradient(net, s)
-    tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
-    vals = axis_derivatives(pinv, grad, *crossing_terms(net, s, crit))[1].reshape(2, -1)
-    # with fewer walls than dimensions, moving off their span must not descend either
-    free = np.linalg.norm(grad - project(pinv, grad))
-    ok = bool((pinv.m == net.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
-    # one axes entry per active wall: its bit at x and the derivatives along its two edges,
-    # inside x's region and across the wall
-    axes = [{"neuron": list(net.neuron_at(c)), "bit": int(s[c]),
-             "derivatives": vals[:, k].tolist()} for k, c in enumerate(crit)]
+    axes = [{"neuron": list(net.neuron_at(c)), "bit": int(b), "derivatives": vals[:, k].tolist()}
+            for k, (c, b) in enumerate(zip(walls, bits))]
     print(json.dumps({"certified": ok, "f": evaluate(net, x), "axes": axes}))
     return 0 if ok else 2
 

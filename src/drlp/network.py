@@ -24,12 +24,13 @@ Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
 ReLU).  A unit with a nonzero bit-0 weight (``net.two_slope``) takes bit 1
 exactly on its wall.  Model files hold it as a mirrored pair of ReLUs (z, -z):
-``load_model`` folds the pairs (``PairGroups.fold``), ``save_model`` writes them back.
+``load_model`` folds the pairs (``PairGroups.fold``); ``save_model`` writes each mirror from ``off_weights``.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import json
@@ -46,6 +47,14 @@ def require_finite(name: str, a: np.ndarray, rule: str):
     if not np.isfinite(a).all():
         at = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"{name}{f' {(at + 1).tolist()}' if at.size else ''} is {a[tuple(at)]}; {rule}")
+
+
+def require_int(name: str, v) -> int:
+    """int(v); raises ValueError naming v unless v equals it: 3, 3.0 and np.int64(3) pass, 2.5 and "3" do not."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if (k := int(v)) == v:
+            return k
+    raise ValueError(f"{name}: {v!r} is not an integer")
 
 
 class ReluNetwork:
@@ -342,30 +351,23 @@ def flip(s: np.ndarray, units) -> np.ndarray:
     return out
 
 
-def _unfolded(net: ReluNetwork):
-    """(net, pairs), the inverse of PairGroups.fold: each two-slope unit j (nonzero bit-0 weight) a mirrored pair of
-    ReLUs; j keeps its place, and its mirror (-row, 0.0 - bias, never -0.0, output weight -off_weights[j]) follows
-    the layer."""
-    j, w, b = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2]
-    if not j.size:
-        return net, PairGroups()
-    out = np.hstack([net.weights[-1], -net.off_weights[None, j]])
-    mirrored = ReluNetwork(net.weights[:-2] + [np.vstack([w, -w[j]]), out],
-                           net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]])
-    return mirrored, PairGroups(np.stack([net.offsets[-2] + j, net.num_neurons + np.arange(j.size)], axis=1))
-
-
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
-    """Write pairs.fold(net) as JSON, each two-slope unit a pair whose mirror follows the last hidden layer."""
-    net, pairs = _unfolded(pairs.fold(net))
+    """Write pairs.fold(net) as JSON, the inverse of load_model.
+
+    Each two-slope unit j is a mirrored pair of ReLUs: j keeps its place, and its mirror (row -w[j],
+    bias 0.0 - b[j], never -0.0, output weight -off_weights[j]) follows the last hidden layer.
+    """
+    net = pairs.fold(net)
+    j, w, b, width = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2], net.relu_widths[-1]
+    weights = net.weights[:-2] + [np.vstack([w, -w[j]]), np.hstack([net.weights[-1], -net.off_weights[None, j]])]
+    biases = net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]]
     doc = {
-        "widths": list(net.widths),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
+        "widths": [*net.widths[:-2], width + j.size, 1],
+        "weights": [a.tolist() for a in weights],
+        "biases": [a.tolist() for a in biases],
     }
-    if len(pairs):
-        doc["pairs"] = [[list(net.neuron_at(a)), list(net.neuron_at(b))]
-                        for a, b in zip(pairs.first.tolist(), pairs.second.tolist())]
+    if j.size:
+        doc["pairs"] = [[[net.depth, u + 1], [net.depth, width + k + 1]] for k, u in enumerate(j.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

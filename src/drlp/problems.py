@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PairGroups, ReluNetwork, require_finite
+from .network import PairGroups, ReluNetwork, evaluate, require_finite, require_int
 from .solver import QuadraticObjective
 
 
@@ -69,7 +69,7 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     topology lists every width including input and the final output 1.
     Same seed, same network, bit for bit.
     """
-    topology = [int(w) for w in topology]
+    topology = [require_int("topology", w) for w in topology]
     if len(topology) < 3 or topology[-1] != 1:
         raise ValueError("topology must be (input, hidden..., 1)")
     if not -np.inf < low <= high < np.inf:      # also false for nan
@@ -138,11 +138,6 @@ def clad_loss(data: RegressionData, theta) -> float:
     return float(np.sum(np.abs(data.y - fit)))
 
 
-def _block_diag_repeat(w: np.ndarray, n: int) -> np.ndarray:
-    """Block diagonal with n copies of w (data-independent layers act per sample)."""
-    return np.kron(np.eye(n), w)
-
-
 def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
     """L1 training loss of a network's first layer, as a network.
 
@@ -158,19 +153,17 @@ def build_l1_first_layer(base: ReluNetwork, data: RegressionData):
         raise ValueError("base has bit-0 slopes in its last hidden layer; the loss network needs plain ReLUs")
     if data.p != n0:
         raise ValueError(f"data has {data.p} features but base expects {n0}")
-    n = data.n
-    # layer 1: stacked per-sample maps from flattened parameters to arguments
-    m_rows = []
-    for i in range(n):
-        m_rows.append(np.hstack([np.kron(np.eye(n1), data.x[i][None, :]), np.eye(n1)]))
-    layers_w = [np.vstack(m_rows)]
+    n, eye = data.n, np.eye(n1)
+    # layer 1: per sample, unit k's argument is x_i . (row k of the weights) + bias k
+    layers_w = [np.hstack([(eye[None, :, :, None] * data.x[:, None, None, :]).reshape(n * n1, n1 * n0),
+                           np.tile(eye, (n, 1))])]
     layers_b = [np.zeros(n * n1)]
-    # middle layers: one frozen copy of each deeper hidden layer per sample
+    # middle layers: one frozen copy of each deeper hidden layer per sample, block diagonal
     for l in range(1, base.depth):
-        layers_w.append(_block_diag_repeat(base.weights[l], n))
+        layers_w.append(np.kron(np.eye(n), base.weights[l]))
         layers_b.append(np.tile(base.biases[l], n))
     # residual layer: the frozen output map against y, one two-slope unit per sample
-    layers_w += [_block_diag_repeat(base.weights[-1], n), np.ones((1, n))]     # (n, n * n_last)
+    layers_w += [np.kron(np.eye(n), base.weights[-1]), np.ones((1, n))]     # (n, n * n_last)
     layers_b += [-data.y + np.tile(base.biases[-1], n), np.zeros(1)]
     return ReluNetwork(layers_w, layers_b, np.full(n, -1.0)), PairGroups()
 
@@ -195,8 +188,6 @@ def set_first_layer(base: ReluNetwork, theta) -> ReluNetwork:
 
 def l1_first_layer_loss(base: ReluNetwork, data: RegressionData, theta) -> float:
     """Direct evaluation: sum_i |y_i - base(x_i)| with the first layer set to theta."""
-    from .network import evaluate
-
     net = set_first_layer(base, theta)
     return float(sum(abs(data.y[i] - evaluate(net, data.x[i])) for i in range(data.n)))
 

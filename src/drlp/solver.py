@@ -5,9 +5,9 @@ space.  Descent rays pin enough walls for a vertex; then each pivot takes
 the steepest of the vertex's 2m edges, leaving one wall inside x's region
 or across it, every crossing priced in closed form from x's region.  Both
 take long steps past last-layer walls while f falls.  With no descending
-edge the vertex is a local minimum (certify_local_min).
-A quadratic add-on objective slides along walls in an active-set variant
-that certifies with the same routine where its projected gradient vanishes.
+edge the vertex is a local minimum (certify_local_min; certify_point for
+any given x).  A quadratic add-on objective slides along walls in an active-set
+variant that certifies with the same routine where its projected gradient vanishes.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class SolveOutcome:
 
 @dataclass
 class SolverState:
-    """A solve's point, pattern, rows P, steps and trace; f is the network plus objective, if any."""
+    """A solve's point, pattern, rows P, steps, trace and clock; f is the network plus objective, if any."""
 
     net: ReluNetwork
     x: np.ndarray
@@ -114,6 +114,7 @@ class SolverState:
     objective: QuadraticObjective = None    # quadratic term added to the network; none by default
     steps: int = 0
     trace: list = field(default_factory=list)
+    started: float = field(default_factory=time.perf_counter, init=False)     # finish's wall_ms counts from here
 
     def value(self, args=None) -> float:
         f = evaluate(self.net, self.x) if args is None else output(self.net, args)
@@ -147,6 +148,7 @@ class SolverState:
             x=self.x.copy(),
             f=self.value(),
             steps=self.steps,
+            wall_ms=(time.perf_counter() - self.started) * 1e3,
             direction=direction,
             neurons=None if neurons is None else [int(c) for c in neurons],
             trace=self.trace,
@@ -319,13 +321,8 @@ def drlsimplex(net: ReluNetwork, x0, options: SolverOptions | None = None,
     match the geometry without moving x.  The solve runs on
     ``pairs.fold(net)``, and records and outcomes name its units.
     """
-    t0 = time.perf_counter()
-    net = pairs.fold(net)
-    out = state = initialize(net, x0, options)
-    if isinstance(state, SolverState):
-        out = find_vertex(state) or _pivot_loop(state)
-    out.wall_ms = (time.perf_counter() - t0) * 1e3
-    return out
+    state = initialize(pairs.fold(net), x0, options)
+    return state if isinstance(state, SolveOutcome) else find_vertex(state) or _pivot_loop(state)
 
 
 def certify_local_min(state: SolverState, grad: np.ndarray, terms):
@@ -360,6 +357,29 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
             return row, alpha, i, descent_tol
     state.emit("certify", alpha=alpha)
     return state.finish(LOCAL_MINIMUM)
+
+
+def certify_point(net: ReluNetwork, x) -> tuple:
+    """(walls, bits, derivatives, certified): x's vertex priced as certify_local_min prices it.
+
+    Each wall through x takes the bit of an exactly zero argument, not its roundoff sign.  Column k
+    of derivatives is wall k's two edge derivatives, inside x's region and across it; off the walls'
+    span f must not descend either.  Dependent walls give derivatives None and certified False.
+    """
+    x = start_point(net, x, "x")
+    s = activation_pattern(net, x)
+    walls = critical_indices(net, s, x)[0]
+    s[walls] = np.concatenate([np.zeros(net.offsets[-2], dtype=bool), net.two_slope])[walls]
+    walls, normals = critical_indices(net, s, x)
+    try:
+        pinv = dense_pseudoinverse(normals, walls)
+    except Degenerate:
+        return walls, s[walls], None, False
+    grad = gradient(net, s)
+    tol = DESCENT_TOL * (1.0 + np.linalg.norm(grad))
+    vals = axis_derivatives(pinv, grad, *crossing_terms(net, s, walls))[1].reshape(2, -1)
+    free = np.linalg.norm(grad - project(pinv, grad))
+    return walls, s[walls], vals, bool((pinv.m == net.input_dim or free <= tol) and vals.min(initial=0.0) >= -tol)
 
 
 def _pivot_loop(state: SolverState) -> SolveOutcome:
@@ -424,15 +444,16 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
 
 @dataclass
 class QuadraticObjective:
-    """q(x) = x' quad x + lin . x + const, minimized jointly with the network."""
+    """q(x) = x' quad x + lin . x + const, minimized jointly with the network; read-only quad, lin and hess."""
 
     quad: np.ndarray
     lin: np.ndarray
     const: float = 0.0
+    hess: np.ndarray = field(init=False, repr=False)     # quad + quad.T, formed once
 
     def __post_init__(self):
-        self.quad = np.asarray(self.quad, dtype=np.float64)
-        self.lin = np.asarray(self.lin, dtype=np.float64)
+        self.quad = np.array(self.quad, dtype=np.float64)
+        self.lin = np.array(self.lin, dtype=np.float64)
         if self.quad.ndim != 2 or self.quad.shape[0] != self.quad.shape[1]:
             raise ValueError(f"quad must be a square matrix; got shape {self.quad.shape}")
         if self.lin.shape != self.quad.shape[:1]:
@@ -440,6 +461,9 @@ class QuadraticObjective:
                              f"got shape {self.lin.shape}")
         for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const, float))):
             require_finite(name, a, "the quadratic objective must be finite")
+        self.hess = self.quad + self.quad.T
+        for a in (self.quad, self.lin, self.hess):
+            a.setflags(write=False)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -447,7 +471,7 @@ class QuadraticObjective:
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return (self.quad + self.quad.T) @ x + self.lin
+        return self.hess @ x + self.lin
 
 
 def parabola_step(a: float, b: float, t_max: float) -> float:
@@ -575,7 +599,6 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     none, x is a local minimum; dependent walls end NonRegular.  Like
     drlsimplex, it runs on ``pairs.fold(net)`` and names its units.
     """
-    t0 = time.perf_counter()
     net = pairs.fold(net)
     if q.lin.shape != (net.input_dim,):
         raise ValueError(f"lin has shape {q.lin.shape} but the network takes shape ({net.input_dim},)")
@@ -583,24 +606,23 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     x = start_point(net, x0)
     state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
                         options=opts, objective=q)
-    hess, basis = q.quad + q.quad.T, PseudoInverse.empty(net.input_dim)
+    basis = PseudoInverse.empty(net.input_dim)
     try:        # positive definite curvature makes every face's Z'HZ so too
-        convex = np.linalg.cholesky(hess) is not None
+        convex = np.linalg.cholesky(q.hess) is not None
     except np.linalg.LinAlgError:
         convex = False
     out = pattern = None
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
-            out = state.finish(STEP_LIMIT)
-            break
+            return state.finish(STEP_LIMIT)
         if state.s is not pattern:      # at the start and after a flip: the wall table
             pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
             normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
         active = on_walls(args, norms)
-        g = grad + (hess @ state.x + q.lin)
-        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, hess, convex)
+        g = grad + q.grad(state.x)
+        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -610,19 +632,16 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             t_max = max(res.t, 0.0) if res.bounded else float("inf")
             t = parabola_step(a, slope, t_max)
             if not np.isfinite(t) or t > _HUGE_T:
-                out = state.finish(UNBOUNDED, direction=v)
-                break
+                return state.finish(UNBOUNDED, direction=v)
             state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0, step=res)
         elif not regular:
-            out = state.finish(NON_REGULAR, neurons=active)
-            break
+            return state.finish(NON_REGULAR, neurons=active)
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
             basis = _sync(basis, active, unit)
             held = basis.owners
             state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
-    out.wall_ms = (time.perf_counter() - t0) * 1e3
     return out

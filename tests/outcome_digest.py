@@ -9,12 +9,15 @@ lines mean equal outcomes bit for bit: each digest hashes every solve's
 status, steps, the bytes of x and f, and every trace record (for
 ``check_axes``, the exit code and JSON of ``drlp check``; for
 ``regions``, every sampled count and bound; for ``sweeps``, the output
-bytes of every network sweep).  Wall times are left out.  A second digest
+bytes of every network sweep; for ``model_files``, the text ``save_model``
+writes for each builder's net and a few hand-made ones, so a change to the
+file format moves it).  Wall times are left out.  A second digest
 on each line leaves out unit names (the ``neuron`` of every record and the
 units ``check`` names), so a change that only renumbers units keeps it.
 The script uses only API that has been stable across releases
 (builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
-max_steps)``, ``save_model`` and the ``drlp check`` command, the region
+max_steps)``, ``ReluNetwork(weights, biases, off_weights)``, ``PairGroups``,
+``save_model`` and the ``drlp check`` command, the region
 bounds and sampler, and the network sweeps called on patterns from
 ``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
 families (``lasso random_quadratic``) to digest only those; the default
@@ -214,6 +217,36 @@ def sweeps():
                     drlp.normal_matrices(net, t))).hex()
 
 
+def model_files():
+    """The text ``save_model`` writes for each builder's net, a random net, a net given its bit-0
+    output weights alone, and a mirrored net saved with explicit ``PairGroups``."""
+    cases = []
+    for seed in range(3):
+        data, rng = regression(seed, 20, 2), philox(10, seed)
+        lp_ = drlp.LpInstance(-rng.uniform(0.5, 1.5, 3), rng.uniform(0.1, 1.0, (4, 3)), rng.uniform(1.0, 2.0, 4))
+        base = drlp.build_random((2, 3, 2, 1), seed=seed)
+        small = drlp.RegressionData(rng.standard_normal((6, 2)), rng.standard_normal(6))
+        cases += [drlp.build_quantile_lasso(data, alpha=1.0), drlp.build_quantile_lasso(data, alpha=0.3, lam=0.5),
+                  drlp.build_clad(data), drlp.build_from_lp(lp_, penalty=10.0), drlp.build_l1_first_layer(base, small)]
+        for lam in (0.0, 2.0):
+            net, _, pairs = drlp.build_lasso(data, lam=lam)
+            cases.append((net, pairs))
+        net = drlp.build_random((3, 5, 4, 1), seed=seed)
+        cases.append((net, drlp.PairGroups()))
+        off = np.where(np.arange(4) % 2, rng.uniform(-1.0, 1.0, 4), 0.0)
+        cases.append((drlp.ReluNetwork(net.weights, net.biases, off), drlp.PairGroups()))
+        w, b = net.weights[-2], net.biases[-2]      # each last-layer unit and its mirror after the layer
+        mirrored = drlp.ReluNetwork(net.weights[:-2] + [np.vstack([w, -w]), rng.uniform(-1.0, 1.0, (1, 8))],
+                                    net.biases[:-2] + [np.concatenate([b, -b]), net.biases[-1]])
+        cases.append((mirrored, drlp.PairGroups([(5 + j, 9 + j) for j in range(4)])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        for net, pairs in cases:
+            drlp.save_model(path, net, pairs)
+            with open(path, encoding="utf-8") as fh:
+                yield fh.read()
+
+
 def _solved_random_nets():
     for seed in range(8):
         net = drlp.build_random((3, 6, 6, 1), seed=100 + seed)
@@ -231,6 +264,7 @@ FAMILIES = {
     "check_axes": check_axes,
     "regions": regions,
     "sweeps": sweeps,
+    "model_files": model_files,
 }
 
 
@@ -242,7 +276,7 @@ def digest_lines(names):
         digest, unnamed = hashlib.sha256(), hashlib.sha256()
         statuses, work = Counter(), Counter()
         for item in family():
-            if isinstance(item, str):       # regions and sweeps name no unit
+            if isinstance(item, str):       # regions, sweeps and model files: their text is the record
                 statuses["checked"] += 1
                 full = bare = item
             elif isinstance(item, tuple):   # a check's exit code, stdout and stderr

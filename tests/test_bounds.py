@@ -41,6 +41,14 @@ class TestMontufar:
         with pytest.raises(ValueError):
             montufar_bound((2, 0))
 
+    @pytest.mark.parametrize("bound", [montufar_bound, improved_bound])
+    def test_non_integer_width_rejected(self, bound):
+        # int() would read 2.5 as 2 and give the bound for 2 inputs
+        for topology, bad in (([2.5, 3], "2.5"), ([2, "3"], "'3'"), ([2, np.float64(3.5)], "3.5")):
+            with pytest.raises(ValueError, match=f"topology: .*{bad}.* is not an integer"):
+                bound(topology)
+        assert bound([3.0, np.int64(3)]) == bound([3, 3])
+
 
 class TestImproved:
     def test_frozen_values(self):
@@ -77,6 +85,12 @@ class TestImproved:
 class TestEmpirical:
     def test_frozen_fold_count(self, net_fold_sum):
         assert count_regions_empirical(net_fold_sum, samples=20_000) == 7
+
+    def test_non_integer_samples_rejected(self, net_fold_sum):
+        for samples in (2.5, "3"):
+            with pytest.raises(ValueError, match=f"samples: {samples!r} is not an integer"):
+                count_regions_empirical(net_fold_sum, samples=samples)
+        assert count_regions_empirical(net_fold_sum, samples=300.0) == count_regions_empirical(net_fold_sum, samples=300)
 
     def test_monotone_in_samples(self, net_fold_sum):
         counts = [

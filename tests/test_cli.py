@@ -768,8 +768,8 @@ class TestCheck:
 
     def test_prices_the_vertex_once(self, capsys, hinge_model, monkeypatch):
         calls = []
-        real = drlp.cli.axis_derivatives
-        monkeypatch.setattr(drlp.cli, "axis_derivatives", lambda *args: calls.append(1) or real(*args))
+        real = drlp.solver.axis_derivatives
+        monkeypatch.setattr(drlp.solver, "axis_derivatives", lambda *args: calls.append(1) or real(*args))
         code, _, _ = _run(capsys, ["check", "--model", hinge_model, "--x", "1,0"])
         assert code == 0 and len(calls) == 1
 

@@ -635,6 +635,22 @@ class TestModelIO:
         save_model(tmp_path / "again.json", load_model(tmp_path / "m.json"))
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "m.json").read_bytes()
 
+    def test_save_builds_no_network(self, tmp_path, monkeypatch):
+        # save_model writes the mirror rows from the folded net's arrays, so it constructs no
+        # mirrored ReluNetwork; the files still load back as the nets that were saved
+        nets = [built[0] for _, built, _, _ in BUILDER_FILES] + [build_random((3, 5, 4, 1), seed=2)]
+        real, made = ReluNetwork.__init__, []
+        monkeypatch.setattr(ReluNetwork, "__init__", lambda self, *a, **k: made.append(1) or real(self, *a, **k))
+        for k, net in enumerate(nets):
+            save_model(tmp_path / f"m{k}.json", net)
+        assert made == []
+        monkeypatch.undo()
+        for k, net in enumerate(nets):
+            loaded = load_model(tmp_path / f"m{k}.json")
+            assert np.array_equal(loaded.off_weights, net.off_weights)     # alpha = 1's -0.0 loads as 0.0
+            for a, b in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+                assert a.tobytes() == b.tobytes()
+
     def test_bit_0_weights_alone_make_two_slope_units(self, tmp_path):
         # the bit-0 weights are the only fact: unit 2's is nonzero, so it is two-slope, takes
         # bit 1 on its wall and is saved as a pair; unit 1's is 0, a plain ReLU that takes bit 0

@@ -78,6 +78,15 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"penalty must be finite and positive, got {penalty}"):
             build_from_lp(lp, penalty=penalty)
 
+    def test_random_topology_widths_must_be_integers(self):
+        # int() would read 2.7 as 2 and build a (2, 3, 1) net
+        for topology, bad in (((2.7, 3, 1), "2.7"), ((2, "3", 1), "'3'")):
+            with pytest.raises(ValueError, match=f"topology: {bad} is not an integer"):
+                build_random(topology)
+        same = build_random((2.0, np.int64(3), 1), seed=3)
+        assert same.widths == (2, 3, 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(same.weights, build_random((2, 3, 1), seed=3).weights))
+
     def test_random_topology_must_end_in_one(self):
         with pytest.raises(ValueError, match=r"topology must be \(input, hidden\.\.\., 1\)"):
             build_random((2, 3, 2))
@@ -186,6 +195,11 @@ class TestL1FirstLayer:
         base = build_random((3, 4, 1), seed=13)
         with pytest.raises(ValueError):
             build_l1_first_layer(base, _data(14, 5, 2))
+
+    def test_no_observations(self):
+        base = build_random((2, 3, 1), seed=13)
+        with pytest.raises(ValueError, match=re.escape("layer 1: weight shape (0, 9) is empty")):
+            build_l1_first_layer(base, _data(14, 0, 2))
 
     def test_base_with_bit_0_slopes(self):
         # a model file's pairs load as two-slope units: set_first_layer keeps their slopes, and

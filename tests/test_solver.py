@@ -37,6 +37,7 @@ from drlp import (
     build_quantile_lasso,
     build_random,
     certify_local_min,
+    certify_point,
     choose_axis,
     critical_indices,
     crossing_terms,
@@ -155,6 +156,13 @@ class TestInitialize:
             assert (out.status, out.steps, out.trace, out.neurons) == (NON_REGULAR, 0, [], walls)
             assert out.x.tobytes() == x0.tobytes() and out.f == evaluate(net, x0)
             assert all(type(c) is int for c in out.neurons)
+
+    def test_non_regular_start_reports_its_time(self):
+        # the solve state's clock runs from its creation, so initialize's own outcome counts
+        # its 100 nudges and their sweeps
+        net = build_clad(clad_start_data())[0]
+        out = initialize(net, np.zeros(5), SolverOptions(seed=0))
+        assert out.status == NON_REGULAR and out.wall_ms > 0.0
 
 
 class TestFindVertex:
@@ -908,6 +916,19 @@ class TestQuadratic:
         x = np.array([1.0, 2.0])
         assert q.value(x) == pytest.approx(2 + 4 + 1 - 2 + 3)
         assert_allclose(q.grad(x), [4 + 1, 4 - 1])
+
+    def test_arrays_are_read_only_copies(self):
+        # a write after construction would skip the finiteness check, so it raises instead
+        quad, lin = np.array([[2.0, 1.0], [0.5, 1.0]]), np.array([1.0, -1.0])
+        q = QuadraticObjective(quad, lin)
+        quad[0, 0] = lin[0] = np.nan
+        assert np.isfinite(q.quad).all() and np.isfinite(q.lin).all()
+        for a in (q.quad, q.lin, q.hess):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = np.nan
+        assert q.hess.tobytes() == (q.quad + q.quad.T).tobytes()
+        x = np.array([0.3, -2.0])
+        assert q.grad(x).tobytes() == ((q.quad + q.quad.T) @ x + q.lin).tobytes()
 
     def test_segment_parabola_matches_three_point_fit(self):
         rng = np.random.Generator(np.random.Philox(8))
@@ -1739,3 +1760,32 @@ class TestFeasibleDirection:
                 assert np.max(np.abs(d - want)) <= 1e-8 * (1.0 + np.linalg.norm(want))
                 assert want @ g < 0.0 and slack >= -1e-11 * np.linalg.norm(want)
         assert newton > 50
+
+
+class TestCertifyPoint:
+    def test_matches_what_check_prints(self, capsys, tmp_path):
+        rng = np.random.Generator(np.random.Philox(7))
+        x = rng.standard_normal((40, 2))
+        net = build_quantile_lasso(RegressionData(x, x @ [1.0, -0.5] + rng.laplace(size=40)), lam=0.5)[0]
+        out = drlsimplex(net, np.zeros(3), SolverOptions(seed=0))
+        assert out.status == LOCAL_MINIMUM
+        walls, bits, derivatives, certified = certify_point(net, out.x)
+        assert certified is True and derivatives.shape == (2, len(walls)) == (2, 3)
+        save_model(tmp_path / "q.json", net)
+        code = drlp.cli.main(["check", "--model", str(tmp_path / "q.json"),
+                              "--x=" + ",".join(map(repr, out.x.tolist()))])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["certified"] is True
+        assert doc["axes"] == [{"neuron": list(net.neuron_at(c)), "bit": int(b), "derivatives": d}
+                               for c, b, d in zip(walls, bits, derivatives.T.tolist())]
+
+    def test_dependent_walls_give_no_derivatives(self):
+        # three walls through x = 0 in one dimension: no pseudoinverse exists
+        net = ReluNetwork([np.array([[1.0], [1.0], [-1.0]]), np.array([[1.0, 2.0, 1.0]])],
+                          [np.zeros(3), np.zeros(1)])
+        walls, bits, derivatives, certified = certify_point(net, [0.0])
+        assert (walls, bits.tolist(), derivatives, certified) == ([0, 1, 2], [0, 0, 0], None, False)
+
+    def test_rejects_a_bad_point(self, net_hinge_gap):
+        with pytest.raises(ValueError, match=r"x \[1\] is nan; x must be finite"):
+            certify_point(net_hinge_gap, [np.nan, 0.0])
