@@ -104,7 +104,7 @@ def count_regions_empirical(
         raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got ({lo}, {hi})")
     if (samples := require_int("samples", samples)) < 0:
         raise ValueError(f"samples must be >= 0; got {samples}")
-    if chunk < 1:
+    if (chunk := require_int("chunk", chunk)) < 1:
         raise ValueError(f"chunk must be >= 1; got {chunk}")
     rng = np.random.Generator(np.random.Philox(seed))
     maps = [np.column_stack((w, b)) for w, b in zip(net.weights[:-1], net.biases[:-1])]

@@ -23,8 +23,9 @@ backward (``_backward``) for the gradient or a single normal.
 Last-hidden-layer unit j with argument z adds ``w_j z`` to the output on
 its bit-1 side and ``net.off_weights[j] z`` on its bit-0 side (0 for a plain
 ReLU).  A unit with a nonzero bit-0 weight (``net.two_slope``) takes bit 1
-exactly on its wall.  Model files hold it as a mirrored pair of ReLUs (z, -z):
-``load_model`` folds the pairs (``PairGroups.fold``); ``save_model`` writes each mirror from ``off_weights``.
+exactly on its wall.  Model files hold ``off_weights`` beside the layers;
+older files held each such unit as a mirrored pair of ReLUs (z, -z), which
+``load_model`` still folds (``PairGroups.fold``).
 """
 
 from __future__ import annotations
@@ -119,20 +120,12 @@ class ReluNetwork:
         gains.setflags(write=False)
         return gains
 
-    def flat_index(self, c):
-        """Flat position of hidden unit ``c = (layer, unit)``, both 1-based.
-
-        An array of such rows, shape (..., 2), gives an array of positions in
-        one vectorized pass; its first bad row raises the scalar call's error.
-        """
-        lj = np.asarray(c, dtype=np.int64)
-        l, j = np.moveaxis(lj, -1, 0)
-        ok = (1 <= j) & (j <= np.array((0,) + self.relu_widths + (0,))[np.clip(l, 0, self.depth + 1)])
-        if not ok.all():
-            bad = c if lj.ndim == 1 else lj.reshape(-1, 2)[np.argmin(ok)].tolist()
-            raise ValueError(f"no hidden unit {bad!r} in widths {self.widths}")
-        flat = np.array(self.offsets)[l - 1] + j - 1
-        return int(flat) if lj.ndim == 1 else flat
+    def flat_index(self, c) -> int:
+        """Flat position of hidden unit ``c = (layer, unit)``, both 1-based."""
+        l, j = map(int, c)
+        if not (1 <= l <= self.depth and 1 <= j <= self.relu_widths[l - 1]):
+            raise ValueError(f"no hidden unit {c!r} in widths {self.widths}")
+        return self.offsets[l - 1] + j - 1
 
     def neuron_at(self, flat: int):
         """Inverse of flat_index."""
@@ -179,9 +172,6 @@ class PairGroups:
         # an outside pair is bad anyway; clipping keeps its row lookup in range
         ja, jb = np.maximum(self.first - last, 0), np.maximum(self.second - last, 0)
         plain = net.off_weights == 0.0     # fold makes two plain ReLUs one two-slope unit
-        ok = units.min(initial=last) >= last and plain[ja].all() and plain[jb].all()
-        if ok and (w[ja] == -w[jb]).all() and (bias[ja] == -bias[jb]).all():
-            return      # all pairs at once; the scan for the first bad pair runs only when that fails
         outside = (self.first < last) | (self.second < last)
         bad = outside | ~(plain[ja] & plain[jb]) | ~np.all(w[ja] == -w[jb], axis=1) | (bias[ja] != -bias[jb])
         if bad.any():
@@ -354,54 +344,55 @@ def flip(s: np.ndarray, units) -> np.ndarray:
 def save_model(path, net: ReluNetwork, pairs: PairGroups = PairGroups()):
     """Write pairs.fold(net) as JSON, the inverse of load_model.
 
-    Each two-slope unit j is a mirrored pair of ReLUs: j keeps its place, and its mirror (row -w[j],
-    bias 0.0 - b[j], never -0.0, output weight -off_weights[j]) follows the last hidden layer.
+    The file holds the net's widths, weights and biases and, when some unit is two-slope, its
+    off_weights, with 0.0 for each plain ReLU (never -0.0).
     """
     net = pairs.fold(net)
-    j, w, b, width = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2], net.relu_widths[-1]
-    weights = net.weights[:-2] + [np.vstack([w, -w[j]]), np.hstack([net.weights[-1], -net.off_weights[None, j]])]
-    biases = net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]]
-    doc = {
-        "widths": [*net.widths[:-2], width + j.size, 1],
-        "weights": [a.tolist() for a in weights],
-        "biases": [a.tolist() for a in biases],
-    }
-    if j.size:
-        doc["pairs"] = [[[net.depth, u + 1], [net.depth, width + k + 1]] for k, u in enumerate(j.tolist())]
+    doc = {"widths": list(net.widths), "weights": [a.tolist() for a in net.weights],
+           "biases": [a.tolist() for a in net.biases]}
+    if net.two_slope.any():
+        doc["off_weights"] = (net.off_weights + 0.0).tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def _layer_arrays(layers, name: str) -> list:
-    """One array per layer for ReluNetwork; raises on a string or a true/false layer numpy would read as numbers."""
-    arrays = [np.asarray(a) for a in layers]
-    for k, a in enumerate(arrays):
-        if a.dtype.kind not in "iuf" and not (a.dtype.kind == "O" and all(type(v) in (int, float) for v in a.flat)):
-            raise TypeError(f"{name} of layer {k + 1} holds a value that is not a number")
-    return arrays
+def _numbers(a, what: str) -> np.ndarray:
+    """a as a float64 array; raises TypeError unless each entry is a JSON number, not a string or true/false."""
+    a = np.asarray(a, dtype=object)
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise TypeError(f"{what} holds a value that is not a number")
+    return a.astype(np.float64)
 
 
 def load_model(path):
-    """Read a model JSON file; returns its network with the pairs the file lists folded (PairGroups.fold)."""
+    """Read a model JSON file; returns its network.
+
+    The network is ``ReluNetwork(weights, biases, off_weights)``, off_weights 0 where the file has
+    none.  A file may also list ``pairs``, the older form of a two-slope unit as two mirrored plain
+    ReLUs; they are folded (PairGroups.fold).
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"model file {path}: expected a JSON object, got {type(doc).__name__}")
     try:
-        net = ReluNetwork(*(_layer_arrays(doc[name], name) for name in ("weights", "biases")))
+        layers = [[_numbers(a, f"{name} of layer {k + 1}") for k, a in enumerate(doc[name])]
+                  for name in ("weights", "biases")]
+        off = _numbers(doc["off_weights"], "off_weights") if "off_weights" in doc else None
+        net = ReluNetwork(*layers, off)
     except KeyError as exc:
         raise ValueError(f"model file {path}: missing field {exc}") from exc
     except TypeError as exc:
-        raise ValueError(f"model file {path}: weights and biases must be lists of numbers; {exc}") from exc
+        raise ValueError(f"model file {path}: weights, biases and off_weights must be lists of numbers; {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from exc
     if "widths" in doc and doc["widths"] != list(net.widths):
         raise ValueError(f"model file {path}: declared widths {doc['widths']} != actual {list(net.widths)}")
     try:
         listed = doc.get("pairs") or ()
-        pairs = PairGroups(net.flat_index(listed) if listed else ())
-        # flat_index reads 1.7, "1" and true as unit 1; only integers name a unit
+        pairs = PairGroups([net.flat_index(u) for u in pair] for pair in np.asarray(listed, dtype=np.int64).tolist())
+        # numpy and flat_index read 1.7, "1" and true as unit 1; only integers name a unit
         bad = next((v for pair in listed for unit in pair for v in unit if type(v) is not int), None)
         if bad is not None:
             raise TypeError(f"{json.dumps(bad)} is not a JSON integer")

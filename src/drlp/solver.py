@@ -33,6 +33,7 @@ from .network import (
     oriented_normal,
     output,
     require_finite,
+    require_int,
     subjective_arguments,
 )
 from .primitives import (
@@ -69,6 +70,11 @@ class SolverOptions:
     seed: int | np.random.Generator = 0   # a Generator is used as is
     collect_trace: bool = True
     on_record: object = None             # callable(TraceRecord), e.g. a JSONL writer
+
+    def __post_init__(self):
+        if (steps := require_int("max_steps", self.max_steps)) < 0:
+            raise ValueError(f"max_steps must be nonnegative, got {steps}")
+        self.max_steps = steps
 
     def make_rng(self) -> np.random.Generator:
         if isinstance(self.seed, np.random.Generator):
@@ -269,10 +275,11 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
                 rank = int(np.count_nonzero(sv > DEP_TOL * sv.max(initial=0.0)))
                 null = vt[rank:]
                 continue    # the walls may already pin the vertex
-            v = state.rng.standard_normal(net.input_dim)
-            v -= project(state.pinv, v) + null.T @ (null @ v)
-            if math.sqrt(v @ v) <= 1e-12 * gscale:
-                continue  # unlucky draw inside the pinned subspace
+            u = state.rng.standard_normal(net.input_dim)
+            v = u - (project(state.pinv, u) + null.T @ (null @ u))
+            if v @ v <= 1e-24 * (u @ u):    # a draw inside the pinned subspace, counted so redraws end
+                state.steps += 1
+                continue
             if v @ grad > 0.0:
                 v = -v
             tried_opposite = False

@@ -244,6 +244,28 @@ def ac5_runs():
                rng.uniform(-1.0, 1.0, size=2), seed)
 
 
+def save_mirrored_model(path, net, pairs=PairGroups()):
+    """The older model file save_model wrote: pairs.fold(net) with each two-slope unit j as a mirrored pair.
+
+    j keeps its place, and its mirror (row -w[j], bias 0.0 - b[j], never -0.0, output weight
+    -off_weights[j]) follows the last hidden layer; ``pairs`` lists each unit and its mirror.
+    """
+    net = pairs.fold(net)
+    j, w, b, width = net.two_slope.nonzero()[0], net.weights[-2], net.biases[-2], net.relu_widths[-1]
+    weights = net.weights[:-2] + [np.vstack([w, -w[j]]), np.hstack([net.weights[-1], -net.off_weights[None, j]])]
+    biases = net.biases[:-2] + [np.concatenate([b, 0.0 - b[j]]), net.biases[-1]]
+    doc = {
+        "widths": [*net.widths[:-2], width + j.size, 1],
+        "weights": [a.tolist() for a in weights],
+        "biases": [a.tolist() for a in biases],
+    }
+    if j.size:
+        doc["pairs"] = [[[net.depth, u + 1], [net.depth, width + k + 1]] for k, u in enumerate(j.tolist())]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 def write_model(path, net, pairs):
     """A model file listing net's pairs as given, in any unit order; save_model writes only its canonical form."""
     doc = {"widths": list(net.widths), "weights": [w.tolist() for w in net.weights],

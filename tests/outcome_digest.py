@@ -217,9 +217,9 @@ def sweeps():
                     drlp.normal_matrices(net, t))).hex()
 
 
-def model_files():
-    """The text ``save_model`` writes for each builder's net, a random net, a net given its bit-0
-    output weights alone, and a mirrored net saved with explicit ``PairGroups``."""
+def model_file_cases():
+    """(net, pairs) of the ``model_files`` corpus: each builder's net, a random net, a net given its
+    bit-0 output weights alone, and a mirrored net with explicit ``PairGroups``, for 3 seeds."""
     cases = []
     for seed in range(3):
         data, rng = regression(seed, 20, 2), philox(10, seed)
@@ -239,9 +239,14 @@ def model_files():
         mirrored = drlp.ReluNetwork(net.weights[:-2] + [np.vstack([w, -w]), rng.uniform(-1.0, 1.0, (1, 8))],
                                     net.biases[:-2] + [np.concatenate([b, -b]), net.biases[-1]])
         cases.append((mirrored, drlp.PairGroups([(5 + j, 9 + j) for j in range(4)])))
+    return cases
+
+
+def model_files():
+    """The text ``save_model`` writes for each case of ``model_file_cases``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
-        for net, pairs in cases:
+        for net, pairs in model_file_cases():
             drlp.save_model(path, net, pairs)
             with open(path, encoding="utf-8") as fh:
                 yield fh.read()

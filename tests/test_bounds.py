@@ -134,6 +134,12 @@ class TestEmpirical:
             with pytest.raises(ValueError, match="chunk must be >= 1"):
                 count_regions_empirical(net_fold_sum, samples=10, chunk=chunk)
 
+    def test_non_integer_chunk_rejected(self, net_fold_sum):
+        with pytest.raises(ValueError, match="chunk: 2.5 is not an integer"):
+            count_regions_empirical(net_fold_sum, samples=10, chunk=2.5)
+        assert count_regions_empirical(net_fold_sum, samples=300, chunk=64.0) == \
+            count_regions_empirical(net_fold_sum, samples=300, chunk=64)
+
     @pytest.mark.parametrize("hidden", [5, 52, 53, 64, 65, 130])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_matches_per_sample_reference(self, hidden, depth):

@@ -33,7 +33,7 @@ from drlp import (
     save_model,
 )
 from drlp.cli import main
-from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, write_model
+from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, save_mirrored_model, write_model
 
 
 @pytest.fixture
@@ -276,6 +276,21 @@ class TestSolve:
             assert "layer 1: weight [1, 2] is nan" in stderr
             assert f"model file {path}: " in stderr
 
+    @pytest.mark.parametrize("off, why", [
+        ('"-1.0"', "off_weights holds a value that is not a number"),
+        ("[-1.0, true]", "off_weights holds a value that is not a number"),
+        ("[-1.0]", "off_weights must have shape (2,), one entry per last-layer unit; got (1,)"),
+        ("[-1.0, NaN]", "off_weights [2] is nan; off_weights must be finite"),
+    ])
+    def test_bad_off_weights_exit_one(self, capsys, tmp_path, off, why):
+        path = tmp_path / "off.json"
+        path.write_text('{"weights": [[[1.0], [-1.0]], [[1.0, 1.0]]], "biases": [[0.0, 0.0], [0.0]], '
+                        f'"off_weights": {off}}}')
+        for argv in (["solve", "--model", str(path)], ["check", "--model", str(path), "--x", "0"]):
+            code, stdout, stderr = _run(capsys, argv)
+            assert code == 1 and stdout == ""
+            assert stderr.startswith(f"error: model file {path}: ") and why in stderr
+
     @pytest.mark.parametrize("command", [["solve", "--x0", "1"], ["check", "--x", "1"]])
     def test_pairs_outside_last_hidden_layer_exit_one(self, capsys, tmp_path, command,
                                                       net_split_line_mirrored):
@@ -303,7 +318,8 @@ class TestSolve:
     def test_bad_pairs_entry_exit_one(self, capsys, tmp_path, entry, why):
         # |x| as a mirrored pair, whose good entry is [[1, 1], [1, 2]]
         path = tmp_path / "abs.json"
-        save_model(path, ReluNetwork([[[1.0], [-1.0]], [[1.0, 1.0]]], [[0.0, 0.0], [0.0]]), PairGroups([(0, 1)]))
+        save_mirrored_model(path, ReluNetwork([[[1.0], [-1.0]], [[1.0, 1.0]]], [[0.0, 0.0], [0.0]]),
+                            PairGroups([(0, 1)]))
         doc = json.loads(path.read_text())
         assert doc["pairs"] == [[[1, 1], [1, 2]]]
         doc["pairs"] = [entry]
@@ -385,10 +401,10 @@ class TestJitter:
         assert doc["f"] != evaluate(nets[1], x)    # the jittered net's value differs
 
     def test_paired_problem_keeps_its_pairs(self, capsys, monkeypatch, tiny_csv, tmp_path):
-        # a model file holds the quantile net's residuals as mirrored pairs; they are
+        # an older model file holds the quantile net's residuals as mirrored pairs; they are
         # folded when the file loads, so each residual's one bias is jittered
         net, _ = build_quantile_lasso(load_csv(tiny_csv[0]))
-        save_model(tmp_path / "q.json", net)
+        save_mirrored_model(tmp_path / "q.json", net)
         assert len(json.loads((tmp_path / "q.json").read_text())["pairs"]) == net.num_neurons
         nets = _non_regular_first(monkeypatch)
         code, stdout, stderr = _run(capsys, ["solve", "--model", str(tmp_path / "q.json"), "--seed", "1",
@@ -530,10 +546,10 @@ class TestRegression:
                                          abs=1e-9)
 
     def test_train_l1_refuses_a_paired_base_model(self, capsys, tiny_csv, tmp_path):
-        # a base file's pairs load as two-slope units, which the loss network cannot hold
+        # a base file's bit-0 weights load as two-slope units, which the loss network cannot hold
         plain = build_random((1, 3, 2, 1), seed=5)
         save_model(tmp_path / "base.json", ReluNetwork(plain.weights, plain.biases, [-1.0, 0.0]))
-        assert "pairs" in json.loads((tmp_path / "base.json").read_text())
+        assert json.loads((tmp_path / "base.json").read_text())["off_weights"] == [-1.0, 0.0]
         code, stdout, stderr = _run(capsys, ["train-l1", "--data", tiny_csv[0], "--base-model",
                                              str(tmp_path / "base.json")])
         assert code == 1 and stdout == ""

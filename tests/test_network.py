@@ -27,6 +27,7 @@ from drlp import (
 )
 from drlp.bounds import _sweep_bits
 from drlp.network import _forward
+from outcome_digest import model_file_cases
 from helpers import (
     builder_cases,
     critical_kernel_dim,
@@ -40,6 +41,7 @@ from helpers import (
     is_compatible,
     mirrored_clad,
     mirrored_quantile,
+    save_mirrored_model,
     subjective_value,
     write_model,
 )
@@ -89,27 +91,6 @@ class TestConstruction:
     def test_flat_index_out_of_range(self, net_fold_sum, c):
         with pytest.raises(ValueError, match=r"no hidden unit .* in widths \(2, 2, 1, 1\)"):
             net_fold_sum.flat_index(c)
-
-    def test_flat_index_of_an_array_equals_scalar_calls(self):
-        net = build_random((2, 3, 4, 2, 1), seed=1)
-        units = np.array([net.neuron_at(flat) for flat in range(net.num_neurons)] * 2)
-        flat = net.flat_index(units)
-        assert flat.shape == (len(units),)
-        assert flat.tolist() == [net.flat_index(c) for c in units.tolist()]
-        assert type(net.flat_index((2, 3))) is int
-        # a model file's (k, 2, 2) pairs convert in the same one call
-        assert net.flat_index(units.reshape(-1, 2, 2)).tolist() == flat.reshape(-1, 2).tolist()
-        assert net.flat_index(np.zeros((0, 2), dtype=int)).shape == (0,)
-
-    @pytest.mark.parametrize("bad", [(0, 1), (4, 1), (1, 0), (1, 4), (3, 3)])
-    def test_flat_index_of_an_array_raises_for_its_first_bad_row(self, bad):
-        net = build_random((2, 3, 4, 2, 1), seed=1)
-        units = np.array([(1, 1), (3, 2), bad, (0, 0), (2, 4)])
-        with pytest.raises(ValueError) as scalar:
-            net.flat_index(list(bad))
-        with pytest.raises(ValueError) as array:
-            net.flat_index(units)
-        assert str(array.value) == str(scalar.value) == f"no hidden unit {list(bad)} in widths (2, 3, 4, 2, 1)"
 
     @pytest.mark.parametrize("flat", [-1, 3])
     def test_neuron_at_out_of_range(self, net_fold_sum, flat):
@@ -573,6 +554,9 @@ def test_fold_rejects_pairs_outside_the_last_hidden_layer(net_split_line_mirrore
         PairGroups([(0, 1)]).fold(net_split_line_mirrored)
 
 
+MODEL_FILE_CASES = model_file_cases()
+
+
 class TestModelIO:
     def test_round_trip(self, tmp_path, net_fold_sum):
         path = tmp_path / "model.json"
@@ -591,12 +575,17 @@ class TestModelIO:
             [w1, np.ones((1, 2))], [np.array([2.0, -2.0]), np.zeros(1)]
         )
         path = tmp_path / "m.json"
-        save_model(path, net, pairs=PairGroups([(0, 1)]))
+        save_mirrored_model(path, net, pairs=PairGroups([(0, 1)]))
         assert json.loads(path.read_text())["pairs"] == [[[1, 1], [1, 2]]]
         # the pair loads as one two-slope unit, the first member's row with the mirror's weight negated
         loaded = load_model(path)
         assert loaded.weights[0].tolist() == [[1.0, 0.0]] and loaded.biases[0].tolist() == [2.0]
         assert loaded.two_slope.tolist() == [True] and loaded.off_weights.tolist() == [-1.0]
+        # and saves as that unit, its bit-0 weight beside the layers
+        save_model(tmp_path / "again.json", loaded)
+        assert (tmp_path / "again.json").read_text() == (
+            '{"widths": [2, 1, 1], "weights": [[[1.0, 0.0]], [[1.0]]], "biases": [[2.0], [0.0]], '
+            '"off_weights": [-1.0]}\n')
 
     def test_folded_net_is_not_saved(self, tmp_path):
         # a folded net is saved only as the pairs save_model makes of it: pairs given
@@ -614,8 +603,9 @@ class TestModelIO:
         assert (tmp_path / "rebuilt.json").read_bytes() == (tmp_path / "folded.json").read_bytes()
 
     def test_interleaved_pairs_are_saved_after_the_layer(self, tmp_path):
-        # a file with each mirror right after its unit loads as the fold, which saves
-        # with every mirror after the last hidden layer; that file then round-trips byte for byte
+        # files with each mirror right after its unit or after the layer load as one fold, which
+        # saves as the folded net, no pairs and its bit-0 weights beside the layers; that file
+        # then round-trips byte for byte
         rng = np.random.Generator(np.random.Philox(3))
         x = rng.standard_normal((6, 2))
         data = RegressionData(x, x @ [1.0, -0.5] + rng.standard_normal(6))
@@ -623,9 +613,10 @@ class TestModelIO:
         write_model(tmp_path / "mixed.json", mixed, mixed_pairs)
         save_model(tmp_path / "saved.json", load_model(tmp_path / "mixed.json"))
         doc = json.loads((tmp_path / "saved.json").read_text())
-        assert doc["pairs"] == [[[2, j], [2, 6 + j]] for j in range(1, 7)]
+        assert "pairs" not in doc and doc["widths"] == [2, 6, 6, 1] and doc["off_weights"] == [-1.0] * 6
         write_model(tmp_path / "appended.json", appended, pairs)
-        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "appended.json").read_bytes()
+        save_model(tmp_path / "appended_saved.json", load_model(tmp_path / "appended.json"))
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "appended_saved.json").read_bytes()
         save_model(tmp_path / "again.json", load_model(tmp_path / "saved.json"))
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
 
@@ -653,16 +644,45 @@ class TestModelIO:
 
     def test_bit_0_weights_alone_make_two_slope_units(self, tmp_path):
         # the bit-0 weights are the only fact: unit 2's is nonzero, so it is two-slope, takes
-        # bit 1 on its wall and is saved as a pair; unit 1's is 0, a plain ReLU that takes bit 0
+        # bit 1 on its wall and is saved with it; unit 1's is 0, a plain ReLU that takes bit 0
         net = ReluNetwork([np.eye(2), np.array([[1.0, 3.0]])], [np.zeros(2), np.zeros(1)], off_weights=[0.0, -2.0])
         assert net.two_slope.tolist() == [False, True]
         assert activation_pattern(net, np.zeros(2)).tolist() == [0, 1]
         save_model(tmp_path / "m.json", net)
-        assert json.loads((tmp_path / "m.json").read_text())["pairs"] == [[[1, 2], [1, 3]]]
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["off_weights"] == [0.0, -2.0] and doc["widths"] == [2, 2, 1] and "pairs" not in doc
         loaded = load_model(tmp_path / "m.json")
         assert loaded.off_weights.tolist() == [0.0, -2.0] and loaded.two_slope.tolist() == [False, True]
         for x in ([0.0, 0.0], [1.5, -2.0], [-1.0, 0.5], [-0.5, -0.25]):
             assert evaluate(loaded, x) == evaluate(net, x) == max(x[0], 0.0) + max(3.0 * x[1], -2.0 * x[1])
+
+    @pytest.mark.parametrize("k", range(len(MODEL_FILE_CASES)))
+    def test_older_mirrored_file_loads_to_the_same_net(self, tmp_path, k):
+        # each net of the digest's model_files corpus, saved as now and in the older form with
+        # a mirrored pair per two-slope unit, loads to one net; the new file round-trips
+        net, pairs = MODEL_FILE_CASES[k]
+        save_model(tmp_path / "new.json", net, pairs)
+        save_mirrored_model(tmp_path / "old.json", net, pairs)
+        new, old = load_model(tmp_path / "new.json"), load_model(tmp_path / "old.json")
+        assert new.widths == old.widths
+        for a, b in zip(new.weights + new.biases + [new.off_weights, new.two_slope],
+                        old.weights + old.biases + [old.off_weights, old.two_slope], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert "pairs" not in json.loads((tmp_path / "new.json").read_text())
+        save_model(tmp_path / "again.json", new)
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "new.json").read_bytes()
+
+    def test_listed_pairs_refuse_a_two_slope_member(self, tmp_path):
+        # a file may hold both forms; a pair may mirror only plain ReLUs
+        path = tmp_path / "m.json"
+        path.write_text('{"weights": [[[1.0], [-1.0], [2.0]], [[1.0, 1.0, 1.0]]], "biases": [[0.0, 0.0, 0.0], [0.0]], '
+                        '"off_weights": [0.0, 0.0, -3.0], "pairs": [[[1, 1], [1, 2]]]}')
+        loaded = load_model(path)
+        assert loaded.off_weights.tolist() == [-1.0, -3.0] and loaded.weights[0].tolist() == [[1.0], [2.0]]
+        path.write_text(path.read_text().replace('"off_weights": [0.0, 0.0, -3.0]', '"off_weights": [0.0, -3.0, 0.0]'))
+        with pytest.raises(ValueError, match=r"model file .*m.json: pairs .*; pair \(1, 1\)/\(1, 2\): "
+                                             r"a member has a bit-0 slope, and pairs mirror plain ReLUs"):
+            load_model(path)
 
     def test_pairs_written_as_layer_unit(self, tmp_path):
         # files name units by 1-based (layer, unit); flat indices stay in memory
@@ -671,7 +691,7 @@ class TestModelIO:
             [w1, np.ones((1, 2))], [np.array([2.0, -2.0]), np.zeros(1)]
         )
         path = tmp_path / "m.json"
-        save_model(path, net, pairs=PairGroups([(0, 1)]))
+        save_mirrored_model(path, net, pairs=PairGroups([(0, 1)]))
         # the pair is saved folded and unfolded again, so the mirror row is the first's negation, -0.0 included
         assert path.read_text() == (
             '{"widths": [2, 2, 1], "weights": [[[1.0, 0.0], [-1.0, -0.0]], [[1.0, 1.0]]], '

@@ -513,7 +513,7 @@ def _written(path):
     """(net, pairs) as a model file lists them, before load_model folds the pairs."""
     doc = json.loads(path.read_text())
     net = ReluNetwork(doc["weights"], doc["biases"])
-    return net, PairGroups(net.flat_index(doc["pairs"]) if "pairs" in doc else ())
+    return net, PairGroups([net.flat_index(u) for u in pair] for pair in doc.get("pairs", ()))
 
 
 @pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
@@ -539,12 +539,12 @@ class TestBuilderNets:
         net = built[0]
         # a -0.0 bit-0 weight (quantile residuals at alpha = 1) is a plain ReLU, which loads as 0.0
         self._same_net(load_model(tmp_path / "m.json"), ReluNetwork(net.weights, net.biases, net.off_weights + 0.0))
-        # the file holds the mirrored net, each mirror after every unit the fold keeps
+        # the file holds the net itself, with no pairs to fold
         kept = folded_units(*_written(tmp_path / "m.json"))
         assert kept.tolist() == list(range(built[0].num_neurons))
 
 
-# save_model folds a reference's pairs first, so each is saved as its builder's net, mirrors last
+# save_model folds a reference's pairs first, so each is saved as its builder's net
 @pytest.mark.parametrize("name, built, reference, x_wall", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
 def test_saved_as_the_reference(tmp_path, name, built, reference, x_wall):
     save_model(tmp_path / "built.json", *built)
@@ -553,16 +553,17 @@ def test_saved_as_the_reference(tmp_path, name, built, reference, x_wall):
 
 
 class TestBuilderPairs:
-    """Every builder returns no pairs, and save_model writes its two-slope units as these pairs."""
+    """Every builder returns no pairs; the units older model files wrote as these pairs are its
+    two-slope units, which save_model writes as the nonzero entries of off_weights."""
 
     @staticmethod
     def _same(built, tuples, tmp_path):
         net, pairs = built
         assert len(pairs) == 0
         save_model(tmp_path / "m.json", net)
-        saved, old = _written(tmp_path / "m.json")[1], PairGroups(tuples)
-        assert saved.first.tolist() == old.first.tolist() and len(old) > 0
-        assert saved.second.tolist() == old.second.tolist()
+        doc, old = json.loads((tmp_path / "m.json").read_text()), PairGroups(tuples)
+        assert "pairs" not in doc and doc["widths"] == list(net.widths) and len(old) > 0
+        assert (net.offsets[-2] + np.flatnonzero(doc["off_weights"])).tolist() == old.first.tolist()
 
     @pytest.mark.parametrize("lam", [0.0, 0.7])
     def test_quantile(self, lam, tmp_path):

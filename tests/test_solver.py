@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
 import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +201,73 @@ class TestFindVertex:
         out = find_vertex(state)
         assert out is None
         assert state.pinv.m == 2
+
+    def test_redraws_count_against_max_steps(self):
+        # f is flat at x and every draw lies in null(W1), so each projects to zero; the
+        # redraws are counted as steps, and the solve ends StepLimit instead of spinning
+        class NullDraws:
+            calls = 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                assert self.calls < 1000, "redraws never end"
+                return np.array([0.0, 1.0])
+
+        net = ReluNetwork([[[1.0, 0.0], [2.0, 0.0]], [[1.0, 1.0]]], [[0.0, 0.0], [0.0]])
+        x, opts = np.array([-1.0, 0.5]), SolverOptions(max_steps=5)
+        state = SolverState(net=net, x=x, s=activation_pattern(net, x),
+                            pinv=PseudoInverse.empty(2), options=opts, rng=NullDraws())
+        out = find_vertex(state)
+        assert (out.status, out.steps, state.rng.calls) == (STEP_LIMIT, 5, 5)
+
+    # Two solves whose gradient dwarfs any unit-scale draw: each runs in a child process with
+    # a time limit, so redraws that never end fail the test instead of hanging the suite.
+    SCALED_QUANTILE = """
+        rng = np.random.Generator(np.random.Philox(1))
+        x = rng.standard_normal((5000, 10))
+        y = x @ rng.standard_normal(10) + rng.laplace(size=5000)
+        net, _ = drlp.build_quantile_lasso(drlp.RegressionData(x, y))
+        k = 2.0 ** 35     # exact; |grad| is 6e13 at x0, and 1e-12 |grad| dwarfed every unit-scale draw
+        net = drlp.ReluNetwork([net.weights[0], k * net.weights[1]], [net.biases[0], k * net.biases[1]],
+                               k * net.off_weights)
+        x0 = np.full(11, 0.1)
+    """
+    POLYNOMIAL_QUANTILE = """
+        rng = np.random.default_rng(4)
+        t = rng.uniform(0.0, 1.0, 2000)
+        x = np.column_stack([(10.0 * t) ** k for k in range(1, 15)])
+        y = np.sin(6.0 * t) + 0.1 * rng.laplace(size=2000)
+        net, _ = drlp.build_quantile_lasso(drlp.RegressionData(x, y))
+        x0 = np.zeros(15)
+    """
+
+    @pytest.mark.parametrize("setup", [SCALED_QUANTILE, POLYNOMIAL_QUANTILE], ids=["scaled", "polynomial"])
+    def test_badly_scaled_quantile_ends_within_max_steps(self, setup):
+        code = "import json\nimport numpy as np\nimport drlp\n" + textwrap.dedent(setup) + textwrap.dedent("""
+            out = drlp.drlsimplex(net, x0, drlp.SolverOptions(seed=0, max_steps=100))
+            print(json.dumps([out.status, out.steps]))
+        """)
+        src = str(Path(drlp.solver.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the solve was still running after 60 s")
+        assert done.returncode == 0, done.stderr
+        status, steps = json.loads(done.stdout)
+        assert status in (LOCAL_MINIMUM, NON_REGULAR, STEP_LIMIT) and steps <= 100
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("steps", [0.5, "3"])
+    def test_non_integer_max_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match=f"max_steps: {steps!r} is not an integer"):
+            drlsimplex(build_random((2, 4, 1), seed=0), [1.0, 1.0], SolverOptions(max_steps=steps))
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be nonnegative, got -1"):
+            SolverOptions(max_steps=-1)
+        assert SolverOptions(max_steps=3.0).max_steps == 3 and type(SolverOptions(max_steps=3.0).max_steps) is int
 
 
 class TestChooseAxis:
