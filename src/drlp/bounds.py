@@ -7,7 +7,7 @@ not listed.  Bounds are exact Python integers.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isfinite, nan
 
 import numpy as np
 
@@ -99,9 +99,10 @@ def count_regions_empirical(
     per block finds the new patterns; wider nets order by the first key and
     let the set drop the rest.  Memory is O(chunk * width + distinct patterns).
     """
-    lo, hi = float(box[0]), float(box[1])
-    if not (np.isfinite(hi - lo) and hi > lo):
-        raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got ({lo}, {hi})")
+    ends = np.asarray(box, dtype=np.float64)
+    lo, hi = ends.tolist() if ends.shape == (2,) else (nan, nan)     # Python floats: no overflow warning
+    if not (isfinite(hi - lo) and hi > lo):
+        raise ValueError(f"box must be (lo, hi) with lo < hi and hi - lo finite; got {box!r}")
     if (samples := require_int("samples", samples)) < 0:
         raise ValueError(f"samples must be >= 0; got {samples}")
     if (chunk := require_int("chunk", chunk)) < 1:

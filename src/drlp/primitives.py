@@ -10,7 +10,9 @@ none sweeps the network: project is P'(A v), add_axis and
 remove_pseudorow hold and release a wall, a pivot is one rank-one
 exchange (exchange_axis), and update_axis_new_region bends the walls a
 flip bends, from the caller's crossing_terms.  Only advance_max and
-argument_residuals read the network.
+argument_residuals read the network.  add_axis, exchange_axis and
+dense_pseudoinverse test independence by one rule and raise Degenerate
+when it fails, as remove_pseudorow does on a zero row.
 """
 
 from __future__ import annotations
@@ -31,12 +33,8 @@ DEP_TOL = 1e-8     # relative dependence threshold for new columns
 TIE_TOL = 1e-12    # relative window for line-search ties
 
 
-class DependentColumn(Exception):
-    """A normal to be added lies (numerically) in the span of the tracked ones."""
-
-
 class Degenerate(Exception):
-    """Tracked normals lost independence, or a row to remove is zero; the vertex is not regular."""
+    """The walls are not regular: a normal within DEP_TOL (relative) of the others' span, or a zero row to remove."""
 
 
 @dataclass
@@ -106,14 +104,14 @@ def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
 def add_axis(pinv: PseudoInverse, u: np.ndarray, c: int) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal u as a new row of A.
 
-    Raises DependentColumn when u lies within DEP_TOL (relative) of the
+    Raises Degenerate when u lies within DEP_TOL (relative) of the
     span of the tracked normals.
     """
     w_perp = u - project(pinv, u)
     w_perp -= project(pinv, w_perp)     # a second pass, as in Gram-Schmidt
     nu = math.sqrt(u @ u)
     if nu == 0.0 or math.sqrt(w_perp @ w_perp) <= DEP_TOL * nu:
-        raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
+        raise Degenerate(f"normal of unit {c} is dependent on the tracked set")
     new_row = w_perp / float(w_perp @ u)
     # existing rows must become orthogonal to the new normal
     shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
@@ -129,14 +127,14 @@ def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
     oriented normal after it, and beta = P u.  Row i becomes c's row
     P_i / beta_i and moves last, with u and c; every other row k becomes
     P_k - beta_k P_i / beta_i.  |beta_i| / |P_i| is u's distance from the
-    other normals' span, as add_axis tests: raises DependentColumn when it
+    other normals' span, as add_axis tests: raises Degenerate when it
     is within DEP_TOL of |u|.  Flipping c bends later owners' walls: bend
     is c's crossing_terms bend column after the pivot, over the new owners
     (the staying ones, then c), applied by update_axis_new_region.
     """
     beta = pinv.matrix @ u
     if abs(beta[i]) <= DEP_TOL * math.sqrt(u @ u) * math.sqrt(pinv.matrix[i] @ pinv.matrix[i]):
-        raise DependentColumn(f"normal of unit {c} is dependent on the tracked set")
+        raise Degenerate(f"normal of unit {c} is dependent on the tracked set")
     order = [*range(i), *range(i + 1, pinv.m), i]
     matrix, normals, beta = pinv.matrix[order], pinv.normals[order], beta[order]
     matrix[-1] /= beta[-1]

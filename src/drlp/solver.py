@@ -39,7 +39,6 @@ from .network import (
 from .primitives import (
     DEP_TOL,
     Degenerate,
-    DependentColumn,
     PseudoInverse,
     add_axis,
     advance_max,
@@ -75,6 +74,8 @@ class SolverOptions:
         if (steps := require_int("max_steps", self.max_steps)) < 0:
             raise ValueError(f"max_steps must be nonnegative, got {steps}")
         self.max_steps = steps
+        if not (self.on_record is None or callable(self.on_record)):
+            raise ValueError(f"on_record must be callable or None, got {self.on_record!r}")
 
     def make_rng(self) -> np.random.Generator:
         if isinstance(self.seed, np.random.Generator):
@@ -301,7 +302,7 @@ def find_vertex(state: SolverState) -> SolveOutcome | None:
         state.emit("find_vertex", neuron=res.neuron, t=res.t, crossed=res.crossed.size, step=res)
         try:
             state.pinv = add_axis(state.pinv, oriented_normal(net, s, res.neuron), res.neuron)
-        except DependentColumn:
+        except Degenerate:
             return state.finish(NON_REGULAR, neurons=list(state.pinv.owners) + [res.neuron])
         if res.crossed.size:
             # crossed units sit in the last hidden layer, so no tracked normal bends
@@ -429,11 +430,8 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
         # enter neither c's normal nor any tracked one; terms price the next vertex too
         state.s = flip(state.s, np.append(res.crossed, c))
         terms = crossing_terms(net, state.s, others + [c])
-        try:
+        try:        # the exchange leaves owners others + [c], which the rebuild keeps
             state.pinv = exchange_axis(state.pinv, i, oriented_normal(net, state.s, c), c, terms[1][:, -1])
-        except DependentColumn:
-            return state.finish(NON_REGULAR, neurons=others + [c])
-        try:
             # c and the crossed walls changed no argument at x, so the step's are the owners'
             resid = position_correction(state, res.at(res.t, state.pinv.owners))
             # the rank-one updates compound near tight vertices; rebuild
@@ -442,7 +440,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
                 refresh_pseudoinverse(state)
                 position_correction(state)
         except Degenerate:
-            return state.finish(NON_REGULAR, neurons=list(state.pinv.owners))
+            return state.finish(NON_REGULAR, neurons=others + [c])
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +507,7 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
         for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
     for j in sorted(set(walls.tolist()) - set(basis.owners)):
-        with contextlib.suppress(DependentColumn):
+        with contextlib.suppress(Degenerate):
             basis = add_axis(basis, unit[j], j)
     return basis
 
@@ -566,7 +564,7 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
                 break
             try:
                 basis = add_axis(basis, unit[j := int(np.argmin(slack))], j)
-            except DependentColumn:
+            except Degenerate:
                 break
     face = PseudoInverse.empty(len(g)) if drift else basis
     if hess is not None and held.size < len(g) and _steps(v, g):

@@ -122,8 +122,9 @@ class TestEmpirical:
 
     def test_bad_box_rejected(self, net_fold_sum):
         inf = float("inf")
-        # empty, non-finite, and finite ends whose width hi - lo overflows
-        for box in ((1.0, -1.0), (-inf, inf), (0.0, float("nan")), (-1e308, 1e308)):
+        # empty, non-finite, finite ends whose width hi - lo overflows, and shapes other than (2,)
+        for box in ((1.0, -1.0), (-inf, inf), (0.0, float("nan")), (-1e308, 1e308),
+                    (0, 1, 2), (1,), 5, ((0, 1), (2, 3))):
             with pytest.raises(ValueError, match="box must be"):
                 count_regions_empirical(net_fold_sum, box=box)
         with pytest.raises(ValueError, match="samples must be >= 0"):

@@ -12,6 +12,7 @@ import drlp.cli
 import drlp.solver
 from drlp import (
     NON_REGULAR,
+    Degenerate,
     LpInstance,
     PairGroups,
     RegressionData,
@@ -150,6 +151,14 @@ class TestSolve:
         )
         assert code == 4
         assert json.loads(stdout)["status"] == "StepLimit"
+
+    def test_degenerate_solve_exit_three(self, capsys, hinge_model, monkeypatch):
+        def solve(*args):
+            raise Degenerate("tracked normals are not independent")
+
+        monkeypatch.setattr(drlp.cli, "drlsimplex", solve)
+        code, stdout, stderr = _run(capsys, ["solve", "--model", hinge_model, "--x0", "3,-2"])
+        assert (code, stdout, stderr) == (3, "", "error: tracked normals are not independent\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--starts", "0", "--starts must be at least 1, got 0"),
@@ -650,8 +659,8 @@ class TestCounting:
     def test_regions_bad_input_exit_one(self, capsys, fold_model):
         for argv, message in ((["--box=-inf,inf"], "box must be"),
                               (["--box=-1e308,1e308"], "box must be"),
-                              (["--box=1"], "--box needs exactly lo,hi"),
-                              (["--box=-1,0,1"], "--box needs exactly lo,hi"),
+                              (["--box=1"], "box must be"),
+                              (["--box=-1,0,1"], "box must be"),
                               (["--samples=-5"], "samples must be >= 0")):
             code, stdout, stderr = _run(capsys, ["regions", "--model", fold_model] + argv)
             assert code == 1 and stdout == ""

@@ -22,7 +22,6 @@ from drlp import (
     STEP_LIMIT,
     UNBOUNDED,
     Degenerate,
-    DependentColumn,
     LpInstance,
     PairGroups,
     PseudoInverse,
@@ -220,6 +219,13 @@ class TestFindVertex:
         out = find_vertex(state)
         assert (out.status, out.steps, state.rng.calls) == (STEP_LIMIT, 5, 5)
 
+    def test_flat_mirror_ray_resamples(self):
+        # W1's second row is below ZERO_TOL as a rate but above DEP_TOL in the SVD: f is
+        # flat along x2, a ray there and its mirror meet no wall, and the solve draws again
+        net = ReluNetwork([[[0.01, 0.0], [0.0, 5e-10]], [[1.0, 1.0]]], [[0.0, 0.0], [0.0]])
+        out = drlsimplex(net, [0.5, 1.0], SolverOptions(seed=0, max_steps=20))
+        assert out.steps <= 20
+
     # Two solves whose gradient dwarfs any unit-scale draw: each runs in a child process with
     # a time limit, so redraws that never end fail the test instead of hanging the suite.
     SCALED_QUANTILE = """
@@ -259,6 +265,11 @@ class TestFindVertex:
 
 
 class TestSolverOptions:
+    def test_non_callable_on_record_rejected(self):
+        with pytest.raises(ValueError, match="on_record must be callable or None, got 'x'"):
+            SolverOptions(seed=0, on_record="x")
+        assert SolverOptions(on_record=print).on_record is print
+
     @pytest.mark.parametrize("steps", [0.5, "3"])
     def test_non_integer_max_steps_rejected(self, steps):
         with pytest.raises(ValueError, match=f"max_steps: {steps!r} is not an integer"):
@@ -453,6 +464,19 @@ class TestResync:
         assert out.status == NON_REGULAR and out.neurons == [2] and type(out.neurons[0]) is int
         assert not [rec for rec in out.trace if rec.phase == "resync"]
 
+    def test_failed_rebuild_names_the_stop_wall_and_the_leaving_owner(self, monkeypatch):
+        # the edge along +x1 leaves owner 0; the resync rebuilds over owner 1, then owner 0
+        seen = []
+
+        def fail(state):
+            seen.append(list(state.pinv.owners))
+            raise Degenerate("refresh_pseudoinverse")
+
+        monkeypatch.setattr(drlp.solver, "refresh_pseudoinverse", fail)
+        out = drlp.solver._pivot_loop(_stale_vertex(1e-7))
+        assert (out.status, out.neurons, seen) == (NON_REGULAR, [2, 0], [[1, 0]])
+        assert not [rec for rec in out.trace if rec.phase == "resync"]
+
     def test_abort_names_units_of_the_state_net(self):
         # no unit map stands between the net a state solves and its outcome: the
         # stop wall is that net's unit (1, 3), named by its flat index as a Python int
@@ -465,7 +489,7 @@ class TestResync:
 # solver-level function -> (exception it raises, flat units of the folded net
 # the NonRegular outcome must name, read off the call's arguments)
 _ABORTS = {
-    "add_axis": (drlp.solver, DependentColumn, lambda pinv, u, c: list(pinv.owners) + [c]),
+    "add_axis": (drlp.solver, Degenerate, lambda pinv, u, c: list(pinv.owners) + [c]),
     "refresh_pseudoinverse": (drlp.solver, Degenerate, lambda state: list(state.pinv.owners)),
 }
 # the (layer, unit) names in the folded net of the units each abort in TestAborts reports
@@ -1073,6 +1097,10 @@ class TestQuadratic:
         assert solve_quadratic(net, q, [0.0, 0.0]).steps > 10
         out = solve_quadratic(net, q, [0.0, 0.0], SolverOptions(max_steps=2))
         assert out.status == STEP_LIMIT
+        # three steps end at the top of the descent loop, not in certify_local_min
+        out = solve_quadratic(net, q, [0.0, 0.0], SolverOptions(max_steps=3))
+        assert (out.status, out.steps) == (STEP_LIMIT, 3)
+        assert [rec.phase for rec in out.trace] == ["pivot", "flip", "pivot"]
 
     def test_lasso_at_benchmark_size_meets_kkt(self):
         rng = np.random.Generator(np.random.Philox(21))
