@@ -12,7 +12,9 @@ exchange (exchange_axis), and update_axis_new_region bends the walls a
 flip bends, from the caller's crossing_terms.  Only advance_max and
 argument_residuals read the network.  add_axis, exchange_axis and
 dense_pseudoinverse test independence by one rule and raise Degenerate
-when it fails, as remove_pseudorow does on a zero row.
+when it fails, as remove_pseudorow does on a zero row.  A basis may also
+carry Z, an orthonormal basis of the walls' null space; add_axis and
+remove_pseudorow keep it, and the other updates return bases without it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,15 @@ class PseudoInverse:
     """Rows P biorthogonal to the owners' oriented normals A: P A' = I.
 
     Row k of normals is owner k's oriented normal, and row k of matrix is
-    biorthogonal to it.  Every update changes both together.
+    biorthogonal to it.  Every update changes both together.  null, when
+    kept (solve_quadratic's faces), is Z: orthonormal columns spanning
+    null(A), Z'Z = I and A Z = 0, updated by add_axis and remove_pseudorow.
     """
 
     matrix: np.ndarray            # P, (m, input_dim)
     normals: np.ndarray           # A, (m, input_dim)
     owners: list                  # m flat unit indices
+    null: np.ndarray | None = None    # Z, (input_dim, input_dim - m), or None when not kept
 
     @classmethod
     def empty(cls, input_dim: int) -> "PseudoInverse":
@@ -92,20 +97,28 @@ def project(pinv: PseudoInverse, v) -> np.ndarray:
 
 
 def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
-    """Drop row i, its normal and its owner, restoring the pseudoinverse of the rest."""
+    """Drop row i, its normal and its owner, restoring the pseudoinverse of the rest.
+
+    P_i lies in span(A) and is orthogonal to the other normals, so it is the
+    null space's new direction: a kept Z gains the column P_i / |P_i|.
+    """
     ai = pinv.matrix[i]
     if not (nrm2 := float(ai @ ai)):
         raise Degenerate("cannot remove a zero row")
     others = pinv.matrix[keep := np.arange(pinv.m) != i]
+    null = None if pinv.null is None else np.column_stack([pinv.null, ai / math.sqrt(nrm2)])
     return PseudoInverse(others - np.outer(others @ ai / nrm2, ai), pinv.normals[keep],
-                         pinv.owners[:i] + pinv.owners[i + 1:])
+                         pinv.owners[:i] + pinv.owners[i + 1:], null)
 
 
 def add_axis(pinv: PseudoInverse, u: np.ndarray, c: int) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal u as a new row of A.
 
     Raises Degenerate when u lies within DEP_TOL (relative) of the
-    span of the tracked normals.
+    span of the tracked normals.  A kept Z loses the direction of w = Z'u:
+    the Householder reflection I - 2hh'/h'h, h = w + sign(w_1)|w| e_1,
+    takes w onto e_1, and Z's reflected columns but the first are
+    orthogonal to u.
     """
     w_perp = u - project(pinv, u)
     w_perp -= project(pinv, w_perp)     # a second pass, as in Gram-Schmidt
@@ -115,8 +128,12 @@ def add_axis(pinv: PseudoInverse, u: np.ndarray, c: int) -> PseudoInverse:
     new_row = w_perp / float(w_perp @ u)
     # existing rows must become orthogonal to the new normal
     shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
+    if (null := pinv.null) is not None:
+        h = null.T @ u
+        h[0] += math.copysign(math.sqrt(h @ h), h[0])
+        null = null[:, 1:] - np.outer(null @ h, h[1:] * (2.0 / (h @ h)))
     return PseudoInverse(np.vstack([shifted, new_row]), np.vstack([pinv.normals, u]),
-                         pinv.owners + [c])
+                         pinv.owners + [c], null)
 
 
 def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,

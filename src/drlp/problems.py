@@ -276,9 +276,10 @@ def load_csv(path, response=None) -> RegressionData:
     Comma separated, UTF-8 with or without a byte-order mark; '"' quotes a
     cell.  A number is what float() reads, less '_' and non-ASCII digits.
     Lines of blank cells are skipped; a first row that is not all numbers
-    is a header.  The response is the named column (header required) or
-    the last column.  A ragged row or a bad or non-finite cell is reported
-    by file line and 1-based column, a header of the wrong width by both widths.
+    is a header.  The response is the named column (header required; a
+    name two columns share is rejected) or the last column.  A ragged row
+    or a bad or non-finite cell is reported by file line and 1-based
+    column, a header of the wrong width by both widths.
     """
     lines = (line for _, line in _rows(path))
     first, header = next(lines, None), None
@@ -296,9 +297,11 @@ def load_csv(path, response=None) -> RegressionData:
         if response is not None:
             if header is None:
                 raise ValueError(f"{path}: response column {response!r} needs a header row")
-            if response not in header:
+            if not (named := [j for j, name in enumerate(header) if name == response]):
                 raise ValueError(f"{path}: no column named {response!r}")
-            y_col = header.index(response)
+            if named[1:]:
+                raise ValueError(f"{path}: response {response!r} names columns {', '.join(str(j + 1) for j in named)}")
+            y_col = named[0]
         # x and y own their data, so the parsed table is freed on return
         return RegressionData(x=np.delete(data, y_col, axis=1), y=data[:, y_col].copy(),
                               columns=header and header[:y_col] + header[y_col + 1:])

@@ -486,25 +486,33 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
+def _sync(basis: PseudoInverse, walls: np.ndarray, unit, fresh: bool = True) -> PseudoInverse:
     """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
-    Releases walls that left or bent, negates flipped ones and holds new
-    ones; with no wall staying, one QR builds it, or holds each if dependent.
+    Releases walls that left, and, if unit is a fresh table (a flip since
+    the last sync), walls that bent, negating flipped ones; then holds new
+    ones.  With no wall staying, one QR builds it and a complete QR gives
+    Z, or, if the walls are dependent, it holds each from Z = I.
     """
     owners = np.array(basis.owners, dtype=np.intp)
-    stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
-    if not stays.any():
+    keep = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
+    if not keep.any():
         try:
-            return dense_pseudoinverse(unit[walls], walls.tolist())
+            basis = dense_pseudoinverse(unit[walls], walls.tolist())
         except Degenerate:
-            basis = PseudoInverse.empty(unit.shape[1])
-    elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
-        same = stays & (basis.normals == unit[owners]).all(axis=1)
-        flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
-        basis.matrix[flipped] *= -1.0
-        basis.normals[flipped] *= -1.0
-        for i in (~(same | flipped)).nonzero()[0][::-1]:
+            n = unit.shape[1]
+            basis = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
+        else:       # contiguous: BLAS may round a strided view's products differently
+            basis.null = np.ascontiguousarray(np.linalg.qr(basis.normals.T, mode="complete")[0][:, basis.m:])
+            return basis
+    else:
+        if fresh:       # a flip negates or bends held normals; on an unchanged table they equal their rows
+            same = keep & (basis.normals == unit[owners]).all(axis=1)
+            flipped = keep & ~same & (basis.normals == -unit[owners]).all(axis=1)
+            basis.matrix[flipped] *= -1.0
+            basis.normals[flipped] *= -1.0
+            keep = same | flipped
+        for i in (~keep).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
     for j in sorted(set(walls.tolist()) - set(basis.owners)):
         with contextlib.suppress(Degenerate):
@@ -517,23 +525,24 @@ def _steps(v, g) -> bool:
     return math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g))
 
 
-def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
+def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, fresh=True):
     """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
     The basis is synced to the ascending walls, whose unit normals are
-    their rows of unit, then Lawson & Hanson's NNLS (1974) runs to the exact
-    projection by rank-one releases and holds, mu = P g and v = A' mu - g.
-    From all walls held, the most negative multiplier is released until
-    none is; then the wall v violates most is held and the multipliers
-    move toward the new ones until the first zero is released.  Given hess,
-    d is the face's Newton step Z (Z'HZ)^-1 Z'(-g) as the solve of
-    (F'HF + S) d = v, S = A'P, F = I - S, positive definite iff Z'HZ is
-    (so if convex), unless it fails, ascends or leaves the cone; then d is
-    v; where no step is taken (``_steps``), no system is formed and d is
-    v.  Returns (v, d, the face's basis, empty if its walls drifted, mu
-    on unit normals by flat unit, regular: independent, converged).
+    their rows of unit (fresh: a new table, as ``_sync``), then Lawson &
+    Hanson's NNLS (1974) runs to the exact projection by rank-one releases
+    and holds, mu = P g and v = A' mu - g.  From all walls held, every
+    negative multiplier is released at once until none is; then the wall v
+    violates most is held and the multipliers move toward the new ones
+    until the first zero is released.  Given hess, d is the face's Newton
+    step Z (Z'HZ)^-1 Z'v over the face's k free directions Z, a k x k
+    Cholesky test (skipped if convex) and solve, unless it fails, ascends
+    or leaves the cone; then d is v; where no step is taken (``_steps``),
+    no system is formed and d is v.  Returns (v, d, the face's basis,
+    empty if its walls drifted, mu on unit normals by flat unit, regular:
+    independent, converged).
     """
-    basis, rows = _sync(basis, walls, unit), unit[walls]
+    basis, rows = _sync(basis, walls, unit, fresh), unit[walls]
     dependent = basis.m < walls.size
     gnorm = math.sqrt(g @ g)
     mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
@@ -541,15 +550,14 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
         held = np.array(basis.owners, dtype=np.intp)
         lam = basis.matrix @ g
         v = basis.normals.T @ lam - g
-        neg = lam < -1e-12 * (1.0 + gnorm)
-        if neg.any() and mu is None:
-            basis = remove_pseudorow(basis, int(np.argmin(lam)))
-        elif neg.any():
-            old = mu[held]
-            ratio = np.full(held.size, np.inf)
-            ratio[neg] = old[neg] / (old[neg] - lam[neg])
-            mu[held] = old + ratio.min() * (lam - old)
-            for i in ((ratio <= ratio.min()) | (mu[held] <= 0.0)).nonzero()[0][::-1]:
+        if (release := lam < -1e-12 * (1.0 + gnorm)).any():
+            if mu is not None:
+                old = mu[held]
+                ratio = np.full(held.size, np.inf)
+                ratio[release] = old[release] / (old[release] - lam[release])
+                mu[held] = old + ratio.min() * (lam - old)
+                release = (ratio <= ratio.min()) | (mu[held] <= 0.0)
+            for i in release.nonzero()[0][::-1]:
                 basis = remove_pseudorow(basis, i)
         else:
             mu = np.zeros(len(unit))
@@ -567,16 +575,13 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
             except Degenerate:
                 break
     face = PseudoInverse.empty(len(g)) if drift else basis
-    if hess is not None and held.size < len(g) and _steps(v, g):
-        f = -(s := basis.normals.T @ basis.matrix)
-        f.flat[::len(g) + 1] += 1.0                     # I - S
-        m = f.T @ hess @ f + s
+    if hess is not None and (z := basis.null).shape[1] and _steps(v, g):
+        zhz = z.T @ hess @ z
         try:
-            convex or np.linalg.cholesky(m)         # raises unless positive definite
-            newton = np.linalg.solve(m, v)          # may still find m singular by roundoff
+            convex or np.linalg.cholesky(zhz)         # raises unless positive definite
+            newton = z @ np.linalg.solve(zhz, z.T @ v)      # may still find zhz singular by roundoff
         except np.linalg.LinAlgError:
             return v, v, face, mu, regular
-        newton -= basis.normals.T @ (basis.matrix @ newton)     # the solve's roundoff off the face
         if newton @ g < 0.0 and (rows @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
             return v, newton, face, mu, regular
     return v, v, face, mu, regular
@@ -620,14 +625,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
-        if state.s is not pattern:      # at the start and after a flip: the wall table
+        if fresh := state.s is not pattern:      # at the start and after a flip: the wall table
             pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
             normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
         active = on_walls(args, norms)
         g = grad + q.grad(state.x)
-        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex)
+        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex, fresh)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -645,7 +650,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             return state.finish(NON_REGULAR, neurons=active)
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis = _sync(basis, active, unit)
+            basis = _sync(basis, active, unit, False)
             held = basis.owners
             state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))

@@ -617,6 +617,15 @@ class TestRegression:
         assert "Traceback" not in stderr
 
 
+    def test_response_named_twice_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y,y\n1,2,3\n4,5,6\n7,8,10\n")
+        code, stdout, stderr = _run(capsys, ["quantile", "--data", str(path), "--response", "y"])
+        assert code == 1 and stdout == ""
+        assert stderr.endswith("d.csv: response 'y' names columns 2, 3\n")
+        assert "Traceback" not in stderr
+
+
 class TestCounting:
     def test_shared_parser_leaks_no_state(self, capsys, fold_model, tiny_csv):
         path, _, _ = tiny_csv

@@ -160,6 +160,77 @@ class TestAddRemove:
             remove_pseudorow(pinv, 0)
 
 
+def _with_null(n):
+    return PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
+
+
+def _assert_null_space(pinv):
+    """Z has input_dim - m orthonormal columns, A Z = 0 and ZZ' is the complete QR's null projector."""
+    n = pinv.matrix.shape[1]
+    z = pinv.null
+    assert z.shape == (n, n - pinv.m)
+    assert np.max(np.abs(z.T @ z - np.eye(n - pinv.m)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(pinv.normals @ z), initial=0.0) <= 1e-12
+    q = np.linalg.qr(pinv.normals.T, mode="complete")[0][:, pinv.m:]
+    assert np.max(np.abs(z @ z.T - q @ q.T)) <= 1e-12
+
+
+class TestNullSpace:
+    """The null-space basis Z that add_axis and remove_pseudorow keep, against a complete QR."""
+
+    def test_holds_releases_and_negations_keep_z(self):
+        counts = {"hold": 0, "dependent": 0, "release": 0, "negate": 0}
+        for seed in range(40):
+            rng = np.random.Generator(np.random.Philox(seed))
+            n = int(rng.integers(3, 13))
+            pinv = _with_null(n)
+            for step in range(40):
+                op = rng.choice(["hold", "dependent", "release", "negate"], p=[0.4, 0.15, 0.3, 0.15])
+                if op in ("release", "negate") and not pinv.m:
+                    op = "hold"
+                if op == "hold" and pinv.m == n:
+                    op = "dependent"
+                if op == "dependent":
+                    # a mix of held normals, or at full rank any normal
+                    u = rng.uniform(-1.0, 1.0, pinv.m) @ pinv.normals if pinv.m < n else rng.standard_normal(n)
+                    before = pinv.null.copy()
+                    with pytest.raises(Degenerate):
+                        add_axis(pinv, u, 100 + step)
+                    assert pinv.null.tobytes() == before.tobytes()
+                elif op == "hold":
+                    pinv = add_axis(pinv, rng.uniform(0.5, 2.0) * rng.standard_normal(n), 100 + step)
+                elif op == "release":
+                    pinv = remove_pseudorow(pinv, int(rng.integers(pinv.m)))
+                else:       # a flipped wall: its row and normal change sign, the null space does not
+                    i = int(rng.integers(pinv.m))
+                    pinv.matrix[i] *= -1.0
+                    pinv.normals[i] *= -1.0
+                counts[op] += 1
+                _assert_null_space(pinv)
+        assert min(counts.values()) > 100
+
+    def test_axis_holds_leave_exact_zero_rows(self):
+        # Householder steps on signed unit axes are exact: held coordinates' rows of Z are zero
+        rng = np.random.Generator(np.random.Philox(7))
+        pinv = _with_null(6)
+        for j in rng.permutation(6)[:4]:
+            pinv = add_axis(pinv, np.eye(6)[j] * rng.choice([-1.0, 1.0]), int(j))
+            assert not pinv.null[pinv.owners].any()
+        _assert_null_space(pinv)
+
+    def test_other_updates_drop_z(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        pinv = _with_null(5)
+        for c in range(3):
+            pinv = add_axis(pinv, rng.standard_normal(5), c)
+        assert pinv.null is not None
+        assert exchange_axis(pinv, 1, rng.standard_normal(5), 7, np.zeros(3)).null is None
+        assert exchange_axis(pinv, 1, rng.standard_normal(5), 7, np.array([0.5, 0.0, 0.0])).null is None
+        assert update_axis_new_region(pinv, 2, np.array([0.3, -0.2, 0.0])).null is None
+        assert dense_pseudoinverse(pinv.normals, pinv.owners).null is None
+        assert PseudoInverse.empty(5).null is None
+
+
 class TestProject:
     def test_matches_dense_projector(self):
         rng = np.random.Generator(np.random.Philox(4))

@@ -332,6 +332,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="response column 'y' needs a header row"):
             load_csv(f, response="y")
 
+    def test_response_named_twice_rejected(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,y,y\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="d.csv: response 'y' names columns 2, 3$"):
+            load_csv(f, response="y")
+        assert load_csv(f).columns == ["a", "y"]     # the last column is the response, as before
+
     def test_unknown_response_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1,2\n")

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -1446,12 +1447,21 @@ class TestWorkingSet:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """After every _sync: A holds the held walls' unit normals, P A' = I and P = pinv(A')."""
+        """After every _sync: A holds the held walls' unit normals, P A' = I and P = pinv(A').
+
+        A sync on an unchanged wall table (fresh False) skips the normals' comparison; the full
+        path on copies of its inputs must give the same basis, byte for byte.
+        """
         seen = Counter()
         sync, dense = drlp.solver._sync, drlp.solver.dense_pseudoinverse
 
-        def checked_sync(basis, walls, unit):
-            basis = sync(basis, walls, unit)
+        def checked_sync(basis, walls, unit, fresh):
+            full = None if fresh else sync(copy.deepcopy(basis), walls.copy(), unit.copy(), True)
+            basis = sync(basis, walls, unit, fresh)
+            if full is not None:
+                assert full.owners == basis.owners
+                for a, b in ((full.matrix, basis.matrix), (full.normals, basis.normals), (full.null, basis.null)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert np.array_equal(basis.normals, unit[basis.owners])
             assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
             want = np.linalg.pinv(basis.normals.T)
@@ -1499,14 +1509,14 @@ class TestWorkingSet:
                 super().__init__(*args, **kwargs)
                 states.append(self)
 
-        def checked_sync(basis, walls, unit):
+        def checked_sync(basis, walls, unit, fresh):
             units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
             assert walls.tolist() == units
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
             assert unit.shape[0] == states[-1].net.num_neurons
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
-            return sync(basis, walls, unit)
+            return sync(basis, walls, unit, fresh)
 
         monkeypatch.setattr(drlp.solver, "SolverState", Spied)
         monkeypatch.setattr(drlp.solver, "_sync", checked_sync)
