@@ -161,17 +161,20 @@ def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
     return update_axis_new_region(out, out.m - 1, bend) if bend.any() else out
 
 
-def dense_pseudoinverse(normals: np.ndarray, owners) -> PseudoInverse:
+def dense_pseudoinverse(normals: np.ndarray, owners, null: bool = False) -> PseudoInverse:
     """The basis of the owners' oriented normals (rows of A), P = R^-1 Q' from one QR of A'.
 
     |R_kk| is normal k's distance from the span of the ones before it, as
     add_axis tests: raises Degenerate when it is within DEP_TOL of the
     normal's length for any k, or when there are more normals than inputs.
+    With null, the QR is complete and its last input_dim - m columns are Z.
     """
-    if len(normals) <= normals.shape[1]:
-        q, r = np.linalg.qr(normals.T)
+    if (m := len(normals)) <= normals.shape[1]:
+        q, r = np.linalg.qr(normals.T, mode="complete" if null else "reduced")
         if (np.abs(np.diagonal(r)) > DEP_TOL * np.sqrt(np.einsum("ij,ij->i", normals, normals))).all():
-            return PseudoInverse(np.linalg.solve(r, q.T), normals, list(owners))
+            # contiguous Z: BLAS may round a strided view's products differently
+            return PseudoInverse(np.linalg.solve(r[:m], q[:, :m].T), normals, list(owners),
+                                 np.ascontiguousarray(q[:, m:]) if null else None)
     raise Degenerate("tracked normals are not independent")
 
 

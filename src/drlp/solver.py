@@ -56,7 +56,7 @@ STEP_LIMIT = "StepLimit"
 
 _HUGE_T = 1e15
 STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
-DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|, or held slack to |g|) forcing a rebuild
+DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|, held slack to |g| or to a Newton step) forcing a rebuild
 RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
 DESCENT_TOL = 1e-9         # slope (relative to 1 + |gradient|) that counts as descent
 
@@ -486,33 +486,27 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _sync(basis: PseudoInverse, walls: np.ndarray, unit, fresh: bool = True) -> PseudoInverse:
+def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
     """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
-    Releases walls that left, and, if unit is a fresh table (a flip since
-    the last sync), walls that bent, negating flipped ones; then holds new
-    ones.  With no wall staying, one QR builds it and a complete QR gives
-    Z, or, if the walls are dependent, it holds each from Z = I.
+    Releases walls that left or bent, negates flipped ones and holds new
+    ones; with no wall staying, one complete QR builds it and its Z, or, if
+    the walls are dependent, it holds each from Z = I.
     """
     owners = np.array(basis.owners, dtype=np.intp)
-    keep = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
-    if not keep.any():
+    stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
+    if not stays.any():
         try:
-            basis = dense_pseudoinverse(unit[walls], walls.tolist())
+            return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
         except Degenerate:
             n = unit.shape[1]
             basis = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
-        else:       # contiguous: BLAS may round a strided view's products differently
-            basis.null = np.ascontiguousarray(np.linalg.qr(basis.normals.T, mode="complete")[0][:, basis.m:])
-            return basis
-    else:
-        if fresh:       # a flip negates or bends held normals; on an unchanged table they equal their rows
-            same = keep & (basis.normals == unit[owners]).all(axis=1)
-            flipped = keep & ~same & (basis.normals == -unit[owners]).all(axis=1)
-            basis.matrix[flipped] *= -1.0
-            basis.normals[flipped] *= -1.0
-            keep = same | flipped
-        for i in (~keep).nonzero()[0][::-1]:
+    elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
+        same = stays & (basis.normals == unit[owners]).all(axis=1)
+        flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
+        basis.matrix[flipped] *= -1.0
+        basis.normals[flipped] *= -1.0
+        for i in (~(same | flipped)).nonzero()[0][::-1]:
             basis = remove_pseudorow(basis, i)
     for j in sorted(set(walls.tolist()) - set(basis.owners)):
         with contextlib.suppress(Degenerate):
@@ -525,24 +519,24 @@ def _steps(v, g) -> bool:
     return math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g))
 
 
-def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, fresh=True):
+def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
     """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
     The basis is synced to the ascending walls, whose unit normals are
-    their rows of unit (fresh: a new table, as ``_sync``), then Lawson &
-    Hanson's NNLS (1974) runs to the exact projection by rank-one releases
-    and holds, mu = P g and v = A' mu - g.  From all walls held, every
-    negative multiplier is released at once until none is; then the wall v
-    violates most is held and the multipliers move toward the new ones
-    until the first zero is released.  Given hess, d is the face's Newton
-    step Z (Z'HZ)^-1 Z'v over the face's k free directions Z, a k x k
-    Cholesky test (skipped if convex) and solve, unless it fails, ascends
-    or leaves the cone; then d is v; where no step is taken (``_steps``),
-    no system is formed and d is v.  Returns (v, d, the face's basis,
-    empty if its walls drifted, mu on unit normals by flat unit, regular:
-    independent, converged).
+    their rows of unit, then Lawson & Hanson's NNLS (1974) runs to the
+    exact projection by rank-one releases and holds, mu = P g and
+    v = A' mu - g.  From all walls held, every negative multiplier is
+    released at once until none is; then the wall v violates most is held
+    and the multipliers move toward the new ones until the first zero is
+    released.  Given hess, d is the face's Newton step Z (Z'HZ)^-1 Z'v
+    over the face's k free directions Z, a k x k Cholesky test (skipped if
+    convex) and solve, unless it fails, ascends or leaves the cone; then d
+    is v; where no step is taken (``_steps``), no system is formed and d
+    is v.  Returns (v, d, the face's basis, empty if its walls drifted or
+    if Z did along the Newton step (then d is v), mu on unit normals by
+    flat unit, regular: independent, converged).
     """
-    basis, rows = _sync(basis, walls, unit, fresh), unit[walls]
+    basis, rows = _sync(basis, walls, unit), unit[walls]
     dependent = basis.m < walls.size
     gnorm = math.sqrt(g @ g)
     mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
@@ -582,7 +576,11 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, fresh=Tr
             newton = z @ np.linalg.solve(zhz, z.T @ v)      # may still find zhz singular by roundoff
         except np.linalg.LinAlgError:
             return v, v, face, mu, regular
-        if newton @ g < 0.0 and (rows @ newton >= -1e-12 * math.sqrt(newton @ newton)).all():
+        size = math.sqrt(newton @ newton)
+        # held walls' slack along Z is 0 while A Z = 0; past the tolerance Z has drifted off the face
+        if np.abs(basis.normals @ newton).max(initial=0.0) > DRIFT_REFRESH_TOL * size:
+            return v, v, PseudoInverse.empty(len(g)), mu, regular
+        if newton @ g < 0.0 and (rows @ newton >= -1e-12 * size).all():
             return v, newton, face, mu, regular
     return v, v, face, mu, regular
 
@@ -625,14 +623,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
-        if fresh := state.s is not pattern:      # at the start and after a flip: the wall table
+        if state.s is not pattern:      # at the start and after a flip: the wall table
             pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
             normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
         active = on_walls(args, norms)
         g = grad + q.grad(state.x)
-        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex, fresh)
+        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -650,7 +648,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             return state.finish(NON_REGULAR, neurons=active)
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis = _sync(basis, active, unit, False)
+            basis = _sync(basis, active, unit)
             held = basis.owners
             state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))

@@ -647,6 +647,9 @@ def load_csv_reference(path, response=None) -> RegressionData:
             raise ValueError(f"{path}: response column {response!r} needs a header row")
         if response not in header:
             raise ValueError(f"{path}: no column named {response!r}")
+        if header.count(response) > 1:
+            named = ", ".join(str(j + 1) for j, name in enumerate(header) if name == response)
+            raise ValueError(f"{path}: response {response!r} names columns {named}")
         y_col = header.index(response)
     x_cols = [j for j in range(width) if j != y_col]
     columns = [header[j] for j in x_cols] if header else None

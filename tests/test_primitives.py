@@ -218,6 +218,14 @@ class TestNullSpace:
             assert not pinv.null[pinv.owners].any()
         _assert_null_space(pinv)
 
+    def test_dense_build_takes_z_from_its_qr(self):
+        rng = np.random.Generator(np.random.Philox(9))
+        for m in range(6):
+            normals = rng.standard_normal((m, 5))
+            pinv = dense_pseudoinverse(normals, list(range(m)), null=True)
+            _assert_null_space(pinv)
+            assert_allclose(pinv.matrix, dense_pseudoinverse(normals, list(range(m))).matrix, atol=1e-12)
+
     def test_other_updates_drop_z(self):
         rng = np.random.Generator(np.random.Philox(8))
         pinv = _with_null(5)

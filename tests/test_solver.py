@@ -1,4 +1,3 @@
-import copy
 import json
 import os
 import subprocess
@@ -1447,21 +1446,12 @@ class TestWorkingSet:
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """After every _sync: A holds the held walls' unit normals, P A' = I and P = pinv(A').
-
-        A sync on an unchanged wall table (fresh False) skips the normals' comparison; the full
-        path on copies of its inputs must give the same basis, byte for byte.
-        """
+        """After every _sync: A holds the held walls' unit normals, P A' = I and P = pinv(A')."""
         seen = Counter()
         sync, dense = drlp.solver._sync, drlp.solver.dense_pseudoinverse
 
-        def checked_sync(basis, walls, unit, fresh):
-            full = None if fresh else sync(copy.deepcopy(basis), walls.copy(), unit.copy(), True)
-            basis = sync(basis, walls, unit, fresh)
-            if full is not None:
-                assert full.owners == basis.owners
-                for a, b in ((full.matrix, basis.matrix), (full.normals, basis.normals), (full.null, basis.null)):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        def checked_sync(basis, walls, unit):
+            basis = sync(basis, walls, unit)
             assert np.array_equal(basis.normals, unit[basis.owners])
             assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
             want = np.linalg.pinv(basis.normals.T)
@@ -1509,14 +1499,14 @@ class TestWorkingSet:
                 super().__init__(*args, **kwargs)
                 states.append(self)
 
-        def checked_sync(basis, walls, unit, fresh):
+        def checked_sync(basis, walls, unit):
             units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
             assert walls.tolist() == units
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
             assert unit.shape[0] == states[-1].net.num_neurons
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
-            return sync(basis, walls, unit, fresh)
+            return sync(basis, walls, unit)
 
         monkeypatch.setattr(drlp.solver, "SolverState", Spied)
         monkeypatch.setattr(drlp.solver, "_sync", checked_sync)
@@ -1869,6 +1859,18 @@ class TestFeasibleDirection:
                 assert np.max(np.abs(d - want)) <= 1e-8 * (1.0 + np.linalg.norm(want))
                 assert want @ g < 0.0 and slack >= -1e-11 * np.linalg.norm(want)
         assert newton > 50
+
+    def test_drifted_null_space_empties_the_face(self):
+        # the face's basis comes back as it went in; with A Z pushed off 0 it comes back empty
+        rng = np.random.Generator(np.random.Philox(35))
+        normals = rng.standard_normal((2, 5))
+        unit = normals / np.linalg.norm(normals, axis=1)[:, None]
+        g, hess, walls = unit.T @ np.array([1.0, 2.0]) - 0.1 * rng.standard_normal(5), np.eye(5), np.arange(2)
+        face = drlp.solver._feasible_direction(g, unit, walls, PseudoInverse.empty(5), hess)[2]
+        assert face.owners == [0, 1] and face.null.shape == (5, 3)
+        assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == [0, 1]
+        face.null[:, 0] += 1e-6 * unit[0]
+        assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == []
 
 
 class TestCertifyPoint:
