@@ -11,7 +11,7 @@ from math import comb, isfinite, nan
 
 import numpy as np
 
-from .network import ReluNetwork, require_int
+from .network import ReluNetwork, require_int, require_seed
 
 
 def _check_topology(topology):
@@ -107,7 +107,7 @@ def count_regions_empirical(
         raise ValueError(f"samples must be >= 0; got {samples}")
     if (chunk := require_int("chunk", chunk)) < 1:
         raise ValueError(f"chunk must be >= 1; got {chunk}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(require_seed(seed)))
     maps = [np.column_stack((w, b)) for w, b in zip(net.weights[:-1], net.biases[:-1])]
     z = np.ones((net.input_dim + net.depth + net.num_neurons, chunk))
     # unit j: bit row j + its layer's index, weight 2**(j % 24) in float32 row j // 24;

@@ -58,6 +58,13 @@ def require_int(name: str, v) -> int:
     raise ValueError(f"{name}: {v!r} is not an integer")
 
 
+def require_seed(seed) -> int:
+    """require_int("seed", seed), also raising ValueError below 0: numpy seeds only from nonnegative integers."""
+    if (k := require_int("seed", seed)) < 0:
+        raise ValueError(f"seed must be nonnegative, got {k}")
+    return k
+
+
 class ReluNetwork:
     """Weights and biases of a feed-forward ReLU network.
 

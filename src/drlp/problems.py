@@ -82,9 +82,18 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     return ReluNetwork(weights, biases)
 
 
-def _check_lam(lam):
-    if not 0.0 <= lam < np.inf:      # also false for nan
+def _check_lam_alpha(lam, alpha=0.5):
+    if not 0.0 <= alpha <= 1.0:      # also false for nan
+        raise ValueError("alpha must lie in [0, 1]")
+    if not 0.0 <= lam < np.inf:
         raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+
+
+def _theta(theta, size: int) -> np.ndarray:
+    """theta as a float vector of length size; raises ValueError naming theta otherwise."""
+    if (theta := np.asarray(theta, dtype=np.float64)).shape != (size,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({size},)")
+    return theta
 
 
 def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 0.0):
@@ -96,9 +105,7 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
     lam * |theta_j| per coefficient (never the intercept).  Each residual,
     then each penalized coefficient, is one two-slope unit; returns (net, PairGroups()).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    _check_lam(lam)
+    _check_lam_alpha(lam, alpha)
     n, p = data.n, data.p
     m = p if lam > 0.0 else 0          # penalty units, none for the intercept
     w1 = np.eye(n + m, p + 1, 1 - n)    # penalty row j is e_(j+1)
@@ -111,8 +118,9 @@ def build_quantile_lasso(data: RegressionData, alpha: float = 0.5, lam: float = 
 
 
 def quantile_loss(data: RegressionData, theta, alpha: float = 0.5, lam: float = 0.0) -> float:
-    """Direct evaluation of the quantile + L1 objective (intercept first)."""
-    theta = np.asarray(theta, dtype=np.float64)
+    """Direct evaluation of the quantile + L1 objective (intercept first); alpha and lam as the builder takes them."""
+    _check_lam_alpha(lam, alpha)
+    theta = _theta(theta, data.p + 1)
     r = data.y - (theta[0] + data.x @ theta[1:])
     rho = alpha * np.maximum(r, 0.0) + (1.0 - alpha) * np.maximum(-r, 0.0)
     return float(np.sum(rho) + lam * np.sum(np.abs(theta[1:])))
@@ -134,7 +142,7 @@ def build_clad(data: RegressionData):
 
 def clad_loss(data: RegressionData, theta) -> float:
     """Direct evaluation of the censored LAD objective."""
-    fit = np.maximum(data.x @ np.asarray(theta, dtype=np.float64), 0.0)
+    fit = np.maximum(data.x @ _theta(theta, data.p), 0.0)
     return float(np.sum(np.abs(data.y - fit)))
 
 
@@ -176,9 +184,7 @@ def flatten_first_layer(base: ReluNetwork) -> np.ndarray:
 def set_first_layer(base: ReluNetwork, theta) -> ReluNetwork:
     """Copy of base with its first layer replaced by the flattened theta."""
     n1, n0 = base.weights[0].shape
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (n1 * (n0 + 1),):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({n1 * (n0 + 1)},)")
+    theta = _theta(theta, n1 * (n0 + 1))
     weights = [w.copy() for w in base.weights]
     biases = [b.copy() for b in base.biases]
     weights[0] = theta[: n1 * n0].reshape(n1, n0)
@@ -201,7 +207,7 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
     """
     if not data.p:
         raise ValueError("lasso needs at least one feature column besides the response; the data has none")
-    _check_lam(lam)
+    _check_lam_alpha(lam)
     p = data.p
     q = QuadraticObjective(
         quad=data.x.T @ data.x,
@@ -213,8 +219,9 @@ def build_lasso(data: RegressionData, lam: float = 0.0):
 
 
 def lasso_loss(data: RegressionData, theta, lam: float = 0.0) -> float:
-    """Direct evaluation of |y - X theta|^2 + lam * |theta|_1."""
-    theta = np.asarray(theta, dtype=np.float64)
+    """Direct evaluation of |y - X theta|^2 + lam * |theta|_1; lam as build_lasso takes it."""
+    _check_lam_alpha(lam)
+    theta = _theta(theta, data.p)
     r = data.y - data.x @ theta
     return float(r @ r + lam * np.sum(np.abs(theta)))
 

@@ -34,6 +34,7 @@ from .network import (
     output,
     require_finite,
     require_int,
+    require_seed,
     subjective_arguments,
 )
 from .primitives import (
@@ -74,6 +75,7 @@ class SolverOptions:
         if (steps := require_int("max_steps", self.max_steps)) < 0:
             raise ValueError(f"max_steps must be nonnegative, got {steps}")
         self.max_steps = steps
+        self.seed = self.seed if isinstance(self.seed, np.random.Generator) else require_seed(self.seed)
         if not (self.on_record is None or callable(self.on_record)):
             raise ValueError(f"on_record must be callable or None, got {self.on_record!r}")
 
@@ -604,7 +606,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     iff its multiplier mu_k on the unit normal exceeds the BVLS bound
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
     one is flipped, one step, and the descent goes on across it.  With
-    none, x is a local minimum; dependent walls end NonRegular.  Like
+    none, x is a local minimum; dependent walls end NonRegular.  Independent
+    walls through x0 are priced so once before the first step, and x0 takes
+    the far side of every last-layer wall whose crossing edge descends more
+    steeply than its inside edge, as the LASSO homotopy picks its signs
+    (Osborne, Presnell & Turlach 2000): no step and no record.  Like
     drlsimplex, it runs on ``pairs.fold(net)`` and names its units.
     """
     net = pairs.fold(net)
@@ -630,6 +636,16 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
         active = on_walls(args, norms)
         g = grad + q.grad(state.x)
+        if not (state.steps or basis.m) and active.size:    # x0 on walls: the start side of each, priced once
+            with contextlib.suppress(Degenerate):       # dependent walls keep activation_pattern's side
+                basis = dense_pseudoinverse(unit[active], active.tolist(), True)     # _sync keeps it, and its Z
+                rows = PseudoInverse(basis.matrix / norms[active, None], normals[active], active.tolist())
+                vals = axis_derivatives(rows, g, *crossing_terms(net, state.s, active))[1].reshape(2, -1)
+                turn = active[(vals[1] < -DESCENT_TOL * (1.0 + math.sqrt(g @ g))) & (vals[1] < vals[0])
+                              & (active >= net.offsets[-2])]     # an earlier layer's flip bends other walls
+                if turn.size:       # a side, not a step: x, steps and the trace stay
+                    state.s = flip(state.s, turn)
+                    continue
         v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestEmpirical:
             with pytest.raises(ValueError, match=f"samples: {samples!r} is not an integer"):
                 count_regions_empirical(net_fold_sum, samples=samples)
         assert count_regions_empirical(net_fold_sum, samples=300.0) == count_regions_empirical(net_fold_sum, samples=300)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (1.5, "seed: 1.5 is not an integer"),
+        ("3", "seed: '3' is not an integer"),
+    ])
+    def test_bad_seed_rejected(self, net_fold_sum, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count_regions_empirical(net_fold_sum, samples=100, seed=seed)
+        assert count_regions_empirical(net_fold_sum, samples=300, seed=5.0) == \
+            count_regions_empirical(net_fold_sum, samples=300, seed=5)
 
     def test_monotone_in_samples(self, net_fold_sum):
         counts = [

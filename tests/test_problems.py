@@ -78,6 +78,32 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"penalty must be finite and positive, got {penalty}"):
             build_from_lp(lp, penalty=penalty)
 
+    @pytest.mark.parametrize("loss, kwargs, message", [
+        (quantile_loss, {"alpha": -0.5}, r"alpha must lie in \[0, 1\]"),
+        (quantile_loss, {"alpha": 2.0}, r"alpha must lie in \[0, 1\]"),
+        (quantile_loss, {"alpha": np.nan}, r"alpha must lie in \[0, 1\]"),
+        (quantile_loss, {"lam": -2.0}, "lam must be finite and nonnegative, got -2.0"),
+        (lasso_loss, {"lam": -1.0}, "lam must be finite and nonnegative, got -1.0"),
+        (lasso_loss, {"lam": np.nan}, "lam must be finite and nonnegative, got nan"),
+        (lasso_loss, {"lam": np.inf}, "lam must be finite and nonnegative, got inf"),
+    ])
+    def test_reference_losses_take_what_the_builders_take(self, loss, kwargs, message):
+        # a loss that scored a weight its builder refuses would check a network nobody can build
+        data, theta = _data(1, 6, 2), np.zeros(3 if loss is quantile_loss else 2)
+        with pytest.raises(ValueError, match=message):
+            loss(data, theta, **kwargs)
+        build = build_quantile_lasso if loss is quantile_loss else build_lasso
+        with pytest.raises(ValueError, match=message):
+            build(data, **kwargs)
+
+    @pytest.mark.parametrize("loss, size", [(quantile_loss, 3), (lasso_loss, 2), (clad_loss, 2)])
+    def test_reference_losses_name_a_theta_of_the_wrong_length(self, loss, size):
+        data = _data(1, 6, 2)
+        for theta in (np.zeros(size + 1), np.zeros(size - 1), np.zeros((1, size))):
+            with pytest.raises(ValueError, match=re.escape(f"theta has shape {theta.shape}, expected ({size},)")):
+                loss(data, theta)
+        assert loss(data, [0.0] * size) == loss(data, np.zeros(size))
+
     def test_random_topology_widths_must_be_integers(self):
         # int() would read 2.7 as 2 and build a (2, 3, 1) net
         for topology, bad in (((2.7, 3, 1), "2.7"), ((2, "3", 1), "'3'")):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -279,6 +280,25 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="max_steps must be nonnegative, got -1"):
             SolverOptions(max_steps=-1)
         assert SolverOptions(max_steps=3.0).max_steps == 3 and type(SolverOptions(max_steps=3.0).max_steps) is int
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (1.5, "seed: 1.5 is not an integer"),
+        ("3", "seed: '3' is not an integer"),
+        (None, "seed: None is not an integer"),
+    ])
+    def test_bad_seed_rejected_where_it_enters(self, seed, message):
+        # numpy would refuse it only once a solve seeds its generator, naming no argument
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolverOptions(seed=seed)
+
+    def test_seed_is_a_generator_or_a_nonnegative_integer(self):
+        rng = np.random.Generator(np.random.Philox(4))
+        assert SolverOptions(seed=rng).make_rng() is rng
+        for seed in (7, 7.0, np.int64(7)):
+            opts = SolverOptions(seed=seed)
+            assert type(opts.seed) is int and opts.seed == 7
+            assert opts.make_rng().standard_normal() == np.random.Generator(np.random.Philox(7)).standard_normal()
 
 
 class TestChooseAxis:
@@ -925,7 +945,7 @@ class TestStepArguments:
             net, pairs, start = _train_l1_problem(20, 1)
             yield net, None, drlsimplex(net, start, SolverOptions(seed=0), pairs)
             return
-        for seed in range(4):
+        for seed in range(8 if problem == "lasso" else 4):     # lasso from zero takes few steps
             rng = np.random.Generator(np.random.Philox(seed))
             x = rng.standard_normal((60, 3))
             data = RegressionData(x, 1.0 + x @ [1.0, -0.5, 0.25] + rng.laplace(size=60))
@@ -1168,18 +1188,21 @@ class TestQuadratic:
 
     def test_degenerate_vertex_returns_a_status(self):
         # censored LAD through the origin: all 60 first-layer walls meet at
-        # theta = 0, in three dimensions, so the start is left NonRegular
-        rng = np.random.Generator(np.random.Philox(22))
-        x = rng.standard_normal((60, 3))
-        y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
-        net, pairs = build_clad(RegressionData(x, y))
-        folded, kept = pairs.fold(net), folded_units(net, pairs)
-        walls, _ = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
-        assert len(walls) == 60
-        q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
-        out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
-        assert out.status == NON_REGULAR and out.steps == 0
-        assert out.neurons == kept[walls].tolist() and all(type(c) is int for c in out.neurons)
+        # theta = 0, in three dimensions, so the start is left NonRegular; dependent
+        # walls have no start side to price, so x0 and its pattern stay as they are
+        for seed in (22, *range(20)):
+            rng = np.random.Generator(np.random.Philox(seed))
+            x = rng.standard_normal((60, 3))
+            y = np.maximum(x @ np.array([1.0, -0.5, 0.8]), 0.0) + 0.2 * rng.standard_normal(60)
+            net, pairs = build_clad(RegressionData(x, y))
+            folded, kept = pairs.fold(net), folded_units(net, pairs)
+            walls, _ = critical_indices(folded, activation_pattern(folded, np.zeros(3)), np.zeros(3))
+            assert len(walls) == 60
+            q = QuadraticObjective(0.01 * np.eye(3), np.zeros(3))
+            out = solve_quadratic(net, q, np.zeros(3), SolverOptions(seed=0, max_steps=500), pairs)
+            assert (out.status, out.steps, out.trace) == (NON_REGULAR, 0, []), seed
+            assert out.x.tobytes() == np.zeros(3).tobytes() and out.f == evaluate(net, np.zeros(3))
+            assert out.neurons == kept[walls].tolist() and all(type(c) is int for c in out.neurons)
 
     @pytest.mark.parametrize("quad, lin, const, message", [
         (np.ones(2), np.ones(2), 0.0, "quad must be a square matrix; got shape (2,)"),
@@ -1314,10 +1337,82 @@ class TestCertificate:
         resid, _, _ = _certificate_residual_at(*reference, nudged, out.x)
         assert resid >= 0.005 * lam
         again = solve_quadratic(net, nudged, out.x, SolverOptions(seed=0), pairs)
-        assert (again.trace[0].phase, again.trace[0].neuron) == ("flip", c)
+        # out.x sits on the wall, so the start takes its far side: the first step already
+        # moves theta_j below zero, and no certification has to flip c
+        assert again.trace[0].phase == "pivot" and again.trace[0].x[j] < 0.0
+        assert not [r for r in again.trace if (r.phase, r.neuron) == ("flip", c)]
         assert again.status == LOCAL_MINIMUM
         assert again.x[j] < 0.0
         assert again.f < nudged.value(out.x) + evaluate(net, out.x)
+
+
+def _solve_with_start_side(net, q, x0, options, pairs=PairGroups()):
+    """(outcome, the pattern at its first _sync): the side of each wall through x0 the solve starts on."""
+    states, sides, sync = [], [], drlp.solver._sync
+
+    class Spied(SolverState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    def spy(basis, walls, unit):
+        sides.append(states[-1].s.copy())
+        return sync(basis, walls, unit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(drlp.solver, "SolverState", Spied)
+        mp.setattr(drlp.solver, "_sync", spy)
+        out = solve_quadratic(net, q, x0, options, pairs)
+    return out, sides[0]
+
+
+class TestStartSide:
+    """solve_quadratic prices the walls through x0 once and starts across each descending last-layer one."""
+
+    def test_bench_lasso_starts_across_exactly_the_walls_with_lin_above_lam(self):
+        # at theta = 0 each |theta_j| takes its bit-1 side, slope lam + lin_j along theta_j > 0;
+        # across its wall the slope is lam - lin_j, which descends, and more steeply, iff lin_j > lam
+        crossed = 0
+        for k in range(18):
+            data, lam = _bench_lasso_problem(k)
+            net, q, pairs = build_lasso(data, lam)
+            assert np.min(np.abs(q.lin - lam)) > 1e-6 * lam      # no coordinate within the descent tolerance
+            out, side = _solve_with_start_side(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            assert out.status == LOCAL_MINIMUM
+            assert np.flatnonzero(side == 0).tolist() == np.flatnonzero(q.lin > lam).tolist(), k
+            crossed += int(np.count_nonzero(q.lin > lam))
+        assert crossed >= 18
+
+    def test_bench_lasso_ends_where_a_start_off_every_wall_ends(self, bench_lasso_solves):
+        # a start off every wall has nothing to price, so it takes the path without the start rule
+        for k, (net, q, pairs, out) in enumerate(bench_lasso_solves):
+            x0 = np.random.Generator(np.random.Philox(100 + k)).standard_normal(40)
+            assert not critical_indices(net, activation_pattern(net, x0), x0)[0]
+            off = solve_quadratic(net, q, x0, SolverOptions(seed=k), pairs)
+            assert (out.status, off.status) == (LOCAL_MINIMUM, LOCAL_MINIMUM)
+            assert abs(out.f - off.f) <= 1e-12 * abs(off.f), (k, out.f - off.f)
+
+    def test_deep_net_keeps_an_earlier_layer_walls_bit(self):
+        # f = relu(x1) + 1 + relu(x2) + |x|^2 / 2 - 2 x1 - 3 x2 near 0 through two hidden layers:
+        # x0 = 0 is on unit 0's first-layer wall x1 = 0 and on unit 3's last-layer wall x2 = 0,
+        # both at bit 0, and crossing either descends more steeply than its inside edge
+        net = ReluNetwork([np.eye(2), np.eye(2), np.ones((1, 2))],
+                          [np.array([0.0, 5.0]), np.array([1.0, -5.0]), np.zeros(1)])
+        q = QuadraticObjective(0.5 * np.eye(2), np.array([-2.0, -3.0]))
+        x0 = np.zeros(2)
+        s = activation_pattern(net, x0)
+        walls, normals = critical_indices(net, s, x0)
+        g = gradient(net, s) + q.grad(x0)
+        inside, across = axis_derivatives(dense_pseudoinverse(normals, walls), g,
+                                          *crossing_terms(net, s, walls))[1].reshape(2, -1)
+        assert s.tolist() == [0, 1, 1, 0] and walls == [0, 3] and (across < np.minimum(inside, 0.0)).all()
+        out, side = _solve_with_start_side(net, q, x0, SolverOptions(seed=0))
+        # unit 3 starts across its wall; unit 0 keeps its bit until the certificate flips it
+        assert side.tolist() == [0, 1, 1, 1]
+        assert [(r.phase, r.neuron) for r in out.trace if r.phase == "flip"] == [("flip", 0)]
+        assert out.status == LOCAL_MINIMUM
+        assert_allclose(out.x, [1.0, 2.0], atol=1e-12)
+        assert out.f == pytest.approx(-1.5, abs=1e-12)
 
 
 class TestCrossingCertificate:
@@ -1506,12 +1601,16 @@ class TestWorkingSet:
             assert unit.shape[0] == states[-1].net.num_neurons
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
+            seen["synced", states[-1].s.tobytes()] += 1
             return sync(basis, walls, unit)
+
+        def counted(net, s):
+            seen.update(["normal_matrices", ("swept", s.tobytes())])
+            return normal_matrices(net, s)
 
         monkeypatch.setattr(drlp.solver, "SolverState", Spied)
         monkeypatch.setattr(drlp.solver, "_sync", checked_sync)
-        monkeypatch.setattr(drlp.solver, "normal_matrices",
-                            lambda *a: seen.update(["normal_matrices"]) or normal_matrices(*a))
+        monkeypatch.setattr(drlp.solver, "normal_matrices", counted)
         return seen
 
     def test_bench_lasso_walls_are_critical_indices(self, bench_lasso_solves, walls_checked):
@@ -1525,15 +1624,28 @@ class TestWorkingSet:
         outs = [out for *_, out in _random_net_corpus()]
         assert walls_checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
 
+    @staticmethod
+    def _one_table_per_pattern(seen, x0_pattern):
+        """The patterns swept for a wall table are x0's and those the solve synced at, each swept once."""
+        swept = {key[1]: n for key, n in seen.items() if key[0] == "swept"}
+        assert set(swept.values()) == {1}
+        assert set(swept) == {key[1] for key in seen if key[0] == "synced"} | {x0_pattern.tobytes()}
+
     def test_one_wall_table_per_pattern(self, bench_lasso_solves, walls_checked):
-        # the normals are swept at the start and after each certification flip, never per step
+        # the normals are swept for x0's pattern, for the start's side when it crosses a wall
+        # through x0, and after each certification flip, never per step
         outs = []
         for k, (net, q, pairs, _) in enumerate(bench_lasso_solves):
             walls_checked.clear()
             outs.append(solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs))
-            assert walls_checked["normal_matrices"] == 1 + sum(r.phase == "flip" for r in outs[-1].trace)
+            self._one_table_per_pattern(walls_checked, activation_pattern(net, np.zeros(40)))
+            # every bench LASSO start has some lin_j > lam, so it starts across that wall
+            assert walls_checked["normal_matrices"] == 2 + sum(r.phase == "flip" for r in outs[-1].trace)
         walls_checked.clear()
-        for *_, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
+        for _, seed, net, _, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
+            rng = np.random.Generator(np.random.Philox(seed))
+            rng.standard_normal((net.input_dim, net.input_dim))     # x0 follows the quadratic's draw
+            self._one_table_per_pattern(walls_checked, activation_pattern(net, rng.standard_normal(net.input_dim)))
             assert walls_checked["normal_matrices"] == 1 + sum(r.phase == "flip" for r in out.trace)
             walls_checked.clear()
             outs.append(out)
