@@ -60,6 +60,9 @@ STEP_ACCEPT_TOL = 1e-9     # how negative a crossing step may be
 DRIFT_REFRESH_TOL = 1e-9   # wall residual (relative to |x|, held slack to |g| or to a Newton step) forcing a rebuild
 RESYNC_TOL = 1e-5          # how stale a pattern bit may be and still be repaired
 DESCENT_TOL = 1e-9         # slope (relative to 1 + |gradient|) that counts as descent
+STEP_TOL = 1e-10           # projection (relative to 1 + |g|) solve_quadratic steps along; < DESCENT_TOL, so a
+                           # descending inside edge, whose projection is that long, is stepped along, not re-priced
+RELEASE_TOL = 1e-12        # multiplier (relative to 1 + |g|) below which solve_quadratic releases a wall
 
 
 @dataclass
@@ -488,29 +491,35 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
+def _sync(basis: PseudoInverse, walls: np.ndarray, unit, joined=None) -> PseudoInverse:
     """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
-    Releases walls that left or bent, negates flipped ones and holds new
-    ones; with no wall staying, one complete QR builds it and its Z, or, if
-    the walls are dependent, it holds each from Z = I.
+    Given joined, the walls that came since the basis was made or synced and
+    no other change but releases (none for the start's first face, or a
+    step's only new wall), holds each and compares nothing.  Otherwise it
+    releases walls that left or bent, negates flipped ones and holds new
+    ones; with no wall staying or no Z (none yet, or a drifted face), one
+    complete QR builds it and its Z, or, if the walls are dependent, it
+    holds each from Z = I.
     """
-    owners = np.array(basis.owners, dtype=np.intp)
-    stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
-    if not stays.any():
-        try:
-            return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
-        except Degenerate:
-            n = unit.shape[1]
-            basis = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
-    elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
-        same = stays & (basis.normals == unit[owners]).all(axis=1)
-        flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
-        basis.matrix[flipped] *= -1.0
-        basis.normals[flipped] *= -1.0
-        for i in (~(same | flipped)).nonzero()[0][::-1]:
-            basis = remove_pseudorow(basis, i)
-    for j in sorted(set(walls.tolist()) - set(basis.owners)):
+    if joined is None or basis.null is None:
+        owners = np.array(basis.owners, dtype=np.intp)
+        stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
+        if basis.null is None or not stays.any():
+            try:
+                return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
+            except Degenerate:
+                n = unit.shape[1]
+                basis = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
+        elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
+            same = stays & (basis.normals == unit[owners]).all(axis=1)
+            flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
+            basis.matrix[flipped] *= -1.0
+            basis.normals[flipped] *= -1.0
+            for i in (~(same | flipped)).nonzero()[0][::-1]:
+                basis = remove_pseudorow(basis, i)
+        joined = sorted(set(walls.tolist()) - set(basis.owners))
+    for j in joined:
         with contextlib.suppress(Degenerate):
             basis = add_axis(basis, unit[j], j)
     return basis
@@ -518,16 +527,17 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
 
 def _steps(v, g) -> bool:
     """Whether solve_quadratic steps from a projection v of -g; if not, it certifies x."""
-    return math.sqrt(v @ v) > 1e-10 * (1.0 + math.sqrt(g @ g))
+    return math.sqrt(v @ v) > STEP_TOL * (1.0 + math.sqrt(g @ g))
 
 
-def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
+def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, joined=None):
     """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
     The basis is synced to the ascending walls, whose unit normals are
-    their rows of unit, then Lawson & Hanson's NNLS (1974) runs to the
+    their rows of unit (``_sync``, told the walls that joined when the
+    caller knows them), then Lawson & Hanson's NNLS (1974) runs to the
     exact projection by rank-one releases and holds, mu = P g and
-    v = A' mu - g.  From all walls held, every negative multiplier is
+    v = A' mu - g.  From the synced face, every negative multiplier is
     released at once until none is; then the wall v violates most is held
     and the multipliers move toward the new ones until the first zero is
     released.  Given hess, d is the face's Newton step Z (Z'HZ)^-1 Z'v
@@ -536,17 +546,18 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False):
     is v; where no step is taken (``_steps``), no system is formed and d
     is v.  Returns (v, d, the face's basis, empty if its walls drifted or
     if Z did along the Newton step (then d is v), mu on unit normals by
-    flat unit, regular: independent, converged).
+    flat unit, regular: the walls it meant to hold independent, converged).
     """
-    basis, rows = _sync(basis, walls, unit), unit[walls]
-    dependent = basis.m < walls.size
+    holds = walls.size if joined is None else basis.m + len(joined)     # the face the sync means to hold
+    basis, rows = _sync(basis, walls, unit, joined), unit[walls]
+    dependent = basis.m < holds
     gnorm = math.sqrt(g @ g)
     mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
     for _ in range(4 * walls.size + 1):     # bounds cycling by roundoff
         held = np.array(basis.owners, dtype=np.intp)
         lam = basis.matrix @ g
         v = basis.normals.T @ lam - g
-        if (release := lam < -1e-12 * (1.0 + gnorm)).any():
+        if (release := lam < -RELEASE_TOL * (1.0 + gnorm)).any():
             if mu is not None:
                 old = mu[held]
                 ratio = np.full(held.size, np.inf)
@@ -610,8 +621,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     walls through x0 are priced so once before the first step, and x0 takes
     the far side of every last-layer wall whose crossing edge descends more
     steeply than its inside edge, as the LASSO homotopy picks its signs
-    (Osborne, Presnell & Turlach 2000): no step and no record.  Like
-    drlsimplex, it runs on ``pairs.fold(net)`` and names its units.
+    (Osborne, Presnell & Turlach 2000): no step and no record.  The other
+    walls whose multipliers NNLS keeps are the first face, one QR; a step
+    that meets only its stop wall holds it, one add_axis, and any other
+    change of walls syncs the face in full.  Like drlsimplex, it runs on
+    ``pairs.fold(net)`` and names its units.
     """
     net = pairs.fold(net)
     if q.lin.shape != (net.input_dim,):
@@ -625,7 +639,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         convex = np.linalg.cholesky(q.hess) is not None
     except np.linalg.LinAlgError:
         convex = False
-    out = pattern = None
+    out = pattern = joined = None     # joined: the walls that came since basis was synced, when known
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
@@ -634,19 +648,22 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
             norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
-        active = on_walls(args, norms)
+            active = on_walls(args, norms)
         g = grad + q.grad(state.x)
-        if not (state.steps or basis.m) and active.size:    # x0 on walls: the start side of each, priced once
+        if not state.steps and joined is None and active.size:    # x0 on walls: the start side of each, priced once
             with contextlib.suppress(Degenerate):       # dependent walls keep activation_pattern's side
-                basis = dense_pseudoinverse(unit[active], active.tolist(), True)     # _sync keeps it, and its Z
+                basis = dense_pseudoinverse(unit[active], active.tolist())
                 rows = PseudoInverse(basis.matrix / norms[active, None], normals[active], active.tolist())
                 vals = axis_derivatives(rows, g, *crossing_terms(net, state.s, active))[1].reshape(2, -1)
-                turn = active[(vals[1] < -DESCENT_TOL * (1.0 + math.sqrt(g @ g))) & (vals[1] < vals[0])
-                              & (active >= net.offsets[-2])]     # an earlier layer's flip bends other walls
-                if turn.size:       # a side, not a step: x, steps and the trace stay
-                    state.s = flip(state.s, turn)
+                turn = ((vals[1] < -DESCENT_TOL * (1.0 + math.sqrt(g @ g))) & (vals[1] < vals[0])
+                        & (active >= net.offsets[-2]))     # an earlier layer's flip bends other walls
+                # the first face: the walls NNLS keeps; a last-layer turn moves no other wall's mu
+                face = active[~turn & (basis.matrix @ g >= -RELEASE_TOL * (1.0 + math.sqrt(g @ g)))]
+                basis, joined = dense_pseudoinverse(unit[face], face.tolist(), True), []
+                if turn.any():       # a side, not a step: x, steps and the trace stay
+                    state.s = flip(state.s, active[turn])
                     continue
-        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex)
+        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex, joined)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -660,11 +677,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0, step=res)
+            # the face gains the stop wall, if any, unless the step met another wall or kept a released one
+            active, joined = on_walls(args, norms), [res.neuron] if t == t_max else []
+            joined = joined if np.array_equal(active, sorted(basis.owners + joined)) else None
         elif not regular:
             return state.finish(NON_REGULAR, neurons=active)
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis = _sync(basis, active, unit)
+            basis, joined = _sync(basis, active, unit), None
             held = basis.owners
             state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
             out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))

@@ -1176,6 +1176,27 @@ class TestQuadratic:
         assert out.x.tolist() == [0.0, 0.0] and out.steps == 0 and out.trace == []
         assert out.neurons == [0, 1, 2] and all(type(c) is int for c in out.neurons)
 
+    def test_step_that_meets_two_walls_holds_both(self, monkeypatch):
+        # relu(x1 - 1) + relu(x2 - 1) + |x - 3|^2 from 0: the Newton step reaches both walls at
+        # x = (1, 1) at once, so the face is synced in full, not just given the stop wall
+        net = ReluNetwork([np.eye(2), np.ones((1, 2))], [-np.ones(2), np.zeros(1)])
+        q = QuadraticObjective(np.eye(2), np.full(2, -6.0), 18.0)
+        synced, sync = [], drlp.solver._sync
+        monkeypatch.setattr(drlp.solver, "_sync", lambda basis, walls, unit, joined=None: synced.append(
+            (walls.tolist(), joined)) or sync(basis, walls, unit, joined))
+        out = solve_quadratic(net, q, [0.0, 0.0])
+        assert [(r.phase, r.neuron) for r in out.trace][:1] == [("pivot", 0)]
+        assert out.trace[0].x == (1.0, 1.0) and synced[1] == ([0, 1], None)
+        assert out.status == LOCAL_MINIMUM
+        assert_allclose(out.x, [2.5, 2.5], atol=1e-12)
+
+    def test_step_tolerance_is_below_descent_tolerance(self):
+        # an inside edge that certify_local_min finds descending, below -DESCENT_TOL (1 + |g|),
+        # makes a projection that long; the pass after it steps, so the loop cannot stall
+        assert drlp.solver.STEP_TOL < drlp.solver.DESCENT_TOL
+        g = np.array([3.0, 4.0])
+        assert drlp.solver._steps(np.array([0.0, 6.0 * drlp.solver.DESCENT_TOL]), g)
+
     def test_wall_outside_last_layer_is_priced(self):
         # 2 relu(relu(x) + 1) + x^2 - x is least at x = 0, the first-layer
         # wall, whose crossing gain 2 comes from crossing_terms: no flip
@@ -1355,9 +1376,9 @@ def _solve_with_start_side(net, q, x0, options, pairs=PairGroups()):
             super().__init__(*args, **kwargs)
             states.append(self)
 
-    def spy(basis, walls, unit):
+    def spy(basis, walls, unit, joined=None):
         sides.append(states[-1].s.copy())
-        return sync(basis, walls, unit)
+        return sync(basis, walls, unit, joined)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "SolverState", Spied)
@@ -1545,8 +1566,8 @@ class TestWorkingSet:
         seen = Counter()
         sync, dense = drlp.solver._sync, drlp.solver.dense_pseudoinverse
 
-        def checked_sync(basis, walls, unit):
-            basis = sync(basis, walls, unit)
+        def checked_sync(basis, walls, unit, joined=None):
+            basis = sync(basis, walls, unit, joined)
             assert np.array_equal(basis.normals, unit[basis.owners])
             assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
             want = np.linalg.pinv(basis.normals.T)
@@ -1566,7 +1587,48 @@ class TestWorkingSet:
             out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
             assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
             assert checked["syncs"] >= out.steps
-            assert checked["rebuilds"] == 1
+            # the start's walls, priced, and its first face; no step rebuilds
+            assert checked["rebuilds"] == 2
+
+    def test_bench_lasso_face_changes_by_one_update(self, bench_lasso_solves, monkeypatch):
+        # the start pricing hands the first projection its face, so it releases no wall; a step
+        # that stops at one wall and meets no other holds it with one add_axis, and nothing else
+        seen, states = [(None, None, Counter())], []     # per _sync: its caller, the record before it, counts
+        sync = drlp.solver._sync
+
+        class Spied(SolverState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                states.append(self)
+
+        def spied_sync(*args):
+            trace = states[-1].trace
+            seen.append((sys._getframe(1).f_code.co_name, trace[-1] if trace else None, Counter()))
+            return sync(*args)
+
+        def counted(update):
+            def wrapper(*args):
+                seen[-1][2][update.__name__, sys._getframe(1).f_code.co_name] += 1
+                return update(*args)
+            return wrapper
+
+        monkeypatch.setattr(drlp.solver, "SolverState", Spied)
+        monkeypatch.setattr(drlp.solver, "_sync", spied_sync)
+        for name in ("add_axis", "remove_pseudorow", "dense_pseudoinverse"):
+            monkeypatch.setattr(drlp.solver, name, counted(getattr(drlp.solver, name)))
+        stops = 0
+        for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
+            del seen[1:]
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
+            (caller, before, first), *later = seen[1:]
+            assert (caller, before) == ("_feasible_direction", None)
+            assert not first, (k, first)       # its sync and its NNLS neither build, hold nor release
+            for caller, before, counts in later:
+                if caller == "_feasible_direction" and before.phase == "pivot" and before.neuron is not None:
+                    assert {key: n for key, n in counts.items() if key[1] == "_sync"} == {("add_axis", "_sync"): 1}
+                    stops += 1
+        assert stops >= 150
 
     def test_random_net_corpus_rows_match_dense(self, checked):
         outs = [out for *_, out in _random_net_corpus()]
@@ -1594,7 +1656,7 @@ class TestWorkingSet:
                 super().__init__(*args, **kwargs)
                 states.append(self)
 
-        def checked_sync(basis, walls, unit):
+        def checked_sync(basis, walls, unit, joined=None):
             units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
             assert walls.tolist() == units
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
@@ -1602,7 +1664,7 @@ class TestWorkingSet:
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
             seen["synced", states[-1].s.tobytes()] += 1
-            return sync(basis, walls, unit)
+            return sync(basis, walls, unit, joined)
 
         def counted(net, s):
             seen.update(["normal_matrices", ("swept", s.tobytes())])
@@ -1983,6 +2045,8 @@ class TestFeasibleDirection:
         assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == [0, 1]
         face.null[:, 0] += 1e-6 * unit[0]
         assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == []
+        # a face without Z is built afresh even when the walls that joined it are known
+        assert drlp.solver._sync(PseudoInverse.empty(5), walls, unit, [1]).owners == [0, 1]
 
 
 class TestCertifyPoint:
