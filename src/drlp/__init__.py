@@ -18,19 +18,7 @@ from .network import (
     save_model,
     subjective_arguments,
 )
-from .primitives import (
-    AdvanceResult,
-    Degenerate,
-    PseudoInverse,
-    add_axis,
-    advance_max,
-    argument_residuals,
-    dense_pseudoinverse,
-    exchange_axis,
-    project,
-    remove_pseudorow,
-    update_axis_new_region,
-)
+from .primitives import Degenerate
 from .solver import (
     LOCAL_MINIMUM,
     NON_REGULAR,
@@ -39,18 +27,9 @@ from .solver import (
     QuadraticObjective,
     SolveOutcome,
     SolverOptions,
-    SolverState,
     TraceRecord,
-    axis_derivatives,
-    certify_local_min,
     certify_point,
-    choose_axis,
     drlsimplex,
-    find_vertex,
-    initialize,
-    parabola_step,
-    position_correction,
-    refresh_pseudoinverse,
     solve_quadratic,
 )
 from .problems import (

@@ -469,7 +469,10 @@ class QuadraticObjective:
         if self.lin.shape != self.quad.shape[:1]:
             raise ValueError(f"lin must have shape {self.quad.shape[:1]} to match quad {self.quad.shape}; "
                              f"got shape {self.lin.shape}")
-        for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const, float))):
+        if not isinstance(self.const, (int, float, np.integer, np.floating)):
+            raise ValueError(f"const must be one real number; got {self.const!r}")
+        self.const = float(self.const)
+        for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const))):
             require_finite(name, a, "the quadratic objective must be finite")
         self.hess = self.quad + self.quad.T
         for a in (self.quad, self.lin, self.hess):
@@ -494,32 +497,20 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
 def _sync(basis: PseudoInverse, walls: np.ndarray, unit, joined=None) -> PseudoInverse:
     """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
-    Given joined, the walls that came since the basis was made or synced and
-    no other change but releases (none for the start's first face, or a
-    step's only new wall), holds each and compares nothing.  Otherwise it
-    releases walls that left or bent, negates flipped ones and holds new
-    ones; with no wall staying or no Z (none yet, or a drifted face), one
-    complete QR builds it and its Z, or, if the walls are dependent, it
-    holds each from Z = I.
+    Held rows must match unit: solve_quadratic applies each flip to the face
+    where it decides it.  Hold: each wall of joined, by default each listed
+    wall not held, joins by one add_axis.  Rebuild: with no Z (none yet, a
+    drifted or bent face) or a held wall no longer listed, one complete QR
+    builds the basis and its Z, or, for dependent walls, each is held from Z = I.
     """
-    if joined is None or basis.null is None:
-        owners = np.array(basis.owners, dtype=np.intp)
-        stays = np.append(walls, -1)[walls.searchsorted(owners)] == owners     # past the last wall: no unit is -1
-        if basis.null is None or not stays.any():
-            try:
-                return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
-            except Degenerate:
-                n = unit.shape[1]
-                basis = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
-        elif not stays.all() or not np.array_equal(basis.normals, unit[owners]):
-            same = stays & (basis.normals == unit[owners]).all(axis=1)
-            flipped = stays & ~same & (basis.normals == -unit[owners]).all(axis=1)
-            basis.matrix[flipped] *= -1.0
-            basis.normals[flipped] *= -1.0
-            for i in (~(same | flipped)).nonzero()[0][::-1]:
-                basis = remove_pseudorow(basis, i)
-        joined = sorted(set(walls.tolist()) - set(basis.owners))
-    for j in joined:
+    listed = set(walls.tolist())
+    if basis.null is None or not listed.issuperset(basis.owners):
+        try:
+            return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
+        except Degenerate:
+            n = unit.shape[1]
+            basis, joined = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n)), None
+    for j in sorted(listed.difference(basis.owners)) if joined is None else joined:
         with contextlib.suppress(Degenerate):
             basis = add_axis(basis, unit[j], j)
     return basis
@@ -534,8 +525,8 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, joined=N
     """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
     The basis is synced to the ascending walls, whose unit normals are
-    their rows of unit (``_sync``, told the walls that joined when the
-    caller knows them), then Lawson & Hanson's NNLS (1974) runs to the
+    their rows of unit (``_sync``: it holds joined, by default every wall
+    it lacks, or rebuilds), then Lawson & Hanson's NNLS (1974) runs to the
     exact projection by rank-one releases and holds, mu = P g and
     v = A' mu - g.  From the synced face, every negative multiplier is
     released at once until none is; then the wall v violates most is held
@@ -616,15 +607,16 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     wall, row k rescaled to the raw normal n_k.  A crossing edge descends
     iff its multiplier mu_k on the unit normal exceeds the BVLS bound
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
-    one is flipped, one step, and the descent goes on across it.  With
+    one is flipped, one step, and the descent goes on across it: the face
+    negates row k, or empties when the flip bends held walls.  With
     none, x is a local minimum; dependent walls end NonRegular.  Independent
     walls through x0 are priced so once before the first step, and x0 takes
     the far side of every last-layer wall whose crossing edge descends more
     steeply than its inside edge, as the LASSO homotopy picks its signs
     (Osborne, Presnell & Turlach 2000): no step and no record.  The other
     walls whose multipliers NNLS keeps are the first face, one QR; a step
-    that meets only its stop wall holds it, one add_axis, and any other
-    change of walls syncs the face in full.  Like drlsimplex, it runs on
+    holds the walls it meets, one add_axis each, and a held wall that left
+    rebuilds the face.  Like drlsimplex, it runs on
     ``pairs.fold(net)`` and names its units.
     """
     net = pairs.fold(net)
@@ -639,7 +631,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         convex = np.linalg.cholesky(q.hess) is not None
     except np.linalg.LinAlgError:
         convex = False
-    out = pattern = joined = None     # joined: the walls that came since basis was synced, when known
+    out = pattern = joined = None     # joined: [] for the start's first face, held as priced
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
@@ -664,6 +656,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                     state.s = flip(state.s, active[turn])
                     continue
         v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex, joined)
+        joined = None
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             res = advance_max(net, state.x, v, state.s, active)
@@ -677,15 +670,18 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
             state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                        crossed=0, step=res)
-            # the face gains the stop wall, if any, unless the step met another wall or kept a released one
-            active, joined = on_walls(args, norms), [res.neuron] if t == t_max else []
-            joined = joined if np.array_equal(active, sorted(basis.owners + joined)) else None
+            active = on_walls(args, norms)
         elif not regular:
             return state.finish(NON_REGULAR, neurons=active)
         else:
             # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis, joined = _sync(basis, active, unit), None
+            basis = _sync(basis, active, unit)
             held = basis.owners
             state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
-            out = certify_local_min(state, g, crossing_terms(net, state.s, state.pinv.owners))
+            out = certify_local_min(state, g, terms := crossing_terms(net, state.s, held))
+            if state.s is not pattern and not isinstance(out, SolveOutcome):     # owner i flipped
+                basis.matrix[i := out[2]] *= -1.0
+                basis.normals[i] *= -1.0
+                if terms[1][:, i].any():        # it bent held walls: the next sync rebuilds the face
+                    basis = PseudoInverse.empty(net.input_dim)
     return out

@@ -17,10 +17,8 @@ from drlp import (
     Degenerate,
     LpInstance,
     PairGroups,
-    PseudoInverse,
     RegressionData,
     ReluNetwork,
-    add_axis,
     build_clad,
     build_from_lp,
     build_l1_first_layer,
@@ -29,17 +27,21 @@ from drlp import (
     build_random,
     critical_indices,
     crossing_terms,
-    dense_pseudoinverse,
     evaluate,
     flip,
     inner_products_all,
     oriented_normal,
     relu_arguments,
-    remove_pseudorow,
     subjective_arguments,
+)
+from drlp.primitives import (
+    DEP_TOL,
+    PseudoInverse,
+    add_axis,
+    dense_pseudoinverse,
+    remove_pseudorow,
     update_axis_new_region,
 )
-from drlp.primitives import DEP_TOL
 
 
 def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):

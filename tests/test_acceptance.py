@@ -14,11 +14,9 @@ from drlp import (
     LOCAL_MINIMUM,
     UNBOUNDED,
     LpInstance,
-    PseudoInverse,
     ReluNetwork,
     SolverOptions,
     activation_pattern,
-    add_axis,
     build_from_lp,
     build_l1_first_layer,
     build_lasso,
@@ -28,16 +26,16 @@ from drlp import (
     critical_indices,
     drlsimplex,
     evaluate,
-    find_vertex,
     flip,
     improved_bound,
-    initialize,
     montufar_bound,
     oriented_normal,
     relu_arguments,
     solve_quadratic,
     subjective_arguments,
 )
+from drlp.primitives import PseudoInverse, add_axis
+from drlp.solver import find_vertex, initialize
 from helpers import (
     ac5_runs,
     cd_lasso,

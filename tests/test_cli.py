@@ -25,7 +25,6 @@ from drlp import (
     build_quantile_lasso,
     build_random,
     critical_indices,
-    dense_pseudoinverse,
     drlsimplex,
     evaluate,
     load_csv,
@@ -33,6 +32,7 @@ from drlp import (
     relu_arguments,
     save_model,
 )
+from drlp.primitives import dense_pseudoinverse
 from drlp.cli import main
 from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, save_mirrored_model, write_model
 

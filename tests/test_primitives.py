@@ -7,30 +7,32 @@ from numpy.testing import assert_allclose
 from drlp import (
     Degenerate,
     PairGroups,
-    PseudoInverse,
     RegressionData,
     ReluNetwork,
     activation_pattern,
-    add_axis,
-    advance_max,
-    argument_residuals,
     build_clad,
     build_l1_first_layer,
     build_quantile_lasso,
     build_random,
     crossing_terms,
-    dense_pseudoinverse,
     evaluate,
-    exchange_axis,
     flip,
     gradient,
     oriented_normal,
     subjective_arguments,
+)
+from drlp.primitives import (
+    DEP_TOL,
+    PseudoInverse,
+    add_axis,
+    advance_max,
+    argument_residuals,
+    dense_pseudoinverse,
+    exchange_axis,
     project,
     remove_pseudorow,
     update_axis_new_region,
 )
-from drlp.primitives import DEP_TOL
 from helpers import (
     brute_advance,
     brute_pseudoinverse,

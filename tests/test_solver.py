@@ -25,39 +25,27 @@ from drlp import (
     Degenerate,
     LpInstance,
     PairGroups,
-    PseudoInverse,
     QuadraticObjective,
     RegressionData,
     ReluNetwork,
     activation_pattern,
-    add_axis,
-    advance_max,
-    argument_residuals,
-    axis_derivatives,
     build_clad,
     build_from_lp,
     build_l1_first_layer,
     build_lasso,
     build_quantile_lasso,
     build_random,
-    certify_local_min,
     certify_point,
-    choose_axis,
     critical_indices,
     crossing_terms,
     drlsimplex,
     evaluate,
-    find_vertex,
     flatten_first_layer,
     flip,
     gradient,
-    initialize,
     lasso_loss,
     oriented_normal,
-    parabola_step,
-    position_correction,
     quantile_loss,
-    refresh_pseudoinverse,
     relu_arguments,
     normal_matrices,
     save_model,
@@ -65,8 +53,18 @@ from drlp import (
     subjective_arguments,
     SolverOptions,
     SolveOutcome,
+)
+from drlp.primitives import PseudoInverse, add_axis, advance_max, argument_residuals, dense_pseudoinverse
+from drlp.solver import (
     SolverState,
-    dense_pseudoinverse,
+    axis_derivatives,
+    certify_local_min,
+    choose_axis,
+    find_vertex,
+    initialize,
+    parabola_step,
+    position_correction,
+    refresh_pseudoinverse,
 )
 from helpers import (
     ac5_runs,
@@ -1233,11 +1231,21 @@ class TestQuadratic:
          "quad [1, 2] is nan; the quadratic objective must be finite"),
         (np.eye(2), np.array([0.0, np.inf]), 0.0, "lin [2] is inf; the quadratic objective must be finite"),
         (np.eye(2), np.ones(2), -np.inf, "const is -inf; the quadratic objective must be finite"),
+        (np.eye(2), np.ones(2), np.array([1.0, 2.0]), "const must be one real number; got array([1., 2.])"),
+        (np.eye(2), np.ones(2), "3", "const must be one real number; got '3'"),
+        (np.eye(2), np.ones(2), None, "const must be one real number; got None"),
     ])
     def test_bad_objective_is_rejected(self, quad, lin, const, message):
         with pytest.raises(ValueError) as err:
             QuadraticObjective(quad, lin, const)
         assert str(err.value).startswith(message)
+
+    def test_const_is_stored_as_a_float(self):
+        for const in (3, np.int64(3), np.float32(3.0)):
+            q = QuadraticObjective(np.eye(2), np.ones(2), const)
+            assert type(q.const) is float and q.const == 3.0
+            out = solve_quadratic(build_random((2, 3, 1), seed=0), q, np.zeros(2))
+            assert type(out.f) is float and all(type(r.f) is float for r in out.trace)
 
     def test_objective_of_another_dimension_is_rejected(self):
         net = build_random((3, 4, 1), seed=0)
@@ -1616,7 +1624,7 @@ class TestWorkingSet:
         monkeypatch.setattr(drlp.solver, "_sync", spied_sync)
         for name in ("add_axis", "remove_pseudorow", "dense_pseudoinverse"):
             monkeypatch.setattr(drlp.solver, name, counted(getattr(drlp.solver, name)))
-        stops = 0
+        stops = flips = 0
         for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
             del seen[1:]
             out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
@@ -1625,10 +1633,52 @@ class TestWorkingSet:
             assert (caller, before) == ("_feasible_direction", None)
             assert not first, (k, first)       # its sync and its NNLS neither build, hold nor release
             for caller, before, counts in later:
+                synced = {key: n for key, n in counts.items() if key[1] == "_sync"}
                 if caller == "_feasible_direction" and before.phase == "pivot" and before.neuron is not None:
-                    assert {key: n for key, n in counts.items() if key[1] == "_sync"} == {("add_axis", "_sync"): 1}
+                    assert synced == {("add_axis", "_sync"): 1}
                     stops += 1
-        assert stops >= 150
+                if caller == "_feasible_direction" and before.phase == "flip":
+                    assert synced == {}, (k, synced)      # the certification negated the flipped row
+                    flips += 1
+        assert stops >= 150 and flips >= 4
+
+    def test_random_net_corpus_bending_flip_rebuilds_the_face_once(self, monkeypatch):
+        # certify_local_min's flip is applied to the face at once: a flip that bends held walls
+        # empties it, so the next sync is one dense build and releases nothing; any other flip
+        # negates one row, and the next sync has nothing to do
+        bends, flips, calls, certify, sync = [], [], [None], certify_local_min, drlp.solver._sync
+
+        def certify_spy(state, grad, terms):
+            s, out = state.s, certify(state, grad, terms)
+            if state.s is not s and not isinstance(out, SolveOutcome):
+                bends.append(bool(terms[1][:, out[2]].any()))
+            return out
+
+        def spied_sync(*args):
+            calls[0] = Counter()
+            basis = sync(*args)
+            if len(flips) < len(bends):     # the first sync after a flip
+                flips.append((bends[-1], calls[0]))
+            calls[0] = None
+            return basis
+
+        def counted(update):
+            def wrapper(*args):
+                if calls[0] is not None:
+                    calls[0][update.__name__] += 1
+                return update(*args)
+            return wrapper
+
+        monkeypatch.setattr(drlp.solver, "certify_local_min", certify_spy)
+        monkeypatch.setattr(drlp.solver, "_sync", spied_sync)
+        for name in ("add_axis", "remove_pseudorow", "dense_pseudoinverse"):
+            monkeypatch.setattr(drlp.solver, name, counted(getattr(drlp.solver, name)))
+        assert {out.status for *_, out in _random_net_corpus()} == {LOCAL_MINIMUM}
+        bent = [counts for bend, counts in flips if bend]
+        assert len(bent) >= 50 and len(flips) - len(bent) >= 100
+        for counts in bent:
+            assert counts["dense_pseudoinverse"] == 1 and not counts["remove_pseudorow"], counts
+        assert all(not counts for bend, counts in flips if not bend)
 
     def test_random_net_corpus_rows_match_dense(self, checked):
         outs = [out for *_, out in _random_net_corpus()]
