@@ -1,24 +1,6 @@
 """Piecewise-linear minimization of feed-forward ReLU networks."""
 
-from .network import (
-    ZERO_TOL,
-    PairGroups,
-    ReluNetwork,
-    activation_pattern,
-    critical_indices,
-    crossing_terms,
-    evaluate,
-    flip,
-    gradient,
-    inner_products_all,
-    load_model,
-    normal_matrices,
-    oriented_normal,
-    relu_arguments,
-    save_model,
-    subjective_arguments,
-)
-from .primitives import Degenerate
+from .network import ReluNetwork, evaluate, load_model, save_model
 from .solver import (
     LOCAL_MINIMUM,
     NON_REGULAR,

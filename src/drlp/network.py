@@ -51,9 +51,9 @@ def require_finite(name: str, a: np.ndarray, rule: str):
 
 
 def require_int(name: str, v) -> int:
-    """int(v); raises ValueError naming v unless v equals it: 3, 3.0 and np.int64(3) pass, 2.5 and "3" do not."""
+    """int(v); raises ValueError naming v unless v equals it: 3, 3.0 and np.int64(3) pass, 2.5, "3" and True do not."""
     with contextlib.suppress(TypeError, ValueError, OverflowError):
-        if (k := int(v)) == v:
+        if (k := int(v)) == v and np.asarray(v).dtype != bool:
             return k
     raise ValueError(f"{name}: {v!r} is not an integer")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PairGroups, ReluNetwork, evaluate, require_finite, require_int
+from .network import PairGroups, ReluNetwork, evaluate, require_finite, require_int, require_seed
 from .solver import QuadraticObjective
 
 
@@ -67,14 +67,14 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
     """Network with iid uniform(low, high) weights and biases.
 
     topology lists every width including input and the final output 1.
-    Same seed, same network, bit for bit.
+    Same seed, a nonnegative integer, same network, bit for bit.
     """
     topology = [require_int("topology", w) for w in topology]
     if len(topology) < 3 or topology[-1] != 1:
         raise ValueError("topology must be (input, hidden..., 1)")
     if not -np.inf < low <= high < np.inf:      # also false for nan
         raise ValueError(f"low and high must be finite with low <= high, got {low}, {high}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(require_seed(seed)))
     weights, biases = [], []
     for fan_in, fan_out in zip(topology[:-1], topology[1:]):
         weights.append(rng.uniform(low, high, size=(fan_out, fan_in)))

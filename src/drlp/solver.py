@@ -342,7 +342,8 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
     """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
     Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from the caller's
-    grad = state.gradient() at x and terms = crossing_terms(net, state.s, state.pinv.owners).
+    grad = state.gradient() at x and terms = crossing_terms(net, state.s, state.pinv.owners),
+    scaled to the rows (``_unit_terms`` for solve_quadratic's face over unit normals).
     A descending crossing of owner i is taken at once: its bit flips, row i becomes the
     crossing row and normal i is negated, bending each owner j's normal by bend[j, i] times
     it, one step, then one ``flip`` record carrying the edge's alpha.  No descending
@@ -469,7 +470,7 @@ class QuadraticObjective:
         if self.lin.shape != self.quad.shape[:1]:
             raise ValueError(f"lin must have shape {self.quad.shape[:1]} to match quad {self.quad.shape}; "
                              f"got shape {self.lin.shape}")
-        if not isinstance(self.const, (int, float, np.integer, np.floating)):
+        if not isinstance(self.const, (int, float, np.integer, np.floating)) or isinstance(self.const, bool):
             raise ValueError(f"const must be one real number; got {self.const!r}")
         self.const = float(self.const)
         for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const))):
@@ -514,6 +515,13 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit, joined=None) -> PseudoI
         with contextlib.suppress(Degenerate):
             basis = add_axis(basis, unit[j], j)
     return basis
+
+
+def _unit_terms(net: ReluNetwork, s: np.ndarray, walls, norms) -> tuple:
+    """crossing_terms of walls for rows over their unit normals: gains_k |n_k| and bend_jk |n_k|/|n_j|."""
+    gains, bend = crossing_terms(net, s, walls)
+    n = norms[walls]
+    return gains * n, bend * n / n[:, None]
 
 
 def _steps(v, g) -> bool:
@@ -603,12 +611,13 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     or at the segment parabola's vertex.
 
     When the projection vanishes at independent walls, certify_local_min
-    prices x's 2m edges, with the basis's rows over every active
-    wall, row k rescaled to the raw normal n_k.  A crossing edge descends
-    iff its multiplier mu_k on the unit normal exceeds the BVLS bound
+    prices x's 2m edges on the face itself, synced to every active wall:
+    its rows are over unit normals, so the crossing terms are scaled to
+    them (``_unit_terms``).  A crossing edge descends iff its multiplier
+    mu_k on the unit normal exceeds the BVLS bound
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
-    one is flipped, one step, and the descent goes on across it: the face
-    negates row k, or empties when the flip bends held walls.  With
+    one is flipped in the face, one step, and the descent goes on across
+    it; a flip that bends held walls empties the face.  With
     none, x is a local minimum; dependent walls end NonRegular.  Independent
     walls through x0 are priced so once before the first step, and x0 takes
     the far side of every last-layer wall whose crossing edge descends more
@@ -645,8 +654,7 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         if not state.steps and joined is None and active.size:    # x0 on walls: the start side of each, priced once
             with contextlib.suppress(Degenerate):       # dependent walls keep activation_pattern's side
                 basis = dense_pseudoinverse(unit[active], active.tolist())
-                rows = PseudoInverse(basis.matrix / norms[active, None], normals[active], active.tolist())
-                vals = axis_derivatives(rows, g, *crossing_terms(net, state.s, active))[1].reshape(2, -1)
+                vals = axis_derivatives(basis, g, *_unit_terms(net, state.s, active, norms))[1].reshape(2, -1)
                 turn = ((vals[1] < -DESCENT_TOL * (1.0 + math.sqrt(g @ g))) & (vals[1] < vals[0])
                         & (active >= net.offsets[-2]))     # an earlier layer's flip bends other walls
                 # the first face: the walls NNLS keeps; a last-layer turn moves no other wall's mu
@@ -674,14 +682,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         elif not regular:
             return state.finish(NON_REGULAR, neurons=active)
         else:
-            # rows for every active wall (sync holds any NNLS released at mu = 0), row k over |n_k|
-            basis = _sync(basis, active, unit)
-            held = basis.owners
-            state.pinv = PseudoInverse(basis.matrix / norms[held, None], normals[held], list(held))
-            out = certify_local_min(state, g, terms := crossing_terms(net, state.s, held))
-            if state.s is not pattern and not isinstance(out, SolveOutcome):     # owner i flipped
-                basis.matrix[i := out[2]] *= -1.0
-                basis.normals[i] *= -1.0
-                if terms[1][:, i].any():        # it bent held walls: the next sync rebuilds the face
-                    basis = PseudoInverse.empty(net.input_dim)
+            # the face over every active wall (sync holds any NNLS released at mu = 0); a flip changes it in place
+            state.pinv = basis = _sync(basis, active, unit)
+            out = certify_local_min(state, g, terms := _unit_terms(net, state.s, basis.owners, norms))
+            if state.s is not pattern and not isinstance(out, SolveOutcome) and terms[1][:, out[2]].any():
+                basis = PseudoInverse.empty(net.input_dim)      # the flip bent held walls: the next sync rebuilds
     return out

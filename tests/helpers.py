@@ -13,10 +13,7 @@ from math import comb
 import numpy as np
 
 from drlp import (
-    ZERO_TOL,
-    Degenerate,
     LpInstance,
-    PairGroups,
     RegressionData,
     ReluNetwork,
     build_clad,
@@ -25,9 +22,13 @@ from drlp import (
     build_lasso,
     build_quantile_lasso,
     build_random,
+    evaluate,
+)
+from drlp.network import (
+    ZERO_TOL,
+    PairGroups,
     critical_indices,
     crossing_terms,
-    evaluate,
     flip,
     inner_products_all,
     oriented_normal,
@@ -36,6 +37,7 @@ from drlp import (
 )
 from drlp.primitives import (
     DEP_TOL,
+    Degenerate,
     PseudoInverse,
     add_axis,
     dense_pseudoinverse,

@@ -14,14 +14,15 @@ writes for each builder's net and a few hand-made ones, so a change to the
 file format moves it).  Wall times are left out.  A second digest
 on each line leaves out unit names (the ``neuron`` of every record and the
 units ``check`` names), so a change that only renumbers units keeps it.
-The script uses only API that has been stable across releases
-(builders, ``drlsimplex``, ``solve_quadratic``, ``SolverOptions(seed,
-max_steps)``, ``ReluNetwork(weights, biases, off_weights)``, ``PairGroups``,
-``save_model`` and the ``drlp check`` command, the region
-bounds and sampler, and the network sweeps called on patterns from
-``activation_pattern`` and ``flip``), so one copy serves both trees.  Name
-families (``lasso random_quadratic``) to digest only those; the default
-is all of them, and an unknown name exits 1.
+The script uses only API that has been stable across releases, so one
+copy serves both trees: from ``drlp``, the builders, ``drlsimplex``,
+``solve_quadratic``, ``QuadraticObjective``, ``SolverOptions(seed,
+max_steps)``, ``ReluNetwork(weights, biases, off_weights)``, ``evaluate``,
+``save_model`` and the region bounds and sampler; the ``drlp check``
+command; and from ``drlp.network``, ``PairGroups`` and the network sweeps
+called on patterns from ``activation_pattern`` and ``flip``.  Name families
+(``lasso random_quadratic``) to digest only those; the default is all of
+them, and an unknown name exits 1.
 
 Next to each solve family's digest the script prints its total steps, its
 summed f, the number of ``flip``, ``find_vertex`` and ``pivot`` trace
@@ -58,6 +59,7 @@ import numpy as np
 
 import drlp
 import drlp.cli
+import drlp.network
 
 MAX_STEPS = 3000
 
@@ -164,7 +166,7 @@ def check_axes():
     directory, so the digest covers the verdict and the axes JSON of
     whichever probe the tree's ``check`` uses.
     """
-    cases = [(net, drlp.PairGroups(), out.x) for net, out in _solved_random_nets()]
+    cases = [(net, drlp.network.PairGroups(), out.x) for net, out in _solved_random_nets()]
     for seed in range(4):
         net, pairs = drlp.build_quantile_lasso(regression(seed, 30, 2), lam=0.5)
         cases.append((net, pairs, drlp.drlsimplex(net, np.zeros(3), options(seed), pairs).x))
@@ -207,14 +209,14 @@ def sweeps():
             topo = [int(rng.integers(1, 7))] + [int(rng.integers(1, 13)) for _ in range(depth)] + [1]
             net = drlp.build_random(topo, seed=seed)
             x, w = rng.standard_normal((2, topo[0]))
-            yield (drlp.relu_arguments(net, x).tobytes() + np.float64(drlp.evaluate(net, x)).tobytes()).hex()
-            s = drlp.activation_pattern(net, x)
+            yield (drlp.network.relu_arguments(net, x).tobytes() + np.float64(drlp.evaluate(net, x)).tobytes()).hex()
+            s = drlp.network.activation_pattern(net, x)
             units = rng.permutation(net.num_neurons)
-            for t in (s, drlp.flip(s, int(units[0])), drlp.flip(s, units[:(net.num_neurons + 1) // 2])):
+            for t in (s, drlp.network.flip(s, int(units[0])), drlp.network.flip(s, units[:(net.num_neurons + 1) // 2])):
                 yield b"".join(a.tobytes() for a in (
-                    drlp.subjective_arguments(net, t, x), drlp.inner_products_all(net, t, w),
-                    drlp.gradient(net, t), *(drlp.oriented_normal(net, t, int(c)) for c in units),
-                    drlp.normal_matrices(net, t))).hex()
+                    drlp.network.subjective_arguments(net, t, x), drlp.network.inner_products_all(net, t, w),
+                    drlp.network.gradient(net, t), *(drlp.network.oriented_normal(net, t, int(c)) for c in units),
+                    drlp.network.normal_matrices(net, t))).hex()
 
 
 def model_file_cases():
@@ -232,13 +234,13 @@ def model_file_cases():
             net, _, pairs = drlp.build_lasso(data, lam=lam)
             cases.append((net, pairs))
         net = drlp.build_random((3, 5, 4, 1), seed=seed)
-        cases.append((net, drlp.PairGroups()))
+        cases.append((net, drlp.network.PairGroups()))
         off = np.where(np.arange(4) % 2, rng.uniform(-1.0, 1.0, 4), 0.0)
-        cases.append((drlp.ReluNetwork(net.weights, net.biases, off), drlp.PairGroups()))
+        cases.append((drlp.ReluNetwork(net.weights, net.biases, off), drlp.network.PairGroups()))
         w, b = net.weights[-2], net.biases[-2]      # each last-layer unit and its mirror after the layer
         mirrored = drlp.ReluNetwork(net.weights[:-2] + [np.vstack([w, -w]), rng.uniform(-1.0, 1.0, (1, 8))],
                                     net.biases[:-2] + [np.concatenate([b, -b]), net.biases[-1]])
-        cases.append((mirrored, drlp.PairGroups([(5 + j, 9 + j) for j in range(4)])))
+        cases.append((mirrored, drlp.network.PairGroups([(5 + j, 9 + j) for j in range(4)])))
     return cases
 
 

@@ -16,22 +16,24 @@ from drlp import (
     LpInstance,
     ReluNetwork,
     SolverOptions,
-    activation_pattern,
     build_from_lp,
     build_l1_first_layer,
     build_lasso,
     build_quantile_lasso,
     build_random,
     count_regions_empirical,
-    critical_indices,
     drlsimplex,
     evaluate,
-    flip,
     improved_bound,
     montufar_bound,
+    solve_quadratic,
+)
+from drlp.network import (
+    activation_pattern,
+    critical_indices,
+    flip,
     oriented_normal,
     relu_arguments,
-    solve_quadratic,
     subjective_arguments,
 )
 from drlp.primitives import PseudoInverse, add_axis

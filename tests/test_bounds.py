@@ -93,6 +93,15 @@ class TestEmpirical:
                 count_regions_empirical(net_fold_sum, samples=samples)
         assert count_regions_empirical(net_fold_sum, samples=300.0) == count_regions_empirical(net_fold_sum, samples=300)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_counts_and_seed_rejected(self, net_fold_sum, flag):
+        for name in ("samples", "chunk", "seed"):
+            with pytest.raises(ValueError, match=re.escape(f"{name}: {flag!r} is not an integer")):
+                count_regions_empirical(net_fold_sum, **{name: flag})
+        for bound in (montufar_bound, improved_bound):
+            with pytest.raises(ValueError, match=re.escape(f"topology: {flag!r} is not an integer")):
+                bound([2, flag])
+
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be nonnegative, got -1"),
         (1.5, "seed: 1.5 is not an integer"),

@@ -12,27 +12,23 @@ import drlp.cli
 import drlp.solver
 from drlp import (
     NON_REGULAR,
-    Degenerate,
     LpInstance,
-    PairGroups,
     RegressionData,
     ReluNetwork,
     SolveOutcome,
     SolverOptions,
-    activation_pattern,
     build_clad,
     build_from_lp,
     build_quantile_lasso,
     build_random,
-    critical_indices,
     drlsimplex,
     evaluate,
     load_csv,
     load_model,
-    relu_arguments,
     save_model,
 )
-from drlp.primitives import dense_pseudoinverse
+from drlp.network import PairGroups, activation_pattern, critical_indices, relu_arguments
+from drlp.primitives import Degenerate, dense_pseudoinverse
 from drlp.cli import main
 from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, save_mirrored_model, write_model
 
@@ -890,7 +886,10 @@ class TestEntryPoint:
 
     def test_console_script(self):
         # the console script and `python -m drlp` share one entry point
-        import tomllib  # Python 3.11+; imported here so older interpreters still collect the module
+        try:
+            import tomllib
+        except ModuleNotFoundError:     # below Python 3.11; pytest itself requires tomli there
+            import tomli as tomllib
 
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:

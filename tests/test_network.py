@@ -7,22 +7,24 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
-    ZERO_TOL,
-    PairGroups,
     RegressionData,
     ReluNetwork,
-    activation_pattern,
     build_random,
-    critical_indices,
     evaluate,
+    load_model,
+    save_model,
+)
+from drlp.network import (
+    ZERO_TOL,
+    PairGroups,
+    activation_pattern,
+    critical_indices,
     flip,
     gradient,
     inner_products_all,
-    load_model,
     normal_matrices,
     oriented_normal,
     relu_arguments,
-    save_model,
     subjective_arguments,
 )
 from drlp.bounds import _sweep_bits

@@ -5,17 +5,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from drlp import (
-    Degenerate,
-    PairGroups,
     RegressionData,
     ReluNetwork,
-    activation_pattern,
     build_clad,
     build_l1_first_layer,
     build_quantile_lasso,
     build_random,
-    crossing_terms,
     evaluate,
+)
+from drlp.network import (
+    PairGroups,
+    activation_pattern,
+    crossing_terms,
     flip,
     gradient,
     oriented_normal,
@@ -23,6 +24,7 @@ from drlp import (
 )
 from drlp.primitives import (
     DEP_TOL,
+    Degenerate,
     PseudoInverse,
     add_axis,
     advance_max,

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from drlp import (
     LOCAL_MINIMUM,
     LpInstance,
-    PairGroups,
     RegressionData,
     ReluNetwork,
     SolverOptions,
@@ -34,6 +33,7 @@ from drlp import (
     set_first_layer,
     solve_quadratic,
 )
+from drlp.network import PairGroups
 from helpers import builder_cases, cd_lasso, folded_units, lad_enumerate, load_csv_reference
 
 
@@ -112,6 +112,22 @@ class TestInputChecks:
         same = build_random((2.0, np.int64(3), 1), seed=3)
         assert same.widths == (2, 3, 1)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(same.weights, build_random((2, 3, 1), seed=3).weights))
+
+    def test_random_topology_rejects_booleans(self):
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(f"topology: {flag!r} is not an integer")):
+                build_random((2, flag, 1))
+
+    def test_random_seed_is_a_nonnegative_integer(self):
+        # numpy's Philox would seed None from the OS and raise its own TypeError for 3.0
+        for seed, message in ((None, "seed: None is not an integer"), (True, "seed: True is not an integer"),
+                              (np.True_, f"seed: {np.True_!r} is not an integer"),
+                              (1.5, "seed: 1.5 is not an integer"), (-1, "seed must be nonnegative, got -1")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_random((2, 3, 1), seed=seed)
+        want = build_random((2, 3, 1), seed=3).weights
+        for seed in (3.0, np.int64(3)):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(build_random((2, 3, 1), seed=seed).weights, want))
 
     def test_random_topology_must_end_in_one(self):
         with pytest.raises(ValueError, match=r"topology must be \(input, hidden\.\.\., 1\)"):

@@ -22,13 +22,10 @@ from drlp import (
     NON_REGULAR,
     STEP_LIMIT,
     UNBOUNDED,
-    Degenerate,
     LpInstance,
-    PairGroups,
     QuadraticObjective,
     RegressionData,
     ReluNetwork,
-    activation_pattern,
     build_clad,
     build_from_lp,
     build_l1_first_layer,
@@ -36,25 +33,29 @@ from drlp import (
     build_quantile_lasso,
     build_random,
     certify_point,
-    critical_indices,
-    crossing_terms,
     drlsimplex,
     evaluate,
     flatten_first_layer,
-    flip,
-    gradient,
     lasso_loss,
-    oriented_normal,
     quantile_loss,
-    relu_arguments,
-    normal_matrices,
     save_model,
     solve_quadratic,
-    subjective_arguments,
     SolverOptions,
     SolveOutcome,
 )
-from drlp.primitives import PseudoInverse, add_axis, advance_max, argument_residuals, dense_pseudoinverse
+from drlp.network import (
+    PairGroups,
+    activation_pattern,
+    critical_indices,
+    crossing_terms,
+    flip,
+    gradient,
+    normal_matrices,
+    oriented_normal,
+    relu_arguments,
+    subjective_arguments,
+)
+from drlp.primitives import Degenerate, PseudoInverse, add_axis, advance_max, argument_residuals, dense_pseudoinverse
 from drlp.solver import (
     SolverState,
     axis_derivatives,
@@ -289,6 +290,13 @@ class TestSolverOptions:
         # numpy would refuse it only once a solve seeds its generator, naming no argument
         with pytest.raises(ValueError, match=re.escape(message)):
             SolverOptions(seed=seed)
+
+    @pytest.mark.parametrize("flag", [True, np.True_, np.array(True)])
+    def test_boolean_max_steps_and_seed_rejected(self, flag):
+        # True == int(True), so without a type check a flag would run as 1
+        for name in ("max_steps", "seed"):
+            with pytest.raises(ValueError, match=re.escape(f"{name}: {flag!r} is not an integer")):
+                SolverOptions(**{name: flag})
 
     def test_seed_is_a_generator_or_a_nonnegative_integer(self):
         rng = np.random.Generator(np.random.Philox(4))
@@ -1239,6 +1247,11 @@ class TestQuadratic:
         with pytest.raises(ValueError) as err:
             QuadraticObjective(quad, lin, const)
         assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("const", [True, np.True_])
+    def test_boolean_const_rejected(self, const):
+        with pytest.raises(ValueError, match=re.escape(f"const must be one real number; got {const!r}")):
+            QuadraticObjective(np.eye(2), np.ones(2), const)
 
     def test_const_is_stored_as_a_float(self):
         for const in (3, np.int64(3), np.float32(3.0)):
