@@ -58,6 +58,13 @@ def require_int(name: str, v) -> int:
     raise ValueError(f"{name}: {v!r} is not an integer")
 
 
+def require_real(name: str, v) -> float:
+    """float(v); raises ValueError naming v unless it is one real number: 3, 2.5 and np.float32 pass, "3", True and arrays do not."""
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        raise ValueError(f"{name} must be one real number; got {v!r}")
+    return float(v)
+
+
 def require_seed(seed) -> int:
     """require_int("seed", seed), also raising ValueError below 0: numpy seeds only from nonnegative integers."""
     if (k := require_int("seed", seed)) < 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import PairGroups, ReluNetwork, evaluate, require_finite, require_int, require_seed
+from .network import PairGroups, ReluNetwork, evaluate, require_finite, require_int, require_real, require_seed
 from .solver import QuadraticObjective
 
 
@@ -83,6 +83,7 @@ def build_random(topology, seed: int = 0, low: float = -1.0, high: float = 1.0) 
 
 
 def _check_lam_alpha(lam, alpha=0.5):
+    lam, alpha = require_real("lam", lam), require_real("alpha", alpha)
     if not 0.0 <= alpha <= 1.0:      # also false for nan
         raise ValueError("alpha must lie in [0, 1]")
     if not 0.0 <= lam < np.inf:

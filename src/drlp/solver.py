@@ -34,6 +34,7 @@ from .network import (
     output,
     require_finite,
     require_int,
+    require_real,
     require_seed,
     subjective_arguments,
 )
@@ -470,9 +471,7 @@ class QuadraticObjective:
         if self.lin.shape != self.quad.shape[:1]:
             raise ValueError(f"lin must have shape {self.quad.shape[:1]} to match quad {self.quad.shape}; "
                              f"got shape {self.lin.shape}")
-        if not isinstance(self.const, (int, float, np.integer, np.floating)) or isinstance(self.const, bool):
-            raise ValueError(f"const must be one real number; got {self.const!r}")
-        self.const = float(self.const)
+        self.const = require_real("const", self.const)
         for name, a in (("quad", self.quad), ("lin", self.lin), ("const", np.asarray(self.const))):
             require_finite(name, a, "the quadratic objective must be finite")
         self.hess = self.quad + self.quad.T
@@ -608,7 +607,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     the face, and the step follows the Newton direction of the quadratic
     restricted to that face (the projected gradient when the face's
     curvature is not positive definite).  Steps stop at the first new wall
-    or at the segment parabola's vertex.
+    or at the segment parabola's vertex.  A step stopped by a wall it alone
+    meets bends there, as in the projected searches of Bertsekas (1982) and
+    More & Toraldo (1991): it holds the wall and goes on along its direction
+    projected onto the grown face, Z Z'v, while that descends; each bend is
+    a step and a pivot record, with no new projection or Newton solve.
 
     When the projection vanishes at independent walls, certify_local_min
     prices x's 2m edges on the face itself, synced to every active wall:
@@ -623,9 +626,9 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     the far side of every last-layer wall whose crossing edge descends more
     steeply than its inside edge, as the LASSO homotopy picks its signs
     (Osborne, Presnell & Turlach 2000): no step and no record.  The other
-    walls whose multipliers NNLS keeps are the first face, one QR; a step
-    holds the walls it meets, one add_axis each, and a held wall that left
-    rebuilds the face.  Like drlsimplex, it runs on
+    walls whose multipliers NNLS keeps are the first face, one QR; a bend or
+    the next sync holds the walls a step meets, one add_axis each, and a held
+    wall that left rebuilds the face.  Like drlsimplex, it runs on
     ``pairs.fold(net)`` and names its units.
     """
     net = pairs.fold(net)
@@ -667,18 +670,35 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         joined = None
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
-            res = advance_max(net, state.x, v, state.s, active)
-            state.steps += 1
-            a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
-            slope = float(v @ g)
-            t_max = max(res.t, 0.0) if res.bounded else float("inf")
-            t = parabola_step(a, slope, t_max)
-            if not np.isfinite(t) or t > _HUGE_T:
-                return state.finish(UNBOUNDED, direction=v)
-            state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
-            state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
-                       crossed=0, step=res)
-            active = on_walls(args, norms)
+            while True:     # a step, then a bend at each stop wall while the face's projection of v descends
+                res = advance_max(net, state.x, v, state.s, active)
+                state.steps += 1
+                a = float(v @ q.quad @ v)      # curvature of t -> q(x + t v)
+                slope = float(v @ g)
+                t_max = max(res.t, 0.0) if res.bounded else float("inf")
+                t = parabola_step(a, slope, t_max)
+                if not np.isfinite(t) or t > _HUGE_T:
+                    return state.finish(UNBOUNDED, direction=v)
+                state.x, args = state.x + t * v, res.at(t)      # the step flips no bit
+                state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
+                           crossed=0, step=res)
+                active = on_walls(args, norms)
+                # bend: the stop wall alone joins the face, as the next sync would hold it
+                if (t != t_max or state.steps >= opts.max_steps or basis.null is None or not basis.null.shape[1]
+                        or set(active.tolist()) != {*basis.owners, res.neuron}):
+                    break
+                try:
+                    basis = add_axis(basis, unit[res.neuron], res.neuron)
+                except Degenerate:
+                    break
+                w, g = basis.null @ (basis.null.T @ v), grad + q.grad(state.x)
+                size = math.sqrt(w @ w)
+                if np.abs(basis.normals @ w).max() > DRIFT_REFRESH_TOL * size:
+                    basis = PseudoInverse.empty(net.input_dim)      # Z drifted off the face: the next sync rebuilds
+                    break
+                if w @ g >= -DESCENT_TOL * (1.0 + math.sqrt(g @ g)) * size:
+                    break
+                v = w / size
         elif not regular:
             return state.finish(NON_REGULAR, neurons=active)
         else:

@@ -8,10 +8,15 @@ descent) without touching the incremental code paths under test.
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
+import drlp
 from drlp import (
     LpInstance,
     RegressionData,
@@ -44,6 +49,17 @@ from drlp.primitives import (
     remove_pseudorow,
     update_axis_new_region,
 )
+
+
+def run_python(*args, timeout=120):
+    """``python *args`` in a child process on the drlp tree under test, ahead of any inherited PYTHONPATH.
+
+    Returns the CompletedProcess, its output captured as text; raises
+    subprocess.TimeoutExpired past timeout seconds, so a hung child fails its test.
+    """
+    path = os.pathsep.join(filter(None, [str(Path(drlp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def hyperplane_pattern(net, x, zero_tol=ZERO_TOL):

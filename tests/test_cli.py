@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +27,15 @@ from drlp import (
 from drlp.network import PairGroups, activation_pattern, critical_indices, relu_arguments
 from drlp.primitives import Degenerate, dense_pseudoinverse
 from drlp.cli import main
-from helpers import clad_start_data, interleaved_clad, lad_enumerate, mirrored_clad, save_mirrored_model, write_model
+from helpers import (
+    clad_start_data,
+    interleaved_clad,
+    lad_enumerate,
+    mirrored_clad,
+    run_python,
+    save_mirrored_model,
+    write_model,
+)
 
 
 @pytest.fixture
@@ -872,10 +877,7 @@ class TestCheck:
 
 def _run_module(*argv):
     """Run ``python -m`` on the drlp tree under test, whether or not PYTHONPATH names it."""
-    src = str(Path(drlp.cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return run_python("-m", *argv)
 
 
 class TestEntryPoint:

@@ -3,11 +3,10 @@
 import ast
 import importlib
 import json
-import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
+
+from helpers import run_python
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "drlp"
 
@@ -42,9 +41,7 @@ def _drlp_imports(path):
 
 def _run(code):
     """stdout of code run in a fresh interpreter on this tree's drlp; fails the test on a nonzero exit."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    done = run_python("-c", textwrap.dedent(code))
     assert done.returncode == 0, done.stderr
     return done.stdout
 

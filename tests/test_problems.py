@@ -96,6 +96,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             build(data, **kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lam", True), ("lam", np.True_), ("lam", "1"), ("lam", np.array([1.0, 2.0])), ("lam", np.array(1.0)),
+        ("lam", None), ("alpha", True), ("alpha", "0.5"), ("alpha", np.array([0.5])),
+    ])
+    def test_lam_and_alpha_are_one_real_number(self, name, value):
+        # a boolean is no weight, and a string or an array fails by name, not inside a comparison
+        data, message = _data(1, 6, 2), re.escape(f"{name} must be one real number; got {value!r}")
+        makers = [lambda **kw: build_quantile_lasso(data, **kw), lambda **kw: quantile_loss(data, np.zeros(3), **kw)]
+        if name == "lam":
+            makers += [lambda **kw: build_lasso(data, **kw), lambda **kw: lasso_loss(data, np.zeros(2), **kw)]
+        for make in makers:
+            with pytest.raises(ValueError, match=message):
+                make(**{name: value})
+
     @pytest.mark.parametrize("loss, size", [(quantile_loss, 3), (lasso_loss, 2), (clad_loss, 2)])
     def test_reference_losses_name_a_theta_of_the_wrong_length(self, loss, size):
         data = _data(1, 6, 2)

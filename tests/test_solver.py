@@ -1,11 +1,9 @@
 import json
-import os
 import re
 import subprocess
 import sys
 import textwrap
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +80,7 @@ from helpers import (
     pivot_update_reference,
     probe_min,
     quantile_linprog,
+    run_python,
     segment_parabola,
     sweep_row_rebuild,
 )
@@ -253,10 +252,8 @@ class TestFindVertex:
             out = drlp.drlsimplex(net, x0, drlp.SolverOptions(seed=0, max_steps=100))
             print(json.dumps([out.status, out.steps]))
         """)
-        src = str(Path(drlp.solver.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         try:
-            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+            done = run_python("-c", code, timeout=60)
         except subprocess.TimeoutExpired:
             pytest.fail("the solve was still running after 60 s")
         assert done.returncode == 0, done.stderr
@@ -1602,55 +1599,52 @@ class TestWorkingSet:
                             lambda *a: seen.update(["rebuilds"]) or dense(*a))
         return seen
 
-    def test_bench_lasso_rows_match_dense_and_build_once(self, bench_lasso_solves, checked):
+    def test_bench_lasso_rows_match_dense_and_build_once(self, bench_lasso_solves, checked, monkeypatch):
+        passes = _stepping_passes(monkeypatch)
         for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
             checked.clear()
+            passes.clear()
             out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
             assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
-            assert checked["syncs"] >= out.steps
+            assert checked["syncs"] >= passes["stepping"] > 0
             # the start's walls, priced, and its first face; no step rebuilds
             assert checked["rebuilds"] == 2
 
     def test_bench_lasso_face_changes_by_one_update(self, bench_lasso_solves, monkeypatch):
         # the start pricing hands the first projection its face, so it releases no wall; a step
-        # that stops at one wall and meets no other holds it with one add_axis, and nothing else
-        seen, states = [(None, None, Counter())], []     # per _sync: its caller, the record before it, counts
+        # that stops at one wall and meets no other holds it with one add_axis of its own, and the
+        # sync after it has nothing left to do
+        events = []     # per _sync and per record: ("sync", its caller) or ("record", it), then counts after it
         sync = drlp.solver._sync
 
-        class Spied(SolverState):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                states.append(self)
-
         def spied_sync(*args):
-            trace = states[-1].trace
-            seen.append((sys._getframe(1).f_code.co_name, trace[-1] if trace else None, Counter()))
+            events.append(("sync", sys._getframe(1).f_code.co_name, Counter()))
             return sync(*args)
 
         def counted(update):
             def wrapper(*args):
-                seen[-1][2][update.__name__, sys._getframe(1).f_code.co_name] += 1
+                if events:
+                    events[-1][2][update.__name__, sys._getframe(1).f_code.co_name] += 1
                 return update(*args)
             return wrapper
 
-        monkeypatch.setattr(drlp.solver, "SolverState", Spied)
         monkeypatch.setattr(drlp.solver, "_sync", spied_sync)
         for name in ("add_axis", "remove_pseudorow", "dense_pseudoinverse"):
             monkeypatch.setattr(drlp.solver, name, counted(getattr(drlp.solver, name)))
         stops = flips = 0
         for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
-            del seen[1:]
-            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            del events[:]
+            opts = SolverOptions(seed=k, on_record=lambda rec: events.append(("record", rec, Counter())))
+            out = solve_quadratic(net, q, np.zeros(40), opts, pairs)
             assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
-            (caller, before, first), *later = seen[1:]
-            assert (caller, before) == ("_feasible_direction", None)
-            assert not first, (k, first)       # its sync and its NNLS neither build, hold nor release
-            for caller, before, counts in later:
-                synced = {key: n for key, n in counts.items() if key[1] == "_sync"}
-                if caller == "_feasible_direction" and before.phase == "pivot" and before.neuron is not None:
-                    assert synced == {("add_axis", "_sync"): 1}
+            assert events[0] == ("sync", "_feasible_direction", Counter())     # neither builds, holds nor releases
+            for (kind, what, counts), (next_kind, caller, then) in zip(events, events[1:]):
+                synced = {key: n for key, n in then.items() if key[1] == "_sync"}
+                if kind == "record" and what.phase == "pivot" and what.neuron is not None:
+                    assert counts == {("add_axis", "solve_quadratic"): 1}, (k, counts)
+                    assert (next_kind, caller) != ("sync", "_feasible_direction") or synced == {}, (k, synced)
                     stops += 1
-                if caller == "_feasible_direction" and before.phase == "flip":
+                if kind == "record" and what.phase == "flip" and (next_kind, caller) == ("sync", "_feasible_direction"):
                     assert synced == {}, (k, synced)      # the certification negated the flipped row
                     flips += 1
         assert stops >= 150 and flips >= 4
@@ -1738,12 +1732,14 @@ class TestWorkingSet:
         monkeypatch.setattr(drlp.solver, "normal_matrices", counted)
         return seen
 
-    def test_bench_lasso_walls_are_critical_indices(self, bench_lasso_solves, walls_checked):
+    def test_bench_lasso_walls_are_critical_indices(self, bench_lasso_solves, walls_checked, monkeypatch):
+        passes = _stepping_passes(monkeypatch)
         for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
             walls_checked.clear()
+            passes.clear()
             out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
             assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
-            assert walls_checked["syncs"] >= out.steps
+            assert walls_checked["syncs"] >= passes["stepping"] > 0
 
     def test_random_net_corpus_walls_are_critical_indices(self, walls_checked):
         outs = [out for *_, out in _random_net_corpus()]
@@ -1779,7 +1775,8 @@ class TestWorkingSet:
 
     def test_face_newton_system_only_for_a_step(self, bench_lasso_solves, monkeypatch):
         # both corpora are convex, so each face Newton system formed is one np.linalg.solve from
-        # _feasible_direction; a certification point takes no step and forms none
+        # _feasible_direction, one per pass that steps: a bend forms none, and a certification
+        # point takes no step and forms none
         formed, solve = Counter(), np.linalg.solve
 
         def counted(*args):
@@ -1787,24 +1784,125 @@ class TestWorkingSet:
             return solve(*args)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        outs = []
+        passes, outs = _stepping_passes(monkeypatch), []
         for k, (net, q, pairs, _) in enumerate(bench_lasso_solves):
             formed.clear()
+            passes.clear()
             outs.append(solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs))
             assert outs[-1].status == LOCAL_MINIMUM
-            assert formed["_feasible_direction"] == len(_pivots(outs[-1]))
+            assert formed["_feasible_direction"] == passes["stepping"] > 0
         formed.clear()
+        passes.clear()
         for *_, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
             if out.status == LOCAL_MINIMUM:
-                assert formed["_feasible_direction"] == len(_pivots(out))
+                assert formed["_feasible_direction"] == passes["stepping"]
                 outs.append(out)
             formed.clear()
+            passes.clear()
         assert len(outs) > 40
         assert sum(r.phase == "certify" for out in outs for r in out.trace) > 50
 
 
 def _pivots(out):
     return [rec for rec in out.trace if rec.phase == "pivot"]
+
+
+def _stepping_passes(monkeypatch):
+    """A Counter whose "stepping" counts the _feasible_direction calls whose projection solve_quadratic steps along."""
+    passes, direction = Counter(), drlp.solver._feasible_direction
+
+    def spied(g, *args):
+        out = direction(g, *args)
+        passes["stepping"] += drlp.solver._steps(out[0], g)
+        return out
+
+    monkeypatch.setattr(drlp.solver, "_feasible_direction", spied)
+    return passes
+
+
+def _step_log(monkeypatch):
+    """(events, on_record, held): what solve_quadratic does between its projections and records.
+
+    events gets ("pass", counts) at each _feasible_direction call and (record, counts) at each
+    record on_record is given; counts are the add_axis, remove_pseudorow, dense_pseudoinverse and
+    np.linalg.solve calls made after it, by (name, caller).  held gets each basis add_axis returns
+    to solve_quadratic itself.
+    """
+    events, held, direction = [], [], drlp.solver._feasible_direction
+
+    def counted(update, name):
+        def wrapper(*args):
+            caller = sys._getframe(1).f_code.co_name
+            if events:
+                events[-1][1][name, caller] += 1
+            out = update(*args)
+            if (name, caller) == ("add_axis", "solve_quadratic"):
+                held.append(out)
+            return out
+        return wrapper
+
+    def spied(*args):
+        events.append(("pass", Counter()))
+        return direction(*args)
+
+    monkeypatch.setattr(drlp.solver, "_feasible_direction", spied)
+    for name in ("add_axis", "remove_pseudorow", "dense_pseudoinverse"):
+        monkeypatch.setattr(drlp.solver, name, counted(getattr(drlp.solver, name), name))
+    monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve"))
+    return events, lambda rec: events.append((rec, Counter())), held
+
+
+def _bends(events):
+    """The (record, counts) of each pivot that a bend follows: a pivot record right after a pivot record."""
+    return [(rec, counts) for (rec, counts), (after, _) in zip(events, events[1:])
+            if "pass" not in (rec, after) and rec.phase == after.phase == "pivot"]
+
+
+class TestBend:
+    """A step that stops at a wall it alone meets holds it and goes on along its direction's projection."""
+
+    @pytest.mark.parametrize("c3, last, minimizer", [
+        (3.0, None, [0.0, 0.0, 2.0]),   # the second bend ends at its parabola's vertex
+        (0.5, 2, [0.0, 0.0, 0.0]),      # the second bend stops at the last free wall, and holds it
+    ])
+    def test_newton_ray_through_two_walls_bends_twice(self, c3, last, minimizer, monkeypatch):
+        # |theta - c|^2 + 2 |theta|_1 with c = (0.5, -0.5, c3), from (2, -3, 4), off every wall: the first
+        # face is empty, and its Newton ray, toward (-0.5, 0.5, c3 - 1), meets theta_1 = 0 at
+        # (0, -0.2, 4 - 0.8 (5 - c3)) and then theta_2 = 0 before its vertex; soft thresholding
+        # gives the minimizer
+        events, on_record, held = _step_log(monkeypatch)
+        net, q, pairs = build_lasso(RegressionData(np.eye(3), np.array([0.5, -0.5, c3])), lam=2.0)
+        out = solve_quadratic(net, q, [2.0, -3.0, 4.0], SolverOptions(on_record=on_record), pairs)
+        assert out.status == LOCAL_MINIMUM
+        assert_allclose(out.x, minimizer, atol=1e-12)
+        assert [e if e == "pass" else (e.phase, e.neuron) for e, _ in events] == \
+            ["pass", ("pivot", 0), ("pivot", 1), ("pivot", last), "pass", ("certify", None)]
+        assert_allclose(out.trace[0].x, [0.0, -0.2, 4.0 - 0.8 * (5.0 - c3)], atol=1e-12)
+        # one Newton system for the pass, and none in the bends or at the minimum
+        assert sum(counts["solve", "_feasible_direction"] for _, counts in events) == 1
+        assert [rec.neuron for rec, _ in _bends(events)] == [0, 1]
+        assert all(counts == {("add_axis", "solve_quadratic"): 1} for _, counts in _bends(events))
+        assert [basis.owners for basis in held] == [[0], [0, 1], [0, 1, 2]][:2 + (last is not None)]
+
+    def test_bench_lasso_bends_hold_one_wall_and_never_rise(self, bench_lasso_solves, monkeypatch):
+        events, on_record, held = _step_log(monkeypatch)
+        bends = 0
+        for k, (net, q, pairs, want) in enumerate(bench_lasso_solves):
+            del events[:], held[:]
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k, on_record=on_record), pairs)
+            assert (out.status, out.steps, out.x.tobytes()) == (want.status, want.steps, want.x.tobytes())
+            # a certify or flip record's f is a fresh evaluate, which may round an ulp above the
+            # step's arguments; a rise past that is a step that ascends
+            fs = [rec.f for rec in out.trace]
+            assert all(b <= a + 1e-15 * abs(a) for a, b in zip(fs, fs[1:])), k
+            for rec, counts in _bends(events):
+                # the bend's one basis update, and no release, rebuild or linear solve
+                assert rec.neuron is not None and counts == {("add_axis", "solve_quadratic"): 1}, (k, counts)
+                bends += 1
+            for basis in held:      # within the checked fixture's tolerances
+                assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
+                assert np.max(np.abs(basis.normals @ basis.null), initial=0.0) <= 1e-9
+        assert bends >= 100
 
 
 class TestLongStep:
