@@ -133,9 +133,6 @@ class SolverState:
         f = evaluate(self.net, self.x) if args is None else output(self.net, args)
         return f if self.objective is None else f + self.objective.value(self.x)
 
-    def gradient(self) -> np.ndarray:
-        return gradient(self.net, self.s)
-
     def emit(self, phase, neuron=None, t=None, alpha=None, crossed=None, step=None):
         """Record the event at x; step, the AdvanceResult that moved x by t, gives f with no sweep."""
         if not self.options.collect_trace and self.options.on_record is None:
@@ -343,11 +340,12 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
     """Descending edge (row, alpha, i, descent_tol) of x's vertex, or the LocalMinimum outcome.
 
     Both solvers' certificate: prices the vertex's 2m edges (choose_axis) from the caller's
-    grad = state.gradient() at x and terms = crossing_terms(net, state.s, state.pinv.owners),
+    grad, the gradient at x, and terms = crossing_terms(net, state.s, state.pinv.owners),
     scaled to the rows (``_unit_terms`` for solve_quadratic's face over unit normals).
     A descending crossing of owner i is taken at once: its bit flips, row i becomes the
     crossing row and normal i is negated, bending each owner j's normal by bend[j, i] times
-    it, one step, then one ``flip`` record carrying the edge's alpha.  No descending
+    it (a flip that bends any drops the face's Z, which solve_quadratic's next sync
+    rebuilds), one step, then one ``flip`` record carrying the edge's alpha.  No descending
     edge ends LocalMinimum, with no owner x is certified as is; StepLimit is checked before
     pricing and after a flip.
     """
@@ -365,6 +363,7 @@ def certify_local_min(state: SolverState, grad: np.ndarray, terms):
                 state.pinv.normals[i] *= -1.0
                 if (bend := terms[1][:, i]).any():
                     state.pinv.normals += np.outer(bend, state.pinv.normals[i])
+                    state.pinv.null = None
                 state.steps += 1
                 state.emit("flip", neuron=state.pinv.owners[i], alpha=alpha)
                 if state.steps >= opts.max_steps:
@@ -401,7 +400,7 @@ def _pivot_loop(state: SolverState) -> SolveOutcome:
     net = state.net
     terms = crossing_terms(net, state.s, state.pinv.owners)
     while True:
-        if isinstance(edge := certify_local_min(state, state.gradient(), terms), SolveOutcome):
+        if isinstance(edge := certify_local_min(state, gradient(net, state.s), terms), SolveOutcome):
             return edge
         row, alpha, i, descent_tol = edge
         owners = state.pinv.owners      # all ignored this advance, the leaving owner i too
@@ -494,26 +493,23 @@ def parabola_step(a: float, b: float, t_max: float) -> float:
     return float(t_max)
 
 
-def _sync(basis: PseudoInverse, walls: np.ndarray, unit, joined=None) -> PseudoInverse:
+def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
     """basis over the ascending walls, whose unit normals are their rows of unit; owners are flat units.
 
     Held rows must match unit: solve_quadratic applies each flip to the face
-    where it decides it.  Hold: each wall of joined, by default each listed
-    wall not held, joins by one add_axis.  Rebuild: with no Z (none yet, a
-    drifted or bent face) or a held wall no longer listed, one complete QR
-    builds the basis and its Z, or, for dependent walls, each is held from Z = I.
+    where it decides it.  The basis is kept while it has Z and every wall it
+    holds is still listed; it holds no wall itself (the start QR, NNLS and a
+    bend do).  Otherwise (no face yet, a drifted or bent one, or a held wall
+    that left) one complete QR builds it and its Z, or, for dependent walls,
+    the empty face with Z = I, from which NNLS holds what the projection needs.
     """
-    listed = set(walls.tolist())
-    if basis.null is None or not listed.issuperset(basis.owners):
-        try:
-            return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
-        except Degenerate:
-            n = unit.shape[1]
-            basis, joined = PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n)), None
-    for j in sorted(listed.difference(basis.owners)) if joined is None else joined:
-        with contextlib.suppress(Degenerate):
-            basis = add_axis(basis, unit[j], j)
-    return basis
+    if basis.null is not None and set(walls.tolist()).issuperset(basis.owners):
+        return basis
+    try:
+        return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
+    except Degenerate:
+        n = unit.shape[1]
+        return PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
 
 
 def _unit_terms(net: ReluNetwork, s: np.ndarray, walls, norms) -> tuple:
@@ -528,29 +524,25 @@ def _steps(v, g) -> bool:
     return math.sqrt(v @ v) > STEP_TOL * (1.0 + math.sqrt(g @ g))
 
 
-def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, joined=None):
+def _feasible_direction(g, unit, walls, basis, hess, convex):
     """Projection v of -g onto the tangent cone {d : unit[walls] @ d >= 0}, and a face step d.
 
     The basis is synced to the ascending walls, whose unit normals are
-    their rows of unit (``_sync``: it holds joined, by default every wall
-    it lacks, or rebuilds), then Lawson & Hanson's NNLS (1974) runs to the
-    exact projection by rank-one releases and holds, mu = P g and
-    v = A' mu - g.  From the synced face, every negative multiplier is
-    released at once until none is; then the wall v violates most is held
-    and the multipliers move toward the new ones until the first zero is
-    released.  Given hess, d is the face's Newton step Z (Z'HZ)^-1 Z'v
-    over the face's k free directions Z, a k x k Cholesky test (skipped if
-    convex) and solve, unless it fails, ascends or leaves the cone; then d
-    is v; where no step is taken (``_steps``), no system is formed and d
-    is v.  Returns (v, d, the face's basis, empty if its walls drifted or
-    if Z did along the Newton step (then d is v), mu on unit normals by
-    flat unit, regular: the walls it meant to hold independent, converged).
+    their rows of unit (``_sync``: kept or rebuilt), then Lawson & Hanson's
+    NNLS (1974) runs to the exact projection by rank-one releases and holds,
+    mu = P g and v = A' mu - g.  From the synced face, every negative
+    multiplier is released at once until none is; then the wall v violates
+    most is held and the multipliers move toward the new ones until the
+    first zero is released.  d is the face's Newton step Z (Z'HZ)^-1 Z'v,
+    H = hess, over the face's k free directions Z, a k x k Cholesky test
+    (skipped if convex) and solve, unless it fails, ascends or leaves the
+    cone; then d is v; where no step is taken (``_steps``), no system is
+    formed and d is v.  Returns (v, d, the face's basis, empty and without
+    Z if its walls drifted or if Z did along the Newton step, then d is v).
     """
-    holds = walls.size if joined is None else basis.m + len(joined)     # the face the sync means to hold
-    basis, rows = _sync(basis, walls, unit, joined), unit[walls]
-    dependent = basis.m < holds
+    basis, rows = _sync(basis, walls, unit), unit[walls]
     gnorm = math.sqrt(g @ g)
-    mu, regular, drift = None, False, False     # mu: multipliers of the last working set with none negative
+    mu, drift = None, False     # mu: multipliers of the last working set with none negative
     for _ in range(4 * walls.size + 1):     # bounds cycling by roundoff
         held = np.array(basis.owners, dtype=np.intp)
         lam = basis.matrix @ g
@@ -573,27 +565,26 @@ def _feasible_direction(g, unit, walls, basis, hess=None, convex=False, joined=N
             drift = np.abs(slack[held]).max(initial=0.0) > DRIFT_REFRESH_TOL * (1.0 + gnorm)
             slack[held] = 0.0
             if not walls.size or slack.min() >= -1e-12 * math.sqrt(v @ v):
-                regular = not dependent
                 break
             try:
                 basis = add_axis(basis, unit[j := int(np.argmin(slack))], j)
             except Degenerate:
                 break
     face = PseudoInverse.empty(len(g)) if drift else basis
-    if hess is not None and (z := basis.null).shape[1] and _steps(v, g):
+    if (z := basis.null).shape[1] and _steps(v, g):
         zhz = z.T @ hess @ z
         try:
             convex or np.linalg.cholesky(zhz)         # raises unless positive definite
             newton = z @ np.linalg.solve(zhz, z.T @ v)      # may still find zhz singular by roundoff
         except np.linalg.LinAlgError:
-            return v, v, face, mu, regular
+            return v, v, face
         size = math.sqrt(newton @ newton)
         # held walls' slack along Z is 0 while A Z = 0; past the tolerance Z has drifted off the face
         if np.abs(basis.normals @ newton).max(initial=0.0) > DRIFT_REFRESH_TOL * size:
-            return v, v, PseudoInverse.empty(len(g)), mu, regular
+            return v, v, PseudoInverse.empty(len(g))
         if newton @ g < 0.0 and (rows @ newton >= -1e-12 * size).all():
-            return v, newton, face, mu, regular
-    return v, v, face, mu, regular
+            return v, newton, face
+    return v, v, face
 
 
 def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
@@ -613,23 +604,23 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     projected onto the grown face, Z Z'v, while that descends; each bend is
     a step and a pivot record, with no new projection or Newton solve.
 
-    When the projection vanishes at independent walls, certify_local_min
-    prices x's 2m edges on the face itself, synced to every active wall:
-    its rows are over unit normals, so the crossing terms are scaled to
-    them (``_unit_terms``).  A crossing edge descends iff its multiplier
-    mu_k on the unit normal exceeds the BVLS bound
+    When the projection vanishes, certify_local_min prices x's 2m edges on
+    the face itself, state.pinv, which must hold every active wall: one
+    dense QR rebuilds it when NNLS left one out, and dependent walls end
+    NonRegular there.  Its rows are over unit normals, so the crossing terms
+    are scaled to them (``_unit_terms``).  A crossing edge descends iff its
+    multiplier mu_k on the unit normal exceeds the BVLS bound
     |n_k| (D_k - sum_j B_jk mu_j/|n_j|) (Stark & Parker 1995); the steepest
     one is flipped in the face, one step, and the descent goes on across
-    it; a flip that bends held walls empties the face.  With
-    none, x is a local minimum; dependent walls end NonRegular.  Independent
-    walls through x0 are priced so once before the first step, and x0 takes
-    the far side of every last-layer wall whose crossing edge descends more
-    steeply than its inside edge, as the LASSO homotopy picks its signs
-    (Osborne, Presnell & Turlach 2000): no step and no record.  The other
-    walls whose multipliers NNLS keeps are the first face, one QR; a bend or
-    the next sync holds the walls a step meets, one add_axis each, and a held
-    wall that left rebuilds the face.  Like drlsimplex, it runs on
-    ``pairs.fold(net)`` and names its units.
+    it.  With none, x is a local minimum.  Independent walls through x0 are
+    priced so once before the first step, and x0 takes the far side of
+    every last-layer wall whose crossing edge descends more steeply than
+    its inside edge, as the LASSO homotopy picks its signs (Osborne,
+    Presnell & Turlach 2000): no step and no record.  The other walls whose
+    multipliers NNLS keeps are the first face, one QR.  Only that QR, NNLS
+    and a bend hold walls; a face without Z (none yet, drifted, or bent by
+    a flip) or with a held wall that left is rebuilt by the next sync.
+    Like drlsimplex, it runs on ``pairs.fold(net)`` and names its units.
     """
     net = pairs.fold(net)
     if q.lin.shape != (net.input_dim,):
@@ -638,12 +629,11 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
     x = start_point(net, x0)
     state = SolverState(net=net, x=x, s=activation_pattern(net, x), pinv=PseudoInverse.empty(net.input_dim),
                         options=opts, objective=q)
-    basis = PseudoInverse.empty(net.input_dim)
     try:        # positive definite curvature makes every face's Z'HZ so too
         convex = np.linalg.cholesky(q.hess) is not None
     except np.linalg.LinAlgError:
         convex = False
-    out = pattern = joined = None     # joined: [] for the start's first face, held as priced
+    out = pattern = None
     while not isinstance(out, SolveOutcome):     # past a certify_local_min edge, descend on
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
@@ -654,20 +644,19 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
             unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
             active = on_walls(args, norms)
         g = grad + q.grad(state.x)
-        if not state.steps and joined is None and active.size:    # x0 on walls: the start side of each, priced once
+        if not state.steps and state.pinv.null is None and active.size:    # x0 on walls, no face yet: priced once
             with contextlib.suppress(Degenerate):       # dependent walls keep activation_pattern's side
-                basis = dense_pseudoinverse(unit[active], active.tolist())
-                vals = axis_derivatives(basis, g, *_unit_terms(net, state.s, active, norms))[1].reshape(2, -1)
+                priced = dense_pseudoinverse(unit[active], active.tolist())
+                vals = axis_derivatives(priced, g, *_unit_terms(net, state.s, active, norms))[1].reshape(2, -1)
                 turn = ((vals[1] < -DESCENT_TOL * (1.0 + math.sqrt(g @ g))) & (vals[1] < vals[0])
                         & (active >= net.offsets[-2]))     # an earlier layer's flip bends other walls
                 # the first face: the walls NNLS keeps; a last-layer turn moves no other wall's mu
-                face = active[~turn & (basis.matrix @ g >= -RELEASE_TOL * (1.0 + math.sqrt(g @ g)))]
-                basis, joined = dense_pseudoinverse(unit[face], face.tolist(), True), []
+                face = active[~turn & (priced.matrix @ g >= -RELEASE_TOL * (1.0 + math.sqrt(g @ g)))]
+                state.pinv = dense_pseudoinverse(unit[face], face.tolist(), True)
                 if turn.any():       # a side, not a step: x, steps and the trace stay
                     state.s = flip(state.s, active[turn])
                     continue
-        v, d, basis, _, regular = _feasible_direction(g, unit, active, basis, q.hess, convex, joined)
-        joined = None
+        v, d, state.pinv = _feasible_direction(g, unit, active, state.pinv, q.hess, convex)
         if _steps(v, g):
             v = d / math.sqrt(d @ d)
             while True:     # a step, then a bend at each stop wall while the face's projection of v descends
@@ -683,28 +672,28 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
                 state.emit("pivot", neuron=res.neuron if t == t_max else None, t=t, alpha=slope,
                            crossed=0, step=res)
                 active = on_walls(args, norms)
-                # bend: the stop wall alone joins the face, as the next sync would hold it
-                if (t != t_max or state.steps >= opts.max_steps or basis.null is None or not basis.null.shape[1]
-                        or set(active.tolist()) != {*basis.owners, res.neuron}):
+                # bend: the stop wall alone joins the face
+                if (t != t_max or state.steps >= opts.max_steps or state.pinv.null is None
+                        or not state.pinv.null.shape[1] or set(active.tolist()) != {*state.pinv.owners, res.neuron}):
                     break
                 try:
-                    basis = add_axis(basis, unit[res.neuron], res.neuron)
+                    state.pinv = add_axis(state.pinv, unit[res.neuron], res.neuron)
                 except Degenerate:
                     break
-                w, g = basis.null @ (basis.null.T @ v), grad + q.grad(state.x)
+                w, g = state.pinv.null @ (state.pinv.null.T @ v), grad + q.grad(state.x)
                 size = math.sqrt(w @ w)
-                if np.abs(basis.normals @ w).max() > DRIFT_REFRESH_TOL * size:
-                    basis = PseudoInverse.empty(net.input_dim)      # Z drifted off the face: the next sync rebuilds
+                if np.abs(state.pinv.normals @ w).max() > DRIFT_REFRESH_TOL * size:
+                    state.pinv = PseudoInverse.empty(net.input_dim)    # Z drifted off the face: the next sync rebuilds
                     break
                 if w @ g >= -DESCENT_TOL * (1.0 + math.sqrt(g @ g)) * size:
                     break
                 v = w / size
-        elif not regular:
-            return state.finish(NON_REGULAR, neurons=active)
         else:
-            # the face over every active wall (sync holds any NNLS released at mu = 0); a flip changes it in place
-            state.pinv = basis = _sync(basis, active, unit)
-            out = certify_local_min(state, g, terms := _unit_terms(net, state.s, basis.owners, norms))
-            if state.s is not pattern and not isinstance(out, SolveOutcome) and terms[1][:, out[2]].any():
-                basis = PseudoInverse.empty(net.input_dim)      # the flip bent held walls: the next sync rebuilds
+            if state.pinv.m < active.size:      # NNLS left an active wall out: certify on all of them
+                try:
+                    state.pinv = dense_pseudoinverse(unit[active], active.tolist(), True)
+                except Degenerate:
+                    return state.finish(NON_REGULAR, neurons=active)
+            # a flip changes the face in place; one that bends held walls drops its Z
+            out = certify_local_min(state, g, _unit_terms(net, state.s, state.pinv.owners, norms))
     return out

@@ -716,7 +716,7 @@ def _probe(net, x, s, pinv, **options):
     """certify_local_min on a state pinned at x; returns (result, state)."""
     state = SolverState(net=net, x=np.asarray(x, dtype=float), s=s, pinv=pinv,
                         options=SolverOptions(**options))
-    return certify_local_min(state, state.gradient(), crossing_terms(net, s, pinv.owners)), state
+    return certify_local_min(state, gradient(net, s), crossing_terms(net, s, pinv.owners)), state
 
 
 class TestCertification:
@@ -1181,15 +1181,17 @@ class TestQuadratic:
 
     def test_step_that_meets_two_walls_holds_both(self, monkeypatch):
         # relu(x1 - 1) + relu(x2 - 1) + |x - 3|^2 from 0: the Newton step reaches both walls at
-        # x = (1, 1) at once, so the face is synced in full, not just given the stop wall
+        # x = (1, 1) at once, so no bend holds either; the next pass's NNLS holds both, since
+        # -g crosses both, and no sync holds any wall
         net = ReluNetwork([np.eye(2), np.ones((1, 2))], [-np.ones(2), np.zeros(1)])
         q = QuadraticObjective(np.eye(2), np.full(2, -6.0), 18.0)
-        synced, sync = [], drlp.solver._sync
-        monkeypatch.setattr(drlp.solver, "_sync", lambda basis, walls, unit, joined=None: synced.append(
-            (walls.tolist(), joined)) or sync(basis, walls, unit, joined))
+        holds, hold = [], drlp.solver.add_axis
+        monkeypatch.setattr(drlp.solver, "add_axis", lambda basis, u, c: holds.append(
+            (sys._getframe(1).f_code.co_name, c)) or hold(basis, u, c))
         out = solve_quadratic(net, q, [0.0, 0.0])
         assert [(r.phase, r.neuron) for r in out.trace][:1] == [("pivot", 0)]
-        assert out.trace[0].x == (1.0, 1.0) and synced[1] == ([0, 1], None)
+        assert out.trace[0].x == (1.0, 1.0)
+        assert holds == [("_feasible_direction", 0), ("_feasible_direction", 1)]
         assert out.status == LOCAL_MINIMUM
         assert_allclose(out.x, [2.5, 2.5], atol=1e-12)
 
@@ -1394,9 +1396,9 @@ def _solve_with_start_side(net, q, x0, options, pairs=PairGroups()):
             super().__init__(*args, **kwargs)
             states.append(self)
 
-    def spy(basis, walls, unit, joined=None):
+    def spy(basis, walls, unit):
         sides.append(states[-1].s.copy())
-        return sync(basis, walls, unit, joined)
+        return sync(basis, walls, unit)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(drlp.solver, "SolverState", Spied)
@@ -1584,8 +1586,8 @@ class TestWorkingSet:
         seen = Counter()
         sync, dense = drlp.solver._sync, drlp.solver.dense_pseudoinverse
 
-        def checked_sync(basis, walls, unit, joined=None):
-            basis = sync(basis, walls, unit, joined)
+        def checked_sync(basis, walls, unit):
+            basis = sync(basis, walls, unit)
             assert np.array_equal(basis.normals, unit[basis.owners])
             assert np.max(np.abs(basis.matrix @ basis.normals.T - np.eye(basis.m)), initial=0.0) <= 1e-9
             want = np.linalg.pinv(basis.normals.T)
@@ -1691,13 +1693,42 @@ class TestWorkingSet:
         outs = [out for *_, out in _random_net_corpus()]
         assert checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
 
-    def test_sync_holds_dependent_walls_one_by_one_when_none_is_kept(self):
-        # the held wall 7 left; the two new walls are one, so the dense build raises Degenerate
-        basis = dense_pseudoinverse(np.eye(3)[:1], [7])
+    def test_sync_over_dependent_walls_is_the_empty_face(self):
+        # the held wall 7 left; the two new walls are one, so the dense build raises Degenerate and
+        # the face is empty with Z = I; NNLS holds what the projection needs from there
+        basis = dense_pseudoinverse(np.eye(3)[:1], [7], True)
         unit = np.zeros((8, 3))
         unit[[2, 4]], unit[7] = [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]
-        out = drlp.solver._sync(basis, np.array([2, 4]), unit)
-        assert out.owners == [2] and np.array_equal(out.normals, unit[[2]])
+        walls = np.array([2, 4])
+        out = drlp.solver._sync(basis, walls, unit)
+        assert out.m == 0 and out.owners == [] and np.array_equal(out.null, np.eye(3))
+        rng, crossing = np.random.Generator(np.random.Philox(36)), 0
+        for _ in range(20):
+            g = rng.standard_normal(3)
+            v, _, face = drlp.solver._feasible_direction(g, unit, walls, out, np.eye(3), True)
+            assert np.max(np.abs(v - cone_projection_nnls(g, unit[walls]))) <= 1e-12 * (1.0 + np.linalg.norm(g))
+            # one of the two walls is held exactly when -g crosses them
+            assert face.owners == ([2] if g[1] > 0.0 else [])
+            crossing += g[1] > 0.0
+        assert 0 < crossing < 20
+
+    @pytest.mark.parametrize("grad, bends", [((0.0, 3.0), True), ((3.0, -3.0), False)])
+    def test_certification_flip_drops_z_only_when_it_bends_held_walls(self, net_hinge_gap, grad, bends):
+        # net_hinge_gap's vertex (1, 0) on walls 1 (x2 = 0) and 2 (the second layer's), on a face over
+        # their unit normals that keeps Z, as solve_quadratic's: with grad (0, 3) crossing wall 1,
+        # which bends wall 2, descends most; with (3, -3) crossing wall 2, which bends none
+        net, s, owners = net_hinge_gap, np.array([1, 1, 1], dtype=np.uint8), [1, 2]
+        rows = np.array([oriented_normal(net, s, c) for c in owners])
+        norms = np.zeros(net.num_neurons)
+        norms[owners] = np.linalg.norm(rows, axis=1)
+        face = dense_pseudoinverse(rows / norms[owners, None], owners, True)
+        null = face.null
+        state = SolverState(net=net, x=np.array([1.0, 0.0]), s=s, pinv=face, options=SolverOptions())
+        _, alpha, i, _ = certify_local_min(state, np.array(grad), drlp.solver._unit_terms(net, s, owners, norms))
+        assert [(r.phase, r.neuron) for r in state.trace] == [("flip", 1 if bends else 2)] and alpha < 0.0
+        assert state.pinv is face and state.s[owners[i]] == 0
+        assert np.max(np.abs(face.matrix @ face.normals.T - np.eye(2))) <= 1e-12
+        assert face.null is None if bends else face.null is null
 
     @pytest.fixture
     def walls_checked(self, monkeypatch):
@@ -1713,7 +1744,7 @@ class TestWorkingSet:
                 super().__init__(*args, **kwargs)
                 states.append(self)
 
-        def checked_sync(basis, walls, unit, joined=None):
+        def checked_sync(basis, walls, unit):
             units, normals = critical_indices(states[-1].net, states[-1].s, states[-1].x)
             assert walls.tolist() == units
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
@@ -1721,7 +1752,7 @@ class TestWorkingSet:
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
             seen["syncs"] += 1
             seen["synced", states[-1].s.tobytes()] += 1
-            return sync(basis, walls, unit, joined)
+            return sync(basis, walls, unit)
 
         def counted(net, s):
             seen.update(["normal_matrices", ("swept", s.tobytes())])
@@ -2118,11 +2149,17 @@ def _direction_cases(kind, seed, count):
 
 
 def _direction(g, normals, hess=None):
-    """_feasible_direction from an empty basis with walls named by row: (v, d, held rows, mu, regular)."""
+    """_feasible_direction from an empty basis with walls named by row: (v, d, held rows, mu).
+
+    mu is the returned face's multipliers P g by row, 0 off the face; hess defaults to I.
+    """
     unit = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
-    v, d, basis, mu, regular = drlp.solver._feasible_direction(
-        g, unit, np.arange(len(normals)), PseudoInverse.empty(len(g)), hess)
-    return v, d, basis.owners, mu, regular
+    n = len(g)
+    v, d, face = drlp.solver._feasible_direction(
+        g, unit, np.arange(len(normals)), PseudoInverse.empty(n), np.eye(n) if hess is None else hess, False)
+    mu = np.zeros(len(normals))
+    mu[face.owners] = face.matrix @ g
+    return v, d, face.owners, mu
 
 
 class TestFeasibleDirection:
@@ -2130,20 +2167,20 @@ class TestFeasibleDirection:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_matches_nnls(self, kind):
-        regular = Counter()
+        independent = Counter()
         for g, normals, _ in _direction_cases(kind, 31, 300):
-            v, _, _, mu, ok = _direction(g, normals)
+            v, _, _, mu = _direction(g, normals)
             walls = _exact_walls(kind, normals)
             want = cone_projection_nnls(g, walls)
             assert np.max(np.abs(v - want)) <= 1e-10 * (1.0 + np.linalg.norm(g))
-            assert ok == (np.linalg.matrix_rank(walls) == len(walls))
+            ok = np.linalg.matrix_rank(walls) == len(walls)
             if ok:
-                # Moreau: -g = v - N' mu over the unit normals, with mu >= 0
+                # Moreau: -g = v - N' mu over the unit normals, with mu >= 0 up to the release tolerance
                 unit = normals / np.linalg.norm(normals, axis=1)[:, None]
-                assert np.all(mu >= 0.0)
+                assert np.all(mu >= -drlp.solver.RELEASE_TOL * (1.0 + np.linalg.norm(g)))
                 assert np.max(np.abs(unit.T @ mu - g - v)) <= 1e-10 * (1.0 + np.linalg.norm(g))
-            regular[ok] += 1
-        assert min(regular[True], regular[False]) > 40
+            independent[ok] += 1
+        assert min(independent[True], independent[False]) > 40
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_projection_follows_sign_flips(self, kind):
@@ -2169,7 +2206,7 @@ class TestFeasibleDirection:
     def test_held_axis_coordinates_are_exactly_zero(self):
         held_any = 0
         for g, normals, hess in _direction_cases("axis", 32, 300):
-            v, d, held, _, _ = _direction(g, normals, hess)
+            v, d, held, _ = _direction(g, normals, hess)
             coords = np.nonzero(normals[held])[1]
             assert np.all(v[coords] == 0.0) and np.all(d[coords] == 0.0)
             held_any += coords.size > 0
@@ -2179,7 +2216,7 @@ class TestFeasibleDirection:
     def test_newton_step_matches_dense_kkt(self, kind):
         newton = 0
         for g, normals, hess in _direction_cases(kind, 33, 300):
-            v, d, held, _, _ = _direction(g, normals, hess)
+            v, d, held, _ = _direction(g, normals, hess)
             rows = normals[held]
             k, n = rows.shape
             kkt = np.block([[hess, rows.T], [rows, np.zeros((k, k))]])
@@ -2201,13 +2238,13 @@ class TestFeasibleDirection:
         normals = rng.standard_normal((2, 5))
         unit = normals / np.linalg.norm(normals, axis=1)[:, None]
         g, hess, walls = unit.T @ np.array([1.0, 2.0]) - 0.1 * rng.standard_normal(5), np.eye(5), np.arange(2)
-        face = drlp.solver._feasible_direction(g, unit, walls, PseudoInverse.empty(5), hess)[2]
+        face = drlp.solver._feasible_direction(g, unit, walls, PseudoInverse.empty(5), hess, False)[2]
         assert face.owners == [0, 1] and face.null.shape == (5, 3)
-        assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == [0, 1]
+        assert drlp.solver._feasible_direction(g, unit, walls, face, hess, False)[2].owners == [0, 1]
         face.null[:, 0] += 1e-6 * unit[0]
-        assert drlp.solver._feasible_direction(g, unit, walls, face, hess)[2].owners == []
-        # a face without Z is built afresh even when the walls that joined it are known
-        assert drlp.solver._sync(PseudoInverse.empty(5), walls, unit, [1]).owners == [0, 1]
+        assert drlp.solver._feasible_direction(g, unit, walls, face, hess, False)[2].owners == []
+        # a face without Z is built afresh over every listed wall
+        assert drlp.solver._sync(PseudoInverse.empty(5), walls, unit).owners == [0, 1]
 
 
 class TestCertifyPoint:
