@@ -14,7 +14,9 @@ argument_residuals read the network.  add_axis, exchange_axis and
 dense_pseudoinverse test independence by one rule and raise Degenerate
 when it fails, as remove_pseudorow does on a zero row.  A basis may also
 carry Z, an orthonormal basis of the walls' null space; add_axis and
-remove_pseudorow keep it, and the other updates return bases without it.
+remove_pseudorow keep it, and the other updates drop it.  Each update
+writes in place, into input_dim x input_dim buffers, and allocates none
+of their size: it consumes its basis, which code that keeps copies first.
 """
 
 from __future__ import annotations
@@ -33,34 +35,45 @@ from .network import (
 
 DEP_TOL = 1e-8     # relative dependence threshold for new columns
 TIE_TOL = 1e-12    # relative window for line-search ties
+_BLOCK = 64        # rows per rank-one block, whose temporary stays in cache
 
 
 class Degenerate(Exception):
     """The walls are not regular: a normal within DEP_TOL (relative) of the others' span, or a zero row to remove."""
 
 
-@dataclass
 class PseudoInverse:
     """Rows P biorthogonal to the owners' oriented normals A: P A' = I.
 
     Row k of normals is owner k's oriented normal, and row k of matrix is
-    biorthogonal to it.  Every update changes both together.  null, when
-    kept (solve_quadratic's faces), is Z: orthonormal columns spanning
-    null(A), Z'Z = I and A Z = 0, updated by add_axis and remove_pseudorow.
+    biorthogonal to it; both are views of a buffer's first m rows, and an
+    update writes a new row into spare capacity.  null, when kept
+    (solve_quadratic's faces), is Z: orthonormal columns spanning null(A),
+    Z'Z = I and A Z = 0, updated by add_axis and remove_pseudorow; Z' is a
+    contiguous range of a third buffer's rows, and setting null to None drops it.
     """
 
-    matrix: np.ndarray            # P, (m, input_dim)
-    normals: np.ndarray           # A, (m, input_dim)
-    owners: list                  # m flat unit indices
-    null: np.ndarray | None = None    # Z, (input_dim, input_dim - m), or None when not kept
+    def __init__(self, matrix, normals, owners, null=None):
+        n, self.owners = np.shape(normals)[1], list(owners)      # m flat unit indices
+        self._p, self._a, self._zt = np.empty((n, n)), np.empty((n, n)), None
+        self._p[:len(normals)], self._a[:len(normals)] = matrix, normals
+        if null is not None:
+            self._zt, self._z0, self._z1 = np.empty((n, n)), 0, null.shape[1]
+            self._zt[:self._z1] = null.T
+        self._live(null is not None)
 
     @classmethod
     def empty(cls, input_dim: int) -> "PseudoInverse":
         return cls(np.zeros((0, input_dim)), np.zeros((0, input_dim)), [])
 
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
+    def _live(self, null: bool):
+        """Point m, matrix (P) and normals (A), (m, input_dim), and null (Z) or None, at the live rows."""
+        self.m = m = len(self.owners)
+        self.matrix, self.normals = self._p[:m], self._a[:m]
+        self.null = self._zt[self._z0:self._z1].T if null else None
+
+    def copy(self) -> "PseudoInverse":
+        return PseudoInverse(self.matrix, self.normals, self.owners, self.null)
 
 
 @dataclass
@@ -96,44 +109,70 @@ def project(pinv: PseudoInverse, v) -> np.ndarray:
     return pinv.matrix.T @ (pinv.normals @ v)
 
 
+def _move_rows(to: int, lo: int, hi: int, *bufs):
+    """Copy rows lo .. hi - 1 of each buffer to rows to ..: one flat copy, which moves overlapping rows in place."""
+    for buf in bufs:
+        n, flat = buf.shape[1], buf.reshape(-1)
+        flat[to * n:(to + hi - lo) * n] = flat[lo * n:hi * n]
+
+
+def _outer_update(op, out: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """out = op(out, outer(a, b)) in place, _BLOCK rows at a time, so no temporary is larger."""
+    for k in range(0, len(a), _BLOCK):
+        rows = out[k:k + _BLOCK]
+        op(rows, a[k:k + _BLOCK, None] * b, out=rows)
+
+
 def remove_pseudorow(pinv: PseudoInverse, i: int) -> PseudoInverse:
     """Drop row i, its normal and its owner, restoring the pseudoinverse of the rest.
 
-    P_i lies in span(A) and is orthogonal to the other normals, so it is the
-    null space's new direction: a kept Z gains the column P_i / |P_i|.
+    The later rows move up one, in order.  P_i lies in span(A) and is orthogonal to the
+    others' normals, so a kept Z gains the null space's new direction P_i / |P_i|.
     """
-    ai = pinv.matrix[i]
+    ai, m = pinv.matrix[i].copy(), pinv.m
     if not (nrm2 := float(ai @ ai)):
         raise Degenerate("cannot remove a zero row")
-    others = pinv.matrix[keep := np.arange(pinv.m) != i]
-    null = None if pinv.null is None else np.column_stack([pinv.null, ai / math.sqrt(nrm2)])
-    return PseudoInverse(others - np.outer(others @ ai / nrm2, ai), pinv.normals[keep],
-                         pinv.owners[:i] + pinv.owners[i + 1:], null)
+    _move_rows(i, i + 1, m, pinv._p, pinv._a)
+    pinv.owners = pinv.owners[:i] + pinv.owners[i + 1:]
+    _outer_update(np.subtract, others := pinv._p[:m - 1], others @ ai / nrm2, ai)
+    if kept := pinv.null is not None:
+        if pinv._z1 == len(zt := pinv._zt):     # the buffer's end: Z' moves to its start
+            _move_rows(0, pinv._z0, pinv._z1, zt)
+            pinv._z0, pinv._z1 = 0, pinv._z1 - pinv._z0
+        zt[pinv._z1], pinv._z1 = ai / math.sqrt(nrm2), pinv._z1 + 1
+    pinv._live(kept)
+    return pinv
 
 
 def add_axis(pinv: PseudoInverse, u: np.ndarray, c: int) -> PseudoInverse:
     """Track unit c's hyperplane: add its oriented normal u as a new row of A.
 
-    Raises Degenerate when u lies within DEP_TOL (relative) of the
-    span of the tracked normals.  A kept Z loses the direction of w = Z'u:
-    the Householder reflection I - 2hh'/h'h, h = w + sign(w_1)|w| e_1,
-    takes w onto e_1, and Z's reflected columns but the first are
-    orthogonal to u.
+    Raises Degenerate when u's part w off the tracked normals' span is within
+    DEP_TOL of |u|: w = Z h, h = Z'u, if Z is kept, else u - P'(A u) taken
+    twice, as in Gram-Schmidt.  Z then loses h's direction: the Householder
+    reflection I - 2gg'/g'g, g = h + sign(h_1)|h| e_1, takes h onto e_1, and
+    Z's reflected columns but the first are orthogonal to u.
     """
-    w_perp = u - project(pinv, u)
-    w_perp -= project(pinv, w_perp)     # a second pass, as in Gram-Schmidt
+    m, kept = pinv.m, pinv.null is not None
+    if not kept:
+        w_perp = u - project(pinv, u)
+        w_perp -= project(pinv, w_perp)     # a second pass, as in Gram-Schmidt
+    else:
+        w_perp = (h := (z := pinv.null.T) @ u) @ z      # z is Z', rows of its buffer
     nu = math.sqrt(u @ u)
     if nu == 0.0 or math.sqrt(w_perp @ w_perp) <= DEP_TOL * nu:
         raise Degenerate(f"normal of unit {c} is dependent on the tracked set")
     new_row = w_perp / float(w_perp @ u)
     # existing rows must become orthogonal to the new normal
-    shifted = pinv.matrix - np.outer(pinv.matrix @ u, new_row)
-    if (null := pinv.null) is not None:
-        h = null.T @ u
-        h[0] += math.copysign(math.sqrt(h @ h), h[0])
-        null = null[:, 1:] - np.outer(null @ h, h[1:] * (2.0 / (h @ h)))
-    return PseudoInverse(np.vstack([shifted, new_row]), np.vstack([pinv.normals, u]),
-                         pinv.owners + [c], null)
+    _outer_update(np.subtract, pinv.matrix, pinv.matrix @ u, new_row)
+    pinv._p[m], pinv._a[m] = new_row, u
+    pinv.owners = pinv.owners + [c]
+    if kept:
+        h[0] += (shift := math.copysign(math.sqrt(h @ h), h[0]))       # g; g'Z' = w + shift Z_1'
+        _outer_update(np.subtract, z[1:], h[1:] * (2.0 / (h @ h)), w_perp + shift * z[0])
+        pinv._z0 += 1
+    pinv._live(kept)
+    return pinv
 
 
 def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
@@ -149,16 +188,16 @@ def exchange_axis(pinv: PseudoInverse, i: int, u: np.ndarray, c: int,
     is c's crossing_terms bend column after the pivot, over the new owners
     (the staying ones, then c), applied by update_axis_new_region.
     """
-    beta = pinv.matrix @ u
+    beta, m = pinv.matrix @ u, pinv.m
     if abs(beta[i]) <= DEP_TOL * math.sqrt(u @ u) * math.sqrt(pinv.matrix[i] @ pinv.matrix[i]):
         raise Degenerate(f"normal of unit {c} is dependent on the tracked set")
-    order = [*range(i), *range(i + 1, pinv.m), i]
-    matrix, normals, beta = pinv.matrix[order], pinv.normals[order], beta[order]
-    matrix[-1] /= beta[-1]
-    matrix[:-1] -= beta[:-1, None] * matrix[-1]
-    normals[-1] = u
-    out = PseudoInverse(matrix, normals, pinv.owners[:i] + pinv.owners[i + 1:] + [c])
-    return update_axis_new_region(out, out.m - 1, bend) if bend.any() else out
+    row = pinv.matrix[i] / beta[i]
+    _outer_update(np.subtract, pinv.matrix, beta, row)      # row i's result is overwritten below
+    _move_rows(i, i + 1, m, pinv._p, pinv._a)
+    pinv._p[m - 1], pinv._a[m - 1] = row, u
+    pinv.owners = pinv.owners[:i] + pinv.owners[i + 1:] + [c]
+    pinv._live(False)
+    return update_axis_new_region(pinv, m - 1, bend) if bend.any() else pinv
 
 
 def dense_pseudoinverse(normals: np.ndarray, owners, null: bool = False) -> PseudoInverse:
@@ -172,9 +211,7 @@ def dense_pseudoinverse(normals: np.ndarray, owners, null: bool = False) -> Pseu
     if (m := len(normals)) <= normals.shape[1]:
         q, r = np.linalg.qr(normals.T, mode="complete" if null else "reduced")
         if (np.abs(np.diagonal(r)) > DEP_TOL * np.sqrt(np.einsum("ij,ij->i", normals, normals))).all():
-            # contiguous Z: BLAS may round a strided view's products differently
-            return PseudoInverse(np.linalg.solve(r[:m], q[:, :m].T), normals, list(owners),
-                                 np.ascontiguousarray(q[:, m:]) if null else None)
+            return PseudoInverse(np.linalg.solve(r[:m], q[:, :m].T), normals, owners, q[:, m:] if null else None)
     raise Degenerate("tracked normals are not independent")
 
 
@@ -187,11 +224,12 @@ def update_axis_new_region(pinv: PseudoInverse, i: int, bend: np.ndarray) -> Pse
     crossing_terms' bend under the new pattern (bend[i] = 0).  The bent
     columns are A' (I + e_i bend'), whose inverse I - e_i bend' changes row
     i of P alone; its determinant is 1, so the bent basis is as independent
-    as A.
+    as A.  Z is dropped.
     """
-    matrix = pinv.matrix.copy()
-    matrix[i] -= bend @ pinv.matrix
-    return PseudoInverse(matrix, pinv.normals + np.outer(bend, pinv.normals[i]), list(pinv.owners))
+    pinv.matrix[i] -= bend @ pinv.matrix
+    _outer_update(np.add, pinv.normals, bend, pinv.normals[i].copy())
+    pinv.null = None
+    return pinv
 
 
 def advance_max(
@@ -210,12 +248,12 @@ def advance_max(
     oriented so that a unit's argument is positive on the side s claims.
     A unit is a candidate when its oriented rate is below -ZERO_TOL, so
     moving along v drives its argument against its current bit; ignored
-    units are not candidates.  Candidates are sorted by (crossing step,
-    flat index).
+    units are not candidates.
 
-    Without slope the step stops at the first wall.  Given slope, the
-    directional derivative of the network along v at x, it is a long
-    (Barrodale-Roberts) step: it passes walls while the slope stays below
+    Without slope the step stops at the first wall, found with no sort.  Given
+    slope, the directional derivative of the network along v at x, candidates
+    are sorted by (crossing step, flat index) for a long (Barrodale-Roberts)
+    step: it passes walls while the slope stays below
     -slope_tol, each last-layer wall adding its crossing gain (``net.gains``)
     times |rate|, and stops before any wall of an earlier layer, whose flip
     would bend the walls behind it, and before any wall at t <= 0.  If
@@ -235,15 +273,15 @@ def advance_max(
     if not flat.size:
         return AdvanceResult(float("inf"), None, args=alpha, rates=beta)
     ts = -alpha[flat] / beta[flat]     # the orientation cancels
-    # flat ascends, so a stable sort on t orders candidates by (t, flat index)
-    order = ts.argsort(kind="stable")
+    if slope is None:       # flat ascends, so the first candidate in the least t's tie window is the stop
+        k = int((ts <= (t := ts.min()) + TIE_TOL * (1.0 + abs(t))).argmax())
+        return AdvanceResult(float(ts[k]), int(flat[k]), args=alpha, rates=beta)
+    order = ts.argsort(kind="stable")      # by (t, flat index), as flat ascends
     ts, flat = ts[order], flat[order]
-    stop = 0
-    if slope is not None:
-        climb = slope - (net.gains[flat] * rate[flat]).cumsum()
-        stops = (climb >= -slope_tol) | (ts <= 0.0)
-        if not stops[stop := int(stops.argmax())]:
-            return AdvanceResult(float("inf"), None, flat, alpha, beta)
+    climb = slope - (net.gains[flat] * rate[flat]).cumsum()
+    stops = (climb >= -slope_tol) | (ts <= 0.0)
+    if not stops[stop := int(stops.argmax())]:
+        return AdvanceResult(float("inf"), None, flat, alpha, beta)
     # the stopping tie group starts at the first wall within the tie window
     # of the stop wall; everything before it is crossed
     first = int(ts.searchsorted(ts[stop] - TIE_TOL * (1.0 + abs(ts[stop]))))

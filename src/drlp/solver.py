@@ -508,8 +508,7 @@ def _sync(basis: PseudoInverse, walls: np.ndarray, unit) -> PseudoInverse:
     try:
         return dense_pseudoinverse(unit[walls], walls.tolist(), True)     # with Z
     except Degenerate:
-        n = unit.shape[1]
-        return PseudoInverse(np.zeros((0, n)), np.zeros((0, n)), [], np.eye(n))
+        return PseudoInverse(unit[:0], unit[:0], [], np.eye(unit.shape[1]))
 
 
 def _unit_terms(net: ReluNetwork, s: np.ndarray, walls, norms) -> tuple:
@@ -638,11 +637,14 @@ def solve_quadratic(net: ReluNetwork, q: QuadraticObjective, x0,
         if state.steps >= opts.max_steps:
             return state.finish(STEP_LIMIT)
         if state.s is not pattern:      # at the start and after a flip: the wall table
-            pattern, args, grad = state.s, subjective_arguments(net, state.s, state.x), gradient(net, state.s)
-            normals = normal_matrices(net, pattern) * np.where(pattern == 1, 1.0, -1.0)[:, None]    # oriented
-            norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
-            unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
-            active = on_walls(args, norms)
+            if pattern is not None and (flipped := (state.s != pattern).nonzero()[0]).min() >= net.offsets[-2]:
+                unit[flipped] *= -1.0       # a last-layer flip negates its walls' rows and moves no wall
+            else:
+                normals = normal_matrices(net, state.s) * np.where(state.s == 1, 1.0, -1.0)[:, None]    # oriented
+                norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))    # the rows' scale, as critical_indices'
+                unit = normals / np.where(norms > 0.0, norms, 1.0)[:, None]     # a zero normal is no wall
+                active = on_walls(subjective_arguments(net, state.s, state.x), norms)
+            pattern, grad = state.s, gradient(net, state.s)
         g = grad + q.grad(state.x)
         if not state.steps and state.pinv.null is None and active.size:    # x0 on walls, no face yet: priced once
             with contextlib.suppress(Degenerate):       # dependent walls keep activation_pattern's side

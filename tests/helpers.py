@@ -246,7 +246,7 @@ def pivot_update_reference(pinv, i, net, s, c):
     c's row and every normal under s with sweep_row_rebuild; this costs two
     full sweeps more.
     """
-    grown = add_axis(remove_pseudorow(pinv, i), oriented_normal(net, flip(s, c), c), c)
+    grown = add_axis(remove_pseudorow(pinv.copy(), i), oriented_normal(net, flip(s, c), c), c)
     return sweep_row_rebuild(grown, grown.m - 1, net, s, oriented_normal(net, s, c))
 
 

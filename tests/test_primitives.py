@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from drlp import (
     evaluate,
 )
 from drlp.network import (
+    ZERO_TOL,
     PairGroups,
     activation_pattern,
     crossing_terms,
@@ -24,6 +27,7 @@ from drlp.network import (
 )
 from drlp.primitives import (
     DEP_TOL,
+    TIE_TOL,
     Degenerate,
     PseudoInverse,
     add_axis,
@@ -103,7 +107,7 @@ class TestAddRemove:
             owners = list(range(4))
             pinv = _build_incremental(net, s, owners)
             for i in range(4):
-                got = remove_pseudorow(pinv, i)
+                got = remove_pseudorow(pinv.copy(), i)     # an update consumes its basis
                 keep = [j for j in range(4) if j != i]
                 assert got.owners == [owners[j] for j in keep]
                 assert np.array_equal(got.normals, rows[keep])
@@ -116,7 +120,7 @@ class TestAddRemove:
         net = first_layer_wrapper(np.vstack([rows, extra]))
         s = _all_ones_pattern(net)
         pinv = _build_incremental(net, s, [0, 1, 2])
-        grown = add_axis(pinv, extra, 3)
+        grown = add_axis(pinv.copy(), extra, 3)
         back = remove_pseudorow(grown, 3)
         assert back.owners == pinv.owners
         assert np.array_equal(back.normals, pinv.normals)
@@ -137,7 +141,7 @@ class TestAddRemove:
             with pytest.raises(Degenerate):
                 pivot_update_reference(pinv, 1, net, s2, 2)
         else:
-            got, ref = exchange_axis(pinv, 1, u, 2, bend), pivot_update_reference(pinv, 1, net, s2, 2)
+            got, ref = exchange_axis(pinv.copy(), 1, u, 2, bend), pivot_update_reference(pinv, 1, net, s2, 2)
             assert got.owners == [0, 2]
             assert_allclose(got.matrix, ref.matrix, rtol=1e-9)
             assert_allclose(got.normals, ref.normals, rtol=1e-12)
@@ -236,11 +240,62 @@ class TestNullSpace:
         for c in range(3):
             pinv = add_axis(pinv, rng.standard_normal(5), c)
         assert pinv.null is not None
-        assert exchange_axis(pinv, 1, rng.standard_normal(5), 7, np.zeros(3)).null is None
-        assert exchange_axis(pinv, 1, rng.standard_normal(5), 7, np.array([0.5, 0.0, 0.0])).null is None
-        assert update_axis_new_region(pinv, 2, np.array([0.3, -0.2, 0.0])).null is None
+        assert exchange_axis(pinv.copy(), 1, rng.standard_normal(5), 7, np.zeros(3)).null is None
+        assert exchange_axis(pinv.copy(), 1, rng.standard_normal(5), 7, np.array([0.5, 0.0, 0.0])).null is None
+        assert update_axis_new_region(pinv.copy(), 2, np.array([0.3, -0.2, 0.0])).null is None
         assert dense_pseudoinverse(pinv.normals, pinv.owners).null is None
         assert PseudoInverse.empty(5).null is None
+
+
+class TestStorage:
+    """Bases updated in place: a long seeded sequence of updates, and what one update allocates."""
+
+    def test_long_update_sequence_stays_exact(self):
+        # 300 holds, releases and certification-style negations at input_dim 60; Z starts as the
+        # identity, which fills its buffer, so releases keep moving Z' back to the buffer's start
+        rng, n = np.random.Generator(np.random.Philox(51)), 60
+        pinv, owners, rows, counts = _with_null(n), [], [], {"hold": 0, "release": 0, "negate": 0}
+        for step in range(300):
+            op = "hold" if not owners else rng.choice(["hold", "release", "negate"], p=[0.45, 0.35, 0.2])
+            if op == "hold":
+                rows.append(rng.uniform(0.5, 2.0) * rng.standard_normal(n))
+                owners.append(step)
+                pinv = add_axis(pinv, rows[-1], step)
+            elif op == "release":
+                i = int(rng.integers(len(owners)))
+                del owners[i], rows[i]
+                pinv = remove_pseudorow(pinv, i)
+            else:       # a flip that bends no held wall: its row and normal change sign in place
+                i = int(rng.integers(len(owners)))
+                rows[i] = -rows[i]
+                pinv.matrix[i] *= -1.0
+                pinv.normals[i] *= -1.0
+            counts[op] += 1
+        assert min(counts.values()) >= 50 and 10 <= len(owners) < n
+        assert pinv.owners == owners and np.array_equal(pinv.normals, rows)
+        z, m = pinv.null, len(owners)
+        assert np.max(np.abs(pinv.matrix @ pinv.normals.T - np.eye(m))) <= 1e-10
+        assert np.max(np.abs(pinv.normals @ z)) <= 1e-10
+        assert np.max(np.abs(z.T @ z - np.eye(n - m))) <= 1e-10
+        ref = dense_pseudoinverse(np.array(rows), owners).matrix
+        assert np.max(np.abs(pinv.matrix - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_hold_and_release_allocate_less_than_one_basis_matrix(self):
+        n = 300
+        rng = np.random.Generator(np.random.Philox(52))
+        pinv = dense_pseudoinverse(rng.standard_normal((n // 2, n)), list(range(n // 2)), null=True)
+        u = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            for update in (lambda: add_axis(pinv, u, n), lambda: remove_pseudorow(pinv, 7)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                update()
+                assert tracemalloc.get_traced_memory()[1] - before < n * n * 8
+        finally:
+            tracemalloc.stop()
+        assert pinv.m == n // 2 and pinv.owners[-1] == n and 7 not in pinv.owners
+        _assert_null_space(pinv)
 
 
 class TestProject:
@@ -343,7 +398,7 @@ class TestAgainstDenseRebuild:
         assert np.array_equal(pinv.normals, dense.normals)
 
         i = data.draw(st.integers(0, len(owners) - 1), label="removed row")
-        kept = remove_pseudorow(pinv, i)
+        kept = remove_pseudorow(pinv.copy(), i)
         rest = owners[:i] + owners[i + 1:]
         assert kept.owners == rest
         dense = dense_basis(net, s, rest)
@@ -420,6 +475,33 @@ class TestAdvance:
             else:
                 assert res.neuron == c_ref
                 assert res.t == pytest.approx(t_ref, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-4e-13, -1e-13, 0.0, 2e-13, 0.5, 1.0, 1.0 + 5e-13, 1.0 + 3e-12, 2.0]),
+                              st.sampled_from([-3.0, -1.0, -0.25, 0.5]), st.integers(0, 1)),
+                    min_size=1, max_size=12), st.data())
+    def test_first_wall_is_the_stable_sort_order(self, walls, data):
+        # unit c's argument along x is rate_c (x - t_c), so it crosses zero at about t_c; bit s_c
+        # picks the side, and with it whether the unit is a candidate.  Repeated and tied steps,
+        # some slightly negative, meet the first-wall search, which must stop where a stable sort
+        # on t, then the least flat index within the first wall's tie window, stops
+        steps, rates, bits = (np.array(col) for col in zip(*walls))
+        net = ReluNetwork([rates[:, None], np.ones((1, len(rates)))], [-steps * rates, np.zeros(1)])
+        s = bits.astype(np.uint8)
+        ignore = data.draw(st.lists(st.integers(0, len(rates) - 1), unique=True), label="ignore")
+        res = advance_max(net, np.zeros(1), np.ones(1), s, ignore)
+        flat = np.flatnonzero(np.where(s, res.rates, -res.rates) < -ZERO_TOL)
+        flat = flat[~np.isin(flat, ignore)]
+        assert res.crossed.size == 0
+        if not flat.size:
+            assert not res.bounded and res.t == float("inf")
+            return
+        ts = -res.args[flat] / res.rates[flat]
+        order = ts.argsort(kind="stable")
+        ts, flat = ts[order], flat[order]
+        end = int(ts.searchsorted(ts[0] + TIE_TOL * (1.0 + abs(ts[0])), side="right"))
+        k = int(flat[:end].argmin())
+        assert (res.t, res.neuron) == (float(ts[k]), int(flat[k]))
 
     def test_frozen_crossing(self, net_hinge_gap):
         x = np.array([3.0, -2.0])

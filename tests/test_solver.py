@@ -599,8 +599,8 @@ class TestPivotUpdate:
         real = drlp.solver.exchange_axis
 
         def checked(pinv, i, u, c, bend):
+            ref = pivot_update_reference(pinv, i, states[-1].net, states[-1].s, c)     # before pinv is consumed
             got = real(pinv, i, u, c, bend)
-            ref = pivot_update_reference(pinv, i, states[-1].net, states[-1].s, c)
             assert got.owners == ref.owners
             assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-10 * np.max(np.abs(ref.matrix))
             assert np.max(np.abs(got.normals - ref.normals)) <= 1e-10 * np.max(np.abs(ref.normals))
@@ -1722,22 +1722,26 @@ class TestWorkingSet:
         norms = np.zeros(net.num_neurons)
         norms[owners] = np.linalg.norm(rows, axis=1)
         face = dense_pseudoinverse(rows / norms[owners, None], owners, True)
-        null = face.null
+        null, before = face.null, face.null.copy()
         state = SolverState(net=net, x=np.array([1.0, 0.0]), s=s, pinv=face, options=SolverOptions())
         _, alpha, i, _ = certify_local_min(state, np.array(grad), drlp.solver._unit_terms(net, s, owners, norms))
         assert [(r.phase, r.neuron) for r in state.trace] == [("flip", 1 if bends else 2)] and alpha < 0.0
         assert state.pinv is face and state.s[owners[i]] == 0
         assert np.max(np.abs(face.matrix @ face.normals.T - np.eye(2))) <= 1e-12
-        assert face.null is None if bends else face.null is null
+        # a kept Z stays in place, a view of the same storage, unchanged
+        assert face.null is None if bends else face.null.base is null.base and np.array_equal(face.null, before)
 
     @pytest.fixture
     def walls_checked(self, monkeypatch):
         """At every _sync: the walls and their unit rows solve_quadratic passes are critical_indices' at its s and x.
 
         The rows are normalized as the solver always has, by the einsum row norm; both checks are
-        byte for byte.  Counts syncs, and normal_matrices calls per solve.
+        byte for byte.  At the first sync on each new pattern the whole table, swept or changed in
+        place, must equal a fresh one from normal_matrices byte for byte ("tables" counts these).
+        Counts syncs, and normal_matrices calls per solve.
         """
         seen, states, sync, normal_matrices = Counter(), [], drlp.solver._sync, drlp.solver.normal_matrices
+        checked = [None]        # the pattern whose whole table was last compared
 
         class Spied(SolverState):
             def __init__(self, *args, **kwargs):
@@ -1750,8 +1754,13 @@ class TestWorkingSet:
             want = normals / np.sqrt(np.einsum("ij,ij->i", normals, normals))[:, None]
             assert unit.shape[0] == states[-1].net.num_neurons
             assert unit[walls].shape == want.shape and unit[walls].tobytes() == want.tobytes()
+            if (s := states[-1].s) is not checked[0]:
+                rows = normal_matrices(states[-1].net, s) * np.where(s == 1, 1.0, -1.0)[:, None]
+                norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+                assert unit.tobytes() == (rows / np.where(norms > 0.0, norms, 1.0)[:, None]).tobytes()
+                checked[0] = s
+                seen["tables"] += 1
             seen["syncs"] += 1
-            seen["synced", states[-1].s.tobytes()] += 1
             return sync(basis, walls, unit)
 
         def counted(net, s):
@@ -1776,33 +1785,34 @@ class TestWorkingSet:
         outs = [out for *_, out in _random_net_corpus()]
         assert walls_checked["syncs"] >= sum(out.steps > 0 for out in outs) > 50
 
-    @staticmethod
-    def _one_table_per_pattern(seen, x0_pattern):
-        """The patterns swept for a wall table are x0's and those the solve synced at, each swept once."""
-        swept = {key[1]: n for key, n in seen.items() if key[0] == "swept"}
-        assert set(swept.values()) == {1}
-        assert set(swept) == {key[1] for key in seen if key[0] == "synced"} | {x0_pattern.tobytes()}
-
     def test_one_wall_table_per_pattern(self, bench_lasso_solves, walls_checked):
-        # the normals are swept for x0's pattern, for the start's side when it crosses a wall
-        # through x0, and after each certification flip, never per step
-        outs = []
+        # the normals are swept once for x0's pattern, and again only after a flip of an earlier
+        # layer's wall, which bends the walls behind it; a last-layer flip (the start's side, and
+        # every flip on a depth-1 net) negates its rows in place, which walls_checked compares
+        # with a fresh sweep byte for byte
+        flips = Counter()
         for k, (net, q, pairs, _) in enumerate(bench_lasso_solves):
             walls_checked.clear()
-            outs.append(solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs))
-            self._one_table_per_pattern(walls_checked, activation_pattern(net, np.zeros(40)))
-            # every bench LASSO start has some lin_j > lam, so it starts across that wall
-            assert walls_checked["normal_matrices"] == 2 + sum(r.phase == "flip" for r in outs[-1].trace)
+            out = solve_quadratic(net, q, np.zeros(40), SolverOptions(seed=k), pairs)
+            assert pairs.fold(net).depth == 1 and walls_checked["normal_matrices"] == 1
+            assert walls_checked["swept", activation_pattern(net, np.zeros(40)).tobytes()] == 1
+            # every bench LASSO start has some lin_j > lam, so its first sync is on the start's side
+            assert walls_checked["tables"] >= 1 + sum(r.phase == "flip" for r in out.trace)
+            flips["lasso"] += sum(r.phase == "flip" for r in out.trace)
         walls_checked.clear()
         for _, seed, net, _, out in _random_net_corpus(collect_trace=True):      # each solve runs before its yield
             rng = np.random.Generator(np.random.Philox(seed))
             rng.standard_normal((net.input_dim, net.input_dim))     # x0 follows the quadratic's draw
-            self._one_table_per_pattern(walls_checked, activation_pattern(net, rng.standard_normal(net.input_dim)))
-            assert walls_checked["normal_matrices"] == 1 + sum(r.phase == "flip" for r in out.trace)
+            early = sum(r.phase == "flip" and r.neuron < net.offsets[-2] for r in out.trace)
+            assert walls_checked["normal_matrices"] == 1 + early
+            assert walls_checked["swept", activation_pattern(net, rng.standard_normal(net.input_dim)).tobytes()] == 1
+            assert {n for key, n in walls_checked.items() if key[0] == "swept"} == {1}
+            assert walls_checked["tables"] >= 1 + sum(r.phase == "flip" for r in out.trace)
+            flips["depth 1" if net.depth == 1 else "deep, last layer"] += sum(r.phase == "flip" for r in out.trace) - early
+            flips["deep, earlier layer"] += early
             walls_checked.clear()
-            outs.append(out)
-        assert sum(r.phase == "flip" for out in outs for r in out.trace) > 100
-        assert sum(out.steps for out in outs) > 3 * sum(r.phase == "flip" for out in outs for r in out.trace)
+        assert flips["lasso"] >= 4 and flips["depth 1"] >= 40
+        assert flips["deep, last layer"] >= 50 and flips["deep, earlier layer"] >= 100
 
     def test_face_newton_system_only_for_a_step(self, bench_lasso_solves, monkeypatch):
         # both corpora are convex, so each face Newton system formed is one np.linalg.solve from
@@ -1856,8 +1866,8 @@ def _step_log(monkeypatch):
 
     events gets ("pass", counts) at each _feasible_direction call and (record, counts) at each
     record on_record is given; counts are the add_axis, remove_pseudorow, dense_pseudoinverse and
-    np.linalg.solve calls made after it, by (name, caller).  held gets each basis add_axis returns
-    to solve_quadratic itself.
+    np.linalg.solve calls made after it, by (name, caller).  held gets a copy of each basis add_axis
+    returns to solve_quadratic itself.
     """
     events, held, direction = [], [], drlp.solver._feasible_direction
 
@@ -1868,7 +1878,7 @@ def _step_log(monkeypatch):
                 events[-1][1][name, caller] += 1
             out = update(*args)
             if (name, caller) == ("add_axis", "solve_quadratic"):
-                held.append(out)
+                held.append(out.copy())     # the next update consumes out
             return out
         return wrapper
 
